@@ -33,6 +33,19 @@ class Batch:
         return len(self.pages)
 
 
+def fitting_sets(ordered_sets, budget):
+    """Yield (position, page frozenset) in order, raising
+    OversizedVectorError at the first set larger than `budget`."""
+    for position, s in enumerate(ordered_sets):
+        s = frozenset(s)
+        if len(s) > budget:
+            raise OversizedVectorError(
+                f"vector at position {position} needs {len(s)} pages, budget is {budget}",
+                position=position,
+            )
+        yield position, s
+
+
 def greedy_batches(ordered_sets, budget):
     """Maximal consecutive batches whose page unions fit in `budget`.
 
@@ -42,24 +55,18 @@ def greedy_batches(ordered_sets, budget):
     """
     batches = []
     positions = []
-    union = set()
-    for position, s in enumerate(ordered_sets):
-        s = set(s)
-        if len(s) > budget:
-            raise OversizedVectorError(
-                f"vector at position {position} needs {len(s)} pages, budget is {budget}",
-                position=position,
-            )
+    union = frozenset()
+    for position, s in fitting_sets(ordered_sets, budget):
         merged = union | s
         if positions and len(merged) > budget:
-            batches.append(Batch(positions, frozenset(union)))
+            batches.append(Batch(positions, union))
             positions = [position]
             union = s
         else:
             positions.append(position)
             union = merged
     if positions:
-        batches.append(Batch(positions, frozenset(union)))
+        batches.append(Batch(positions, union))
     return batches
 
 
@@ -74,15 +81,7 @@ def brute_force_batches(ordered_sets, budget):
     n = len(ordered_sets)
     if n > _BRUTE_FORCE_LIMIT:
         raise ValidationError(f"brute force capped at n <= {_BRUTE_FORCE_LIMIT}, got {n}")
-    fsets = []
-    for position, s in enumerate(ordered_sets):
-        s = frozenset(s)
-        if len(s) > budget:
-            raise OversizedVectorError(
-                f"vector at position {position} needs {len(s)} pages, budget is {budget}",
-                position=position,
-            )
-        fsets.append(s)
+    fsets = [s for _, s in fitting_sets(ordered_sets, budget)]
     if n == 0:
         return 0
     best = None

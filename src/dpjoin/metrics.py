@@ -29,12 +29,12 @@ class MetricsReport:
     page_requests: int = 0
     page_misses: int = 0
     write_backs: int = 0
-    batch_count: int = 0
-    upage_count: int = 0
+    batch_count: int = 0        # batches executed; in training, update and loss passes
+    upage_count: int = 0        # U-pages planned; in training, iterations x U-pages
     distinct_pages: int = 0
-    reorder_time: float = 0.0
+    reorder_time: float = 0.0   # planning U-page orders (training: iteration_plan)
     io_time: float = 0.0
-    compute_time: float = 0.0
+    compute_time: float = 0.0   # visiting pinned batches: dot products, updates, loss terms
     config: dict = field(default_factory=dict)
     per_upage: list | None = None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .batcher import Batch, greedy_batches
+from .batcher import Batch, fitting_sets, greedy_batches
 from .buffer_manager import BufferManager
 from .errors import OversizedVectorError, PreconditionError, ValidationError
 from .metrics import MetricsReport
@@ -81,40 +81,62 @@ def oracle_dot_products(dataset, dense_model):
     return results
 
 
-def plan_upage(sets, config, upage_index, budget):
-    """Permutation of the chunk's positions for this upage, per config."""
-    seed = config.seed if config.reorder in ("none", "radix") else [config.seed, upage_index]
+def plan_order(sets, config, path):
+    """Permutation of a U-page's positions, per config. `none` and `radix`
+    take `config.seed`, the others `[config.seed, *path]`; `path` names the
+    U-page: `(upage_index,)` in the join, `(iteration, upage_index)` in training."""
+    seed = config.seed if config.reorder in ("none", "radix") else [config.seed, *path]
     return reorder(
-        config.reorder, sets, budget, seed=seed,
+        config.reorder, sets, config.budget, seed=seed,
         lsh_m=config.lsh_m, lsh_b=config.lsh_b, kcenter_k=config.kcenter_k,
     )
 
 
-def make_batches(ordered_sets, config, tids_by_position):
+def make_batches(ordered_sets, config, ordered_vectors):
     """Greedy batches when batching is on, single-vector batches otherwise.
-
-    Attaches the offending tid when a vector cannot fit the budget at all.
-    """
+    The error for a vector that cannot fit the budget carries its tid."""
     try:
         if config.batching:
             return greedy_batches(ordered_sets, config.budget)
-        batches = []
-        for position, s in enumerate(ordered_sets):
-            pages = frozenset(s)
-            if len(pages) > config.budget:
-                raise OversizedVectorError(
-                    f"vector at position {position} needs {len(pages)} pages,"
-                    f" budget is {config.budget}",
-                    position=position,
-                )
-            batches.append(Batch([position], pages))
-        return batches
+        return [Batch([position], pages)
+                for position, pages in fitting_sets(ordered_sets, config.budget)]
     except OversizedVectorError as exc:
-        exc.tid = tids_by_position[exc.position]
+        exc.tid = ordered_vectors[exc.position].tid
+        exc.args = (f"vector tid {exc.tid} needs {len(set(ordered_sets[exc.position]))}"
+                    f" pages, budget is {config.budget}",)
         raise
 
 
-def run(dataset, store, config, sink=None, bufmgr=None):
+def execute(manager, vectors, batches, visit, report):
+    """Pin each batch's pages as one set, call `visit(vector, views)` for
+    the batch's vectors (positions into `vectors`) in order, unpin the set.
+    Adds the batches and the time spent visiting to `report`."""
+    report.batch_count += len(batches)
+    for batch in batches:
+        views = manager.request_set(batch.pages)
+        started = time.perf_counter()
+        for position in batch.positions:
+            vector = vectors[position]
+            manager.add_element_requests(vector.nnz)
+            visit(vector, views)
+        report.compute_time += time.perf_counter() - started
+        manager.unpin_set(batch.pages)
+
+
+def finish_report(manager, store, report):
+    """Write back dirty pages, then copy the storage counters into `report`."""
+    manager.flush_all()
+    snapshot = manager.stats()
+    report.element_requests = snapshot.element_requests
+    report.page_requests = snapshot.page_requests
+    report.page_misses = snapshot.page_misses
+    report.write_backs = snapshot.write_backs
+    report.distinct_pages = manager.distinct_pages
+    report.io_time = store.io_time
+    return report
+
+
+def run(dataset, store, config, sink=None):
     """Execute the join; emit DotProductResult per vector to `sink` in
     processing (post-reorder) order and return a MetricsReport."""
     if dataset.dimension != store.dimension:
@@ -128,36 +150,28 @@ def run(dataset, store, config, sink=None, bufmgr=None):
             f"memory budget {config.budget} exceeds the {store.num_pages} model pages"
         )
     emit = sink if sink is not None else (lambda result: None)
-    manager = bufmgr if bufmgr is not None else BufferManager(store, config.budget)
+    manager = BufferManager(store, config.budget)
     page_size = store.page_size
-    reorder_time = 0.0
-    compute_time = 0.0
-    batch_count = 0
-    upage_count = 0
-    per_upage = [] if config.per_upage_metrics else None
+    report = MetricsReport(
+        config=config.describe(), per_upage=[] if config.per_upage_metrics else None,
+    )
+
+    def visit(vector, views):
+        emit(DotProductResult(vector.tid, dot_product(vector, views, page_size)))
+
     for upage_index, (start, vectors) in enumerate(dataset.iter_upages(config.upage)):
-        upage_count += 1
-        before = manager.stats() if per_upage is not None else None
+        report.upage_count += 1
+        before = manager.stats() if report.per_upage is not None else None
         sets = [page_request_set(v, page_size) for v in vectors]
         started = time.perf_counter()
-        perm = plan_upage(sets, config, upage_index, config.budget)
-        reorder_time += time.perf_counter() - started
-        ordered_sets = [sets[p] for p in perm]
-        tids = [vectors[p].tid for p in perm]
-        batches = make_batches(ordered_sets, config, tids)
-        batch_count += len(batches)
-        for batch in batches:
-            views = manager.request_set(batch.pages)
-            started = time.perf_counter()
-            for position in batch.positions:
-                vector = vectors[perm[position]]
-                manager.add_element_requests(vector.nnz)
-                emit(DotProductResult(vector.tid, dot_product(vector, views, page_size)))
-            compute_time += time.perf_counter() - started
-            manager.unpin_set(batch.pages)
-        if per_upage is not None:
+        perm = plan_order(sets, config, (upage_index,))
+        report.reorder_time += time.perf_counter() - started
+        ordered = [vectors[p] for p in perm]
+        batches = make_batches([sets[p] for p in perm], config, ordered)
+        execute(manager, ordered, batches, visit, report)
+        if report.per_upage is not None:
             window = manager.stats().delta(before)
-            per_upage.append({
+            report.per_upage.append({
                 "upage": upage_index,
                 "start": start,
                 "vectors": len(vectors),
@@ -165,22 +179,7 @@ def run(dataset, store, config, sink=None, bufmgr=None):
                 "page_misses": window.page_misses,
                 "misses_by_page": dict(window.misses_by_page),
             })
-    manager.flush_all()
-    snapshot = manager.stats()
-    return MetricsReport(
-        element_requests=snapshot.element_requests,
-        page_requests=snapshot.page_requests,
-        page_misses=snapshot.page_misses,
-        write_backs=snapshot.write_backs,
-        batch_count=batch_count,
-        upage_count=upage_count,
-        distinct_pages=manager.distinct_pages,
-        reorder_time=reorder_time,
-        io_time=store.io_time,
-        compute_time=compute_time,
-        config=config.describe(),
-        per_upage=per_upage,
-    )
+    return finish_report(manager, store, report)
 
 
 class CollectSink:

@@ -31,6 +31,7 @@ from collections import Counter
 
 import numpy as np
 
+from .batcher import greedy_batches
 from .errors import PreconditionError, ValidationError
 
 DEFAULT_LSH_HASHES = 16
@@ -250,10 +251,9 @@ def _kcenter_split(positions, fsets, k, budget, seed, depth):
     for p in positions:
         best = min(centers, key=lambda c: (len(fsets[p] - fsets[c]), c))
         members[best].append(p)
+    # A level that puts every member under one center makes no progress;
+    # the depth cap bounds such recursion.
     live = [c for c in centers if members[c]]
-    if len(live) == 1 and len(members[live[0]]) == len(positions):
-        # No progress at this level; recurse anyway, the depth cap bounds it.
-        pass
     chained = _chain_centers(live, fsets, rng)
     result = []
     for center in chained:
@@ -279,21 +279,8 @@ def _chain_centers(centers, fsets, rng):
 
 def _chunk_split(positions, fsets, budget):
     """Order-preserving fallback: cut into consecutive chunks whose unions fit."""
-    clusters = []
-    chunk = []
-    union = set()
-    for p in positions:
-        merged = union | fsets[p]
-        if chunk and len(merged) > budget:
-            clusters.append(chunk)
-            chunk = [p]
-            union = set(fsets[p])
-        else:
-            chunk.append(p)
-            union = merged
-    if chunk:
-        clusters.append(chunk)
-    return clusters
+    batches = greedy_batches([fsets[p] for p in positions], budget)
+    return [[positions[i] for i in batch.positions] for batch in batches]
 
 
 # -- dispatch ----------------------------------------------------------------------

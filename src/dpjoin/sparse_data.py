@@ -166,7 +166,8 @@ def _store_binary(dataset, path):
 
 def _load_binary(path):
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise StoreError(f"cannot read dataset file {path}: {exc}") from exc
     if len(raw) < _DATA_HEADER.size:
@@ -228,7 +229,8 @@ def _store_text(dataset, path):
 
 def _load_text(path):
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise StoreError(f"cannot read dataset file {path}: {exc}") from exc
     dimension = None

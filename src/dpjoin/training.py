@@ -15,16 +15,16 @@ the out-of-core path; it is the reference the paged path is tested against.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .batcher import greedy_batches
 from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import MetricsReport
-from .operator import OperatorConfig, dot_product, make_batches
-from .reorder import reorder
+from .operator import (OperatorConfig, dot_product, execute, finish_report,
+                       make_batches, plan_order)
 from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
@@ -141,6 +141,14 @@ def lmf_loss(dataset, dense_model, layout):
 # -- shared plan ---------------------------------------------------------------------
 
 
+def _plan_inputs(dataset, upage, page_size):
+    """U-pages as (start, vectors), the page-request sets of all vectors,
+    and the same sets split by U-page."""
+    sets_all = [page_request_set(v, page_size) for v in dataset.vectors]
+    upages = list(dataset.iter_upages(upage))
+    return upages, sets_all, [sets_all[start : start + len(chunk)] for start, chunk in upages]
+
+
 def iteration_plan(sets_by_upage, config, iteration):
     """Visit order of U-pages plus the permutation inside each one.
 
@@ -153,83 +161,63 @@ def iteration_plan(sets_by_upage, config, iteration):
     if config.shuffle_upages and len(order) > 1:
         rng = np.random.default_rng([op.seed, _TAG_UPAGE_ORDER, iteration])
         order = [int(i) for i in rng.permutation(len(order))]
-    plan = []
-    for upage_index in order:
-        sets = sets_by_upage[upage_index]
-        if op.reorder in ("none", "radix"):
-            seed = op.seed
-        else:
-            seed = [op.seed, iteration, upage_index]
-        perm = reorder(op.reorder, sets, op.budget, seed=seed,
-                       lsh_m=op.lsh_m, lsh_b=op.lsh_b, kcenter_k=op.kcenter_k)
-        plan.append((upage_index, perm))
-    return plan
-
-
-def _file_order_batches(sets, config):
-    tids = list(range(len(sets)))  # positions stand in for tids here
-    return make_batches(sets, config, tids)
+    return [
+        (upage_index, plan_order(sets_by_upage[upage_index], op, (iteration, upage_index)))
+        for upage_index in order
+    ]
 
 
 # -- the paged trainer -------------------------------------------------------------
 
 
-class _PagedModel:
-    """Gather/update adapter over pinned page views."""
-
-    def __init__(self, manager, page_size):
-        self.manager = manager
-        self.page_size = page_size
-
-    def dp(self, vector, views):
-        return dot_product(vector, views, self.page_size)
-
-    def gather(self, views, start, count):
-        out = np.empty(count)
-        for t in range(count):
-            index = start + t
-            page_id = index // self.page_size
-            out[t] = views[page_id].values[index - page_id * self.page_size]
-        return out
-
-    def axpy(self, views, vector, step):
-        """values -= step * vector.values, elementwise, marking pages dirty."""
-        for k in range(vector.nnz):
-            index = int(vector.indexes[k])
-            page_id = index // self.page_size
-            view = views[page_id]
-            view.values[index - page_id * self.page_size] -= step * float(vector.values[k])
-            view.dirty = True
-
-    def block_update(self, views, start, delta):
-        for t in range(len(delta)):
-            index = start + t
-            page_id = index // self.page_size
-            view = views[page_id]
-            view.values[index - page_id * self.page_size] -= delta[t]
-            view.dirty = True
+def gather(views, start, count, page_size):
+    out = np.empty(count)
+    for t in range(count):
+        index = start + t
+        page_id = index // page_size
+        out[t] = views[page_id].values[index - page_id * page_size]
+    return out
 
 
-def _apply_dense_gradient(manager, grad, alpha, page_size, budget):
-    """w[idx] -= alpha * grad[idx] for every nonzero coordinate, requesting
-    at most `budget` pages at a time."""
-    nonzero = np.nonzero(grad)[0]
-    if len(nonzero) == 0:
-        return
-    pages = np.unique(nonzero // page_size)
+def axpy(views, vector, step, page_size):
+    """values -= step * vector.values, elementwise, marking pages dirty."""
+    for k in range(vector.nnz):
+        index = int(vector.indexes[k])
+        page_id = index // page_size
+        view = views[page_id]
+        view.values[index - page_id * page_size] -= step * float(vector.values[k])
+        view.dirty = True
+
+
+def block_update(views, start, delta, page_size):
+    for t in range(len(delta)):
+        index = start + t
+        page_id = index // page_size
+        view = views[page_id]
+        view.values[index - page_id * page_size] -= delta[t]
+        view.dirty = True
+
+
+def _apply_gradient(manager, grad, alpha, page_size, budget):
+    """w[i] -= alpha * grad[i] for every coordinate of the sparse gradient
+    `grad` ({index: sum}) whose sum is not exactly zero, in ascending index
+    order, requesting at most `budget` pages at a time; then clears `grad`."""
+    touched = sorted(index for index, g in grad.items() if g != 0.0)
+    pages = sorted({index // page_size for index in touched})
+    k = 0
     for chunk_start in range(0, len(pages), budget):
         chunk = pages[chunk_start : chunk_start + budget]
-        views = manager.request_set(chunk.tolist())
-        low = int(chunk[0]) * page_size
-        high = (int(chunk[-1]) + 1) * page_size
-        idxs = nonzero[(nonzero >= low) & (nonzero < high)]
-        for index in idxs:
-            index = int(index)
+        views = manager.request_set(chunk)
+        high = (chunk[-1] + 1) * page_size
+        while k < len(touched) and touched[k] < high:
+            index = touched[k]
             page_id = index // page_size
             view = views[page_id]
             view.values[index - page_id * page_size] -= alpha * grad[index]
             view.dirty = True
-        manager.unpin_set(chunk.tolist())
+            k += 1
+        manager.unpin_set(chunk)
+    grad.clear()
 
 
 def _validated(dataset, config):
@@ -250,108 +238,96 @@ def _validated(dataset, config):
 
 
 def train(dataset, store, config):
-    """Run gradient descent against the paged model in `store`."""
+    """Run gradient descent against the paged model in `store`. Every pass,
+    loss passes included, is the join's execution loop (`operator.execute`)
+    with an update or a loss term as the visit."""
     if dataset.dimension != store.dimension:
         raise ValidationError(
             f"dataset dimension {dataset.dimension} != model dimension {store.dimension}"
         )
     layout = _validated(dataset, config)
+    rank = layout.rank if layout is not None else 0
     op = config.operator
     page_size = store.page_size
     manager = BufferManager(store, op.budget)
-    paged = _PagedModel(manager, page_size)
+    report = MetricsReport(config=config.describe())
     vectors = dataset.vectors
-    sets_all = [page_request_set(v, page_size) for v in vectors]
-    upages = list(dataset.iter_upages(op.upage))
-    sets_by_upage = [
-        sets_all[start : start + len(chunk)] for start, chunk in upages
-    ]
-    loss_batches = _file_order_batches(sets_all, op)
+    upages, sets_all, sets_by_upage = _plan_inputs(dataset, op.upage, page_size)
+    loss_batches = make_batches(sets_all, op, vectors)
+    grad = {}  # index -> gradient sum, for sgd-page and bgd
+    loss = 0.0
+
+    def lr_loss_term(vector, views):
+        nonlocal loss
+        dp = dot_product(vector, views, page_size)
+        loss += float(np.logaddexp(0.0, -vector.label * dp))
+
+    def lmf_loss_term(vector, views):
+        nonlocal loss
+        row = gather(views, int(vector.indexes[0]), rank, page_size)
+        col = gather(views, int(vector.indexes[rank]), rank, page_size)
+        e = 0.0
+        for t in range(rank):
+            e += float(row[t]) * float(col[t])
+        e -= vector.label
+        loss += 0.5 * e * e
+
+    def lr_update(vector, views):
+        scale = lr_scale(vector.label, dot_product(vector, views, page_size))
+        if config.mode == "sgd":
+            axpy(views, vector, config.alpha * scale, page_size)
+        else:
+            for k in range(vector.nnz):
+                index = int(vector.indexes[k])
+                grad[index] = grad.get(index, 0.0) + scale * float(vector.values[k])
+
+    def lmf_update(vector, views):
+        start_l = int(vector.indexes[0])
+        start_r = int(vector.indexes[rank])
+        row = gather(views, start_l, rank, page_size)
+        col = gather(views, start_r, rank, page_size)
+        grad_row, grad_col = lmf_cell_gradient(vector.label, row, col)
+        if config.mode == "sgd":
+            block_update(views, start_l, config.alpha * grad_row, page_size)
+            block_update(views, start_r, config.alpha * grad_col, page_size)
+        else:
+            for start, block in ((start_l, grad_row), (start_r, grad_col)):
+                for t in range(rank):
+                    grad[start + t] = grad.get(start + t, 0.0) + block[t]
+
+    if config.task == "lr":
+        loss_term, update = lr_loss_term, lr_update
+    else:
+        loss_term, update = lmf_loss_term, lmf_update
 
     def loss_pass():
-        total = 0.0
-        for batch in loss_batches:
-            views = manager.request_set(batch.pages)
-            for position in batch.positions:
-                vector = vectors[position]
-                manager.add_element_requests(vector.nnz)
-                if config.task == "lr":
-                    dp = paged.dp(vector, views)
-                    total += float(np.logaddexp(0.0, -vector.label * dp))
-                else:
-                    rank = layout.rank
-                    row = paged.gather(views, int(vector.indexes[0]), rank)
-                    col = paged.gather(views, int(vector.indexes[rank]), rank)
-                    e = 0.0
-                    for t in range(rank):
-                        e += float(row[t]) * float(col[t])
-                    e -= vector.label
-                    total += 0.5 * e * e
-            manager.unpin_set(batch.pages)
-        return total
+        nonlocal loss
+        loss = 0.0
+        execute(manager, vectors, loss_batches, loss_term, report)
+        return loss
 
     losses = [loss_pass()]
     diverged = not math.isfinite(losses[0])
-    grad = None
-    if config.mode == "bgd" or config.mode == "sgd-page":
-        grad = np.zeros(store.dimension)
     iteration = 0
     while not diverged and iteration < config.iterations:
+        started = time.perf_counter()
         plan = iteration_plan(sets_by_upage, config, iteration)
-        if config.mode == "bgd":
-            grad.fill(0.0)
+        report.reorder_time += time.perf_counter() - started
+        report.upage_count += len(plan)
         for upage_index, perm in plan:
             chunk = upages[upage_index][1]
             sets = sets_by_upage[upage_index]
-            ordered_sets = [sets[p] for p in perm]
-            tids = [chunk[p].tid for p in perm]
+            ordered = [chunk[p] for p in perm]
+            batches = make_batches([sets[p] for p in perm], op, ordered)
+            execute(manager, ordered, batches, update, report)
             if config.mode == "sgd-page":
-                grad.fill(0.0)
-            for batch in make_batches(ordered_sets, op, tids):
-                views = manager.request_set(batch.pages)
-                for position in batch.positions:
-                    vector = chunk[perm[position]]
-                    manager.add_element_requests(vector.nnz)
-                    if config.task == "lr":
-                        dp = paged.dp(vector, views)
-                        scale = lr_scale(vector.label, dp)
-                        if config.mode == "sgd":
-                            paged.axpy(views, vector, config.alpha * scale)
-                        else:
-                            for k in range(vector.nnz):
-                                grad[int(vector.indexes[k])] += scale * float(vector.values[k])
-                    else:
-                        rank = layout.rank
-                        start_l = int(vector.indexes[0])
-                        start_r = int(vector.indexes[rank])
-                        row = paged.gather(views, start_l, rank)
-                        col = paged.gather(views, start_r, rank)
-                        grad_row, grad_col = lmf_cell_gradient(vector.label, row, col)
-                        if config.mode == "sgd":
-                            paged.block_update(views, start_l, config.alpha * grad_row)
-                            paged.block_update(views, start_r, config.alpha * grad_col)
-                        else:
-                            grad[start_l : start_l + rank] += grad_row
-                            grad[start_r : start_r + rank] += grad_col
-                manager.unpin_set(batch.pages)
-            if config.mode == "sgd-page":
-                _apply_dense_gradient(manager, grad, config.alpha, page_size, op.budget)
+                _apply_gradient(manager, grad, config.alpha, page_size, op.budget)
         if config.mode == "bgd":
-            _apply_dense_gradient(manager, grad, config.alpha, page_size, op.budget)
+            _apply_gradient(manager, grad, config.alpha, page_size, op.budget)
         losses.append(loss_pass())
         diverged = not math.isfinite(losses[-1])
         iteration += 1
-    manager.flush_all()
-    snapshot = manager.stats()
-    metrics = MetricsReport(
-        element_requests=snapshot.element_requests,
-        page_requests=snapshot.page_requests,
-        page_misses=snapshot.page_misses,
-        write_backs=snapshot.write_backs,
-        distinct_pages=manager.distinct_pages,
-        io_time=store.io_time,
-        config=config.describe(),
-    )
+    metrics = finish_report(manager, store, report)
     return TrainReport(losses, diverged, config.describe(), metrics=metrics)
 
 
@@ -366,10 +342,7 @@ def train_oracle(dataset, initial_model, config, page_size):
     model = np.array(initial_model, dtype=np.float64, copy=True)
     if len(model) < dataset.dimension:
         raise ValidationError("initial model smaller than the dataset dimension")
-    vectors = dataset.vectors
-    sets_all = [page_request_set(v, page_size) for v in vectors]
-    upages = list(dataset.iter_upages(op.upage))
-    sets_by_upage = [sets_all[start : start + len(chunk)] for start, chunk in upages]
+    upages, _, sets_by_upage = _plan_inputs(dataset, op.upage, page_size)
 
     def loss_now():
         if config.task == "lr":

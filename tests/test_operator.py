@@ -124,7 +124,7 @@ def test_oversized_vector_carries_tid(tmp_store):
     store = tmp_store(400, 8)          # 50 pages, sets up to 8 pages
     with pytest.raises(OversizedVectorError) as err:
         run(ds, store, OperatorConfig(budget=2, batching=False))
-    assert err.value.tid is not None
+    assert err.value.tid == 0
 
 
 def test_results_are_streamed_not_buffered(tmp_store):

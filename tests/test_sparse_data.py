@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,6 +104,17 @@ def test_round_trip_matrix_shape(tmp_path, fmt):
     store_dataset(ds, path, fmt=fmt)
     back = load_dataset(path, fmt=fmt)
     assert back.matrix_shape == (2, 2, 4)
+
+
+@pytest.mark.parametrize("fmt", ["bin", "txt"])
+def test_load_closes_the_file(tmp_path, fmt):
+    path = str(tmp_path / f"d.{fmt}")
+    store_dataset(Dataset(dimension=4, vectors=[vec(1, [0, 3], label=1.0)]), path, fmt=fmt)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        load_dataset(path, fmt=fmt)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_load_rejects_garbage(tmp_path):

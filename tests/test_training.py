@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dpjoin import OperatorConfig, ValidationError
+from dpjoin import (Dataset, OperatorConfig, OversizedVectorError, ValidationError,
+                    run)
 from dpjoin.datagen import gen_matrix, gen_uniform
 from dpjoin.training import (LmfLayout, TrainConfig, iteration_plan,
                              lmf_cell_gradient, lmf_loss, lr_loss, lr_scale,
                              train, train_oracle)
+
+from conftest import make_vector
 
 
 def small_op(budget=8, reorder="none", seed=3, upage=32):
@@ -67,10 +71,13 @@ class TestLmfPieces:
         assert np.allclose(grad_col, (0.5 - 2.0) * row)
 
 
-@pytest.mark.parametrize("task,mode", [
-    ("lr", "sgd"), ("lr", "sgd-page"), ("lr", "bgd"), ("lmf", "sgd"),
-])
-def test_paged_training_matches_dense_oracle(tmp_store, task, mode):
+@pytest.mark.parametrize("task,mode,batching", [
+    ("lr", "sgd", True), ("lr", "sgd-page", True), ("lr", "bgd", True),
+    ("lmf", "sgd", True), ("lmf", "sgd-page", True), ("lmf", "bgd", True),
+    ("lr", "sgd-page", False),
+], ids=["lr-sgd", "lr-sgd-page", "lr-bgd", "lmf-sgd", "lmf-sgd-page", "lmf-bgd",
+        "lr-sgd-page-unbatched"])
+def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching):
     """Dual route: the paged trainer and the in-memory trainer must agree
     bit for bit, losses and final model both."""
     if task == "lr":
@@ -83,6 +90,7 @@ def test_paged_training_matches_dense_oracle(tmp_store, task, mode):
         store = tmp_store((10 + 8) * 4, 8, init=("uniform", -0.2, 0.2), seed=6)
         config = TrainConfig(small_op(budget=6, reorder="shuffle"), task="lmf",
                              mode=mode, alpha=0.05, iterations=4, rank=4)
+    config.operator.batching = batching
     initial = store.load_dense()
     paged = train(ds, store, config)
     oracle = train_oracle(ds, initial, config, page_size=store.page_size)
@@ -155,3 +163,52 @@ def test_loss_decreases_on_small_lr_problem(tmp_store):
                          iterations=5)
     report = train(ds, store, config)
     assert report.losses[-1] < report.losses[0]
+
+
+@pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
+def test_gradient_memory_scales_with_touched_coordinates(tmp_store, mode):
+    """sgd-page and bgd hold only the coordinates a U-page or pass touched,
+    never an array of the model's dimension (16 MB here)."""
+    d = 2_000_000
+    ds = gen_uniform(64, d, 5, seed=4)
+    store = tmp_store(d, 4096, init=("uniform", -0.1, 0.1), seed=6)
+    config = TrainConfig(small_op(budget=16, upage=16), task="lr", mode=mode,
+                         alpha=0.3, iterations=2)
+    tracemalloc.start()
+    try:
+        report = train(ds, store, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.losses) == 3
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("batching", [True, False])
+def test_oversized_vector_error_names_the_tid(tmp_store, batching):
+    """Vector tid 103, at file position 3, spans 3 pages of a 2-page budget."""
+    vectors = [make_vector(100 + i, [8 * i], label=1.0) for i in range(6)]
+    vectors[3] = make_vector(103, [0, 8, 16], label=1.0)
+    ds = Dataset(dimension=64, vectors=vectors)
+    store = tmp_store(64, 8)
+    op = OperatorConfig(budget=2, batching=batching, upage=4)
+    with pytest.raises(OversizedVectorError) as err:
+        run(ds, store, op)
+    assert err.value.tid == 103
+    assert "103" in str(err.value)
+    with pytest.raises(OversizedVectorError) as err:
+        train(ds, store, TrainConfig(op, task="lr", iterations=1))
+    assert err.value.tid == 103
+    assert "103" in str(err.value)
+
+
+def test_train_report_counts_batches_and_upages(tmp_store):
+    ds = gen_uniform(40, 256, 5, seed=4)
+    store = tmp_store(256, 16, init=("uniform", -0.2, 0.2), seed=6)
+    op = OperatorConfig(budget=8, batching=False, upage=16, seed=3)
+    iterations = 3
+    report = train(ds, store, TrainConfig(op, task="lr", mode="sgd",
+                                          alpha=0.1, iterations=iterations))
+    metrics = report.metrics
+    assert metrics.batch_count == len(ds) * (2 * iterations + 1)
+    assert metrics.upage_count == iterations * math.ceil(len(ds) / op.upage)
