@@ -11,12 +11,23 @@ vectors safe to process against a fixed set of resident pages.
 Replacement is strict LRU over request sets: after a request completes, all
 its pages become the most recently used, with the lower page id placed most
 recent. Dirty pages are written back when evicted and on flush_all.
+
+Pages live in a frame pool allocated once: one row of `frames` per page
+the budget can hold (at most the model's page count). A miss reads the page
+in place into a free frame, or into the frame of the page it evicts. The
+pool is allocated lazily by the operating system, so resident memory grows
+only with the frames actually used. A returned PageView's `values` is that
+frame's row, so a view is valid only while its page is pinned: once the page
+is evicted the frame holds another page, and the old view's `values` is
+None, so using it raises instead of reading the other page's data.
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import PreconditionError, ValidationError
 
@@ -47,9 +58,13 @@ class BufferManager:
             raise ValidationError(f"memory budget must be >= 1 page, got {capacity}")
         self.store = store
         self.capacity = capacity
+        count = min(capacity, store.num_pages)
+        self.frames = np.empty((count, store.page_size), dtype="<f8")
+        self._rows = list(self.frames)  # one view per frame, made once
+        self._free = list(range(count - 1, -1, -1))  # frame 0 is used first
         self._resident = {}            # page_id -> PageView
-        self._recency = OrderedDict()  # oldest first
-        self._pins = Counter()
+        self._recency = OrderedDict()  # page_id -> frame, least recent first
+        self._pins = {}                # page_id -> pin count, pinned pages only
         self.element_requests = 0
         self.page_requests = 0
         self.page_misses = 0
@@ -64,55 +79,69 @@ class BufferManager:
         Counts len(pages) page requests and one miss per page actually
         loaded. The caller must unpin_set the same pages when done.
         """
-        pages = sorted(set(int(p) for p in pages))
+        pages = sorted({int(p) for p in pages})
         if len(pages) > self.capacity:
             raise PreconditionError(
                 f"request of {len(pages)} pages exceeds budget of {self.capacity}"
             )
         self.page_requests += len(pages)
+        resident, recency, pins = self._resident, self._recency, self._pins
+        # Hits are pinned and refreshed highest id first, so the eviction
+        # scan below never walks them and, when nothing is missing, the set
+        # already sits at the recent end in its final order.
         missing = []
-        for page_id in pages:
-            if page_id in self._resident:
-                self._pins[page_id] += 1
+        for page_id in reversed(pages):
+            if page_id in resident:
+                pins[page_id] = pins.get(page_id, 0) + 1
+                recency.move_to_end(page_id)
             else:
                 missing.append(page_id)
-        for page_id in missing:
-            if len(self._resident) >= self.capacity:
-                self._evict_one()
-            view = self.store.read_page(page_id)
+        for page_id in reversed(missing):
+            frame = self._free.pop() if self._free else self._evict_one()
+            try:
+                view = self.store.read_page(page_id, out=self._rows[frame])
+            except BaseException:
+                self._free.append(frame)
+                raise
             self.page_misses += 1
-            self.misses_by_page[page_id] += 1
-            self._resident[page_id] = view
-            self._recency[page_id] = None
-            self._pins[page_id] += 1
-        # The whole set becomes most recently used; lower page ids are
-        # refreshed last so the lowest id ends up the single most recent.
-        for page_id in sorted(pages, reverse=True):
-            self._recency.move_to_end(page_id)
-        return {page_id: self._resident[page_id] for page_id in pages}
+            self.misses_by_page[page_id] = self.misses_by_page.get(page_id, 0) + 1
+            resident[page_id] = view
+            recency[page_id] = frame
+            pins[page_id] = 1
+        if missing:
+            # The whole set becomes most recently used; lower page ids are
+            # refreshed last so the lowest id ends up the single most recent.
+            for page_id in reversed(pages):
+                recency.move_to_end(page_id)
+        return {page_id: resident[page_id] for page_id in pages}
 
     def unpin_set(self, pages):
-        for page_id in sorted(set(int(p) for p in pages)):
-            if self._pins[page_id] <= 0:
+        pins = self._pins
+        for page_id in sorted({int(p) for p in pages}):
+            count = pins.get(page_id, 0)
+            if count == 0:
                 raise PreconditionError(f"page {page_id} is not pinned")
-            self._pins[page_id] -= 1
-            if self._pins[page_id] == 0:
-                del self._pins[page_id]
+            if count == 1:
+                del pins[page_id]
+            else:
+                pins[page_id] = count - 1
 
     def _evict_one(self):
-        for page_id in self._recency:
-            if self._pins[page_id] == 0:
-                victim = page_id
+        """Evict the least recently used unpinned page; return its frame."""
+        pins = self._pins
+        for victim in self._recency:
+            if victim not in pins:
                 break
         else:
             raise PreconditionError("all resident pages are pinned; cannot evict")
+        frame = self._recency.pop(victim)
         view = self._resident.pop(victim)
-        del self._recency[victim]
-        self._pins.pop(victim, None)
         if view.dirty:
             self.store.write_page(view)
             self.write_backs += 1
             view.dirty = False
+        view.values = None
+        return frame
 
     # -- updates ---------------------------------------------------------------
 
@@ -140,7 +169,7 @@ class BufferManager:
         return set(self._resident)
 
     def pinned_pages(self):
-        return {p for p, c in self._pins.items() if c > 0}
+        return set(self._pins)
 
     def stats(self):
         return MetricsSnapshot(

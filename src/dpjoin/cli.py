@@ -38,9 +38,12 @@ def parse_budget(text, num_pages):
             pct = float(text[:-1])
         except ValueError:
             raise ValidationError(f"bad budget {text!r}")
-        if pct <= 0:
-            raise ValidationError(f"budget percentage must be > 0, got {text!r}")
-        return max(1, math.ceil(num_pages * pct / 100.0))
+        pages = num_pages * pct / 100.0
+        if not math.isfinite(pages) or pct <= 0:
+            raise ValidationError(
+                f"budget percentage must be > 0 and give a finite page count, got {text!r}"
+            )
+        return max(1, math.ceil(pages))
     try:
         pages = int(text)
     except ValueError:

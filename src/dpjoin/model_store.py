@@ -71,20 +71,24 @@ class ModelStore:
         num_pages = -(-dimension // page_size)
         rng = np.random.default_rng(seed)
         try:
-            file = open(path, "w+b")
+            file = open(path, "w+b", buffering=0)
         except OSError as exc:
             raise StoreError(f"cannot create model file {path}: {exc}") from exc
-        file.write(_HEADER.pack(MAGIC, VERSION, dimension, page_size))
-        remaining = num_pages * page_size
-        produced = 0
-        while remaining > 0:
-            count = min(remaining, _CREATE_CHUNK_PAGES * page_size)
-            chunk = cls._init_chunk(init, rng, count, produced, dimension)
-            file.write(chunk.astype(_DTYPE, copy=False).tobytes())
-            produced += count
-            remaining -= count
-        file.flush()
-        return cls(path, file, dimension, page_size)
+        store = cls(path, file, dimension, page_size)
+        try:
+            store._write_all(_HEADER.pack(MAGIC, VERSION, dimension, page_size))
+            remaining = num_pages * page_size
+            produced = 0
+            while remaining > 0:
+                count = min(remaining, _CREATE_CHUNK_PAGES * page_size)
+                chunk = cls._init_chunk(init, rng, count, produced, dimension)
+                store._write_all(chunk.astype(_DTYPE, copy=False))
+                produced += count
+                remaining -= count
+        except BaseException:
+            store.close()
+            raise
+        return store
 
     @staticmethod
     def _init_chunk(init, rng, count, start, dimension):
@@ -106,7 +110,7 @@ class ModelStore:
     @classmethod
     def open(cls, path):
         try:
-            file = open(path, "r+b")
+            file = open(path, "r+b", buffering=0)
         except OSError as exc:
             raise StoreError(f"cannot open model file {path}: {exc}") from exc
         header = file.read(HEADER_SIZE)
@@ -120,6 +124,9 @@ class ModelStore:
         if version != VERSION:
             file.close()
             raise StoreError(f"{path}: unsupported model version {version}")
+        if dimension < 1 or page_size < 1:
+            file.close()
+            raise StoreError(f"{path}: bad dimension {dimension} or page size {page_size}")
         store = cls(path, file, dimension, page_size)
         file.seek(0, 2)
         expected = HEADER_SIZE + store.num_pages * page_size * 8
@@ -149,16 +156,21 @@ class ModelStore:
 
     # -- page I/O ----------------------------------------------------------
 
-    def read_page(self, page_id):
+    def read_page(self, page_id, out=None):
+        """Read page `page_id` into `out` (a contiguous, writable array of
+        page_size float64 values; a fresh one when None) and return a
+        PageView over it."""
         self._check_page_id(page_id)
+        if out is None:
+            out = np.empty(self.page_size, dtype=_DTYPE)
         started = time.perf_counter()
         self._file.seek(HEADER_SIZE + page_id * self.page_size * 8)
-        raw = self._file.read(self.page_size * 8)
+        got = self._file.readinto(out)
         self.io_time += time.perf_counter() - started
-        if len(raw) != self.page_size * 8:
+        if got != self.page_size * 8:
             raise StoreError(f"{self.path}: short read on page {page_id}")
         self.reads += 1
-        return PageView(page_id, np.frombuffer(raw, dtype=_DTYPE).copy())
+        return PageView(page_id, out)
 
     def write_page(self, view):
         self._check_page_id(view.page_id)
@@ -168,9 +180,17 @@ class ModelStore:
             )
         started = time.perf_counter()
         self._file.seek(HEADER_SIZE + view.page_id * self.page_size * 8)
-        self._file.write(np.asarray(view.values, dtype=_DTYPE).tobytes())
+        self._write_all(np.ascontiguousarray(view.values, dtype=_DTYPE))
         self.io_time += time.perf_counter() - started
         self.writes += 1
+
+    def _write_all(self, data):
+        """Write `data` at the current offset in one call; a short write
+        raises StoreError."""
+        written = self._file.write(data)
+        size = memoryview(data).nbytes
+        if written != size:
+            raise StoreError(f"{self.path}: short write, {written} of {size} bytes")
 
     def _check_page_id(self, page_id):
         if page_id < 0 or page_id >= self.num_pages:
@@ -184,5 +204,7 @@ class ModelStore:
 
     def load_dense(self):
         """Read every page and return the first `dimension` values."""
-        parts = [self.read_page(pid).values for pid in range(self.num_pages)]
-        return np.concatenate(parts)[: self.dimension]
+        pages = np.empty((self.num_pages, self.page_size), dtype=_DTYPE)
+        for page_id in range(self.num_pages):
+            self.read_page(page_id, out=pages[page_id])
+        return pages.reshape(-1)[: self.dimension]

@@ -136,9 +136,9 @@ def finish_report(manager, store, report):
     return report
 
 
-def run(dataset, store, config, sink=None):
-    """Execute the join; emit DotProductResult per vector to `sink` in
-    processing (post-reorder) order and return a MetricsReport."""
+def check_inputs(dataset, store, config):
+    """Reject a dataset whose dimension is not the model's and a budget
+    outside [1, model pages]; shared by the join and training."""
     if dataset.dimension != store.dimension:
         raise ValidationError(
             f"dataset dimension {dataset.dimension} != model dimension {store.dimension}"
@@ -149,6 +149,12 @@ def run(dataset, store, config, sink=None):
         raise ValidationError(
             f"memory budget {config.budget} exceeds the {store.num_pages} model pages"
         )
+
+
+def run(dataset, store, config, sink=None):
+    """Execute the join; emit DotProductResult per vector to `sink` in
+    processing (post-reorder) order and return a MetricsReport."""
+    check_inputs(dataset, store, config)
     emit = sink if sink is not None else (lambda result: None)
     manager = BufferManager(store, config.budget)
     page_size = store.page_size

@@ -242,10 +242,14 @@ def _load_text(path):
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if body.startswith("d="):
-                dimension = int(body[2:])
-            elif body.startswith("matrix="):
-                matrix_shape = tuple(int(x) for x in body[7:].split(","))
+            try:
+                if body.startswith("d="):
+                    dimension = int(body[2:])
+                elif body.startswith("matrix="):
+                    rows, cols, rank = (int(x) for x in body[7:].split(","))
+                    matrix_shape = (rows, cols, rank)
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: bad header {body!r}: {exc}") from exc
             continue
         fields = line.split()
         if len(fields) < 3:
@@ -263,7 +267,12 @@ def _load_text(path):
                 values.append(float(val))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        vectors.append(SparseVector(tid, label, np.array(indexes), np.array(values)))
+        low, high = min(indexes), max(indexes)
+        if low < 0 or high >= 2**64:
+            bad = low if low < 0 else high
+            raise ValidationError(f"{path}:{lineno}: index {bad} out of range [0, 2**64)")
+        vectors.append(SparseVector(tid, label, np.array(indexes, dtype=_IDX_DTYPE),
+                                    np.array(values)))
     if dimension is None:
         # No header comment: the smallest dimension covering all indexes.
         dimension = 1 + max(int(v.indexes[-1]) for v in vectors) if vectors else 1

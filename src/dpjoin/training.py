@@ -23,8 +23,8 @@ import numpy as np
 from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import MetricsReport
-from .operator import (OperatorConfig, dot_product, execute, finish_report,
-                       make_batches, plan_order)
+from .operator import (OperatorConfig, check_inputs, dot_product, execute,
+                       finish_report, make_batches, plan_order)
 from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
@@ -241,13 +241,10 @@ def train(dataset, store, config):
     """Run gradient descent against the paged model in `store`. Every pass,
     loss passes included, is the join's execution loop (`operator.execute`)
     with an update or a loss term as the visit."""
-    if dataset.dimension != store.dimension:
-        raise ValidationError(
-            f"dataset dimension {dataset.dimension} != model dimension {store.dimension}"
-        )
+    op = config.operator
+    check_inputs(dataset, store, op)
     layout = _validated(dataset, config)
     rank = layout.rank if layout is not None else 0
-    op = config.operator
     page_size = store.page_size
     manager = BufferManager(store, op.budget)
     report = MetricsReport(config=config.describe())

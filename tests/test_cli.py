@@ -207,3 +207,14 @@ def test_fixture_prints_frozen_counters(capsys):
     assert "misses M=2 radix order      4" in out
     assert "batches (radix, M=2)        3" in out
     assert "page_requests (batched)     6" in out
+
+
+@pytest.mark.parametrize("budget", ["nan%", "inf%", "1e400%", "1e308%"])
+def test_non_finite_budget_percentage_exits_2(tmp_path, capsys, budget):
+    data = str(tmp_path / "d.bin")
+    main(["gen", "--kind", "uniform", "--out", data,
+          "--n", "10", "--d", "100", "--nnz", "3", "--seed", "5"])
+    capsys.readouterr()
+    assert main(["run", "--data", data, "--model", str(tmp_path / "m.model"),
+                 "--page-size", "10", "--budget", budget]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpjoin import ModelStore, StoreError
 
@@ -104,3 +105,61 @@ def test_large_dimension_create_is_chunked(tmp_path):
         assert store.num_pages == 4883
         assert (store.read_page(4882).values[:832] == 1.0).all()
         assert not store.read_page(4882).values[832:].any()
+
+
+def test_open_rejects_zero_page_size_and_dimension(tmp_path):
+    from dpjoin.model_store import _HEADER, MAGIC
+    path = tmp_path / "z.model"
+    for dimension, page_size in ((8, 0), (0, 8)):
+        path.write_bytes(_HEADER.pack(MAGIC, 1, dimension, page_size))
+        with pytest.raises(StoreError):
+            ModelStore.open(str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dimension=st.integers(0, 2**64 - 1) | st.integers(0, 64),
+       page_size=st.integers(0, 2**64 - 1) | st.integers(0, 16),
+       length=st.none() | st.integers(0, 1300))
+def test_open_any_v1_header_succeeds_or_raises_store_error(tmp_path_factory, dimension,
+                                                          page_size, length):
+    """Valid magic and version 1, any dimension and page size, any file
+    length (None: the length a consistent file would have, capped)."""
+    from dpjoin.model_store import _HEADER, HEADER_SIZE, MAGIC
+    if length is None:
+        pages = -(-dimension // page_size) if page_size else 0
+        length = HEADER_SIZE + min(pages * page_size * 8, 1300)
+    path = tmp_path_factory.mktemp("hdr") / "h.model"
+    path.write_bytes((_HEADER.pack(MAGIC, 1, dimension, page_size) + bytes(1300))[:length])
+    try:
+        store = ModelStore.open(str(path))
+    except StoreError:
+        return
+    with store:
+        assert HEADER_SIZE + store.num_pages * store.page_size * 8 == length
+        assert store.load_dense().shape == (dimension,)
+
+
+def test_short_read_and_short_write_raise_store_error(tmp_path):
+    path = str(tmp_path / "s.model")
+    ModelStore.create(path, 64, 8).close()
+    with ModelStore.open(path) as store:
+        with open(path, "r+b") as fh:   # shrink the file under the open store
+            fh.truncate(fh.seek(0, 2) - 16)
+        with pytest.raises(StoreError):
+            store.read_page(7)
+        view = store.read_page(0)
+        real = store._file
+
+        class HalfWriter:
+            def seek(self, offset):
+                return real.seek(offset)
+
+            def write(self, data):
+                return real.write(memoryview(data).cast("B")[: memoryview(data).nbytes // 2])
+
+        store._file = HalfWriter()
+        try:
+            with pytest.raises(StoreError):
+                store.write_page(view)
+        finally:
+            store._file = real

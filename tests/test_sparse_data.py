@@ -146,3 +146,20 @@ def test_binary_round_trip_property(tmp_path_factory, rows):
         # bit-exact, including signed zero and subnormals
         assert a.values.tobytes() == b.values.tobytes()
         assert a.label == b.label
+
+
+@pytest.mark.parametrize("text, named", [
+    ("# d=abc\n1 1.0 0:1.0\n", "d=abc"),
+    ("# matrix=1,2\n1 1.0 0:1.0\n", "matrix=1,2"),
+    ("1 1.0 -3:1.0\n", "index -3"),
+    ("1 1.0 99999999999999999999999:1.0\n", "index 99999999999999999999999"),
+])
+def test_load_text_rejects_bad_input_naming_the_line(tmp_path, text, named):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        load_dataset(str(path), fmt="txt")
+    message = str(err.value)
+    assert f"{path}:1:" in message
+    assert named in message
+    assert "18446744073709551613" not in message

@@ -212,3 +212,22 @@ def test_train_report_counts_batches_and_upages(tmp_store):
     metrics = report.metrics
     assert metrics.batch_count == len(ds) * (2 * iterations + 1)
     assert metrics.upage_count == iterations * math.ceil(len(ds) / op.upage)
+
+
+def test_train_rejects_a_budget_run_rejects(tmp_store, tmp_path):
+    """Budget 20 on an 8-page model: `run` and `train` both refuse it."""
+    from dpjoin.cli import main
+    from dpjoin.sparse_data import store_dataset
+
+    ds = gen_uniform(20, 64, 4, seed=5)
+    store = tmp_store(64, 8)
+    op = OperatorConfig(budget=20)
+    with pytest.raises(ValidationError):
+        run(ds, store, op)
+    with pytest.raises(ValidationError):
+        train(ds, store, TrainConfig(op, task="lr", iterations=1))
+    data = str(tmp_path / "d.bin")
+    store_dataset(ds, data)
+    assert main(["train", "--data", data, "--model", str(tmp_path / "cli.model"),
+                 "--page-size", "8", "--task", "lr", "--iterations", "1",
+                 "--budget-pages", "20"]) == 2
