@@ -8,7 +8,7 @@ factorization) runs through the same machinery.
 """
 
 from .batcher import Batch, brute_force_batches, greedy_batches, total_requests
-from .buffer_manager import BufferManager, MetricsSnapshot
+from .buffer_manager import BufferManager
 from .errors import (
     DpjoinError,
     OversizedVectorError,
@@ -44,7 +44,6 @@ from .sparse_data import (
     SparseVector,
     load_dataset,
     page_request_set,
-    set_diff_cardinality,
     store_dataset,
 )
 from .training import (

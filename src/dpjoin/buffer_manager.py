@@ -10,46 +10,27 @@ vectors safe to process against a fixed set of resident pages.
 
 Replacement is strict LRU over request sets: after a request completes, all
 its pages become the most recently used, with the lower page id placed most
-recent. Dirty pages are written back when evicted and on flush_all.
+recent. A caller that modified a set's pages says so when it unpins them
+(`unpin_set(pages, dirty=True)`); dirty pages are written back when evicted
+and on flush_all.
 
 Pages live in a frame pool allocated once: one row of `frames` per page
 the budget can hold (at most the model's page count). A miss reads the page
-in place into a free frame, or into the frame of the page it evicts. The
-pool is allocated lazily by the operating system, so resident memory grows
-only with the frames actually used. A returned PageView's `values` is that
-frame's row, so a view is valid only while its page is pinned: once the page
-is evicted the frame holds another page, and the old view's `values` is
+in place into a free frame row, or into the row the evicted page gives up.
+The pool is allocated lazily by the operating system, so resident memory
+grows only with the frames actually used. A returned PageView's `values` is
+that frame's row, so a view is valid only while its page is pinned: once the
+page is evicted the row holds another page, and the old view's `values` is
 None, so using it raises instead of reading the other page's data.
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-
-
-@dataclass
-class MetricsSnapshot:
-    element_requests: int = 0
-    page_requests: int = 0
-    page_misses: int = 0
-    write_backs: int = 0
-    misses_by_page: Counter = field(default_factory=Counter)
-
-    def delta(self, earlier):
-        """Counter difference self - earlier (for per-chunk reporting)."""
-        by_page = self.misses_by_page - earlier.misses_by_page
-        return MetricsSnapshot(
-            self.element_requests - earlier.element_requests,
-            self.page_requests - earlier.page_requests,
-            self.page_misses - earlier.page_misses,
-            self.write_backs - earlier.write_backs,
-            by_page,
-        )
 
 
 class BufferManager:
@@ -58,18 +39,16 @@ class BufferManager:
             raise ValidationError(f"memory budget must be >= 1 page, got {capacity}")
         self.store = store
         self.capacity = capacity
-        count = min(capacity, store.num_pages)
-        self.frames = np.empty((count, store.page_size), dtype="<f8")
-        self._rows = list(self.frames)  # one view per frame, made once
-        self._free = list(range(count - 1, -1, -1))  # frame 0 is used first
-        self._resident = {}            # page_id -> PageView
-        self._recency = OrderedDict()  # page_id -> frame, least recent first
-        self._pins = {}                # page_id -> pin count, pinned pages only
-        self.element_requests = 0
+        self.frames = np.empty((min(capacity, store.num_pages), store.page_size), dtype="<f8")
+        self._free = list(self.frames)[::-1]  # free frame rows; frame 0 is used first
+        self._views = OrderedDict()  # resident page_id -> PageView, least recent first
+        self._pins = {}              # page_id -> pin count, pinned pages only
+        self._dirty = set()          # resident pages modified since they were read
         self.page_requests = 0
         self.page_misses = 0
         self.write_backs = 0
         self.misses_by_page = Counter()
+        self.store_io_at_start = store.io_time  # so a report counts only its own I/O
 
     # -- requests ------------------------------------------------------------
 
@@ -85,37 +64,38 @@ class BufferManager:
                 f"request of {len(pages)} pages exceeds budget of {self.capacity}"
             )
         self.page_requests += len(pages)
-        resident, recency, pins = self._resident, self._recency, self._pins
+        views, pins = self._views, self._pins
         # Hits are pinned and refreshed highest id first, so the eviction
         # scan below never walks them and, when nothing is missing, the set
         # already sits at the recent end in its final order.
         missing = []
         for page_id in reversed(pages):
-            if page_id in resident:
+            if page_id in views:
                 pins[page_id] = pins.get(page_id, 0) + 1
-                recency.move_to_end(page_id)
+                views.move_to_end(page_id)
             else:
                 missing.append(page_id)
         for page_id in reversed(missing):
-            frame = self._free.pop() if self._free else self._evict_one()
+            row = self._free.pop() if self._free else self._evict_one()
             try:
-                view = self.store.read_page(page_id, out=self._rows[frame])
+                views[page_id] = self.store.read_page(page_id, out=row)
             except BaseException:
-                self._free.append(frame)
+                self._free.append(row)
                 raise
             self.page_misses += 1
             self.misses_by_page[page_id] = self.misses_by_page.get(page_id, 0) + 1
-            resident[page_id] = view
-            recency[page_id] = frame
             pins[page_id] = 1
         if missing:
             # The whole set becomes most recently used; lower page ids are
             # refreshed last so the lowest id ends up the single most recent.
             for page_id in reversed(pages):
-                recency.move_to_end(page_id)
-        return {page_id: resident[page_id] for page_id in pages}
+                views.move_to_end(page_id)
+        return {page_id: views[page_id] for page_id in pages}
 
-    def unpin_set(self, pages):
+    def unpin_set(self, pages, dirty=False):
+        """Release one pin on each of `pages`. With `dirty`, the caller
+        declares that it modified every one of them, and each is written
+        back when it is evicted or flushed."""
         pins = self._pins
         for page_id in sorted({int(p) for p in pages}):
             count = pins.get(page_id, 0)
@@ -125,60 +105,39 @@ class BufferManager:
                 del pins[page_id]
             else:
                 pins[page_id] = count - 1
+            if dirty:
+                self._dirty.add(page_id)
 
     def _evict_one(self):
-        """Evict the least recently used unpinned page; return its frame."""
+        """Evict the least recently used unpinned page; return its frame row."""
         pins = self._pins
-        for victim in self._recency:
+        for victim in self._views:
             if victim not in pins:
                 break
         else:
             raise PreconditionError("all resident pages are pinned; cannot evict")
-        frame = self._recency.pop(victim)
-        view = self._resident.pop(victim)
-        if view.dirty:
+        view = self._views.pop(victim)
+        if victim in self._dirty:
             self.store.write_page(view)
             self.write_backs += 1
-            view.dirty = False
-        view.values = None
-        return frame
-
-    # -- updates ---------------------------------------------------------------
-
-    def mark_dirty(self, page_id):
-        view = self._resident.get(page_id)
-        if view is None:
-            raise PreconditionError(f"page {page_id} is not resident; cannot mark dirty")
-        view.dirty = True
+            self._dirty.remove(victim)
+        row, view.values = view.values, None
+        return row
 
     def flush_all(self):
         """Write back every dirty resident page (ascending id); keep residency."""
-        for page_id in sorted(self._resident):
-            view = self._resident[page_id]
-            if view.dirty:
-                self.store.write_page(view)
-                self.write_backs += 1
-                view.dirty = False
+        for page_id in sorted(self._dirty):
+            self.store.write_page(self._views[page_id])
+            self.write_backs += 1
+            self._dirty.remove(page_id)
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def add_element_requests(self, count):
-        self.element_requests += count
-
     def resident_pages(self):
-        return set(self._resident)
+        return set(self._views)
 
     def pinned_pages(self):
         return set(self._pins)
-
-    def stats(self):
-        return MetricsSnapshot(
-            self.element_requests,
-            self.page_requests,
-            self.page_misses,
-            self.write_backs,
-            Counter(self.misses_by_page),
-        )
 
     @property
     def distinct_pages(self):

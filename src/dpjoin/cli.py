@@ -2,8 +2,7 @@
 
 Subcommands: gen, run, train, bench-reorder, sweep-budget, fixture.
 Exit codes: 0 success, 2 validation failure, 3 precondition failure,
-4 storage/I-O failure. --seed falls back to the DPJOIN_SEED environment
-variable, then to 0.
+4 storage/I-O failure. --seed defaults to 0.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ from .sparse_data import load_dataset, store_dataset
 from .training import TrainConfig, train
 
 DEFAULT_PAGE_SIZE = 1024  # model entries per page
-
-
-def _seed_default():
-    return int(os.environ.get("DPJOIN_SEED", "0"))
 
 
 def parse_budget(text, num_pages):
@@ -53,15 +48,9 @@ def parse_budget(text, num_pages):
     return pages
 
 
-def _budget_from_args(args, num_pages):
-    if getattr(args, "budget_pages", None) is not None:
-        return args.budget_pages
-    return parse_budget(args.budget, num_pages)
-
-
 def _operator_config(args, num_pages):
     return OperatorConfig(
-        budget=_budget_from_args(args, num_pages),
+        budget=parse_budget(args.budget, num_pages),
         reorder=args.reorder,
         batching=not args.no_batching,
         upage=args.upage,
@@ -75,8 +64,6 @@ def _operator_config(args, num_pages):
 def _add_operator_flags(parser):
     parser.add_argument("--budget", default="20%",
                         help="memory budget: pages or %% of model pages (default 20%%)")
-    parser.add_argument("--budget-pages", type=int, default=None,
-                        help="memory budget as an absolute page count")
     parser.add_argument("--reorder", choices=HEURISTICS, default="none")
     parser.add_argument("--no-batching", action="store_true")
     parser.add_argument("--upage", type=int, default=4096,
@@ -84,7 +71,7 @@ def _add_operator_flags(parser):
     parser.add_argument("--lsh-hashes", type=int, default=16)
     parser.add_argument("--lsh-bands", type=int, default=4)
     parser.add_argument("--kcenter-k", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=_seed_default())
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _load_data(args):
@@ -111,13 +98,7 @@ def cmd_gen(args):
 
 def _open_or_create_model(args, dataset):
     if os.path.exists(args.model):
-        store = ModelStore.open(args.model)
-        if store.dimension != dataset.dimension:
-            store.close()
-            raise ValidationError(
-                f"model dimension {store.dimension} != dataset dimension {dataset.dimension}"
-            )
-        return store
+        return ModelStore.open(args.model)
     init = "zeros" if args.model_init == "zeros" else ("uniform", args.init_low, args.init_high)
     return ModelStore.create(args.model, dataset.dimension, args.page_size,
                              init=init, seed=args.seed)
@@ -148,7 +129,6 @@ def cmd_train(args):
             mode=args.mode,
             alpha=args.alpha,
             iterations=args.iterations,
-            rank=args.rank,
             shuffle_upages=not args.no_shuffle,
         )
         report = train(dataset, store, config)
@@ -276,7 +256,7 @@ def build_parser():
     gen.add_argument("--cols", type=int, default=100)
     gen.add_argument("--cells", type=int, default=1000)
     gen.add_argument("--rank", type=int, default=8)
-    gen.add_argument("--seed", type=int, default=_seed_default())
+    gen.add_argument("--seed", type=int, default=0)
     gen.set_defaults(func=cmd_gen)
 
     def add_io_flags(p, model_init_default="zeros"):
@@ -304,7 +284,6 @@ def build_parser():
     trainp.add_argument("--mode", choices=("sgd", "sgd-page", "bgd"), default="sgd")
     trainp.add_argument("--alpha", type=float, default=0.1)
     trainp.add_argument("--iterations", type=int, default=10)
-    trainp.add_argument("--rank", type=int, default=None)
     trainp.add_argument("--no-shuffle", action="store_true",
                         help="keep the U-page visit order fixed across iterations")
     trainp.add_argument("--loss-out", default=None, help="loss CSV (iteration,loss)")

@@ -33,7 +33,7 @@ class MetricsReport:
     upage_count: int = 0        # U-pages planned; in training, iterations x U-pages
     distinct_pages: int = 0
     reorder_time: float = 0.0   # planning U-page orders (training: iteration_plan)
-    io_time: float = 0.0
+    io_time: float = 0.0        # page reads and writes of this run only, on a shared store too
     compute_time: float = 0.0   # visiting pinned batches: dot products, updates, loss terms
     config: dict = field(default_factory=dict)
     per_upage: list | None = None

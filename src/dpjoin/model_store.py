@@ -33,15 +33,14 @@ class PageView:
 
     page_id: int
     values: np.ndarray
-    dirty: bool = False
 
 
 class ModelStore:
     """Fixed-page file backing a model vector too large to keep in memory.
 
     All reads and writes move whole pages. The store counts physical page
-    reads/writes and the wall-clock time spent in them; higher layers treat
-    those counters as ground truth for storage traffic.
+    reads/writes and the wall-clock time spent in them over its lifetime;
+    higher layers treat those counters as ground truth for storage traffic.
     """
 
     def __init__(self, path, file, dimension, page_size):
@@ -146,14 +145,6 @@ class ModelStore:
     def __exit__(self, *exc):
         self.close()
 
-    # -- addressing --------------------------------------------------------
-
-    def page_of(self, index):
-        """Map a model index to the page holding it."""
-        if index < 0 or index >= self.dimension:
-            raise ValidationError(f"model index {index} out of range [0, {self.dimension})")
-        return int(index) // self.page_size
-
     # -- page I/O ----------------------------------------------------------
 
     def read_page(self, page_id, out=None):
@@ -195,10 +186,6 @@ class ModelStore:
     def _check_page_id(self, page_id):
         if page_id < 0 or page_id >= self.num_pages:
             raise ValidationError(f"page id {page_id} out of range [0, {self.num_pages})")
-
-    @property
-    def storage_accesses(self):
-        return self.reads + self.writes
 
     # -- whole-model access (small models, oracles, reporting) --------------
 

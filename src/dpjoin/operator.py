@@ -11,6 +11,7 @@ before the next batch issues any page request.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .batcher import Batch, fitting_sets, greedy_batches
@@ -107,32 +108,33 @@ def make_batches(ordered_sets, config, ordered_vectors):
         raise
 
 
-def execute(manager, vectors, batches, visit, report):
+def execute(manager, vectors, batches, visit, report, dirty=False):
     """Pin each batch's pages as one set, call `visit(vector, views)` for
-    the batch's vectors (positions into `vectors`) in order, unpin the set.
-    Adds the batches and the time spent visiting to `report`."""
+    the batch's vectors (positions into `vectors`) in order, unpin the set,
+    declaring it modified when `dirty` (a visit that writes every index of
+    its vector writes every page of its batch). Adds the batches, the
+    vectors' element requests and the time spent visiting to `report`."""
     report.batch_count += len(batches)
     for batch in batches:
         views = manager.request_set(batch.pages)
         started = time.perf_counter()
         for position in batch.positions:
             vector = vectors[position]
-            manager.add_element_requests(vector.nnz)
+            report.element_requests += vector.nnz
             visit(vector, views)
         report.compute_time += time.perf_counter() - started
-        manager.unpin_set(batch.pages)
+        manager.unpin_set(batch.pages, dirty=dirty)
 
 
-def finish_report(manager, store, report):
-    """Write back dirty pages, then copy the storage counters into `report`."""
+def finish_report(manager, report):
+    """Write back dirty pages, then copy the storage counters into `report`;
+    its I/O time is the store's since `manager` was created."""
     manager.flush_all()
-    snapshot = manager.stats()
-    report.element_requests = snapshot.element_requests
-    report.page_requests = snapshot.page_requests
-    report.page_misses = snapshot.page_misses
-    report.write_backs = snapshot.write_backs
+    report.page_requests = manager.page_requests
+    report.page_misses = manager.page_misses
+    report.write_backs = manager.write_backs
     report.distinct_pages = manager.distinct_pages
-    report.io_time = store.io_time
+    report.io_time = manager.store.io_time - manager.store_io_at_start
     return report
 
 
@@ -167,7 +169,9 @@ def run(dataset, store, config, sink=None):
 
     for upage_index, (start, vectors) in enumerate(dataset.iter_upages(config.upage)):
         report.upage_count += 1
-        before = manager.stats() if report.per_upage is not None else None
+        if report.per_upage is not None:
+            requests, misses = manager.page_requests, manager.page_misses
+            by_page = Counter(manager.misses_by_page)
         sets = [page_request_set(v, page_size) for v in vectors]
         started = time.perf_counter()
         perm = plan_order(sets, config, (upage_index,))
@@ -176,16 +180,15 @@ def run(dataset, store, config, sink=None):
         batches = make_batches([sets[p] for p in perm], config, ordered)
         execute(manager, ordered, batches, visit, report)
         if report.per_upage is not None:
-            window = manager.stats().delta(before)
             report.per_upage.append({
                 "upage": upage_index,
                 "start": start,
                 "vectors": len(vectors),
-                "page_requests": window.page_requests,
-                "page_misses": window.page_misses,
-                "misses_by_page": dict(window.misses_by_page),
+                "page_requests": manager.page_requests - requests,
+                "page_misses": manager.page_misses - misses,
+                "misses_by_page": dict(manager.misses_by_page - by_page),
             })
-    return finish_report(manager, store, report)
+    return finish_report(manager, report)
 
 
 class CollectSink:

@@ -73,11 +73,6 @@ def page_request_set(vector, page_size):
     return tuple(int(p) for p in pages)
 
 
-def set_diff_cardinality(a, b):
-    """|set(a) - set(b)|: pages of `a` that a walk arriving from `b` still needs."""
-    return len(frozenset(a) - frozenset(b))
-
-
 @dataclass
 class Dataset:
     """An ordered collection of sparse vectors sharing one model dimension.

@@ -48,12 +48,6 @@ class LmfLayout:
     def dimension(self):
         return (self.rows + self.cols) * self.rank
 
-    def row_of(self, vector):
-        return int(vector.indexes[0]) // self.rank
-
-    def col_of(self, vector):
-        return (int(vector.indexes[self.rank]) - self.rows * self.rank) // self.rank
-
 
 @dataclass
 class TrainConfig:
@@ -62,14 +56,13 @@ class TrainConfig:
     mode: str = "sgd"
     alpha: float = 0.1
     iterations: int = 10
-    rank: int | None = None
     shuffle_upages: bool = True
 
     def describe(self):
         out = self.operator.describe()
         out.update(
             task=self.task, mode=self.mode, alpha=self.alpha,
-            iterations=self.iterations, rank=self.rank,
+            iterations=self.iterations,
             shuffle_upages=self.shuffle_upages,
         )
         return out
@@ -180,28 +173,26 @@ def gather(views, start, count, page_size):
 
 
 def axpy(views, vector, step, page_size):
-    """values -= step * vector.values, elementwise, marking pages dirty."""
+    """values -= step * vector.values, elementwise."""
     for k in range(vector.nnz):
         index = int(vector.indexes[k])
         page_id = index // page_size
-        view = views[page_id]
-        view.values[index - page_id * page_size] -= step * float(vector.values[k])
-        view.dirty = True
+        views[page_id].values[index - page_id * page_size] -= step * float(vector.values[k])
 
 
 def block_update(views, start, delta, page_size):
     for t in range(len(delta)):
         index = start + t
         page_id = index // page_size
-        view = views[page_id]
-        view.values[index - page_id * page_size] -= delta[t]
-        view.dirty = True
+        views[page_id].values[index - page_id * page_size] -= delta[t]
 
 
 def _apply_gradient(manager, grad, alpha, page_size, budget):
     """w[i] -= alpha * grad[i] for every coordinate of the sparse gradient
     `grad` ({index: sum}) whose sum is not exactly zero, in ascending index
-    order, requesting at most `budget` pages at a time; then clears `grad`."""
+    order, requesting at most `budget` pages at a time (every page of a chunk
+    holds a touched coordinate, so each chunk is unpinned dirty); then clears
+    `grad`."""
     touched = sorted(index for index, g in grad.items() if g != 0.0)
     pages = sorted({index // page_size for index in touched})
     k = 0
@@ -212,11 +203,9 @@ def _apply_gradient(manager, grad, alpha, page_size, budget):
         while k < len(touched) and touched[k] < high:
             index = touched[k]
             page_id = index // page_size
-            view = views[page_id]
-            view.values[index - page_id * page_size] -= alpha * grad[index]
-            view.dirty = True
+            views[page_id].values[index - page_id * page_size] -= alpha * grad[index]
             k += 1
-        manager.unpin_set(chunk)
+        manager.unpin_set(chunk, dirty=True)
     grad.clear()
 
 
@@ -227,14 +216,9 @@ def _validated(dataset, config):
         raise ValidationError(f"unknown training mode {config.mode!r}")
     if config.iterations < 0:
         raise ValidationError(f"iterations must be >= 0, got {config.iterations}")
-    layout = None
     if config.task == "lmf":
-        layout = LmfLayout.from_dataset(dataset)
-        if config.rank is not None and config.rank != layout.rank:
-            raise ValidationError(
-                f"configured rank {config.rank} != dataset rank {layout.rank}"
-            )
-    return layout
+        return LmfLayout.from_dataset(dataset)
+    return None
 
 
 def train(dataset, store, config):
@@ -316,7 +300,7 @@ def train(dataset, store, config):
             sets = sets_by_upage[upage_index]
             ordered = [chunk[p] for p in perm]
             batches = make_batches([sets[p] for p in perm], op, ordered)
-            execute(manager, ordered, batches, update, report)
+            execute(manager, ordered, batches, update, report, dirty=config.mode == "sgd")
             if config.mode == "sgd-page":
                 _apply_gradient(manager, grad, config.alpha, page_size, op.budget)
         if config.mode == "bgd":
@@ -324,7 +308,7 @@ def train(dataset, store, config):
         losses.append(loss_pass())
         diverged = not math.isfinite(losses[-1])
         iteration += 1
-    metrics = finish_report(manager, store, report)
+    metrics = finish_report(manager, report)
     return TrainReport(losses, diverged, config.describe(), metrics=metrics)
 
 

@@ -342,8 +342,7 @@ def test_c08_training_converges_and_reorder_does_not_hurt(tmp_path):
         op = OperatorConfig(budget=16, reorder="shuffle", batching=True,
                             upage=1024, seed=9)
         mreport = train(mds, store, TrainConfig(op, task="lmf", mode="sgd",
-                                                alpha=0.05, iterations=10,
-                                                rank=8))
+                                                alpha=0.05, iterations=10))
     assert not mreport.diverged
     diffs = np.diff(mreport.losses)
     assert (diffs < 0).all()

@@ -15,12 +15,12 @@ def test_cold_misses_then_hits(tmp_store):
     views = bm.request_set([0, 1, 2])
     assert sorted(views) == [0, 1, 2]
     bm.unpin_set([0, 1, 2])
-    assert bm.stats().page_misses == 3
-    assert bm.stats().page_requests == 3
+    assert bm.page_misses == 3
+    assert bm.page_requests == 3
     bm.request_set([1, 2])
     bm.unpin_set([1, 2])
-    assert bm.stats().page_misses == 3
-    assert bm.stats().page_requests == 5
+    assert bm.page_misses == 3
+    assert bm.page_requests == 5
 
 
 def test_request_dedups_and_sorts(tmp_store):
@@ -28,7 +28,7 @@ def test_request_dedups_and_sorts(tmp_store):
     views = bm.request_set([3, 1, 3, 1])
     bm.unpin_set([1, 3])
     assert sorted(views) == [1, 3]
-    assert bm.stats().page_requests == 2
+    assert bm.page_requests == 2
 
 
 def test_set_larger_than_capacity_rejected(tmp_store):
@@ -77,11 +77,11 @@ def test_dirty_eviction_writes_back(tmp_store):
     bm = manager(tmp_store, 2)
     views = bm.request_set([0, 1])
     views[1].values[:] = 9.0
-    bm.mark_dirty(1)
-    bm.unpin_set([0, 1])
+    bm.unpin_set([1], dirty=True)
+    bm.unpin_set([0])
     bm.request_set([2, 3])          # evicts both, page 1 is dirty
     bm.unpin_set([2, 3])
-    assert bm.stats().write_backs == 1
+    assert bm.write_backs == 1
     assert list(bm.store.read_page(1).values) == [9.0] * 4
 
 
@@ -90,15 +90,13 @@ def test_flush_all(tmp_store):
     views = bm.request_set([2, 0])
     views[0].values[:] = 1.0
     views[2].values[:] = 2.0
-    bm.mark_dirty(0)
-    bm.mark_dirty(2)
-    bm.unpin_set([0, 2])
+    bm.unpin_set([0, 2], dirty=True)
     bm.flush_all()
-    assert bm.stats().write_backs == 2
+    assert bm.write_backs == 2
     assert (bm.store.read_page(0).values == 1.0).all()
     assert (bm.store.read_page(2).values == 2.0).all()
     bm.flush_all()                   # clean now, nothing to write
-    assert bm.stats().write_backs == 2
+    assert bm.write_backs == 2
 
 
 def test_misses_by_page_and_distinct(tmp_store):
@@ -106,30 +104,10 @@ def test_misses_by_page_and_distinct(tmp_store):
     for pages in ([0, 1], [2], [0, 1]):
         bm.request_set(pages)
         bm.unpin_set(pages)
-    counts = bm.stats().misses_by_page
+    counts = bm.misses_by_page
     assert counts[2] == 1
     assert counts[0] + counts[1] >= 2
     assert bm.distinct_pages == 3
-
-
-def test_element_request_counter(tmp_store):
-    bm = manager(tmp_store, 2)
-    bm.add_element_requests(5)
-    bm.add_element_requests(2)
-    assert bm.stats().element_requests == 7
-
-
-def test_snapshot_delta(tmp_store):
-    bm = manager(tmp_store, 2)
-    bm.request_set([0])
-    bm.unpin_set([0])
-    before = bm.stats()
-    bm.request_set([1, 2])
-    bm.unpin_set([1, 2])
-    window = bm.stats().delta(before)
-    assert window.page_requests == 2
-    assert window.page_misses == 2
-    assert window.misses_by_page == {1: 1, 2: 1}
 
 
 @st.composite
@@ -153,8 +131,7 @@ def test_trace_invariants(tmp_path_factory, trace, capacity):
                 bm.request_set(pages)
                 bm.unpin_set(pages)
                 assert len(bm.resident_pages()) <= cap
-            stats = bm.stats()
-        return stats
+        return bm
 
     got = replay(capacity)
     assert got.page_requests == sum(len(p) for p in trace)
@@ -183,7 +160,7 @@ def test_frame_pool_is_capped_at_the_model_pages(tmp_store):
     bm = manager(tmp_store, 50, num_pages=8)
     assert bm.frames.shape == (8, 4)
     views = bm.request_set(range(8))
-    assert bm.stats().page_misses == 8
+    assert bm.page_misses == 8
     assert all(view.values.base is bm.frames for view in views.values())
     bm.unpin_set(range(8))
 
@@ -281,43 +258,46 @@ def pinning_traces(draw):
 def test_matches_reference_lru(tmp_path_factory, steps, capacity):
     """Random traces with overlapping pins and writes: the frame pool evicts
     the same pages in the same order as a plain-list LRU, and leaves the same
-    bytes on disk."""
+    bytes on disk. The reference marks a page dirty when it is written; the
+    buffer manager learns it when the writing request unpins the page."""
     from dpjoin import ModelStore
+
+    def release(request):
+        pages, _, written = request
+        bm.unpin_set(written, dirty=True)
+        bm.unpin_set(pages - written)
+        ref.unpin(pages)
 
     path = str(tmp_path_factory.mktemp("bm") / "m.model")
     with ModelStore.create(path, 32, 4, init=("uniform", -1.0, 1.0), seed=3) as store:
         ref = ReferenceLru({p: list(store.read_page(p).values) for p in range(8)}, capacity)
         bm = RecordingManager(store, capacity)
-        pinned = []                      # (pages, views) of outstanding requests
+        pinned = []                      # (pages, views, pages written) of outstanding requests
         for step in steps:
             if step[0] == "request":
                 pages = step[1]
                 # keep every request servable: unpin the oldest requests
                 # until the pinned pages and this request fit the budget
-                while len(set(pages).union(*(p for p, _ in pinned))) > capacity:
-                    old, _ = pinned.pop(0)
-                    bm.unpin_set(old)
-                    ref.unpin(old)
-                pinned.append((pages, bm.request_set(pages)))
+                while len(set(pages).union(*(p for p, _, _ in pinned))) > capacity:
+                    release(pinned.pop(0))
+                pinned.append((pages, bm.request_set(pages), set()))
                 ref.request(pages)
             elif pinned and step[0] == "unpin":
-                old, _ = pinned.pop(step[1] % len(pinned))
-                bm.unpin_set(old)
-                ref.unpin(old)
+                release(pinned.pop(step[1] % len(pinned)))
             elif pinned:
-                pages, views = pinned[step[1] % len(pinned)]
+                pages, views, written = pinned[step[1] % len(pinned)]
                 page_id = min(pages)
                 views[page_id].values[step[2]] = step[3]
-                bm.mark_dirty(page_id)
+                written.add(page_id)
                 ref.write(page_id, step[2], step[3])
             assert bm.evicted == ref.evicted
             assert bm.resident_pages() == set(ref.cached)
             assert bm.pinned_pages() == {p for p, c in ref.pins.items() if c > 0}
-        assert bm.stats().misses_by_page == ref.misses_by_page
-        for pages, _ in pinned:
-            bm.unpin_set(pages)
+        assert bm.misses_by_page == ref.misses_by_page
+        for request in pinned:
+            release(request)
         bm.flush_all()
         ref.flush()
-        assert bm.stats().write_backs == ref.write_backs
+        assert bm.write_backs == ref.write_backs
         on_disk = store.load_dense()
     assert on_disk.tolist() == [v for p in range(8) for v in ref.disk[p]]

@@ -1,7 +1,6 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from dpjoin import ModelStore, oracle_dot_products
@@ -84,19 +83,6 @@ def test_run_metrics_csv_to_file(tmp_path):
     assert int(rows["element_requests"]) == 80
 
 
-def test_run_budget_pages_overrides_percentage(tmp_path, capsys):
-    data = str(tmp_path / "d.bin")
-    model = str(tmp_path / "m.model")
-    main(["gen", "--kind", "uniform", "--out", data,
-          "--n", "20", "--d", "100", "--nnz", "3", "--seed", "4"])
-    capsys.readouterr()
-    assert main(["run", "--data", data, "--model", model,
-                 "--page-size", "10", "--budget", "10%",
-                 "--budget-pages", "5"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["config"]["budget"] == 5
-
-
 def test_exit_codes(tmp_path):
     data = str(tmp_path / "d.bin")
     model = str(tmp_path / "m.model")
@@ -107,30 +93,28 @@ def test_exit_codes(tmp_path):
           "--n", "10", "--d", "100", "--nnz", "8", "--seed", "5"])
     # budget above the page count: rejected input
     assert main(["run", "--data", data, "--model", model,
-                 "--page-size", "10", "--budget-pages", "99"]) == 2
+                 "--page-size", "10", "--budget", "99"]) == 2
     # malformed budget string
     assert main(["run", "--data", data, "--model", str(tmp_path / "m2.model"),
                  "--page-size", "10", "--budget", "horses"]) == 2
     # a vector spanning more pages than the budget allows
     assert main(["run", "--data", data, "--model", str(tmp_path / "m3.model"),
-                 "--page-size", "2", "--budget-pages", "2",
+                 "--page-size", "2", "--budget", "2",
                  "--no-batching"]) == 3
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    a = str(tmp_path / "a.bin")
-    b = str(tmp_path / "b.bin")
-    monkeypatch.setenv("DPJOIN_SEED", "99")
-    main(["gen", "--kind", "uniform", "--out", a,
-          "--n", "10", "--d", "100", "--nnz", "3"])
-    monkeypatch.delenv("DPJOIN_SEED")
-    main(["gen", "--kind", "uniform", "--out", b,
-          "--n", "10", "--d", "100", "--nnz", "3", "--seed", "99"])
-    va = load_dataset(a).vectors
-    vb = load_dataset(b).vectors
-    for x, y in zip(va, vb):
-        assert np.array_equal(x.indexes, y.indexes)
-        assert np.array_equal(x.values, y.values)
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_model_of_another_dimension_exits_2(tmp_path, capsys, command):
+    data = str(tmp_path / "d.bin")
+    model = str(tmp_path / "m.model")
+    main(["gen", "--kind", "uniform", "--out", data,
+          "--n", "10", "--d", "100", "--nnz", "3", "--seed", "5"])
+    ModelStore.create(model, 120, 10).close()
+    capsys.readouterr()
+    assert main([command, "--data", data, "--model", model, "--budget", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "dimension 100 != model dimension 120" in err
+    assert "Traceback" not in err
 
 
 def test_train_writes_loss_curve(tmp_path, capsys):

@@ -92,6 +92,24 @@ def test_per_upage_metrics(tmp_store):
     assert [w["vectors"] for w in report.per_upage] == [16, 16, 16, 2]
     assert sum(w["page_misses"] for w in report.per_upage) == report.page_misses
     assert sum(w["page_requests"] for w in report.per_upage) == report.page_requests
+    for window in report.per_upage:
+        assert sum(window["misses_by_page"].values()) == window["page_misses"]
+    missed = set().union(*(w["misses_by_page"] for w in report.per_upage))
+    assert len(missed) == report.distinct_pages
+
+
+def test_io_time_counts_only_this_run(tmp_store, monkeypatch):
+    """With a clock that advances by 1 per call, each page read takes
+    exactly 1; a second join on the same store reports only its own reads."""
+    import itertools
+    from dpjoin import model_store
+    ds = gen_uniform(50, 200, 4, seed=11)
+    store = tmp_store(200, 16)
+    monkeypatch.setattr(model_store.time, "perf_counter", itertools.count().__next__)
+    for _ in range(2):
+        report = run(ds, store, OperatorConfig(budget=4))
+        assert report.page_misses > 0
+        assert report.io_time == report.page_misses
 
 
 def test_counters_are_deterministic(tmp_store):

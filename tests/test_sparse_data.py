@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpjoin import Dataset, SparseVector, ValidationError
-from dpjoin.sparse_data import (load_dataset, page_request_set,
-                                set_diff_cardinality, store_dataset)
+from dpjoin.sparse_data import load_dataset, page_request_set, store_dataset
 
 
 def vec(tid, indexes, values=None, label=None):
@@ -52,12 +51,6 @@ def test_page_request_set():
     assert page_request_set(v, 2) == (0, 2, 3, 5)
     assert page_request_set(v, 4) == (0, 1, 2)
     assert page_request_set(v, 100) == (0,)
-
-
-def test_set_diff_cardinality():
-    assert set_diff_cardinality((0, 1, 2), (1, 2, 3)) == 1
-    assert set_diff_cardinality((0, 1), (0, 1)) == 0
-    assert set_diff_cardinality((4, 5), ()) == 2
 
 
 def test_dataset_duplicate_tid_rejected():

@@ -44,17 +44,8 @@ class TestLrPieces:
 
 class TestLmfPieces:
     def test_layout_blocks(self):
-        import numpy as np
-        from dpjoin import SparseVector
         layout = LmfLayout(rows=3, cols=2, rank=4)
         assert layout.dimension == (3 + 2) * 4
-        # cell (row 2, col 1): row block at 8..11, col block at 16..19
-        cell = SparseVector(1, 3.5,
-                            np.arange(8, 12, dtype=np.uint64).tolist()
-                            + np.arange(16, 20, dtype=np.uint64).tolist(),
-                            np.ones(8))
-        assert layout.row_of(cell) == 2
-        assert layout.col_of(cell) == 1
 
     def test_layout_from_dataset(self):
         ds = gen_matrix(5, 4, 12, 3, seed=2)
@@ -89,7 +80,7 @@ def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching):
         ds = gen_matrix(10, 8, 40, 4, seed=5)
         store = tmp_store((10 + 8) * 4, 8, init=("uniform", -0.2, 0.2), seed=6)
         config = TrainConfig(small_op(budget=6, reorder="shuffle"), task="lmf",
-                             mode=mode, alpha=0.05, iterations=4, rank=4)
+                             mode=mode, alpha=0.05, iterations=4)
     config.operator.batching = batching
     initial = store.load_dense()
     paged = train(ds, store, config)
@@ -127,7 +118,7 @@ def test_lmf_divergence_detected(tmp_store):
     ds = gen_matrix(8, 8, 30, 3, seed=7)
     store = tmp_store((8 + 8) * 3, 8, init=("uniform", -0.5, 0.5), seed=2)
     config = TrainConfig(small_op(budget=6), task="lmf", mode="sgd",
-                         alpha=50.0, iterations=10, rank=3)
+                         alpha=50.0, iterations=10)
     with np.errstate(over="ignore", invalid="ignore"):
         report = train(ds, store, config)
     assert report.diverged
@@ -212,6 +203,10 @@ def test_train_report_counts_batches_and_upages(tmp_store):
     metrics = report.metrics
     assert metrics.batch_count == len(ds) * (2 * iterations + 1)
     assert metrics.upage_count == iterations * math.ceil(len(ds) / op.upage)
+    # A loss pass alone reads the model and never dirties a page.
+    loss_only = train(ds, store, TrainConfig(op, task="lr", mode="sgd", iterations=0))
+    assert loss_only.metrics.batch_count == len(ds)
+    assert loss_only.metrics.write_backs == 0
 
 
 def test_train_rejects_a_budget_run_rejects(tmp_store, tmp_path):
@@ -230,4 +225,4 @@ def test_train_rejects_a_budget_run_rejects(tmp_store, tmp_path):
     store_dataset(ds, data)
     assert main(["train", "--data", data, "--model", str(tmp_path / "cli.model"),
                  "--page-size", "8", "--task", "lr", "--iterations", "1",
-                 "--budget-pages", "20"]) == 2
+                 "--budget", "20"]) == 2
