@@ -55,18 +55,17 @@ def greedy_batches(ordered_sets, budget):
     """
     batches = []
     positions = []
-    union = frozenset()
+    union = set()
     for position, s in fitting_sets(ordered_sets, budget):
-        merged = union | s
-        if positions and len(merged) > budget:
-            batches.append(Batch(positions, union))
+        if positions and len(union) + len(s.difference(union)) > budget:
+            batches.append(Batch(positions, frozenset(union)))
             positions = [position]
-            union = s
+            union = set(s)
         else:
             positions.append(position)
-            union = merged
+            union.update(s)
     if positions:
-        batches.append(Batch(positions, union))
+        batches.append(Batch(positions, frozenset(union)))
     return batches
 
 

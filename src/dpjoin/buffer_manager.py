@@ -16,10 +16,12 @@ and on flush_all.
 
 Pages live in a frame pool allocated once: one row of `frames` per page
 the budget can hold (at most the model's page count). A miss reads the page
-in place into a free frame row, or into the row the evicted page gives up.
-The pool is allocated lazily by the operating system, so resident memory
-grows only with the frames actually used. A returned PageView's `values` is
-that frame's row, so a view is valid only while its page is pinned: once the
+in place into a free frame, or into the frame the evicted page gives up;
+`frame_of` maps each resident page to its frame, so a caller can gather
+the values of a whole pinned batch from `frames` in one step. The pool is
+allocated lazily by the operating system, so resident memory grows only
+with the frames actually used. A returned PageView's `values` is that
+frame's row, so a view is valid only while its page is pinned: once the
 page is evicted the row holds another page, and the old view's `values` is
 None, so using it raises instead of reading the other page's data.
 """
@@ -40,8 +42,9 @@ class BufferManager:
         self.store = store
         self.capacity = capacity
         self.frames = np.empty((min(capacity, store.num_pages), store.page_size), dtype="<f8")
-        self._free = list(self.frames)[::-1]  # free frame rows; frame 0 is used first
+        self._free = list(range(len(self.frames)))[::-1]  # free frames; frame 0 is used first
         self._views = OrderedDict()  # resident page_id -> PageView, least recent first
+        self.frame_of = {}           # resident page_id -> its row of `frames`
         self._pins = {}              # page_id -> pin count, pinned pages only
         self._dirty = set()          # resident pages modified since they were read
         self.page_requests = 0
@@ -76,12 +79,13 @@ class BufferManager:
             else:
                 missing.append(page_id)
         for page_id in reversed(missing):
-            row = self._free.pop() if self._free else self._evict_one()
+            frame = self._free.pop() if self._free else self._evict_one()
             try:
-                views[page_id] = self.store.read_page(page_id, out=row)
+                views[page_id] = self.store.read_page(page_id, out=self.frames[frame])
             except BaseException:
-                self._free.append(row)
+                self._free.append(frame)
                 raise
+            self.frame_of[page_id] = frame
             self.page_misses += 1
             self.misses_by_page[page_id] = self.misses_by_page.get(page_id, 0) + 1
             pins[page_id] = 1
@@ -109,7 +113,7 @@ class BufferManager:
                 self._dirty.add(page_id)
 
     def _evict_one(self):
-        """Evict the least recently used unpinned page; return its frame row."""
+        """Evict the least recently used unpinned page; return its frame."""
         pins = self._pins
         for victim in self._views:
             if victim not in pins:
@@ -121,8 +125,8 @@ class BufferManager:
             self.store.write_page(view)
             self.write_backs += 1
             self._dirty.remove(victim)
-        row, view.values = view.values, None
-        return row
+        view.values = None
+        return self.frame_of.pop(victim)
 
     def flush_all(self):
         """Write back every dirty resident page (ascending id); keep residency."""

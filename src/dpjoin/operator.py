@@ -3,9 +3,15 @@
 Streams a dataset of sparse vectors against a paged dense model: vectors
 are taken one chunk (U-page) at a time, reordered within the chunk, cut
 into batches whose page unions fit the memory budget, and each batch's
-pages are requested from the buffer manager as one pinned set. Every
-vector's dot product is computed against the pinned pages and emitted
+pages are requested from the buffer manager as one pinned set. The batch's
+dot products are computed together against the pinned frames and emitted
 before the next batch issues any page request.
+
+Bit equality with the scalar per-vector loop (`dot_product`, and the
+oracles) is kept by one rule: every sum adds its terms one at a time, in
+entry order, starting from +0.0. `row_sums` vectorises across vectors, not
+along a vector; np.sum, np.dot and reduceat sum pairwise or in blocks and
+would change the last bits.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .batcher import Batch, fitting_sets, greedy_batches
 from .buffer_manager import BufferManager
 from .errors import OversizedVectorError, PreconditionError, ValidationError
 from .metrics import MetricsReport
 from .reorder import reorder
-from .sparse_data import page_request_set
 
 
 @dataclass
@@ -54,7 +61,8 @@ class DotProductResult:
 
 
 def dot_product(vector, views, page_size):
-    """Sum of value * model entry, accumulated in ascending index order.
+    """Sum of value * model entry, accumulated in ascending index order:
+    the per-vector form of `batch_dot_products`.
 
     `views` must hold a pinned PageView for every page the vector touches.
     """
@@ -93,7 +101,7 @@ def plan_order(sets, config, path):
     )
 
 
-def make_batches(ordered_sets, config, ordered_vectors):
+def make_batches(ordered_sets, config, ordered_tids):
     """Greedy batches when batching is on, single-vector batches otherwise.
     The error for a vector that cannot fit the budget carries its tid."""
     try:
@@ -102,28 +110,72 @@ def make_batches(ordered_sets, config, ordered_vectors):
         return [Batch([position], pages)
                 for position, pages in fitting_sets(ordered_sets, config.budget)]
     except OversizedVectorError as exc:
-        exc.tid = ordered_vectors[exc.position].tid
+        exc.tid = int(ordered_tids[exc.position])
         exc.args = (f"vector tid {exc.tid} needs {len(set(ordered_sets[exc.position]))}"
                     f" pages, budget is {config.budget}",)
         raise
 
 
-def execute(manager, vectors, batches, visit, report, dirty=False):
-    """Pin each batch's pages as one set, call `visit(vector, views)` for
-    the batch's vectors (positions into `vectors`) in order, unpin the set,
-    declaring it modified when `dirty` (a visit that writes every index of
-    its vector writes every page of its batch). Adds the batches, the
-    vectors' element requests and the time spent visiting to `report`."""
+def execute(manager, data, batches, visit, report, dirty=False):
+    """Pin each batch's pages as one set, call `visit(data, start, stop,
+    views)` once for its vectors, rows [start, stop) of `data` (the dataset
+    in processing order; a batch's positions are consecutive), and unpin
+    the set, declaring it modified when `dirty` (a visit that writes every
+    index of its vectors writes every page of its batch). Adds the batches,
+    the vectors' element requests and the time spent visiting to `report`."""
     report.batch_count += len(batches)
+    indptr = data.indptr
     for batch in batches:
+        start, stop = batch.positions[0], batch.positions[-1] + 1
         views = manager.request_set(batch.pages)
         started = time.perf_counter()
-        for position in batch.positions:
-            vector = vectors[position]
-            report.element_requests += vector.nnz
-            visit(vector, views)
+        report.element_requests += int(indptr[stop] - indptr[start])
+        visit(data, start, stop, views)
         report.compute_time += time.perf_counter() - started
         manager.unpin_set(batch.pages, dirty=dirty)
+
+
+def frame_positions(manager, views, indices):
+    """Where each model index of `indices` sits in the frame pool,
+    `manager.frames` read as one flat array. Every index's page must be
+    one of `views`, the pages of a request that is still pinned."""
+    page_size = manager.store.page_size
+    page, offset = np.divmod(indices.astype(np.int64), page_size)
+    pinned = np.fromiter(views, dtype=np.int64, count=len(views))  # ascending
+    at = np.searchsorted(pinned, page)
+    missing = pinned.take(at, mode="clip") != page
+    if missing.any():
+        raise PreconditionError(f"page {int(page[np.argmax(missing)])} is not pinned")
+    frame = np.fromiter(map(manager.frame_of.__getitem__, views), dtype=np.int64,
+                        count=len(views))
+    return frame[at] * page_size + offset
+
+
+def row_sums(terms, bounds):
+    """Per-vector sums of `terms`, vector i owning terms[bounds[i]:bounds[i+1]],
+    each added in entry order from +0.0 exactly as `dot_product` adds them.
+    The terms are laid out in a grid by entry position k, zero padded, and
+    the grid is added up column by column, vectorised across vectors. The
+    padding adds +0.0, which changes no sum: a sum started at +0.0 is never
+    -0.0."""
+    nnz = bounds[1:] - bounds[:-1]
+    grid = np.zeros((int(nnz.max()), len(nnz)))
+    vector = np.repeat(np.arange(len(nnz)), nnz)
+    grid[np.arange(len(terms)) - bounds[vector], vector] = terms
+    sums = np.zeros(len(nnz))
+    for column in grid:
+        sums += column
+    return sums
+
+
+def batch_dot_products(manager, data, start, stop, views):
+    """Dot products of rows [start, stop) of `data` against the pinned
+    pages `views`: the batch's model values are gathered from the frame
+    pool in one step and summed by `row_sums`."""
+    lo, hi = data.indptr[start], data.indptr[stop]
+    at = frame_positions(manager, views, data.indices[lo:hi])
+    terms = data.values[lo:hi] * manager.frames.reshape(-1)[at]
+    return row_sums(terms, data.indptr[start : stop + 1] - lo)
 
 
 def finish_report(manager, report):
@@ -164,26 +216,28 @@ def run(dataset, store, config, sink=None):
         config=config.describe(), per_upage=[] if config.per_upage_metrics else None,
     )
 
-    def visit(vector, views):
-        emit(DotProductResult(vector.tid, dot_product(vector, views, page_size)))
+    def visit(data, start, stop, views):
+        dps = batch_dot_products(manager, data, start, stop, views)
+        for tid, dp in zip(data.tids[start:stop].tolist(), dps.tolist()):
+            emit(DotProductResult(tid, dp))
 
-    for upage_index, (start, vectors) in enumerate(dataset.iter_upages(config.upage)):
+    for upage_index, (start, stop) in enumerate(dataset.upage_bounds(config.upage)):
         report.upage_count += 1
         if report.per_upage is not None:
             requests, misses = manager.page_requests, manager.page_misses
             by_page = Counter(manager.misses_by_page)
-        sets = [page_request_set(v, page_size) for v in vectors]
+        sets = dataset.page_sets(start, stop, page_size)
         started = time.perf_counter()
         perm = plan_order(sets, config, (upage_index,))
         report.reorder_time += time.perf_counter() - started
-        ordered = [vectors[p] for p in perm]
-        batches = make_batches([sets[p] for p in perm], config, ordered)
+        ordered = dataset.take(start + np.asarray(perm, dtype=np.int64))
+        batches = make_batches([sets[p] for p in perm], config, ordered.tids)
         execute(manager, ordered, batches, visit, report)
         if report.per_upage is not None:
             report.per_upage.append({
                 "upage": upage_index,
                 "start": start,
-                "vectors": len(vectors),
+                "vectors": stop - start,
                 "page_requests": manager.page_requests - requests,
                 "page_misses": manager.page_misses - misses,
                 "misses_by_page": dict(manager.misses_by_page - by_page),

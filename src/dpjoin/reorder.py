@@ -26,6 +26,7 @@ of positions 0..n-1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -126,6 +127,25 @@ def minwise_signature(pages, params):
     return tuple(int(v) for v in images.min(axis=1))
 
 
+def minwise_signatures(sets, params):
+    """`minwise_signature` of every set, in one pass over all their pages:
+    the images of the concatenated pages, one hash function at a time,
+    reduced to each set's minimum by `np.minimum.reduceat` (a minimum is
+    exact in any order)."""
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    if not sizes.all():
+        raise ValidationError("cannot sign an empty page set")
+    starts = np.zeros(len(sets), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    keys = _scramble(np.fromiter(itertools.chain.from_iterable(sets), dtype=np.uint64,
+                                 count=int(starts[-1] + sizes[-1])))
+    signatures = np.empty((len(sets), len(params)), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for h, (mult, offset) in enumerate(params):
+            signatures[:, h] = np.minimum.reduceat(mult * keys + offset, starts)
+    return [tuple(row) for row in signatures.tolist()]
+
+
 class LshIndex:
     """Banded minwise signatures: vectors sharing any band bucket are candidates."""
 
@@ -195,9 +215,7 @@ def reorder_lsh(sets, m=DEFAULT_LSH_HASHES, b=DEFAULT_LSH_BANDS, seed=0):
     n = len(sets)
     if n == 0:
         return []
-    params = minwise_params(m, seed)
-    signatures = [minwise_signature(s, params) for s in sets]
-    index = LshIndex(signatures, b)
+    index = LshIndex(minwise_signatures(sets, minwise_params(m, seed)), b)
     rng = np.random.default_rng(seed)
     start = int(rng.integers(n))
     fsets = [frozenset(s) for s in sets]

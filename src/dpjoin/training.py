@@ -23,8 +23,9 @@ import numpy as np
 from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import MetricsReport
-from .operator import (OperatorConfig, check_inputs, dot_product, execute,
-                       finish_report, make_batches, plan_order)
+from .operator import (OperatorConfig, batch_dot_products, check_inputs, execute,
+                       finish_report, frame_positions, make_batches, plan_order,
+                       row_sums)
 from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
@@ -42,6 +43,7 @@ class LmfLayout:
     def from_dataset(cls, dataset):
         if dataset.matrix_shape is None:
             raise ValidationError("dataset carries no matrix shape; cannot train lmf")
+        dataset.check_matrix_cells()
         return cls(*dataset.matrix_shape)
 
     @property
@@ -111,8 +113,8 @@ def lr_loss(dataset, dense_model):
 def lmf_cell_gradient(rating, row_vec, col_vec):
     """Gradients of 0.5 * (row . col - rating)^2 for one cell."""
     e = 0.0
-    for t in range(len(row_vec)):
-        e += float(row_vec[t]) * float(col_vec[t])
+    for term in (row_vec * col_vec).tolist():
+        e += term
     e -= rating
     return e * col_vec, e * row_vec
 
@@ -132,14 +134,6 @@ def lmf_loss(dataset, dense_model, layout):
 
 
 # -- shared plan ---------------------------------------------------------------------
-
-
-def _plan_inputs(dataset, upage, page_size):
-    """U-pages as (start, vectors), the page-request sets of all vectors,
-    and the same sets split by U-page."""
-    sets_all = [page_request_set(v, page_size) for v in dataset.vectors]
-    upages = list(dataset.iter_upages(upage))
-    return upages, sets_all, [sets_all[start : start + len(chunk)] for start, chunk in upages]
 
 
 def iteration_plan(sets_by_upage, config, iteration):
@@ -163,48 +157,22 @@ def iteration_plan(sets_by_upage, config, iteration):
 # -- the paged trainer -------------------------------------------------------------
 
 
-def gather(views, start, count, page_size):
-    out = np.empty(count)
-    for t in range(count):
-        index = start + t
-        page_id = index // page_size
-        out[t] = views[page_id].values[index - page_id * page_size]
-    return out
-
-
-def axpy(views, vector, step, page_size):
-    """values -= step * vector.values, elementwise."""
-    for k in range(vector.nnz):
-        index = int(vector.indexes[k])
-        page_id = index // page_size
-        views[page_id].values[index - page_id * page_size] -= step * float(vector.values[k])
-
-
-def block_update(views, start, delta, page_size):
-    for t in range(len(delta)):
-        index = start + t
-        page_id = index // page_size
-        views[page_id].values[index - page_id * page_size] -= delta[t]
-
-
-def _apply_gradient(manager, grad, alpha, page_size, budget):
+def _apply_gradient(manager, grad, alpha, budget):
     """w[i] -= alpha * grad[i] for every coordinate of the sparse gradient
-    `grad` ({index: sum}) whose sum is not exactly zero, in ascending index
-    order, requesting at most `budget` pages at a time (every page of a chunk
-    holds a touched coordinate, so each chunk is unpinned dirty); then clears
-    `grad`."""
-    touched = sorted(index for index, g in grad.items() if g != 0.0)
-    pages = sorted({index // page_size for index in touched})
-    k = 0
+    `grad` ({index: sum}) whose sum is not exactly zero, requesting at most
+    `budget` pages at a time in ascending page order (every page of a chunk
+    holds a touched coordinate, so each chunk is unpinned dirty); then
+    clears `grad`."""
+    touched = np.array(sorted(index for index, g in grad.items() if g != 0.0), dtype=np.int64)
+    steps = alpha * np.array([grad[index] for index in touched.tolist()])
+    page = touched // manager.store.page_size
+    pages = np.unique(page)
+    flat = manager.frames.reshape(-1)
     for chunk_start in range(0, len(pages), budget):
-        chunk = pages[chunk_start : chunk_start + budget]
+        chunk = pages[chunk_start : chunk_start + budget].tolist()
         views = manager.request_set(chunk)
-        high = (chunk[-1] + 1) * page_size
-        while k < len(touched) and touched[k] < high:
-            index = touched[k]
-            page_id = index // page_size
-            views[page_id].values[index - page_id * page_size] -= alpha * grad[index]
-            k += 1
+        lo, hi = np.searchsorted(page, [chunk[0], chunk[-1] + 1])
+        flat[frame_positions(manager, views, touched[lo:hi])] -= steps[lo:hi]
         manager.unpin_set(chunk, dirty=True)
     grad.clear()
 
@@ -224,57 +192,79 @@ def _validated(dataset, config):
 def train(dataset, store, config):
     """Run gradient descent against the paged model in `store`. Every pass,
     loss passes included, is the join's execution loop (`operator.execute`)
-    with an update or a loss term as the visit."""
+    with an update or a loss term as the visit; visits read the CSR rows of
+    their batch and the frames of its pinned pages."""
     op = config.operator
     check_inputs(dataset, store, op)
     layout = _validated(dataset, config)
     rank = layout.rank if layout is not None else 0
-    page_size = store.page_size
     manager = BufferManager(store, op.budget)
+    flat = manager.frames.reshape(-1)
     report = MetricsReport(config=config.describe())
-    vectors = dataset.vectors
-    upages, sets_all, sets_by_upage = _plan_inputs(dataset, op.upage, page_size)
-    loss_batches = make_batches(sets_all, op, vectors)
+    bounds = dataset.upage_bounds(op.upage)
+    sets_by_upage = [dataset.page_sets(start, stop, store.page_size) for start, stop in bounds]
+    loss_batches = make_batches([s for sets in sets_by_upage for s in sets], op, dataset.tids)
     grad = {}  # index -> gradient sum, for sgd-page and bgd
     loss = 0.0
 
-    def lr_loss_term(vector, views):
+    def entries(data, start, stop, views):
+        """The batch's entries [lo, hi) of `data` and their frame positions."""
+        lo, hi = data.indptr[start], data.indptr[stop]
+        return lo, hi, frame_positions(manager, views, data.indices[lo:hi])
+
+    def accumulate(indices, terms):
+        for index, term in zip(indices.tolist(), terms.tolist()):
+            grad[index] = grad.get(index, 0.0) + term
+
+    def lr_loss_term(data, start, stop, views):
         nonlocal loss
-        dp = dot_product(vector, views, page_size)
-        loss += float(np.logaddexp(0.0, -vector.label * dp))
+        dps = batch_dot_products(manager, data, start, stop, views)
+        for label, dp in zip(data.labels[start:stop].tolist(), dps.tolist()):
+            loss += float(np.logaddexp(0.0, -label * dp))
 
-    def lmf_loss_term(vector, views):
+    def lmf_loss_term(data, start, stop, views):
         nonlocal loss
-        row = gather(views, int(vector.indexes[0]), rank, page_size)
-        col = gather(views, int(vector.indexes[rank]), rank, page_size)
-        e = 0.0
-        for t in range(rank):
-            e += float(row[t]) * float(col[t])
-        e -= vector.label
-        loss += 0.5 * e * e
+        lo, hi, at = entries(data, start, stop, views)
+        cells = flat[at].reshape(stop - start, 2, rank)
+        e = row_sums((cells[:, 0] * cells[:, 1]).reshape(-1), rank * np.arange(stop - start + 1))
+        e -= data.labels[start:stop]
+        for term in (0.5 * e * e).tolist():
+            loss += term
 
-    def lr_update(vector, views):
-        scale = lr_scale(vector.label, dot_product(vector, views, page_size))
+    def lr_update(data, start, stop, views):
+        lo, hi, at = entries(data, start, stop, views)
+        values = data.values[lo:hi]
+        cuts = data.indptr[start : stop + 1] - lo
+        labels = data.labels[start:stop].tolist()
         if config.mode == "sgd":
-            axpy(views, vector, config.alpha * scale, page_size)
-        else:
-            for k in range(vector.nnz):
-                index = int(vector.indexes[k])
-                grad[index] = grad.get(index, 0.0) + scale * float(vector.values[k])
+            cuts = cuts.tolist()
+            for label, a, b in zip(labels, cuts, cuts[1:]):
+                dp = 0.0
+                for term in (values[a:b] * flat[at[a:b]]).tolist():
+                    dp += term
+                flat[at[a:b]] -= config.alpha * lr_scale(label, dp) * values[a:b]
+            return
+        # The model changes only after the pass, so the batch's dot
+        # products can be taken together.
+        dps = row_sums(values * flat[at], cuts).tolist()
+        cuts = cuts.tolist()
+        indices = data.indices[lo:hi]
+        for label, dp, a, b in zip(labels, dps, cuts, cuts[1:]):
+            accumulate(indices[a:b], lr_scale(label, dp) * values[a:b])
 
-    def lmf_update(vector, views):
-        start_l = int(vector.indexes[0])
-        start_r = int(vector.indexes[rank])
-        row = gather(views, start_l, rank, page_size)
-        col = gather(views, start_r, rank, page_size)
-        grad_row, grad_col = lmf_cell_gradient(vector.label, row, col)
-        if config.mode == "sgd":
-            block_update(views, start_l, config.alpha * grad_row, page_size)
-            block_update(views, start_r, config.alpha * grad_col, page_size)
-        else:
-            for start, block in ((start_l, grad_row), (start_r, grad_col)):
-                for t in range(rank):
-                    grad[start + t] = grad.get(start + t, 0.0) + block[t]
+    def lmf_update(data, start, stop, views):
+        lo, hi, at = entries(data, start, stop, views)
+        blocks = at.reshape(stop - start, 2, rank)
+        for k, label in enumerate(data.labels[start:stop].tolist()):
+            row_at, col_at = blocks[k]
+            grad_row, grad_col = lmf_cell_gradient(label, flat[row_at], flat[col_at])
+            if config.mode == "sgd":
+                flat[row_at] -= config.alpha * grad_row
+                flat[col_at] -= config.alpha * grad_col
+            else:
+                cell = lo + 2 * rank * k
+                accumulate(data.indices[cell : cell + 2 * rank],
+                           np.concatenate([grad_row, grad_col]))
 
     if config.task == "lr":
         loss_term, update = lr_loss_term, lr_update
@@ -284,7 +274,7 @@ def train(dataset, store, config):
     def loss_pass():
         nonlocal loss
         loss = 0.0
-        execute(manager, vectors, loss_batches, loss_term, report)
+        execute(manager, dataset, loss_batches, loss_term, report)
         return loss
 
     losses = [loss_pass()]
@@ -296,15 +286,14 @@ def train(dataset, store, config):
         report.reorder_time += time.perf_counter() - started
         report.upage_count += len(plan)
         for upage_index, perm in plan:
-            chunk = upages[upage_index][1]
             sets = sets_by_upage[upage_index]
-            ordered = [chunk[p] for p in perm]
-            batches = make_batches([sets[p] for p in perm], op, ordered)
+            ordered = dataset.take(bounds[upage_index][0] + np.asarray(perm, dtype=np.int64))
+            batches = make_batches([sets[p] for p in perm], op, ordered.tids)
             execute(manager, ordered, batches, update, report, dirty=config.mode == "sgd")
             if config.mode == "sgd-page":
-                _apply_gradient(manager, grad, config.alpha, page_size, op.budget)
+                _apply_gradient(manager, grad, config.alpha, op.budget)
         if config.mode == "bgd":
-            _apply_gradient(manager, grad, config.alpha, page_size, op.budget)
+            _apply_gradient(manager, grad, config.alpha, op.budget)
         losses.append(loss_pass())
         diverged = not math.isfinite(losses[-1])
         iteration += 1
@@ -323,7 +312,8 @@ def train_oracle(dataset, initial_model, config, page_size):
     model = np.array(initial_model, dtype=np.float64, copy=True)
     if len(model) < dataset.dimension:
         raise ValidationError("initial model smaller than the dataset dimension")
-    upages, _, sets_by_upage = _plan_inputs(dataset, op.upage, page_size)
+    upages = [chunk for _, chunk in dataset.iter_upages(op.upage)]
+    sets_by_upage = [[page_request_set(v, page_size) for v in chunk] for chunk in upages]
 
     def loss_now():
         if config.task == "lr":
@@ -347,7 +337,7 @@ def train_oracle(dataset, initial_model, config, page_size):
         if config.mode == "bgd":
             grad.fill(0.0)
         for upage_index, perm in plan:
-            chunk = upages[upage_index][1]
+            chunk = upages[upage_index]
             if config.mode == "sgd-page":
                 grad.fill(0.0)
             for position in perm:

@@ -153,3 +153,92 @@ def test_results_are_streamed_not_buffered(tmp_store):
     run(ds, store, OperatorConfig(budget=4, batching=False),
         sink=lambda result: seen.append(result.tid))
     assert seen == [v.tid for v in ds]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def test_batch_kernel_is_bit_identical_to_the_oracle(tmp_store):
+    """Sums that depend on the order of their terms, signed zeros, nnz of 1
+    and above 64, and pinned pages whose frames do not ascend with their
+    page ids: the batch kernel's dot products equal the scalar oracle's."""
+    from dpjoin import BufferManager, Dataset
+    from dpjoin.operator import batch_dot_products
+
+    from conftest import make_vector
+
+    page_size, pages = 8, 12
+    d = page_size * pages
+    store = tmp_store(d, page_size)
+    model = np.random.default_rng(5).normal(size=d) * 10.0 ** np.arange(-8, 16)[np.arange(d) % 24]
+    model[[0, 1, 2]] = [1e16, 1.0, -1e16]
+    model[3] = -0.0
+    for page in range(pages):
+        view = store.read_page(page)
+        view.values[:] = model[page * page_size : (page + 1) * page_size]
+        store.write_page(view)
+    dense = store.load_dense()
+
+    rng = np.random.default_rng(9)
+    vectors = [
+        make_vector(1, [1, 0, 2], [1.0, 1.0, 1.0]),          # 1 + 1e16 - 1e16, in order
+        make_vector(2, [0, 1, 2] + list(range(8, 24)), np.ones(19)),
+        make_vector(3, [3], [1.0]),                            # a single -0.0 term
+        make_vector(4, [5], [-0.0]),
+        make_vector(5, [3, 5], [2.0, -0.0]),                   # only signed zeros
+        make_vector(6, range(0, d, 1), rng.normal(size=d)),   # nnz 96
+        make_vector(7, range(2, d, 3), rng.normal(size=len(range(2, d, 3)))),
+    ]
+    data = Dataset(d, vectors).validate()
+    oracle = [r.dp for r in oracle_dot_products(data, dense)]
+    # The data must tell orders apart: pairwise summation changes some sums.
+    pairwise = [float(np.sum(v.values * dense[v.indexes.astype(np.int64)])) for v in data]
+    assert _bits(pairwise) != _bits(oracle)
+
+    manager = BufferManager(store, pages)
+    for page in reversed(range(pages)):       # frame 0 holds the highest page
+        manager.request_set([page])
+        manager.unpin_set([page])
+    views = manager.request_set(range(pages))
+    frames = [manager.frame_of[p] for p in range(pages)]
+    assert frames != sorted(frames)
+    got = batch_dot_products(manager, data, 0, len(data), views)
+    assert _bits(got) == _bits(oracle)
+    for start in range(len(data)):             # one-vector batches too
+        assert _bits(batch_dot_products(manager, data, start, start + 1, views)) \
+            == _bits(oracle[start : start + 1])
+
+
+def test_kernel_rejects_a_page_that_is_not_pinned(tmp_store):
+    from dpjoin import BufferManager, Dataset
+    from dpjoin.operator import batch_dot_products
+
+    from conftest import make_vector
+
+    store = tmp_store(64, 8)
+    data = Dataset(64, [make_vector(1, [3, 20])])
+    manager = BufferManager(store, 4)
+    views = manager.request_set([0])
+    with pytest.raises(PreconditionError, match="page 2 is not pinned"):
+        batch_dot_products(manager, data, 0, 1, views)
+
+
+def test_run_and_train_build_no_sparse_vectors(tmp_store, monkeypatch):
+    """The paged path reads the CSR arrays; no per-vector object is made."""
+    from dpjoin import SparseVector, TrainConfig, train
+
+    ds = gen_uniform(60, 256, 5, seed=3)
+    store = tmp_store(256, 16, init=("uniform", -0.2, 0.2), seed=1)
+    made = []
+    real = SparseVector.__post_init__
+    monkeypatch.setattr(SparseVector, "__post_init__",
+                        lambda self: (made.append(self.tid), real(self)))
+    for heuristic in ("none", "radix", "lsh"):
+        run(ds, store, OperatorConfig(budget=6, reorder=heuristic, upage=16))
+    for mode in ("sgd", "sgd-page", "bgd"):
+        train(ds, store, TrainConfig(OperatorConfig(budget=6, upage=16), task="lr",
+                                     mode=mode, iterations=1))
+    assert made == []
+    next(iter(ds))
+    assert made == [0]

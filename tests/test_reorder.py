@@ -173,3 +173,20 @@ def test_every_heuristic_returns_permutation(data):
     for name in HEURISTICS:
         order = reorder(name, sets, budget=4, seed=seed)
         assert sorted(order) == list(range(n)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 10**6), min_size=1, max_size=30), min_size=1,
+                max_size=40),
+       st.integers(1, 24), st.integers(0, 2**32))
+def test_one_pass_signatures_equal_per_set_signatures(sets, m, seed):
+    from dpjoin.reorder import minwise_signatures
+    sets = [tuple(sorted(s)) for s in sets]
+    params = minwise_params(m, seed)
+    assert minwise_signatures(sets, params) == [minwise_signature(s, params) for s in sets]
+
+
+def test_one_pass_signatures_reject_an_empty_set():
+    from dpjoin.reorder import minwise_signatures
+    with pytest.raises(ValidationError):
+        minwise_signatures([(1, 2), ()], minwise_params(4))

@@ -226,3 +226,36 @@ def test_train_rejects_a_budget_run_rejects(tmp_store, tmp_path):
     assert main(["train", "--data", data, "--model", str(tmp_path / "cli.model"),
                  "--page-size", "8", "--task", "lr", "--iterations", "1",
                  "--budget", "20"]) == 2
+
+
+@pytest.mark.parametrize("cell", [
+    "0:1 1:1",              # 2 indexes, not 2 * rank
+    "0:1 1:1 2:1 3:1 4:1 5:1 6:1 7:1",      # 2 * rank, all in the row region
+    "0:1 1:1 2:1 4:1 20:1 21:1 22:1 23:1",  # row block not consecutive
+    "2:1 3:1 4:1 5:1 20:1 21:1 22:1 23:1",  # row block not rank-aligned
+    "0:1 1:1 2:1 3:1 22:1 23:1 24:1 25:1",  # column block not rank-aligned
+])
+def test_lmf_rejects_a_cell_that_is_not_two_blocks(tmp_path, cell):
+    """Under `# matrix=5,5,4` (d=40) a cell must be a row block of 4 inside
+    [0, 20) and a column block of 4 inside [20, 40); anything else exits 2."""
+    from dpjoin.cli import main
+    from dpjoin.sparse_data import load_dataset
+
+    data = tmp_path / "cells.txt"
+    data.write_text(f"# d=40\n# matrix=5,5,4\n1 3.0 {cell}\n")
+    ds = load_dataset(str(data), fmt="txt")
+    with pytest.raises(ValidationError, match="tid 1: matrix cell"):
+        LmfLayout.from_dataset(ds)
+    assert main(["train", "--data", str(data), "--data-format", "txt", "--task", "lmf",
+                 "--model", str(tmp_path / "m.model"), "--page-size", "4",
+                 "--budget", "4"]) == 2
+
+
+def test_lmf_accepts_well_formed_cells(tmp_path):
+    from dpjoin.cli import main
+
+    data = tmp_path / "cells.txt"
+    data.write_text("# d=40\n# matrix=5,5,4\n1 3.0 4:1 5:1 6:1 7:1 36:1 37:1 38:1 39:1\n")
+    assert main(["train", "--data", str(data), "--data-format", "txt", "--task", "lmf",
+                 "--model", str(tmp_path / "m.model"), "--page-size", "4", "--budget", "4",
+                 "--iterations", "1"]) == 0
