@@ -61,24 +61,30 @@ class BufferManager:
         Counts len(pages) page requests and one miss per page actually
         loaded. The caller must unpin_set the same pages when done.
         """
-        pages = sorted({int(p) for p in pages})
+        requested = {int(p) for p in pages}
+        pages = sorted(requested)
         if len(pages) > self.capacity:
             raise PreconditionError(
                 f"request of {len(pages)} pages exceeds budget of {self.capacity}"
             )
-        self.page_requests += len(pages)
         views, pins = self._views, self._pins
+        missing = [page_id for page_id in pages if page_id not in views]
+        # Checked before anything changes, so a refused request leaves no
+        # pin, page or counter behind: each miss needs a free frame or a
+        # resident page outside the request that nothing pins.
+        outside = len(views) - (len(pages) - len(missing))
+        pinned_outside = sum(1 for page_id in pins if page_id not in requested)
+        if len(missing) > len(self._free) + outside - pinned_outside:
+            raise PreconditionError("all resident pages are pinned; cannot evict")
+        self.page_requests += len(pages)
         # Hits are pinned and refreshed highest id first, so the eviction
         # scan below never walks them and, when nothing is missing, the set
         # already sits at the recent end in its final order.
-        missing = []
         for page_id in reversed(pages):
             if page_id in views:
                 pins[page_id] = pins.get(page_id, 0) + 1
                 views.move_to_end(page_id)
-            else:
-                missing.append(page_id)
-        for page_id in reversed(missing):
+        for page_id in missing:
             frame = self._free.pop() if self._free else self._evict_one()
             try:
                 views[page_id] = self.store.read_page(page_id, out=self.frames[frame])
@@ -101,10 +107,11 @@ class BufferManager:
         declares that it modified every one of them, and each is written
         back when it is evicted or flushed."""
         pins = self._pins
-        for page_id in sorted({int(p) for p in pages}):
-            count = pins.get(page_id, 0)
-            if count == 0:
-                raise PreconditionError(f"page {page_id} is not pinned")
+        pages = {int(p) for p in pages}
+        if not pages <= pins.keys():
+            raise PreconditionError(f"page {min(pages - pins.keys())} is not pinned")
+        for page_id in pages:
+            count = pins[page_id]
             if count == 1:
                 del pins[page_id]
             else:

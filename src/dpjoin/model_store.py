@@ -9,6 +9,7 @@ by num_pages * P little-endian float64 values.
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -75,13 +76,13 @@ class ModelStore:
             raise StoreError(f"cannot create model file {path}: {exc}") from exc
         store = cls(path, file, dimension, page_size)
         try:
-            store._write_all(_HEADER.pack(MAGIC, VERSION, dimension, page_size))
+            store._write_all(_HEADER.pack(MAGIC, VERSION, dimension, page_size), 0)
             remaining = num_pages * page_size
             produced = 0
             while remaining > 0:
                 count = min(remaining, _CREATE_CHUNK_PAGES * page_size)
                 chunk = cls._init_chunk(init, rng, count, produced, dimension)
-                store._write_all(chunk.astype(_DTYPE, copy=False))
+                store._write_all(chunk.astype(_DTYPE, copy=False), HEADER_SIZE + produced * 8)
                 produced += count
                 remaining -= count
         except BaseException:
@@ -154,9 +155,9 @@ class ModelStore:
         self._check_page_id(page_id)
         if out is None:
             out = np.empty(self.page_size, dtype=_DTYPE)
+        fd = self._fd()
         started = time.perf_counter()
-        self._file.seek(HEADER_SIZE + page_id * self.page_size * 8)
-        got = self._file.readinto(out)
+        got = os.preadv(fd, [out], HEADER_SIZE + page_id * self.page_size * 8)
         self.io_time += time.perf_counter() - started
         if got != self.page_size * 8:
             raise StoreError(f"{self.path}: short read on page {page_id}")
@@ -170,18 +171,26 @@ class ModelStore:
                 f"page {view.page_id} has {len(view.values)} values, expected {self.page_size}"
             )
         started = time.perf_counter()
-        self._file.seek(HEADER_SIZE + view.page_id * self.page_size * 8)
-        self._write_all(np.ascontiguousarray(view.values, dtype=_DTYPE))
+        self._write_all(np.ascontiguousarray(view.values, dtype=_DTYPE),
+                        HEADER_SIZE + view.page_id * self.page_size * 8)
         self.io_time += time.perf_counter() - started
         self.writes += 1
 
-    def _write_all(self, data):
-        """Write `data` at the current offset in one call; a short write
-        raises StoreError."""
-        written = self._file.write(data)
+    def _write_all(self, data, offset):
+        """Write `data` at byte `offset` in one call; a short write raises
+        StoreError."""
+        written = os.pwrite(self._fd(), data, offset)
         size = memoryview(data).nbytes
         if written != size:
             raise StoreError(f"{self.path}: short write, {written} of {size} bytes")
+
+    def _fd(self):
+        """The open file's descriptor, asked for on every call: a closed
+        store raises instead of using a number the system may have given
+        to another file since."""
+        if self._file is None:
+            raise StoreError(f"{self.path}: model store is closed")
+        return self._file.fileno()
 
     def _check_page_id(self, page_id):
         if page_id < 0 or page_id >= self.num_pages:

@@ -13,9 +13,13 @@ a minimum Hamiltonian path problem, so three heuristics are provided:
              ordered by descending request frequency (ties: lower page id).
              MSB-first, set bit sorts before clear bit, stable. Cheap, and
              bounds how often each page can be reloaded.
-* lsh     -- minwise-hash signatures in banded hash tables; nearest-neighbor
-             walk that only scores candidates sharing a bucket with the
-             current vector.
+* lsh     -- minwise-hash signatures, one (n, m) uint64 array built in one
+             pass over the pages, split into b bands of m // b columns. Each
+             band is bucketed by one stable lexsort of its columns: a bucket
+             is a run of equal keys, cut where the key changes, and holds
+             its positions in ascending order; each vector keeps the integer
+             ids of its buckets. A nearest-neighbor walk then scores only the
+             unvisited vectors sharing a bucket with the current one.
 * kcenter -- recursive clustering around randomly seeded centers until each
              cluster's page union fits the memory budget, then a greedy
              chain over cluster centers.
@@ -127,11 +131,11 @@ def minwise_signature(pages, params):
     return tuple(int(v) for v in images.min(axis=1))
 
 
-def minwise_signatures(sets, params):
-    """`minwise_signature` of every set, in one pass over all their pages:
-    the images of the concatenated pages, one hash function at a time,
-    reduced to each set's minimum by `np.minimum.reduceat` (a minimum is
-    exact in any order)."""
+def signature_matrix(sets, params):
+    """`minwise_signature` of every set as one (len(sets), m) uint64 array,
+    in one pass over all their pages: the images of the concatenated pages,
+    one hash function at a time, reduced to each set's minimum by
+    `np.minimum.reduceat` (a minimum is exact in any order)."""
     sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
     if not sizes.all():
         raise ValidationError("cannot sign an empty page set")
@@ -143,62 +147,94 @@ def minwise_signatures(sets, params):
     with np.errstate(over="ignore"):
         for h, (mult, offset) in enumerate(params):
             signatures[:, h] = np.minimum.reduceat(mult * keys + offset, starts)
-    return [tuple(row) for row in signatures.tolist()]
+    return signatures
+
+
+def minwise_signatures(sets, params):
+    """`signature_matrix` as one tuple per set."""
+    return [tuple(row) for row in signature_matrix(sets, params).tolist()]
 
 
 class LshIndex:
-    """Banded minwise signatures: vectors sharing any band bucket are candidates."""
+    """Banded minwise signatures: vectors sharing any band bucket are candidates.
+
+    Band k of the (n, m) `signatures` is columns [k*r, (k+1)*r), r = m // bands
+    (the trailing m % bands columns are unused). `buckets` holds every bucket
+    of two or more vectors, over all bands, as a list of positions in
+    ascending order; `buckets_of[p]` holds the ids of those containing p. A
+    bucket of one vector offers no candidate, so it is not kept.
+    """
 
     def __init__(self, signatures, bands):
         if bands < 1:
             raise ValidationError(f"need at least one band, got {bands}")
-        m = len(signatures[0]) if signatures else bands
+        n, m = signatures.shape
         if m < bands:
             raise ValidationError(f"{m} hashes cannot fill {bands} bands")
         width = m // bands
-        self.bands = bands
-        self.keys = []
-        self.tables = [dict() for _ in range(bands)]
-        for position, signature in enumerate(signatures):
-            row = []
-            for band in range(bands):
-                key = tuple(signature[band * width : (band + 1) * width])
-                row.append(key)
-                self.tables[band].setdefault(key, []).append(position)
-            self.keys.append(row)
+        self.buckets = []
+        self.buckets_of = [[] for _ in range(n)]
+        for band in range(bands):
+            columns = signatures[:, band * width : (band + 1) * width]
+            order = np.lexsort(columns.T)
+            key = columns[order]
+            changes = np.flatnonzero(np.any(key[1:] != key[:-1], axis=1)) + 1
+            ranked = order.tolist()
+            bounds = [0, *changes.tolist(), n]
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                if stop - start > 1:
+                    bucket = ranked[start:stop]
+                    for position in bucket:
+                        self.buckets_of[position].append(len(self.buckets))
+                    self.buckets.append(bucket)
 
     def candidates(self, position, visited):
-        """Unvisited vectors co-located with `position` in any band bucket."""
-        found = set()
-        for band in range(self.bands):
-            bucket = self.tables[band][self.keys[position][band]]
+        """Unvisited vectors co-located with `position` in any band bucket,
+        ascending, as a list the caller must not modify."""
+        buckets = self.buckets
+        lives = []
+        for bucket_id in self.buckets_of[position]:
+            bucket = buckets[bucket_id]
             live = [p for p in bucket if not visited[p]]
             # Buckets shrink as the walk visits their members; compacting
             # here keeps repeat scans of hot buckets from going quadratic.
             if len(live) != len(bucket):
-                self.tables[band][self.keys[position][band]] = live
-            found.update(live)
-        found.discard(position)
+                buckets[bucket_id] = live
+            if live:
+                lives.append(live)
+        if not lives:
+            return []
+        found = lives[0] if len(lives) == 1 else sorted(set().union(*lives))
+        if not visited[position]:
+            found = [p for p in found if p != position]
         return found
 
 
 def _nearest_neighbor_walk(fsets, index, start):
+    """From `start`, step to the candidate that adds the fewest pages (the
+    lowest position among ties), or to the lowest unvisited position when
+    there is none."""
     n = len(fsets)
+    sizes = [len(s) for s in fsets]
+    above_any_diff = max(sizes) + 1
     visited = [False] * n
     order = [start]
     visited[start] = True
     current = start
     unvisited_floor = 0
     for _ in range(n - 1):
-        candidates = index.candidates(current, visited)
+        pages = fsets[current]
+        size = sizes[current]
         best = None
-        best_diff = None
-        for position in sorted(candidates):
-            diff = len(fsets[position] - fsets[current])
-            if best_diff is None or diff < best_diff:
-                best, best_diff = position, diff
-                if diff == 0:
-                    break  # cannot be beaten; lowest position among zeros wins
+        best_diff = above_any_diff
+        for position in index.candidates(current, visited):
+            # |A - B| >= |A| - |B|: a set this much larger cannot win.
+            if sizes[position] - size < best_diff:
+                diff = len(fsets[position] - pages)
+                if diff < best_diff:
+                    best, best_diff = position, diff
+                    if diff == 0:
+                        break  # cannot be beaten; lowest position among zeros wins
         if best is None:
             # Dead end: no unvisited neighbor shares a bucket. Fall back to
             # the lowest-position unvisited vector.
@@ -215,7 +251,7 @@ def reorder_lsh(sets, m=DEFAULT_LSH_HASHES, b=DEFAULT_LSH_BANDS, seed=0):
     n = len(sets)
     if n == 0:
         return []
-    index = LshIndex(minwise_signatures(sets, minwise_params(m, seed)), b)
+    index = LshIndex(signature_matrix(sets, minwise_params(m, seed)), b)
     rng = np.random.default_rng(seed)
     start = int(rng.integers(n))
     fsets = [frozenset(s) for s in sets]

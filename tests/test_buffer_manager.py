@@ -67,6 +67,46 @@ def test_all_pinned_rejected(tmp_store):
         bm.request_set([2])
 
 
+def test_refused_request_changes_nothing(tmp_store):
+    bm = manager(tmp_store, 3)
+    bm.request_set([0, 1])
+    with pytest.raises(PreconditionError):
+        bm.request_set([2, 3])   # one free frame for two misses
+    assert bm.pinned_pages() == {0, 1}
+    assert bm.resident_pages() == {0, 1}
+    assert (bm.page_requests, bm.page_misses, bm.store.reads) == (2, 2, 2)
+    bm.unpin_set([0, 1])
+    views = bm.request_set([2, 3, 4])
+    assert sorted(views) == [2, 3, 4]
+    bm.unpin_set([2, 3, 4])
+
+
+def test_refused_request_counts_its_unpinned_hits_as_taken(tmp_store):
+    bm = manager(tmp_store, 3)
+    bm.request_set([0, 1])
+    bm.unpin_set([0])
+    # page 0 is resident and unpinned, but this request pins it, so the
+    # two misses have one free frame and nothing to evict
+    with pytest.raises(PreconditionError):
+        bm.request_set([0, 2, 3])
+    assert bm.pinned_pages() == {1}
+    assert bm.page_requests == 2
+    bm.request_set([0, 2])       # one miss, one free frame: served
+    assert bm.pinned_pages() == {0, 1, 2}
+    bm.unpin_set([0, 1, 2])
+
+
+def test_refused_unpin_changes_nothing(tmp_store):
+    bm = manager(tmp_store, 2)
+    bm.request_set([0, 1])
+    with pytest.raises(PreconditionError):
+        bm.unpin_set([0, 5], dirty=True)
+    assert bm.pinned_pages() == {0, 1}
+    bm.unpin_set([0, 1])
+    bm.flush_all()
+    assert bm.write_backs == 0
+
+
 def test_unpin_unknown_page_rejected(tmp_store):
     bm = manager(tmp_store, 2)
     with pytest.raises(PreconditionError):

@@ -132,7 +132,8 @@ def test_open_any_v1_header_succeeds_or_raises_store_error(tmp_path_factory, dim
         assert store.load_dense().shape == (dimension,)
 
 
-def test_short_read_and_short_write_raise_store_error(tmp_path):
+def test_short_read_and_short_write_raise_store_error(tmp_path, monkeypatch):
+    from dpjoin import model_store
     path = str(tmp_path / "s.model")
     ModelStore.create(path, 64, 8).close()
     with ModelStore.open(path) as store:
@@ -141,18 +142,24 @@ def test_short_read_and_short_write_raise_store_error(tmp_path):
         with pytest.raises(StoreError):
             store.read_page(7)
         view = store.read_page(0)
-        real = store._file
+        real_pwrite = model_store.os.pwrite
 
-        class HalfWriter:
-            def seek(self, offset):
-                return real.seek(offset)
+        def half_pwrite(fd, data, offset):
+            return real_pwrite(fd, memoryview(data).cast("B")[: memoryview(data).nbytes // 2],
+                               offset)
 
-            def write(self, data):
-                return real.write(memoryview(data).cast("B")[: memoryview(data).nbytes // 2])
+        monkeypatch.setattr(model_store.os, "pwrite", half_pwrite)
+        with pytest.raises(StoreError):
+            store.write_page(view)
 
-        store._file = HalfWriter()
-        try:
-            with pytest.raises(StoreError):
-                store.write_page(view)
-        finally:
-            store._file = real
+
+def test_closed_store_raises_even_when_its_descriptor_is_reused(tmp_path):
+    path = str(tmp_path / "c.model")
+    store = ModelStore.create(path, 64, 8)
+    view = store.read_page(0)
+    store.close()
+    with open(path, "rb"):   # likely takes the descriptor number the store gave up
+        with pytest.raises(StoreError):
+            store.read_page(0)
+        with pytest.raises(StoreError):
+            store.write_page(view)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpjoin import ValidationError
-from dpjoin.datagen import DEMO_PAGE_SIZE, gen_demo
+from dpjoin.datagen import DEMO_PAGE_SIZE, gen_demo, gen_skewed
 from dpjoin.reorder import (HEURISTICS, LshIndex, _nearest_neighbor_walk,
                             default_kcenter_k, kcenter_clusters,
-                            minwise_params, minwise_signature, objective,
+                            minwise_params, minwise_signature,
+                            minwise_signatures, objective,
                             page_frequency_order, reorder, reorder_lsh,
                             reorder_none, reorder_radix, reorder_shuffle)
 from dpjoin.sparse_data import page_request_set
@@ -100,7 +101,7 @@ class TestMinwise:
 
 class TestLshIndex:
     def test_band_collision_yields_candidate(self):
-        sigs = [(1, 2, 3, 4), (1, 2, 9, 9), (5, 6, 3, 4)]
+        sigs = np.array([(1, 2, 3, 4), (1, 2, 9, 9), (5, 6, 3, 4)], dtype=np.uint64)
         index = LshIndex(sigs, bands=2)
         nobody = [False, False, False]
         assert set(index.candidates(0, visited=nobody)) == {1, 2}
@@ -108,19 +109,107 @@ class TestLshIndex:
         assert set(index.candidates(0, visited=[False, False, True])) == {1}
 
     def test_no_collision_no_candidates(self):
-        sigs = [(1, 2), (3, 4), (5, 6)]
+        sigs = np.array([(1, 2), (3, 4), (5, 6)], dtype=np.uint64)
         index = LshIndex(sigs, bands=2)
+        assert index.buckets == []       # buckets of one vector are not kept
         assert set(index.candidates(0, visited=[False] * 3)) == set()
 
     def test_walk_visits_nearest_candidate_first(self):
         sets = [(0, 1), (8, 9), (0, 1, 2), (0, 5)]
         fsets = [frozenset(s) for s in sets]
         # positions 0, 2, 3 collide in band 0; walk starts at 0
-        sigs = [(7, 1), (6, 2), (7, 1), (7, 3)]
+        sigs = np.array([(7, 1), (6, 2), (7, 1), (7, 3)], dtype=np.uint64)
         order = _nearest_neighbor_walk(fsets, LshIndex(sigs, bands=2), 0)
         # |{0,1,2} \ {0,1}| = 1 beats |{0,5} \ {0,1}| = 1? equal, position
         # tie-break picks 2; then 3; stranded 1 comes last
         assert order == [0, 2, 3, 1]
+
+
+class ReferenceLshIndex:
+    """The index as first written: one dict per band from the tuple of the
+    band's signature values to the positions holding it, in order."""
+
+    def __init__(self, signatures, bands):
+        width = len(signatures[0]) // bands
+        self.bands = bands
+        self.keys = []
+        self.tables = [dict() for _ in range(bands)]
+        for position, signature in enumerate(signatures):
+            row = []
+            for band in range(bands):
+                key = tuple(signature[band * width : (band + 1) * width])
+                row.append(key)
+                self.tables[band].setdefault(key, []).append(position)
+            self.keys.append(row)
+
+    def candidates(self, position, visited):
+        found = set()
+        for band in range(self.bands):
+            bucket = self.tables[band][self.keys[position][band]]
+            live = [p for p in bucket if not visited[p]]
+            if len(live) != len(bucket):
+                self.tables[band][self.keys[position][band]] = live
+            found.update(live)
+        found.discard(position)
+        return found
+
+
+def reference_walk(fsets, index, start):
+    """Nearest-neighbor walk: score every candidate in ascending position,
+    keep the first strictly smaller difference, stop at 0; at a dead end take
+    the lowest unvisited position."""
+    n = len(fsets)
+    visited = [False] * n
+    order = [start]
+    visited[start] = True
+    current = start
+    for _ in range(n - 1):
+        best = None
+        best_diff = None
+        for position in sorted(index.candidates(current, visited)):
+            diff = len(fsets[position] - fsets[current])
+            if best_diff is None or diff < best_diff:
+                best, best_diff = position, diff
+                if diff == 0:
+                    break
+        if best is None:
+            best = visited.index(False)
+        order.append(best)
+        visited[best] = True
+        current = best
+    return order
+
+
+def reference_reorder_lsh(sets, m, b, seed):
+    params = minwise_params(m, seed)
+    index = ReferenceLshIndex([minwise_signature(s, params) for s in sets], b)
+    start = int(np.random.default_rng(seed).integers(len(sets)))
+    return reference_walk([frozenset(s) for s in sets], index, start)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 15), min_size=1, max_size=6).map(sorted).map(tuple),
+                min_size=1, max_size=48),
+       st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1))
+@example(sets=[(4,)], m=16, b=4, seed=0)                           # n = 1
+@example(sets=[(1, 2)] * 30, m=16, b=4, seed=5)                    # all sets identical
+@example(sets=[(i % 5, 7) for i in range(30)], m=17, b=4, seed=1)  # m % b != 0
+@example(sets=[(i % 5, 7) for i in range(30)], m=8, b=8, seed=2)   # b == m
+def test_lsh_matches_reference(sets, m, b, seed):
+    b = min(b, m)
+    assert reorder_lsh(sets, m, b, seed) == reference_reorder_lsh(sets, m, b, seed)
+
+
+@pytest.fixture(scope="module")
+def skewed_upage():
+    """One 4096-vector U-page of the skewed generator at 512 values per page."""
+    return gen_skewed(4096, 1_000_000, 12, s=1.0, seed=1).page_sets(0, 4096, 512)
+
+
+@pytest.mark.parametrize("m, b", [(16, 4), (16, 16), (64, 32)])
+def test_lsh_matches_reference_on_a_skewed_upage(skewed_upage, m, b):
+    assert reorder_lsh(skewed_upage, m, b, [1, 0]) == \
+        reference_reorder_lsh(skewed_upage, m, b, [1, 0])
 
 
 def test_lsh_demo_is_permutation_and_helps():
@@ -180,13 +269,11 @@ def test_every_heuristic_returns_permutation(data):
                 max_size=40),
        st.integers(1, 24), st.integers(0, 2**32))
 def test_one_pass_signatures_equal_per_set_signatures(sets, m, seed):
-    from dpjoin.reorder import minwise_signatures
     sets = [tuple(sorted(s)) for s in sets]
     params = minwise_params(m, seed)
     assert minwise_signatures(sets, params) == [minwise_signature(s, params) for s in sets]
 
 
 def test_one_pass_signatures_reject_an_empty_set():
-    from dpjoin.reorder import minwise_signatures
     with pytest.raises(ValidationError):
         minwise_signatures([(1, 2), ()], minwise_params(4))
