@@ -17,7 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import MetricsReport, emit_report
-from .model_store import ModelStore, PageView
+from .model_store import ModelStore
 from .operator import (
     CollectSink,
     DotProductResult,

@@ -16,14 +16,14 @@ and on flush_all.
 
 Pages live in a frame pool allocated once: one row of `frames` per page
 the budget can hold (at most the model's page count). A miss reads the page
-in place into a free frame, or into the frame the evicted page gives up;
-`frame_of` maps each resident page to its frame, so a caller can gather
-the values of a whole pinned batch from `frames` in one step. The pool is
-allocated lazily by the operating system, so resident memory grows only
-with the frames actually used. A returned PageView's `values` is that
-frame's row, so a view is valid only while its page is pinned: once the
-page is evicted the row holds another page, and the old view's `values` is
-None, so using it raises instead of reading the other page's data.
+in place into a free frame, or into the frame the evicted page gives up.
+The pool is allocated lazily by the operating system, so resident memory
+grows only with the frames actually used. One ordered map of resident page
+to frame row is at once the residency map, the LRU order and where each
+page lives; `positions` turns the model indexes of pinned pages into places
+in `frames.reshape(-1)`, so a caller gathers or updates a whole pinned
+batch's values in one step. A row holds a page only while it is resident,
+so positions are good only while their pages stay pinned.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ class BufferManager:
         self.capacity = capacity
         self.frames = np.empty((min(capacity, store.num_pages), store.page_size), dtype="<f8")
         self._free = list(range(len(self.frames)))[::-1]  # free frames; frame 0 is used first
-        self._views = OrderedDict()  # resident page_id -> PageView, least recent first
-        self.frame_of = {}           # resident page_id -> its row of `frames`
-        self._pins = {}              # page_id -> pin count, pinned pages only
-        self._dirty = set()          # resident pages modified since they were read
+        self._resident = OrderedDict()  # page_id -> its row of `frames`, least recent first
+        self._pins = {}                 # page_id -> pin count, pinned pages only
+        self._dirty = set()             # resident pages modified since they were read
         self.page_requests = 0
         self.page_misses = 0
         self.write_backs = 0
@@ -56,10 +55,12 @@ class BufferManager:
     # -- requests ------------------------------------------------------------
 
     def request_set(self, pages):
-        """Pin `pages` as one unit and return {page_id: PageView}.
+        """Pin `pages` as one unit.
 
         Counts len(pages) page requests and one miss per page actually
-        loaded. The caller must unpin_set the same pages when done.
+        loaded. The caller must unpin_set the same pages when done. If a
+        page cannot be read or an evicted page written back, the request
+        releases every pin it took; the pages it read stay resident.
         """
         requested = {int(p) for p in pages}
         pages = sorted(requested)
@@ -67,12 +68,12 @@ class BufferManager:
             raise PreconditionError(
                 f"request of {len(pages)} pages exceeds budget of {self.capacity}"
             )
-        views, pins = self._views, self._pins
-        missing = [page_id for page_id in pages if page_id not in views]
+        resident, pins = self._resident, self._pins
+        missing = [page_id for page_id in pages if page_id not in resident]
         # Checked before anything changes, so a refused request leaves no
         # pin, page or counter behind: each miss needs a free frame or a
         # resident page outside the request that nothing pins.
-        outside = len(views) - (len(pages) - len(missing))
+        outside = len(resident) - (len(pages) - len(missing))
         pinned_outside = sum(1 for page_id in pins if page_id not in requested)
         if len(missing) > len(self._free) + outside - pinned_outside:
             raise PreconditionError("all resident pages are pinned; cannot evict")
@@ -81,17 +82,21 @@ class BufferManager:
         # scan below never walks them and, when nothing is missing, the set
         # already sits at the recent end in its final order.
         for page_id in reversed(pages):
-            if page_id in views:
+            if page_id in resident:
                 pins[page_id] = pins.get(page_id, 0) + 1
-                views.move_to_end(page_id)
-        for page_id in missing:
-            frame = self._free.pop() if self._free else self._evict_one()
+                resident.move_to_end(page_id)
+        for k, page_id in enumerate(missing):
+            frame = None
             try:
-                views[page_id] = self.store.read_page(page_id, out=self.frames[frame])
+                frame = self._free.pop() if self._free else self._evict_one()
+                self.store.read_page(page_id, out=self.frames[frame])
             except BaseException:
-                self._free.append(frame)
+                if frame is not None:
+                    self._free.append(frame)
+                unread = set(missing[k:])
+                self._release([p for p in pages if p not in unread])
                 raise
-            self.frame_of[page_id] = frame
+            resident[page_id] = frame
             self.page_misses += 1
             self.misses_by_page[page_id] = self.misses_by_page.get(page_id, 0) + 1
             pins[page_id] = 1
@@ -99,53 +104,70 @@ class BufferManager:
             # The whole set becomes most recently used; lower page ids are
             # refreshed last so the lowest id ends up the single most recent.
             for page_id in reversed(pages):
-                views.move_to_end(page_id)
-        return {page_id: views[page_id] for page_id in pages}
+                resident.move_to_end(page_id)
 
     def unpin_set(self, pages, dirty=False):
         """Release one pin on each of `pages`. With `dirty`, the caller
         declares that it modified every one of them, and each is written
         back when it is evicted or flushed."""
-        pins = self._pins
         pages = {int(p) for p in pages}
-        if not pages <= pins.keys():
-            raise PreconditionError(f"page {min(pages - pins.keys())} is not pinned")
+        if not pages <= self._pins.keys():
+            raise PreconditionError(f"page {min(pages - self._pins.keys())} is not pinned")
+        self._release(pages)
+        if dirty:
+            self._dirty.update(pages)
+
+    def positions(self, indexes):
+        """Where each model index of `indexes` sits in `frames.reshape(-1)`.
+        Every index's page must be pinned, and the positions are good only
+        until it is unpinned."""
+        page_size = self.store.page_size
+        page, offset = np.divmod(np.asarray(indexes, dtype=np.int64), page_size)
+        pinned = sorted(self._pins)
+        pages = np.array(pinned, dtype=np.int64)
+        at = np.searchsorted(pages, page)
+        unpinned = pages.take(at, mode="clip") != page if pinned else np.ones(len(page), bool)
+        if unpinned.any():
+            raise PreconditionError(f"page {int(page[np.argmax(unpinned)])} is not pinned")
+        frame = np.fromiter(map(self._resident.__getitem__, pinned), dtype=np.int64,
+                            count=len(pinned))
+        return frame[at] * page_size + offset
+
+    def _release(self, pages):
+        pins = self._pins
         for page_id in pages:
             count = pins[page_id]
             if count == 1:
                 del pins[page_id]
             else:
                 pins[page_id] = count - 1
-            if dirty:
-                self._dirty.add(page_id)
 
     def _evict_one(self):
-        """Evict the least recently used unpinned page; return its frame."""
+        """Evict the least recently used unpinned page; return its frame. A
+        failed write-back leaves the page resident and dirty."""
         pins = self._pins
-        for victim in self._views:
+        for victim in self._resident:
             if victim not in pins:
                 break
         else:
             raise PreconditionError("all resident pages are pinned; cannot evict")
-        view = self._views.pop(victim)
         if victim in self._dirty:
-            self.store.write_page(view)
+            self.store.write_page(victim, self.frames[self._resident[victim]])
             self.write_backs += 1
             self._dirty.remove(victim)
-        view.values = None
-        return self.frame_of.pop(victim)
+        return self._resident.pop(victim)
 
     def flush_all(self):
         """Write back every dirty resident page (ascending id); keep residency."""
         for page_id in sorted(self._dirty):
-            self.store.write_page(self._views[page_id])
+            self.store.write_page(page_id, self.frames[self._resident[page_id]])
             self.write_backs += 1
             self._dirty.remove(page_id)
 
     # -- bookkeeping -------------------------------------------------------------
 
     def resident_pages(self):
-        return set(self._views)
+        return set(self._resident)
 
     def pinned_pages(self):
         return set(self._pins)

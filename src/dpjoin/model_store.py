@@ -5,6 +5,10 @@ Page k holds the entries with indexes [k*P, min((k+1)*P, d)); the last page
 is zero padded on disk so every page has identical byte length. The file
 starts with a fixed header (magic, version, dimension, page size) followed
 by num_pages * P little-endian float64 values.
+
+A page is a plain array of P float64 values: `read_page` fills one (the
+caller's, such as a row of the buffer manager's frame pool, or a fresh one)
+and `write_page` writes one back. The store keeps no per-page object.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import os
 import struct
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +29,6 @@ HEADER_SIZE = _HEADER.size
 
 _DTYPE = np.dtype("<f8")
 _CREATE_CHUNK_PAGES = 4096
-
-
-@dataclass
-class PageView:
-    """One resident model page: a mutable array of exactly P values."""
-
-    page_id: int
-    values: np.ndarray
 
 
 class ModelStore:
@@ -113,26 +108,24 @@ class ModelStore:
             file = open(path, "r+b", buffering=0)
         except OSError as exc:
             raise StoreError(f"cannot open model file {path}: {exc}") from exc
-        header = file.read(HEADER_SIZE)
-        if len(header) != HEADER_SIZE:
+        try:
+            header = file.read(HEADER_SIZE)
+            if len(header) != HEADER_SIZE:
+                raise StoreError(f"{path}: truncated model header")
+            magic, version, dimension, page_size = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise StoreError(f"{path}: bad magic {magic!r}")
+            if version != VERSION:
+                raise StoreError(f"{path}: unsupported model version {version}")
+            if dimension < 1 or page_size < 1:
+                raise StoreError(f"{path}: bad dimension {dimension} or page size {page_size}")
+            store = cls(path, file, dimension, page_size)
+            expected = HEADER_SIZE + store.num_pages * page_size * 8
+            if file.seek(0, 2) != expected:
+                raise StoreError(f"{path}: expected {expected} bytes, found shorter/longer file")
+        except BaseException:
             file.close()
-            raise StoreError(f"{path}: truncated model header")
-        magic, version, dimension, page_size = _HEADER.unpack(header)
-        if magic != MAGIC:
-            file.close()
-            raise StoreError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            file.close()
-            raise StoreError(f"{path}: unsupported model version {version}")
-        if dimension < 1 or page_size < 1:
-            file.close()
-            raise StoreError(f"{path}: bad dimension {dimension} or page size {page_size}")
-        store = cls(path, file, dimension, page_size)
-        file.seek(0, 2)
-        expected = HEADER_SIZE + store.num_pages * page_size * 8
-        if file.tell() != expected:
-            file.close()
-            raise StoreError(f"{path}: expected {expected} bytes, found shorter/longer file")
+            raise
         return store
 
     def close(self):
@@ -150,8 +143,7 @@ class ModelStore:
 
     def read_page(self, page_id, out=None):
         """Read page `page_id` into `out` (a contiguous, writable array of
-        page_size float64 values; a fresh one when None) and return a
-        PageView over it."""
+        page_size float64 values; a fresh one when None) and return it."""
         self._check_page_id(page_id)
         if out is None:
             out = np.empty(self.page_size, dtype=_DTYPE)
@@ -162,17 +154,18 @@ class ModelStore:
         if got != self.page_size * 8:
             raise StoreError(f"{self.path}: short read on page {page_id}")
         self.reads += 1
-        return PageView(page_id, out)
+        return out
 
-    def write_page(self, view):
-        self._check_page_id(view.page_id)
-        if len(view.values) != self.page_size:
+    def write_page(self, page_id, values):
+        """Write the page_size float64 `values` as page `page_id`."""
+        self._check_page_id(page_id)
+        if len(values) != self.page_size:
             raise ValidationError(
-                f"page {view.page_id} has {len(view.values)} values, expected {self.page_size}"
+                f"page {page_id} has {len(values)} values, expected {self.page_size}"
             )
         started = time.perf_counter()
-        self._write_all(np.ascontiguousarray(view.values, dtype=_DTYPE),
-                        HEADER_SIZE + view.page_id * self.page_size * 8)
+        self._write_all(np.ascontiguousarray(values, dtype=_DTYPE),
+                        HEADER_SIZE + page_id * self.page_size * 8)
         self.io_time += time.perf_counter() - started
         self.writes += 1
 

@@ -4,27 +4,29 @@ Streams a dataset of sparse vectors against a paged dense model: vectors
 are taken one chunk (U-page) at a time, reordered within the chunk, cut
 into batches whose page unions fit the memory budget, and each batch's
 pages are requested from the buffer manager as one pinned set. The batch's
-dot products are computed together against the pinned frames and emitted
-before the next batch issues any page request.
+model indexes are turned into frame-pool positions once
+(`BufferManager.positions`), and its dot products are computed together
+from the pinned frames and emitted before the next batch issues any page
+request.
 
-Bit equality with the scalar per-vector loop (`dot_product`, and the
-oracles) is kept by one rule: every sum adds its terms one at a time, in
-entry order, starting from +0.0. `row_sums` vectorises across vectors, not
-along a vector; np.sum, np.dot and reduceat sum pairwise or in blocks and
-would change the last bits.
+Bit equality with the oracles' scalar per-vector loop (`dot_product`) is
+kept by one rule: every sum adds its terms one at a time, in entry order,
+starting from +0.0. `row_sums` vectorises across vectors, not along a
+vector; np.sum, np.dot and reduceat sum pairwise or in blocks and would
+change the last bits.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .batcher import Batch, fitting_sets, greedy_batches
 from .buffer_manager import BufferManager
-from .errors import OversizedVectorError, PreconditionError, ValidationError
+from .errors import OversizedVectorError, ValidationError
 from .metrics import MetricsReport
 from .reorder import reorder
 
@@ -42,16 +44,9 @@ class OperatorConfig:
     per_upage_metrics: bool = False
 
     def describe(self):
-        return {
-            "budget": self.budget,
-            "reorder": self.reorder,
-            "batching": self.batching,
-            "upage": self.upage,
-            "seed": self.seed,
-            "lsh_m": self.lsh_m,
-            "lsh_b": self.lsh_b,
-            "kcenter_k": self.kcenter_k,
-        }
+        """Every field but `per_upage_metrics`, which shapes the report only."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "per_upage_metrics"}
 
 
 @dataclass
@@ -60,34 +55,21 @@ class DotProductResult:
     dp: float
 
 
-def dot_product(vector, views, page_size):
-    """Sum of value * model entry, accumulated in ascending index order:
-    the per-vector form of `batch_dot_products`.
-
-    `views` must hold a pinned PageView for every page the vector touches.
-    """
+def dot_product(vector, model):
+    """Sum of value * model entry over the vector's entries, added one at a
+    time in entry order from +0.0, against the in-memory array `model`: the
+    oracles' scalar loop, which `row_sums` reproduces for a whole batch."""
     dp = 0.0
     for k in range(vector.nnz):
-        index = int(vector.indexes[k])
-        page_id = index // page_size
-        try:
-            page = views[page_id]
-        except KeyError:
-            raise PreconditionError(f"page {page_id} not pinned for tid {vector.tid}")
-        dp += float(vector.values[k]) * float(page.values[index - page_id * page_size])
+        dp += float(vector.values[k]) * float(model[int(vector.indexes[k])])
     return dp
 
 
 def oracle_dot_products(dataset, dense_model):
-    """In-memory reference: same per-vector accumulation order as
-    dot_product, no paging, no reordering. Returns results in dataset order."""
-    results = []
-    for vector in dataset:
-        dp = 0.0
-        for k in range(vector.nnz):
-            dp += float(vector.values[k]) * float(dense_model[int(vector.indexes[k])])
-        results.append(DotProductResult(vector.tid, dp))
-    return results
+    """In-memory reference: dot_product of each vector, no paging, no
+    reordering. Returns results in dataset order."""
+    return [DotProductResult(vector.tid, dot_product(vector, dense_model))
+            for vector in dataset]
 
 
 def plan_order(sets, config, path):
@@ -118,37 +100,24 @@ def make_batches(ordered_sets, config, ordered_tids):
 
 def execute(manager, data, batches, visit, report, dirty=False):
     """Pin each batch's pages as one set, call `visit(data, start, stop,
-    views)` once for its vectors, rows [start, stop) of `data` (the dataset
-    in processing order; a batch's positions are consecutive), and unpin
-    the set, declaring it modified when `dirty` (a visit that writes every
-    index of its vectors writes every page of its batch). Adds the batches,
-    the vectors' element requests and the time spent visiting to `report`."""
+    at)` once for its vectors, rows [start, stop) of `data` (the dataset in
+    processing order; a batch's positions are consecutive), and unpin the
+    set, declaring it modified when `dirty` (a visit that writes every index
+    of its vectors writes every page of its batch). `at` holds, for each of
+    the batch's entries, where its model value sits in
+    `manager.frames.reshape(-1)`. Adds the batches, the vectors' element
+    requests and the time spent visiting to `report`."""
     report.batch_count += len(batches)
     indptr = data.indptr
     for batch in batches:
         start, stop = batch.positions[0], batch.positions[-1] + 1
-        views = manager.request_set(batch.pages)
+        lo, hi = indptr[start], indptr[stop]
+        manager.request_set(batch.pages)
         started = time.perf_counter()
-        report.element_requests += int(indptr[stop] - indptr[start])
-        visit(data, start, stop, views)
+        report.element_requests += int(hi - lo)
+        visit(data, start, stop, manager.positions(data.indices[lo:hi]))
         report.compute_time += time.perf_counter() - started
         manager.unpin_set(batch.pages, dirty=dirty)
-
-
-def frame_positions(manager, views, indices):
-    """Where each model index of `indices` sits in the frame pool,
-    `manager.frames` read as one flat array. Every index's page must be
-    one of `views`, the pages of a request that is still pinned."""
-    page_size = manager.store.page_size
-    page, offset = np.divmod(indices.astype(np.int64), page_size)
-    pinned = np.fromiter(views, dtype=np.int64, count=len(views))  # ascending
-    at = np.searchsorted(pinned, page)
-    missing = pinned.take(at, mode="clip") != page
-    if missing.any():
-        raise PreconditionError(f"page {int(page[np.argmax(missing)])} is not pinned")
-    frame = np.fromiter(map(manager.frame_of.__getitem__, views), dtype=np.int64,
-                        count=len(views))
-    return frame[at] * page_size + offset
 
 
 def row_sums(terms, bounds):
@@ -168,14 +137,12 @@ def row_sums(terms, bounds):
     return sums
 
 
-def batch_dot_products(manager, data, start, stop, views):
-    """Dot products of rows [start, stop) of `data` against the pinned
-    pages `views`: the batch's model values are gathered from the frame
-    pool in one step and summed by `row_sums`."""
+def batch_dot_products(flat, data, start, stop, at):
+    """Dot products of rows [start, stop) of `data` against the frame pool
+    `flat`: the batch's model values are gathered from their positions
+    `at` in one step and summed by `row_sums`."""
     lo, hi = data.indptr[start], data.indptr[stop]
-    at = frame_positions(manager, views, data.indices[lo:hi])
-    terms = data.values[lo:hi] * manager.frames.reshape(-1)[at]
-    return row_sums(terms, data.indptr[start : stop + 1] - lo)
+    return row_sums(data.values[lo:hi] * flat[at], data.indptr[start : stop + 1] - lo)
 
 
 def finish_report(manager, report):
@@ -216,8 +183,10 @@ def run(dataset, store, config, sink=None):
         config=config.describe(), per_upage=[] if config.per_upage_metrics else None,
     )
 
-    def visit(data, start, stop, views):
-        dps = batch_dot_products(manager, data, start, stop, views)
+    flat = manager.frames.reshape(-1)
+
+    def visit(data, start, stop, at):
+        dps = batch_dot_products(flat, data, start, stop, at)
         for tid, dp in zip(data.tids[start:stop].tolist(), dps.tolist()):
             emit(DotProductResult(tid, dp))
 

@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import MetricsReport
-from .operator import (OperatorConfig, batch_dot_products, check_inputs, execute,
-                       finish_report, frame_positions, make_batches, plan_order,
-                       row_sums)
+from .operator import (OperatorConfig, batch_dot_products, check_inputs, dot_product,
+                       execute, finish_report, make_batches, plan_order, row_sums)
 from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
@@ -61,12 +60,9 @@ class TrainConfig:
     shuffle_upages: bool = True
 
     def describe(self):
+        """The operator's description plus every field of this config."""
         out = self.operator.describe()
-        out.update(
-            task=self.task, mode=self.mode, alpha=self.alpha,
-            iterations=self.iterations,
-            shuffle_upages=self.shuffle_upages,
-        )
+        out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "operator")
         return out
 
 
@@ -100,10 +96,7 @@ def lr_loss(dataset, dense_model):
     """Log-loss over the dataset against an in-memory model."""
     loss = 0.0
     for vector in dataset:
-        dp = 0.0
-        for k in range(vector.nnz):
-            dp += float(vector.values[k]) * float(dense_model[int(vector.indexes[k])])
-        loss += float(np.logaddexp(0.0, -vector.label * dp))
+        loss += float(np.logaddexp(0.0, -vector.label * dot_product(vector, dense_model)))
     return loss
 
 
@@ -170,9 +163,9 @@ def _apply_gradient(manager, grad, alpha, budget):
     flat = manager.frames.reshape(-1)
     for chunk_start in range(0, len(pages), budget):
         chunk = pages[chunk_start : chunk_start + budget].tolist()
-        views = manager.request_set(chunk)
+        manager.request_set(chunk)
         lo, hi = np.searchsorted(page, [chunk[0], chunk[-1] + 1])
-        flat[frame_positions(manager, views, touched[lo:hi])] -= steps[lo:hi]
+        flat[manager.positions(touched[lo:hi])] -= steps[lo:hi]
         manager.unpin_set(chunk, dirty=True)
     grad.clear()
 
@@ -193,7 +186,7 @@ def train(dataset, store, config):
     """Run gradient descent against the paged model in `store`. Every pass,
     loss passes included, is the join's execution loop (`operator.execute`)
     with an update or a loss term as the visit; visits read the CSR rows of
-    their batch and the frames of its pinned pages."""
+    their batch and, at the positions `at` of its entries, the frame pool."""
     op = config.operator
     check_inputs(dataset, store, op)
     layout = _validated(dataset, config)
@@ -207,32 +200,26 @@ def train(dataset, store, config):
     grad = {}  # index -> gradient sum, for sgd-page and bgd
     loss = 0.0
 
-    def entries(data, start, stop, views):
-        """The batch's entries [lo, hi) of `data` and their frame positions."""
-        lo, hi = data.indptr[start], data.indptr[stop]
-        return lo, hi, frame_positions(manager, views, data.indices[lo:hi])
-
     def accumulate(indices, terms):
         for index, term in zip(indices.tolist(), terms.tolist()):
             grad[index] = grad.get(index, 0.0) + term
 
-    def lr_loss_term(data, start, stop, views):
+    def lr_loss_term(data, start, stop, at):
         nonlocal loss
-        dps = batch_dot_products(manager, data, start, stop, views)
+        dps = batch_dot_products(flat, data, start, stop, at)
         for label, dp in zip(data.labels[start:stop].tolist(), dps.tolist()):
             loss += float(np.logaddexp(0.0, -label * dp))
 
-    def lmf_loss_term(data, start, stop, views):
+    def lmf_loss_term(data, start, stop, at):
         nonlocal loss
-        lo, hi, at = entries(data, start, stop, views)
         cells = flat[at].reshape(stop - start, 2, rank)
         e = row_sums((cells[:, 0] * cells[:, 1]).reshape(-1), rank * np.arange(stop - start + 1))
         e -= data.labels[start:stop]
         for term in (0.5 * e * e).tolist():
             loss += term
 
-    def lr_update(data, start, stop, views):
-        lo, hi, at = entries(data, start, stop, views)
+    def lr_update(data, start, stop, at):
+        lo, hi = data.indptr[start], data.indptr[stop]
         values = data.values[lo:hi]
         cuts = data.indptr[start : stop + 1] - lo
         labels = data.labels[start:stop].tolist()
@@ -252,8 +239,8 @@ def train(dataset, store, config):
         for label, dp, a, b in zip(labels, dps, cuts, cuts[1:]):
             accumulate(indices[a:b], lr_scale(label, dp) * values[a:b])
 
-    def lmf_update(data, start, stop, views):
-        lo, hi, at = entries(data, start, stop, views)
+    def lmf_update(data, start, stop, at):
+        lo = data.indptr[start]
         blocks = at.reshape(stop - start, 2, rank)
         for k, label in enumerate(data.labels[start:stop].tolist()):
             row_at, col_at = blocks[k]
@@ -343,10 +330,7 @@ def train_oracle(dataset, initial_model, config, page_size):
             for position in perm:
                 vector = chunk[position]
                 if config.task == "lr":
-                    dp = 0.0
-                    for k in range(vector.nnz):
-                        dp += float(vector.values[k]) * float(model[int(vector.indexes[k])])
-                    scale = lr_scale(vector.label, dp)
+                    scale = lr_scale(vector.label, dot_product(vector, model))
                     if config.mode == "sgd":
                         step = config.alpha * scale
                         for k in range(vector.nnz):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpjoin import BufferManager, PreconditionError
+from dpjoin import BufferManager, ModelStore, PreconditionError, StoreError
 
 
 def manager(tmp_store, capacity, num_pages=8, page_size=4):
@@ -12,8 +12,8 @@ def manager(tmp_store, capacity, num_pages=8, page_size=4):
 
 def test_cold_misses_then_hits(tmp_store):
     bm = manager(tmp_store, 4)
-    views = bm.request_set([0, 1, 2])
-    assert sorted(views) == [0, 1, 2]
+    assert bm.request_set([0, 1, 2]) is None
+    assert bm.pinned_pages() == {0, 1, 2}
     bm.unpin_set([0, 1, 2])
     assert bm.page_misses == 3
     assert bm.page_requests == 3
@@ -25,9 +25,10 @@ def test_cold_misses_then_hits(tmp_store):
 
 def test_request_dedups_and_sorts(tmp_store):
     bm = manager(tmp_store, 4)
-    views = bm.request_set([3, 1, 3, 1])
+    bm.request_set([3, 1, 3, 1])
+    assert bm.pinned_pages() == {1, 3}
     bm.unpin_set([1, 3])
-    assert sorted(views) == [1, 3]
+    assert bm.pinned_pages() == set()
     assert bm.page_requests == 2
 
 
@@ -76,8 +77,8 @@ def test_refused_request_changes_nothing(tmp_store):
     assert bm.resident_pages() == {0, 1}
     assert (bm.page_requests, bm.page_misses, bm.store.reads) == (2, 2, 2)
     bm.unpin_set([0, 1])
-    views = bm.request_set([2, 3, 4])
-    assert sorted(views) == [2, 3, 4]
+    bm.request_set([2, 3, 4])
+    assert bm.pinned_pages() == {2, 3, 4}
     bm.unpin_set([2, 3, 4])
 
 
@@ -115,26 +116,27 @@ def test_unpin_unknown_page_rejected(tmp_store):
 
 def test_dirty_eviction_writes_back(tmp_store):
     bm = manager(tmp_store, 2)
-    views = bm.request_set([0, 1])
-    views[1].values[:] = 9.0
+    bm.request_set([0, 1])
+    bm.frames.reshape(-1)[bm.positions(range(4, 8))] = 9.0
     bm.unpin_set([1], dirty=True)
     bm.unpin_set([0])
     bm.request_set([2, 3])          # evicts both, page 1 is dirty
     bm.unpin_set([2, 3])
     assert bm.write_backs == 1
-    assert list(bm.store.read_page(1).values) == [9.0] * 4
+    assert list(bm.store.read_page(1)) == [9.0] * 4
 
 
 def test_flush_all(tmp_store):
     bm = manager(tmp_store, 4)
-    views = bm.request_set([2, 0])
-    views[0].values[:] = 1.0
-    views[2].values[:] = 2.0
+    bm.request_set([2, 0])
+    flat = bm.frames.reshape(-1)
+    flat[bm.positions(range(0, 4))] = 1.0
+    flat[bm.positions(range(8, 12))] = 2.0
     bm.unpin_set([0, 2], dirty=True)
     bm.flush_all()
     assert bm.write_backs == 2
-    assert (bm.store.read_page(0).values == 1.0).all()
-    assert (bm.store.read_page(2).values == 2.0).all()
+    assert (bm.store.read_page(0) == 1.0).all()
+    assert (bm.store.read_page(2) == 2.0).all()
     bm.flush_all()                   # clean now, nothing to write
     assert bm.write_backs == 2
 
@@ -186,23 +188,70 @@ def test_trace_invariants(tmp_path_factory, trace, capacity):
     assert bigger.page_misses <= got.page_misses
 
 
-def test_evicted_view_raises(tmp_store):
+def test_positions_of_a_page_that_is_not_pinned_raise(tmp_store):
     bm = manager(tmp_store, 1)
-    stale = bm.request_set([0])[0]
+    with pytest.raises(PreconditionError, match="page 0 is not pinned"):
+        bm.positions([1])                # nothing pinned at all
+    bm.request_set([0])
     bm.unpin_set([0])
-    bm.request_set([1])              # reuses page 0's frame
-    with pytest.raises(TypeError):
-        stale.values[0]
+    bm.request_set([1])                  # evicts page 0 and reuses its frame
+    assert bm.positions([4, 7]).tolist() == [0, 3]
+    with pytest.raises(PreconditionError, match="page 0 is not pinned"):
+        bm.positions([5, 2])
     bm.unpin_set([1])
+    with pytest.raises(PreconditionError, match="page 1 is not pinned"):
+        bm.positions([4])                # resident, but no longer pinned
+    assert bm.positions([]).tolist() == []
 
 
 def test_frame_pool_is_capped_at_the_model_pages(tmp_store):
     bm = manager(tmp_store, 50, num_pages=8)
     assert bm.frames.shape == (8, 4)
-    views = bm.request_set(range(8))
+    bm.request_set(range(8))
     assert bm.page_misses == 8
-    assert all(view.values.base is bm.frames for view in views.values())
+    # every index of the model has its own place inside the pool
+    assert sorted(bm.positions(range(32)).tolist()) == list(range(bm.frames.size))
     bm.unpin_set(range(8))
+
+
+def test_failed_read_releases_the_requests_pins(tmp_path):
+    path = str(tmp_path / "t.model")
+    with ModelStore.create(path, 64, 8) as store:
+        with open(path, "r+b") as fh:    # shrink the file under the open store
+            fh.truncate(fh.seek(0, 2) - 16)
+        bm = BufferManager(store, 2)
+        with pytest.raises(StoreError):
+            bm.request_set([0, 7])       # page 7 is cut short
+        assert bm.pinned_pages() == set()
+        assert bm.resident_pages() == {0}
+        assert bm.page_misses == store.reads == 1
+        bm.request_set([1, 2])           # both frames are free to take
+        assert bm.pinned_pages() == {1, 2}
+        bm.unpin_set([1, 2])
+
+
+def test_failed_write_back_keeps_the_page_resident_and_dirty(tmp_store, monkeypatch):
+    bm = manager(tmp_store, 2)
+    bm.request_set([0, 1])
+    bm.frames.reshape(-1)[bm.positions([0])] = 5.0
+    bm.unpin_set([0], dirty=True)
+    bm.unpin_set([1])
+    real_write = bm.store.write_page
+
+    def failing_write(page_id, values):
+        raise StoreError("disk full")
+
+    monkeypatch.setattr(bm.store, "write_page", failing_write)
+    with pytest.raises(StoreError):
+        bm.request_set([2, 3])           # page 2 evicts clean page 1, page 3 dirty page 0
+    assert bm.pinned_pages() == set()
+    assert bm.resident_pages() == {0, 2}
+    assert bm.write_backs == 0
+    monkeypatch.setattr(bm.store, "write_page", real_write)
+    bm.request_set([2, 3])
+    bm.unpin_set([2, 3])
+    assert bm.write_backs == 1
+    assert bm.store.read_page(0)[0] == 5.0
 
 
 class RecordingManager(BufferManager):
@@ -303,31 +352,33 @@ def test_matches_reference_lru(tmp_path_factory, steps, capacity):
     from dpjoin import ModelStore
 
     def release(request):
-        pages, _, written = request
+        pages, written = request
         bm.unpin_set(written, dirty=True)
         bm.unpin_set(pages - written)
         ref.unpin(pages)
 
     path = str(tmp_path_factory.mktemp("bm") / "m.model")
     with ModelStore.create(path, 32, 4, init=("uniform", -1.0, 1.0), seed=3) as store:
-        ref = ReferenceLru({p: list(store.read_page(p).values) for p in range(8)}, capacity)
+        ref = ReferenceLru({p: list(store.read_page(p)) for p in range(8)}, capacity)
         bm = RecordingManager(store, capacity)
-        pinned = []                      # (pages, views, pages written) of outstanding requests
+        flat = bm.frames.reshape(-1)
+        pinned = []                      # (pages, pages written) of outstanding requests
         for step in steps:
             if step[0] == "request":
                 pages = step[1]
                 # keep every request servable: unpin the oldest requests
                 # until the pinned pages and this request fit the budget
-                while len(set(pages).union(*(p for p, _, _ in pinned))) > capacity:
+                while len(set(pages).union(*(p for p, _ in pinned))) > capacity:
                     release(pinned.pop(0))
-                pinned.append((pages, bm.request_set(pages), set()))
+                bm.request_set(pages)
+                pinned.append((pages, set()))
                 ref.request(pages)
             elif pinned and step[0] == "unpin":
                 release(pinned.pop(step[1] % len(pinned)))
             elif pinned:
-                pages, views, written = pinned[step[1] % len(pinned)]
+                pages, written = pinned[step[1] % len(pinned)]
                 page_id = min(pages)
-                views[page_id].values[step[2]] = step[3]
+                flat[bm.positions([page_id * 4 + step[2]])] = step[3]
                 written.add(page_id)
                 ref.write(page_id, step[2], step[3])
             assert bm.evicted == ref.evicted

@@ -11,17 +11,19 @@ def test_create_zeros_and_read(tmp_store):
     store = tmp_store(10, 4)
     assert store.num_pages == 3
     for pid in range(3):
-        view = store.read_page(pid)
-        assert view.page_id == pid
-        assert view.values.shape == (4,)
-        assert not view.values.any()
+        values = store.read_page(pid)
+        assert values.shape == (4,)
+        assert not values.any()
+    out = np.ones(4)
+    assert store.read_page(1, out=out) is out
+    assert not out.any()
 
 
 def test_tail_page_zero_padded(tmp_store):
     store = tmp_store(10, 4, init=("constant", 2.5))
     tail = store.read_page(2)
     # only entries 8 and 9 are real; the rest is padding
-    assert list(tail.values) == [2.5, 2.5, 0.0, 0.0]
+    assert list(tail) == [2.5, 2.5, 0.0, 0.0]
     dense = store.load_dense()
     assert dense.shape == (10,)
     assert (dense == 2.5).all()
@@ -45,14 +47,24 @@ def test_uniform_init_deterministic(tmp_path):
 def test_write_page_persists(tmp_path):
     path = str(tmp_path / "m.model")
     with ModelStore.create(path, 8, 4) as store:
-        view = store.read_page(1)
-        view.values[:] = [1.0, 2.0, 3.0, 4.0]
-        store.write_page(view)
+        values = store.read_page(1)
+        values[:] = [1.0, 2.0, 3.0, 4.0]
+        store.write_page(1, values)
     with ModelStore.open(path) as again:
         assert again.dimension == 8
         assert again.page_size == 4
-        assert list(again.read_page(1).values) == [1.0, 2.0, 3.0, 4.0]
-        assert not again.read_page(0).values.any()
+        assert list(again.read_page(1)) == [1.0, 2.0, 3.0, 4.0]
+        assert not again.read_page(0).any()
+
+
+def test_write_page_checks_page_id_and_length(tmp_store):
+    from dpjoin import ValidationError
+    store = tmp_store(8, 4)
+    with pytest.raises(ValidationError):
+        store.write_page(2, np.zeros(4))
+    with pytest.raises(ValidationError):
+        store.write_page(0, np.zeros(3))
+    assert store.writes == 0
 
 
 def test_read_page_out_of_range(tmp_store):
@@ -85,8 +97,7 @@ def test_access_counters(tmp_store):
     store = tmp_store(32, 8)
     store.read_page(0)
     store.read_page(1)
-    view = store.read_page(2)
-    store.write_page(view)
+    store.write_page(2, store.read_page(2))
     assert store.reads == 3
     assert store.writes == 1
 
@@ -96,8 +107,8 @@ def test_large_dimension_create_is_chunked(tmp_path):
     path = str(tmp_path / "big.model")
     with ModelStore.create(path, 5_000_000, 1024, init=("constant", 1.0)) as store:
         assert store.num_pages == 4883
-        assert (store.read_page(4882).values[:832] == 1.0).all()
-        assert not store.read_page(4882).values[832:].any()
+        assert (store.read_page(4882)[:832] == 1.0).all()
+        assert not store.read_page(4882)[832:].any()
 
 
 def test_open_rejects_zero_page_size_and_dimension(tmp_path):
@@ -107,6 +118,14 @@ def test_open_rejects_zero_page_size_and_dimension(tmp_path):
         path.write_bytes(_HEADER.pack(MAGIC, 1, dimension, page_size))
         with pytest.raises(StoreError):
             ModelStore.open(str(path))
+
+
+def test_open_rejects_unsupported_version(tmp_path):
+    from dpjoin.model_store import _HEADER, MAGIC
+    path = tmp_path / "v.model"
+    path.write_bytes(_HEADER.pack(MAGIC, 2, 8, 4) + bytes(8 * 8))
+    with pytest.raises(StoreError, match="unsupported model version 2"):
+        ModelStore.open(str(path))
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,7 +160,7 @@ def test_short_read_and_short_write_raise_store_error(tmp_path, monkeypatch):
             fh.truncate(fh.seek(0, 2) - 16)
         with pytest.raises(StoreError):
             store.read_page(7)
-        view = store.read_page(0)
+        values = store.read_page(0)
         real_pwrite = model_store.os.pwrite
 
         def half_pwrite(fd, data, offset):
@@ -150,16 +169,16 @@ def test_short_read_and_short_write_raise_store_error(tmp_path, monkeypatch):
 
         monkeypatch.setattr(model_store.os, "pwrite", half_pwrite)
         with pytest.raises(StoreError):
-            store.write_page(view)
+            store.write_page(0, values)
 
 
 def test_closed_store_raises_even_when_its_descriptor_is_reused(tmp_path):
     path = str(tmp_path / "c.model")
     store = ModelStore.create(path, 64, 8)
-    view = store.read_page(0)
+    values = store.read_page(0)
     store.close()
     with open(path, "rb"):   # likely takes the descriptor number the store gave up
         with pytest.raises(StoreError):
             store.read_page(0)
         with pytest.raises(StoreError):
-            store.write_page(view)
+            store.write_page(0, values)

@@ -175,9 +175,7 @@ def test_batch_kernel_is_bit_identical_to_the_oracle(tmp_store):
     model[[0, 1, 2]] = [1e16, 1.0, -1e16]
     model[3] = -0.0
     for page in range(pages):
-        view = store.read_page(page)
-        view.values[:] = model[page * page_size : (page + 1) * page_size]
-        store.write_page(view)
+        store.write_page(page, model[page * page_size : (page + 1) * page_size])
     dense = store.load_dense()
 
     rng = np.random.default_rng(9)
@@ -200,28 +198,64 @@ def test_batch_kernel_is_bit_identical_to_the_oracle(tmp_store):
     for page in reversed(range(pages)):       # frame 0 holds the highest page
         manager.request_set([page])
         manager.unpin_set([page])
-    views = manager.request_set(range(pages))
-    frames = [manager.frame_of[p] for p in range(pages)]
-    assert frames != sorted(frames)
-    got = batch_dot_products(manager, data, 0, len(data), views)
+    manager.request_set(range(pages))
+    firsts = manager.positions(np.arange(pages) * page_size).tolist()
+    assert firsts != sorted(firsts)
+    flat = manager.frames.reshape(-1)
+    got = batch_dot_products(flat, data, 0, len(data), manager.positions(data.indices))
     assert _bits(got) == _bits(oracle)
     for start in range(len(data)):             # one-vector batches too
-        assert _bits(batch_dot_products(manager, data, start, start + 1, views)) \
+        at = manager.positions(data.indices[data.indptr[start] : data.indptr[start + 1]])
+        assert _bits(batch_dot_products(flat, data, start, start + 1, at)) \
             == _bits(oracle[start : start + 1])
 
 
 def test_kernel_rejects_a_page_that_is_not_pinned(tmp_store):
-    from dpjoin import BufferManager, Dataset
-    from dpjoin.operator import batch_dot_products
+    """A batch whose pages miss one its vectors touch is refused before any
+    visit reads the frame pool."""
+    from dpjoin import Batch, BufferManager, Dataset, MetricsReport
+    from dpjoin.operator import execute
 
     from conftest import make_vector
 
     store = tmp_store(64, 8)
     data = Dataset(64, [make_vector(1, [3, 20])])
     manager = BufferManager(store, 4)
-    views = manager.request_set([0])
+    visited = []
     with pytest.raises(PreconditionError, match="page 2 is not pinned"):
-        batch_dot_products(manager, data, 0, 1, views)
+        execute(manager, data, [Batch([0], (0,))], lambda *args: visited.append(args),
+                MetricsReport(config={}))
+    assert visited == []
+
+
+def test_describe_lists_every_field_but_per_upage_metrics():
+    from dataclasses import fields
+
+    from dpjoin import TrainConfig
+
+    op = OperatorConfig(budget=3, per_upage_metrics=True)
+    assert list(op.describe()) == [f.name for f in fields(op) if f.name != "per_upage_metrics"]
+    config = TrainConfig(op)
+    assert list(config.describe()) == list(op.describe()) + [
+        f.name for f in fields(config) if f.name != "operator"]
+
+
+def test_report_config_is_unchanged(tmp_store):
+    from dpjoin import TrainConfig, train
+
+    ds = gen_uniform(20, 64, 3, seed=2)
+    store = tmp_store(64, 8)
+    op = OperatorConfig(budget=4, reorder="lsh", upage=8, seed=5, kcenter_k=3,
+                        per_upage_metrics=True)
+    expected = [("budget", 4), ("reorder", "lsh"), ("batching", True), ("upage", 8),
+                ("seed", 5), ("lsh_m", 16), ("lsh_b", 4), ("kcenter_k", 3)]
+    assert list(run(ds, store, op).config.items()) == expected
+    result = train(ds, store, TrainConfig(op, mode="bgd", alpha=0.5, iterations=1,
+                                          shuffle_upages=False))
+    expected += [("task", "lr"), ("mode", "bgd"), ("alpha", 0.5), ("iterations", 1),
+                 ("shuffle_upages", False)]
+    assert list(result.config.items()) == expected
+    assert list(result.metrics.config.items()) == expected
 
 
 def test_run_and_train_build_no_sparse_vectors(tmp_store, monkeypatch):
