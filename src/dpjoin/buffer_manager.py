@@ -28,6 +28,7 @@ so positions are good only while their pages stay pinned.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter, OrderedDict
 
 import numpy as np
@@ -85,22 +86,38 @@ class BufferManager:
             if page_id in resident:
                 pins[page_id] = pins.get(page_id, 0) + 1
                 resident.move_to_end(page_id)
+        # The victims are the least recent unpinned pages: loaded pages are
+        # pinned at the recent end, so one scan finds all of them in order.
+        victims = list(itertools.islice((page_id for page_id in resident if page_id not in pins),
+                                        max(0, len(missing) - len(self._free))))
+        frames, store, dirty = self.frames, self.store, self._dirty
         for k, page_id in enumerate(missing):
             frame = None
             try:
-                frame = self._free.pop() if self._free else self._evict_one()
-                self.store.read_page(page_id, out=self.frames[frame])
+                if self._free:
+                    frame = self._free.pop()
+                else:
+                    victim = victims.pop(0)
+                    if victim in dirty:
+                        # A failed write-back leaves the page resident and dirty.
+                        store.write_page(victim, frames[resident[victim]])
+                        self.write_backs += 1
+                        dirty.remove(victim)
+                    frame = resident.pop(victim)
+                store.read_page(page_id, out=frames[frame])
             except BaseException:
                 if frame is not None:
                     self._free.append(frame)
+                self.page_misses += k
+                self.misses_by_page.update(missing[:k])
                 unread = set(missing[k:])
                 self._release([p for p in pages if p not in unread])
                 raise
             resident[page_id] = frame
-            self.page_misses += 1
-            self.misses_by_page[page_id] = self.misses_by_page.get(page_id, 0) + 1
             pins[page_id] = 1
         if missing:
+            self.page_misses += len(missing)
+            self.misses_by_page.update(missing)
             # The whole set becomes most recently used; lower page ids are
             # refreshed last so the lowest id ends up the single most recent.
             for page_id in reversed(pages):
@@ -141,21 +158,6 @@ class BufferManager:
                 del pins[page_id]
             else:
                 pins[page_id] = count - 1
-
-    def _evict_one(self):
-        """Evict the least recently used unpinned page; return its frame. A
-        failed write-back leaves the page resident and dirty."""
-        pins = self._pins
-        for victim in self._resident:
-            if victim not in pins:
-                break
-        else:
-            raise PreconditionError("all resident pages are pinned; cannot evict")
-        if victim in self._dirty:
-            self.store.write_page(victim, self.frames[self._resident[victim]])
-            self.write_backs += 1
-            self._dirty.remove(victim)
-        return self._resident.pop(victim)
 
     def flush_all(self):
         """Write back every dirty resident page (ascending id); keep residency."""

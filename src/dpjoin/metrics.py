@@ -30,9 +30,11 @@ class MetricsReport:
     page_misses: int = 0
     write_backs: int = 0
     batch_count: int = 0        # batches executed; in training, update and loss passes
-    upage_count: int = 0        # U-pages planned; in training, iterations x U-pages
+    upage_count: int = 0        # U-pages planned; in training, iterations x U-pages (the
+                                # loss plan's U-pages are not counted)
     distinct_pages: int = 0
-    reorder_time: float = 0.0   # planning U-page orders (training: iteration_plan)
+    reorder_time: float = 0.0   # planning U-page orders (training: iteration_plan and
+                                # the loss plan, with its batches)
     io_time: float = 0.0        # page reads and writes of this run only, on a shared store too
     compute_time: float = 0.0   # visiting pinned batches: dot products, updates, loss terms
     config: dict = field(default_factory=dict)

@@ -144,10 +144,14 @@ class ModelStore:
     def read_page(self, page_id, out=None):
         """Read page `page_id` into `out` (a contiguous, writable array of
         page_size float64 values; a fresh one when None) and return it."""
-        self._check_page_id(page_id)
+        # `_check_page_id` and `_fd`, inlined: this runs once per miss.
+        if page_id < 0 or page_id >= self.num_pages:
+            raise ValidationError(f"page id {page_id} out of range [0, {self.num_pages})")
+        if self._file is None:
+            raise StoreError(f"{self.path}: model store is closed")
         if out is None:
             out = np.empty(self.page_size, dtype=_DTYPE)
-        fd = self._fd()
+        fd = self._file.fileno()
         started = time.perf_counter()
         got = os.preadv(fd, [out], HEADER_SIZE + page_id * self.page_size * 8)
         self.io_time += time.perf_counter() - started

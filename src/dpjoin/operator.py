@@ -98,6 +98,14 @@ def make_batches(ordered_sets, config, ordered_tids):
         raise
 
 
+def plan_upage(dataset, start, sets, perm, config):
+    """The rows of a U-page in processing order and its batches: `sets`
+    are the page sets of the U-page's vectors, which begins at row `start`
+    of `dataset`, and `perm` their permutation (`plan_order`'s)."""
+    rows = start + np.asarray(perm, dtype=np.int64)
+    return rows, make_batches([sets[p] for p in perm], config, dataset.tids[rows])
+
+
 def execute(manager, data, batches, visit, report, dirty=False):
     """Pin each batch's pages as one set, call `visit(data, start, stop,
     at)` once for its vectors, rows [start, stop) of `data` (the dataset in
@@ -105,7 +113,8 @@ def execute(manager, data, batches, visit, report, dirty=False):
     set, declaring it modified when `dirty` (a visit that writes every index
     of its vectors writes every page of its batch). `at` holds, for each of
     the batch's entries, where its model value sits in
-    `manager.frames.reshape(-1)`. Adds the batches, the vectors' element
+    `manager.frames.reshape(-1)`. The set is unpinned even when resolving
+    `at` or the visit raises. Adds the batches, the vectors' element
     requests and the time spent visiting to `report`."""
     report.batch_count += len(batches)
     indptr = data.indptr
@@ -113,11 +122,13 @@ def execute(manager, data, batches, visit, report, dirty=False):
         start, stop = batch.positions[0], batch.positions[-1] + 1
         lo, hi = indptr[start], indptr[stop]
         manager.request_set(batch.pages)
-        started = time.perf_counter()
-        report.element_requests += int(hi - lo)
-        visit(data, start, stop, manager.positions(data.indices[lo:hi]))
-        report.compute_time += time.perf_counter() - started
-        manager.unpin_set(batch.pages, dirty=dirty)
+        try:
+            started = time.perf_counter()
+            report.element_requests += int(hi - lo)
+            visit(data, start, stop, manager.positions(data.indices[lo:hi]))
+            report.compute_time += time.perf_counter() - started
+        finally:
+            manager.unpin_set(batch.pages, dirty=dirty)
 
 
 def row_sums(terms, bounds):
@@ -199,9 +210,8 @@ def run(dataset, store, config, sink=None):
         started = time.perf_counter()
         perm = plan_order(sets, config, (upage_index,))
         report.reorder_time += time.perf_counter() - started
-        ordered = dataset.take(start + np.asarray(perm, dtype=np.int64))
-        batches = make_batches([sets[p] for p in perm], config, ordered.tids)
-        execute(manager, ordered, batches, visit, report)
+        rows, batches = plan_upage(dataset, start, sets, perm, config)
+        execute(manager, dataset.take(rows), batches, visit, report)
         if report.per_upage is not None:
             report.per_upage.append({
                 "upage": upage_index,

@@ -11,8 +11,9 @@ a minimum Hamiltonian path problem, so three heuristics are provided:
 
 * radix   -- sort vectors by their page-membership bit patterns, pages
              ordered by descending request frequency (ties: lower page id).
-             MSB-first, set bit sorts before clear bit, stable. Cheap, and
-             bounds how often each page can be reloaded.
+             MSB-first, set bit sorts before clear bit, stable: one lexsort
+             of each set's page ranks. Cheap, and bounds how often each page
+             can be reloaded.
 * lsh     -- minwise-hash signatures, one (n, m) uint64 array built in one
              pass over the pages, split into b bands of m // b columns. Each
              band is bucketed by one stable lexsort of its columns: a bucket
@@ -78,19 +79,30 @@ def page_frequency_order(sets):
 
 
 def reorder_radix(sets):
+    """Radix order of `sets` (each of distinct pages) on arrays. Ranking
+    pages by `page_frequency_order`, a set's bit pattern is its ranks in
+    ascending order; comparing two patterns MSB first, set bit first, is
+    comparing those rank lists lexicographically, where a list that runs
+    out sorts after the lists it is a prefix of. So each row of a grid
+    holds a set's ranks ascending, padded past the last rank, and one
+    stable lexsort of the grid, first column most significant, keeps equal
+    patterns in input order."""
     if not sets:
         return []
-    ranked, _ = page_frequency_order(sets)
-    weight = {page: len(ranked) - 1 - rank for rank, page in enumerate(ranked)}
-    keys = []
-    for s in sets:
-        key = 0
-        for page in s:
-            key |= 1 << weight[page]
-        keys.append(key)
-    # Descending keys put the set-bit partition first at every bit level;
-    # sorted() is stable, which is what keeps equal patterns in input order.
-    return sorted(range(len(sets)), key=keys.__getitem__, reverse=True)
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    pages = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                        count=int(sizes.sum()))
+    _, page_index, counts = np.unique(pages, return_inverse=True, return_counts=True)
+    # Pages ascend in `counts`, so a stable sort by descending count breaks
+    # ties to the lower page.
+    rank = np.empty(len(counts), dtype=np.int64)
+    rank[np.argsort(-counts, kind="stable")] = np.arange(len(counts))
+    grid = np.full((len(sets), int(sizes.max())), len(counts), dtype=np.int64)
+    owner = np.repeat(np.arange(len(sets)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    grid[owner, np.arange(len(pages)) - starts[owner]] = rank[page_index]
+    grid.sort(axis=1)
+    return np.lexsort(grid.T[::-1]).tolist()
 
 
 # -- minwise hashing / LSH -------------------------------------------------------

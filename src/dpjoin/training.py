@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import MetricsReport
 from .operator import (OperatorConfig, batch_dot_products, check_inputs, dot_product,
-                       execute, finish_report, make_batches, plan_order, row_sums)
+                       execute, finish_report, plan_order, plan_upage, row_sums)
 from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
@@ -186,7 +186,12 @@ def train(dataset, store, config):
     """Run gradient descent against the paged model in `store`. Every pass,
     loss passes included, is the join's execution loop (`operator.execute`)
     with an update or a loss term as the visit; visits read the CSR rows of
-    their batch and, at the positions `at` of its entries, the frame pool."""
+    their batch and, at the positions `at` of its entries, the frame pool.
+
+    A loss is a sum of per-vector terms, so every loss pass runs on the plan
+    `run` builds under the radix reorder, whatever `config.operator.reorder`
+    is: the visits write each term at its vector's file row, and the terms
+    are added in file order, as `train_oracle` adds them."""
     op = config.operator
     check_inputs(dataset, store, op)
     layout = _validated(dataset, config)
@@ -196,27 +201,30 @@ def train(dataset, store, config):
     report = MetricsReport(config=config.describe())
     bounds = dataset.upage_bounds(op.upage)
     sets_by_upage = [dataset.page_sets(start, stop, store.page_size) for start, stop in bounds]
-    loss_batches = make_batches([s for sets in sets_by_upage for s in sets], op, dataset.tids)
+    started = time.perf_counter()
+    loss_op = replace(op, reorder="radix")
+    loss_plan = [
+        plan_upage(dataset, start, sets, plan_order(sets, loss_op, (upage_index,)), loss_op)
+        for upage_index, ((start, _), sets) in enumerate(zip(bounds, sets_by_upage))
+    ]
+    report.reorder_time += time.perf_counter() - started
     grad = {}  # index -> gradient sum, for sgd-page and bgd
-    loss = 0.0
+    loss_by_row = np.empty(len(dataset))  # a loss pass's terms, at their vectors' file rows
 
     def accumulate(indices, terms):
         for index, term in zip(indices.tolist(), terms.tolist()):
             grad[index] = grad.get(index, 0.0) + term
 
-    def lr_loss_term(data, start, stop, at):
-        nonlocal loss
+    def lr_loss_terms(data, start, stop, at):
         dps = batch_dot_products(flat, data, start, stop, at)
-        for label, dp in zip(data.labels[start:stop].tolist(), dps.tolist()):
-            loss += float(np.logaddexp(0.0, -label * dp))
+        return [float(np.logaddexp(0.0, -label * dp))
+                for label, dp in zip(data.labels[start:stop].tolist(), dps.tolist())]
 
-    def lmf_loss_term(data, start, stop, at):
-        nonlocal loss
+    def lmf_loss_terms(data, start, stop, at):
         cells = flat[at].reshape(stop - start, 2, rank)
         e = row_sums((cells[:, 0] * cells[:, 1]).reshape(-1), rank * np.arange(stop - start + 1))
         e -= data.labels[start:stop]
-        for term in (0.5 * e * e).tolist():
-            loss += term
+        return 0.5 * e * e
 
     def lr_update(data, start, stop, at):
         lo, hi = data.indptr[start], data.indptr[stop]
@@ -254,14 +262,18 @@ def train(dataset, store, config):
                            np.concatenate([grad_row, grad_col]))
 
     if config.task == "lr":
-        loss_term, update = lr_loss_term, lr_update
+        loss_terms, update = lr_loss_terms, lr_update
     else:
-        loss_term, update = lmf_loss_term, lmf_update
+        loss_terms, update = lmf_loss_terms, lmf_update
 
     def loss_pass():
-        nonlocal loss
+        for rows, batches in loss_plan:
+            def visit(data, start, stop, at, rows=rows):
+                loss_by_row[rows[start:stop]] = loss_terms(data, start, stop, at)
+            execute(manager, dataset.take(rows), batches, visit, report)
         loss = 0.0
-        execute(manager, dataset, loss_batches, loss_term, report)
+        for term in loss_by_row.tolist():
+            loss += term
         return loss
 
     losses = [loss_pass()]
@@ -273,10 +285,10 @@ def train(dataset, store, config):
         report.reorder_time += time.perf_counter() - started
         report.upage_count += len(plan)
         for upage_index, perm in plan:
-            sets = sets_by_upage[upage_index]
-            ordered = dataset.take(bounds[upage_index][0] + np.asarray(perm, dtype=np.int64))
-            batches = make_batches([sets[p] for p in perm], op, ordered.tids)
-            execute(manager, ordered, batches, update, report, dirty=config.mode == "sgd")
+            rows, batches = plan_upage(dataset, bounds[upage_index][0],
+                                       sets_by_upage[upage_index], perm, op)
+            execute(manager, dataset.take(rows), batches, update, report,
+                    dirty=config.mode == "sgd")
             if config.mode == "sgd-page":
                 _apply_gradient(manager, grad, config.alpha, op.budget)
         if config.mode == "bgd":

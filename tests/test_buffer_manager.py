@@ -255,17 +255,28 @@ def test_failed_write_back_keeps_the_page_resident_and_dirty(tmp_store, monkeypa
 
 
 class RecordingManager(BufferManager):
-    """Records the id of every page it evicts, in eviction order."""
+    """Records the id of every page it evicts, in eviction order: a miss
+    that reads into a frame some page held when the request began evicted
+    that page."""
 
     def __init__(self, store, capacity):
         super().__init__(store, capacity)
         self.evicted = []
+        self._held_by = {}
+        read_page = store.read_page
 
-    def _evict_one(self):
-        before = self.resident_pages()
-        frame = super()._evict_one()
-        self.evicted.extend(before - self.resident_pages())
-        return frame
+        def recording_read(page_id, out=None):
+            if out is not None and out.base is self.frames:
+                frame = (out.ctypes.data - self.frames.ctypes.data) // self.frames.strides[0]
+                if frame in self._held_by:
+                    self.evicted.append(self._held_by.pop(frame))
+            return read_page(page_id, out=out)
+
+        store.read_page = recording_read
+
+    def request_set(self, pages):
+        self._held_by = {frame: page_id for page_id, frame in self._resident.items()}
+        super().request_set(pages)
 
 
 class ReferenceLru:

@@ -226,6 +226,28 @@ def test_kernel_rejects_a_page_that_is_not_pinned(tmp_store):
         execute(manager, data, [Batch([0], (0,))], lambda *args: visited.append(args),
                 MetricsReport(config={}))
     assert visited == []
+    assert manager.pinned_pages() == set()
+
+
+@pytest.mark.parametrize("dirty", [False, True])
+def test_a_visit_that_raises_leaves_nothing_pinned(tmp_store, dirty):
+    """The batch's set is unpinned, as modified when the pass writes."""
+    from dpjoin import Batch, BufferManager, Dataset, MetricsReport
+    from dpjoin.operator import execute
+
+    from conftest import make_vector
+
+    def visit(*args):
+        raise ValueError("visit failed")
+
+    store = tmp_store(64, 8)
+    manager = BufferManager(store, 4)
+    with pytest.raises(ValueError, match="visit failed"):
+        execute(manager, Dataset(64, [make_vector(1, [3, 20])]), [Batch([0], (0, 2))], visit,
+                MetricsReport(config={}), dirty=dirty)
+    assert manager.pinned_pages() == set()
+    manager.flush_all()
+    assert manager.write_backs == (2 if dirty else 0)
 
 
 def test_describe_lists_every_field_but_per_upage_metrics():

@@ -61,6 +61,48 @@ def test_radix_is_stable():
     assert second[0] < second[1]
 
 
+def reference_radix(sets):
+    """`reorder_radix` as first written: one integer key per set with a bit
+    per page, the most frequent page highest, sorted descending and stably."""
+    if not sets:
+        return []
+    ranked, _ = page_frequency_order(sets)
+    weight = {page: len(ranked) - 1 - rank for rank, page in enumerate(ranked)}
+    keys = []
+    for s in sets:
+        key = 0
+        for page in s:
+            key |= 1 << weight[page]
+        keys.append(key)
+    return sorted(range(len(sets)), key=keys.__getitem__, reverse=True)
+
+
+@st.composite
+def page_set_lists(draw):
+    """Lists of page sets over a narrow range (many identical sets and
+    singletons), a middle one, or a wide one."""
+    top = draw(st.sampled_from([2, 40, 10**12]))
+    return draw(st.lists(st.sets(st.integers(0, top), min_size=1, max_size=8)
+                         .map(sorted).map(tuple), min_size=1, max_size=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(page_set_lists())
+@example(sets=[(4,)])                                        # one set
+@example(sets=[(1, 2)] * 20)                                 # all sets identical
+@example(sets=[(i % 7,) for i in range(30)])                 # singletons
+@example(sets=[(0, 10**12), (5, 10**9), (0,), (10**12,), (5,)])  # wide page ids
+@example(sets=[(0, 1), (0,), (0, 1, 2), (1,), (0, 2)])       # prefixes of each other
+def test_radix_matches_reference(sets):
+    assert reorder_radix(sets) == reference_radix(sets)
+
+
+@pytest.mark.parametrize("d", [1_000_000, 10_000_000])
+def test_radix_matches_reference_on_a_skewed_upage(d):
+    sets = gen_skewed(4096, d, 12, s=1.0, seed=1).page_sets(0, 4096, 512)
+    assert reorder_radix(sets) == reference_radix(sets)
+
+
 def test_none_and_shuffle():
     assert reorder_none(5) == [0, 1, 2, 3, 4]
     a = reorder_shuffle(50, seed=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from dpjoin import (Dataset, OperatorConfig, OversizedVectorError, ValidationError,
                     run)
 from dpjoin.datagen import gen_matrix, gen_uniform
+from dpjoin.reorder import HEURISTICS, reorder_radix
 from dpjoin.training import (LmfLayout, TrainConfig, iteration_plan,
                              lmf_cell_gradient, lmf_loss, lr_loss, lr_scale,
                              train, train_oracle)
@@ -62,26 +64,33 @@ class TestLmfPieces:
         assert np.allclose(grad_col, (0.5 - 2.0) * row)
 
 
-@pytest.mark.parametrize("task,mode,batching", [
-    ("lr", "sgd", True), ("lr", "sgd-page", True), ("lr", "bgd", True),
-    ("lmf", "sgd", True), ("lmf", "sgd-page", True), ("lmf", "bgd", True),
-    ("lr", "sgd-page", False),
-], ids=["lr-sgd", "lr-sgd-page", "lr-bgd", "lmf-sgd", "lmf-sgd-page", "lmf-bgd",
-        "lr-sgd-page-unbatched"])
-def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching):
-    """Dual route: the paged trainer and the in-memory trainer must agree
-    bit for bit, losses and final model both."""
+def task_instance(tmp_store, task):
+    """A small dataset and model of `task`, their budget and step size."""
     if task == "lr":
         ds = gen_uniform(48, 256, 5, seed=4)
-        store = tmp_store(256, 16, init=("uniform", -0.2, 0.2), seed=6)
-        config = TrainConfig(small_op(reorder="radix"), task="lr", mode=mode,
-                             alpha=0.3, iterations=4)
-    else:
-        ds = gen_matrix(10, 8, 40, 4, seed=5)
-        store = tmp_store((10 + 8) * 4, 8, init=("uniform", -0.2, 0.2), seed=6)
-        config = TrainConfig(small_op(budget=6, reorder="shuffle"), task="lmf",
-                             mode=mode, alpha=0.05, iterations=4)
+        return ds, tmp_store(256, 16, init=("uniform", -0.2, 0.2), seed=6), 8, 0.3
+    ds = gen_matrix(10, 8, 40, 4, seed=5)
+    return ds, tmp_store((10 + 8) * 4, 8, init=("uniform", -0.2, 0.2), seed=6), 6, 0.05
+
+
+@pytest.mark.parametrize("task,mode,batching,heuristic", [
+    ("lr", "sgd", True, "radix"), ("lr", "sgd-page", True, "radix"),
+    ("lr", "bgd", True, "radix"), ("lmf", "sgd", True, "shuffle"),
+    ("lmf", "sgd-page", True, "shuffle"), ("lmf", "bgd", True, "shuffle"),
+    ("lr", "sgd-page", False, "radix"), ("lr", "sgd", True, "none"),
+    ("lmf", "sgd", True, "none"),
+], ids=["lr-sgd", "lr-sgd-page", "lr-bgd", "lmf-sgd", "lmf-sgd-page", "lmf-bgd",
+        "lr-sgd-page-unbatched", "lr-sgd-none", "lmf-sgd-none"])
+def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, heuristic):
+    """Dual route: the paged trainer and the in-memory trainer must agree
+    bit for bit, losses and final model both. The loss passes visit the
+    vectors in radix order, which is not file order here."""
+    ds, store, budget, alpha = task_instance(tmp_store, task)
+    op = small_op(budget=budget, reorder=heuristic)
+    config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=4)
     config.operator.batching = batching
+    assert any(reorder_radix(ds.page_sets(start, stop, store.page_size))
+               != list(range(stop - start)) for start, stop in ds.upage_bounds(op.upage))
     initial = store.load_dense()
     paged = train(ds, store, config)
     oracle = train_oracle(ds, initial, config, page_size=store.page_size)
@@ -207,6 +216,19 @@ def test_train_report_counts_batches_and_upages(tmp_store):
     loss_only = train(ds, store, TrainConfig(op, task="lr", mode="sgd", iterations=0))
     assert loss_only.metrics.batch_count == len(ds)
     assert loss_only.metrics.write_backs == 0
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+@pytest.mark.parametrize("task", ["lr", "lmf"])
+def test_a_loss_pass_costs_what_the_radix_join_costs(tmp_store, task, heuristic):
+    """Whatever orders the update passes, a loss pass runs on the plan `run`
+    builds under the radix reorder."""
+    ds, store, budget, _ = task_instance(tmp_store, task)
+    op = OperatorConfig(budget=budget, reorder=heuristic, upage=16, seed=3)
+    loss_pass = train(ds, store, TrainConfig(op, task=task, iterations=0)).metrics
+    join = run(ds, store, dataclasses.replace(op, reorder="radix"))
+    for name in ("page_requests", "page_misses", "batch_count", "element_requests"):
+        assert getattr(loss_pass, name) == getattr(join, name), name
 
 
 def test_train_rejects_a_budget_run_rejects(tmp_store, tmp_path):
