@@ -42,9 +42,15 @@ def _label_for(indexes, values, planted):
     return 1.0 if margin >= 0.0 else -1.0
 
 
+def _check_size(n, d):
+    if n < 0 or d < 1:
+        raise ValidationError(f"need n >= 0 vectors and dimension d >= 1, got n={n}, d={d}")
+
+
 def gen_uniform(n, d, nnz, seed=0):
     """Each vector has exactly nnz distinct uniform indexes, values in
     [-1, 1], and a label planted by a hidden dense model."""
+    _check_size(n, d)
     if nnz < 1 or nnz > d:
         raise ValidationError(f"nnz must be in [1, {d}], got {nnz}")
     planted = _planted_model(d, seed)
@@ -102,6 +108,7 @@ def gen_skewed(n, d, nnz_avg, s=1.0, seed=0, scatter=False):
     frequency). With scatter=True the ranks are spread over the index space
     by a seeded permutation instead.
     """
+    _check_size(n, d)
     if nnz_avg < 1:
         raise ValidationError(f"nnz_avg must be >= 1, got {nnz_avg}")
     if s <= 0:

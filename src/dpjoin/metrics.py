@@ -53,32 +53,22 @@ class MetricsReport:
         return {name: getattr(self, name) for name in COUNTER_FIELDS}
 
 
-def report_to_json(report_dict, path=None):
-    text = json.dumps(report_dict, indent=2, sort_keys=True, default=str)
-    if path is not None:
-        with open(path, "w") as out:
-            out.write(text + "\n")
-    return text
-
-
-def report_to_csv(report_dict, path=None):
-    """Flat metric,value rows; nested values are JSON-encoded in place."""
-    lines = ["metric,value"]
-    for key in sorted(report_dict):
-        value = report_dict[key]
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value, sort_keys=True, default=str).replace('"', "'")
-        lines.append(f"{key},{value}")
-    text = "\n".join(lines)
-    if path is not None:
-        with open(path, "w") as out:
-            out.write(text + "\n")
-    return text
-
-
 def emit_report(report_dict, path=None, fmt="json"):
+    """The report as JSON, or as flat metric,value CSV rows with nested
+    values JSON-encoded in place; also written to `path` when given."""
     if fmt == "json":
-        return report_to_json(report_dict, path)
-    if fmt == "csv":
-        return report_to_csv(report_dict, path)
-    raise ValidationError(f"unknown report format {fmt!r}")
+        text = json.dumps(report_dict, indent=2, sort_keys=True, default=str)
+    elif fmt == "csv":
+        lines = ["metric,value"]
+        for key in sorted(report_dict):
+            value = report_dict[key]
+            if isinstance(value, (dict, list)):
+                value = json.dumps(value, sort_keys=True, default=str).replace('"', "'")
+            lines.append(f"{key},{value}")
+        text = "\n".join(lines)
+    else:
+        raise ValidationError(f"unknown report format {fmt!r}")
+    if path is not None:
+        with open(path, "w") as out:
+            out.write(text + "\n")
+    return text

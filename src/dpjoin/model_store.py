@@ -13,6 +13,7 @@ and `write_page` writes one back. The store keeps no per-page object.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import time
@@ -63,6 +64,13 @@ class ModelStore:
             raise ValidationError(f"model dimension must be >= 1, got {dimension}")
         if page_size < 1:
             raise ValidationError(f"page size must be >= 1, got {page_size}")
+        if max(dimension, page_size) >= 2**64:
+            raise ValidationError(f"dimension {dimension} or page size {page_size} is not below 2**64")
+        kind = init[0] if isinstance(init, tuple) else init
+        if init != "zeros" and kind not in ("constant", "uniform"):
+            raise ValidationError(f"unknown model init {init!r}")
+        if kind == "uniform" and not 0.0 <= float(init[2]) - float(init[1]) < math.inf:
+            raise ValidationError(f"uniform init needs finite bounds with low <= high, got {init!r}")
         num_pages = -(-dimension // page_size)
         rng = np.random.default_rng(seed)
         try:
@@ -89,13 +97,10 @@ class ModelStore:
     def _init_chunk(init, rng, count, start, dimension):
         if init == "zeros":
             return np.zeros(count)
-        kind = init[0] if isinstance(init, tuple) else init
-        if kind == "constant":
+        if init[0] == "constant":
             values = np.full(count, float(init[1]))
-        elif kind == "uniform":
-            values = rng.uniform(float(init[1]), float(init[2]), size=count)
         else:
-            raise ValidationError(f"unknown model init {init!r}")
+            values = rng.uniform(float(init[1]), float(init[2]), size=count)
         # Zero the padding tail so files are deterministic byte for byte.
         tail = start + count - dimension
         if tail > 0:

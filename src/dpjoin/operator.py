@@ -73,12 +73,11 @@ def oracle_dot_products(dataset, dense_model):
 
 
 def plan_order(sets, config, path):
-    """Permutation of a U-page's positions, per config. `none` and `radix`
-    take `config.seed`, the others `[config.seed, *path]`; `path` names the
+    """Permutation of a U-page's positions, per config, seeded by
+    `[config.seed, *path]` (`none` and `radix` read no seed); `path` names the
     U-page: `(upage_index,)` in the join, `(iteration, upage_index)` in training."""
-    seed = config.seed if config.reorder in ("none", "radix") else [config.seed, *path]
     return reorder(
-        config.reorder, sets, config.budget, seed=seed,
+        config.reorder, sets, config.budget, seed=[config.seed, *path],
         lsh_m=config.lsh_m, lsh_b=config.lsh_b, kcenter_k=config.kcenter_k,
     )
 

@@ -331,11 +331,10 @@ def _decode_binary(raw, path):
     nnz = (np.diff(record, append=offset) - _RECORD_HEAD.size) // entry
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(nnz, out=indptr[1:])
-    # Records are not 8-byte aligned: words[s][w] is the 8 bytes at byte 8*w + s.
-    words = [np.frombuffer(raw, dtype="<u8", count=(len(raw) - s) // 8, offset=s)
-             for s in range(8)]
-    tids = _gather(words, record, np.empty(n, dtype=_IDX_DTYPE))
-    labels = _gather(words, record + 8, np.empty(n, dtype=_IDX_DTYPE)).view(_VAL_DTYPE)
+    # Records are not 8-byte aligned: word[at] is the 8 bytes at byte `at`.
+    word = np.ndarray((len(raw) - 7,), _IDX_DTYPE, buffer=raw, strides=(1,))
+    tids = word[record]
+    labels = word[record + 8].view(_VAL_DTYPE)
     indices = np.empty(indptr[-1], dtype=_IDX_DTYPE)
     values = np.empty(indptr[-1], dtype=_IDX_DTYPE)
     for a in range(0, n, _DECODE_CHUNK):
@@ -344,19 +343,10 @@ def _decode_binary(raw, path):
         # Byte offset of each entry's index; its value sits 8 * nnz further.
         head = record[a:b] + _RECORD_HEAD.size - 8 * indptr[a:b]
         at = np.repeat(head, nnz[a:b]) + 8 * np.arange(lo, hi)
-        _gather(words, at, indices[lo:hi])
+        indices[lo:hi] = word[at]
         at += np.repeat(8 * nnz[a:b], nnz[a:b])
-        _gather(words, at, values[lo:hi])
+        values[lo:hi] = word[at]
     return dimension, matrix_shape, (indptr, indices, values.view(_VAL_DTYPE), tids, labels)
-
-
-def _gather(words, at, out):
-    """out[j] = the 8 bytes at byte offset at[j], as words[at[j] % 8] holds them."""
-    shift = at & 7
-    for s in range(8):
-        chosen = shift == s
-        out[chosen] = words[s][(at[chosen] - s) >> 3]
-    return out
 
 
 # -- text encoding ------------------------------------------------------------
@@ -383,10 +373,12 @@ def _store_text(dataset, path):
 
 def _load_text(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise StoreError(f"cannot read dataset file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     dimension = None
     matrix_shape = None
     vectors = []

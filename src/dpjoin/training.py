@@ -191,7 +191,9 @@ def train(dataset, store, config):
     A loss is a sum of per-vector terms, so every loss pass runs on the plan
     `run` builds under the radix reorder, whatever `config.operator.reorder`
     is: the visits write each term at its vector's file row, and the terms
-    are added in file order, as `train_oracle` adds them."""
+    are added in file order, as `train_oracle` adds them. The loss passes and
+    the accumulated updates share one residual kernel per task:
+    `batch_dot_products` for lr, `cell_errors` for lmf."""
     op = config.operator
     check_inputs(dataset, store, op)
     layout = _validated(dataset, config)
@@ -211,70 +213,69 @@ def train(dataset, store, config):
     grad = {}  # index -> gradient sum, for sgd-page and bgd
     loss_by_row = np.empty(len(dataset))  # a loss pass's terms, at their vectors' file rows
 
-    def accumulate(indices, terms):
-        for index, term in zip(indices.tolist(), terms.tolist()):
-            grad[index] = grad.get(index, 0.0) + term
+    def cell_errors(data, start, stop, at):
+        """Each cell's row block . column block - rating, the dot products
+        added as `lmf_cell_gradient` adds them, and its blocks (cells, 2, rank)."""
+        blocks = flat[at].reshape(stop - start, 2, rank)
+        e = row_sums((blocks[:, 0] * blocks[:, 1]).reshape(-1), rank * np.arange(stop - start + 1))
+        return e - data.labels[start:stop], blocks
 
     def lr_loss_terms(data, start, stop, at):
         dps = batch_dot_products(flat, data, start, stop, at)
-        return [float(np.logaddexp(0.0, -label * dp))
-                for label, dp in zip(data.labels[start:stop].tolist(), dps.tolist())]
+        return np.logaddexp(0.0, -data.labels[start:stop] * dps)
 
     def lmf_loss_terms(data, start, stop, at):
-        cells = flat[at].reshape(stop - start, 2, rank)
-        e = row_sums((cells[:, 0] * cells[:, 1]).reshape(-1), rank * np.arange(stop - start + 1))
-        e -= data.labels[start:stop]
+        e, _ = cell_errors(data, start, stop, at)
         return 0.5 * e * e
 
-    def lr_update(data, start, stop, at):
+    def lr_gradient_terms(data, start, stop, at):
+        dps = batch_dot_products(flat, data, start, stop, at).tolist()
+        scales = [lr_scale(label, dp) for label, dp in zip(data.labels[start:stop].tolist(), dps)]
+        entries = slice(data.indptr[start], data.indptr[stop])
+        return np.repeat(scales, np.diff(data.indptr[start : stop + 1])) * data.values[entries]
+
+    def lmf_gradient_terms(data, start, stop, at):
+        e, blocks = cell_errors(data, start, stop, at)
+        return (e[:, None, None] * blocks[:, ::-1]).reshape(-1)
+
+    def lr_sgd(data, start, stop, at):
         lo, hi = data.indptr[start], data.indptr[stop]
         values = data.values[lo:hi]
-        cuts = data.indptr[start : stop + 1] - lo
-        labels = data.labels[start:stop].tolist()
-        if config.mode == "sgd":
-            cuts = cuts.tolist()
-            for label, a, b in zip(labels, cuts, cuts[1:]):
-                dp = 0.0
-                for term in (values[a:b] * flat[at[a:b]]).tolist():
-                    dp += term
-                flat[at[a:b]] -= config.alpha * lr_scale(label, dp) * values[a:b]
-            return
-        # The model changes only after the pass, so the batch's dot
-        # products can be taken together.
-        dps = row_sums(values * flat[at], cuts).tolist()
-        cuts = cuts.tolist()
-        indices = data.indices[lo:hi]
-        for label, dp, a, b in zip(labels, dps, cuts, cuts[1:]):
-            accumulate(indices[a:b], lr_scale(label, dp) * values[a:b])
+        cuts = (data.indptr[start : stop + 1] - lo).tolist()
+        for label, a, b in zip(data.labels[start:stop].tolist(), cuts, cuts[1:]):
+            dp = 0.0
+            for term in (values[a:b] * flat[at[a:b]]).tolist():
+                dp += term
+            flat[at[a:b]] -= config.alpha * lr_scale(label, dp) * values[a:b]
 
-    def lmf_update(data, start, stop, at):
-        lo = data.indptr[start]
+    def lmf_sgd(data, start, stop, at):
         blocks = at.reshape(stop - start, 2, rank)
-        for k, label in enumerate(data.labels[start:stop].tolist()):
-            row_at, col_at = blocks[k]
+        for (row_at, col_at), label in zip(blocks, data.labels[start:stop].tolist()):
             grad_row, grad_col = lmf_cell_gradient(label, flat[row_at], flat[col_at])
-            if config.mode == "sgd":
-                flat[row_at] -= config.alpha * grad_row
-                flat[col_at] -= config.alpha * grad_col
-            else:
-                cell = lo + 2 * rank * k
-                accumulate(data.indices[cell : cell + 2 * rank],
-                           np.concatenate([grad_row, grad_col]))
+            flat[row_at] -= config.alpha * grad_row
+            flat[col_at] -= config.alpha * grad_col
 
     if config.task == "lr":
-        loss_terms, update = lr_loss_terms, lr_update
+        loss_terms, gradient_terms, sgd = lr_loss_terms, lr_gradient_terms, lr_sgd
     else:
-        loss_terms, update = lmf_loss_terms, lmf_update
+        loss_terms, gradient_terms, sgd = lmf_loss_terms, lmf_gradient_terms, lmf_sgd
+
+    def accumulate(data, start, stop, at):
+        # The model changes only after the pass; each index adds its terms in entry order.
+        terms = gradient_terms(data, start, stop, at).tolist()
+        indices = data.indices[data.indptr[start] : data.indptr[stop]].tolist()
+        for index, term in zip(indices, terms):
+            grad[index] = grad.get(index, 0.0) + term
+
+    update = sgd if config.mode == "sgd" else accumulate
 
     def loss_pass():
         for rows, batches in loss_plan:
             def visit(data, start, stop, at, rows=rows):
                 loss_by_row[rows[start:stop]] = loss_terms(data, start, stop, at)
             execute(manager, dataset.take(rows), batches, visit, report)
-        loss = 0.0
-        for term in loss_by_row.tolist():
-            loss += term
-        return loss
+        # cumsum adds one term at a time, from the leading +0.0, in file order.
+        return float(np.cumsum(np.append(0.0, loss_by_row))[-1])
 
     losses = [loss_pass()]
     diverged = not math.isfinite(losses[0])

@@ -202,3 +202,72 @@ def test_non_finite_budget_percentage_exits_2(tmp_path, capsys, budget):
     assert main(["run", "--data", data, "--model", str(tmp_path / "m.model"),
                  "--page-size", "10", "--budget", budget]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _small_dataset(tmp_path):
+    data = str(tmp_path / "d.bin")
+    main(["gen", "--kind", "uniform", "--out", data,
+          "--n", "10", "--d", "100", "--nnz", "3", "--seed", "5"])
+    (tmp_path / "huge.txt").write_text("# d=18446744073709551616\n1 1.0 0:1.0\n")
+    (tmp_path / "latin1.txt").write_bytes(b"1 1.0 0:1.0\n2 -1.0 1:\xe9\n")
+    return data
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "skewed", "--d", "0", "--out", "{out}"],
+    ["gen", "--kind", "uniform", "--d", "0", "--out", "{out}"],
+    ["gen", "--kind", "skewed", "--n", "-1", "--out", "{out}"],
+    ["gen", "--kind", "uniform", "--n", "-1", "--out", "{out}"],
+    ["train", "--data", "{data}", "--model", "{model}", "--init-low", "1", "--init-high", "0"],
+    ["train", "--data", "{data}", "--model", "{model}", "--init-low", "nan"],
+    ["train", "--data", "{data}", "--model", "{model}", "--init-high", "inf"],
+    ["train", "--data", "{tmp}/huge.txt", "--data-format", "txt", "--model", "{model}"],
+    ["run", "--data", "{tmp}/latin1.txt", "--data-format", "txt", "--model", "{model}"],
+], ids=["skewed-d0", "uniform-d0", "skewed-n-1", "uniform-n-1", "init-low-above-high",
+        "init-low-nan", "init-high-inf", "dimension-beyond-header", "text-not-utf8"])
+def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    data = _small_dataset(tmp_path)
+    out, model = tmp_path / "out.bin", tmp_path / "new.model"
+    capsys.readouterr()
+    argv = [a.format(data=data, tmp=tmp_path, out=out, model=model) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--upage", "0"],
+    ["train", "--iterations", "-1"],
+    ["run", "--reorder", "lsh", "--lsh-hashes", "0"],
+    ["run", "--reorder", "lsh", "--lsh-bands", "0"],
+    ["run", "--reorder", "lsh", "--lsh-hashes", "2", "--lsh-bands", "4"],
+    ["run", "--reorder", "kcenter", "--kcenter-k", "1"],
+    ["run", "--page-size", "0"],
+], ids=["upage-0", "iterations-negative", "lsh-hashes-0", "lsh-bands-0",
+        "fewer-hashes-than-bands", "kcenter-k-1", "page-size-0"])
+def test_rejected_option_exits_2(tmp_path, capsys, argv):
+    data = _small_dataset(tmp_path)
+    capsys.readouterr()
+    assert main([*argv, "--data", data, "--model", str(tmp_path / "m.model"),
+                 "--budget", "100%"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_model_with_bad_magic_exits_4(tmp_path, capsys):
+    data = _small_dataset(tmp_path)
+    model = tmp_path / "m.model"
+    ModelStore.create(str(model), 100, 10).close()
+    raw = bytearray(model.read_bytes())
+    raw[:8] = b"NOTMODEL"
+    model.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["run", "--data", data, "--model", str(model)]) == 4
+    err = capsys.readouterr().err
+    assert "bad magic" in err
+    assert "Traceback" not in err
+    assert model.read_bytes() == bytes(raw)

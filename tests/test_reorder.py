@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +13,9 @@ from dpjoin.reorder import (HEURISTICS, LshIndex, _nearest_neighbor_walk,
                             page_frequency_order, reorder, reorder_lsh,
                             reorder_none, reorder_radix, reorder_shuffle)
 from dpjoin.sparse_data import page_request_set
+
+# The package exports the function `reorder` under the module's name.
+reorder_module = importlib.import_module("dpjoin.reorder")
 
 DEMO_SETS = [page_request_set(v, DEMO_PAGE_SIZE) for v in gen_demo()]
 
@@ -278,6 +283,23 @@ class TestKcenter:
     def test_default_k_grows_with_pressure(self):
         assert default_kcenter_k(1000, 8, 1000) >= 2
         assert default_kcenter_k(1000, 8, 16) > default_kcenter_k(1000, 8, 500)
+
+    def test_depth_cap_falls_back_to_chunks(self, monkeypatch):
+        # Two centers per level rarely split forty disjoint singletons into
+        # pairs before depth 32, so some clusters end in `_chunk_split`.
+        chunked = []
+
+        def chunk_split(positions, fsets, budget):
+            chunked.append(list(positions))
+            return original(positions, fsets, budget)
+
+        original = reorder_module._chunk_split
+        monkeypatch.setattr(reorder_module, "_chunk_split", chunk_split)
+        sets = [(i,) for i in range(40)]
+        clusters = kcenter_clusters(sets, budget=2, k=2)
+        assert chunked
+        assert sorted(p for cluster in clusters for p in cluster) == list(range(40))
+        assert all(len({page for p in cluster for page in sets[p]}) <= 2 for cluster in clusters)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
