@@ -7,7 +7,7 @@ down. Gradient descent (logistic regression and low-rank matrix
 factorization) runs through the same machinery.
 """
 
-from .batcher import Batch, brute_force_batches, greedy_batches, total_requests
+from .batcher import Batch, brute_force_batches, greedy_batches
 from .buffer_manager import BufferManager
 from .errors import (
     DpjoinError,
@@ -30,7 +30,6 @@ from .reorder import (
     HEURISTICS,
     LshIndex,
     minwise_params,
-    minwise_signature,
     objective,
     reorder,
     reorder_kcenter,

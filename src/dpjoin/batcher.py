@@ -69,10 +69,6 @@ def greedy_batches(ordered_sets, budget):
     return batches
 
 
-def total_requests(batches):
-    return sum(b.request_count for b in batches)
-
-
 def brute_force_batches(ordered_sets, budget):
     """Exact minimum of the total page requests over every feasible
     split of the sequence into consecutive batches. Exponential in n;

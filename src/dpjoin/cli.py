@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen, run, train, bench-reorder, sweep-budget, fixture.
+Subcommands: gen, run, train, sweep (the join over every combination of
+its --reorder, --budget and --upage values). Options are checked before a
+model file is created, so a rejected one writes no file.
 Exit codes: 0 success, 2 validation failure, 3 precondition failure,
 4 storage/I-O failure. --seed defaults to 0.
 """
@@ -8,15 +10,15 @@ Exit codes: 0 success, 2 validation failure, 3 precondition failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
-import tempfile
 
 from . import datagen
 from .errors import PreconditionError, StoreError, ValidationError
 from .metrics import emit_report
-from .model_store import ModelStore
+from .model_store import ModelStore, page_count
 from .operator import CollectSink, OperatorConfig, run
 from .reorder import HEURISTICS
 from .sparse_data import load_dataset, store_dataset
@@ -48,25 +50,33 @@ def parse_budget(text, num_pages):
     return pages
 
 
-def _operator_config(args, num_pages):
-    return OperatorConfig(
-        budget=parse_budget(args.budget, num_pages),
-        reorder=args.reorder,
+def _operator_config(args, num_pages, reorder, budget, upage):
+    """The checked OperatorConfig of `reorder`, `budget` (text), `upage` and the other flags."""
+    config = OperatorConfig(
+        budget=parse_budget(budget, num_pages),
+        reorder=reorder,
         batching=not args.no_batching,
-        upage=args.upage,
+        upage=upage,
         seed=args.seed,
         lsh_m=args.lsh_hashes,
         lsh_b=args.lsh_bands,
         kcenter_k=args.kcenter_k,
     )
+    config.check(num_pages)
+    return config
 
 
-def _add_operator_flags(parser):
-    parser.add_argument("--budget", default="20%",
+def _add_operator_flags(parser, grid=False):
+    """The operator's flags; with `grid`, --budget, --reorder and --upage
+    each take one or more values."""
+    def values(default):
+        return {"nargs": "+", "default": [default]} if grid else {"default": default}
+
+    parser.add_argument("--budget", **values("20%"),
                         help="memory budget: pages or %% of model pages (default 20%%)")
-    parser.add_argument("--reorder", choices=HEURISTICS, default="none")
+    parser.add_argument("--reorder", choices=HEURISTICS, **values("none"))
     parser.add_argument("--no-batching", action="store_true")
-    parser.add_argument("--upage", type=int, default=4096,
+    parser.add_argument("--upage", type=int, **values(4096),
                         help="vectors per reorder scope (default 4096)")
     parser.add_argument("--lsh-hashes", type=int, default=16)
     parser.add_argument("--lsh-bands", type=int, default=4)
@@ -96,6 +106,15 @@ def cmd_gen(args):
     return 0
 
 
+def _model_pages(args, dataset):
+    """Pages of the model at `args.model`: its header's count, or, for a
+    model still to be created, ceil(dimension / page size)."""
+    if os.path.exists(args.model):
+        with ModelStore.open(args.model) as store:
+            return store.num_pages
+    return page_count(dataset.dimension, args.page_size)
+
+
 def _open_or_create_model(args, dataset):
     if os.path.exists(args.model):
         return ModelStore.open(args.model)
@@ -106,9 +125,10 @@ def _open_or_create_model(args, dataset):
 
 def cmd_run(args):
     dataset = _load_data(args)
+    config = _operator_config(args, _model_pages(args, dataset),
+                              args.reorder, args.budget, args.upage)
+    sink = CollectSink()
     with _open_or_create_model(args, dataset) as store:
-        config = _operator_config(args, store.num_pages)
-        sink = CollectSink()
         report = run(dataset, store, config, sink)
     if args.out:
         with open(args.out, "w") as fh:
@@ -121,16 +141,17 @@ def cmd_run(args):
 
 def cmd_train(args):
     dataset = _load_data(args)
+    num_pages = _model_pages(args, dataset)
+    config = TrainConfig(
+        operator=_operator_config(args, num_pages, args.reorder, args.budget, args.upage),
+        task=args.task,
+        mode=args.mode,
+        alpha=args.alpha,
+        iterations=args.iterations,
+        shuffle_upages=not args.no_shuffle,
+    )
+    config.check(num_pages)
     with _open_or_create_model(args, dataset) as store:
-        operator_config = _operator_config(args, store.num_pages)
-        config = TrainConfig(
-            operator=operator_config,
-            task=args.task,
-            mode=args.mode,
-            alpha=args.alpha,
-            iterations=args.iterations,
-            shuffle_upages=not args.no_shuffle,
-        )
         report = train(dataset, store, config)
     if args.loss_out:
         with open(args.loss_out, "w") as fh:
@@ -147,89 +168,26 @@ def cmd_train(args):
     return 0
 
 
-def cmd_bench_reorder(args):
+def cmd_sweep(args):
     dataset = _load_data(args)
+    num_pages = _model_pages(args, dataset)
+    cells = [(budget, _operator_config(args, num_pages, reorder, budget, upage))
+             for reorder, budget, upage in
+             itertools.product(args.reorder, args.budget, args.upage)]
     rows = []
     with _open_or_create_model(args, dataset) as store:
-        for upage in args.upages:
-            baseline = None
-            for heuristic in args.heuristics:
-                config = _operator_config(args, store.num_pages)
-                config.reorder = heuristic
-                config.upage = upage
-                config.batching = False  # isolate the ordering effect
-                report = run(dataset, store, config)
-                if heuristic == "none":
-                    baseline = report.page_misses
-                improvement = (
-                    100.0 * (baseline - report.page_misses) / baseline
-                    if baseline else 0.0
-                )
-                rows.append({
-                    "heuristic": heuristic,
-                    "upage": upage,
-                    "page_misses": report.page_misses,
-                    "page_requests": report.page_requests,
-                    "reorder_time": report.reorder_time,
-                    "miss_improvement_pct": round(improvement, 3),
-                })
-    _emit({"bench": rows}, args)
-    return 0
-
-
-def cmd_sweep_budget(args):
-    dataset = _load_data(args)
-    rows = []
-    with _open_or_create_model(args, dataset) as store:
-        previous = None
-        monotone = True
-        for budget_text in args.budgets:
-            budget = parse_budget(budget_text, store.num_pages)
-            config = _operator_config(args, store.num_pages)
-            config.budget = budget
+        for budget, config in cells:
             report = run(dataset, store, config)
-            rows.append({
-                "budget": budget_text,
-                "budget_pages": budget,
-                "page_misses": report.page_misses,
-                "distinct_pages": report.distinct_pages,
-            })
-            if previous is not None and report.page_misses > previous:
-                monotone = False
-            previous = report.page_misses
-    _emit({"sweep": rows, "monotone_misses": monotone}, args)
-    return 0
-
-
-def cmd_fixture(args):
-    dataset = datagen.gen_demo()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "demo.model")
-        with ModelStore.create(path, datagen.DEMO_DIMENSION, datagen.DEMO_PAGE_SIZE) as store:
-            plain = run(dataset, store, OperatorConfig(
-                budget=2, reorder="none", batching=False, upage=len(dataset)))
-            radix = run(dataset, store, OperatorConfig(
-                budget=2, reorder="radix", batching=False, upage=len(dataset)))
-            batched = run(dataset, store, OperatorConfig(
-                budget=2, reorder="radix", batching=True, upage=len(dataset)))
-    print("demo corpus: 8 vectors, dimension 6, page size 2, 3 model pages")
-    print(f"element_requests            {plain.element_requests}")
-    print(f"page_requests (grouped)     {plain.page_requests}")
-    print(f"misses M=2 file order       {plain.page_misses}")
-    print(f"misses M=2 radix order      {radix.page_misses}")
-    print(f"batches (radix, M=2)        {batched.batch_count}")
-    print(f"page_requests (batched)     {batched.page_requests}")
-    if args.out:
-        store_dataset(dataset, args.out, fmt=args.data_format)
-        print(f"wrote demo corpus to {args.out}")
+            rows.append({"heuristic": config.reorder, "budget": budget,
+                         "budget_pages": config.budget, "upage": config.upage,
+                         **report.counters(), "reorder_time": report.reorder_time})
+    _emit(rows, args)
     return 0
 
 
 def _emit(payload, args):
-    fmt = getattr(args, "format", "json")
-    path = getattr(args, "metrics_out", None)
-    text = emit_report(payload, path, fmt)
-    if path is None:
+    text = emit_report(payload, args.metrics_out, args.format)
+    if args.metrics_out is None:
         print(text)
 
 
@@ -290,25 +248,11 @@ def build_parser():
     _add_operator_flags(trainp)
     trainp.set_defaults(func=cmd_train)
 
-    bench = sub.add_parser("bench-reorder", help="compare reorder heuristics")
-    add_io_flags(bench)
-    bench.add_argument("--heuristics", nargs="+", default=["none", "radix", "lsh"],
-                       choices=HEURISTICS)
-    bench.add_argument("--upages", nargs="+", type=int, default=[4096])
-    _add_operator_flags(bench)
-    bench.set_defaults(func=cmd_bench_reorder)
-
-    sweep = sub.add_parser("sweep-budget", help="page misses across memory budgets")
+    sweep = sub.add_parser("sweep", help="counters of the join over a grid of heuristics,"
+                                         " budgets and U-page sizes")
     add_io_flags(sweep)
-    sweep.add_argument("--budgets", nargs="+",
-                       default=["10%", "20%", "40%", "60%", "100%"])
-    _add_operator_flags(sweep)
-    sweep.set_defaults(func=cmd_sweep_budget)
-
-    fixture = sub.add_parser("fixture", help="print the demo corpus and its counters")
-    fixture.add_argument("--out", default=None)
-    fixture.add_argument("--data-format", choices=("bin", "txt"), default="bin")
-    fixture.set_defaults(func=cmd_fixture)
+    _add_operator_flags(sweep, grid=True)
+    sweep.set_defaults(func=cmd_sweep)
 
     return parser
 

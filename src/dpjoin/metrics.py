@@ -54,10 +54,15 @@ class MetricsReport:
 
 
 def emit_report(report_dict, path=None, fmt="json"):
-    """The report as JSON, or as flat metric,value CSV rows with nested
-    values JSON-encoded in place; also written to `path` when given."""
+    """The report as JSON, or as CSV: a dict as flat metric,value rows with
+    nested values JSON-encoded in place, a list of flat dicts (a sweep's
+    rows) as a table with one line per dict. Also written to `path` when
+    given."""
     if fmt == "json":
         text = json.dumps(report_dict, indent=2, sort_keys=True, default=str)
+    elif fmt == "csv" and isinstance(report_dict, list):
+        text = "\n".join([",".join(report_dict[0])] + [
+            ",".join(str(value) for value in row.values()) for row in report_dict])
     elif fmt == "csv":
         lines = ["metric,value"]
         for key in sorted(report_dict):

@@ -32,6 +32,18 @@ _DTYPE = np.dtype("<f8")
 _CREATE_CHUNK_PAGES = 4096
 
 
+def page_count(dimension, page_size):
+    """Pages of a model of `dimension` entries, `page_size` to a page;
+    rejects a dimension or page size outside [1, 2**64)."""
+    if dimension < 1:
+        raise ValidationError(f"model dimension must be >= 1, got {dimension}")
+    if page_size < 1:
+        raise ValidationError(f"page size must be >= 1, got {page_size}")
+    if max(dimension, page_size) >= 2**64:
+        raise ValidationError(f"dimension {dimension} or page size {page_size} is not below 2**64")
+    return -(-dimension // page_size)
+
+
 class ModelStore:
     """Fixed-page file backing a model vector too large to keep in memory.
 
@@ -60,18 +72,12 @@ class ModelStore:
         fill is drawn sequentially from a generator seeded with `seed`, so
         identical arguments produce byte-identical files.
         """
-        if dimension < 1:
-            raise ValidationError(f"model dimension must be >= 1, got {dimension}")
-        if page_size < 1:
-            raise ValidationError(f"page size must be >= 1, got {page_size}")
-        if max(dimension, page_size) >= 2**64:
-            raise ValidationError(f"dimension {dimension} or page size {page_size} is not below 2**64")
+        num_pages = page_count(dimension, page_size)
         kind = init[0] if isinstance(init, tuple) else init
         if init != "zeros" and kind not in ("constant", "uniform"):
             raise ValidationError(f"unknown model init {init!r}")
         if kind == "uniform" and not 0.0 <= float(init[2]) - float(init[1]) < math.inf:
             raise ValidationError(f"uniform init needs finite bounds with low <= high, got {init!r}")
-        num_pages = -(-dimension // page_size)
         rng = np.random.default_rng(seed)
         try:
             file = open(path, "w+b", buffering=0)

@@ -48,6 +48,18 @@ class OperatorConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.name != "per_upage_metrics"}
 
+    def check(self, num_pages):
+        """Reject a budget outside [1, num_pages] and options no heuristic
+        accepts, whichever is chosen; `run`, `train` and the CLI check here."""
+        if not 1 <= self.budget <= num_pages:
+            raise ValidationError(f"budget must be 1 to {num_pages} pages, got {self.budget}")
+        if self.upage < 1:
+            raise ValidationError(f"upage size must be >= 1, got {self.upage}")
+        if not 1 <= self.lsh_b <= self.lsh_m:
+            raise ValidationError(f"need 1 <= LSH bands ({self.lsh_b}) <= hashes ({self.lsh_m})")
+        if self.kcenter_k is not None and self.kcenter_k < 2:
+            raise ValidationError(f"k-center k must be >= 2, got {self.kcenter_k}")
+
 
 @dataclass
 class DotProductResult:
@@ -168,18 +180,14 @@ def finish_report(manager, report):
 
 
 def check_inputs(dataset, store, config):
-    """Reject a dataset whose dimension is not the model's and a budget
-    outside [1, model pages]; shared by the join and training."""
+    """Reject a dataset whose dimension is not the model's and whatever
+    `config.check` rejects for the model's page count; shared by the join
+    (an OperatorConfig) and training (a TrainConfig)."""
     if dataset.dimension != store.dimension:
         raise ValidationError(
             f"dataset dimension {dataset.dimension} != model dimension {store.dimension}"
         )
-    if config.budget < 1:
-        raise ValidationError(f"memory budget must be >= 1 page, got {config.budget}")
-    if config.budget > store.num_pages:
-        raise ValidationError(
-            f"memory budget {config.budget} exceeds the {store.num_pages} model pages"
-        )
+    config.check(store.num_pages)
 
 
 def run(dataset, store, config, sink=None):
@@ -231,6 +239,3 @@ class CollectSink:
 
     def __call__(self, result):
         self.results.append(result)
-
-    def as_tid_map(self):
-        return {r.tid: r.dp for r in self.results}

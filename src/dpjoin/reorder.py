@@ -26,14 +26,14 @@ a minimum Hamiltonian path problem, so three heuristics are provided:
              chain over cluster centers.
 
 All heuristics are deterministic given their seed and return a permutation
-of positions 0..n-1.
+of positions 0..n-1. They take their options as given: 1 <= b <= m and
+k >= 2 are checked once, by `operator.OperatorConfig.check`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -70,20 +70,13 @@ def reorder_shuffle(n, seed=0):
 # -- radix ---------------------------------------------------------------------
 
 
-def page_frequency_order(sets):
-    """Pages sorted by descending request frequency, ties by lower page id."""
-    freq = Counter()
-    for s in sets:
-        freq.update(s)
-    return sorted(freq, key=lambda p: (-freq[p], p)), freq
-
-
 def reorder_radix(sets):
     """Radix order of `sets` (each of distinct pages) on arrays. Ranking
-    pages by `page_frequency_order`, a set's bit pattern is its ranks in
-    ascending order; comparing two patterns MSB first, set bit first, is
-    comparing those rank lists lexicographically, where a list that runs
-    out sorts after the lists it is a prefix of. So each row of a grid
+    pages by descending request frequency, ties to the lower page id, a
+    set's bit pattern is its ranks in ascending order; comparing two
+    patterns MSB first, set bit first, is comparing those rank lists
+    lexicographically, where a list that runs out sorts after the lists it
+    is a prefix of. So each row of a grid
     holds a set's ranks ascending, padded past the last rank, and one
     stable lexsort of the grid, first column most significant, keeps equal
     patterns in input order."""
@@ -125,28 +118,17 @@ def _scramble(page_ids):
 def minwise_params(m, seed=0):
     """(multiplier, offset) pairs; x -> (a*x + b) mod 2^64 with odd a is a
     bijection, so each pair behaves like a random permutation of the domain."""
-    if m < 1:
-        raise ValidationError(f"need at least one hash function, got {m}")
     rng = np.random.default_rng(seed)
     mult = rng.integers(0, 1 << 63, size=m, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
     offset = rng.integers(0, 1 << 64, size=m, dtype=np.uint64)
     return np.stack([mult, offset], axis=1)
 
 
-def minwise_signature(pages, params):
-    """Minimum image of the page set under each hash function."""
-    if len(pages) == 0:
-        raise ValidationError("cannot sign an empty page set")
-    keys = _scramble(np.fromiter(pages, dtype=np.uint64, count=len(pages)))
-    with np.errstate(over="ignore"):
-        images = params[:, 0, None] * keys[None, :] + params[:, 1, None]
-    return tuple(int(v) for v in images.min(axis=1))
-
-
 def signature_matrix(sets, params):
-    """`minwise_signature` of every set as one (len(sets), m) uint64 array,
-    in one pass over all their pages: the images of the concatenated pages,
-    one hash function at a time, reduced to each set's minimum by
+    """Minwise signatures of `sets`, the minimum image of each set under
+    each hash function, as one (len(sets), m) uint64 array, in one pass
+    over all their pages: the images of the concatenated pages, one hash
+    function at a time, reduced to each set's minimum by
     `np.minimum.reduceat` (a minimum is exact in any order)."""
     sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
     if not sizes.all():
@@ -162,11 +144,6 @@ def signature_matrix(sets, params):
     return signatures
 
 
-def minwise_signatures(sets, params):
-    """`signature_matrix` as one tuple per set."""
-    return [tuple(row) for row in signature_matrix(sets, params).tolist()]
-
-
 class LshIndex:
     """Banded minwise signatures: vectors sharing any band bucket are candidates.
 
@@ -178,11 +155,7 @@ class LshIndex:
     """
 
     def __init__(self, signatures, bands):
-        if bands < 1:
-            raise ValidationError(f"need at least one band, got {bands}")
         n, m = signatures.shape
-        if m < bands:
-            raise ValidationError(f"{m} hashes cannot fill {bands} bands")
         width = m // bands
         self.buckets = []
         self.buckets_of = [[] for _ in range(n)]
@@ -291,8 +264,6 @@ def kcenter_clusters(sets, budget, k=None, seed=0):
         )
     if k is None:
         k = default_kcenter_k(n, max_size, budget)
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
     return _kcenter_split(list(range(n)), fsets, k, budget, seed, depth=0)
 
 

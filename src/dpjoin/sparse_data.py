@@ -215,8 +215,6 @@ class Dataset:
 
     def upage_bounds(self, upage):
         """(start, stop) row ranges of at most `upage` vectors, in order."""
-        if upage < 1:
-            raise ValidationError(f"upage size must be >= 1, got {upage}")
         return [(start, min(start + upage, len(self))) for start in range(0, len(self), upage)]
 
     def iter_upages(self, upage):

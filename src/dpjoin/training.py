@@ -23,6 +23,7 @@ import numpy as np
 from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import MetricsReport
+from .model_store import page_count
 from .operator import (OperatorConfig, batch_dot_products, check_inputs, dot_product,
                        execute, finish_report, plan_order, plan_upage, row_sums)
 from .sparse_data import page_request_set
@@ -64,6 +65,17 @@ class TrainConfig:
         out = self.operator.describe()
         out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "operator")
         return out
+
+    def check(self, num_pages):
+        """`OperatorConfig.check`, then reject an unknown task or mode and
+        a negative iteration count."""
+        self.operator.check(num_pages)
+        if self.task not in ("lr", "lmf"):
+            raise ValidationError(f"unknown task {self.task!r}")
+        if self.mode not in ("sgd", "sgd-page", "bgd"):
+            raise ValidationError(f"unknown training mode {self.mode!r}")
+        if self.iterations < 0:
+            raise ValidationError(f"iterations must be >= 0, got {self.iterations}")
 
 
 @dataclass
@@ -170,18 +182,6 @@ def _apply_gradient(manager, grad, alpha, budget):
     grad.clear()
 
 
-def _validated(dataset, config):
-    if config.task not in ("lr", "lmf"):
-        raise ValidationError(f"unknown task {config.task!r}")
-    if config.mode not in ("sgd", "sgd-page", "bgd"):
-        raise ValidationError(f"unknown training mode {config.mode!r}")
-    if config.iterations < 0:
-        raise ValidationError(f"iterations must be >= 0, got {config.iterations}")
-    if config.task == "lmf":
-        return LmfLayout.from_dataset(dataset)
-    return None
-
-
 def train(dataset, store, config):
     """Run gradient descent against the paged model in `store`. Every pass,
     loss passes included, is the join's execution loop (`operator.execute`)
@@ -195,8 +195,8 @@ def train(dataset, store, config):
     the accumulated updates share one residual kernel per task:
     `batch_dot_products` for lr, `cell_errors` for lmf."""
     op = config.operator
-    check_inputs(dataset, store, op)
-    layout = _validated(dataset, config)
+    check_inputs(dataset, store, config)
+    layout = LmfLayout.from_dataset(dataset) if config.task == "lmf" else None
     rank = layout.rank if layout is not None else 0
     manager = BufferManager(store, op.budget)
     flat = manager.frames.reshape(-1)
@@ -307,7 +307,8 @@ def train(dataset, store, config):
 def train_oracle(dataset, initial_model, config, page_size):
     """Same plan, same arithmetic, no paging. `page_size` only shapes the
     page-request sets that drive reordering and batching decisions."""
-    layout = _validated(dataset, config)
+    config.check(page_count(dataset.dimension, page_size))
+    layout = LmfLayout.from_dataset(dataset) if config.task == "lmf" else None
     op = config.operator
     model = np.array(initial_model, dtype=np.float64, copy=True)
     if len(model) < dataset.dimension:

@@ -1,9 +1,12 @@
 """Shared fixtures and small instance builders."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from dpjoin import Dataset, ModelStore, SparseVector
+from dpjoin.reorder import _scramble
 
 
 @pytest.fixture
@@ -50,3 +53,27 @@ def random_sets(rng, n, universe, max_size):
         pages = rng.choice(universe, size=min(size, universe), replace=False)
         out.append(tuple(sorted(int(p) for p in pages)))
     return out
+
+
+def total_requests(batches):
+    return sum(b.request_count for b in batches)
+
+
+def page_frequency_order(sets):
+    """Pages sorted by descending request frequency, ties by lower page id,
+    and the frequencies: the page ranks radix order is built on."""
+    freq = Counter()
+    for s in sets:
+        freq.update(s)
+    return sorted(freq, key=lambda p: (-freq[p], p)), freq
+
+
+def minwise_signature(pages, params):
+    """Minimum image of the page set under each hash function, one set at
+    a time: the reference for `reorder.signature_matrix`."""
+    if len(pages) == 0:
+        raise ValueError("cannot sign an empty page set")
+    keys = _scramble(np.fromiter(pages, dtype=np.uint64, count=len(pages)))
+    with np.errstate(over="ignore"):
+        images = params[:, 0, None] * keys[None, :] + params[:, 1, None]
+    return tuple(int(v) for v in images.min(axis=1))

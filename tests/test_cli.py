@@ -1,10 +1,14 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from dpjoin import ModelStore, oracle_dot_products
-from dpjoin.cli import main, parse_budget
+from dpjoin.cli import build_parser, main, parse_budget
+from dpjoin.reorder import HEURISTICS
 from dpjoin.sparse_data import load_dataset
 
 
@@ -151,46 +155,104 @@ def test_train_lmf_runs(tmp_path, capsys):
     assert payload["losses"][-1] < payload["losses"][0]
 
 
-def test_bench_reorder_reports_improvement(tmp_path, capsys):
+def _sweep_rows(capsys, argv):
+    capsys.readouterr()
+    assert main(["sweep", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_sweep_without_batching_isolates_the_ordering_effect(tmp_path, capsys):
     data = str(tmp_path / "d.bin")
-    model = str(tmp_path / "m.model")
     main(["gen", "--kind", "skewed", "--out", data,
           "--n", "300", "--d", "5000", "--nnz", "8", "--seed", "9"])
-    capsys.readouterr()
-    assert main(["bench-reorder", "--data", data, "--model", model,
-                 "--page-size", "64", "--budget", "15%",
-                 "--heuristics", "none", "radix", "--upages", "128",
-                 "--seed", "3"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    rows = {r["heuristic"]: r for r in payload["bench"]}
-    assert rows["none"]["miss_improvement_pct"] == 0.0
+    rows = _sweep_rows(capsys, [
+        "--data", data, "--model", str(tmp_path / "m.model"), "--page-size", "64",
+        "--budget", "15%", "--reorder", "none", "radix", "--upage", "128",
+        "--seed", "3", "--no-batching"])
+    rows = {r["heuristic"]: r for r in rows}
+    assert [(r["page_misses"], r["page_requests"], r["batch_count"])
+            for r in rows.values()] == [(618, 1332, 300), (555, 1332, 300)]
     assert rows["radix"]["page_misses"] <= rows["none"]["page_misses"]
+    none = rows["none"]["page_misses"]
+    assert round(100.0 * (none - rows["radix"]["page_misses"]) / none, 3) == 10.194
 
 
-def test_sweep_budget_monotone(tmp_path, capsys):
+@pytest.mark.parametrize("flags, none_misses", [
+    ([], [281, 133, 62]),
+    (["--no-batching"], [319, 159, 62]),
+], ids=["batched", "unbatched"])
+def test_sweep_misses_never_rise_with_the_budget(tmp_path, capsys, flags, none_misses):
     data = str(tmp_path / "d.bin")
-    model = str(tmp_path / "m.model")
     main(["gen", "--kind", "skewed", "--out", data,
           "--n", "200", "--d", "2000", "--nnz", "6", "--seed", "10"])
+    budgets = ["20%", "50%", "100%"]
+    rows = _sweep_rows(capsys, [
+        "--data", data, "--model", str(tmp_path / "m.model"), "--page-size", "32",
+        "--budget", *budgets, "--reorder", *HEURISTICS, "--seed", "4", *flags])
+    assert len(rows) == len(HEURISTICS) * len(budgets)
+    for heuristic in HEURISTICS:
+        cells = [r for r in rows if r["heuristic"] == heuristic]
+        assert [r["budget"] for r in cells] == budgets
+        misses = [r["page_misses"] for r in cells]
+        assert misses == sorted(misses, reverse=True), heuristic
+        assert cells[-1]["page_misses"] == cells[-1]["distinct_pages"] == 62
+    assert [r["page_misses"] for r in rows if r["heuristic"] == "none"] == none_misses
+
+
+def test_sweep_prints_the_demo_counters(tmp_path, capsys):
+    data = str(tmp_path / "demo.bin")
+    main(["gen", "--kind", "demo", "--out", data])
+    flags = ["--data", data, "--model", str(tmp_path / "demo.model"),
+             "--page-size", "2", "--budget", "2", "--upage", "8"]
+    plain, radix = _sweep_rows(capsys, [*flags, "--reorder", "none", "radix",
+                                        "--no-batching"])
+    (batched,) = _sweep_rows(capsys, [*flags, "--reorder", "radix"])
+    assert plain["element_requests"] == 19
+    assert plain["page_requests"] == 16
+    assert plain["page_misses"] == 8
+    assert radix["page_misses"] == 4
+    assert batched["batch_count"] == 3
+    assert batched["page_requests"] == 6
+
+
+def test_sweep_csv_has_one_line_per_cell(tmp_path, capsys):
+    data = str(tmp_path / "demo.bin")
+    main(["gen", "--kind", "demo", "--out", data])
     capsys.readouterr()
-    assert main(["sweep-budget", "--data", data, "--model", model,
-                 "--page-size", "32", "--budgets", "20%", "50%", "100%",
-                 "--seed", "4"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["monotone_misses"] is True
-    last = payload["sweep"][-1]
-    assert last["page_misses"] == last["distinct_pages"]
+    assert main(["sweep", "--data", data, "--model", str(tmp_path / "demo.model"),
+                 "--page-size", "2", "--budget", "2", "100%", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["budget"], int(r["budget_pages"])) for r in rows] == [("2", 2), ("100%", 3)]
+    assert list(rows[0])[:4] == ["heuristic", "budget", "budget_pages", "upage"]
+    assert list(rows[0])[-1] == "reorder_time"
 
 
-def test_fixture_prints_frozen_counters(capsys):
-    assert main(["fixture"]) == 0
-    out = capsys.readouterr().out
-    assert "element_requests            19" in out
-    assert "page_requests (grouped)     16" in out
-    assert "misses M=2 file order       8" in out
-    assert "misses M=2 radix order      4" in out
-    assert "batches (radix, M=2)        3" in out
-    assert "page_requests (batched)     6" in out
+def test_only_gen_run_train_and_sweep_remain(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{gen,run,train,sweep}" in capsys.readouterr().out
+    for removed in ("bench-reorder", "sweep-budget", "fixture"):
+        with pytest.raises(SystemExit) as exc:
+            main([removed])
+        assert exc.value.code == 2
+
+
+def _readme_commands():
+    """Every `dpjoin ...` command in README.md's code blocks, continuation
+    lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("dpjoin ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == {"gen", "run", "train", "sweep"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 @pytest.mark.parametrize("budget", ["nan%", "inf%", "1e400%", "1e308%"])
@@ -246,16 +308,26 @@ def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     ["run", "--reorder", "lsh", "--lsh-hashes", "2", "--lsh-bands", "4"],
     ["run", "--reorder", "kcenter", "--kcenter-k", "1"],
     ["run", "--page-size", "0"],
+    ["run", "--page-size", "10", "--budget", "11"],
+    ["train", "--page-size", "10", "--budget", "11"],
+    ["sweep", "--page-size", "10", "--budget", "100%", "11"],
+    ["sweep", "--upage", "8", "0"],
+    ["sweep", "--reorder", "none", "kcenter", "--kcenter-k", "1"],
 ], ids=["upage-0", "iterations-negative", "lsh-hashes-0", "lsh-bands-0",
-        "fewer-hashes-than-bands", "kcenter-k-1", "page-size-0"])
+        "fewer-hashes-than-bands", "kcenter-k-1", "page-size-0", "budget-above-pages",
+        "train-budget-above-pages", "sweep-budget-above-pages", "sweep-upage-0",
+        "sweep-kcenter-k-1"])
 def test_rejected_option_exits_2(tmp_path, capsys, argv):
     data = _small_dataset(tmp_path)
+    model = tmp_path / "m.model"
     capsys.readouterr()
-    assert main([*argv, "--data", data, "--model", str(tmp_path / "m.model"),
-                 "--budget", "100%"]) == 2
+    command, *flags = argv
+    assert main([command, "--data", data, "--model", str(model),
+                 "--budget", "100%", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not model.exists()
 
 
 def test_model_with_bad_magic_exits_4(tmp_path, capsys):

@@ -19,7 +19,7 @@ def test_results_match_oracle_exactly(tmp_store):
         sink = CollectSink()
         run(ds, store, OperatorConfig(budget=8, reorder=heuristic, seed=2),
             sink=sink)
-        got = sink.as_tid_map()
+        got = {r.tid: r.dp for r in sink.results}
         assert got.keys() == expected.keys()
         for tid, dp in got.items():
             assert dp == expected[tid], (heuristic, tid)

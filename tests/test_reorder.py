@@ -8,11 +8,12 @@ from dpjoin import ValidationError
 from dpjoin.datagen import DEMO_PAGE_SIZE, gen_demo, gen_skewed
 from dpjoin.reorder import (HEURISTICS, LshIndex, _nearest_neighbor_walk,
                             default_kcenter_k, kcenter_clusters,
-                            minwise_params, minwise_signature,
-                            minwise_signatures, objective,
-                            page_frequency_order, reorder, reorder_lsh,
-                            reorder_none, reorder_radix, reorder_shuffle)
+                            minwise_params, objective, reorder, reorder_lsh,
+                            reorder_none, reorder_radix, reorder_shuffle,
+                            signature_matrix)
 from dpjoin.sparse_data import page_request_set
+
+from conftest import minwise_signature, page_frequency_order
 
 # The package exports the function `reorder` under the module's name.
 reorder_module = importlib.import_module("dpjoin.reorder")
@@ -335,9 +336,10 @@ def test_every_heuristic_returns_permutation(data):
 def test_one_pass_signatures_equal_per_set_signatures(sets, m, seed):
     sets = [tuple(sorted(s)) for s in sets]
     params = minwise_params(m, seed)
-    assert minwise_signatures(sets, params) == [minwise_signature(s, params) for s in sets]
+    assert [tuple(row) for row in signature_matrix(sets, params).tolist()] == \
+        [minwise_signature(s, params) for s in sets]
 
 
 def test_one_pass_signatures_reject_an_empty_set():
     with pytest.raises(ValidationError):
-        minwise_signatures([(1, 2), ()], minwise_params(4))
+        signature_matrix([(1, 2), ()], minwise_params(4))
