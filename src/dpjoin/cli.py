@@ -22,7 +22,7 @@ from .model_store import ModelStore, page_count
 from .operator import CollectSink, OperatorConfig, run
 from .reorder import HEURISTICS
 from .sparse_data import load_dataset, store_dataset
-from .training import TrainConfig, train
+from .training import LmfLayout, TrainConfig, train
 
 DEFAULT_PAGE_SIZE = 1024  # model entries per page
 
@@ -151,6 +151,8 @@ def cmd_train(args):
         shuffle_upages=not args.no_shuffle,
     )
     config.check(num_pages)
+    if config.task == "lmf":
+        LmfLayout.from_dataset(dataset)
     with _open_or_create_model(args, dataset) as store:
         report = train(dataset, store, config)
     if args.loss_out:

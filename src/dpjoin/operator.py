@@ -94,9 +94,36 @@ def plan_order(sets, config, path):
     )
 
 
-def make_batches(ordered_sets, config, ordered_tids):
-    """Greedy batches when batching is on, single-vector batches otherwise.
-    The error for a vector that cannot fit the budget carries its tid."""
+def fitting_union(sets, config):
+    """The page union of a U-page's `sets` when batching is on and the union
+    fits `config.budget`, else None; it grows set by set and is given up as
+    soon as it exceeds the budget. Greedy batching makes a fitting U-page
+    one batch in any order, so no order changes its counters."""
+    if not config.batching:
+        return None
+    union = set()
+    for pages in sets:
+        union.update(pages)
+        if len(union) > config.budget:
+            return None
+    return frozenset(union)
+
+
+def join_order(sets, config, path, union):
+    """The order of a U-page in a pass whose results do not depend on it
+    (the join, training's loss passes): file order when `union`, its
+    `fitting_union`, makes it one batch, so no reorder runs; else
+    `plan_order`'s permutation."""
+    return np.arange(len(sets)) if union is not None else plan_order(sets, config, path)
+
+
+def make_batches(ordered_sets, config, ordered_tids, union=None):
+    """One batch of every vector when `union`, the sets' `fitting_union`,
+    is given; else greedy batches when batching is on, single-vector
+    batches otherwise. The error for a vector that cannot fit the budget
+    carries its tid."""
+    if union is not None:
+        return [Batch(list(range(len(ordered_sets))), union)]
     try:
         if config.batching:
             return greedy_batches(ordered_sets, config.budget)
@@ -109,12 +136,13 @@ def make_batches(ordered_sets, config, ordered_tids):
         raise
 
 
-def plan_upage(dataset, start, sets, perm, config):
+def plan_upage(dataset, start, sets, perm, config, union):
     """The rows of a U-page in processing order and its batches: `sets`
     are the page sets of the U-page's vectors, which begins at row `start`
-    of `dataset`, and `perm` their permutation (`plan_order`'s)."""
+    of `dataset`, `perm` their permutation (`plan_order`'s or `join_order`'s)
+    and `union` their `fitting_union`, which makes them one batch."""
     rows = start + np.asarray(perm, dtype=np.int64)
-    return rows, make_batches([sets[p] for p in perm], config, dataset.tids[rows])
+    return rows, make_batches([sets[p] for p in perm], config, dataset.tids[rows], union)
 
 
 def execute(manager, data, batches, visit, report, dirty=False):
@@ -192,7 +220,10 @@ def check_inputs(dataset, store, config):
 
 def run(dataset, store, config, sink=None):
     """Execute the join; emit DotProductResult per vector to `sink` in
-    processing (post-reorder) order and return a MetricsReport."""
+    processing (post-reorder) order and return a MetricsReport. With
+    batching on, a U-page whose page union fits the budget is one batch in
+    file order: it is neither reordered nor greedily batched, since no
+    order changes its requests."""
     check_inputs(dataset, store, config)
     emit = sink if sink is not None else (lambda result: None)
     manager = BufferManager(store, config.budget)
@@ -215,9 +246,10 @@ def run(dataset, store, config, sink=None):
             by_page = Counter(manager.misses_by_page)
         sets = dataset.page_sets(start, stop, page_size)
         started = time.perf_counter()
-        perm = plan_order(sets, config, (upage_index,))
+        union = fitting_union(sets, config)
+        perm = join_order(sets, config, (upage_index,), union)
+        rows, batches = plan_upage(dataset, start, sets, perm, config, union)
         report.reorder_time += time.perf_counter() - started
-        rows, batches = plan_upage(dataset, start, sets, perm, config)
         execute(manager, dataset.take(rows), batches, visit, report)
         if report.per_upage is not None:
             report.per_upage.append({

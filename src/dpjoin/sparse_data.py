@@ -37,6 +37,7 @@ DATA_VERSION_MATRIX = 2
 _DATA_HEADER = struct.Struct("<8sIQQ")
 _MATRIX_EXTRA = struct.Struct("<QQQ")
 _RECORD_HEAD = struct.Struct("<QdI")
+_RECORD_NNZ = struct.Struct("<16xI")  # the nnz field of a record header
 
 _IDX_DTYPE = np.dtype("<u8")
 _VAL_DTYPE = np.dtype("<f8")
@@ -312,15 +313,26 @@ def _decode_binary(raw, path):
     elif version != DATA_VERSION_PLAIN:
         raise StoreError(f"{path}: unsupported dataset version {version}")
     entry = _IDX_DTYPE.itemsize + _VAL_DTYPE.itemsize
-    starts = array("q")
-    for _ in range(count):
-        if len(raw) < offset + _RECORD_HEAD.size:
-            raise StoreError(f"{path}: truncated record header at byte {offset}")
-        tid, _, nnz = _RECORD_HEAD.unpack_from(raw, offset)
-        if len(raw) < offset + _RECORD_HEAD.size + nnz * entry:
-            raise StoreError(f"{path}: truncated record payload for tid {tid}")
-        starts.append(offset)
-        offset += _RECORD_HEAD.size + nnz * entry
+    # Only each record's nnz, which ends its header, is read, so the read
+    # fails exactly when a header is cut short. The records before that one
+    # are whole, so the first fault in file order is the previous record's
+    # payload, if it ran past the end, or else this header. The file holds
+    # at most (bytes left) // (header size) headers, so the read fails by
+    # the slot after them.
+    starts = array("q", [0]) * min(count, (len(raw) - offset) // _RECORD_HEAD.size + 1)
+    read_nnz = _RECORD_NNZ.unpack_from
+    k = 0
+    try:
+        for k in range(count):
+            starts[k] = offset
+            offset += _RECORD_HEAD.size + read_nnz(raw, offset)[0] * entry
+    except struct.error:
+        if offset <= len(raw):
+            raise StoreError(f"{path}: truncated record header at byte {offset}") from None
+        k -= 1
+    if offset > len(raw):
+        tid = _RECORD_HEAD.unpack_from(raw, starts[k])[0]
+        raise StoreError(f"{path}: truncated record payload for tid {tid}")
     if offset != len(raw):
         raise StoreError(f"{path}: {len(raw) - offset} trailing bytes")
 

@@ -25,7 +25,8 @@ from .errors import ValidationError
 from .metrics import MetricsReport
 from .model_store import page_count
 from .operator import (OperatorConfig, batch_dot_products, check_inputs, dot_product,
-                       execute, finish_report, plan_order, plan_upage, row_sums)
+                       execute, finish_report, fitting_union, join_order, plan_order,
+                       plan_upage, row_sums)
 from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
@@ -193,7 +194,12 @@ def train(dataset, store, config):
     is: the visits write each term at its vector's file row, and the terms
     are added in file order, as `train_oracle` adds them. The loss passes and
     the accumulated updates share one residual kernel per task:
-    `batch_dot_products` for lr, `cell_errors` for lmf."""
+    `batch_dot_products` for lr, `cell_errors` for lmf.
+
+    With batching on, a U-page whose page union fits the budget is one
+    batch, and greedy batching does not run: a loss pass runs it in file
+    order, without the radix reorder, and an update pass in
+    `iteration_plan`'s order."""
     op = config.operator
     check_inputs(dataset, store, config)
     layout = LmfLayout.from_dataset(dataset) if config.task == "lmf" else None
@@ -204,10 +210,12 @@ def train(dataset, store, config):
     bounds = dataset.upage_bounds(op.upage)
     sets_by_upage = [dataset.page_sets(start, stop, store.page_size) for start, stop in bounds]
     started = time.perf_counter()
+    unions = [fitting_union(sets, op) for sets in sets_by_upage]
     loss_op = replace(op, reorder="radix")
     loss_plan = [
-        plan_upage(dataset, start, sets, plan_order(sets, loss_op, (upage_index,)), loss_op)
-        for upage_index, ((start, _), sets) in enumerate(zip(bounds, sets_by_upage))
+        plan_upage(dataset, start, sets, join_order(sets, loss_op, (upage_index,), union),
+                   loss_op, union)
+        for upage_index, ((start, _), sets, union) in enumerate(zip(bounds, sets_by_upage, unions))
     ]
     report.reorder_time += time.perf_counter() - started
     grad = {}  # index -> gradient sum, for sgd-page and bgd
@@ -286,8 +294,12 @@ def train(dataset, store, config):
         report.reorder_time += time.perf_counter() - started
         report.upage_count += len(plan)
         for upage_index, perm in plan:
+            # The permutation stays even for a U-page that is one batch: it
+            # sets the order of the updates, which train_oracle replays.
+            started = time.perf_counter()
             rows, batches = plan_upage(dataset, bounds[upage_index][0],
-                                       sets_by_upage[upage_index], perm, op)
+                                       sets_by_upage[upage_index], perm, op, unions[upage_index])
+            report.reorder_time += time.perf_counter() - started
             execute(manager, dataset.take(rows), batches, update, report,
                     dirty=config.mode == "sgd")
             if config.mode == "sgd-page":

@@ -285,8 +285,10 @@ def _small_dataset(tmp_path):
     ["train", "--data", "{data}", "--model", "{model}", "--init-high", "inf"],
     ["train", "--data", "{tmp}/huge.txt", "--data-format", "txt", "--model", "{model}"],
     ["run", "--data", "{tmp}/latin1.txt", "--data-format", "txt", "--model", "{model}"],
+    ["train", "--data", "{data}", "--model", "{model}", "--task", "lmf"],
 ], ids=["skewed-d0", "uniform-d0", "skewed-n-1", "uniform-n-1", "init-low-above-high",
-        "init-low-nan", "init-high-inf", "dimension-beyond-header", "text-not-utf8"])
+        "init-low-nan", "init-high-inf", "dimension-beyond-header", "text-not-utf8",
+        "lmf-without-matrix-shape"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     data = _small_dataset(tmp_path)
     out, model = tmp_path / "out.bin", tmp_path / "new.model"

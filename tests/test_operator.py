@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpjoin import (CollectSink, OperatorConfig, OversizedVectorError,
                     PreconditionError, ValidationError, oracle_dot_products,
@@ -298,3 +299,94 @@ def test_run_and_train_build_no_sparse_vectors(tmp_store, monkeypatch):
     assert made == []
     next(iter(ds))
     assert made == [0]
+
+
+def reference_run(ds, store, config):
+    """The join with every U-page planned in full: ordered by `plan_order`
+    and cut by `make_batches` without a union, and the batches replayed
+    through a fresh BufferManager. Returns the counters, the per-U-page
+    windows and the sorted (tid, dp) pairs."""
+    from collections import Counter
+
+    from dpjoin import BufferManager, dot_product
+    from dpjoin.operator import make_batches, plan_order
+
+    dense = store.load_dense()
+    manager = BufferManager(store, config.budget)
+    counters = dict.fromkeys(("element_requests", "batch_count", "upage_count"), 0)
+    windows, results = [], []
+    for upage_index, (start, stop) in enumerate(ds.upage_bounds(config.upage)):
+        requests, misses = manager.page_requests, manager.page_misses
+        by_page = Counter(manager.misses_by_page)
+        sets = ds.page_sets(start, stop, store.page_size)
+        perm = plan_order(sets, config, (upage_index,))
+        batches = make_batches([sets[p] for p in perm], config, ds.tids[start + np.array(perm)])
+        for batch in batches:
+            manager.request_set(batch.pages)
+            for position in batch.positions:
+                vector = ds[start + perm[position]]
+                results.append((vector.tid, dot_product(vector, dense)))
+                counters["element_requests"] += vector.nnz
+            manager.unpin_set(batch.pages)
+        counters["batch_count"] += len(batches)
+        counters["upage_count"] += 1
+        windows.append({
+            "upage": upage_index, "start": start, "vectors": stop - start,
+            "page_requests": manager.page_requests - requests,
+            "page_misses": manager.page_misses - misses,
+            "misses_by_page": dict(manager.misses_by_page - by_page),
+        })
+    counters.update(page_requests=manager.page_requests, page_misses=manager.page_misses,
+                    write_backs=manager.write_backs, distinct_pages=manager.distinct_pages)
+    return counters, windows, sorted(results)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70), st.sampled_from([3, 8, 25, 200]), st.sampled_from(HEURISTICS),
+       st.sampled_from([-1, 0, 1]), st.booleans(), st.integers(0, 2**16))
+def test_fitting_upages_keep_the_planned_counters(tmp_path_factory, n, upage, heuristic,
+                                                  delta, batching, seed):
+    """Budgets one page under, at and one page over the largest U-page
+    union: `run` gives the counters, windows and results of the planned
+    reference, whichever U-pages take the one-batch path."""
+    from dpjoin import Dataset, ModelStore
+
+    from conftest import random_dataset
+
+    # Entries touch the first 15 of 30 pages, so a budget one over any union fits the model.
+    ds = Dataset(480, random_dataset(np.random.default_rng(seed), n=n, d=240, nnz_max=6))
+    path = tmp_path_factory.mktemp("fit") / "m.model"
+    with ModelStore.create(str(path), 480, 16, init=("uniform", -1.0, 1.0), seed=seed) as store:
+        sets = [ds.page_sets(start, stop, 16) for start, stop in ds.upage_bounds(upage)]
+        largest = max(len(set().union(*upage_sets)) for upage_sets in sets)
+        widest = max(len(s) for upage_sets in sets for s in upage_sets)
+        config = OperatorConfig(budget=max(widest, largest + delta), reorder=heuristic,
+                                batching=batching, upage=upage, seed=seed,
+                                per_upage_metrics=True)
+        sink = CollectSink()
+        report = run(ds, store, config, sink)
+        counters, windows, results = reference_run(ds, store, config)
+    assert report.counters() == counters
+    assert report.per_upage == windows
+    assert sorted((r.tid, r.dp) for r in sink.results) == results
+
+
+def test_a_fitting_upage_runs_in_file_order(tmp_store):
+    """With batching, a U-page whose union fits is one batch in file order;
+    without, every vector is its own request, in the heuristic's order."""
+    from dpjoin.operator import plan_order
+
+    ds = gen_uniform(40, 160, 4, seed=5)
+    store = tmp_store(160, 16)
+    tids = [v.tid for v in ds]
+    for batching in (True, False):
+        config = OperatorConfig(budget=10, reorder="shuffle", batching=batching, seed=1)
+        sink = CollectSink()
+        report = run(ds, store, config, sink)
+        emitted = [r.tid for r in sink.results]
+        if batching:
+            assert emitted == tids
+            assert report.batch_count == 1
+        else:
+            perm = plan_order(ds.page_sets(0, len(ds), 16), config, (0,))
+            assert emitted == [tids[p] for p in perm] != tids

@@ -229,7 +229,13 @@ def _ones(n):
     return [0x3FF0000000000000] * n  # bit pattern of 1.0
 
 
+def _with_nnz(raw, at, nnz):
+    """`raw` with the nnz field of the record header at byte `at` set to `nnz`."""
+    return raw[: at + 16] + struct.pack("<I", nnz) + raw[at + 20 :]
+
+
 _ONE = [(4, 0, [1, 2], _ones(2))]
+_THREE = _ONE + [(5, 0, [3, 4], _ones(2)), (6, 0, [5, 6], _ones(2))]
 _BAD_FILES = {
     "short header": (b"DPJDATA\x00" + b"\x00" * 4, StoreError, "truncated dataset header"),
     "magic": (b"XXXXXXXX" + b"\x00" * 20, StoreError, "bad magic b'XXXXXXXX'"),
@@ -241,6 +247,14 @@ _BAD_FILES = {
     "short record head": (pack_records(_ONE)[:28 + 10], StoreError,
                           "truncated record header at byte 28"),
     "trailing": (pack_records(_ONE) + b"\x01\x02", StoreError, "2 trailing bytes"),
+    # The second record (at byte 80) claims more entries than the file holds.
+    "short middle payload": (_with_nnz(pack_records(_THREE), 80, 7), StoreError,
+                             "truncated record payload for tid 5"),
+    "huge middle payload": (_with_nnz(pack_records(_THREE), 80, 2**32 - 1), StoreError,
+                            "truncated record payload for tid 5"),
+    "count beyond the records": (pack_records(_ONE)[:20] + struct.pack("<Q", 2**63)
+                                 + pack_records(_ONE)[28:], StoreError,
+                                 "truncated record header at byte 80"),
     "repeated index": (pack_records(_ONE + [(5, 0, [3, 3], _ones(2))]), ValidationError,
                        "tid 5: indexes not strictly ascending"),
     "descending": (pack_records([(4, 0, [2, 1], _ones(2))]), ValidationError,

@@ -281,3 +281,43 @@ def test_lmf_accepts_well_formed_cells(tmp_path):
     assert main(["train", "--data", str(data), "--data-format", "txt", "--task", "lmf",
                  "--model", str(tmp_path / "m.model"), "--page-size", "4", "--budget", "4",
                  "--iterations", "1"]) == 0
+
+
+@pytest.mark.parametrize("heuristic, losses", [
+    ("shuffle", [28.758443087323407, 21.48248301568782, 17.288929695929852, 14.562903115019832]),
+    ("lsh", [28.758443087323407, 21.470928482809605, 17.28961390336254, 14.568016447023163]),
+])
+def test_fitting_upages_keep_the_update_order(tmp_store, heuristic, losses):
+    """Every U-page fits the budget, so each pass is one batch per U-page;
+    the sgd updates still run in `iteration_plan`'s order, which the oracle
+    replays. The literals pin the losses, so a change of order that moves
+    the oracle with the paged path still fails."""
+    ds = gen_uniform(40, 160, 4, seed=5)
+    store = tmp_store(160, 16, init=("uniform", -0.2, 0.2), seed=1)
+    dense = store.load_dense()
+    config = TrainConfig(small_op(budget=10, reorder=heuristic, upage=16), task="lr",
+                         mode="sgd", alpha=0.5, iterations=3)
+    result = train(ds, store, config)
+    assert result.losses == train_oracle(ds, dense, config, 16).losses == losses
+    assert result.metrics.batch_count == 3 * (4 + 3)  # 3 U-pages, 4 loss and 3 update passes
+
+
+def test_a_fitting_loss_pass_reads_the_dataset_in_place(tmp_store, monkeypatch):
+    """A U-page whose union fits runs its loss pass in file order, so the
+    rows it takes are the dataset's own arrays, not a reordered copy."""
+    ds = gen_uniform(40, 160, 4, seed=5)
+    store = tmp_store(160, 16, init=("uniform", -0.2, 0.2), seed=1)
+    taken = []
+    real_take = Dataset.take
+
+    def take(self, rows):
+        taken.append(real_take(self, rows))
+        return taken[-1]
+
+    monkeypatch.setattr(Dataset, "take", take)
+    train(ds, store, TrainConfig(small_op(budget=10, reorder="none", upage=16), task="lr",
+                                 iterations=0))
+    assert len(taken) == 3
+    for part in taken:
+        assert np.shares_memory(part.indices, ds.indices)
+        assert np.shares_memory(part.values, ds.values)
