@@ -20,7 +20,7 @@ from .errors import PreconditionError, StoreError, ValidationError
 from .metrics import emit_report
 from .model_store import ModelStore, page_count
 from .operator import CollectSink, OperatorConfig, run
-from .reorder import HEURISTICS
+from .reorder import HEURISTICS, MAX_LSH_HASHES
 from .sparse_data import load_dataset, store_dataset
 from .training import LmfLayout, TrainConfig, train
 
@@ -78,7 +78,8 @@ def _add_operator_flags(parser, grid=False):
     parser.add_argument("--no-batching", action="store_true")
     parser.add_argument("--upage", type=int, **values(4096),
                         help="vectors per reorder scope (default 4096)")
-    parser.add_argument("--lsh-hashes", type=int, default=16)
+    parser.add_argument("--lsh-hashes", type=int, default=16,
+                        help=f"minwise hashes for lsh, at most {MAX_LSH_HASHES} (default 16)")
     parser.add_argument("--lsh-bands", type=int, default=4)
     parser.add_argument("--kcenter-k", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
@@ -92,6 +93,8 @@ def _load_data(args):
 
 
 def cmd_gen(args):
+    if args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}")
     if args.kind == "uniform":
         dataset = datagen.gen_uniform(args.n, args.d, args.nnz, seed=args.seed)
     elif args.kind == "skewed":

@@ -43,8 +43,9 @@ def _label_for(indexes, values, planted):
 
 
 def _check_size(n, d):
-    if n < 0 or d < 1:
-        raise ValidationError(f"need n >= 0 vectors and dimension d >= 1, got n={n}, d={d}")
+    if n < 0 or not 1 <= d < 2**63:
+        raise ValidationError(f"need n >= 0 vectors and dimension 1 <= d < 2**63,"
+                              f" got n={n}, d={d}")
 
 
 def gen_uniform(n, d, nnz, seed=0):
@@ -109,8 +110,8 @@ def gen_skewed(n, d, nnz_avg, s=1.0, seed=0, scatter=False):
     by a seeded permutation instead.
     """
     _check_size(n, d)
-    if nnz_avg < 1:
-        raise ValidationError(f"nnz_avg must be >= 1, got {nnz_avg}")
+    if not 1 <= nnz_avg <= d:
+        raise ValidationError(f"nnz_avg must be in [1, {d}], got {nnz_avg}")
     if s <= 0:
         raise ValidationError(f"skew exponent must be > 0, got {s}")
     table = _zipf_cdf_table(d, s) if d <= _ZIPF_TABLE_LIMIT else None
@@ -150,6 +151,7 @@ def gen_matrix(rows, cols, cells, rank, seed=0):
         raise ValidationError(f"at most {rows * cols} distinct cells exist, got {cells}")
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
+    _check_size(cells, (rows + cols) * rank)
     rng = np.random.default_rng([seed, _TAG_MATRIX])
     left = rng.normal(size=(rows, rank)) / np.sqrt(rank)
     right = rng.normal(size=(rank, cols)) / np.sqrt(rank)

@@ -68,13 +68,14 @@ class ModelStore:
     def create(cls, path, dimension, page_size, init="zeros", seed=0):
         """Create a model file and return the opened store.
 
-        init is "zeros", ("constant", c), or ("uniform", lo, hi); uniform
-        fill is drawn sequentially from a generator seeded with `seed`, so
-        identical arguments produce byte-identical files.
+        init is "zeros" or ("uniform", lo, hi), which is the constant lo
+        when lo == hi; uniform fill is drawn sequentially from a generator
+        seeded with `seed`, so identical arguments produce byte-identical
+        files.
         """
         num_pages = page_count(dimension, page_size)
         kind = init[0] if isinstance(init, tuple) else init
-        if init != "zeros" and kind not in ("constant", "uniform"):
+        if init != "zeros" and kind != "uniform":
             raise ValidationError(f"unknown model init {init!r}")
         if kind == "uniform" and not 0.0 <= float(init[2]) - float(init[1]) < math.inf:
             raise ValidationError(f"uniform init needs finite bounds with low <= high, got {init!r}")
@@ -103,10 +104,7 @@ class ModelStore:
     def _init_chunk(init, rng, count, start, dimension):
         if init == "zeros":
             return np.zeros(count)
-        if init[0] == "constant":
-            values = np.full(count, float(init[1]))
-        else:
-            values = rng.uniform(float(init[1]), float(init[2]), size=count)
+        values = rng.uniform(float(init[1]), float(init[2]), size=count)
         # Zero the padding tail so files are deterministic byte for byte.
         tail = start + count - dimension
         if tail > 0:

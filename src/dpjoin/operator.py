@@ -28,7 +28,7 @@ from .batcher import Batch, fitting_sets, greedy_batches
 from .buffer_manager import BufferManager
 from .errors import OversizedVectorError, ValidationError
 from .metrics import MetricsReport
-from .reorder import reorder
+from .reorder import MAX_LSH_HASHES, reorder
 
 
 @dataclass
@@ -49,16 +49,20 @@ class OperatorConfig:
                 if f.name != "per_upage_metrics"}
 
     def check(self, num_pages):
-        """Reject a budget outside [1, num_pages] and options no heuristic
-        accepts, whichever is chosen; `run`, `train` and the CLI check here."""
+        """Reject a budget outside [1, num_pages], a negative seed and options
+        no heuristic accepts, whichever is chosen; `run`, `train` and the CLI
+        check here."""
         if not 1 <= self.budget <= num_pages:
             raise ValidationError(f"budget must be 1 to {num_pages} pages, got {self.budget}")
         if self.upage < 1:
             raise ValidationError(f"upage size must be >= 1, got {self.upage}")
-        if not 1 <= self.lsh_b <= self.lsh_m:
-            raise ValidationError(f"need 1 <= LSH bands ({self.lsh_b}) <= hashes ({self.lsh_m})")
+        if not 1 <= self.lsh_b <= self.lsh_m <= MAX_LSH_HASHES:
+            raise ValidationError(f"need 1 <= LSH bands ({self.lsh_b}) <= hashes"
+                                  f" ({self.lsh_m}) <= {MAX_LSH_HASHES}")
         if self.kcenter_k is not None and self.kcenter_k < 2:
             raise ValidationError(f"k-center k must be >= 2, got {self.kcenter_k}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -94,55 +98,48 @@ def plan_order(sets, config, path):
     )
 
 
-def fitting_union(sets, config):
-    """The page union of a U-page's `sets` when batching is on and the union
-    fits `config.budget`, else None; it grows set by set and is given up as
-    soon as it exceeds the budget. Greedy batching makes a fitting U-page
-    one batch in any order, so no order changes its counters."""
-    if not config.batching:
-        return None
-    union = set()
-    for pages in sets:
-        union.update(pages)
-        if len(union) > config.budget:
-            return None
-    return frozenset(union)
-
-
-def join_order(sets, config, path, union):
-    """The order of a U-page in a pass whose results do not depend on it
-    (the join, training's loss passes): file order when `union`, its
-    `fitting_union`, makes it one batch, so no reorder runs; else
-    `plan_order`'s permutation."""
-    return np.arange(len(sets)) if union is not None else plan_order(sets, config, path)
-
-
-def make_batches(ordered_sets, config, ordered_tids, union=None):
-    """One batch of every vector when `union`, the sets' `fitting_union`,
+def make_batches(ordered_sets, config, union=None):
+    """One batch of every vector when `union`, the page union of the sets,
     is given; else greedy batches when batching is on, single-vector
-    batches otherwise. The error for a vector that cannot fit the budget
-    carries its tid."""
+    batches otherwise."""
     if union is not None:
-        return [Batch(list(range(len(ordered_sets))), union)]
+        return [Batch(list(range(len(ordered_sets))), frozenset(union))]
+    if config.batching:
+        return greedy_batches(ordered_sets, config.budget)
+    return [Batch([position], pages)
+            for position, pages in fitting_sets(ordered_sets, config.budget)]
+
+
+def plan_upage(dataset, start, sets, config, path=None, perm=None):
+    """The rows of a U-page in processing order and its batches: `sets`
+    are the page sets of the U-page's vectors, which begins at row `start`
+    of `dataset`. With batching on, a U-page whose page union fits the
+    budget is one batch in any order, so no order changes its counters, and
+    greedy batching does not run. The vectors run in `perm`'s order when it
+    is given (the update passes', which `train_oracle` replays); else, in a
+    pass whose results do not depend on the order (the join, training's
+    loss passes), in file order when they are one batch, so no reorder
+    runs, and in `plan_order`'s order, seeded by `path`, otherwise. The
+    error for a vector that cannot fit the budget carries its tid."""
+    union = None
+    if config.batching:
+        union = set()
+        for pages in sets:  # given up as soon as it exceeds the budget
+            union.update(pages)
+            if len(union) > config.budget:
+                union = None
+                break
+    if perm is None:
+        perm = np.arange(len(sets)) if union is not None else plan_order(sets, config, path)
+    rows = start + np.asarray(perm, dtype=np.int64)
+    ordered_sets = [sets[p] for p in perm]
     try:
-        if config.batching:
-            return greedy_batches(ordered_sets, config.budget)
-        return [Batch([position], pages)
-                for position, pages in fitting_sets(ordered_sets, config.budget)]
+        return rows, make_batches(ordered_sets, config, union)
     except OversizedVectorError as exc:
-        exc.tid = int(ordered_tids[exc.position])
+        exc.tid = int(dataset.tids[rows[exc.position]])
         exc.args = (f"vector tid {exc.tid} needs {len(set(ordered_sets[exc.position]))}"
                     f" pages, budget is {config.budget}",)
         raise
-
-
-def plan_upage(dataset, start, sets, perm, config, union):
-    """The rows of a U-page in processing order and its batches: `sets`
-    are the page sets of the U-page's vectors, which begins at row `start`
-    of `dataset`, `perm` their permutation (`plan_order`'s or `join_order`'s)
-    and `union` their `fitting_union`, which makes them one batch."""
-    rows = start + np.asarray(perm, dtype=np.int64)
-    return rows, make_batches([sets[p] for p in perm], config, dataset.tids[rows], union)
 
 
 def execute(manager, data, batches, visit, report, dirty=False):
@@ -246,9 +243,7 @@ def run(dataset, store, config, sink=None):
             by_page = Counter(manager.misses_by_page)
         sets = dataset.page_sets(start, stop, page_size)
         started = time.perf_counter()
-        union = fitting_union(sets, config)
-        perm = join_order(sets, config, (upage_index,), union)
-        rows, batches = plan_upage(dataset, start, sets, perm, config, union)
+        rows, batches = plan_upage(dataset, start, sets, config, (upage_index,))
         report.reorder_time += time.perf_counter() - started
         execute(manager, dataset.take(rows), batches, visit, report)
         if report.per_upage is not None:

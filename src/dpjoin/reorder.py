@@ -42,6 +42,7 @@ from .errors import PreconditionError, ValidationError
 
 DEFAULT_LSH_HASHES = 16
 DEFAULT_LSH_BANDS = 4
+MAX_LSH_HASHES = 1024  # signatures hold upage x m uint64 values, one pass per hash
 _KCENTER_MAX_DEPTH = 32
 
 

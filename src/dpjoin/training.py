@@ -25,8 +25,7 @@ from .errors import ValidationError
 from .metrics import MetricsReport
 from .model_store import page_count
 from .operator import (OperatorConfig, batch_dot_products, check_inputs, dot_product,
-                       execute, finish_report, fitting_union, join_order, plan_order,
-                       plan_upage, row_sums)
+                       execute, finish_report, plan_order, plan_upage, row_sums)
 from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
@@ -210,13 +209,9 @@ def train(dataset, store, config):
     bounds = dataset.upage_bounds(op.upage)
     sets_by_upage = [dataset.page_sets(start, stop, store.page_size) for start, stop in bounds]
     started = time.perf_counter()
-    unions = [fitting_union(sets, op) for sets in sets_by_upage]
     loss_op = replace(op, reorder="radix")
-    loss_plan = [
-        plan_upage(dataset, start, sets, join_order(sets, loss_op, (upage_index,), union),
-                   loss_op, union)
-        for upage_index, ((start, _), sets, union) in enumerate(zip(bounds, sets_by_upage, unions))
-    ]
+    loss_plan = [plan_upage(dataset, start, sets, loss_op, (upage_index,))
+                 for upage_index, ((start, _), sets) in enumerate(zip(bounds, sets_by_upage))]
     report.reorder_time += time.perf_counter() - started
     grad = {}  # index -> gradient sum, for sgd-page and bgd
     loss_by_row = np.empty(len(dataset))  # a loss pass's terms, at their vectors' file rows
@@ -298,7 +293,7 @@ def train(dataset, store, config):
             # sets the order of the updates, which train_oracle replays.
             started = time.perf_counter()
             rows, batches = plan_upage(dataset, bounds[upage_index][0],
-                                       sets_by_upage[upage_index], perm, op, unions[upage_index])
+                                       sets_by_upage[upage_index], op, perm=perm)
             report.reorder_time += time.perf_counter() - started
             execute(manager, dataset.take(rows), batches, update, report,
                     dirty=config.mode == "sgd")

@@ -1,15 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dpjoin import ModelStore, oracle_dot_products
+from dpjoin import ModelStore, datagen, oracle_dot_products
 from dpjoin.cli import build_parser, main, parse_budget
 from dpjoin.reorder import HEURISTICS
-from dpjoin.sparse_data import load_dataset
+from dpjoin.sparse_data import load_dataset, store_dataset
 
 
 def test_parse_budget():
@@ -286,9 +289,22 @@ def _small_dataset(tmp_path):
     ["train", "--data", "{tmp}/huge.txt", "--data-format", "txt", "--model", "{model}"],
     ["run", "--data", "{tmp}/latin1.txt", "--data-format", "txt", "--model", "{model}"],
     ["train", "--data", "{data}", "--model", "{model}", "--task", "lmf"],
+    ["gen", "--kind", "uniform", "--seed", "-1", "--out", "{out}"],
+    ["gen", "--kind", "demo", "--seed", "-1", "--out", "{out}"],
+    ["gen", "--kind", "uniform", "--d", "99999999999999999999", "--out", "{out}"],
+    ["gen", "--kind", "skewed", "--d", str(2**63), "--out", "{out}"],
+    ["gen", "--kind", "skewed", "--nnz", "99999999999999999999", "--out", "{out}"],
+    ["gen", "--kind", "matrix", "--rows", "99999999999999999999",
+     "--cells", "99999999999999999999", "--out", "{out}"],
+    ["gen", "--kind", "matrix", "--cols", "99999999999999999999",
+     "--cells", "99999999999999999999", "--out", "{out}"],
+    ["gen", "--kind", "matrix", "--rows", "2", "--cols", "2", "--cells", "2",
+     "--rank", "99999999999999999999", "--out", "{out}"],
 ], ids=["skewed-d0", "uniform-d0", "skewed-n-1", "uniform-n-1", "init-low-above-high",
         "init-low-nan", "init-high-inf", "dimension-beyond-header", "text-not-utf8",
-        "lmf-without-matrix-shape"])
+        "lmf-without-matrix-shape", "gen-seed-negative", "demo-seed-negative",
+        "uniform-d-huge", "skewed-d-2**63", "skewed-nnz-huge", "matrix-rows-huge",
+        "matrix-cols-huge", "matrix-rank-huge"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     data = _small_dataset(tmp_path)
     out, model = tmp_path / "out.bin", tmp_path / "new.model"
@@ -315,10 +331,19 @@ def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     ["sweep", "--page-size", "10", "--budget", "100%", "11"],
     ["sweep", "--upage", "8", "0"],
     ["sweep", "--reorder", "none", "kcenter", "--kcenter-k", "1"],
+    ["run", "--seed", "-1"],
+    ["run", "--reorder", "radix", "--seed", "-1"],
+    ["train", "--seed", "-1"],
+    ["sweep", "--reorder", "shuffle", "--seed", "-1"],
+    ["run", "--lsh-hashes", "99999999999999999999"],
+    ["run", "--reorder", "lsh", "--lsh-hashes", "5000000"],
+    ["sweep", "--reorder", "lsh", "--lsh-hashes", "1025"],
 ], ids=["upage-0", "iterations-negative", "lsh-hashes-0", "lsh-bands-0",
         "fewer-hashes-than-bands", "kcenter-k-1", "page-size-0", "budget-above-pages",
         "train-budget-above-pages", "sweep-budget-above-pages", "sweep-upage-0",
-        "sweep-kcenter-k-1"])
+        "sweep-kcenter-k-1", "run-seed-negative", "radix-seed-negative",
+        "train-seed-negative", "sweep-seed-negative", "lsh-hashes-huge",
+        "lsh-hashes-5000000", "lsh-hashes-above-ceiling"])
 def test_rejected_option_exits_2(tmp_path, capsys, argv):
     data = _small_dataset(tmp_path)
     model = tmp_path / "m.model"
@@ -345,3 +370,70 @@ def test_model_with_bad_magic_exits_4(tmp_path, capsys):
     assert "bad magic" in err
     assert "Traceback" not in err
     assert model.read_bytes() == bytes(raw)
+
+
+HUGE = 99999999999999999999
+EXTREMES = (-HUGE, -1, 0, HUGE)
+
+
+@st.composite
+def _cli_argv(draw):
+    """A gen, run, train or sweep command line on small data: every option
+    in range but at most one, which takes an extreme value (negative, zero,
+    huge), in about half of them."""
+    command = draw(st.sampled_from(["gen", "run", "train", "sweep"]))
+    if command == "gen":
+        d = draw(st.integers(1, 300))
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        values = {
+            "--kind": draw(st.sampled_from(datagen.GENERATORS)), "--seed": draw(st.integers(0, 5)),
+            "--n": draw(st.integers(0, 12)), "--d": d, "--nnz": draw(st.integers(1, min(d, 6))),
+            "--rows": rows, "--cols": cols,
+            "--cells": draw(st.integers(max(rows, cols), rows * cols)),
+            "--rank": draw(st.integers(1, 3)),
+        }
+        # A huge --n is a valid request for a huge dataset, so --n keeps its value.
+        extreme = ["--seed", "--d", "--nnz", "--rows", "--cols", "--cells", "--rank"]
+        fixed = ["gen", "--out", "{out}"]
+    else:
+        bands = draw(st.integers(1, 8))
+        values = {
+            "--reorder": draw(st.sampled_from(HEURISTICS)), "--seed": draw(st.integers(0, 5)),
+            "--budget": draw(st.sampled_from(["100%", "50%", "20%", "3"])),
+            "--upage": draw(st.integers(1, 12)), "--lsh-bands": bands,
+            "--lsh-hashes": draw(st.integers(bands, 20)),
+            "--kcenter-k": draw(st.integers(2, 6)), "--page-size": draw(st.integers(1, 40)),
+        }
+        extreme = ["--seed", "--budget", "--upage", "--lsh-bands", "--lsh-hashes",
+                   "--kcenter-k", "--page-size"]
+        if command == "train":
+            values["--iterations"] = draw(st.integers(0, 2))
+            values["--mode"] = draw(st.sampled_from(["sgd", "sgd-page", "bgd"]))
+            extreme.append("--iterations")
+        fixed = [command, "--data", "{data}", "--model", "{model}"]
+        if draw(st.booleans()):
+            fixed.append("--no-batching")
+    flag = draw(st.sampled_from([None] * len(extreme) + extreme))
+    if flag is not None:
+        # Past the hash ceiling, not huge; as a page size it would write a 40 MB model.
+        lsh = (5_000_000,) if flag == "--lsh-hashes" else ()
+        values[flag] = draw(st.sampled_from(EXTREMES + lsh))
+    return fixed + [text for item in values.items() for text in map(str, item)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_cli_argv(), existing_model=st.booleans())
+def test_every_command_line_exits_with_a_contract_code(tmp_path_factory, argv, existing_model):
+    """The exit-code contract: 0 success, 2 rejected input, 3 precondition,
+    4 storage; no input escapes `main` as an exception (a traceback)."""
+    tmp = tmp_path_factory.mktemp("cli")
+    data, model = tmp / "d.bin", tmp / "m.model"
+    store_dataset(datagen.gen_uniform(10, 100, 3, seed=5), str(data))
+    if existing_model:
+        ModelStore.create(str(model), 100, 10).close()
+    argv = [a.format(data=data, model=model, out=tmp / "out.bin") for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -20,7 +20,7 @@ def test_create_zeros_and_read(tmp_store):
 
 
 def test_tail_page_zero_padded(tmp_store):
-    store = tmp_store(10, 4, init=("constant", 2.5))
+    store = tmp_store(10, 4, init=("uniform", 2.5, 2.5))
     tail = store.read_page(2)
     # only entries 8 and 9 are real; the rest is padding
     assert list(tail) == [2.5, 2.5, 0.0, 0.0]
@@ -105,7 +105,7 @@ def test_access_counters(tmp_store):
 def test_large_dimension_create_is_chunked(tmp_path):
     # bigger than one init chunk; checks the chunk loop, not performance
     path = str(tmp_path / "big.model")
-    with ModelStore.create(path, 5_000_000, 1024, init=("constant", 1.0)) as store:
+    with ModelStore.create(path, 5_000_000, 1024, init=("uniform", 1.0, 1.0)) as store:
         assert store.num_pages == 4883
         assert (store.read_page(4882)[:832] == 1.0).all()
         assert not store.read_page(4882)[832:].any()

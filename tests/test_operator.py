@@ -29,7 +29,7 @@ def test_results_match_oracle_exactly(tmp_store):
 def test_demo_counters_plain(tmp_store):
     from dpjoin.datagen import DEMO_DIMENSION, DEMO_PAGE_SIZE
     ds = gen_demo()
-    store = tmp_store(DEMO_DIMENSION, DEMO_PAGE_SIZE, init=("constant", 1.0))
+    store = tmp_store(DEMO_DIMENSION, DEMO_PAGE_SIZE, init=("uniform", 1.0, 1.0))
     report = run(ds, store, OperatorConfig(budget=2, batching=False))
     assert report.element_requests == 19
     assert report.page_requests == 16
@@ -320,7 +320,7 @@ def reference_run(ds, store, config):
         by_page = Counter(manager.misses_by_page)
         sets = ds.page_sets(start, stop, store.page_size)
         perm = plan_order(sets, config, (upage_index,))
-        batches = make_batches([sets[p] for p in perm], config, ds.tids[start + np.array(perm)])
+        batches = make_batches([sets[p] for p in perm], config)
         for batch in batches:
             manager.request_set(batch.pages)
             for position in batch.positions:
@@ -371,22 +371,43 @@ def test_fitting_upages_keep_the_planned_counters(tmp_path_factory, n, upage, he
     assert sorted((r.tid, r.dp) for r in sink.results) == results
 
 
-def test_a_fitting_upage_runs_in_file_order(tmp_store):
-    """With batching, a U-page whose union fits is one batch in file order;
-    without, every vector is its own request, in the heuristic's order."""
-    from dpjoin.operator import plan_order
+def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
+    """Planned without a permutation, a U-page whose union fits is one batch
+    in file order, with no reorder and no greedy pass. A given permutation is
+    kept and still makes one batch. A U-page that does not fit, or any
+    U-page with batching off, runs in `plan_order`'s order."""
+    from dpjoin import operator
+    from dpjoin.operator import plan_order, plan_upage
 
     ds = gen_uniform(40, 160, 4, seed=5)
     store = tmp_store(160, 16)
     tids = [v.tid for v in ds]
-    for batching in (True, False):
-        config = OperatorConfig(budget=10, reorder="shuffle", batching=batching, seed=1)
+    sets = ds.page_sets(0, len(ds), 16)
+    assert len(set().union(*sets)) == 10
+    calls = []
+    for name in ("reorder", "greedy_batches"):
+        def spy(*args, real=getattr(operator, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(operator, name, spy)
+
+    config = OperatorConfig(budget=10, reorder="shuffle", seed=1)
+    sink = CollectSink()
+    report = run(ds, store, config, sink)
+    assert [r.tid for r in sink.results] == tids
+    assert report.batch_count == 1
+    assert calls == []
+    perm = np.random.default_rng(2).permutation(len(ds))
+    rows, batches = plan_upage(ds, 0, sets, config, perm=perm)
+    assert rows.tolist() == perm.tolist()
+    assert [b.positions for b in batches] == [list(range(len(ds)))]
+    assert calls == []
+
+    for budget, batching in ((9, True), (10, False)):
+        config = OperatorConfig(budget=budget, reorder="shuffle", batching=batching, seed=1)
+        order = plan_order(sets, config, (0,))
+        calls.clear()
         sink = CollectSink()
-        report = run(ds, store, config, sink)
-        emitted = [r.tid for r in sink.results]
-        if batching:
-            assert emitted == tids
-            assert report.batch_count == 1
-        else:
-            perm = plan_order(ds.page_sets(0, len(ds), 16), config, (0,))
-            assert emitted == [tids[p] for p in perm] != tids
+        run(ds, store, config, sink)
+        assert [r.tid for r in sink.results] == [tids[p] for p in order] != tids
+        assert calls == ["reorder", "greedy_batches"][: 1 + batching]

@@ -8,6 +8,7 @@ import pytest
 from dpjoin import (Dataset, OperatorConfig, OversizedVectorError, ValidationError,
                     run)
 from dpjoin.datagen import gen_matrix, gen_uniform
+from dpjoin.operator import plan_upage
 from dpjoin.reorder import HEURISTICS, reorder_radix
 from dpjoin.training import (LmfLayout, TrainConfig, iteration_plan,
                              lmf_cell_gradient, lmf_loss, lr_loss, lr_scale,
@@ -200,6 +201,11 @@ def test_oversized_vector_error_names_the_tid(tmp_store, batching):
         train(ds, store, TrainConfig(op, task="lr", iterations=1))
     assert err.value.tid == 103
     assert "103" in str(err.value)
+    # A given permutation (an update pass's) that runs row 3 first: position 0, tid 103.
+    with pytest.raises(OversizedVectorError) as err:
+        plan_upage(ds, 0, ds.page_sets(0, 4, 8), op, perm=[3, 2, 1, 0])
+    assert err.value.position == 0
+    assert err.value.tid == 103
 
 
 def test_train_report_counts_batches_and_upages(tmp_store):
@@ -287,19 +293,36 @@ def test_lmf_accepts_well_formed_cells(tmp_path):
     ("shuffle", [28.758443087323407, 21.48248301568782, 17.288929695929852, 14.562903115019832]),
     ("lsh", [28.758443087323407, 21.470928482809605, 17.28961390336254, 14.568016447023163]),
 ])
-def test_fitting_upages_keep_the_update_order(tmp_store, heuristic, losses):
-    """Every U-page fits the budget, so each pass is one batch per U-page;
-    the sgd updates still run in `iteration_plan`'s order, which the oracle
-    replays. The literals pin the losses, so a change of order that moves
-    the oracle with the paged path still fails."""
+def test_fitting_upages_keep_the_update_order(tmp_store, monkeypatch, heuristic, losses):
+    """Every U-page fits the budget, so each pass is one batch per U-page
+    and greedy batching never runs; the sgd updates still run in
+    `iteration_plan`'s order, which the oracle replays, and the loss passes
+    in file order. The literals pin the losses, so a change of order that
+    moves the oracle with the paged path still fails."""
+    from dpjoin import operator, training
+
     ds = gen_uniform(40, 160, 4, seed=5)
     store = tmp_store(160, 16, init=("uniform", -0.2, 0.2), seed=1)
     dense = store.load_dense()
     config = TrainConfig(small_op(budget=10, reorder=heuristic, upage=16), task="lr",
                          mode="sgd", alpha=0.5, iterations=3)
+    monkeypatch.setattr(operator, "greedy_batches", lambda *args: pytest.fail("greedy ran"))
+    planned = []
+
+    def spy(dataset, start, sets, config, path=None, perm=None):
+        rows, batches = plan_upage(dataset, start, sets, config, path, perm)
+        order = np.arange(len(sets)) if perm is None else np.asarray(perm)
+        planned.append((start + order, rows))
+        assert len(batches) == 1
+        return rows, batches
+
+    monkeypatch.setattr(training, "plan_upage", spy)
     result = train(ds, store, config)
     assert result.losses == train_oracle(ds, dense, config, 16).losses == losses
     assert result.metrics.batch_count == 3 * (4 + 3)  # 3 U-pages, 4 loss and 3 update passes
+    assert len(planned) == 3 + 3 * 3
+    for expected, rows in planned:
+        assert rows.tolist() == expected.tolist()
 
 
 def test_a_fitting_loss_pass_reads_the_dataset_in_place(tmp_store, monkeypatch):
