@@ -110,8 +110,10 @@ def gen_skewed(n, d, nnz_avg, s=1.0, seed=0, scatter=False):
     by a seeded permutation instead.
     """
     _check_size(n, d)
-    if not 1 <= nnz_avg <= d:
-        raise ValidationError(f"nnz_avg must be in [1, {d}], got {nnz_avg}")
+    # An average above d is drawn too (its vectors saturate); 2**62 stays
+    # below numpy's Poisson ceiling (about 9.2e18).
+    if not 1 <= nnz_avg < 2**62:
+        raise ValidationError(f"nnz_avg must be in [1, 2**62), got {nnz_avg}")
     if s <= 0:
         raise ValidationError(f"skew exponent must be > 0, got {s}")
     table = _zipf_cdf_table(d, s) if d <= _ZIPF_TABLE_LIMIT else None
@@ -151,7 +153,8 @@ def gen_matrix(rows, cols, cells, rank, seed=0):
         raise ValidationError(f"at most {rows * cols} distinct cells exist, got {cells}")
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
-    _check_size(cells, (rows + cols) * rank)
+    d = (rows + cols) * rank
+    _check_size(cells, d)
     rng = np.random.default_rng([seed, _TAG_MATRIX])
     left = rng.normal(size=(rows, rank)) / np.sqrt(rank)
     right = rng.normal(size=(rank, cols)) / np.sqrt(rank)
@@ -167,7 +170,6 @@ def gen_matrix(rows, cols, cells, rank, seed=0):
             chosen.add((int(i), int(j)))
             if len(chosen) >= cells:
                 break
-    d = (rows + cols) * rank
     vectors = []
     for tid, (i, j) in enumerate(sorted(chosen)):
         rating = float(left[i] @ right[:, j]) + 0.05 * float(rng.normal())

@@ -121,6 +121,8 @@ def plan_upage(dataset, start, sets, config, path=None, perm=None):
     loss passes), in file order when they are one batch, so no reorder
     runs, and in `plan_order`'s order, seeded by `path`, otherwise. The
     error for a vector that cannot fit the budget carries its tid."""
+    if perm is None and path is None:
+        raise TypeError("plan_upage needs a perm or a seed path")
     union = None
     if config.batching:
         union = set()

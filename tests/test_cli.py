@@ -415,9 +415,14 @@ def _cli_argv(draw):
             fixed.append("--no-batching")
     flag = draw(st.sampled_from([None] * len(extreme) + extreme))
     if flag is not None:
-        # Past the hash ceiling, not huge; as a page size it would write a 40 MB model.
-        lsh = (5_000_000,) if flag == "--lsh-hashes" else ()
-        values[flag] = draw(st.sampled_from(EXTREMES + lsh))
+        choices = EXTREMES
+        if flag == "--lsh-hashes":
+            # Past the hash ceiling, not huge; as a page size it would write a 40 MB model.
+            choices += (5_000_000,)
+        elif flag == "--iterations":
+            # A huge count is a valid request for a run without end: only negatives.
+            choices = (-HUGE, -1)
+        values[flag] = draw(st.sampled_from(choices))
     return fixed + [text for item in values.items() for text in map(str, item)]
 
 

@@ -46,6 +46,12 @@ class TestSkewed:
         mean_nnz = sum(v.nnz for v in ds) / len(ds)
         assert 10.5 < mean_nnz < 13.5
 
+    def test_nnz_avg_above_d_saturates(self):
+        ds = gen_skewed(20, 5, 10, seed=3)
+        assert max(v.nnz for v in ds) == 5
+        with pytest.raises(ValidationError):
+            gen_skewed(20, 5, 2**62, seed=3)
+
     def test_deterministic(self):
         a = gen_skewed(50, 5000, 6, seed=13)
         b = gen_skewed(50, 5000, 6, seed=13)

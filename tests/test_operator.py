@@ -402,6 +402,8 @@ def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
     assert rows.tolist() == perm.tolist()
     assert [b.positions for b in batches] == [list(range(len(ds)))]
     assert calls == []
+    with pytest.raises(TypeError, match="perm or a seed path"):
+        plan_upage(ds, 0, sets, config)
 
     for budget, batching in ((9, True), (10, False)):
         config = OperatorConfig(budget=budget, reorder="shuffle", batching=batching, seed=1)
