@@ -114,8 +114,8 @@ def gen_skewed(n, d, nnz_avg, s=1.0, seed=0, scatter=False):
     # below numpy's Poisson ceiling (about 9.2e18).
     if not 1 <= nnz_avg < 2**62:
         raise ValidationError(f"nnz_avg must be in [1, 2**62), got {nnz_avg}")
-    if s <= 0:
-        raise ValidationError(f"skew exponent must be > 0, got {s}")
+    if not 0 < s < np.inf:  # NaN fails both
+        raise ValidationError(f"skew exponent must be finite and > 0, got {s}")
     table = _zipf_cdf_table(d, s) if d <= _ZIPF_TABLE_LIMIT else None
     rank_to_index = None
     if scatter:

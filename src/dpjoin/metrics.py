@@ -21,6 +21,7 @@ COUNTER_FIELDS = (
     "distinct_pages",
 )
 TIMING_FIELDS = ("reorder_time", "io_time", "compute_time")
+PHASE_COUNTERS = ("page_requests", "page_misses", "write_backs")  # split by phase in training
 
 
 @dataclass
@@ -39,6 +40,7 @@ class MetricsReport:
     compute_time: float = 0.0   # visiting pinned batches: dot products, updates, loss terms
     config: dict = field(default_factory=dict)
     per_upage: list | None = None
+    phases: dict | None = None  # training: phase -> PHASE_COUNTERS, summing to the totals
 
     def to_dict(self):
         out = {name: getattr(self, name) for name in COUNTER_FIELDS}
@@ -46,6 +48,8 @@ class MetricsReport:
         out["config"] = dict(self.config)
         if self.per_upage is not None:
             out["per_upage"] = self.per_upage
+        if self.phases is not None:
+            out["phases"] = self.phases
         return out
 
     def counters(self):

@@ -20,9 +20,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .batcher import Batch, walk_order
 from .buffer_manager import BufferManager
 from .errors import ValidationError
-from .metrics import MetricsReport
+from .metrics import PHASE_COUNTERS, MetricsReport
 from .model_store import page_count
 from .operator import (OperatorConfig, batch_dot_products, check_inputs, dot_product,
                        execute, finish_report, plan_order, plan_upage, row_sums)
@@ -162,6 +163,20 @@ def iteration_plan(sets_by_upage, config, iteration):
 # -- the paged trainer -------------------------------------------------------------
 
 
+def _in_walk_order(rows, batches):
+    """A U-page's rows and batches with the batches in `walk_order`: the
+    rows become each batch's rows in that order, and the batches are
+    renumbered so that their positions stay consecutive."""
+    parts, walked, position = [], [], 0
+    for index in walk_order(batches):
+        batch = batches[index]
+        first, count = batch.positions[0], len(batch.positions)
+        parts.append(rows[first : first + count])
+        walked.append(Batch(list(range(position, position + count)), batch.pages))
+        position += count
+    return np.concatenate(parts), walked
+
+
 def _apply_gradient(manager, grad, alpha, budget):
     """w[i] -= alpha * grad[i] for every coordinate of the sparse gradient
     `grad` ({index: sum}) whose sum is not exactly zero, requesting at most
@@ -190,28 +205,38 @@ def train(dataset, store, config):
 
     A loss is a sum of per-vector terms, so every loss pass runs on the plan
     `run` builds under the radix reorder, whatever `config.operator.reorder`
-    is: the visits write each term at its vector's file row, and the terms
-    are added in file order, as `train_oracle` adds them. The loss passes and
+    is, with each U-page's batches in `walk_order` when batching is on: the
+    visits write each term at its vector's file row, and the terms are added
+    in file order, as `train_oracle` adds them. The loss passes and
     the accumulated updates share one residual kernel per task:
     `batch_dot_products` for lr, `cell_errors` for lmf.
 
     With batching on, a U-page whose page union fits the budget is one
     batch, and greedy batching does not run: a loss pass runs it in file
     order, without the radix reorder, and an update pass in
-    `iteration_plan`'s order."""
+    `iteration_plan`'s order.
+
+    The report's `phases` splits page requests, misses and write-backs
+    between the loss passes, the update passes and the gradient applies of
+    `sgd-page` and `bgd`. A write-back counts in the phase whose request
+    evicted its page; the closing flush counts in the one phase that
+    dirties pages (the update passes under `sgd`, else the applies)."""
     op = config.operator
     check_inputs(dataset, store, config)
     layout = LmfLayout.from_dataset(dataset) if config.task == "lmf" else None
     rank = layout.rank if layout is not None else 0
     manager = BufferManager(store, op.budget)
     flat = manager.frames.reshape(-1)
-    report = MetricsReport(config=config.describe())
+    report = MetricsReport(config=config.describe(), phases={
+        phase: dict.fromkeys(PHASE_COUNTERS, 0) for phase in ("loss", "update", "apply")})
     bounds = dataset.upage_bounds(op.upage)
     sets_by_upage = [dataset.page_sets(start, stop, store.page_size) for start, stop in bounds]
     started = time.perf_counter()
     loss_op = replace(op, reorder="radix")
     loss_plan = [plan_upage(dataset, start, sets, loss_op, (upage_index,))
                  for upage_index, ((start, _), sets) in enumerate(zip(bounds, sets_by_upage))]
+    if op.batching:
+        loss_plan = [_in_walk_order(rows, batches) for rows, batches in loss_plan]
     report.reorder_time += time.perf_counter() - started
     grad = {}  # index -> gradient sum, for sgd-page and bgd
     loss_by_row = np.empty(len(dataset))  # a loss pass's terms, at their vectors' file rows
@@ -272,6 +297,14 @@ def train(dataset, store, config):
 
     update = sgd if config.mode == "sgd" else accumulate
 
+    def charged(phase, work, *args, **kwargs):
+        """Run `work` and add the storage counters it moved to `phase`."""
+        before = [getattr(manager, name) for name in PHASE_COUNTERS]
+        result = work(*args, **kwargs)
+        for name, value in zip(PHASE_COUNTERS, before):
+            report.phases[phase][name] += getattr(manager, name) - value
+        return result
+
     def loss_pass():
         for rows, batches in loss_plan:
             def visit(data, start, stop, at, rows=rows):
@@ -280,7 +313,7 @@ def train(dataset, store, config):
         # cumsum adds one term at a time, from the leading +0.0, in file order.
         return float(np.cumsum(np.append(0.0, loss_by_row))[-1])
 
-    losses = [loss_pass()]
+    losses = [charged("loss", loss_pass)]
     diverged = not math.isfinite(losses[0])
     iteration = 0
     while not diverged and iteration < config.iterations:
@@ -295,15 +328,16 @@ def train(dataset, store, config):
             rows, batches = plan_upage(dataset, bounds[upage_index][0],
                                        sets_by_upage[upage_index], op, perm=perm)
             report.reorder_time += time.perf_counter() - started
-            execute(manager, dataset.take(rows), batches, update, report,
-                    dirty=config.mode == "sgd")
+            charged("update", execute, manager, dataset.take(rows), batches, update,
+                    report, dirty=config.mode == "sgd")
             if config.mode == "sgd-page":
-                _apply_gradient(manager, grad, config.alpha, op.budget)
+                charged("apply", _apply_gradient, manager, grad, config.alpha, op.budget)
         if config.mode == "bgd":
-            _apply_gradient(manager, grad, config.alpha, op.budget)
-        losses.append(loss_pass())
+            charged("apply", _apply_gradient, manager, grad, config.alpha, op.budget)
+        losses.append(charged("loss", loss_pass))
         diverged = not math.isfinite(losses[-1])
         iteration += 1
+    charged("update" if config.mode == "sgd" else "apply", manager.flush_all)
     metrics = finish_report(manager, report)
     return TrainReport(losses, diverged, config.describe(), metrics=metrics)
 

@@ -138,6 +138,8 @@ def test_train_writes_loss_curve(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["diverged"] is False
     assert len(payload["losses"]) == 5
+    for name in ("page_requests", "page_misses", "write_backs"):
+        assert sum(counts[name] for counts in payload["phases"].values()) == payload[name]
     assert payload["losses"][-1] < payload["losses"][0]
     with open(losses) as fh:
         rows = list(csv.DictReader(fh))
@@ -300,11 +302,13 @@ def _small_dataset(tmp_path):
      "--cells", "99999999999999999999", "--out", "{out}"],
     ["gen", "--kind", "matrix", "--rows", "2", "--cols", "2", "--cells", "2",
      "--rank", "99999999999999999999", "--out", "{out}"],
+    ["gen", "--kind", "skewed", "--zipf-s", "nan", "--out", "{out}"],
+    ["gen", "--kind", "skewed", "--zipf-s", "inf", "--out", "{out}"],
 ], ids=["skewed-d0", "uniform-d0", "skewed-n-1", "uniform-n-1", "init-low-above-high",
         "init-low-nan", "init-high-inf", "dimension-beyond-header", "text-not-utf8",
         "lmf-without-matrix-shape", "gen-seed-negative", "demo-seed-negative",
         "uniform-d-huge", "skewed-d-2**63", "skewed-nnz-huge", "matrix-rows-huge",
-        "matrix-cols-huge", "matrix-rank-huge"])
+        "matrix-cols-huge", "matrix-rank-huge", "skewed-zipf-s-nan", "skewed-zipf-s-inf"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     data = _small_dataset(tmp_path)
     out, model = tmp_path / "out.bin", tmp_path / "new.model"

@@ -52,6 +52,11 @@ class TestSkewed:
         with pytest.raises(ValidationError):
             gen_skewed(20, 5, 2**62, seed=3)
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_skew_exponent_that_is_not_finite_and_positive(self, s):
+        with pytest.raises(ValidationError, match="skew exponent"):
+            gen_skewed(50, 1000, 8, s=s, seed=1)
+
     def test_deterministic(self):
         a = gen_skewed(50, 5000, 6, seed=13)
         b = gen_skewed(50, 5000, 6, seed=13)

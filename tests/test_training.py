@@ -7,7 +7,9 @@ import pytest
 
 from dpjoin import (Dataset, OperatorConfig, OversizedVectorError, ValidationError,
                     run)
+from dpjoin.batcher import walk_order
 from dpjoin.datagen import gen_matrix, gen_uniform
+from dpjoin.metrics import PHASE_COUNTERS
 from dpjoin.operator import plan_upage
 from dpjoin.reorder import HEURISTICS, reorder_radix
 from dpjoin.training import (LmfLayout, TrainConfig, iteration_plan,
@@ -85,13 +87,21 @@ def task_instance(tmp_store, task):
 def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, heuristic):
     """Dual route: the paged trainer and the in-memory trainer must agree
     bit for bit, losses and final model both. The loss passes visit the
-    vectors in radix order, which is not file order here."""
+    vectors in radix order, which is not file order here, and with batching
+    on (lr) run a U-page's batches in a walk order that is not greedy order."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
     op = small_op(budget=budget, reorder=heuristic)
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=4)
     config.operator.batching = batching
+    bounds = list(ds.upage_bounds(op.upage))
     assert any(reorder_radix(ds.page_sets(start, stop, store.page_size))
-               != list(range(stop - start)) for start, stop in ds.upage_bounds(op.upage))
+               != list(range(stop - start)) for start, stop in bounds)
+    if batching and task == "lr":  # the lmf instance's walks keep greedy order
+        radix = dataclasses.replace(op, reorder="radix")
+        walks = [walk_order(plan_upage(ds, start, ds.page_sets(start, stop, store.page_size),
+                                       radix, (upage_index,))[1])
+                 for upage_index, (start, stop) in enumerate(bounds)]
+        assert any(walk != sorted(walk) for walk in walks)
     initial = store.load_dense()
     paged = train(ds, store, config)
     oracle = train_oracle(ds, initial, config, page_size=store.page_size)
@@ -226,14 +236,36 @@ def test_train_report_counts_batches_and_upages(tmp_store):
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
 @pytest.mark.parametrize("task", ["lr", "lmf"])
-def test_a_loss_pass_costs_what_the_radix_join_costs(tmp_store, task, heuristic):
-    """Whatever orders the update passes, a loss pass runs on the plan `run`
-    builds under the radix reorder."""
+def test_a_loss_pass_costs_what_the_radix_join_costs(tmp_store, monkeypatch, task, heuristic):
+    """Whatever orders the update passes, a loss pass runs the batches `run`
+    builds under the radix reorder, the same page unions over the same rows,
+    in `walk_order`. It makes the join's requests; its misses follow the
+    walk."""
+    from dpjoin import operator, training
+
     ds, store, budget, _ = task_instance(tmp_store, task)
     op = OperatorConfig(budget=budget, reorder=heuristic, upage=16, seed=3)
+    executed = []
+
+    def execute(manager, data, batches, *args, **kwargs):
+        executed.append([(data.tids[b.positions[0] : b.positions[-1] + 1].tolist(), b.pages)
+                         for b in batches])
+        return operator.execute(manager, data, batches, *args, **kwargs)
+
+    monkeypatch.setattr(training, "execute", execute)
     loss_pass = train(ds, store, TrainConfig(op, task=task, iterations=0)).metrics
+    walked = []
+
+    def planned(dataset, *args, **kwargs):
+        rows, batches = plan_upage(dataset, *args, **kwargs)
+        walked.append([(dataset.tids[rows[b.positions]].tolist(), b.pages)
+                       for b in (batches[index] for index in walk_order(batches))])
+        return rows, batches
+
+    monkeypatch.setattr(operator, "plan_upage", planned)
     join = run(ds, store, dataclasses.replace(op, reorder="radix"))
-    for name in ("page_requests", "page_misses", "batch_count", "element_requests"):
+    assert executed == walked
+    for name in ("page_requests", "batch_count", "element_requests"):
         assert getattr(loss_pass, name) == getattr(join, name), name
 
 
@@ -344,3 +376,78 @@ def test_a_fitting_loss_pass_reads_the_dataset_in_place(tmp_store, monkeypatch):
     for part in taken:
         assert np.shares_memory(part.indices, ds.indices)
         assert np.shares_memory(part.values, ds.values)
+
+
+def test_only_the_loss_plan_walks(tmp_store, monkeypatch):
+    """`run` and the update passes run their batches in greedy order: the
+    walk runs once per U-page of the loss plan, when `train` builds it, and
+    not at all with batching off."""
+    from dpjoin import batcher, operator, training
+
+    calls = []
+
+    def spy(batches):
+        calls.append(len(batches))
+        return walk_order(batches)
+
+    for module in (batcher, operator, training):
+        if hasattr(module, "walk_order"):
+            monkeypatch.setattr(module, "walk_order", spy)
+    ds, store, budget, alpha = task_instance(tmp_store, "lr")
+    op = small_op(budget=budget, reorder="radix")
+    upages = len(list(ds.upage_bounds(op.upage)))
+    run(ds, store, op)
+    assert calls == []
+    for mode in ("sgd", "sgd-page"):
+        train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha, iterations=3))
+        assert len(calls) == upages
+        calls.clear()
+    unbatched = dataclasses.replace(op, batching=False)
+    train(ds, store, TrainConfig(unbatched, task="lr", alpha=alpha, iterations=1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("task,mode", [("lr", "sgd"), ("lr", "sgd-page"), ("lr", "bgd"),
+                                       ("lmf", "sgd"), ("lmf", "bgd")])
+def test_phases_sum_to_the_totals(tmp_store, task, mode):
+    """Loss passes, update passes and gradient applies split the storage
+    counters. Only the applies dirty pages under `sgd-page` and `bgd`, only
+    the update passes under `sgd`, which has no apply traffic at all; a loss
+    pass writes back the dirty pages it evicts."""
+    ds, store, budget, alpha = task_instance(tmp_store, task)
+    config = TrainConfig(small_op(budget=budget, reorder="radix"), task=task, mode=mode,
+                         alpha=alpha, iterations=3)
+    metrics = train(ds, store, config).metrics
+    phases = metrics.phases
+    assert sorted(phases) == ["apply", "loss", "update"]
+    for name in PHASE_COUNTERS:
+        assert sum(counts[name] for counts in phases.values()) == getattr(metrics, name), name
+    assert phases["loss"]["page_requests"] > 0 and phases["update"]["page_requests"] > 0
+    if mode == "sgd":
+        assert phases["apply"] == dict.fromkeys(PHASE_COUNTERS, 0)
+        assert phases["update"]["write_backs"] > 0
+    else:
+        assert phases["apply"]["page_requests"] > 0 and phases["apply"]["write_backs"] > 0
+    assert metrics.to_dict()["phases"] == phases
+
+
+def test_a_run_without_iterations_is_all_loss(tmp_store):
+    ds, store, budget, _ = task_instance(tmp_store, "lr")
+    metrics = train(ds, store, TrainConfig(small_op(budget=budget), task="lr",
+                                           mode="sgd-page", iterations=0)).metrics
+    assert metrics.phases["loss"] == {name: getattr(metrics, name) for name in PHASE_COUNTERS}
+    assert metrics.phases["loss"]["page_misses"] > 0
+    for phase in ("update", "apply"):
+        assert metrics.phases[phase] == dict.fromkeys(PHASE_COUNTERS, 0)
+
+
+@pytest.mark.parametrize("mode, writer", [("sgd", "update"), ("bgd", "apply")])
+def test_the_closing_flush_counts_in_the_phase_that_dirties(tmp_store, mode, writer):
+    """With every page resident nothing is evicted, so every write-back is
+    the closing flush's, and it counts in the one phase that dirties pages."""
+    ds, store, _, alpha = task_instance(tmp_store, "lr")
+    config = TrainConfig(small_op(budget=store.num_pages), task="lr", mode=mode,
+                         alpha=alpha, iterations=2)
+    metrics = train(ds, store, config).metrics
+    assert metrics.write_backs == store.num_pages
+    assert metrics.phases[writer]["write_backs"] == metrics.write_backs
