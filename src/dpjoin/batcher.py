@@ -13,17 +13,13 @@ costs a batch). It does not minimise the total page requests:
 4 requests, while `[{1}] [{2},{2,3}]` costs 3. `brute_force_batches`
 gives that request minimum by exhaustive search.
 
-`walk_order` orders a U-page's batches, not their vectors: when the budget
-holds little more than one batch, a batch misses roughly the pages the
-batch before it did not hold.
+Batching keeps the order it is given; the order of the batches themselves
+is `reorder.walk_order`'s concern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-
-import numpy as np
 
 from .errors import OversizedVectorError, ValidationError
 
@@ -74,34 +70,6 @@ def greedy_batches(ordered_sets, budget):
     if positions:
         batches.append(Batch(positions, frozenset(union)))
     return batches
-
-
-def walk_order(batches):
-    """The order in which to run `batches`: a nearest-neighbour walk over
-    their page unions (Rosenkrantz, Stearns & Lewis, 1977). It starts at
-    batch 0, and each step goes to the unvisited batch with the fewest
-    pages outside the current one, |B_next - B_cur|, ties to the lower
-    index. Each union is a row of bits over the batches' distinct pages, so
-    a step is one AND and popcount per unvisited batch, and the rows take
-    len(batches) x pages / 8 bytes."""
-    m = len(batches)
-    if m <= 2:
-        return list(range(m))
-    sizes = np.array([len(batch.pages) for batch in batches], dtype=np.int64)
-    pages = np.fromiter(chain.from_iterable(batch.pages for batch in batches),
-                        dtype=np.int64, count=int(sizes.sum()))
-    distinct, column = np.unique(pages, return_inverse=True)
-    bits = np.zeros((m, len(distinct) // 64 + 1), dtype=np.uint64)
-    np.bitwise_or.at(bits, (np.repeat(np.arange(m), sizes), column // 64),
-                     np.left_shift(np.uint64(1), (column % 64).astype(np.uint64)))
-    unvisited = np.arange(1, m)
-    order = [0]
-    for _ in range(m - 1):
-        shared = np.bitwise_count(bits[unvisited] & bits[order[-1]]).sum(axis=1, dtype=np.int64)
-        step = int(np.argmin(sizes[unvisited] - shared))  # the first minimum: the lower index
-        order.append(int(unvisited[step]))
-        unvisited = np.delete(unvisited, step)
-    return order
 
 
 def brute_force_batches(ordered_sets, budget):

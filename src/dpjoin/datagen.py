@@ -17,7 +17,6 @@ _ZIPF_TABLE_LIMIT = 10_000_000
 # Stream tags keep the per-purpose generators independent of each other.
 _TAG_MODEL = 1
 _TAG_EXAMPLE = 2
-_TAG_ZIPF_PERM = 3
 _TAG_MATRIX = 4
 
 
@@ -100,14 +99,12 @@ def _zipf_ranks_by_rejection(rng, d, s, count):
     return out
 
 
-def gen_skewed(n, d, nnz_avg, s=1.0, seed=0, scatter=False):
+def gen_skewed(n, d, nnz_avg, s=1.0, seed=0):
     """Index popularity follows rank^(-s). Per-vector nnz is Poisson around
     nnz_avg (minimum 1), duplicates removed.
 
-    By default rank r maps to index r-1, so popular indexes are contiguous
-    at the low end (the usual layout when feature ids are assigned by
-    frequency). With scatter=True the ranks are spread over the index space
-    by a seeded permutation instead.
+    Rank r maps to index r-1, so popular indexes are contiguous at the low
+    end (the usual layout when feature ids are assigned by frequency).
     """
     _check_size(n, d)
     # An average above d is drawn too (its vectors saturate); 2**62 stays
@@ -117,9 +114,6 @@ def gen_skewed(n, d, nnz_avg, s=1.0, seed=0, scatter=False):
     if not 0 < s < np.inf:  # NaN fails both
         raise ValidationError(f"skew exponent must be finite and > 0, got {s}")
     table = _zipf_cdf_table(d, s) if d <= _ZIPF_TABLE_LIMIT else None
-    rank_to_index = None
-    if scatter:
-        rank_to_index = np.random.default_rng([seed, _TAG_ZIPF_PERM]).permutation(d).astype(np.uint64)
     planted = _planted_model(d, seed)
     vectors = []
     for i in range(n):
@@ -129,7 +123,7 @@ def gen_skewed(n, d, nnz_avg, s=1.0, seed=0, scatter=False):
             ranks = _zipf_ranks_by_table(rng, table, nnz)
         else:
             ranks = _zipf_ranks_by_rejection(rng, d, s, nnz)
-        indexes = np.unique(rank_to_index[ranks] if scatter else ranks.astype(np.uint64))
+        indexes = np.unique(ranks.astype(np.uint64))
         values = rng.uniform(-1.0, 1.0, size=len(indexes))
         vectors.append(SparseVector(i, _label_for(indexes, values, planted), indexes, values))
     return Dataset(d, vectors).validate()

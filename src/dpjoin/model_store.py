@@ -71,9 +71,11 @@ class ModelStore:
         init is "zeros" or ("uniform", lo, hi), which is the constant lo
         when lo == hi; uniform fill is drawn sequentially from a generator
         seeded with `seed`, so identical arguments produce byte-identical
-        files.
+        files. A page size above `dimension` is stored as `dimension`: the
+        model is one page either way, and the file holds no padding past it.
         """
         num_pages = page_count(dimension, page_size)
+        page_size = min(page_size, dimension)
         kind = init[0] if isinstance(init, tuple) else init
         if init != "zeros" and kind != "uniform":
             raise ValidationError(f"unknown model init {init!r}")

@@ -131,11 +131,15 @@ def plan_upage(dataset, start, sets, config, path=None, perm=None):
             if len(union) > config.budget:
                 union = None
                 break
-    if perm is None:
-        perm = np.arange(len(sets)) if union is not None else plan_order(sets, config, path)
-    rows = start + np.asarray(perm, dtype=np.int64)
-    ordered_sets = [sets[p] for p in perm]
+    # An oversized vector is found by k-center's planning, at its position
+    # in `sets`, or by batching, at its position in processing order.
+    rows, ordered_sets = start + np.arange(len(sets)), sets
     try:
+        if perm is None and union is None:
+            perm = plan_order(sets, config, path)
+        if perm is not None:
+            rows = start + np.asarray(perm, dtype=np.int64)
+            ordered_sets = [sets[p] for p in perm]
         return rows, make_batches(ordered_sets, config, union)
     except OversizedVectorError as exc:
         exc.tid = int(dataset.tids[rows[exc.position]])

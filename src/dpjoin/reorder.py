@@ -22,8 +22,12 @@ a minimum Hamiltonian path problem, so three heuristics are provided:
              ids of its buckets. A nearest-neighbor walk then scores only the
              unvisited vectors sharing a bucket with the current one.
 * kcenter -- recursive clustering around randomly seeded centers until each
-             cluster's page union fits the memory budget, then a greedy
-             chain over cluster centers.
+             cluster's page union fits the memory budget; at each level the
+             clusters run in a nearest-neighbour walk over their centers.
+
+Set differences are taken on `page_bits` rows, |A - B| = |A| - popcount(A & B),
+by `objective`, k-center and `walk_order`, which orders k-center's centers
+and training's loss batches; LSH scores its few candidates on frozensets.
 
 All heuristics are deterministic given their seed and return a permutation
 of positions 0..n-1. They take their options as given: 1 <= b <= m and
@@ -38,7 +42,7 @@ import math
 import numpy as np
 
 from .batcher import greedy_batches
-from .errors import PreconditionError, ValidationError
+from .errors import OversizedVectorError, ValidationError
 
 DEFAULT_LSH_HASHES = 16
 DEFAULT_LSH_BANDS = 4
@@ -52,10 +56,48 @@ def objective(order, sets):
     property)."""
     if len(order) != len(sets) or sorted(order) != list(range(len(sets))):
         raise ValidationError("order must be a permutation of range(len(sets))")
-    fsets = [frozenset(s) for s in sets]
-    return sum(
-        len(fsets[order[j + 1]] - fsets[order[j]]) for j in range(len(order) - 1)
-    )
+    bits, sizes = page_bits(sets)
+    order = np.asarray(order, dtype=np.int64)
+    following, current = order[1:], order[:-1]
+    return int((sizes[following] - _popcount(bits[following] & bits[current])).sum())
+
+
+def page_bits(sets):
+    """`sets` as rows of bits over their distinct pages (uint64 words) and
+    the number of pages in each, so that |A - B| = |A| - popcount(A & B).
+    The rows take len(sets) x pages / 8 bytes."""
+    counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    pages = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                        count=int(counts.sum()))
+    distinct, column = np.unique(pages, return_inverse=True)
+    bits = np.zeros((len(sets), len(distinct) // 64 + 1), dtype=np.uint64)
+    np.bitwise_or.at(bits, (np.repeat(np.arange(len(sets)), counts), column // 64),
+                     np.left_shift(np.uint64(1), (column % 64).astype(np.uint64)))
+    return bits, _popcount(bits)
+
+
+def _popcount(rows):
+    """Set bits in each row of `rows` (in the one row, for a 1-d array)."""
+    return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)
+
+
+def walk_order(sets, start=0):
+    """A nearest-neighbour walk over `sets` (Rosenkrantz, Stearns & Lewis,
+    1977): from position `start`, each step goes to the unvisited set with
+    the fewest pages outside the current one, |S_next - S_cur|, ties to the
+    lower position. A step is one AND and popcount per unvisited set on
+    their `page_bits` rows."""
+    if not sets:
+        return []
+    unvisited = np.delete(np.arange(len(sets)), start)
+    bits, sizes = page_bits(sets)
+    order = [start]
+    while len(unvisited):
+        outside = sizes[unvisited] - _popcount(bits[unvisited] & bits[order[-1]])
+        step = int(np.argmin(outside))  # the first minimum: the lower position
+        order.append(int(unvisited[step]))
+        unvisited = np.delete(unvisited, step)
+    return order
 
 
 def reorder_none(n):
@@ -253,71 +295,55 @@ def default_kcenter_k(n, max_set_size, budget):
 
 def kcenter_clusters(sets, budget, k=None, seed=0):
     """Final clusters, each with a page union that fits the budget (or a
-    singleton), concatenated in greedy center-chain order."""
+    singleton), concatenated in the order of a `walk_order` over their
+    centers. Distances and unions are taken on the sets' `page_bits` rows."""
     n = len(sets)
     if n == 0:
         return []
-    fsets = [frozenset(s) for s in sets]
-    max_size = max(len(s) for s in fsets)
-    if budget < max_size:
-        raise PreconditionError(
-            f"budget {budget} smaller than the largest page set ({max_size})"
-        )
+    bits, sizes = page_bits(sets)
+    if sizes.max() > budget:
+        position = int(np.argmax(sizes > budget))
+        raise OversizedVectorError(f"vector at position {position} needs {sizes[position]}"
+                                   f" pages, budget is {budget}", position=position)
     if k is None:
-        k = default_kcenter_k(n, max_size, budget)
-    return _kcenter_split(list(range(n)), fsets, k, budget, seed, depth=0)
+        k = default_kcenter_k(n, int(sizes.max()), budget)
+
+    def split(positions, depth):
+        rows = bits[positions]
+        if len(positions) <= 1 or _popcount(np.bitwise_or.reduce(rows)) <= budget:
+            return [positions.tolist()]
+        if depth >= _KCENTER_MAX_DEPTH:
+            return _chunk_split(positions.tolist(), sets, budget)
+        rng = np.random.default_rng([seed, depth, int(positions[0]), len(positions)])
+        count = min(k, len(positions))
+        centers = np.sort(positions[rng.choice(len(positions), size=count, replace=False)])
+        # Each position's nearest center, the fewest pages outside it, kept
+        # as the centers ascend: the strict `<` leaves ties with the lower
+        # center, and no positions x centers array is built.
+        own = sizes[positions]
+        nearest, least = np.empty_like(positions), np.full(len(positions), budget + 1)
+        for center in centers.tolist():
+            outside = own - _popcount(rows & bits[center])
+            closer = outside < least
+            nearest[closer], least[closer] = center, outside[closer]
+        # A level that puts every member under one center makes no progress;
+        # the depth cap bounds such recursion.
+        live, counts = np.unique(nearest, return_counts=True)
+        members = np.split(positions[np.argsort(nearest, kind="stable")], np.cumsum(counts)[:-1])
+        start = int(rng.integers(len(live))) if len(live) > 1 else 0
+        return [cluster for index in walk_order([sets[c] for c in live.tolist()], start)
+                for cluster in split(members[index], depth + 1)]
+
+    return split(np.arange(n), 0)
 
 
 def reorder_kcenter(sets, budget, k=None, seed=0):
     return [p for cluster in kcenter_clusters(sets, budget, k, seed) for p in cluster]
 
 
-def _kcenter_split(positions, fsets, k, budget, seed, depth):
-    if len(positions) <= 1:
-        return [list(positions)]
-    union = frozenset().union(*(fsets[p] for p in positions))
-    if len(union) <= budget:
-        return [list(positions)]
-    if depth >= _KCENTER_MAX_DEPTH:
-        return _chunk_split(positions, fsets, budget)
-    rng = np.random.default_rng([seed, depth, positions[0], len(positions)])
-    count = min(k, len(positions))
-    centers = sorted(
-        positions[i] for i in rng.choice(len(positions), size=count, replace=False)
-    )
-    members = {c: [] for c in centers}
-    for p in positions:
-        best = min(centers, key=lambda c: (len(fsets[p] - fsets[c]), c))
-        members[best].append(p)
-    # A level that puts every member under one center makes no progress;
-    # the depth cap bounds such recursion.
-    live = [c for c in centers if members[c]]
-    chained = _chain_centers(live, fsets, rng)
-    result = []
-    for center in chained:
-        result.extend(
-            _kcenter_split(members[center], fsets, k, budget, seed, depth + 1)
-        )
-    return result
-
-
-def _chain_centers(centers, fsets, rng):
-    if len(centers) == 1:
-        return list(centers)
-    remaining = list(centers)
-    current = remaining.pop(int(rng.integers(len(remaining))))
-    chain = [current]
-    while remaining:
-        nxt = min(remaining, key=lambda c: (len(fsets[c] - fsets[current]), c))
-        remaining.remove(nxt)
-        chain.append(nxt)
-        current = nxt
-    return chain
-
-
-def _chunk_split(positions, fsets, budget):
+def _chunk_split(positions, sets, budget):
     """Order-preserving fallback: cut into consecutive chunks whose unions fit."""
-    batches = greedy_batches([fsets[p] for p in positions], budget)
+    batches = greedy_batches([sets[p] for p in positions], budget)
     return [[positions[i] for i in batch.positions] for batch in batches]
 
 

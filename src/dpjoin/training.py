@@ -20,13 +20,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .batcher import Batch, walk_order
+from .batcher import Batch
 from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import PHASE_COUNTERS, MetricsReport
 from .model_store import page_count
 from .operator import (OperatorConfig, batch_dot_products, check_inputs, dot_product,
                        execute, finish_report, plan_order, plan_upage, row_sums)
+from .reorder import walk_order
 from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
@@ -168,7 +169,7 @@ def _in_walk_order(rows, batches):
     rows become each batch's rows in that order, and the batches are
     renumbered so that their positions stay consecutive."""
     parts, walked, position = [], [], 0
-    for index in walk_order(batches):
+    for index in walk_order([batch.pages for batch in batches]):
         batch = batches[index]
         first, count = batch.positions[0], len(batch.positions)
         parts.append(rows[first : first + count])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpjoin import OversizedVectorError, ValidationError
-from dpjoin.batcher import Batch, brute_force_batches, greedy_batches, walk_order
+from dpjoin.batcher import Batch, brute_force_batches, greedy_batches
 from dpjoin.datagen import DEMO_PAGE_SIZE, gen_demo
 from dpjoin.reorder import reorder_radix
 from dpjoin.sparse_data import page_request_set
@@ -106,44 +106,3 @@ def test_greedy_minimizes_batch_count(sets, budget):
         if ok:
             best = min(best, count)
     assert len(greedy) == best
-
-
-def reference_walk(batches):
-    """The nearest-neighbour walk by its definition: from batch 0, each step
-    takes the frozenset difference with every unvisited batch and goes to
-    the smallest, ties to the lower index."""
-    order = [0] if batches else []
-    unvisited = list(range(1, len(batches)))
-    while unvisited:
-        current = batches[order[-1]].pages
-        step = min(unvisited, key=lambda index: (len(batches[index].pages - current), index))
-        order.append(step)
-        unvisited.remove(step)
-    return order
-
-
-def as_batches(unions):
-    return [Batch([position], frozenset(pages)) for position, pages in enumerate(unions)]
-
-
-def test_walk_breaks_ties_to_the_lower_index():
-    # From {1, 2}: {1} adds no page, so it is next; from {1}, {3} and {4}
-    # each add one page, and the lower index goes first.
-    assert walk_order(as_batches([{1, 2}, {3}, {4}, {1}])) == [0, 3, 1, 2]
-
-
-@pytest.mark.parametrize("unions", [[], [{5}], [{1, 2}, {1}], [set(), {3}]])
-def test_walk_keeps_two_batches_or_fewer_in_order(unions):
-    assert walk_order(as_batches(unions)) == list(range(len(unions)))
-
-
-# Pages from a narrow range make ties likely; ids past 64 and 128 cross the
-# walk's bit words, and a large id checks that pages are compacted.
-page_ids = st.integers(0, 9) | st.integers(60, 140) | st.just(10**9)
-
-
-@settings(max_examples=200, deadline=None)
-@given(unions=st.lists(st.sets(page_ids, max_size=12), max_size=14))
-def test_walk_matches_reference(unions):
-    batches = as_batches(unions)
-    assert walk_order(batches) == reference_walk(batches)

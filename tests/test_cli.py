@@ -421,8 +421,10 @@ def _cli_argv(draw):
     if flag is not None:
         choices = EXTREMES
         if flag == "--lsh-hashes":
-            # Past the hash ceiling, not huge; as a page size it would write a 40 MB model.
-            choices += (5_000_000,)
+            choices += (5_000_000,)  # past the hash ceiling, not huge
+        elif flag == "--page-size":
+            # Valid but far above the dimension: a new model is still one page of 100 entries.
+            choices += (draw(st.integers(10**6, 2**40)),)
         elif flag == "--iterations":
             # A huge count is a valid request for a run without end: only negatives.
             choices = (-HUGE, -1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpjoin import ModelStore, StoreError
+from dpjoin.model_store import HEADER_SIZE
 
 
 def test_create_zeros_and_read(tmp_store):
@@ -55,6 +56,16 @@ def test_write_page_persists(tmp_path):
         assert again.page_size == 4
         assert list(again.read_page(1)) == [1.0, 2.0, 3.0, 4.0]
         assert not again.read_page(0).any()
+
+
+def test_page_size_above_the_dimension_writes_one_unpadded_page(tmp_path):
+    path = tmp_path / "m.model"
+    with ModelStore.create(str(path), 100, 2**40, init=("uniform", -1.0, 1.0)) as store:
+        assert (store.num_pages, store.page_size) == (1, 100)
+    assert path.stat().st_size == HEADER_SIZE + 100 * 8
+    with ModelStore.open(str(path)) as again:
+        assert again.page_size == 100
+        assert len(np.unique(again.load_dense())) == 100
 
 
 def test_write_page_checks_page_id_and_length(tmp_store):

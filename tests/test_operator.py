@@ -138,12 +138,16 @@ def test_bad_budget_rejected(tmp_store):
         run(ds, store, OperatorConfig(budget=11))
 
 
-def test_oversized_vector_carries_tid(tmp_store):
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_oversized_vector_carries_tid(tmp_store, heuristic):
     ds = gen_uniform(10, 400, 8, seed=2)
     store = tmp_store(400, 8)          # 50 pages, sets up to 8 pages
     with pytest.raises(OversizedVectorError) as err:
-        run(ds, store, OperatorConfig(budget=2, batching=False))
-    assert err.value.tid == 0
+        run(ds, store, OperatorConfig(budget=2, reorder=heuristic, batching=False))
+    assert err.value.tid in ds.tids
+    assert f"tid {err.value.tid} " in str(err.value)
+    if heuristic in ("none", "kcenter"):  # both find the first in file order
+        assert err.value.tid == 0
 
 
 def test_results_are_streamed_not_buffered(tmp_store):

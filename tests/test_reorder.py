@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpjoin import ValidationError
+from dpjoin.batcher import greedy_batches
 from dpjoin.datagen import DEMO_PAGE_SIZE, gen_demo, gen_skewed
 from dpjoin.reorder import (HEURISTICS, LshIndex, _nearest_neighbor_walk,
                             default_kcenter_k, kcenter_clusters,
-                            minwise_params, objective, reorder, reorder_lsh,
-                            reorder_none, reorder_radix, reorder_shuffle,
-                            signature_matrix)
+                            minwise_params, objective, reorder, reorder_kcenter,
+                            reorder_lsh, reorder_none, reorder_radix,
+                            reorder_shuffle, signature_matrix, walk_order)
 from dpjoin.sparse_data import page_request_set
 
 from conftest import minwise_signature, page_frequency_order
@@ -42,6 +43,28 @@ def test_objective_rejects_non_permutation():
         objective([0, 0, 1], [(0,), (1,), (2,)])
     with pytest.raises(ValidationError):
         objective([0, 1], [(0,), (1,), (2,)])
+
+
+def reference_objective(order, sets):
+    """`objective` by its definition, on frozenset differences."""
+    fsets = [frozenset(s) for s in sets]
+    return sum(len(fsets[b] - fsets[a]) for a, b in zip(order, order[1:]))
+
+
+# Pages from a narrow range make ties likely; ids past 64 and 128 cross the
+# bit rows' words, and a large id checks that pages are compacted.
+page_ids = st.integers(0, 9) | st.integers(60, 140) | st.just(10**9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(page_ids, max_size=12), min_size=1, max_size=30), st.randoms())
+@example(sets=[()], random=None)
+@example(sets=[(3, 3, 3), (3,), (), (3, 64)], random=None)  # repeated pages, an empty set
+def test_objective_matches_reference(sets, random):
+    order = list(range(len(sets)))
+    if random is not None:
+        random.shuffle(order)
+    assert objective(order, sets) == reference_objective(order, sets)
 
 
 def test_page_frequency_order():
@@ -202,7 +225,7 @@ class ReferenceLshIndex:
         return found
 
 
-def reference_walk(fsets, index, start):
+def reference_lsh_walk(fsets, index, start):
     """Nearest-neighbor walk: score every candidate in ascending position,
     keep the first strictly smaller difference, stop at 0; at a dead end take
     the lowest unvisited position."""
@@ -232,7 +255,7 @@ def reference_reorder_lsh(sets, m, b, seed):
     params = minwise_params(m, seed)
     index = ReferenceLshIndex([minwise_signature(s, params) for s in sets], b)
     start = int(np.random.default_rng(seed).integers(len(sets)))
-    return reference_walk([frozenset(s) for s in sets], index, start)
+    return reference_lsh_walk([frozenset(s) for s in sets], index, start)
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,6 +287,97 @@ def test_lsh_demo_is_permutation_and_helps():
     order = reorder_lsh(DEMO_SETS, m=16, b=8, seed=3)
     assert sorted(order) == list(range(8))
     assert objective(order, DEMO_SETS) <= objective(list(range(8)), DEMO_SETS)
+
+
+def reference_walk(sets, start):
+    """The nearest-neighbour walk by its definition: from `start`, each step
+    takes the frozenset difference with every unvisited set and goes to
+    the smallest, ties to the lower position."""
+    fsets = [frozenset(s) for s in sets]
+    order = [start]
+    unvisited = [position for position in range(len(sets)) if position != start]
+    while unvisited:
+        current = fsets[order[-1]]
+        step = min(unvisited, key=lambda position: (len(fsets[position] - current), position))
+        order.append(step)
+        unvisited.remove(step)
+    return order
+
+
+def test_walk_breaks_ties_to_the_lower_index():
+    # From {1, 2}: {1} adds no page, so it is next; from {1}, {3} and {4}
+    # each add one page, and the lower index goes first.
+    sets = [{1, 2}, {3}, {4}, {1}]
+    assert walk_order(sets) == [0, 3, 1, 2]
+    # From {4}: {3} and {1} each add one page, and {3} is the lower.
+    assert walk_order(sets, start=2) == [2, 1, 3, 0]
+
+
+@pytest.mark.parametrize("sets", [[], [{5}], [{1, 2}, {1}], [set(), {3}]])
+def test_walk_keeps_two_sets_or_fewer_in_order(sets):
+    assert walk_order(sets) == list(range(len(sets)))
+    if len(sets) == 2:
+        assert walk_order(sets, start=1) == [1, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets=st.lists(st.sets(page_ids, max_size=12), min_size=1, max_size=14))
+def test_walk_matches_reference(sets):
+    for start in range(len(sets)):
+        assert walk_order(sets, start) == reference_walk(sets, start)
+
+
+def reference_kcenter(sets, budget, k=None, seed=0):
+    """`kcenter_clusters` as first written, on frozensets: each member goes
+    to the center with the fewest of its pages outside it, ties to the
+    lower center, and the live centers are chained greedily from a
+    randomly drawn one, each step to the center with the fewest pages
+    outside the current one, ties to the lower center."""
+    fsets = [frozenset(s) for s in sets]
+    if k is None:
+        k = default_kcenter_k(len(sets), max(map(len, fsets)), budget)
+
+    def split(positions, depth):
+        if len(positions) <= 1 or len(frozenset().union(*(fsets[p] for p in positions))) <= budget:
+            return [list(positions)]
+        if depth >= reorder_module._KCENTER_MAX_DEPTH:
+            batches = greedy_batches([fsets[p] for p in positions], budget)
+            return [[positions[i] for i in batch.positions] for batch in batches]
+        rng = np.random.default_rng([seed, depth, positions[0], len(positions)])
+        count = min(k, len(positions))
+        centers = sorted(positions[i] for i in rng.choice(len(positions), size=count, replace=False))
+        members = {c: [] for c in centers}
+        for p in positions:
+            members[min(centers, key=lambda c: (len(fsets[p] - fsets[c]), c))].append(p)
+        remaining = [c for c in centers if members[c]]
+        chain = [remaining.pop(int(rng.integers(len(remaining))) if len(remaining) > 1 else 0)]
+        while remaining:
+            step = min(remaining, key=lambda c: (len(fsets[c] - fsets[chain[-1]]), c))
+            remaining.remove(step)
+            chain.append(step)
+        return [cluster for c in chain for cluster in split(members[c], depth + 1)]
+
+    return split(list(range(len(sets))), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(page_ids, min_size=1, max_size=6), min_size=1, max_size=40),
+       st.integers(0, 12), st.none() | st.integers(2, 12),
+       st.integers(0, 2**32 - 1) | st.lists(st.integers(0, 9), min_size=1, max_size=3))
+@example(sets=[{i} for i in range(40)], slack=0, k=2, seed=0)  # reaches the depth cap
+@example(sets=[{1, 2}] * 20, slack=0, k=None, seed=5)         # all sets identical
+@example(sets=[{i % 5, 7} for i in range(30)], slack=1, k=30, seed=1)  # k = n
+def test_kcenter_matches_reference(sets, slack, k, seed):
+    budget = max(map(len, sets)) + slack
+    assert kcenter_clusters(sets, budget, k, seed) == reference_kcenter(sets, budget, k, seed)
+
+
+@pytest.mark.parametrize("budget", [20, 98, 391])
+def test_kcenter_matches_reference_on_a_skewed_upage(skewed_upage, budget):
+    order = reorder_kcenter(skewed_upage, budget, seed=[0, 1])
+    assert order == [p for cluster in reference_kcenter(skewed_upage, budget, seed=[0, 1])
+                     for p in cluster]
+    assert objective(order, skewed_upage) == reference_objective(order, skewed_upage)
 
 
 class TestKcenter:

@@ -7,11 +7,10 @@ import pytest
 
 from dpjoin import (Dataset, OperatorConfig, OversizedVectorError, ValidationError,
                     run)
-from dpjoin.batcher import walk_order
 from dpjoin.datagen import gen_matrix, gen_uniform
 from dpjoin.metrics import PHASE_COUNTERS
 from dpjoin.operator import plan_upage
-from dpjoin.reorder import HEURISTICS, reorder_radix
+from dpjoin.reorder import HEURISTICS, reorder_radix, walk_order
 from dpjoin.training import (LmfLayout, TrainConfig, iteration_plan,
                              lmf_cell_gradient, lmf_loss, lr_loss, lr_scale,
                              train, train_oracle)
@@ -98,8 +97,9 @@ def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, he
                != list(range(stop - start)) for start, stop in bounds)
     if batching and task == "lr":  # the lmf instance's walks keep greedy order
         radix = dataclasses.replace(op, reorder="radix")
-        walks = [walk_order(plan_upage(ds, start, ds.page_sets(start, stop, store.page_size),
-                                       radix, (upage_index,))[1])
+        walks = [walk_order([batch.pages for batch in plan_upage(
+                     ds, start, ds.page_sets(start, stop, store.page_size), radix,
+                     (upage_index,))[1]])
                  for upage_index, (start, stop) in enumerate(bounds)]
         assert any(walk != sorted(walk) for walk in walks)
     initial = store.load_dense()
@@ -259,7 +259,8 @@ def test_a_loss_pass_costs_what_the_radix_join_costs(tmp_store, monkeypatch, tas
     def planned(dataset, *args, **kwargs):
         rows, batches = plan_upage(dataset, *args, **kwargs)
         walked.append([(dataset.tids[rows[b.positions]].tolist(), b.pages)
-                       for b in (batches[index] for index in walk_order(batches))])
+                       for b in (batches[index]
+                                 for index in walk_order([b.pages for b in batches]))])
         return rows, batches
 
     monkeypatch.setattr(operator, "plan_upage", planned)
@@ -382,15 +383,15 @@ def test_only_the_loss_plan_walks(tmp_store, monkeypatch):
     """`run` and the update passes run their batches in greedy order: the
     walk runs once per U-page of the loss plan, when `train` builds it, and
     not at all with batching off."""
-    from dpjoin import batcher, operator, training
+    from dpjoin import operator, training
 
     calls = []
 
-    def spy(batches):
-        calls.append(len(batches))
-        return walk_order(batches)
+    def spy(sets, start=0):
+        calls.append(len(sets))
+        return walk_order(sets, start)
 
-    for module in (batcher, operator, training):
+    for module in (operator, training):  # k-center's walk over centers stays out
         if hasattr(module, "walk_order"):
             monkeypatch.setattr(module, "walk_order", spy)
     ds, store, budget, alpha = task_instance(tmp_store, "lr")
