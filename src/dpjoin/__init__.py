@@ -7,7 +7,7 @@ down. Gradient descent (logistic regression and low-rank matrix
 factorization) runs through the same machinery.
 """
 
-from .batcher import Batch, brute_force_batches, greedy_batches
+from .batcher import Batch, greedy_batches
 from .buffer_manager import BufferManager
 from .errors import (
     DpjoinError,

@@ -10,8 +10,7 @@ any split into consecutive runs whose page unions fit the budget (every
 sub-run of a feasible run is feasible, so closing a batch late never
 costs a batch). It does not minimise the total page requests:
 `{1} {2} {2,3}` at budget 2 splits greedily into `[{1},{2}] [{2,3}]`,
-4 requests, while `[{1}] [{2},{2,3}]` costs 3. `brute_force_batches`
-gives that request minimum by exhaustive search.
+4 requests, while `[{1}] [{2},{2,3}]` costs 3.
 
 Batching keeps the order it is given; the order of the batches themselves
 is `reorder.walk_order`'s concern.
@@ -21,9 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OversizedVectorError, ValidationError
-
-_BRUTE_FORCE_LIMIT = 20
+from .errors import OversizedVectorError
 
 
 @dataclass
@@ -53,8 +50,8 @@ def greedy_batches(ordered_sets, budget):
     """Maximal consecutive batches whose page unions fit in `budget`.
 
     The result has the fewest batches of any budget-feasible split into
-    consecutive runs. Its total page requests can exceed the minimum
-    that `brute_force_batches` finds (see the module docstring).
+    consecutive runs. Its total page requests can exceed the minimum of
+    any such split (see the module docstring).
     """
     batches = []
     positions = []
@@ -70,36 +67,3 @@ def greedy_batches(ordered_sets, budget):
     if positions:
         batches.append(Batch(positions, frozenset(union)))
     return batches
-
-
-def brute_force_batches(ordered_sets, budget):
-    """Exact minimum of the total page requests over every feasible
-    split of the sequence into consecutive batches. Exponential in n;
-    refuses n > 20."""
-    n = len(ordered_sets)
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValidationError(f"brute force capped at n <= {_BRUTE_FORCE_LIMIT}, got {n}")
-    fsets = [s for _, s in fitting_sets(ordered_sets, budget)]
-    if n == 0:
-        return 0
-    best = None
-    # Each of the 2^(n-1) cut masks encodes one split into consecutive runs.
-    for mask in range(1 << (n - 1)):
-        total = 0
-        union = set(fsets[0])
-        feasible = True
-        for j in range(1, n):
-            if mask & (1 << (j - 1)):
-                total += len(union)
-                union = set(fsets[j])
-            else:
-                union |= fsets[j]
-                if len(union) > budget:
-                    feasible = False
-                    break
-        if not feasible:
-            continue
-        total += len(union)
-        if best is None or total < best:
-            best = total
-    return best

@@ -168,9 +168,6 @@ class BufferManager:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def resident_pages(self):
-        return set(self._resident)
-
     def pinned_pages(self):
         return set(self._pins)
 

@@ -34,8 +34,8 @@ class MetricsReport:
     upage_count: int = 0        # U-pages planned; in training, iterations x U-pages (the
                                 # loss plan's U-pages are not counted)
     distinct_pages: int = 0
-    reorder_time: float = 0.0   # planning: U-page orders and their batches (training:
-                                # iteration_plan, the update passes' and the loss plan's)
+    reorder_time: float = 0.0   # planning: U-page orders, their batches and batch walks
+                                # (training: the loss plan and every iteration_plan call)
     io_time: float = 0.0        # page reads and writes of this run only, on a shared store too
     compute_time: float = 0.0   # visiting pinned batches: dot products, updates, loss terms
     config: dict = field(default_factory=dict)

@@ -28,7 +28,7 @@ from .batcher import Batch, fitting_sets, greedy_batches
 from .buffer_manager import BufferManager
 from .errors import OversizedVectorError, ValidationError
 from .metrics import MetricsReport
-from .reorder import MAX_LSH_HASHES, reorder
+from .reorder import MAX_LSH_HASHES, reorder, walk_order
 
 
 @dataclass
@@ -146,6 +146,21 @@ def plan_upage(dataset, start, sets, config, path=None, perm=None):
         exc.args = (f"vector tid {exc.tid} needs {len(set(ordered_sets[exc.position]))}"
                     f" pages, budget is {config.budget}",)
         raise
+
+
+def walk_batches(rows, batches):
+    """`rows`, a U-page's rows (or permutation) in processing order, and its
+    `batches`, with the batches in `walk_order`: the rows become each
+    batch's rows in that order, and the batches, as cut, are renumbered so
+    that their positions stay consecutive."""
+    parts, walked, position = [], [], 0
+    for index in walk_order([batch.pages for batch in batches]):
+        batch = batches[index]
+        first, count = batch.positions[0], len(batch.positions)
+        parts.append(rows[first : first + count])
+        walked.append(Batch(list(range(position, position + count)), batch.pages))
+        position += count
+    return np.concatenate(parts), walked
 
 
 def execute(manager, data, batches, visit, report, dirty=False):

@@ -7,9 +7,10 @@ schedules are supported: per-example updates while the example's pages are
 pinned ("sgd"), one accumulated update per U-page ("sgd-page"), and one
 update per full pass ("bgd").
 
-train_oracle replays the exact same plan on an in-memory array with the
-same accumulation order, so its per-iteration losses are bit-identical to
-the out-of-core path; it is the reference the paged path is tested against.
+train_oracle derives the same update order as `iteration_plan` on its own
+and replays it on an in-memory array with the same accumulation order, so
+its per-iteration losses are bit-identical to the out-of-core path; it is
+the reference the paged path is tested against.
 """
 
 from __future__ import annotations
@@ -20,17 +21,18 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .batcher import Batch
+from .batcher import greedy_batches
 from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import PHASE_COUNTERS, MetricsReport
 from .model_store import page_count
 from .operator import (OperatorConfig, batch_dot_products, check_inputs, dot_product,
-                       execute, finish_report, plan_order, plan_upage, row_sums)
-from .reorder import walk_order
+                       execute, finish_report, plan_order, plan_upage, row_sums,
+                       walk_batches)
 from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
+_SEEDLESS = ("none", "radix")  # reorders that read no seed: one plan serves every iteration
 
 
 @dataclass
@@ -143,39 +145,43 @@ def lmf_loss(dataset, dense_model, layout):
 # -- shared plan ---------------------------------------------------------------------
 
 
-def iteration_plan(sets_by_upage, config, iteration):
-    """Visit order of U-pages plus the permutation inside each one.
+def _upage_order(count, config, iteration):
+    """The order in which an iteration visits `count` U-pages: shuffled,
+    seeded by the iteration, when `config.shuffle_upages`."""
+    order = list(range(count))
+    if config.shuffle_upages and count > 1:
+        rng = np.random.default_rng([config.operator.seed, _TAG_UPAGE_ORDER, iteration])
+        order = [int(i) for i in rng.permutation(count)]
+    return order
 
-    Depends only on the page-request sets and the seeds, never on model
-    values, so the paged path and the in-memory oracle derive identical
-    plans.
+
+def iteration_plan(dataset, sets_by_upage, config, iteration, plans=None):
+    """An update pass's plan: `(upage_index, rows, batches)` for each U-page
+    of `dataset` in `_upage_order`, `rows` in processing order. `plan_order`
+    orders the U-page's vectors (seeded by `(iteration, upage_index)`),
+    `plan_upage` cuts them into batches, and with batching on the batches,
+    as cut, run in `walk_order` (`walk_batches`).
+
+    Depends only on the page-request sets `sets_by_upage` and the seeds,
+    never on model values, so `train_oracle` can derive the same order. A
+    U-page's plan under a reorder that reads no seed is the same at every
+    iteration: it is kept in `plans`, when given, and replayed from there.
     """
     op = config.operator
-    order = list(range(len(sets_by_upage)))
-    if config.shuffle_upages and len(order) > 1:
-        rng = np.random.default_rng([op.seed, _TAG_UPAGE_ORDER, iteration])
-        order = [int(i) for i in rng.permutation(len(order))]
-    return [
-        (upage_index, plan_order(sets_by_upage[upage_index], op, (iteration, upage_index)))
-        for upage_index in order
-    ]
+    order = _upage_order(len(sets_by_upage), config, iteration)
+    if plans is None or op.reorder not in _SEEDLESS:
+        plans = {}
+    bounds = dataset.upage_bounds(op.upage)
+    for upage_index in order:
+        if upage_index not in plans:
+            sets = sets_by_upage[upage_index]
+            perm = plan_order(sets, op, (iteration, upage_index))
+            rows, batches = plan_upage(dataset, bounds[upage_index][0], sets, op, perm=perm)
+            plans[upage_index] = walk_batches(rows, batches) if op.batching else (rows, batches)
+    return [(upage_index, *plans[upage_index]) for upage_index in order]
 
 
 # -- the paged trainer -------------------------------------------------------------
-
-
-def _in_walk_order(rows, batches):
-    """A U-page's rows and batches with the batches in `walk_order`: the
-    rows become each batch's rows in that order, and the batches are
-    renumbered so that their positions stay consecutive."""
-    parts, walked, position = [], [], 0
-    for index in walk_order([batch.pages for batch in batches]):
-        batch = batches[index]
-        first, count = batch.positions[0], len(batch.positions)
-        parts.append(rows[first : first + count])
-        walked.append(Batch(list(range(position, position + count)), batch.pages))
-        position += count
-    return np.concatenate(parts), walked
 
 
 def _apply_gradient(manager, grad, alpha, budget):
@@ -212,6 +218,14 @@ def train(dataset, store, config):
     the accumulated updates share one residual kernel per task:
     `batch_dot_products` for lr, `cell_errors` for lmf.
 
+    An update pass runs `iteration_plan`'s plan, which `train_oracle`
+    replays: `config.operator.reorder`'s order, cut greedily, with each
+    U-page's batches in `walk_order` when batching is on. Under `none` and
+    `radix`, which read no seed, a U-page's update plan is built once, in
+    the first iteration, and replayed on every pass; the other reorders
+    plan every iteration. `iteration_plan` is called once per iteration,
+    after the initial loss pass, so no update plan is built before it.
+
     With batching on, a U-page whose page union fits the budget is one
     batch, and greedy batching does not run: a loss pass runs it in file
     order, without the radix reorder, and an update pass in
@@ -237,9 +251,10 @@ def train(dataset, store, config):
     loss_plan = [plan_upage(dataset, start, sets, loss_op, (upage_index,))
                  for upage_index, ((start, _), sets) in enumerate(zip(bounds, sets_by_upage))]
     if op.batching:
-        loss_plan = [_in_walk_order(rows, batches) for rows, batches in loss_plan]
+        loss_plan = [walk_batches(rows, batches) for rows, batches in loss_plan]
     report.reorder_time += time.perf_counter() - started
     grad = {}  # index -> gradient sum, for sgd-page and bgd
+    update_plans = {}  # upage_index -> (rows, batches), under a reorder that reads no seed
     loss_by_row = np.empty(len(dataset))  # a loss pass's terms, at their vectors' file rows
 
     def cell_errors(data, start, stop, at):
@@ -319,16 +334,10 @@ def train(dataset, store, config):
     iteration = 0
     while not diverged and iteration < config.iterations:
         started = time.perf_counter()
-        plan = iteration_plan(sets_by_upage, config, iteration)
+        plan = iteration_plan(dataset, sets_by_upage, config, iteration, update_plans)
         report.reorder_time += time.perf_counter() - started
         report.upage_count += len(plan)
-        for upage_index, perm in plan:
-            # The permutation stays even for a U-page that is one batch: it
-            # sets the order of the updates, which train_oracle replays.
-            started = time.perf_counter()
-            rows, batches = plan_upage(dataset, bounds[upage_index][0],
-                                       sets_by_upage[upage_index], op, perm=perm)
-            report.reorder_time += time.perf_counter() - started
+        for _, rows, batches in plan:
             charged("update", execute, manager, dataset.take(rows), batches, update,
                     report, dirty=config.mode == "sgd")
             if config.mode == "sgd-page":
@@ -348,7 +357,14 @@ def train(dataset, store, config):
 
 def train_oracle(dataset, initial_model, config, page_size):
     """Same plan, same arithmetic, no paging. `page_size` only shapes the
-    page-request sets that drive reordering and batching decisions."""
+    page-request sets that drive reordering and batching decisions.
+
+    The update order is `iteration_plan`'s, derived afresh at every
+    iteration and without `plan_upage`: `_upage_order`, each U-page's
+    `plan_order` permutation and, with batching on, its greedy batches in
+    `walk_order`. A U-page whose union fits is one greedy batch, as it is
+    one batch in `plan_upage`. So a plan that `train` replays is checked
+    against a new one."""
     config.check(page_count(dataset.dimension, page_size))
     layout = LmfLayout.from_dataset(dataset) if config.task == "lmf" else None
     op = config.operator
@@ -357,6 +373,13 @@ def train_oracle(dataset, initial_model, config, page_size):
         raise ValidationError("initial model smaller than the dataset dimension")
     upages = [chunk for _, chunk in dataset.iter_upages(op.upage)]
     sets_by_upage = [[page_request_set(v, page_size) for v in chunk] for chunk in upages]
+
+    def update_order(upage_index, iteration):
+        sets = sets_by_upage[upage_index]
+        perm = np.asarray(plan_order(sets, op, (iteration, upage_index)), dtype=np.int64)
+        if op.batching:
+            perm, _ = walk_batches(perm, greedy_batches([sets[p] for p in perm], op.budget))
+        return perm.tolist()
 
     def loss_now():
         if config.task == "lr":
@@ -376,14 +399,13 @@ def train_oracle(dataset, initial_model, config, page_size):
 
     iteration = 0
     while not diverged and iteration < config.iterations:
-        plan = iteration_plan(sets_by_upage, config, iteration)
         if config.mode == "bgd":
             grad.fill(0.0)
-        for upage_index, perm in plan:
+        for upage_index in _upage_order(len(upages), config, iteration):
             chunk = upages[upage_index]
             if config.mode == "sgd-page":
                 grad.fill(0.0)
-            for position in perm:
+            for position in update_order(upage_index, iteration):
                 vector = chunk[position]
                 if config.task == "lr":
                     scale = lr_scale(vector.label, dot_product(vector, model))

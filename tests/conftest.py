@@ -5,8 +5,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dpjoin import Dataset, ModelStore, SparseVector
+from dpjoin import Dataset, ModelStore, SparseVector, ValidationError
+from dpjoin.batcher import fitting_sets
 from dpjoin.reorder import _scramble
+
+BRUTE_FORCE_LIMIT = 20
 
 
 @pytest.fixture
@@ -57,6 +60,44 @@ def random_sets(rng, n, universe, max_size):
 
 def total_requests(batches):
     return sum(b.request_count for b in batches)
+
+
+def brute_force_batches(ordered_sets, budget):
+    """Exact minimum of the total page requests over every feasible
+    split of the sequence into consecutive batches. Exponential in n;
+    refuses n > 20."""
+    n = len(ordered_sets)
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValidationError(f"brute force capped at n <= {BRUTE_FORCE_LIMIT}, got {n}")
+    fsets = [s for _, s in fitting_sets(ordered_sets, budget)]
+    if n == 0:
+        return 0
+    best = None
+    # Each of the 2^(n-1) cut masks encodes one split into consecutive runs.
+    for mask in range(1 << (n - 1)):
+        total = 0
+        union = set(fsets[0])
+        feasible = True
+        for j in range(1, n):
+            if mask & (1 << (j - 1)):
+                total += len(union)
+                union = set(fsets[j])
+            else:
+                union |= fsets[j]
+                if len(union) > budget:
+                    feasible = False
+                    break
+        if not feasible:
+            continue
+        total += len(union)
+        if best is None or total < best:
+            best = total
+    return best
+
+
+def resident_pages(manager):
+    """The pages resident in `manager`: the keys of its residency map."""
+    return set(manager._resident)
 
 
 def page_frequency_order(sets):

@@ -13,7 +13,7 @@ import pytest
 
 from dpjoin import (CollectSink, ModelStore, OperatorConfig,
                     oracle_dot_products, run)
-from dpjoin.batcher import brute_force_batches, greedy_batches
+from dpjoin.batcher import greedy_batches
 from dpjoin.cli import parse_budget
 from dpjoin.datagen import (DEMO_DIMENSION, DEMO_PAGE_SIZE, gen_demo,
                             gen_matrix, gen_skewed, gen_uniform)
@@ -22,7 +22,8 @@ from dpjoin.sparse_data import page_request_set
 from dpjoin.training import (LmfLayout, TrainConfig, lmf_cell_gradient,
                              lmf_loss, lr_loss, lr_scale, train)
 
-from conftest import minwise_signature, page_frequency_order, total_requests
+from conftest import (brute_force_batches, minwise_signature, page_frequency_order,
+                      total_requests)
 
 
 def make_store(tmp_path, dimension, page_size, init="zeros", seed=0,

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpjoin import OversizedVectorError, ValidationError
-from dpjoin.batcher import Batch, brute_force_batches, greedy_batches
+from dpjoin.batcher import Batch, greedy_batches
 from dpjoin.datagen import DEMO_PAGE_SIZE, gen_demo
 from dpjoin.reorder import reorder_radix
 from dpjoin.sparse_data import page_request_set
 
-from conftest import total_requests
+from conftest import brute_force_batches, total_requests
 
 
 def demo_sets_radix_order():

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from dpjoin import BufferManager, ModelStore, PreconditionError, StoreError
 
+from conftest import resident_pages
+
 
 def manager(tmp_store, capacity, num_pages=8, page_size=4):
     store = tmp_store(num_pages * page_size, page_size)
@@ -45,7 +47,7 @@ def test_lru_eviction_order(tmp_store):
     bm.unpin_set([0, 1])
     bm.request_set([2])
     bm.unpin_set([2])
-    assert bm.resident_pages() == {0, 2}
+    assert resident_pages(bm) == {0, 2}
 
 
 def test_pinned_never_evicted(tmp_store):
@@ -56,8 +58,8 @@ def test_pinned_never_evicted(tmp_store):
     bm.unpin_set([2])
     bm.request_set([3])
     bm.unpin_set([3])
-    assert {0, 1} <= bm.resident_pages()
-    assert 2 not in bm.resident_pages()
+    assert {0, 1} <= resident_pages(bm)
+    assert 2 not in resident_pages(bm)
     bm.unpin_set([0, 1])
 
 
@@ -74,7 +76,7 @@ def test_refused_request_changes_nothing(tmp_store):
     with pytest.raises(PreconditionError):
         bm.request_set([2, 3])   # one free frame for two misses
     assert bm.pinned_pages() == {0, 1}
-    assert bm.resident_pages() == {0, 1}
+    assert resident_pages(bm) == {0, 1}
     assert (bm.page_requests, bm.page_misses, bm.store.reads) == (2, 2, 2)
     bm.unpin_set([0, 1])
     bm.request_set([2, 3, 4])
@@ -172,7 +174,7 @@ def test_trace_invariants(tmp_path_factory, trace, capacity):
             for pages in trace:
                 bm.request_set(pages)
                 bm.unpin_set(pages)
-                assert len(bm.resident_pages()) <= cap
+                assert len(resident_pages(bm)) <= cap
         return bm
 
     got = replay(capacity)
@@ -223,7 +225,7 @@ def test_failed_read_releases_the_requests_pins(tmp_path):
         with pytest.raises(StoreError):
             bm.request_set([0, 7])       # page 7 is cut short
         assert bm.pinned_pages() == set()
-        assert bm.resident_pages() == {0}
+        assert resident_pages(bm) == {0}
         assert bm.page_misses == store.reads == 1
         bm.request_set([1, 2])           # both frames are free to take
         assert bm.pinned_pages() == {1, 2}
@@ -245,7 +247,7 @@ def test_failed_write_back_keeps_the_page_resident_and_dirty(tmp_store, monkeypa
     with pytest.raises(StoreError):
         bm.request_set([2, 3])           # page 2 evicts clean page 1, page 3 dirty page 0
     assert bm.pinned_pages() == set()
-    assert bm.resident_pages() == {0, 2}
+    assert resident_pages(bm) == {0, 2}
     assert bm.write_backs == 0
     monkeypatch.setattr(bm.store, "write_page", real_write)
     bm.request_set([2, 3])
@@ -393,7 +395,7 @@ def test_matches_reference_lru(tmp_path_factory, steps, capacity):
                 written.add(page_id)
                 ref.write(page_id, step[2], step[3])
             assert bm.evicted == ref.evicted
-            assert bm.resident_pages() == set(ref.cached)
+            assert resident_pages(bm) == set(ref.cached)
             assert bm.pinned_pages() == {p for p, c in ref.pins.items() if c > 0}
         assert bm.misses_by_page == ref.misses_by_page
         for request in pinned:

@@ -110,6 +110,21 @@ def test_exit_codes(tmp_path):
                  "--no-batching"]) == 3
 
 
+def test_train_names_the_tid_of_a_vector_over_the_budget(tmp_path, capsys):
+    """Tid 103 spans 3 pages of 8 entries; a 2-page budget cannot hold it."""
+    data = tmp_path / "d.txt"
+    lines = [f"{100 + i} 1.0 {8 * i}:1" for i in range(6)]
+    lines[3] = "103 1.0 0:1 8:1 16:1"
+    data.write_text("# d=64\n" + "\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--data-format", "txt", "--task", "lr",
+                 "--model", str(tmp_path / "m.model"), "--page-size", "8", "--budget", "2",
+                 "--reorder", "none", "--iterations", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "vector tid 103 needs 3 pages, budget is 2" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "train"])
 def test_model_of_another_dimension_exits_2(tmp_path, capsys, command):
     data = str(tmp_path / "d.bin")

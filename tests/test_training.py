@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dpjoin import (Dataset, OperatorConfig, OversizedVectorError, ValidationErr
                     run)
 from dpjoin.datagen import gen_matrix, gen_uniform
 from dpjoin.metrics import PHASE_COUNTERS
-from dpjoin.operator import plan_upage
+from dpjoin.operator import make_batches, plan_order, plan_upage
 from dpjoin.reorder import HEURISTICS, reorder_radix, walk_order
 from dpjoin.training import (LmfLayout, TrainConfig, iteration_plan,
                              lmf_cell_gradient, lmf_loss, lr_loss, lr_scale,
@@ -66,13 +67,14 @@ class TestLmfPieces:
         assert np.allclose(grad_col, (0.5 - 2.0) * row)
 
 
-def task_instance(tmp_store, task):
+def task_instance(tmp_store, task, name="m.model"):
     """A small dataset and model of `task`, their budget and step size."""
+    init = ("uniform", -0.2, 0.2)
     if task == "lr":
         ds = gen_uniform(48, 256, 5, seed=4)
-        return ds, tmp_store(256, 16, init=("uniform", -0.2, 0.2), seed=6), 8, 0.3
+        return ds, tmp_store(256, 16, init=init, seed=6, name=name), 8, 0.3
     ds = gen_matrix(10, 8, 40, 4, seed=5)
-    return ds, tmp_store((10 + 8) * 4, 8, init=("uniform", -0.2, 0.2), seed=6), 6, 0.05
+    return ds, tmp_store((10 + 8) * 4, 8, init=init, seed=6, name=name), 6, 0.05
 
 
 @pytest.mark.parametrize("task,mode,batching,heuristic", [
@@ -145,26 +147,34 @@ def test_lmf_divergence_detected(tmp_store):
     assert len(report.losses) < 11
 
 
+def sets_dataset(sets_by_upage):
+    """A dataset whose vector i indexes the pages of its set at page size 1."""
+    vectors = [make_vector(tid, pages, label=1.0)
+               for tid, pages in enumerate(s for sets in sets_by_upage for s in sets)]
+    return Dataset(dimension=4, vectors=vectors)
+
+
 def test_iteration_plan_is_permutation():
     sets_by_upage = [
         [(0,), (1,), (0, 1)],
         [(2,), (2, 3)],
     ]
-    config = TrainConfig(small_op(budget=4, reorder="shuffle", seed=5),
+    config = TrainConfig(small_op(budget=4, reorder="shuffle", seed=5, upage=3),
                          iterations=2)
-    plan = iteration_plan(sets_by_upage, config, iteration=1)
-    upage_ids = [u for u, _ in plan]
+    plan = iteration_plan(sets_dataset(sets_by_upage), sets_by_upage, config, iteration=1)
+    upage_ids = [u for u, _, _ in plan]
     assert sorted(upage_ids) == [0, 1]
-    for upage_id, order in plan:
-        assert sorted(order) == list(range(len(sets_by_upage[upage_id])))
+    for upage_id, rows, _ in plan:
+        start = 3 * upage_id
+        assert sorted(rows) == list(range(start, start + len(sets_by_upage[upage_id])))
 
 
 def test_iteration_plan_fixed_scan_when_disabled():
     sets_by_upage = [[(0,)], [(1,)], [(2,)]]
-    config = TrainConfig(small_op(reorder="none"), shuffle_upages=False)
+    config = TrainConfig(small_op(reorder="none", upage=1), shuffle_upages=False)
     for iteration in range(3):
-        plan = iteration_plan(sets_by_upage, config, iteration)
-        assert [u for u, _ in plan] == [0, 1, 2]
+        plan = iteration_plan(sets_dataset(sets_by_upage), sets_by_upage, config, iteration)
+        assert [u for u, _, _ in plan] == [0, 1, 2]
 
 
 def test_loss_decreases_on_small_lr_problem(tmp_store):
@@ -379,10 +389,11 @@ def test_a_fitting_loss_pass_reads_the_dataset_in_place(tmp_store, monkeypatch):
         assert np.shares_memory(part.values, ds.values)
 
 
-def test_only_the_loss_plan_walks(tmp_store, monkeypatch):
-    """`run` and the update passes run their batches in greedy order: the
-    walk runs once per U-page of the loss plan, when `train` builds it, and
-    not at all with batching off."""
+def test_run_never_walks_and_train_walks_each_plan_once(tmp_store, monkeypatch):
+    """`run` runs its batches in greedy order. `train` walks each U-page's
+    batches once for the loss plan and, under `radix`, which reads no seed,
+    once for the update plan it replays on every pass; with batching off it
+    does not walk at all."""
     from dpjoin import operator, training
 
     calls = []
@@ -401,7 +412,7 @@ def test_only_the_loss_plan_walks(tmp_store, monkeypatch):
     assert calls == []
     for mode in ("sgd", "sgd-page"):
         train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha, iterations=3))
-        assert len(calls) == upages
+        assert len(calls) == 2 * upages
         calls.clear()
     unbatched = dataclasses.replace(op, batching=False)
     train(ds, store, TrainConfig(unbatched, task="lr", alpha=alpha, iterations=1))
@@ -452,3 +463,134 @@ def test_the_closing_flush_counts_in_the_phase_that_dirties(tmp_store, mode, wri
     metrics = train(ds, store, config).metrics
     assert metrics.write_backs == store.num_pages
     assert metrics.phases[writer]["write_backs"] == metrics.write_backs
+
+
+def greedy_update_batches(ds, page_size, op, iterations):
+    """Every update pass's batches before the walk, U-page by U-page in file
+    order: `plan_order`'s permutation cut by `make_batches`."""
+    out = []
+    for iteration in range(iterations):
+        for upage_index, (start, stop) in enumerate(ds.upage_bounds(op.upage)):
+            sets = ds.page_sets(start, stop, page_size)
+            perm = plan_order(sets, op, (iteration, upage_index))
+            out.append(make_batches([sets[p] for p in perm], op))
+    return out
+
+
+@pytest.mark.parametrize("batching", [True, False], ids=["batched", "unbatched"])
+@pytest.mark.parametrize("heuristic", ["none", "radix", "shuffle"])
+@pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
+@pytest.mark.parametrize("task", ["lr", "lmf"])
+def test_walked_update_passes_match_the_oracle(tmp_store, task, mode, heuristic, batching):
+    """With batching on, an update pass runs each U-page's greedy batches in
+    `walk_order`, which is not greedy order here, and `train_oracle` derives
+    the same walk: losses and final model agree bit for bit. The walk
+    reorders the batches and adds no request: the update passes request the
+    pages of the greedy batches."""
+    ds, store, _, alpha = task_instance(tmp_store, task)
+    op = small_op(budget=8 if task == "lr" else 4, reorder=heuristic)
+    op.batching = batching
+    config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=3)
+    planned = greedy_update_batches(ds, store.page_size, op, config.iterations)
+    if batching:
+        assert any(walk_order([b.pages for b in batches]) != list(range(len(batches)))
+                   for batches in planned)
+    initial = store.load_dense()
+    paged = train(ds, store, config)
+    oracle = train_oracle(ds, initial, config, page_size=store.page_size)
+    assert not paged.diverged
+    assert paged.losses == oracle.losses
+    assert np.array_equal(store.load_dense(), oracle.final_model)
+    assert paged.metrics.phases["update"]["page_requests"] == sum(
+        batch.request_count for batches in planned for batch in batches)
+
+
+@pytest.mark.parametrize("heuristic, plans_per_upage",
+                         [("none", 1), ("radix", 1), ("shuffle", 3), ("lsh", 3)])
+def test_seedless_update_plans_are_built_once(tmp_store, monkeypatch, heuristic,
+                                              plans_per_upage):
+    """`none` and `radix` read no seed, so `train` plans each U-page's update
+    pass once and replays the plan; a seeded reorder plans it at every
+    iteration. Replaying changes nothing: losses and counters equal those of
+    a run that plans every iteration."""
+    from dpjoin import training
+
+    ds, store, budget, alpha = task_instance(tmp_store, "lr")
+    config = TrainConfig(small_op(budget=budget, reorder=heuristic, upage=16), task="lr",
+                         alpha=alpha, iterations=3)
+    starts = [start for start, _ in ds.upage_bounds(config.operator.upage)]
+    update_plans = Counter()
+
+    def spy(dataset, start, sets, config, path=None, perm=None):
+        if perm is not None:  # the loss plan passes a seed path instead
+            update_plans[start] += 1
+        return plan_upage(dataset, start, sets, config, path, perm)
+
+    monkeypatch.setattr(training, "plan_upage", spy)
+    replayed = train(ds, store, config)
+    assert update_plans == dict.fromkeys(starts, plans_per_upage)
+
+    update_plans.clear()
+    original = training.iteration_plan
+    monkeypatch.setattr(training, "iteration_plan",
+                        lambda dataset, sets, config, iteration, plans: original(
+                            dataset, sets, config, iteration))
+    _, fresh, _, _ = task_instance(tmp_store, "lr", name="fresh.model")
+    every = train(ds, fresh, config)
+    assert update_plans == dict.fromkeys(starts, config.iterations)
+    assert replayed.losses == every.losses
+    assert replayed.metrics.counters() == every.metrics.counters()
+    assert replayed.metrics.phases == every.metrics.phases
+
+
+def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_store,
+                                                                      monkeypatch):
+    """`train` calls `training.iteration_plan`, looked up on the module, once
+    per iteration, the first time after the initial loss pass, and builds no
+    update plan before that call. The benchmark times a training run's first
+    result at that call by wrapping the module attribute."""
+    from dpjoin import training
+
+    ds, store, budget, alpha = task_instance(tmp_store, "lr")
+    config = TrainConfig(small_op(budget=budget, reorder="radix"), task="lr",
+                         alpha=alpha, iterations=3)
+    upages = len(ds.upage_bounds(config.operator.upage))
+    events = []
+    original_plan, original_execute = training.iteration_plan, training.execute
+
+    def iteration_plan(*args):
+        events.append(("iteration_plan", args[3]))
+        return original_plan(*args)
+
+    def execute(*args, **kwargs):
+        events.append(("execute",))
+        return original_execute(*args, **kwargs)
+
+    def spy(dataset, start, sets, config, path=None, perm=None):
+        if perm is not None:
+            events.append(("update plan",))
+        return plan_upage(dataset, start, sets, config, path, perm)
+
+    monkeypatch.setattr(training, "iteration_plan", iteration_plan)
+    monkeypatch.setattr(training, "execute", execute)
+    monkeypatch.setattr(training, "plan_upage", spy)
+    train(ds, store, config)
+    assert events[: upages + 1] == [("execute",)] * upages + [("iteration_plan", 0)]
+    assert [event for event in events if event[0] == "iteration_plan"] == [
+        ("iteration_plan", iteration) for iteration in range(config.iterations)]
+
+
+@pytest.mark.parametrize("batching", [True, False])
+@pytest.mark.parametrize("heuristic", ["none", "radix", "shuffle"])
+def test_an_oversized_vector_in_an_update_plan_keeps_its_tid(heuristic, batching):
+    """Vector tid 103 spans 3 pages of a 2-page budget; planning an update
+    pass names it."""
+    vectors = [make_vector(100 + i, [8 * i], label=1.0) for i in range(6)]
+    vectors[3] = make_vector(103, [0, 8, 16], label=1.0)
+    ds = Dataset(dimension=64, vectors=vectors)
+    op = OperatorConfig(budget=2, reorder=heuristic, batching=batching, upage=4)
+    sets_by_upage = [ds.page_sets(start, stop, 8) for start, stop in ds.upage_bounds(4)]
+    with pytest.raises(OversizedVectorError) as err:
+        iteration_plan(ds, sets_by_upage, TrainConfig(op, task="lr"), 0, {})
+    assert err.value.tid == 103
+    assert "103" in str(err.value)
