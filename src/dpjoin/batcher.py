@@ -28,10 +28,6 @@ class Batch:
     positions: list  # consecutive positions into the ordered sequence
     pages: frozenset  # union of the members' page-request sets
 
-    @property
-    def request_count(self):
-        return len(self.pages)
-
 
 def fitting_sets(ordered_sets, budget):
     """Yield (position, page frozenset) in order, raising

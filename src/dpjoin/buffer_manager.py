@@ -29,7 +29,7 @@ so positions are good only while their pages stay pinned.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class BufferManager:
         self.page_requests = 0
         self.page_misses = 0
         self.write_backs = 0
-        self.misses_by_page = Counter()
+        self._ever_read = set()         # every page read at least once
         self.store_io_at_start = store.io_time  # so a report counts only its own I/O
 
     # -- requests ------------------------------------------------------------
@@ -109,7 +109,7 @@ class BufferManager:
                 if frame is not None:
                     self._free.append(frame)
                 self.page_misses += k
-                self.misses_by_page.update(missing[:k])
+                self._ever_read.update(missing[:k])
                 unread = set(missing[k:])
                 self._release([p for p in pages if p not in unread])
                 raise
@@ -117,7 +117,7 @@ class BufferManager:
             pins[page_id] = 1
         if missing:
             self.page_misses += len(missing)
-            self.misses_by_page.update(missing)
+            self._ever_read.update(missing)
             # The whole set becomes most recently used; lower page ids are
             # refreshed last so the lowest id ends up the single most recent.
             for page_id in reversed(pages):
@@ -168,10 +168,7 @@ class BufferManager:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def pinned_pages(self):
-        return set(self._pins)
-
     @property
     def distinct_pages(self):
         """Distinct pages ever requested (first request is always a miss)."""
-        return len(self.misses_by_page)
+        return len(self._ever_read)

@@ -22,7 +22,7 @@ from .model_store import ModelStore, page_count
 from .operator import CollectSink, OperatorConfig, run
 from .reorder import HEURISTICS, MAX_LSH_HASHES
 from .sparse_data import load_dataset, store_dataset
-from .training import LmfLayout, TrainConfig, train
+from .training import TrainConfig, check_dataset, train
 
 DEFAULT_PAGE_SIZE = 1024  # model entries per page
 
@@ -154,8 +154,7 @@ def cmd_train(args):
         shuffle_upages=not args.no_shuffle,
     )
     config.check(num_pages)
-    if config.task == "lmf":
-        LmfLayout.from_dataset(dataset)
+    check_dataset(dataset, config.task)
     with _open_or_create_model(args, dataset) as store:
         report = train(dataset, store, config)
     if args.loss_out:

@@ -39,15 +39,12 @@ class MetricsReport:
     io_time: float = 0.0        # page reads and writes of this run only, on a shared store too
     compute_time: float = 0.0   # visiting pinned batches: dot products, updates, loss terms
     config: dict = field(default_factory=dict)
-    per_upage: list | None = None
     phases: dict | None = None  # training: phase -> PHASE_COUNTERS, summing to the totals
 
     def to_dict(self):
         out = {name: getattr(self, name) for name in COUNTER_FIELDS}
         out.update({name: getattr(self, name) for name in TIMING_FIELDS})
         out["config"] = dict(self.config)
-        if self.per_upage is not None:
-            out["per_upage"] = self.per_upage
         if self.phases is not None:
             out["phases"] = self.phases
         return out

@@ -13,8 +13,10 @@ and `write_page` writes one back. The store keeps no per-page object.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import shutil
 import struct
 import time
 
@@ -73,6 +75,8 @@ class ModelStore:
         seeded with `seed`, so identical arguments produce byte-identical
         files. A page size above `dimension` is stored as `dimension`: the
         model is one page either way, and the file holds no padding past it.
+        A file larger than the free space of its directory is not created,
+        and one whose writing fails is removed.
         """
         num_pages = page_count(dimension, page_size)
         page_size = min(page_size, dimension)
@@ -82,7 +86,12 @@ class ModelStore:
         if kind == "uniform" and not 0.0 <= float(init[2]) - float(init[1]) < math.inf:
             raise ValidationError(f"uniform init needs finite bounds with low <= high, got {init!r}")
         rng = np.random.default_rng(seed)
+        size = HEADER_SIZE + num_pages * page_size * 8
         try:
+            free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+            if size > free:
+                raise StoreError(f"cannot create model file {path}: it needs {size} bytes,"
+                                 f" {free} are free")
             file = open(path, "w+b", buffering=0)
         except OSError as exc:
             raise StoreError(f"cannot create model file {path}: {exc}") from exc
@@ -99,6 +108,8 @@ class ModelStore:
                 remaining -= count
         except BaseException:
             store.close()
+            with contextlib.suppress(OSError):
+                os.remove(path)
             raise
         return store
 

@@ -19,7 +19,6 @@ change the last bits.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,12 +40,10 @@ class OperatorConfig:
     lsh_m: int = 16
     lsh_b: int = 4
     kcenter_k: int | None = None
-    per_upage_metrics: bool = False
 
     def describe(self):
-        """Every field but `per_upage_metrics`, which shapes the report only."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "per_upage_metrics"}
+        """Every field, by name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def check(self, num_pages):
         """Reject a budget outside [1, num_pages], a negative seed and options
@@ -246,9 +243,7 @@ def run(dataset, store, config, sink=None):
     emit = sink if sink is not None else (lambda result: None)
     manager = BufferManager(store, config.budget)
     page_size = store.page_size
-    report = MetricsReport(
-        config=config.describe(), per_upage=[] if config.per_upage_metrics else None,
-    )
+    report = MetricsReport(config=config.describe())
 
     flat = manager.frames.reshape(-1)
 
@@ -259,23 +254,11 @@ def run(dataset, store, config, sink=None):
 
     for upage_index, (start, stop) in enumerate(dataset.upage_bounds(config.upage)):
         report.upage_count += 1
-        if report.per_upage is not None:
-            requests, misses = manager.page_requests, manager.page_misses
-            by_page = Counter(manager.misses_by_page)
         sets = dataset.page_sets(start, stop, page_size)
         started = time.perf_counter()
         rows, batches = plan_upage(dataset, start, sets, config, (upage_index,))
         report.reorder_time += time.perf_counter() - started
         execute(manager, dataset.take(rows), batches, visit, report)
-        if report.per_upage is not None:
-            report.per_upage.append({
-                "upage": upage_index,
-                "start": start,
-                "vectors": stop - start,
-                "page_requests": manager.page_requests - requests,
-                "page_misses": manager.page_misses - misses,
-                "misses_by_page": dict(manager.misses_by_page - by_page),
-            })
     return finish_report(manager, report)
 
 

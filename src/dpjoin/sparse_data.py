@@ -238,9 +238,6 @@ class Dataset:
         kept = pages[first].tolist()
         return [tuple(kept[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
-    def total_nnz(self):
-        return int(self.indptr[-1])
-
 
 # -- binary encoding ---------------------------------------------------------
 

@@ -55,6 +55,18 @@ class LmfLayout:
         return (self.rows + self.cols) * self.rank
 
 
+def check_dataset(dataset, task):
+    """Reject a dataset with a label that is not finite (an unlabeled
+    vector's is NaN), naming the first such vector's tid. Returns the
+    LmfLayout of an lmf dataset (`LmfLayout.from_dataset` checks its
+    cells), None for lr."""
+    bad = np.flatnonzero(~np.isfinite(dataset.labels))
+    if len(bad):
+        raise ValidationError(f"vector tid {int(dataset.tids[bad[0]])} has label"
+                              f" {float(dataset.labels[bad[0]])}; training needs finite labels")
+    return LmfLayout.from_dataset(dataset) if task == "lmf" else None
+
+
 @dataclass
 class TrainConfig:
     operator: OperatorConfig
@@ -238,7 +250,7 @@ def train(dataset, store, config):
     dirties pages (the update passes under `sgd`, else the applies)."""
     op = config.operator
     check_inputs(dataset, store, config)
-    layout = LmfLayout.from_dataset(dataset) if config.task == "lmf" else None
+    layout = check_dataset(dataset, config.task)
     rank = layout.rank if layout is not None else 0
     manager = BufferManager(store, op.budget)
     flat = manager.frames.reshape(-1)
@@ -366,7 +378,7 @@ def train_oracle(dataset, initial_model, config, page_size):
     one batch in `plan_upage`. So a plan that `train` replays is checked
     against a new one."""
     config.check(page_count(dataset.dimension, page_size))
-    layout = LmfLayout.from_dataset(dataset) if config.task == "lmf" else None
+    layout = check_dataset(dataset, config.task)
     op = config.operator
     model = np.array(initial_model, dtype=np.float64, copy=True)
     if len(model) < dataset.dimension:

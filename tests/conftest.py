@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dpjoin import Dataset, ModelStore, SparseVector, ValidationError
+from dpjoin import BufferManager, Dataset, ModelStore, SparseVector, ValidationError, operator
 from dpjoin.batcher import fitting_sets
 from dpjoin.reorder import _scramble
 
@@ -58,8 +58,18 @@ def random_sets(rng, n, universe, max_size):
     return out
 
 
+def request_count(batch):
+    """Page requests of `batch`: the size of its page union."""
+    return len(batch.pages)
+
+
 def total_requests(batches):
-    return sum(b.request_count for b in batches)
+    return sum(request_count(b) for b in batches)
+
+
+def total_nnz(dataset):
+    """Entries of every vector of `dataset`."""
+    return int(dataset.indptr[-1])
 
 
 def brute_force_batches(ordered_sets, budget):
@@ -98,6 +108,64 @@ def brute_force_batches(ordered_sets, budget):
 def resident_pages(manager):
     """The pages resident in `manager`: the keys of its residency map."""
     return set(manager._resident)
+
+
+def pinned_pages(manager):
+    """The pages `manager` holds at least one pin on."""
+    return set(manager._pins)
+
+
+class PageRecorder:
+    """Page traffic in windows, recorded outside the library while the
+    recorder is entered: each page `store` reads (one read per miss) and
+    the size of each page set a buffer manager requests, in the last window
+    opened (a first one is opened if none is). `window(**labels)` opens the
+    next window; with `upages`, each call of `operator.plan_upage` opens one
+    labelled with its U-page's `start` and `vectors`, so the windows of a
+    `run` are its U-pages."""
+
+    def __init__(self, store, upages=False):
+        self.store, self.upages, self.windows = store, upages, []
+
+    def window(self, **labels):
+        self.windows.append({**labels, "page_requests": 0, "misses_by_page": Counter()})
+
+    def _last(self):
+        if not self.windows:
+            self.window()
+        return self.windows[-1]
+
+    @property
+    def misses_by_page(self):
+        """Reads per page over every window."""
+        return sum((w["misses_by_page"] for w in self.windows), Counter())
+
+    def __enter__(self):
+        read_page, request_set = self.store.read_page, BufferManager.request_set
+        plan_upage = operator.plan_upage
+
+        def recording_read(page_id, out=None):
+            page = read_page(page_id, out=out)
+            self._last()["misses_by_page"][page_id] += 1
+            return page
+
+        def recording_request(manager, pages):
+            request_set(manager, pages)
+            self._last()["page_requests"] += len({int(p) for p in pages})
+
+        def opening_plan(dataset, start, sets, *args, **kwargs):
+            self.window(start=start, vectors=len(sets))
+            return plan_upage(dataset, start, sets, *args, **kwargs)
+
+        self._patch = pytest.MonkeyPatch()
+        self._patch.setattr(self.store, "read_page", recording_read)
+        self._patch.setattr(BufferManager, "request_set", recording_request)
+        if self.upages:
+            self._patch.setattr(operator, "plan_upage", opening_plan)
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.undo()
 
 
 def page_frequency_order(sets):

@@ -22,8 +22,8 @@ from dpjoin.sparse_data import page_request_set
 from dpjoin.training import (LmfLayout, TrainConfig, lmf_cell_gradient,
                              lmf_loss, lr_loss, lr_scale, train)
 
-from conftest import (brute_force_batches, minwise_signature, page_frequency_order,
-                      total_requests)
+from conftest import (PageRecorder, brute_force_batches, minwise_signature,
+                      page_frequency_order, total_requests)
 
 
 def make_store(tmp_path, dimension, page_size, init="zeros", seed=0,
@@ -185,11 +185,12 @@ def test_c04_radix_per_page_miss_bound(tmp_path):
                         name=f"c4_{instance}.model") as store:
             fit = max_pages_per_vector(ds, page_size)
             budget = max(fit, math.ceil(store.num_pages * 0.15))
-            report = run(ds, store,
-                         OperatorConfig(budget=budget, reorder="radix",
-                                        batching=False, upage=upage,
-                                        per_upage_metrics=True))
-        for window, (start, vectors) in zip(report.per_upage,
+            with PageRecorder(store, upages=True) as recorder:
+                report = run(ds, store,
+                             OperatorConfig(budget=budget, reorder="radix",
+                                            batching=False, upage=upage))
+        assert len(recorder.windows) == report.upage_count
+        for window, (start, vectors) in zip(recorder.windows,
                                             ds.iter_upages(upage)):
             windows += 1
             sets = [page_request_set(v, page_size) for v in vectors]

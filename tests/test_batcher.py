@@ -7,7 +7,7 @@ from dpjoin.datagen import DEMO_PAGE_SIZE, gen_demo
 from dpjoin.reorder import reorder_radix
 from dpjoin.sparse_data import page_request_set
 
-from conftest import brute_force_batches, total_requests
+from conftest import brute_force_batches, request_count, total_requests
 
 
 def demo_sets_radix_order():
@@ -26,7 +26,7 @@ def test_greedy_on_demo_radix_order():
 def test_single_batch_when_everything_fits():
     batches = greedy_batches([(0,), (1,), (2,)], budget=3)
     assert len(batches) == 1
-    assert batches[0].request_count == 3
+    assert request_count(batches[0]) == 3
 
 
 def test_oversized_vector_reported_with_position():
@@ -36,7 +36,7 @@ def test_oversized_vector_reported_with_position():
 
 
 def test_batch_request_count():
-    assert Batch(positions=(0, 1), pages=frozenset({4, 7, 9})).request_count == 3
+    assert request_count(Batch(positions=(0, 1), pages=frozenset({4, 7, 9}))) == 3
 
 
 def test_brute_force_matches_by_hand():

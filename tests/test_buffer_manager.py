@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpjoin import BufferManager, ModelStore, PreconditionError, StoreError
 
-from conftest import resident_pages
+from conftest import PageRecorder, pinned_pages, resident_pages
 
 
 def manager(tmp_store, capacity, num_pages=8, page_size=4):
@@ -15,7 +15,7 @@ def manager(tmp_store, capacity, num_pages=8, page_size=4):
 def test_cold_misses_then_hits(tmp_store):
     bm = manager(tmp_store, 4)
     assert bm.request_set([0, 1, 2]) is None
-    assert bm.pinned_pages() == {0, 1, 2}
+    assert pinned_pages(bm) == {0, 1, 2}
     bm.unpin_set([0, 1, 2])
     assert bm.page_misses == 3
     assert bm.page_requests == 3
@@ -28,9 +28,9 @@ def test_cold_misses_then_hits(tmp_store):
 def test_request_dedups_and_sorts(tmp_store):
     bm = manager(tmp_store, 4)
     bm.request_set([3, 1, 3, 1])
-    assert bm.pinned_pages() == {1, 3}
+    assert pinned_pages(bm) == {1, 3}
     bm.unpin_set([1, 3])
-    assert bm.pinned_pages() == set()
+    assert pinned_pages(bm) == set()
     assert bm.page_requests == 2
 
 
@@ -75,12 +75,12 @@ def test_refused_request_changes_nothing(tmp_store):
     bm.request_set([0, 1])
     with pytest.raises(PreconditionError):
         bm.request_set([2, 3])   # one free frame for two misses
-    assert bm.pinned_pages() == {0, 1}
+    assert pinned_pages(bm) == {0, 1}
     assert resident_pages(bm) == {0, 1}
     assert (bm.page_requests, bm.page_misses, bm.store.reads) == (2, 2, 2)
     bm.unpin_set([0, 1])
     bm.request_set([2, 3, 4])
-    assert bm.pinned_pages() == {2, 3, 4}
+    assert pinned_pages(bm) == {2, 3, 4}
     bm.unpin_set([2, 3, 4])
 
 
@@ -92,10 +92,10 @@ def test_refused_request_counts_its_unpinned_hits_as_taken(tmp_store):
     # two misses have one free frame and nothing to evict
     with pytest.raises(PreconditionError):
         bm.request_set([0, 2, 3])
-    assert bm.pinned_pages() == {1}
+    assert pinned_pages(bm) == {1}
     assert bm.page_requests == 2
     bm.request_set([0, 2])       # one miss, one free frame: served
-    assert bm.pinned_pages() == {0, 1, 2}
+    assert pinned_pages(bm) == {0, 1, 2}
     bm.unpin_set([0, 1, 2])
 
 
@@ -104,7 +104,7 @@ def test_refused_unpin_changes_nothing(tmp_store):
     bm.request_set([0, 1])
     with pytest.raises(PreconditionError):
         bm.unpin_set([0, 5], dirty=True)
-    assert bm.pinned_pages() == {0, 1}
+    assert pinned_pages(bm) == {0, 1}
     bm.unpin_set([0, 1])
     bm.flush_all()
     assert bm.write_backs == 0
@@ -145,10 +145,12 @@ def test_flush_all(tmp_store):
 
 def test_misses_by_page_and_distinct(tmp_store):
     bm = manager(tmp_store, 2)
-    for pages in ([0, 1], [2], [0, 1]):
-        bm.request_set(pages)
-        bm.unpin_set(pages)
-    counts = bm.misses_by_page
+    with PageRecorder(bm.store) as recorder:
+        for pages in ([0, 1], [2], [0, 1]):
+            bm.request_set(pages)
+            bm.unpin_set(pages)
+    counts = recorder.misses_by_page
+    assert sum(counts.values()) == bm.page_misses
     assert counts[2] == 1
     assert counts[0] + counts[1] >= 2
     assert bm.distinct_pages == 3
@@ -169,24 +171,24 @@ def test_trace_invariants(tmp_path_factory, trace, capacity):
 
     def replay(cap):
         path = str(tmp_path_factory.mktemp("bm") / "m.model")
-        with ModelStore.create(path, 32, 4) as store:
+        with ModelStore.create(path, 32, 4) as store, PageRecorder(store) as recorder:
             bm = BufferManager(store, cap)
             for pages in trace:
                 bm.request_set(pages)
                 bm.unpin_set(pages)
                 assert len(resident_pages(bm)) <= cap
-        return bm
+        return bm, recorder.misses_by_page
 
-    got = replay(capacity)
+    got, got_misses = replay(capacity)
     assert got.page_requests == sum(len(p) for p in trace)
     assert got.page_misses <= got.page_requests
     assert got.page_misses >= len({p for req in trace for p in req})
-    assert got.page_misses == sum(got.misses_by_page.values())
-    again = replay(capacity)
+    assert got.page_misses == sum(got_misses.values())
+    again, again_misses = replay(capacity)
     assert again.page_misses == got.page_misses
-    assert again.misses_by_page == got.misses_by_page
+    assert again_misses == got_misses
     # a bigger buffer never misses more on the same trace
-    bigger = replay(capacity + 1)
+    bigger, _ = replay(capacity + 1)
     assert bigger.page_misses <= got.page_misses
 
 
@@ -224,11 +226,11 @@ def test_failed_read_releases_the_requests_pins(tmp_path):
         bm = BufferManager(store, 2)
         with pytest.raises(StoreError):
             bm.request_set([0, 7])       # page 7 is cut short
-        assert bm.pinned_pages() == set()
+        assert pinned_pages(bm) == set()
         assert resident_pages(bm) == {0}
-        assert bm.page_misses == store.reads == 1
+        assert bm.page_misses == store.reads == bm.distinct_pages == 1
         bm.request_set([1, 2])           # both frames are free to take
-        assert bm.pinned_pages() == {1, 2}
+        assert pinned_pages(bm) == {1, 2}
         bm.unpin_set([1, 2])
 
 
@@ -246,7 +248,7 @@ def test_failed_write_back_keeps_the_page_resident_and_dirty(tmp_store, monkeypa
     monkeypatch.setattr(bm.store, "write_page", failing_write)
     with pytest.raises(StoreError):
         bm.request_set([2, 3])           # page 2 evicts clean page 1, page 3 dirty page 0
-    assert bm.pinned_pages() == set()
+    assert pinned_pages(bm) == set()
     assert resident_pages(bm) == {0, 2}
     assert bm.write_backs == 0
     monkeypatch.setattr(bm.store, "write_page", real_write)
@@ -376,28 +378,29 @@ def test_matches_reference_lru(tmp_path_factory, steps, capacity):
         bm = RecordingManager(store, capacity)
         flat = bm.frames.reshape(-1)
         pinned = []                      # (pages, pages written) of outstanding requests
-        for step in steps:
-            if step[0] == "request":
-                pages = step[1]
-                # keep every request servable: unpin the oldest requests
-                # until the pinned pages and this request fit the budget
-                while len(set(pages).union(*(p for p, _ in pinned))) > capacity:
-                    release(pinned.pop(0))
-                bm.request_set(pages)
-                pinned.append((pages, set()))
-                ref.request(pages)
-            elif pinned and step[0] == "unpin":
-                release(pinned.pop(step[1] % len(pinned)))
-            elif pinned:
-                pages, written = pinned[step[1] % len(pinned)]
-                page_id = min(pages)
-                flat[bm.positions([page_id * 4 + step[2]])] = step[3]
-                written.add(page_id)
-                ref.write(page_id, step[2], step[3])
-            assert bm.evicted == ref.evicted
-            assert resident_pages(bm) == set(ref.cached)
-            assert bm.pinned_pages() == {p for p, c in ref.pins.items() if c > 0}
-        assert bm.misses_by_page == ref.misses_by_page
+        with PageRecorder(store) as recorder:
+            for step in steps:
+                if step[0] == "request":
+                    pages = step[1]
+                    # keep every request servable: unpin the oldest requests
+                    # until the pinned pages and this request fit the budget
+                    while len(set(pages).union(*(p for p, _ in pinned))) > capacity:
+                        release(pinned.pop(0))
+                    bm.request_set(pages)
+                    pinned.append((pages, set()))
+                    ref.request(pages)
+                elif pinned and step[0] == "unpin":
+                    release(pinned.pop(step[1] % len(pinned)))
+                elif pinned:
+                    pages, written = pinned[step[1] % len(pinned)]
+                    page_id = min(pages)
+                    flat[bm.positions([page_id * 4 + step[2]])] = step[3]
+                    written.add(page_id)
+                    ref.write(page_id, step[2], step[3])
+                assert bm.evicted == ref.evicted
+                assert resident_pages(bm) == set(ref.cached)
+                assert pinned_pages(bm) == {p for p, c in ref.pins.items() if c > 0}
+        assert recorder.misses_by_page == ref.misses_by_page
         for request in pinned:
             release(request)
         bm.flush_all()

@@ -4,10 +4,11 @@ import io
 import json
 import re
 import shlex
+import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpjoin import ModelStore, datagen, oracle_dot_products
 from dpjoin.cli import build_parser, main, parse_budget
@@ -292,6 +293,7 @@ def _small_dataset(tmp_path):
           "--n", "10", "--d", "100", "--nnz", "3", "--seed", "5"])
     (tmp_path / "huge.txt").write_text("# d=18446744073709551616\n1 1.0 0:1.0\n")
     (tmp_path / "latin1.txt").write_bytes(b"1 1.0 0:1.0\n2 -1.0 1:\xe9\n")
+    (tmp_path / "unlabeled.txt").write_text("1 nan 0:1.0\n")
     return data
 
 
@@ -319,11 +321,13 @@ def _small_dataset(tmp_path):
      "--rank", "99999999999999999999", "--out", "{out}"],
     ["gen", "--kind", "skewed", "--zipf-s", "nan", "--out", "{out}"],
     ["gen", "--kind", "skewed", "--zipf-s", "inf", "--out", "{out}"],
+    ["train", "--data", "{tmp}/unlabeled.txt", "--data-format", "txt", "--model", "{model}"],
 ], ids=["skewed-d0", "uniform-d0", "skewed-n-1", "uniform-n-1", "init-low-above-high",
         "init-low-nan", "init-high-inf", "dimension-beyond-header", "text-not-utf8",
         "lmf-without-matrix-shape", "gen-seed-negative", "demo-seed-negative",
         "uniform-d-huge", "skewed-d-2**63", "skewed-nnz-huge", "matrix-rows-huge",
-        "matrix-cols-huge", "matrix-rank-huge", "skewed-zipf-s-nan", "skewed-zipf-s-inf"])
+        "matrix-cols-huge", "matrix-rank-huge", "skewed-zipf-s-nan", "skewed-zipf-s-inf",
+        "train-label-nan"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     data = _small_dataset(tmp_path)
     out, model = tmp_path / "out.bin", tmp_path / "new.model"
@@ -391,6 +395,23 @@ def test_model_with_bad_magic_exits_4(tmp_path, capsys):
     assert model.read_bytes() == bytes(raw)
 
 
+@pytest.mark.parametrize("command", ["run", "train", "sweep"])
+def test_a_model_the_disk_cannot_hold_exits_4_and_writes_nothing(tmp_path, capsys,
+                                                                monkeypatch, command):
+    import shutil
+
+    data = _small_dataset(tmp_path)
+    model = tmp_path / "m.model"
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: shutil._ntuple_diskusage(
+        total=10**6, used=10**6 - 100, free=100))
+    capsys.readouterr()
+    assert main([command, "--data", data, "--model", str(model), "--page-size", "10"]) == 4
+    err = capsys.readouterr().err
+    assert "needs 828 bytes, 100 are free" in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 HUGE = 99999999999999999999
 EXTREMES = (-HUGE, -1, 0, HUGE)
 
@@ -447,19 +468,94 @@ def _cli_argv(draw):
     return fixed + [text for item in values.items() for text in map(str, item)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(argv=_cli_argv(), existing_model=st.booleans())
-def test_every_command_line_exits_with_a_contract_code(tmp_path_factory, argv, existing_model):
+DATA_FAULTS = ("magic", "version", "truncated", "trailing", "count", "nnz", "dimension")
+MODEL_FAULTS = ("magic", "version", "page-size-0", "length")
+
+
+def _corrupt_data(raw, fault, value, existing_model):
+    """`raw`, a plain binary dataset (header: magic, version u32, dimension
+    u64, count u64; each record: tid u64, label f64, nnz u32, entries), with
+    `fault`, its figure taken from `value`, any integer in [0, 2**64). The
+    dimension is at most 10**4 unless a model exists, so no header sizes a
+    new model file beyond that."""
+    if fault == "magic":
+        return b"NOTADATA" + raw[8:]
+    if fault == "version":   # 1 and 2 are the plain and the matrix format
+        return raw[:8] + struct.pack("<I", 3 + value % (2**32 - 3)) + raw[12:]
+    if fault == "truncated":
+        return raw[: value % len(raw)]
+    if fault == "trailing":
+        return raw + bytes([value % 256]) * (1 + value % 24)
+    if fault == "count":     # the file holds 10 records
+        return raw[:20] + struct.pack("<Q", 11 + value % (2**64 - 11)) + raw[28:]
+    if fault == "nnz":       # the first record's, which is 3
+        return raw[:44] + struct.pack("<I", 4 + value % (2**32 - 4)) + raw[48:]
+    dimension = value if existing_model else value % (10**4 + 1)
+    return raw[:12] + struct.pack("<Q", dimension) + raw[20:]
+
+
+def _corrupt_model(raw, fault, value):
+    """`raw`, a model file (header: magic, version u32, dimension u64, page
+    size u64; then the pages), with `fault`, its figure taken from `value`."""
+    if fault == "magic":
+        return b"NOTMODEL" + raw[8:]
+    if fault == "version":
+        return raw[:8] + struct.pack("<I", 2 + value % (2**32 - 2)) + raw[12:]
+    if fault == "page-size-0":
+        return raw[:20] + struct.pack("<Q", 0) + raw[28:]
+    length = value % (len(raw) + 64)   # any length but the file's own
+    return (raw + bytes(64))[: length + (length >= len(raw))]
+
+
+def _faulty(data_fault=None, model_fault=None, value=0):
+    """An example of `run` on a malformed dataset or model."""
+    return example(argv=["run", "--data", "{data}", "--model", "{model}", "--budget", "100%"],
+                   existing_model=True, data_fault=data_fault, model_fault=model_fault,
+                   value=value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_cli_argv(), existing_model=st.booleans(),
+       data_fault=st.none() | st.sampled_from(DATA_FAULTS),
+       model_fault=st.none() | st.sampled_from(MODEL_FAULTS),
+       value=st.integers(0, 2**64 - 1))
+@_faulty("magic")
+@_faulty("version", value=4)
+@_faulty("truncated", value=200)
+@_faulty("trailing", value=5)
+@_faulty("count", value=2**63 - 11)
+@_faulty("nnz", value=2**32 - 5)
+@_faulty("dimension", value=0)
+@_faulty(model_fault="magic")
+@_faulty(model_fault="version", value=5)
+@_faulty(model_fault="page-size-0")
+@_faulty(model_fault="length", value=100)
+def test_every_command_line_exits_with_a_contract_code(tmp_path_factory, argv, existing_model,
+                                                      data_fault, model_fault, value):
     """The exit-code contract: 0 success, 2 rejected input, 3 precondition,
-    4 storage; no input escapes `main` as an exception (a traceback)."""
+    4 storage; no input escapes `main` as an exception (a traceback). The
+    dataset file may be malformed and, when it exists, the model header.
+    Both are read before any option is checked, so a malformed one exits 4,
+    except a dataset header dimension, which is rejected (2) only when it
+    does not hold every index or is not the model's."""
     tmp = tmp_path_factory.mktemp("cli")
     data, model = tmp / "d.bin", tmp / "m.model"
     store_dataset(datagen.gen_uniform(10, 100, 3, seed=5), str(data))
+    if data_fault is not None:
+        data.write_bytes(_corrupt_data(data.read_bytes(), data_fault, value, existing_model))
     if existing_model:
         ModelStore.create(str(model), 100, 10).close()
+        if model_fault is not None:
+            model.write_bytes(_corrupt_model(model.read_bytes(), model_fault, value))
+    else:
+        model_fault = None
     argv = [a.format(data=data, model=model, out=tmp / "out.bin") for a in argv]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if argv[0] != "gen" and data_fault not in (None, "dimension"):
+        assert code == 4
+    elif argv[0] != "gen" and model_fault is not None:
+        assert code in ((2, 4) if data_fault else (4,))

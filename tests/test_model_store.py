@@ -193,3 +193,43 @@ def test_closed_store_raises_even_when_its_descriptor_is_reused(tmp_path):
             store.read_page(0)
         with pytest.raises(StoreError):
             store.write_page(0, values)
+
+
+def _free_space(monkeypatch, free):
+    """Make every directory report `free` bytes free."""
+    import shutil
+
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: shutil._ntuple_diskusage(
+        total=2 * free, used=free, free=free))
+
+
+def test_create_refuses_a_model_larger_than_the_free_space(tmp_path, monkeypatch):
+    """A model whose file would not fit its directory's free space is
+    refused before the file is created; one that fits exactly is made."""
+    path = tmp_path / "big.model"
+    size = HEADER_SIZE + 3 * 4 * 8          # dimension 10, page size 4: 3 pages
+    _free_space(monkeypatch, size - 1)
+    with pytest.raises(StoreError, match=f"needs {size} bytes"):
+        ModelStore.create(str(path), 10, 4)
+    assert not path.exists()
+    _free_space(monkeypatch, size)
+    ModelStore.create(str(path), 10, 4).close()
+    assert path.stat().st_size == size
+
+
+def test_a_create_that_fails_removes_its_file(tmp_path, monkeypatch):
+    from dpjoin import model_store
+
+    path = tmp_path / "torn.model"
+    calls = []
+    real_pwrite = model_store.os.pwrite
+
+    def failing_pwrite(fd, data, offset):   # the header is written, the pages are not
+        calls.append(offset)
+        return real_pwrite(fd, data, offset) if len(calls) == 1 else 0
+
+    monkeypatch.setattr(model_store.os, "pwrite", failing_pwrite)
+    with pytest.raises(StoreError, match="short write"):
+        ModelStore.create(str(path), 64, 8)
+    assert len(calls) == 2
+    assert not path.exists()

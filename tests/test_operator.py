@@ -8,7 +8,7 @@ from dpjoin import (CollectSink, OperatorConfig, OversizedVectorError,
 from dpjoin.datagen import gen_demo, gen_uniform
 from dpjoin.reorder import HEURISTICS
 
-from conftest import random_dataset
+from conftest import PageRecorder, pinned_pages, random_dataset, total_nnz
 
 
 def test_results_match_oracle_exactly(tmp_store):
@@ -59,7 +59,7 @@ def test_batching_off_one_batch_per_vector(tmp_store):
     store = tmp_store(300, 16)
     report = run(ds, store, OperatorConfig(budget=8, batching=False))
     assert report.batch_count == 30
-    assert report.element_requests == ds.total_nnz()
+    assert report.element_requests == total_nnz(ds)
     assert report.page_requests == sum(
         len({int(i) // 16 for i in v.indexes}) for v in ds)
 
@@ -84,19 +84,19 @@ def test_distinct_pages_is_union_size(tmp_store):
 
 
 def test_per_upage_metrics(tmp_store):
+    """The report's totals are the sums of the U-pages' traffic, recorded
+    from the store's reads and the buffer manager's requests."""
     ds = gen_uniform(50, 200, 4, seed=11)
     store = tmp_store(200, 16)
-    report = run(ds, store, OperatorConfig(budget=8, upage=16,
-                                           per_upage_metrics=True))
+    with PageRecorder(store, upages=True) as recorder:
+        report = run(ds, store, OperatorConfig(budget=8, upage=16))
+    windows = recorder.windows
     assert report.upage_count == 4
-    assert len(report.per_upage) == 4
-    assert [w["vectors"] for w in report.per_upage] == [16, 16, 16, 2]
-    assert sum(w["page_misses"] for w in report.per_upage) == report.page_misses
-    assert sum(w["page_requests"] for w in report.per_upage) == report.page_requests
-    for window in report.per_upage:
-        assert sum(window["misses_by_page"].values()) == window["page_misses"]
-    missed = set().union(*(w["misses_by_page"] for w in report.per_upage))
-    assert len(missed) == report.distinct_pages
+    assert len(windows) == 4
+    assert [w["vectors"] for w in windows] == [16, 16, 16, 2]
+    assert sum(w["page_requests"] for w in windows) == report.page_requests
+    assert sum(recorder.misses_by_page.values()) == report.page_misses
+    assert len(recorder.misses_by_page) == report.distinct_pages
 
 
 def test_io_time_counts_only_this_run(tmp_store, monkeypatch):
@@ -231,7 +231,7 @@ def test_kernel_rejects_a_page_that_is_not_pinned(tmp_store):
         execute(manager, data, [Batch([0], (0,))], lambda *args: visited.append(args),
                 MetricsReport(config={}))
     assert visited == []
-    assert manager.pinned_pages() == set()
+    assert pinned_pages(manager) == set()
 
 
 @pytest.mark.parametrize("dirty", [False, True])
@@ -250,18 +250,19 @@ def test_a_visit_that_raises_leaves_nothing_pinned(tmp_store, dirty):
     with pytest.raises(ValueError, match="visit failed"):
         execute(manager, Dataset(64, [make_vector(1, [3, 20])]), [Batch([0], (0, 2))], visit,
                 MetricsReport(config={}), dirty=dirty)
-    assert manager.pinned_pages() == set()
+    assert pinned_pages(manager) == set()
     manager.flush_all()
     assert manager.write_backs == (2 if dirty else 0)
 
 
-def test_describe_lists_every_field_but_per_upage_metrics():
+def test_describe_lists_every_field():
     from dataclasses import fields
 
     from dpjoin import TrainConfig
 
-    op = OperatorConfig(budget=3, per_upage_metrics=True)
-    assert list(op.describe()) == [f.name for f in fields(op) if f.name != "per_upage_metrics"]
+    op = OperatorConfig(budget=3)
+    assert list(op.describe()) == [f.name for f in fields(op)]
+    assert len(op.describe()) == 8
     config = TrainConfig(op)
     assert list(config.describe()) == list(op.describe()) + [
         f.name for f in fields(config) if f.name != "operator"]
@@ -272,8 +273,7 @@ def test_report_config_is_unchanged(tmp_store):
 
     ds = gen_uniform(20, 64, 3, seed=2)
     store = tmp_store(64, 8)
-    op = OperatorConfig(budget=4, reorder="lsh", upage=8, seed=5, kcenter_k=3,
-                        per_upage_metrics=True)
+    op = OperatorConfig(budget=4, reorder="lsh", upage=8, seed=5, kcenter_k=3)
     expected = [("budget", 4), ("reorder", "lsh"), ("batching", True), ("upage", 8),
                 ("seed", 5), ("lsh_m", 16), ("lsh_b", 4), ("kcenter_k", 3)]
     assert list(run(ds, store, op).config.items()) == expected
@@ -309,40 +309,32 @@ def reference_run(ds, store, config):
     """The join with every U-page planned in full: ordered by `plan_order`
     and cut by `make_batches` without a union, and the batches replayed
     through a fresh BufferManager. Returns the counters, the per-U-page
-    windows and the sorted (tid, dp) pairs."""
-    from collections import Counter
-
+    windows of a `PageRecorder` and the sorted (tid, dp) pairs."""
     from dpjoin import BufferManager, dot_product
     from dpjoin.operator import make_batches, plan_order
 
     dense = store.load_dense()
     manager = BufferManager(store, config.budget)
     counters = dict.fromkeys(("element_requests", "batch_count", "upage_count"), 0)
-    windows, results = [], []
-    for upage_index, (start, stop) in enumerate(ds.upage_bounds(config.upage)):
-        requests, misses = manager.page_requests, manager.page_misses
-        by_page = Counter(manager.misses_by_page)
-        sets = ds.page_sets(start, stop, store.page_size)
-        perm = plan_order(sets, config, (upage_index,))
-        batches = make_batches([sets[p] for p in perm], config)
-        for batch in batches:
-            manager.request_set(batch.pages)
-            for position in batch.positions:
-                vector = ds[start + perm[position]]
-                results.append((vector.tid, dot_product(vector, dense)))
-                counters["element_requests"] += vector.nnz
-            manager.unpin_set(batch.pages)
-        counters["batch_count"] += len(batches)
-        counters["upage_count"] += 1
-        windows.append({
-            "upage": upage_index, "start": start, "vectors": stop - start,
-            "page_requests": manager.page_requests - requests,
-            "page_misses": manager.page_misses - misses,
-            "misses_by_page": dict(manager.misses_by_page - by_page),
-        })
+    results = []
+    with PageRecorder(store) as recorder:
+        for upage_index, (start, stop) in enumerate(ds.upage_bounds(config.upage)):
+            recorder.window(start=start, vectors=stop - start)
+            sets = ds.page_sets(start, stop, store.page_size)
+            perm = plan_order(sets, config, (upage_index,))
+            batches = make_batches([sets[p] for p in perm], config)
+            for batch in batches:
+                manager.request_set(batch.pages)
+                for position in batch.positions:
+                    vector = ds[start + perm[position]]
+                    results.append((vector.tid, dot_product(vector, dense)))
+                    counters["element_requests"] += vector.nnz
+                manager.unpin_set(batch.pages)
+            counters["batch_count"] += len(batches)
+            counters["upage_count"] += 1
     counters.update(page_requests=manager.page_requests, page_misses=manager.page_misses,
                     write_backs=manager.write_backs, distinct_pages=manager.distinct_pages)
-    return counters, windows, sorted(results)
+    return counters, recorder.windows, sorted(results)
 
 
 @settings(max_examples=60, deadline=None)
@@ -365,13 +357,13 @@ def test_fitting_upages_keep_the_planned_counters(tmp_path_factory, n, upage, he
         largest = max(len(set().union(*upage_sets)) for upage_sets in sets)
         widest = max(len(s) for upage_sets in sets for s in upage_sets)
         config = OperatorConfig(budget=max(widest, largest + delta), reorder=heuristic,
-                                batching=batching, upage=upage, seed=seed,
-                                per_upage_metrics=True)
+                                batching=batching, upage=upage, seed=seed)
         sink = CollectSink()
-        report = run(ds, store, config, sink)
+        with PageRecorder(store, upages=True) as recorder:
+            report = run(ds, store, config, sink)
         counters, windows, results = reference_run(ds, store, config)
     assert report.counters() == counters
-    assert report.per_upage == windows
+    assert recorder.windows == windows
     assert sorted((r.tid, r.dp) for r in sink.results) == results
 
 

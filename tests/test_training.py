@@ -16,7 +16,7 @@ from dpjoin.training import (LmfLayout, TrainConfig, iteration_plan,
                              lmf_cell_gradient, lmf_loss, lr_loss, lr_scale,
                              train, train_oracle)
 
-from conftest import make_vector
+from conftest import make_vector, request_count
 
 
 def small_op(budget=8, reorder="none", seed=3, upage=32):
@@ -134,6 +134,21 @@ def test_lmf_requires_matrix_dataset(tmp_store):
                          alpha=0.1, iterations=8)
     with pytest.raises(ValidationError):
         train(ds, store, config)
+
+
+@pytest.mark.parametrize("label", [math.nan, math.inf])
+def test_a_label_that_is_not_finite_is_rejected(tmp_store, label):
+    """An unlabeled vector (NaN label) or an infinite label is rejected,
+    by its tid, before any pass runs, rather than read as divergence."""
+    ds = gen_uniform(20, 100, 4, seed=8)
+    ds.labels[[6, 9]] = label
+    store = tmp_store(100, 10, init=("uniform", -0.5, 0.5), seed=2)
+    config = TrainConfig(small_op(budget=10), iterations=2)
+    with pytest.raises(ValidationError, match=f"tid {ds.tids[6]} has label"):
+        train(ds, store, config)
+    with pytest.raises(ValidationError, match=f"tid {ds.tids[6]} has label"):
+        train_oracle(ds, store.load_dense(), config, page_size=10)
+    assert store.reads == 10 and store.writes == 0   # only load_dense read the model
 
 
 def test_lmf_divergence_detected(tmp_store):
@@ -502,7 +517,7 @@ def test_walked_update_passes_match_the_oracle(tmp_store, task, mode, heuristic,
     assert paged.losses == oracle.losses
     assert np.array_equal(store.load_dense(), oracle.final_model)
     assert paged.metrics.phases["update"]["page_requests"] == sum(
-        batch.request_count for batches in planned for batch in batches)
+        request_count(batch) for batches in planned for batch in batches)
 
 
 @pytest.mark.parametrize("heuristic, plans_per_upage",
