@@ -26,18 +26,18 @@ PHASE_COUNTERS = ("page_requests", "page_misses", "write_backs")  # split by pha
 
 @dataclass
 class MetricsReport:
-    element_requests: int = 0
+    element_requests: int = 0   # entries visited; in training, an apply's steps too
     page_requests: int = 0
     page_misses: int = 0
     write_backs: int = 0
-    batch_count: int = 0        # batches executed; in training, update and loss passes
+    batch_count: int = 0        # batches executed; in training, by every pass and apply
     upage_count: int = 0        # U-pages planned; in training, iterations x U-pages (the
                                 # loss plan's U-pages are not counted)
     distinct_pages: int = 0
     reorder_time: float = 0.0   # planning: U-page orders, their batches and batch walks
                                 # (training: the loss plan and every iteration_plan call)
     io_time: float = 0.0        # page reads and writes of this run only, on a shared store too
-    compute_time: float = 0.0   # visiting pinned batches: dot products, updates, loss terms
+    compute_time: float = 0.0   # time in visits: dot products, updates, applies, loss terms
     config: dict = field(default_factory=dict)
     phases: dict | None = None  # training: phase -> PHASE_COUNTERS, summing to the totals
 

@@ -27,7 +27,7 @@ from .batcher import Batch, fitting_sets, greedy_batches
 from .buffer_manager import BufferManager
 from .errors import OversizedVectorError, ValidationError
 from .metrics import MetricsReport
-from .reorder import MAX_LSH_HASHES, reorder, walk_order
+from .reorder import HEURISTICS, MAX_LSH_HASHES, reorder, walk_order
 
 
 @dataclass
@@ -46,9 +46,11 @@ class OperatorConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def check(self, num_pages):
-        """Reject a budget outside [1, num_pages], a negative seed and options
-        no heuristic accepts, whichever is chosen; `run`, `train` and the CLI
-        check here."""
+        """Reject a budget outside [1, num_pages], a negative seed, an unknown
+        heuristic and options no heuristic accepts, whichever is chosen;
+        `run`, `train` and the CLI check here, before any page is read."""
+        if self.reorder not in HEURISTICS:
+            raise ValidationError(f"unknown reorder heuristic {self.reorder!r}")
         if not 1 <= self.budget <= num_pages:
             raise ValidationError(f"budget must be 1 to {num_pages} pages, got {self.budget}")
         if self.upage < 1:
@@ -145,27 +147,18 @@ def plan_upage(dataset, start, sets, config, path=None, perm=None):
         raise
 
 
-def walk_batches(rows, batches):
-    """`rows`, a U-page's rows (or permutation) in processing order, and its
-    `batches`, with the batches in `walk_order`: the rows become each
-    batch's rows in that order, and the batches, as cut, are renumbered so
-    that their positions stay consecutive."""
-    parts, walked, position = [], [], 0
-    for index in walk_order([batch.pages for batch in batches]):
-        batch = batches[index]
-        first, count = batch.positions[0], len(batch.positions)
-        parts.append(rows[first : first + count])
-        walked.append(Batch(list(range(position, position + count)), batch.pages))
-        position += count
-    return np.concatenate(parts), walked
+def walk_batches(batches):
+    """A U-page's `batches`, as cut, in `walk_order`; their positions still
+    index the rows in the order they were cut, which `execute` reads."""
+    return [batches[index] for index in walk_order([batch.pages for batch in batches])]
 
 
 def execute(manager, data, batches, visit, report, dirty=False):
     """Pin each batch's pages as one set, call `visit(data, start, stop,
-    at)` once for its vectors, rows [start, stop) of `data` (the dataset in
-    processing order; a batch's positions are consecutive), and unpin the
-    set, declaring it modified when `dirty` (a visit that writes every index
-    of its vectors writes every page of its batch). `at` holds, for each of
+    at)` once for its vectors, rows [start, stop) of `data` (a batch's
+    positions are consecutive; the batches come in any order), and unpin
+    the set, declaring it modified when `dirty` (a visit that writes every
+    index of its vectors writes every page of its batch). `at` holds, for each of
     the batch's entries, where its model value sits in
     `manager.frames.reshape(-1)`. The set is unpinned even when resolving
     `at` or the visit raises. Adds the batches, the vectors' element

@@ -31,8 +31,8 @@ and the batches of training's loss and update passes; LSH scores its few
 candidates on frozensets.
 
 All heuristics are deterministic given their seed and return a permutation
-of positions 0..n-1. They take their options as given: 1 <= b <= m and
-k >= 2 are checked once, by `operator.OperatorConfig.check`.
+of positions 0..n-1. They take their options as given: the name, 1 <= b
+<= m and k >= 2 are checked once, by `operator.OperatorConfig.check`.
 """
 
 from __future__ import annotations
@@ -67,14 +67,20 @@ def page_bits(sets):
     """`sets` as rows of bits over their distinct pages (uint64 words) and
     the number of pages in each, so that |A - B| = |A| - popcount(A & B).
     The rows take len(sets) x pages / 8 bytes."""
-    counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    pages = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
-                        count=int(counts.sum()))
+    counts, pages = _flatten(sets)
     distinct, column = np.unique(pages, return_inverse=True)
     bits = np.zeros((len(sets), len(distinct) // 64 + 1), dtype=np.uint64)
     np.bitwise_or.at(bits, (np.repeat(np.arange(len(sets)), counts), column // 64),
                      np.left_shift(np.uint64(1), (column % 64).astype(np.uint64)))
     return bits, _popcount(bits)
+
+
+def _flatten(sets):
+    """The size of each of `sets` and all their pages, concatenated."""
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    pages = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                        count=int(sizes.sum()))
+    return sizes, pages
 
 
 def _popcount(rows):
@@ -126,9 +132,7 @@ def reorder_radix(sets):
     patterns in input order."""
     if not sets:
         return []
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    pages = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
-                        count=int(sizes.sum()))
+    sizes, pages = _flatten(sets)
     _, page_index, counts = np.unique(pages, return_inverse=True, return_counts=True)
     # Pages ascend in `counts`, so a stable sort by descending count breaks
     # ties to the lower page.
@@ -174,13 +178,11 @@ def signature_matrix(sets, params):
     over all their pages: the images of the concatenated pages, one hash
     function at a time, reduced to each set's minimum by
     `np.minimum.reduceat` (a minimum is exact in any order)."""
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    sizes, pages = _flatten(sets)
     if not sizes.all():
         raise ValidationError("cannot sign an empty page set")
-    starts = np.zeros(len(sets), dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    keys = _scramble(np.fromiter(itertools.chain.from_iterable(sets), dtype=np.uint64,
-                                 count=int(starts[-1] + sizes[-1])))
+    starts = np.cumsum(sizes) - sizes
+    keys = _scramble(pages.astype(np.uint64))
     signatures = np.empty((len(sets), len(params)), dtype=np.uint64)
     with np.errstate(over="ignore"):
         for h, (mult, offset) in enumerate(params):
@@ -351,6 +353,7 @@ def _chunk_split(positions, sets, budget):
 # -- dispatch ----------------------------------------------------------------------
 
 HEURISTICS = ("none", "shuffle", "radix", "lsh", "kcenter")
+SEEDLESS = ("none", "radix")  # heuristics that read no seed: one order serves every iteration
 
 
 def reorder(name, sets, budget, seed=0, lsh_m=DEFAULT_LSH_HASHES,

@@ -5,7 +5,7 @@ the whole model vector) and low-rank matrix factorization (cells against a
 packed factor layout: all row blocks, then all column blocks). Three update
 schedules are supported: per-example updates while the example's pages are
 pinned ("sgd"), one accumulated update per U-page ("sgd-page"), and one
-update per full pass ("bgd").
+update per full pass ("bgd"), applied through the same execution loop.
 
 train_oracle derives the same update order as `iteration_plan` on its own
 and replays it on an in-memory array with the same accumulation order, so
@@ -29,10 +29,10 @@ from .model_store import page_count
 from .operator import (OperatorConfig, batch_dot_products, check_inputs, dot_product,
                        execute, finish_report, plan_order, plan_upage, row_sums,
                        walk_batches)
-from .sparse_data import page_request_set
+from .reorder import SEEDLESS
+from .sparse_data import Dataset, page_request_set
 
 _TAG_UPAGE_ORDER = 7
-_SEEDLESS = ("none", "radix")  # reorders that read no seed: one plan serves every iteration
 
 
 @dataclass
@@ -169,10 +169,10 @@ def _upage_order(count, config, iteration):
 
 def iteration_plan(dataset, sets_by_upage, config, iteration, plans=None):
     """An update pass's plan: `(upage_index, rows, batches)` for each U-page
-    of `dataset` in `_upage_order`, `rows` in processing order. `plan_order`
-    orders the U-page's vectors (seeded by `(iteration, upage_index)`),
-    `plan_upage` cuts them into batches, and with batching on the batches,
-    as cut, run in `walk_order` (`walk_batches`).
+    of `dataset` in `_upage_order`. `plan_order` orders the U-page's vectors
+    (seeded by `(iteration, upage_index)`) into `rows`, `plan_upage` cuts
+    them into batches, and with batching on the batches, as cut, run in
+    `walk_order` (`walk_batches`); `rows` stay in the order they were cut.
 
     Depends only on the page-request sets `sets_by_upage` and the seeds,
     never on model values, so `train_oracle` can derive the same order. A
@@ -181,7 +181,7 @@ def iteration_plan(dataset, sets_by_upage, config, iteration, plans=None):
     """
     op = config.operator
     order = _upage_order(len(sets_by_upage), config, iteration)
-    if plans is None or op.reorder not in _SEEDLESS:
+    if plans is None or op.reorder not in SEEDLESS:
         plans = {}
     bounds = dataset.upage_bounds(op.upage)
     for upage_index in order:
@@ -189,31 +189,23 @@ def iteration_plan(dataset, sets_by_upage, config, iteration, plans=None):
             sets = sets_by_upage[upage_index]
             perm = plan_order(sets, op, (iteration, upage_index))
             rows, batches = plan_upage(dataset, bounds[upage_index][0], sets, op, perm=perm)
-            plans[upage_index] = walk_batches(rows, batches) if op.batching else (rows, batches)
+            plans[upage_index] = rows, walk_batches(batches) if op.batching else batches
     return [(upage_index, *plans[upage_index]) for upage_index in order]
 
 
 # -- the paged trainer -------------------------------------------------------------
 
 
-def _apply_gradient(manager, grad, alpha, budget):
-    """w[i] -= alpha * grad[i] for every coordinate of the sparse gradient
-    `grad` ({index: sum}) whose sum is not exactly zero, requesting at most
-    `budget` pages at a time in ascending page order (every page of a chunk
-    holds a touched coordinate, so each chunk is unpinned dirty); then
-    clears `grad`."""
-    touched = np.array(sorted(index for index, g in grad.items() if g != 0.0), dtype=np.int64)
-    steps = alpha * np.array([grad[index] for index in touched.tolist()])
-    page = touched // manager.store.page_size
-    pages = np.unique(page)
-    flat = manager.frames.reshape(-1)
-    for chunk_start in range(0, len(pages), budget):
-        chunk = pages[chunk_start : chunk_start + budget].tolist()
-        manager.request_set(chunk)
-        lo, hi = np.searchsorted(page, [chunk[0], chunk[-1] + 1])
-        flat[manager.positions(touched[lo:hi])] -= steps[lo:hi]
-        manager.unpin_set(chunk, dirty=True)
-    grad.clear()
+def gradient_sums(indices, terms):
+    """A sparse gradient from its entries: the distinct `indices`, ascending,
+    and each one's sum of `terms`, added one at a time in entry order from
+    +0.0 (an unbuffered `np.add.at`), as `train_oracle` adds them; an index
+    whose sum is exactly 0.0 is dropped, since its step changes nothing."""
+    touched, inverse = np.unique(indices, return_inverse=True)
+    sums = np.zeros(len(touched))
+    np.add.at(sums, inverse, terms)
+    keep = sums != 0.0
+    return touched[keep], sums[keep]
 
 
 def train(dataset, store, config):
@@ -243,11 +235,18 @@ def train(dataset, store, config):
     order, without the radix reorder, and an update pass in
     `iteration_plan`'s order.
 
-    The report's `phases` splits page requests, misses and write-backs
-    between the loss passes, the update passes and the gradient applies of
-    `sgd-page` and `bgd`. A write-back counts in the phase whose request
-    evicted its page; the closing flush counts in the one phase that
-    dirties pages (the update passes under `sgd`, else the applies)."""
+    Under `sgd-page` and `bgd` each update batch keeps its entries' indices
+    and gradient terms: memory follows the entries visited since the last
+    apply, never the model's dimension. An apply (`gradient_sums`, then
+    w[i] -= alpha * g[i]) is one more `execute` of one vector per touched
+    page, `budget` pages per batch in ascending page order.
+
+    The report's `batch_count`, `element_requests` and `compute_time` count
+    the applies too, and `phases` splits page requests, misses and
+    write-backs between the loss passes, the update passes and the applies.
+    A write-back counts in the phase whose request evicted its page; the
+    closing flush counts in the one phase that dirties pages (the update
+    passes under `sgd`, else the applies)."""
     op = config.operator
     check_inputs(dataset, store, config)
     layout = check_dataset(dataset, config.task)
@@ -263,9 +262,9 @@ def train(dataset, store, config):
     loss_plan = [plan_upage(dataset, start, sets, loss_op, (upage_index,))
                  for upage_index, ((start, _), sets) in enumerate(zip(bounds, sets_by_upage))]
     if op.batching:
-        loss_plan = [walk_batches(rows, batches) for rows, batches in loss_plan]
+        loss_plan = [(rows, walk_batches(batches)) for rows, batches in loss_plan]
     report.reorder_time += time.perf_counter() - started
-    grad = {}  # index -> gradient sum, for sgd-page and bgd
+    pending = []  # (indices, terms) of each batch accumulated since the last apply
     update_plans = {}  # upage_index -> (rows, batches), under a reorder that reads no seed
     loss_by_row = np.empty(len(dataset))  # a loss pass's terms, at their vectors' file rows
 
@@ -317,11 +316,21 @@ def train(dataset, store, config):
         loss_terms, gradient_terms, sgd = lmf_loss_terms, lmf_gradient_terms, lmf_sgd
 
     def accumulate(data, start, stop, at):
-        # The model changes only after the pass; each index adds its terms in entry order.
-        terms = gradient_terms(data, start, stop, at).tolist()
-        indices = data.indices[data.indptr[start] : data.indptr[stop]].tolist()
-        for index, term in zip(indices, terms):
-            grad[index] = grad.get(index, 0.0) + term
+        # The model changes only at the apply, which adds the terms in visit order.
+        pending.append((data.indices[data.indptr[start] : data.indptr[stop]],
+                        gradient_terms(data, start, stop, at)))
+
+    def step(data, start, stop, at):
+        flat[at] -= data.values[data.indptr[start] : data.indptr[stop]]
+
+    def apply_gradient():
+        touched, sums = gradient_sums(*map(np.concatenate, zip(*pending)))
+        pending.clear()
+        pages, first = np.unique(touched // store.page_size, return_index=True)
+        steps = Dataset.from_arrays(store.dimension, np.append(first, len(touched)), touched,
+                                    config.alpha * sums, pages, np.full(len(pages), np.nan))
+        batches = greedy_batches([[page] for page in pages.tolist()], op.budget)
+        execute(manager, steps, batches, step, report, dirty=True)
 
     update = sgd if config.mode == "sgd" else accumulate
 
@@ -342,9 +351,9 @@ def train(dataset, store, config):
         return float(np.cumsum(np.append(0.0, loss_by_row))[-1])
 
     losses = [charged("loss", loss_pass)]
-    diverged = not math.isfinite(losses[0])
-    iteration = 0
-    while not diverged and iteration < config.iterations:
+    for iteration in range(config.iterations):
+        if not math.isfinite(losses[-1]):
+            break
         started = time.perf_counter()
         plan = iteration_plan(dataset, sets_by_upage, config, iteration, update_plans)
         report.reorder_time += time.perf_counter() - started
@@ -353,15 +362,13 @@ def train(dataset, store, config):
             charged("update", execute, manager, dataset.take(rows), batches, update,
                     report, dirty=config.mode == "sgd")
             if config.mode == "sgd-page":
-                charged("apply", _apply_gradient, manager, grad, config.alpha, op.budget)
-        if config.mode == "bgd":
-            charged("apply", _apply_gradient, manager, grad, config.alpha, op.budget)
+                charged("apply", apply_gradient)
+        if config.mode == "bgd" and pending:  # an empty dataset accumulates nothing
+            charged("apply", apply_gradient)
         losses.append(charged("loss", loss_pass))
-        diverged = not math.isfinite(losses[-1])
-        iteration += 1
     charged("update" if config.mode == "sgd" else "apply", manager.flush_all)
     metrics = finish_report(manager, report)
-    return TrainReport(losses, diverged, config.describe(), metrics=metrics)
+    return TrainReport(losses, not math.isfinite(losses[-1]), config.describe(), metrics=metrics)
 
 
 # -- the in-memory oracle --------------------------------------------------------------
@@ -388,10 +395,11 @@ def train_oracle(dataset, initial_model, config, page_size):
 
     def update_order(upage_index, iteration):
         sets = sets_by_upage[upage_index]
-        perm = np.asarray(plan_order(sets, op, (iteration, upage_index)), dtype=np.int64)
+        perm = plan_order(sets, op, (iteration, upage_index))
         if op.batching:
-            perm, _ = walk_batches(perm, greedy_batches([sets[p] for p in perm], op.budget))
-        return perm.tolist()
+            batches = walk_batches(greedy_batches([sets[p] for p in perm], op.budget))
+            perm = [perm[p] for batch in batches for p in batch.positions]
+        return perm
 
     def loss_now():
         if config.task == "lr":
@@ -399,18 +407,15 @@ def train_oracle(dataset, initial_model, config, page_size):
         return lmf_loss(dataset, model, layout)
 
     losses = [loss_now()]
-    diverged = not math.isfinite(losses[0])
-    grad = None
-    if config.mode in ("bgd", "sgd-page"):
-        grad = np.zeros(dataset.dimension)
+    grad = np.zeros(dataset.dimension)  # sgd-page and bgd
 
     def apply_grad():
-        nonzero = np.nonzero(grad)[0]
-        for index in nonzero:
+        for index in np.flatnonzero(grad):
             model[index] -= config.alpha * grad[index]
 
-    iteration = 0
-    while not diverged and iteration < config.iterations:
+    for iteration in range(config.iterations):
+        if not math.isfinite(losses[-1]):
+            break
         if config.mode == "bgd":
             grad.fill(0.0)
         for upage_index in _upage_order(len(upages), config, iteration):
@@ -447,6 +452,4 @@ def train_oracle(dataset, initial_model, config, page_size):
         if config.mode == "bgd":
             apply_grad()
         losses.append(loss_now())
-        diverged = not math.isfinite(losses[-1])
-        iteration += 1
-    return TrainReport(losses, diverged, config.describe(), final_model=model)
+    return TrainReport(losses, not math.isfinite(losses[-1]), config.describe(), final_model=model)

@@ -5,18 +5,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dpjoin import (Dataset, OperatorConfig, OversizedVectorError, ValidationError,
-                    run)
+from dpjoin import (BufferManager, Dataset, OperatorConfig, OversizedVectorError,
+                    PreconditionError, ValidationError, run)
 from dpjoin.datagen import gen_matrix, gen_uniform
 from dpjoin.metrics import PHASE_COUNTERS
 from dpjoin.operator import make_batches, plan_order, plan_upage
 from dpjoin.reorder import HEURISTICS, reorder_radix, walk_order
-from dpjoin.training import (LmfLayout, TrainConfig, iteration_plan,
+from dpjoin.training import (LmfLayout, TrainConfig, gradient_sums, iteration_plan,
                              lmf_cell_gradient, lmf_loss, lr_loss, lr_scale,
                              train, train_oracle)
 
-from conftest import make_vector, request_count
+from conftest import make_vector, pinned_pages, request_count
 
 
 def small_op(budget=8, reorder="none", seed=3, upage=32):
@@ -314,6 +315,19 @@ def test_train_rejects_a_budget_run_rejects(tmp_store, tmp_path):
                  "--budget", "20"]) == 2
 
 
+def test_an_unknown_heuristic_is_rejected_before_any_read(tmp_store):
+    """Every U-page fits the budget, so no pass calls `reorder`: only the
+    operator's check sees the name, before the model is read."""
+    ds = gen_uniform(40, 160, 4, seed=5)
+    store = tmp_store(160, 16)
+    op = OperatorConfig(budget=10, reorder="bogus", upage=16)
+    with pytest.raises(ValidationError, match="unknown reorder heuristic 'bogus'"):
+        run(ds, store, op)
+    with pytest.raises(ValidationError, match="unknown reorder heuristic 'bogus'"):
+        train(ds, store, TrainConfig(op, task="lr", iterations=1))
+    assert store.reads == 0
+
+
 @pytest.mark.parametrize("cell", [
     "0:1 1:1",              # 2 indexes, not 2 * rank
     "0:1 1:1 2:1 3:1 4:1 5:1 6:1 7:1",      # 2 * rank, all in the row region
@@ -402,6 +416,30 @@ def test_a_fitting_loss_pass_reads_the_dataset_in_place(tmp_store, monkeypatch):
     for part in taken:
         assert np.shares_memory(part.indices, ds.indices)
         assert np.shares_memory(part.values, ds.values)
+
+
+def test_walked_update_passes_read_the_dataset_in_place(tmp_store, monkeypatch):
+    """Under `none` an update pass's rows stay in file order and the walk
+    reorders only its batches, so the pass reads the dataset's own arrays,
+    not a reordered copy."""
+    from dpjoin import operator, training
+
+    ds, store, budget, alpha = task_instance(tmp_store, "lr")
+    op = small_op(budget=budget, reorder="none")
+    updates = []
+
+    def execute(manager, data, batches, *args, dirty=False):
+        if dirty:  # an sgd update pass
+            updates.append((data, [batch.positions[0] for batch in batches]))
+        return operator.execute(manager, data, batches, *args, dirty=dirty)
+
+    monkeypatch.setattr(training, "execute", execute)
+    train(ds, store, TrainConfig(op, task="lr", mode="sgd", alpha=alpha, iterations=2))
+    assert len(updates) == 2 * len(ds.upage_bounds(op.upage))
+    for data, _ in updates:
+        assert np.shares_memory(data.indices, ds.indices)
+        assert np.shares_memory(data.values, ds.values)
+    assert any(firsts != sorted(firsts) for _, firsts in updates)  # the walk reorders
 
 
 def test_run_never_walks_and_train_walks_each_plan_once(tmp_store, monkeypatch):
@@ -609,3 +647,121 @@ def test_an_oversized_vector_in_an_update_plan_keeps_its_tid(heuristic, batching
         iteration_plan(ds, sets_by_upage, TrainConfig(op, task="lr"), 0, {})
     assert err.value.tid == 103
     assert "103" in str(err.value)
+
+
+@pytest.mark.parametrize("fault", ["positions", "visit"])
+def test_an_apply_that_raises_leaves_nothing_pinned(tmp_store, monkeypatch, fault):
+    """The gradient apply runs through `execute`: when resolving its
+    positions or its step raises, the apply's pins are released."""
+    from dpjoin import training
+
+    managers = []
+
+    class Spy(BufferManager):
+        fail_at = None  # the positions call to fail, counted from 1
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.calls, self.first_dirty_unpin = 0, None
+            managers.append(self)
+
+        def positions(self, indexes):
+            self.calls += 1
+            at = super().positions(indexes)
+            if self.calls == self.fail_at:
+                if fault == "positions":
+                    raise PreconditionError("positions failed")
+                return at + self.frames.size  # outside the pool: the step raises
+            return at
+
+        def unpin_set(self, pages, dirty=False):
+            if dirty and self.first_dirty_unpin is None:
+                self.first_dirty_unpin = self.calls
+            super().unpin_set(pages, dirty)
+
+    monkeypatch.setattr(training, "BufferManager", Spy)
+    ds, store, budget, alpha = task_instance(tmp_store, "lr")
+    config = TrainConfig(small_op(budget=budget, reorder="radix"), task="lr",
+                         mode="sgd-page", alpha=alpha, iterations=1)
+    train(ds, store, config)
+    # Only an apply unpins dirty under sgd-page; fail the first apply's first batch.
+    Spy.fail_at = managers[0].first_dirty_unpin
+    _, fresh, _, _ = task_instance(tmp_store, "lr", name="fresh.model")
+    with pytest.raises(PreconditionError if fault == "positions" else IndexError):
+        train(ds, fresh, config)
+    assert managers[1].calls == Spy.fail_at
+    assert pinned_pages(managers[1]) == set()
+
+
+@pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
+def test_the_counters_count_the_applies(tmp_store, mode):
+    """An apply is one more `execute` over the coordinates its U-page
+    (`sgd-page`) or its pass (`bgd`) touched: one batch per `budget` of
+    their pages, one page request per page and one element request per
+    coordinate. The loss and update passes count what they count under
+    `sgd`, which runs the same plans."""
+    ds, store, budget, alpha = task_instance(tmp_store, "lr")
+    _, sgd_store, _, _ = task_instance(tmp_store, "lr", name="sgd.model")
+    op = small_op(budget=budget, reorder="radix")
+    iterations = 2
+    sgd = train(ds, sgd_store, TrainConfig(op, task="lr", mode="sgd", alpha=alpha,
+                                           iterations=iterations)).metrics
+    metrics = train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha,
+                                           iterations=iterations)).metrics
+    bounds = ds.upage_bounds(op.upage) if mode == "sgd-page" else [(0, len(ds))]
+    touched = [np.unique(ds.indices[ds.indptr[start] : ds.indptr[stop]])
+               for start, stop in bounds]
+    pages = [len(np.unique(indices // store.page_size)) for indices in touched]
+    assert metrics.batch_count == sgd.batch_count + iterations * sum(
+        math.ceil(count / budget) for count in pages)
+    assert metrics.element_requests == sgd.element_requests + iterations * sum(
+        map(len, touched))
+    assert metrics.phases["apply"]["page_requests"] == iterations * sum(pages)
+
+
+@pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
+def test_an_empty_dataset_trains(tmp_store, mode):
+    ds = gen_uniform(0, 64, 4, seed=1)
+    store = tmp_store(64, 8)
+    report = train(ds, store, TrainConfig(OperatorConfig(budget=4), mode=mode, iterations=2))
+    assert report.losses == [0.0, 0.0, 0.0]
+    assert report.metrics.page_requests == report.metrics.batch_count == 0
+
+
+def test_a_gradient_that_cancels_is_not_applied(tmp_store):
+    """At a zero model, tids 1 and 2 put terms -0.5 and +0.5 on index 5,
+    which cancel to exactly 0.0: under `bgd` the apply steps index 20 alone,
+    so page 0 is neither requested by it nor written back."""
+    ds = Dataset(dimension=32, vectors=[make_vector(1, [5], label=1.0),
+                                        make_vector(2, [5], label=-1.0),
+                                        make_vector(3, [20], label=1.0)])
+    store = tmp_store(32, 8)
+    config = TrainConfig(OperatorConfig(budget=4), task="lr", mode="bgd", alpha=0.5,
+                         iterations=1)
+    metrics = train(ds, store, config).metrics
+    assert metrics.phases["apply"]["page_requests"] == 1
+    assert metrics.write_backs == 1
+    model = store.load_dense()
+    assert model[5] == 0.0 and model[20] == 0.25
+    assert np.array_equal(model, train_oracle(ds, np.zeros(32), config, 8).final_model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.sampled_from(
+    [0.1, -0.1, 0.2, -0.3, 0.5, -0.5, 1.0, -1.0, 1e16, -1e16, 3.7e-5, 0.0, -0.0])),
+    max_size=60))
+@example([(3, 0.5), (3, -0.5), (1, 0.25)])     # index 3 cancels to 0.0
+@example([(2, 0.1), (2, 0.2), (2, -0.3)])      # (0.1 + 0.2) - 0.3 != 0.1 + (0.2 - 0.3)
+@example([(4, 1e16), (4, 1.0), (4, -1e16)])    # 0.0 in visit order, 1.0 in another
+def test_gradient_sums_match_a_sequential_dict_sum(entries):
+    """Each index adds its terms one at a time, in entry order, from +0.0,
+    as a dict filled entry by entry does; an exact 0.0 sum is dropped."""
+    expected = {}
+    for index, term in entries:
+        expected[index] = expected.get(index, 0.0) + term
+    expected = {index: g for index, g in sorted(expected.items()) if g != 0.0}
+    indices = np.array([index for index, _ in entries], dtype=np.uint64)
+    terms = np.array([term for _, term in entries], dtype=np.float64)
+    touched, sums = gradient_sums(indices, terms)
+    assert touched.tolist() == list(expected)
+    assert sums.tolist() == list(expected.values())
