@@ -46,7 +46,6 @@ from .sparse_data import (
     store_dataset,
 )
 from .training import (
-    LmfLayout,
     TrainConfig,
     TrainReport,
     lmf_cell_gradient,

@@ -3,8 +3,8 @@
 Subcommands: gen, run, train, sweep (the join over every combination of
 its --reorder, --budget and --upage values). Options are checked before a
 model file is created, so a rejected one writes no file.
-Exit codes: 0 success, 2 validation failure, 3 precondition failure,
-4 storage/I-O failure. --seed defaults to 0.
+Exit codes: 0 success, 2 validation failure, 3 precondition failure
+(running out of memory too), 4 storage/I-O failure. --seed defaults to 0.
 """
 
 from __future__ import annotations
@@ -271,6 +271,9 @@ def main(argv=None):
         return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except (StoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

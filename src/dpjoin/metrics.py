@@ -34,7 +34,7 @@ class MetricsReport:
     upage_count: int = 0        # U-pages planned; in training, iterations x U-pages (the
                                 # loss plan's U-pages are not counted)
     distinct_pages: int = 0
-    reorder_time: float = 0.0   # planning: U-page orders, their batches and batch walks
+    reorder_time: float = 0.0   # planning: U-pages' page sets, orders, batches and walks
                                 # (training: the loss plan and every iteration_plan call)
     io_time: float = 0.0        # page reads and writes of this run only, on a shared store too
     compute_time: float = 0.0   # time in visits: dot products, updates, applies, loss terms

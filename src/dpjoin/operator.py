@@ -109,19 +109,23 @@ def make_batches(ordered_sets, config, union=None):
             for position, pages in fitting_sets(ordered_sets, config.budget)]
 
 
-def plan_upage(dataset, start, sets, config, path=None, perm=None):
-    """The rows of a U-page in processing order and its batches: `sets`
-    are the page sets of the U-page's vectors, which begins at row `start`
-    of `dataset`. With batching on, a U-page whose page union fits the
-    budget is one batch in any order, so no order changes its counters, and
-    greedy batching does not run. The vectors run in `perm`'s order when it
-    is given (the update passes', which `train_oracle` replays); else, in a
-    pass whose results do not depend on the order (the join, training's
-    loss passes), in file order when they are one batch, so no reorder
-    runs, and in `plan_order`'s order, seeded by `path`, otherwise. The
-    error for a vector that cannot fit the budget carries its tid."""
-    if perm is None and path is None:
-        raise TypeError("plan_upage needs a perm or a seed path")
+def plan_upage(dataset, start, stop, page_size, config, path, ordered=False):
+    """Rows [start, stop) of `dataset`, a U-page, in processing order and
+    their batches. Every vector's page set is checked against the budget in
+    file order first, so the error for one that cannot fit names the first
+    such vector's tid, whatever the heuristic. With batching on, a U-page
+    whose page union fits the budget is one batch in any order, so no order
+    changes its counters, and greedy batching does not run. With `ordered`
+    (the update passes, which `train_oracle` replays) the vectors run in
+    `plan_order`'s order, seeded by `path`; else (the join, training's loss
+    passes) a U-page of one batch runs in file order, so no reorder runs,
+    and any other in `plan_order`'s."""
+    sets = dataset.page_sets(start, stop, page_size)
+    for position, pages in enumerate(sets):
+        if len(pages) > config.budget:
+            tid = int(dataset.tids[start + position])
+            raise OversizedVectorError(f"vector tid {tid} needs {len(pages)} pages, budget"
+                                       f" is {config.budget}", position=position, tid=tid)
     union = None
     if config.batching:
         union = set()
@@ -130,21 +134,11 @@ def plan_upage(dataset, start, sets, config, path=None, perm=None):
             if len(union) > config.budget:
                 union = None
                 break
-    # An oversized vector is found by k-center's planning, at its position
-    # in `sets`, or by batching, at its position in processing order.
-    rows, ordered_sets = start + np.arange(len(sets)), sets
-    try:
-        if perm is None and union is None:
-            perm = plan_order(sets, config, path)
-        if perm is not None:
-            rows = start + np.asarray(perm, dtype=np.int64)
-            ordered_sets = [sets[p] for p in perm]
-        return rows, make_batches(ordered_sets, config, union)
-    except OversizedVectorError as exc:
-        exc.tid = int(dataset.tids[rows[exc.position]])
-        exc.args = (f"vector tid {exc.tid} needs {len(set(ordered_sets[exc.position]))}"
-                    f" pages, budget is {config.budget}",)
-        raise
+    rows = np.arange(start, stop)
+    if ordered or union is None:
+        perm = plan_order(sets, config, path)
+        rows, sets = start + np.asarray(perm, dtype=np.int64), [sets[p] for p in perm]
+    return rows, make_batches(sets, config, union)
 
 
 def walk_batches(batches):
@@ -235,7 +229,6 @@ def run(dataset, store, config, sink=None):
     check_inputs(dataset, store, config)
     emit = sink if sink is not None else (lambda result: None)
     manager = BufferManager(store, config.budget)
-    page_size = store.page_size
     report = MetricsReport(config=config.describe())
 
     flat = manager.frames.reshape(-1)
@@ -247,9 +240,9 @@ def run(dataset, store, config, sink=None):
 
     for upage_index, (start, stop) in enumerate(dataset.upage_bounds(config.upage)):
         report.upage_count += 1
-        sets = dataset.page_sets(start, stop, page_size)
         started = time.perf_counter()
-        rows, batches = plan_upage(dataset, start, sets, config, (upage_index,))
+        rows, batches = plan_upage(dataset, start, stop, store.page_size, config,
+                                    (upage_index,))
         report.reorder_time += time.perf_counter() - started
         execute(manager, dataset.take(rows), batches, visit, report)
     return finish_report(manager, report)

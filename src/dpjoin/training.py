@@ -35,36 +35,19 @@ from .sparse_data import Dataset, page_request_set
 _TAG_UPAGE_ORDER = 7
 
 
-@dataclass
-class LmfLayout:
-    """Where each factor block lives in the packed model vector."""
-
-    rows: int
-    cols: int
-    rank: int
-
-    @classmethod
-    def from_dataset(cls, dataset):
-        if dataset.matrix_shape is None:
-            raise ValidationError("dataset carries no matrix shape; cannot train lmf")
-        dataset.check_matrix_cells()
-        return cls(*dataset.matrix_shape)
-
-    @property
-    def dimension(self):
-        return (self.rows + self.cols) * self.rank
-
-
 def check_dataset(dataset, task):
     """Reject a dataset with a label that is not finite (an unlabeled
-    vector's is NaN), naming the first such vector's tid. Returns the
-    LmfLayout of an lmf dataset (`LmfLayout.from_dataset` checks its
-    cells), None for lr."""
+    vector's is NaN), naming the first such vector's tid, and, for lmf, one
+    without a matrix shape or with a vector that is not a factorization
+    cell (`check_matrix_cells`)."""
     bad = np.flatnonzero(~np.isfinite(dataset.labels))
     if len(bad):
         raise ValidationError(f"vector tid {int(dataset.tids[bad[0]])} has label"
                               f" {float(dataset.labels[bad[0]])}; training needs finite labels")
-    return LmfLayout.from_dataset(dataset) if task == "lmf" else None
+    if task == "lmf":
+        if dataset.matrix_shape is None:
+            raise ValidationError("dataset carries no matrix shape; cannot train lmf")
+        dataset.check_matrix_cells()
 
 
 @dataclass
@@ -83,13 +66,15 @@ class TrainConfig:
         return out
 
     def check(self, num_pages):
-        """`OperatorConfig.check`, then reject an unknown task or mode and
-        a negative iteration count."""
+        """`OperatorConfig.check`, then reject an unknown task or mode, a
+        step size that is not finite and a negative iteration count."""
         self.operator.check(num_pages)
         if self.task not in ("lr", "lmf"):
             raise ValidationError(f"unknown task {self.task!r}")
         if self.mode not in ("sgd", "sgd-page", "bgd"):
             raise ValidationError(f"unknown training mode {self.mode!r}")
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha}")
         if self.iterations < 0:
             raise ValidationError(f"iterations must be >= 0, got {self.iterations}")
 
@@ -140,9 +125,9 @@ def lmf_cell_gradient(rating, row_vec, col_vec):
     return e * col_vec, e * row_vec
 
 
-def lmf_loss(dataset, dense_model, layout):
+def lmf_loss(dataset, dense_model):
     loss = 0.0
-    rank = layout.rank
+    rank = dataset.matrix_shape[2]
     for vector in dataset:
         start_l = int(vector.indexes[0])
         start_r = int(vector.indexes[rank])
@@ -167,28 +152,27 @@ def _upage_order(count, config, iteration):
     return order
 
 
-def iteration_plan(dataset, sets_by_upage, config, iteration, plans=None):
+def iteration_plan(dataset, page_size, config, iteration, plans=None):
     """An update pass's plan: `(upage_index, rows, batches)` for each U-page
-    of `dataset` in `_upage_order`. `plan_order` orders the U-page's vectors
-    (seeded by `(iteration, upage_index)`) into `rows`, `plan_upage` cuts
-    them into batches, and with batching on the batches, as cut, run in
+    of `dataset` in `_upage_order`. `plan_upage` orders the U-page's vectors
+    by `plan_order` (seeded by `(iteration, upage_index)`) into `rows` and
+    cuts them into batches, and with batching on the batches, as cut, run in
     `walk_order` (`walk_batches`); `rows` stay in the order they were cut.
 
-    Depends only on the page-request sets `sets_by_upage` and the seeds,
+    Depends only on the page-request sets at `page_size` and the seeds,
     never on model values, so `train_oracle` can derive the same order. A
     U-page's plan under a reorder that reads no seed is the same at every
     iteration: it is kept in `plans`, when given, and replayed from there.
     """
     op = config.operator
-    order = _upage_order(len(sets_by_upage), config, iteration)
+    bounds = dataset.upage_bounds(op.upage)
+    order = _upage_order(len(bounds), config, iteration)
     if plans is None or op.reorder not in SEEDLESS:
         plans = {}
-    bounds = dataset.upage_bounds(op.upage)
     for upage_index in order:
         if upage_index not in plans:
-            sets = sets_by_upage[upage_index]
-            perm = plan_order(sets, op, (iteration, upage_index))
-            rows, batches = plan_upage(dataset, bounds[upage_index][0], sets, op, perm=perm)
+            rows, batches = plan_upage(dataset, *bounds[upage_index], page_size, op,
+                                       (iteration, upage_index), ordered=True)
             plans[upage_index] = rows, walk_batches(batches) if op.batching else batches
     return [(upage_index, *plans[upage_index]) for upage_index in order]
 
@@ -249,18 +233,16 @@ def train(dataset, store, config):
     passes under `sgd`, else the applies)."""
     op = config.operator
     check_inputs(dataset, store, config)
-    layout = check_dataset(dataset, config.task)
-    rank = layout.rank if layout is not None else 0
+    check_dataset(dataset, config.task)
+    rank = dataset.matrix_shape[2] if config.task == "lmf" else 0
     manager = BufferManager(store, op.budget)
     flat = manager.frames.reshape(-1)
     report = MetricsReport(config=config.describe(), phases={
         phase: dict.fromkeys(PHASE_COUNTERS, 0) for phase in ("loss", "update", "apply")})
-    bounds = dataset.upage_bounds(op.upage)
-    sets_by_upage = [dataset.page_sets(start, stop, store.page_size) for start, stop in bounds]
     started = time.perf_counter()
     loss_op = replace(op, reorder="radix")
-    loss_plan = [plan_upage(dataset, start, sets, loss_op, (upage_index,))
-                 for upage_index, ((start, _), sets) in enumerate(zip(bounds, sets_by_upage))]
+    loss_plan = [plan_upage(dataset, start, stop, store.page_size, loss_op, (upage_index,))
+                 for upage_index, (start, stop) in enumerate(dataset.upage_bounds(op.upage))]
     if op.batching:
         loss_plan = [(rows, walk_batches(batches)) for rows, batches in loss_plan]
     report.reorder_time += time.perf_counter() - started
@@ -355,7 +337,7 @@ def train(dataset, store, config):
         if not math.isfinite(losses[-1]):
             break
         started = time.perf_counter()
-        plan = iteration_plan(dataset, sets_by_upage, config, iteration, update_plans)
+        plan = iteration_plan(dataset, store.page_size, config, iteration, update_plans)
         report.reorder_time += time.perf_counter() - started
         report.upage_count += len(plan)
         for _, rows, batches in plan:
@@ -385,16 +367,16 @@ def train_oracle(dataset, initial_model, config, page_size):
     one batch in `plan_upage`. So a plan that `train` replays is checked
     against a new one."""
     config.check(page_count(dataset.dimension, page_size))
-    layout = check_dataset(dataset, config.task)
+    check_dataset(dataset, config.task)
     op = config.operator
     model = np.array(initial_model, dtype=np.float64, copy=True)
     if len(model) < dataset.dimension:
         raise ValidationError("initial model smaller than the dataset dimension")
     upages = [chunk for _, chunk in dataset.iter_upages(op.upage)]
-    sets_by_upage = [[page_request_set(v, page_size) for v in chunk] for chunk in upages]
+    upage_sets = [[page_request_set(v, page_size) for v in chunk] for chunk in upages]
 
     def update_order(upage_index, iteration):
-        sets = sets_by_upage[upage_index]
+        sets = upage_sets[upage_index]
         perm = plan_order(sets, op, (iteration, upage_index))
         if op.batching:
             batches = walk_batches(greedy_batches([sets[p] for p in perm], op.budget))
@@ -404,7 +386,7 @@ def train_oracle(dataset, initial_model, config, page_size):
     def loss_now():
         if config.task == "lr":
             return lr_loss(dataset, model)
-        return lmf_loss(dataset, model, layout)
+        return lmf_loss(dataset, model)
 
     losses = [loss_now()]
     grad = np.zeros(dataset.dimension)  # sgd-page and bgd
@@ -434,7 +416,7 @@ def train_oracle(dataset, initial_model, config, page_size):
                         for k in range(vector.nnz):
                             grad[int(vector.indexes[k])] += scale * float(vector.values[k])
                 else:
-                    rank = layout.rank
+                    rank = dataset.matrix_shape[2]
                     start_l = int(vector.indexes[0])
                     start_r = int(vector.indexes[rank])
                     row = model[start_l : start_l + rank].copy()

@@ -153,9 +153,9 @@ class PageRecorder:
             request_set(manager, pages)
             self._last()["page_requests"] += len({int(p) for p in pages})
 
-        def opening_plan(dataset, start, sets, *args, **kwargs):
-            self.window(start=start, vectors=len(sets))
-            return plan_upage(dataset, start, sets, *args, **kwargs)
+        def opening_plan(dataset, start, stop, *args, **kwargs):
+            self.window(start=start, vectors=stop - start)
+            return plan_upage(dataset, start, stop, *args, **kwargs)
 
         self._patch = pytest.MonkeyPatch()
         self._patch.setattr(self.store, "read_page", recording_read)

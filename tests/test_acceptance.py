@@ -19,8 +19,8 @@ from dpjoin.datagen import (DEMO_DIMENSION, DEMO_PAGE_SIZE, gen_demo,
                             gen_matrix, gen_skewed, gen_uniform)
 from dpjoin.reorder import HEURISTICS, minwise_params
 from dpjoin.sparse_data import page_request_set
-from dpjoin.training import (LmfLayout, TrainConfig, lmf_cell_gradient,
-                             lmf_loss, lr_loss, lr_scale, train)
+from dpjoin.training import (TrainConfig, lmf_cell_gradient, lmf_loss, lr_loss,
+                             lr_scale, train)
 
 from conftest import (PageRecorder, brute_force_batches, minwise_signature,
                       page_frequency_order, total_requests)
@@ -300,9 +300,8 @@ def test_c07_analytic_gradients_match_finite_differences():
         rows, cols, rank = 4, 3, 3
         cells = int(rng.integers(max(rows, cols), rows * cols + 1))
         ds = gen_matrix(rows, cols, cells, rank, seed=int(rng.integers(2**31)))
-        layout = LmfLayout.from_dataset(ds)
-        model = rng.normal(size=layout.dimension) * 0.5
-        grad = np.zeros(layout.dimension)
+        model = rng.normal(size=ds.dimension) * 0.5
+        grad = np.zeros(ds.dimension)
         for v in ds:
             start_l = int(v.indexes[0])
             start_r = int(v.indexes[rank])
@@ -311,8 +310,7 @@ def test_c07_analytic_gradients_match_finite_differences():
                 model[start_r:start_r + rank])
             grad[start_l:start_l + rank] += grad_row
             grad[start_r:start_r + rank] += grad_col
-        check(lambda w: lmf_loss(ds, w, layout), grad, model,
-              range(layout.dimension))
+        check(lambda w: lmf_loss(ds, w), grad, model, range(ds.dimension))
     print("criterion 7: 50 logistic and 50 factorization instances, "
           "analytic == numeric within 1e-5")
 

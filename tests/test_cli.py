@@ -322,12 +322,15 @@ def _small_dataset(tmp_path):
     ["gen", "--kind", "skewed", "--zipf-s", "nan", "--out", "{out}"],
     ["gen", "--kind", "skewed", "--zipf-s", "inf", "--out", "{out}"],
     ["train", "--data", "{tmp}/unlabeled.txt", "--data-format", "txt", "--model", "{model}"],
+    ["train", "--data", "{data}", "--model", "{model}", "--alpha", "nan"],
+    ["train", "--data", "{data}", "--model", "{model}", "--alpha", "inf"],
+    ["train", "--data", "{data}", "--model", "{model}", "--alpha=-inf"],
 ], ids=["skewed-d0", "uniform-d0", "skewed-n-1", "uniform-n-1", "init-low-above-high",
         "init-low-nan", "init-high-inf", "dimension-beyond-header", "text-not-utf8",
         "lmf-without-matrix-shape", "gen-seed-negative", "demo-seed-negative",
         "uniform-d-huge", "skewed-d-2**63", "skewed-nnz-huge", "matrix-rows-huge",
         "matrix-cols-huge", "matrix-rank-huge", "skewed-zipf-s-nan", "skewed-zipf-s-inf",
-        "train-label-nan"])
+        "train-label-nan", "alpha-nan", "alpha-inf", "alpha-minus-inf"])
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     data = _small_dataset(tmp_path)
     out, model = tmp_path / "out.bin", tmp_path / "new.model"
@@ -339,6 +342,34 @@ def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert not out.exists()
     assert not model.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "uniform", "--n", "1", "--nnz", "1", "--d", "1000000000000"],
+    ["--kind", "skewed", "--n", "1", "--nnz", "1", "--d", "1000000000000"],
+    ["--kind", "matrix", "--rows", "1", "--cols", "1", "--cells", "1", "--rank", "1000000000000"],
+], ids=["uniform", "skewed", "matrix"])
+def test_gen_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, argv):
+    """A dimension that passes the size check can still be too large to
+    allocate. The draws are made to raise MemoryError here, since on a host
+    that overcommits memory such an allocation need not fail at once."""
+    class Exhausted:
+        def __init__(self, seed=None):
+            pass
+
+        def __getattr__(self, name):
+            def draw(*args, **kwargs):
+                raise MemoryError(f"cannot allocate the {name} draw")
+            return draw
+
+    monkeypatch.setattr(datagen.np.random, "default_rng", Exhausted)
+    out = tmp_path / "out.bin"
+    capsys.readouterr()
+    assert main(["gen", *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -368,10 +368,10 @@ def test_fitting_upages_keep_the_planned_counters(tmp_path_factory, n, upage, he
 
 
 def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
-    """Planned without a permutation, a U-page whose union fits is one batch
-    in file order, with no reorder and no greedy pass. A given permutation is
-    kept and still makes one batch. A U-page that does not fit, or any
-    U-page with batching off, runs in `plan_order`'s order."""
+    """Planned unordered, a U-page whose union fits is one batch in file
+    order, with no reorder and no greedy pass. Planned `ordered`, it runs in
+    `plan_order`'s order and is still one batch. A U-page that does not fit,
+    or any U-page with batching off, runs in `plan_order`'s order."""
     from dpjoin import operator
     from dpjoin.operator import plan_order, plan_upage
 
@@ -393,13 +393,11 @@ def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
     assert [r.tid for r in sink.results] == tids
     assert report.batch_count == 1
     assert calls == []
-    perm = np.random.default_rng(2).permutation(len(ds))
-    rows, batches = plan_upage(ds, 0, sets, config, perm=perm)
-    assert rows.tolist() == perm.tolist()
+    perm = plan_order(sets, config, (0, 0))
+    rows, batches = plan_upage(ds, 0, len(ds), 16, config, (0, 0), ordered=True)
+    assert rows.tolist() == perm != list(range(len(ds)))
     assert [b.positions for b in batches] == [list(range(len(ds)))]
-    assert calls == []
-    with pytest.raises(TypeError, match="perm or a seed path"):
-        plan_upage(ds, 0, sets, config)
+    assert calls == ["reorder"] * 2  # the test's `plan_order`, then the planner's
 
     for budget, batching in ((9, True), (10, False)):
         config = OperatorConfig(budget=budget, reorder="shuffle", batching=batching, seed=1)

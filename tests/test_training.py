@@ -13,9 +13,8 @@ from dpjoin.datagen import gen_matrix, gen_uniform
 from dpjoin.metrics import PHASE_COUNTERS
 from dpjoin.operator import make_batches, plan_order, plan_upage
 from dpjoin.reorder import HEURISTICS, reorder_radix, walk_order
-from dpjoin.training import (LmfLayout, TrainConfig, gradient_sums, iteration_plan,
-                             lmf_cell_gradient, lmf_loss, lr_loss, lr_scale,
-                             train, train_oracle)
+from dpjoin.training import (TrainConfig, check_dataset, gradient_sums, iteration_plan,
+                             lmf_cell_gradient, lr_loss, lr_scale, train, train_oracle)
 
 from conftest import make_vector, pinned_pages, request_count
 
@@ -50,13 +49,23 @@ class TestLrPieces:
 
 class TestLmfPieces:
     def test_layout_blocks(self):
-        layout = LmfLayout(rows=3, cols=2, rank=4)
-        assert layout.dimension == (3 + 2) * 4
+        # the model is a row block then a column block, rank values per factor
+        ds = gen_matrix(3, 2, 6, 4, seed=1)
+        assert ds.dimension == (3 + 2) * 4
+        with pytest.raises(ValidationError, match="inconsistent with dimension"):
+            Dataset(ds.dimension + 1, list(ds), matrix_shape=(3, 2, 4)).validate()
 
     def test_layout_from_dataset(self):
         ds = gen_matrix(5, 4, 12, 3, seed=2)
-        layout = LmfLayout.from_dataset(ds)
-        assert (layout.rows, layout.cols, layout.rank) == (5, 4, 3)
+        assert ds.matrix_shape == (5, 4, 3)
+        check_dataset(ds, "lmf")
+
+    def test_check_dataset_needs_a_matrix_shape(self):
+        ds = gen_matrix(5, 4, 12, 3, seed=2)
+        ds.matrix_shape = None
+        check_dataset(ds, "lr")
+        with pytest.raises(ValidationError, match="no matrix shape"):
+            check_dataset(ds, "lmf")
 
     def test_cell_gradient_direction(self):
         row = np.array([1.0, 0.0])
@@ -101,8 +110,7 @@ def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, he
     if batching and task == "lr":  # the lmf instance's walks keep greedy order
         radix = dataclasses.replace(op, reorder="radix")
         walks = [walk_order([batch.pages for batch in plan_upage(
-                     ds, start, ds.page_sets(start, stop, store.page_size), radix,
-                     (upage_index,))[1]])
+                     ds, start, stop, store.page_size, radix, (upage_index,))[1]])
                  for upage_index, (start, stop) in enumerate(bounds)]
         assert any(walk != sorted(walk) for walk in walks)
     initial = store.load_dense()
@@ -177,7 +185,7 @@ def test_iteration_plan_is_permutation():
     ]
     config = TrainConfig(small_op(budget=4, reorder="shuffle", seed=5, upage=3),
                          iterations=2)
-    plan = iteration_plan(sets_dataset(sets_by_upage), sets_by_upage, config, iteration=1)
+    plan = iteration_plan(sets_dataset(sets_by_upage), 1, config, iteration=1)
     upage_ids = [u for u, _, _ in plan]
     assert sorted(upage_ids) == [0, 1]
     for upage_id, rows, _ in plan:
@@ -189,7 +197,7 @@ def test_iteration_plan_fixed_scan_when_disabled():
     sets_by_upage = [[(0,)], [(1,)], [(2,)]]
     config = TrainConfig(small_op(reorder="none", upage=1), shuffle_upages=False)
     for iteration in range(3):
-        plan = iteration_plan(sets_dataset(sets_by_upage), sets_by_upage, config, iteration)
+        plan = iteration_plan(sets_dataset(sets_by_upage), 1, config, iteration)
         assert [u for u, _, _ in plan] == [0, 1, 2]
 
 
@@ -237,10 +245,10 @@ def test_oversized_vector_error_names_the_tid(tmp_store, batching):
         train(ds, store, TrainConfig(op, task="lr", iterations=1))
     assert err.value.tid == 103
     assert "103" in str(err.value)
-    # A given permutation (an update pass's) that runs row 3 first: position 0, tid 103.
+    # An update pass's plan names it at its offset in the U-page.
     with pytest.raises(OversizedVectorError) as err:
-        plan_upage(ds, 0, ds.page_sets(0, 4, 8), op, perm=[3, 2, 1, 0])
-    assert err.value.position == 0
+        plan_upage(ds, 0, 4, 8, op, (0, 0), ordered=True)
+    assert err.value.position == 3
     assert err.value.tid == 103
 
 
@@ -345,7 +353,7 @@ def test_lmf_rejects_a_cell_that_is_not_two_blocks(tmp_path, cell):
     data.write_text(f"# d=40\n# matrix=5,5,4\n1 3.0 {cell}\n")
     ds = load_dataset(str(data), fmt="txt")
     with pytest.raises(ValidationError, match="tid 1: matrix cell"):
-        LmfLayout.from_dataset(ds)
+        check_dataset(ds, "lmf")
     assert main(["train", "--data", str(data), "--data-format", "txt", "--task", "lmf",
                  "--model", str(tmp_path / "m.model"), "--page-size", "4",
                  "--budget", "4"]) == 2
@@ -381,9 +389,11 @@ def test_fitting_upages_keep_the_update_order(tmp_store, monkeypatch, heuristic,
     monkeypatch.setattr(operator, "greedy_batches", lambda *args: pytest.fail("greedy ran"))
     planned = []
 
-    def spy(dataset, start, sets, config, path=None, perm=None):
-        rows, batches = plan_upage(dataset, start, sets, config, path, perm)
-        order = np.arange(len(sets)) if perm is None else np.asarray(perm)
+    def spy(dataset, start, stop, page_size, config, path, ordered=False):
+        rows, batches = plan_upage(dataset, start, stop, page_size, config, path, ordered)
+        order = np.arange(stop - start)
+        if ordered:
+            order = np.asarray(plan_order(dataset.page_sets(start, stop, page_size), config, path))
         planned.append((start + order, rows))
         assert len(batches) == 1
         return rows, batches
@@ -574,10 +584,10 @@ def test_seedless_update_plans_are_built_once(tmp_store, monkeypatch, heuristic,
     starts = [start for start, _ in ds.upage_bounds(config.operator.upage)]
     update_plans = Counter()
 
-    def spy(dataset, start, sets, config, path=None, perm=None):
-        if perm is not None:  # the loss plan passes a seed path instead
+    def spy(dataset, start, stop, page_size, config, path, ordered=False):
+        if ordered:  # an update plan; the loss plan is not ordered
             update_plans[start] += 1
-        return plan_upage(dataset, start, sets, config, path, perm)
+        return plan_upage(dataset, start, stop, page_size, config, path, ordered)
 
     monkeypatch.setattr(training, "plan_upage", spy)
     replayed = train(ds, store, config)
@@ -586,8 +596,8 @@ def test_seedless_update_plans_are_built_once(tmp_store, monkeypatch, heuristic,
     update_plans.clear()
     original = training.iteration_plan
     monkeypatch.setattr(training, "iteration_plan",
-                        lambda dataset, sets, config, iteration, plans: original(
-                            dataset, sets, config, iteration))
+                        lambda dataset, page_size, config, iteration, plans: original(
+                            dataset, page_size, config, iteration))
     _, fresh, _, _ = task_instance(tmp_store, "lr", name="fresh.model")
     every = train(ds, fresh, config)
     assert update_plans == dict.fromkeys(starts, config.iterations)
@@ -619,10 +629,10 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
         events.append(("execute",))
         return original_execute(*args, **kwargs)
 
-    def spy(dataset, start, sets, config, path=None, perm=None):
-        if perm is not None:
+    def spy(dataset, start, stop, page_size, config, path, ordered=False):
+        if ordered:
             events.append(("update plan",))
-        return plan_upage(dataset, start, sets, config, path, perm)
+        return plan_upage(dataset, start, stop, page_size, config, path, ordered)
 
     monkeypatch.setattr(training, "iteration_plan", iteration_plan)
     monkeypatch.setattr(training, "execute", execute)
@@ -642,11 +652,71 @@ def test_an_oversized_vector_in_an_update_plan_keeps_its_tid(heuristic, batching
     vectors[3] = make_vector(103, [0, 8, 16], label=1.0)
     ds = Dataset(dimension=64, vectors=vectors)
     op = OperatorConfig(budget=2, reorder=heuristic, batching=batching, upage=4)
-    sets_by_upage = [ds.page_sets(start, stop, 8) for start, stop in ds.upage_bounds(4)]
     with pytest.raises(OversizedVectorError) as err:
-        iteration_plan(ds, sets_by_upage, TrainConfig(op, task="lr"), 0, {})
+        iteration_plan(ds, 8, TrainConfig(op, task="lr"), 0, {})
     assert err.value.tid == 103
     assert "103" in str(err.value)
+
+
+@pytest.mark.parametrize("batching", [True, False])
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_the_first_oversized_vector_in_file_order_is_named(tmp_store, monkeypatch, heuristic,
+                                                           batching):
+    """Tids 101 and 104 each span 3 pages of a 2-page budget. Whatever order
+    the heuristic would give, `run`, `train` and `iteration_plan` name 101,
+    the first in file order, at its offset in the U-page, before any reorder
+    runs or any page is read."""
+    from dpjoin import operator
+
+    vectors = [make_vector(100 + i, [8 * i], label=1.0) for i in range(6)]
+    vectors[1] = make_vector(101, [0, 8, 16], label=1.0)
+    vectors[4] = make_vector(104, [24, 32, 40], label=1.0)
+    ds = Dataset(dimension=64, vectors=vectors)
+    store = tmp_store(64, 8)
+    reordered, real_reorder = [], operator.reorder
+
+    def reorder(*args, **kwargs):
+        reordered.append(args[0])
+        return real_reorder(*args, **kwargs)
+
+    monkeypatch.setattr(operator, "reorder", reorder)
+    for seed in range(4):
+        op = OperatorConfig(budget=2, reorder=heuristic, batching=batching, upage=8, seed=seed)
+        config = TrainConfig(op, task="lr", iterations=1)
+        for plan in (lambda: run(ds, store, op), lambda: train(ds, store, config),
+                     lambda: iteration_plan(ds, 8, config, 0)):
+            with pytest.raises(OversizedVectorError) as err:
+                plan()
+            assert (err.value.tid, err.value.position) == (101, 1)
+            assert "vector tid 101 needs 3 pages, budget is 2" in str(err.value)
+    assert reordered == []
+    assert store.reads == 0
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_a_non_finite_alpha_moves_no_page(tmp_store, tmp_path, capsys, alpha):
+    """A step size that is not finite is rejected before any page moves:
+    `train` raises, and `dpjoin train` exits 2 leaving an existing model's
+    bytes as they were."""
+    from dpjoin.cli import main
+
+    ds, store, budget, _ = task_instance(tmp_store, "lr")
+    config = TrainConfig(small_op(budget=budget), task="lr", alpha=float(alpha), iterations=2)
+    with pytest.raises(ValidationError, match="alpha must be finite"):
+        train(ds, store, config)
+    assert store.reads == store.writes == 0
+
+    data, model = str(tmp_path / "d.bin"), tmp_path / "m.bin"
+    assert main(["gen", "--kind", "skewed", "--n", "200", "--d", "2000", "--nnz", "5",
+                 "--out", data]) == 0
+    argv = ["train", "--data", data, "--model", str(model), "--page-size", "64",
+            "--budget", "50%"]
+    assert main(argv + ["--iterations", "0"]) == 0
+    before = model.read_bytes()
+    capsys.readouterr()
+    assert main(argv + ["--iterations", "2", f"--alpha={alpha}"]) == 2
+    assert capsys.readouterr().err.startswith("error: alpha must be finite")
+    assert model.read_bytes() == before
 
 
 @pytest.mark.parametrize("fault", ["positions", "visit"])
