@@ -39,7 +39,9 @@ class MetricsReport:
     io_time: float = 0.0        # page reads and writes of this run only, on a shared store too
     compute_time: float = 0.0   # time in visits: dot products, updates, applies, loss terms
     config: dict = field(default_factory=dict)
-    phases: dict | None = None  # training: phase -> PHASE_COUNTERS, summing to the totals
+    phases: dict | None = None  # training: phase -> PHASE_COUNTERS, summing to the totals;
+                                # `update` counts the update visits that also compute a
+                                # loss, `loss` the loss-only visits (initial and final passes too)
 
     def to_dict(self):
         out = {name: getattr(self, name) for name in COUNTER_FIELDS}

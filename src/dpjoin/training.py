@@ -202,7 +202,7 @@ def train(dataset, store, config):
     `run` builds under the radix reorder, whatever `config.operator.reorder`
     is, with each U-page's batches in `walk_order` when batching is on: the
     visits write each term at its vector's file row, and the terms are added
-    in file order, as `train_oracle` adds them. The loss passes and
+    in file order, as `train_oracle` adds them. The loss visits and
     the accumulated updates share one residual kernel per task:
     `batch_dot_products` for lr, `cell_errors` for lmf.
 
@@ -225,12 +225,21 @@ def train(dataset, store, config):
     w[i] -= alpha * g[i]) is one more `execute` of one vector per touched
     page, `budget` pages per batch in ascending page order.
 
+    The initial and the final loss have passes of their own, as every loss
+    has under `sgd`. Under `sgd-page` and `bgd`, loss i >= 1 is computed in
+    iteration i before its first apply: by the update visits that read its
+    model (every U-page's under `bgd`, the first U-page's under `sgd-page`),
+    which take the loss terms from the kernel call that gives the gradient
+    terms, and by loss-only visits of the other U-pages. A loss that is not
+    finite stops training with that gradient unapplied.
+
     The report's `batch_count`, `element_requests` and `compute_time` count
     the applies too, and `phases` splits page requests, misses and
-    write-backs between the loss passes, the update passes and the applies.
-    A write-back counts in the phase whose request evicted its page; the
-    closing flush counts in the one phase that dirties pages (the update
-    passes under `sgd`, else the applies)."""
+    write-backs between the loss-only visits (the initial and the final
+    pass included), the update visits (fused ones included) and the
+    applies. A write-back counts in the phase whose request evicted its
+    page; the closing flush counts in the one phase that dirties pages (the
+    update passes under `sgd`, else the applies)."""
     op = config.operator
     check_inputs(dataset, store, config)
     check_dataset(dataset, config.task)
@@ -248,7 +257,7 @@ def train(dataset, store, config):
     report.reorder_time += time.perf_counter() - started
     pending = []  # (indices, terms) of each batch accumulated since the last apply
     update_plans = {}  # upage_index -> (rows, batches), under a reorder that reads no seed
-    loss_by_row = np.empty(len(dataset))  # a loss pass's terms, at their vectors' file rows
+    loss_by_row = np.empty(len(dataset))  # loss terms, loss-only or fused, at their file rows
 
     def cell_errors(data, start, stop, at):
         """Each cell's row block . column block - rating, the dot products
@@ -257,22 +266,24 @@ def train(dataset, store, config):
         e = row_sums((blocks[:, 0] * blocks[:, 1]).reshape(-1), rank * np.arange(stop - start + 1))
         return e - data.labels[start:stop], blocks
 
-    def lr_loss_terms(data, start, stop, at):
-        dps = batch_dot_products(flat, data, start, stop, at)
+    def lr_residuals(data, start, stop, at):
+        return batch_dot_products(flat, data, start, stop, at)
+
+    def lr_loss_terms(data, start, stop, dps):
         return np.logaddexp(0.0, -data.labels[start:stop] * dps)
 
-    def lmf_loss_terms(data, start, stop, at):
-        e, _ = cell_errors(data, start, stop, at)
+    def lmf_loss_terms(data, start, stop, residuals):
+        e, _ = residuals
         return 0.5 * e * e
 
-    def lr_gradient_terms(data, start, stop, at):
-        dps = batch_dot_products(flat, data, start, stop, at).tolist()
-        scales = [lr_scale(label, dp) for label, dp in zip(data.labels[start:stop].tolist(), dps)]
+    def lr_gradient_terms(data, start, stop, dps):
+        scales = [lr_scale(label, dp) for label, dp in
+                  zip(data.labels[start:stop].tolist(), dps.tolist())]
         entries = slice(data.indptr[start], data.indptr[stop])
         return np.repeat(scales, np.diff(data.indptr[start : stop + 1])) * data.values[entries]
 
-    def lmf_gradient_terms(data, start, stop, at):
-        e, blocks = cell_errors(data, start, stop, at)
+    def lmf_gradient_terms(data, start, stop, residuals):
+        e, blocks = residuals
         return (e[:, None, None] * blocks[:, ::-1]).reshape(-1)
 
     def lr_sgd(data, start, stop, at):
@@ -293,14 +304,25 @@ def train(dataset, store, config):
             flat[col_at] -= config.alpha * grad_col
 
     if config.task == "lr":
-        loss_terms, gradient_terms, sgd = lr_loss_terms, lr_gradient_terms, lr_sgd
+        residuals, loss_terms, gradient_terms, sgd = (lr_residuals, lr_loss_terms,
+                                                      lr_gradient_terms, lr_sgd)
     else:
-        loss_terms, gradient_terms, sgd = lmf_loss_terms, lmf_gradient_terms, lmf_sgd
+        residuals, loss_terms, gradient_terms, sgd = (cell_errors, lmf_loss_terms,
+                                                      lmf_gradient_terms, lmf_sgd)
 
-    def accumulate(data, start, stop, at):
-        # The model changes only at the apply, which adds the terms in visit order.
-        pending.append((data.indices[data.indptr[start] : data.indptr[stop]],
-                        gradient_terms(data, start, stop, at)))
+    def visit_for(rows=None, update=False):
+        """A visit that, given the `rows` its data was taken at, writes its
+        vectors' loss terms at their file rows and, when `update`, keeps
+        their gradient terms, both from one kernel call. The model changes
+        only at the apply, which adds the terms in visit order."""
+        def visit(data, start, stop, at):
+            residual = residuals(data, start, stop, at)
+            if rows is not None:
+                loss_by_row[rows[start:stop]] = loss_terms(data, start, stop, residual)
+            if update:
+                pending.append((data.indices[data.indptr[start] : data.indptr[stop]],
+                                gradient_terms(data, start, stop, residual)))
+        return visit
 
     def step(data, start, stop, at):
         flat[at] -= data.values[data.indptr[start] : data.indptr[stop]]
@@ -314,7 +336,7 @@ def train(dataset, store, config):
         batches = greedy_batches([[page] for page in pages.tolist()], op.budget)
         execute(manager, steps, batches, step, report, dirty=True)
 
-    update = sgd if config.mode == "sgd" else accumulate
+    update = sgd if config.mode == "sgd" else visit_for(update=True)
 
     def charged(phase, work, *args, **kwargs):
         """Run `work` and add the storage counters it moved to `phase`."""
@@ -324,11 +346,12 @@ def train(dataset, store, config):
             report.phases[phase][name] += getattr(manager, name) - value
         return result
 
-    def loss_pass():
-        for rows, batches in loss_plan:
-            def visit(data, start, stop, at, rows=rows):
-                loss_by_row[rows[start:stop]] = loss_terms(data, start, stop, at)
-            execute(manager, dataset.take(rows), batches, visit, report)
+    def loss_pass(skip=()):
+        """Loss-only visits of the loss plan's U-pages but those in `skip`,
+        whose terms fused update visits wrote, then the loss of all terms."""
+        for upage_index, (rows, batches) in enumerate(loss_plan):
+            if upage_index not in skip:
+                execute(manager, dataset.take(rows), batches, visit_for(rows), report)
         # cumsum adds one term at a time, from the leading +0.0, in file order.
         return float(np.cumsum(np.append(0.0, loss_by_row))[-1])
 
@@ -340,14 +363,27 @@ def train(dataset, store, config):
         plan = iteration_plan(dataset, store.page_size, config, iteration, update_plans)
         report.reorder_time += time.perf_counter() - started
         report.upage_count += len(plan)
-        for _, rows, batches in plan:
-            charged("update", execute, manager, dataset.take(rows), batches, update,
-                    report, dirty=config.mode == "sgd")
+        fused = []
+        if iteration > 0 and config.mode != "sgd":
+            # losses[iteration] is the loss of the model that the update
+            # visits before this iteration's first apply read.
+            fused = plan if config.mode == "bgd" else plan[:1]
+            for _, rows, batches in fused:
+                charged("update", execute, manager, dataset.take(rows), batches,
+                        visit_for(rows, update=True), report)
+            losses.append(charged("loss", loss_pass, {upage for upage, _, _ in fused}))
+            if not math.isfinite(losses[-1]):
+                break  # the gradient accumulated on that model is never applied
+        for position, (_, rows, batches) in enumerate(plan):
+            if position >= len(fused):
+                charged("update", execute, manager, dataset.take(rows), batches, update,
+                        report, dirty=config.mode == "sgd")
             if config.mode == "sgd-page":
                 charged("apply", apply_gradient)
         if config.mode == "bgd" and pending:  # an empty dataset accumulates nothing
             charged("apply", apply_gradient)
-        losses.append(charged("loss", loss_pass))
+        if config.mode == "sgd" or iteration == config.iterations - 1:
+            losses.append(charged("loss", loss_pass))
     charged("update" if config.mode == "sgd" else "apply", manager.flush_all)
     metrics = finish_report(manager, report)
     return TrainReport(losses, not math.isfinite(losses[-1]), config.describe(), metrics=metrics)

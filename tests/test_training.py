@@ -16,7 +16,7 @@ from dpjoin.reorder import HEURISTICS, reorder_radix, walk_order
 from dpjoin.training import (TrainConfig, check_dataset, gradient_sums, iteration_plan,
                              lmf_cell_gradient, lr_loss, lr_scale, train, train_oracle)
 
-from conftest import make_vector, pinned_pages, request_count
+from conftest import make_vector, pinned_pages, request_count, total_requests
 
 
 def small_op(budget=8, reorder="none", seed=3, upage=32):
@@ -119,6 +119,85 @@ def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, he
     assert paged.losses == oracle.losses
     assert np.array_equal(store.load_dense(), oracle.final_model)
     assert not paged.diverged
+
+
+def loss_only_upages(ds, page_size, config):
+    """The U-pages, in run order, that `train` gives a loss-only visit when
+    it runs `config` without diverging: every U-page for the initial loss,
+    for each loss under `sgd` and for the final loss; under `sgd-page`, for
+    loss i >= 1, every U-page but the first one iteration i updates; under
+    `bgd`, none for the losses between, which the update passes compute."""
+    upages = range(len(ds.upage_bounds(config.operator.upage)))
+    out = list(upages)
+    for iteration in range(1, config.iterations + 1):
+        if config.mode == "sgd" or iteration == config.iterations:
+            out += upages
+        elif config.mode == "sgd-page":
+            first = iteration_plan(ds, page_size, config, iteration)[0][0]
+            out += [upage for upage in upages if upage != first]
+    return out
+
+
+def loss_plan_batches(ds, page_size, op):
+    """Each U-page's batches in the loss plan: the radix join's."""
+    radix = dataclasses.replace(op, reorder="radix")
+    return [plan_upage(ds, start, stop, page_size, radix, (upage_index,))[1]
+            for upage_index, (start, stop) in enumerate(ds.upage_bounds(op.upage))]
+
+
+@pytest.mark.parametrize("shuffle_upages", [True, False], ids=["shuffled", "fixed"])
+@pytest.mark.parametrize("batching", [True, False], ids=["batched", "unbatched"])
+@pytest.mark.parametrize("upages", [1, 2, 3])
+@pytest.mark.parametrize("iterations", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
+@pytest.mark.parametrize("task", ["lr", "lmf"])
+def test_fused_loss_visits_match_the_oracle(tmp_store, task, mode, iterations, upages,
+                                            batching, shuffle_upages):
+    """Under `sgd-page` and `bgd`, loss i >= 1 takes the terms of the update
+    visits that read its model before iteration i's first apply (the first
+    U-page's under `sgd-page`, every U-page's under `bgd`) and loss-only
+    visits of the other U-pages. A term depends only on its vector and that
+    model, whatever batch computes it, so every loss and the final model
+    equal the oracle's bit for bit; the loss phase requests the pages of the
+    loss-only visits alone."""
+    ds, store, budget, alpha = task_instance(tmp_store, task)
+    op = small_op(budget=budget, reorder="shuffle", upage=-(-len(ds) // upages))
+    op.batching = batching
+    config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=iterations,
+                         shuffle_upages=shuffle_upages)
+    assert len(ds.upage_bounds(op.upage)) == upages
+    initial = store.load_dense()
+    paged = train(ds, store, config)
+    oracle = train_oracle(ds, initial, config, page_size=store.page_size)
+    assert not paged.diverged
+    assert paged.losses == oracle.losses
+    assert np.array_equal(store.load_dense(), oracle.final_model)
+    requests = [total_requests(batches)
+                for batches in loss_plan_batches(ds, store.page_size, op)]
+    assert paged.metrics.phases["loss"]["page_requests"] == sum(
+        requests[upage] for upage in loss_only_upages(ds, store.page_size, config))
+
+
+@pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
+def test_divergence_applies_no_fused_gradient(tmp_store, mode):
+    """A loss that is not finite stops training before the gradient its
+    update visits accumulated is applied: losses, divergence and the model
+    on disk equal the oracle's, and a second `train` on the same store
+    starts from that model."""
+    ds = gen_matrix(8, 8, 30, 3, seed=7)
+    store = tmp_store((8 + 8) * 3, 8, init=("uniform", -0.5, 0.5), seed=2)
+    config = TrainConfig(small_op(budget=6, upage=10), task="lmf", mode=mode,
+                         alpha=5.0, iterations=10)
+    initial = store.load_dense()
+    with np.errstate(all="ignore"):
+        paged = train(ds, store, config)
+        oracle = train_oracle(ds, initial, config, page_size=store.page_size)
+        again = train(ds, store, config)
+    assert paged.diverged and oracle.diverged
+    assert 2 <= len(paged.losses) <= config.iterations  # loss i, 1 <= i < T, is not finite
+    assert np.array_equal(paged.losses, oracle.losses, equal_nan=True)
+    assert np.array_equal(store.load_dense(), oracle.final_model, equal_nan=True)
+    assert np.array_equal(again.losses[:1], oracle.losses[-1:], equal_nan=True)
 
 
 def test_training_is_deterministic(tmp_path):
@@ -611,13 +690,21 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
     """`train` calls `training.iteration_plan`, looked up on the module, once
     per iteration, the first time after the initial loss pass, and builds no
     update plan before that call. The benchmark times a training run's first
-    result at that call by wrapping the module attribute."""
+    result at that call by wrapping the module attribute. Iteration i's call
+    follows iteration i - 1's last visit: its loss pass under `sgd`, its
+    last apply under `sgd-page` and `bgd`. Under those two, the visits after
+    the call compute loss i before the iteration's first apply: every
+    U-page's update under `bgd`; under `sgd-page` the first U-page's update
+    and the other U-pages' loss-only visits."""
     from dpjoin import training
 
-    ds, store, budget, alpha = task_instance(tmp_store, "lr")
-    config = TrainConfig(small_op(budget=budget, reorder="radix"), task="lr",
-                         alpha=alpha, iterations=3)
-    upages = len(ds.upage_bounds(config.operator.upage))
+    ds, _, budget, alpha = task_instance(tmp_store, "lr")
+    op = small_op(budget=budget, reorder="none", upage=16)
+    bounds = ds.upage_bounds(op.upage)
+    upages = [ds.tids[start:stop].tolist() for start, stop in bounds]
+    radix = dataclasses.replace(op, reorder="radix")
+    assert all(plan_upage(ds, start, stop, 16, radix, (index,))[0].tolist()
+               != list(range(start, stop)) for index, (start, stop) in enumerate(bounds))
     events = []
     original_plan, original_execute = training.iteration_plan, training.execute
 
@@ -625,9 +712,13 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
         events.append(("iteration_plan", args[3]))
         return original_plan(*args)
 
-    def execute(*args, **kwargs):
-        events.append(("execute",))
-        return original_execute(*args, **kwargs)
+    def execute(manager, data, *args, **kwargs):
+        # Under `none` an update visit reads a U-page in file order; a loss-only
+        # visit reads it in radix order; an apply steps unlabeled vectors.
+        kind = ("apply" if np.isnan(data.labels).all() else
+                "update" if data.tids.tolist() in upages else "loss")
+        events.append((kind,))
+        return original_execute(manager, data, *args, **kwargs)
 
     def spy(dataset, start, stop, page_size, config, path, ordered=False):
         if ordered:
@@ -637,10 +728,28 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
     monkeypatch.setattr(training, "iteration_plan", iteration_plan)
     monkeypatch.setattr(training, "execute", execute)
     monkeypatch.setattr(training, "plan_upage", spy)
-    train(ds, store, config)
-    assert events[: upages + 1] == [("execute",)] * upages + [("iteration_plan", 0)]
-    assert [event for event in events if event[0] == "iteration_plan"] == [
-        ("iteration_plan", iteration) for iteration in range(config.iterations)]
+    count, iterations = len(upages), 3
+    loss, update, apply = [("loss",)] * count, [("update",)], [("apply",)]
+    for mode in ("sgd", "sgd-page", "bgd"):
+        events.clear()
+        _, store, _, _ = task_instance(tmp_store, "lr", name=f"{mode}.model")
+        train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha,
+                                     iterations=iterations))
+        assert events[: count + 2] == loss + [("iteration_plan", 0), ("update plan",)]
+        expected = list(loss)
+        for iteration in range(iterations):
+            expected.append(("iteration_plan", iteration))
+            if mode == "sgd":
+                expected += update * count + loss
+            elif mode == "bgd":
+                expected += update * count + apply
+            elif iteration == 0:
+                expected += (update + apply) * count
+            else:
+                expected += update + loss[1:] + apply + (update + apply) * (count - 1)
+        if mode != "sgd":
+            expected += loss
+        assert [event for event in events if event != ("update plan",)] == expected, mode
 
 
 @pytest.mark.parametrize("batching", [True, False])
@@ -768,34 +877,83 @@ def test_the_counters_count_the_applies(tmp_store, mode):
     """An apply is one more `execute` over the coordinates its U-page
     (`sgd-page`) or its pass (`bgd`) touched: one batch per `budget` of
     their pages, one page request per page and one element request per
-    coordinate. The loss and update passes count what they count under
-    `sgd`, which runs the same plans."""
+    coordinate. The update passes count what they count under `sgd`, which
+    runs the same plans; the loss visits count what `sgd`'s count, less the
+    loss-only visits the fused update visits replace: at iteration 1 of 2,
+    every U-page's under `bgd` and the first updated U-page's under
+    `sgd-page`."""
     ds, store, budget, alpha = task_instance(tmp_store, "lr")
     _, sgd_store, _, _ = task_instance(tmp_store, "lr", name="sgd.model")
     op = small_op(budget=budget, reorder="radix")
     iterations = 2
-    sgd = train(ds, sgd_store, TrainConfig(op, task="lr", mode="sgd", alpha=alpha,
-                                           iterations=iterations)).metrics
-    metrics = train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha,
-                                           iterations=iterations)).metrics
+    sgd_config = TrainConfig(op, task="lr", mode="sgd", alpha=alpha, iterations=iterations)
+    config = dataclasses.replace(sgd_config, mode=mode)
+    sgd = train(ds, sgd_store, sgd_config).metrics
+    metrics = train(ds, store, config).metrics
     bounds = ds.upage_bounds(op.upage) if mode == "sgd-page" else [(0, len(ds))]
     touched = [np.unique(ds.indices[ds.indptr[start] : ds.indptr[stop]])
                for start, stop in bounds]
     pages = [len(np.unique(indices // store.page_size)) for indices in touched]
+    loss_batches = loss_plan_batches(ds, store.page_size, op)
+    skipped = (list(range(len(loss_batches))) if mode == "bgd"
+               else [iteration_plan(ds, store.page_size, config, 1)[0][0]])
+    upage_nnz = [int(ds.indptr[stop] - ds.indptr[start])
+                 for start, stop in ds.upage_bounds(op.upage)]
     assert metrics.batch_count == sgd.batch_count + iterations * sum(
-        math.ceil(count / budget) for count in pages)
+        math.ceil(count / budget) for count in pages) - sum(
+        len(loss_batches[upage]) for upage in skipped)
     assert metrics.element_requests == sgd.element_requests + iterations * sum(
-        map(len, touched))
+        map(len, touched)) - sum(upage_nnz[upage] for upage in skipped)
     assert metrics.phases["apply"]["page_requests"] == iterations * sum(pages)
+    assert metrics.phases["update"]["page_requests"] == sgd.phases["update"]["page_requests"]
+    assert metrics.phases["loss"]["page_requests"] == sgd.phases["loss"]["page_requests"] - sum(
+        total_requests(loss_batches[upage]) for upage in skipped)
+
+
+@pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
+def test_the_loss_phase_counts_the_loss_only_visits(tmp_store, mode):
+    """The initial and the final loss are passes of their own. Under `sgd`
+    every loss is: T iterations request (T + 1) times one loss pass's pages.
+    Under `bgd` no loss between is: its loss phase requests two passes'
+    pages at T = 2 and at T = 5. Under `sgd-page` loss i >= 1 skips the
+    first updated U-page's loss-only visit."""
+    ds, _, budget, alpha = task_instance(tmp_store, "lr")
+    op = small_op(budget=budget, reorder="radix", upage=16)
+    per_upage = [total_requests(batches) for batches in loss_plan_batches(ds, 16, op)]
+    requests, configs = {}, {}
+    for iterations in (0, 2, 5):
+        _, store, _, _ = task_instance(tmp_store, "lr", name=f"{iterations}.model")
+        configs[iterations] = TrainConfig(op, task="lr", mode=mode, alpha=alpha,
+                                          iterations=iterations)
+        requests[iterations] = train(ds, store, configs[iterations]).metrics.phases[
+            "loss"]["page_requests"]
+    one_pass = requests[0]
+    assert one_pass == sum(per_upage) and len(per_upage) == 3
+    if mode == "sgd":
+        assert (requests[2], requests[5]) == (3 * one_pass, 6 * one_pass)
+    elif mode == "bgd":
+        assert requests[2] == requests[5] == 2 * one_pass
+    else:
+        for iterations in (2, 5):
+            firsts = [iteration_plan(ds, 16, configs[iterations], iteration)[0][0]
+                      for iteration in range(1, iterations)]
+            assert requests[iterations] == (iterations + 1) * one_pass - sum(
+                per_upage[upage] for upage in firsts)
+        assert len(set(firsts)) > 1  # the shuffle moves the first U-page
 
 
 @pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
 def test_an_empty_dataset_trains(tmp_store, mode):
+    """No U-page, so no update visit computes a loss: every loss is the sum
+    of no terms, as the oracle's."""
     ds = gen_uniform(0, 64, 4, seed=1)
     store = tmp_store(64, 8)
-    report = train(ds, store, TrainConfig(OperatorConfig(budget=4), mode=mode, iterations=2))
-    assert report.losses == [0.0, 0.0, 0.0]
-    assert report.metrics.page_requests == report.metrics.batch_count == 0
+    for iterations in (0, 1, 2, 3, 5):
+        config = TrainConfig(OperatorConfig(budget=4), mode=mode, iterations=iterations)
+        report = train(ds, store, config)
+        assert report.losses == [0.0] * (iterations + 1)
+        assert report.losses == train_oracle(ds, np.zeros(64), config, 8).losses
+        assert report.metrics.page_requests == report.metrics.batch_count == 0
 
 
 def test_a_gradient_that_cancels_is_not_applied(tmp_store):
