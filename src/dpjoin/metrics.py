@@ -30,18 +30,17 @@ class MetricsReport:
     page_requests: int = 0
     page_misses: int = 0
     write_backs: int = 0
-    batch_count: int = 0        # batches executed; in training, by every pass and apply
-    upage_count: int = 0        # U-pages planned; in training, iterations x U-pages (the
-                                # loss plan's U-pages are not counted)
+    batch_count: int = 0        # batches executed; in training, every scan's too
+    upage_count: int = 0        # U-pages planned; in training, iterations x U-pages
     distinct_pages: int = 0
     reorder_time: float = 0.0   # planning: U-pages' page sets, orders, batches and walks
-                                # (training: the loss plan and every iteration_plan call)
+                                # (training: the budget check and every iteration_plan call)
     io_time: float = 0.0        # page reads and writes of this run only, on a shared store too
-    compute_time: float = 0.0   # time in visits: dot products, updates, applies, loss terms
+    compute_time: float = 0.0   # time in visits and, in training, in kernels on gathered values
     config: dict = field(default_factory=dict)
     phases: dict | None = None  # training: phase -> PHASE_COUNTERS, summing to the totals;
-                                # `update` counts the update visits that also compute a
-                                # loss, `loss` the loss-only visits (initial and final passes too)
+                                # `update` counts the update passes, fused ones too, `loss`
+                                # the loss-only gathers (initial and final passes too)
 
     def to_dict(self):
         out = {name: getattr(self, name) for name in COUNTER_FIELDS}

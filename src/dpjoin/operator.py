@@ -109,23 +109,28 @@ def make_batches(ordered_sets, config, union=None):
             for position, pages in fitting_sets(ordered_sets, config.budget)]
 
 
-def plan_upage(dataset, start, stop, page_size, config, path, ordered=False):
-    """Rows [start, stop) of `dataset`, a U-page, in processing order and
-    their batches. Every vector's page set is checked against the budget in
-    file order first, so the error for one that cannot fit names the first
-    such vector's tid, whatever the heuristic. With batching on, a U-page
-    whose page union fits the budget is one batch in any order, so no order
-    changes its counters, and greedy batching does not run. With `ordered`
-    (the update passes, which `train_oracle` replays) the vectors run in
-    `plan_order`'s order, seeded by `path`; else (the join, training's loss
-    passes) a U-page of one batch runs in file order, so no reorder runs,
-    and any other in `plan_order`'s."""
+def fitting_page_sets(dataset, start, stop, page_size, budget):
+    """The page sets of rows [start, stop) of `dataset`, checked against
+    `budget` in file order: the error names the first vector that cannot
+    fit, by its tid and its offset from `start`, whatever the heuristic."""
     sets = dataset.page_sets(start, stop, page_size)
     for position, pages in enumerate(sets):
-        if len(pages) > config.budget:
+        if len(pages) > budget:
             tid = int(dataset.tids[start + position])
             raise OversizedVectorError(f"vector tid {tid} needs {len(pages)} pages, budget"
-                                       f" is {config.budget}", position=position, tid=tid)
+                                       f" is {budget}", position=position, tid=tid)
+    return sets
+
+
+def plan_upage(dataset, start, stop, page_size, config, path, ordered=False):
+    """Rows [start, stop) of `dataset`, a U-page, in processing order and
+    their batches, from its `fitting_page_sets`. With batching on, a U-page
+    whose page union fits the budget is one batch in any order, so no order
+    changes its counters, and greedy batching does not run. With `ordered`
+    (training's update passes, which `train_oracle` replays) the vectors run
+    in `plan_order`'s order, seeded by `path`; else (the join) a U-page of
+    one batch runs in file order, and any other in `plan_order`'s."""
+    sets = fitting_page_sets(dataset, start, stop, page_size, config.budget)
     union = None
     if config.batching:
         union = set()

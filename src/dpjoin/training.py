@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import PHASE_COUNTERS, MetricsReport
 from .model_store import page_count
-from .operator import (OperatorConfig, batch_dot_products, check_inputs, dot_product,
-                       execute, finish_report, plan_order, plan_upage, row_sums,
-                       walk_batches)
+from .operator import (OperatorConfig, check_inputs, dot_product, execute, finish_report,
+                       fitting_page_sets, plan_order, plan_upage, row_sums, walk_batches)
 from .reorder import SEEDLESS
 from .sparse_data import Dataset, page_request_set
 
@@ -192,54 +191,43 @@ def gradient_sums(indices, terms):
     return touched[keep], sums[keep]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence shows as a non-finite loss
 def train(dataset, store, config):
-    """Run gradient descent against the paged model in `store`. Every pass,
-    loss passes included, is the join's execution loop (`operator.execute`)
-    with an update or a loss term as the visit; visits read the CSR rows of
-    their batch and, at the positions `at` of its entries, the frame pool.
+    """Run gradient descent against the paged model in `store`.
 
-    A loss is a sum of per-vector terms, so every loss pass runs on the plan
-    `run` builds under the radix reorder, whatever `config.operator.reorder`
-    is, with each U-page's batches in `walk_order` when batching is on: the
-    visits write each term at its vector's file row, and the terms are added
-    in file order, as `train_oracle` adds them. The loss visits and
-    the accumulated updates share one residual kernel per task:
-    `batch_dot_products` for lr, `cell_errors` for lmf.
+    Only `sgd` changes model values between vectors, so only its update
+    passes run `iteration_plan`'s batches through `operator.execute`, each
+    vector seeing all its pages at once. Every other pass reads a U-page
+    with `gather`: its entries sorted by index, its distinct pages requested
+    once each, in ascending groups of `budget` (`scan`), each entry's model
+    value copied into place, then one call of the task's residual, loss-term
+    and gradient-term kernels on those values. A loss pass reads each U-page
+    in file order, in place, and adds the terms in file order, as
+    `train_oracle` does. An `sgd-page` or `bgd` update pass reads its U-page
+    in `iteration_plan`'s visit order (each batch's rows in turn) and keeps
+    its entries' indices and gradient terms in that order: memory follows
+    the entries read since the last apply, never the model's dimension. An
+    apply (`gradient_sums`, then w[i] -= alpha * g[i]) is one more `scan`,
+    over the touched coordinates, which dirties their pages.
 
-    An update pass runs `iteration_plan`'s plan, which `train_oracle`
-    replays: `config.operator.reorder`'s order, cut greedily, with each
-    U-page's batches in `walk_order` when batching is on. Under `none` and
-    `radix`, which read no seed, a U-page's update plan is built once, in
-    the first iteration, and replayed on every pass; the other reorders
-    plan every iteration. `iteration_plan` is called once per iteration,
-    after the initial loss pass, so no update plan is built before it.
-
-    With batching on, a U-page whose page union fits the budget is one
-    batch, and greedy batching does not run: a loss pass runs it in file
-    order, without the radix reorder, and an update pass in
-    `iteration_plan`'s order.
-
-    Under `sgd-page` and `bgd` each update batch keeps its entries' indices
-    and gradient terms: memory follows the entries visited since the last
-    apply, never the model's dimension. An apply (`gradient_sums`, then
-    w[i] -= alpha * g[i]) is one more `execute` of one vector per touched
-    page, `budget` pages per batch in ascending page order.
+    Every vector's page set is checked against the budget before any page is
+    read. `iteration_plan` is called once per iteration, after the initial
+    loss pass; under `none` and `radix`, which read no seed, a U-page's
+    update plan is built once and replayed.
 
     The initial and the final loss have passes of their own, as every loss
     has under `sgd`. Under `sgd-page` and `bgd`, loss i >= 1 is computed in
-    iteration i before its first apply: by the update visits that read its
-    model (every U-page's under `bgd`, the first U-page's under `sgd-page`),
-    which take the loss terms from the kernel call that gives the gradient
-    terms, and by loss-only visits of the other U-pages. A loss that is not
-    finite stops training with that gradient unapplied.
+    iteration i before its first apply, by the update passes that read its
+    model (every U-page's under `bgd`, the first U-page's under `sgd-page`)
+    and by loss-only gathers of the other U-pages. A loss that is not finite
+    stops training with that gradient unapplied.
 
     The report's `batch_count`, `element_requests` and `compute_time` count
-    the applies too, and `phases` splits page requests, misses and
-    write-backs between the loss-only visits (the initial and the final
-    pass included), the update visits (fused ones included) and the
-    applies. A write-back counts in the phase whose request evicted its
-    page; the closing flush counts in the one phase that dirties pages (the
-    update passes under `sgd`, else the applies)."""
+    every scan and the kernels, and `phases` splits page requests, misses
+    and write-backs between the loss-only gathers (the initial and the final
+    pass included), the update passes and the applies. A write-back counts
+    in the phase whose request evicted its page; the closing flush in the
+    one phase that dirties pages (`sgd`'s updates, else the applies)."""
     op = config.operator
     check_inputs(dataset, store, config)
     check_dataset(dataset, config.task)
@@ -248,26 +236,26 @@ def train(dataset, store, config):
     flat = manager.frames.reshape(-1)
     report = MetricsReport(config=config.describe(), phases={
         phase: dict.fromkeys(PHASE_COUNTERS, 0) for phase in ("loss", "update", "apply")})
+    bounds = dataset.upage_bounds(op.upage)
     started = time.perf_counter()
-    loss_op = replace(op, reorder="radix")
-    loss_plan = [plan_upage(dataset, start, stop, store.page_size, loss_op, (upage_index,))
-                 for upage_index, (start, stop) in enumerate(dataset.upage_bounds(op.upage))]
-    if op.batching:
-        loss_plan = [(rows, walk_batches(batches)) for rows, batches in loss_plan]
+    for start, stop in bounds:  # before any page is read
+        fitting_page_sets(dataset, start, stop, store.page_size, op.budget)
     report.reorder_time += time.perf_counter() - started
-    pending = []  # (indices, terms) of each batch accumulated since the last apply
+    pending = []  # (indices, terms) of each update pass since the last apply
     update_plans = {}  # upage_index -> (rows, batches), under a reorder that reads no seed
     loss_by_row = np.empty(len(dataset))  # loss terms, loss-only or fused, at their file rows
 
-    def cell_errors(data, start, stop, at):
+    def cell_errors(data, start, stop, values):
         """Each cell's row block . column block - rating, the dot products
         added as `lmf_cell_gradient` adds them, and its blocks (cells, 2, rank)."""
-        blocks = flat[at].reshape(stop - start, 2, rank)
+        blocks = values.reshape(stop - start, 2, rank)
         e = row_sums((blocks[:, 0] * blocks[:, 1]).reshape(-1), rank * np.arange(stop - start + 1))
         return e - data.labels[start:stop], blocks
 
-    def lr_residuals(data, start, stop, at):
-        return batch_dot_products(flat, data, start, stop, at)
+    def lr_residuals(data, start, stop, values):
+        lo = data.indptr[start]
+        return row_sums(data.values[lo : data.indptr[stop]] * values,
+                        data.indptr[start : stop + 1] - lo)
 
     def lr_loss_terms(data, start, stop, dps):
         return np.logaddexp(0.0, -data.labels[start:stop] * dps)
@@ -303,26 +291,38 @@ def train(dataset, store, config):
             flat[row_at] -= config.alpha * grad_row
             flat[col_at] -= config.alpha * grad_col
 
-    if config.task == "lr":
-        residuals, loss_terms, gradient_terms, sgd = (lr_residuals, lr_loss_terms,
-                                                      lr_gradient_terms, lr_sgd)
-    else:
-        residuals, loss_terms, gradient_terms, sgd = (cell_errors, lmf_loss_terms,
-                                                      lmf_gradient_terms, lmf_sgd)
+    residuals, loss_terms, gradient_terms, sgd = (
+        (lr_residuals, lr_loss_terms, lr_gradient_terms, lr_sgd) if config.task == "lr" else
+        (cell_errors, lmf_loss_terms, lmf_gradient_terms, lmf_sgd))
 
-    def visit_for(rows=None, update=False):
-        """A visit that, given the `rows` its data was taken at, writes its
-        vectors' loss terms at their file rows and, when `update`, keeps
-        their gradient terms, both from one kernel call. The model changes
-        only at the apply, which adds the terms in visit order."""
-        def visit(data, start, stop, at):
-            residual = residuals(data, start, stop, at)
-            if rows is not None:
-                loss_by_row[rows[start:stop]] = loss_terms(data, start, stop, residual)
-            if update:
-                pending.append((data.indices[data.indptr[start] : data.indptr[stop]],
-                                gradient_terms(data, start, stop, residual)))
-        return visit
+    def scan(indices, visit, values=None, dirty=False):
+        """`execute` over the ascending model `indices` (and their `values`) as
+        one vector per page they touch, `budget` pages per batch, ascending."""
+        pages, first = np.unique(indices // store.page_size, return_index=True)
+        steps = Dataset.from_arrays(store.dimension, np.append(first, len(indices)), indices,
+                                    values, pages, np.full(len(pages), np.nan))
+        batches = greedy_batches([[page] for page in pages.tolist()], op.budget)
+        execute(manager, steps, batches, visit, report, dirty=dirty)
+
+    def gather(data, start, stop, rows=None, update=False):
+        """Gather each entry's model value, rows [start, stop) of `data`, then
+        run the kernels once: write the loss terms at file `rows`, if given,
+        and keep the gradient terms if `update`, for the apply to add in turn."""
+        indices = data.indices[data.indptr[start] : data.indptr[stop]]
+        order = np.argsort(indices, kind="stable")
+        values = np.empty(len(indices))
+
+        def copy(steps, first, last, at):
+            values[order[steps.indptr[first] : steps.indptr[last]]] = flat[at]
+
+        scan(indices[order], copy)
+        started = time.perf_counter()
+        residual = residuals(data, start, stop, values)
+        if rows is not None:
+            loss_by_row[rows] = loss_terms(data, start, stop, residual)
+        if update:
+            pending.append((indices, gradient_terms(data, start, stop, residual)))
+        report.compute_time += time.perf_counter() - started
 
     def step(data, start, stop, at):
         flat[at] -= data.values[data.indptr[start] : data.indptr[stop]]
@@ -330,13 +330,15 @@ def train(dataset, store, config):
     def apply_gradient():
         touched, sums = gradient_sums(*map(np.concatenate, zip(*pending)))
         pending.clear()
-        pages, first = np.unique(touched // store.page_size, return_index=True)
-        steps = Dataset.from_arrays(store.dimension, np.append(first, len(touched)), touched,
-                                    config.alpha * sums, pages, np.full(len(pages), np.nan))
-        batches = greedy_batches([[page] for page in pages.tolist()], op.budget)
-        execute(manager, steps, batches, step, report, dirty=True)
+        scan(touched, step, config.alpha * sums, dirty=True)
 
-    update = sgd if config.mode == "sgd" else visit_for(update=True)
+    def update_pass(rows, batches, fused=False):
+        """`sgd`'s batches, or a `gather` in visit order (of loss terms too if `fused`)."""
+        if config.mode == "sgd":
+            execute(manager, dataset.take(rows), batches, sgd, report, dirty=True)
+        else:
+            rows = rows[[position for batch in batches for position in batch.positions]]
+            gather(dataset.take(rows), 0, len(rows), rows if fused else None, update=True)
 
     def charged(phase, work, *args, **kwargs):
         """Run `work` and add the storage counters it moved to `phase`."""
@@ -347,11 +349,11 @@ def train(dataset, store, config):
         return result
 
     def loss_pass(skip=()):
-        """Loss-only visits of the loss plan's U-pages but those in `skip`,
-        whose terms fused update visits wrote, then the loss of all terms."""
-        for upage_index, (rows, batches) in enumerate(loss_plan):
+        """Loss-only gathers of the U-pages but those in `skip`, whose terms
+        fused update passes wrote, then the loss of all terms."""
+        for upage_index, (start, stop) in enumerate(bounds):
             if upage_index not in skip:
-                execute(manager, dataset.take(rows), batches, visit_for(rows), report)
+                gather(dataset, start, stop, slice(start, stop))
         # cumsum adds one term at a time, from the leading +0.0, in file order.
         return float(np.cumsum(np.append(0.0, loss_by_row))[-1])
 
@@ -366,18 +368,16 @@ def train(dataset, store, config):
         fused = []
         if iteration > 0 and config.mode != "sgd":
             # losses[iteration] is the loss of the model that the update
-            # visits before this iteration's first apply read.
+            # passes before this iteration's first apply read.
             fused = plan if config.mode == "bgd" else plan[:1]
             for _, rows, batches in fused:
-                charged("update", execute, manager, dataset.take(rows), batches,
-                        visit_for(rows, update=True), report)
+                charged("update", update_pass, rows, batches, fused=True)
             losses.append(charged("loss", loss_pass, {upage for upage, _, _ in fused}))
             if not math.isfinite(losses[-1]):
                 break  # the gradient accumulated on that model is never applied
         for position, (_, rows, batches) in enumerate(plan):
             if position >= len(fused):
-                charged("update", execute, manager, dataset.take(rows), batches, update,
-                        report, dirty=config.mode == "sgd")
+                charged("update", update_pass, rows, batches)
             if config.mode == "sgd-page":
                 charged("apply", apply_gradient)
         if config.mode == "bgd" and pending:  # an empty dataset accumulates nothing

@@ -5,6 +5,7 @@ import json
 import re
 import shlex
 import struct
+import warnings
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,25 @@ def test_train_lmf_runs(tmp_path, capsys):
                  "--iterations", "3", "--budget", "50%", "--seed", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["losses"][-1] < payload["losses"][0]
+
+
+def test_a_diverging_train_prints_only_its_warning(tmp_path, capsys):
+    """Training that diverges says so in one line on stderr; the overflow
+    that makes its loss non-finite raises no numpy warning of its own."""
+    data = str(tmp_path / "m.bin")
+    assert main(["gen", "--kind", "matrix", "--rows", "8", "--cols", "8", "--cells", "30",
+                 "--rank", "3", "--seed", "7", "--out", data]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--data", data, "--model", str(tmp_path / "m.model"),
+                     "--task", "lmf", "--mode", "sgd-page", "--alpha", "5", "--budget", "6",
+                     "--page-size", "8", "--upage", "10", "--model-init", "uniform",
+                     "--init-low", "-0.5", "--init-high", "0.5"]) == 0
+    assert [str(warning.message) for warning in caught] == []
+    out, err = capsys.readouterr()
+    assert json.loads(out)["diverged"] is True
+    assert err == "warning: training diverged (non-finite loss); stopped early\n"
 
 
 def _sweep_rows(capsys, argv):

@@ -12,11 +12,11 @@ from dpjoin import (BufferManager, Dataset, OperatorConfig, OversizedVectorError
 from dpjoin.datagen import gen_matrix, gen_uniform
 from dpjoin.metrics import PHASE_COUNTERS
 from dpjoin.operator import make_batches, plan_order, plan_upage
-from dpjoin.reorder import HEURISTICS, reorder_radix, walk_order
+from dpjoin.reorder import HEURISTICS, walk_order
 from dpjoin.training import (TrainConfig, check_dataset, gradient_sums, iteration_plan,
                              lmf_cell_gradient, lr_loss, lr_scale, train, train_oracle)
 
-from conftest import make_vector, pinned_pages, request_count, total_requests
+from conftest import make_vector, pinned_pages, request_count
 
 
 def small_op(budget=8, reorder="none", seed=3, upage=32):
@@ -97,22 +97,18 @@ def task_instance(tmp_store, task, name="m.model"):
         "lr-sgd-page-unbatched", "lr-sgd-none", "lmf-sgd-none"])
 def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, heuristic):
     """Dual route: the paged trainer and the in-memory trainer must agree
-    bit for bit, losses and final model both. The loss passes visit the
-    vectors in radix order, which is not file order here, and with batching
-    on (lr) run a U-page's batches in a walk order that is not greedy order."""
+    bit for bit, losses and final model both. Under a reorder other than
+    `none` the update passes visit the vectors in an order that is not file
+    order here, so an accumulated update gathers a reordered copy of its
+    U-page."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
     op = small_op(budget=budget, reorder=heuristic)
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=4)
     config.operator.batching = batching
-    bounds = list(ds.upage_bounds(op.upage))
-    assert any(reorder_radix(ds.page_sets(start, stop, store.page_size))
-               != list(range(stop - start)) for start, stop in bounds)
-    if batching and task == "lr":  # the lmf instance's walks keep greedy order
-        radix = dataclasses.replace(op, reorder="radix")
-        walks = [walk_order([batch.pages for batch in plan_upage(
-                     ds, start, stop, store.page_size, radix, (upage_index,))[1]])
-                 for upage_index, (start, stop) in enumerate(bounds)]
-        assert any(walk != sorted(walk) for walk in walks)
+    if heuristic != "none":
+        visits = [rows[[p for batch in batches for p in batch.positions]].tolist()
+                  for _, rows, batches in iteration_plan(ds, store.page_size, config, 0)]
+        assert any(visit != sorted(visit) for visit in visits)
     initial = store.load_dense()
     paged = train(ds, store, config)
     oracle = train_oracle(ds, initial, config, page_size=store.page_size)
@@ -138,11 +134,14 @@ def loss_only_upages(ds, page_size, config):
     return out
 
 
-def loss_plan_batches(ds, page_size, op):
-    """Each U-page's batches in the loss plan: the radix join's."""
-    radix = dataclasses.replace(op, reorder="radix")
-    return [plan_upage(ds, start, stop, page_size, radix, (upage_index,))[1]
-            for upage_index, (start, stop) in enumerate(ds.upage_bounds(op.upage))]
+def scan_pages(ds, start, stop, page_size):
+    """The pages a gather of rows [start, stop) requests, each once, ascending."""
+    return np.unique(ds.indices[ds.indptr[start] : ds.indptr[stop]] // page_size).tolist()
+
+
+def gather_requests(ds, page_size, op):
+    """Each U-page's page requests in one gather: its distinct pages."""
+    return [len(scan_pages(ds, start, stop, page_size)) for start, stop in ds.upage_bounds(op.upage)]
 
 
 @pytest.mark.parametrize("shuffle_upages", [True, False], ids=["shuffled", "fixed"])
@@ -157,9 +156,9 @@ def test_fused_loss_visits_match_the_oracle(tmp_store, task, mode, iterations, u
     visits that read its model before iteration i's first apply (the first
     U-page's under `sgd-page`, every U-page's under `bgd`) and loss-only
     visits of the other U-pages. A term depends only on its vector and that
-    model, whatever batch computes it, so every loss and the final model
+    model, whatever pass computes it, so every loss and the final model
     equal the oracle's bit for bit; the loss phase requests the pages of the
-    loss-only visits alone."""
+    loss-only gathers alone, each U-page's distinct pages once."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
     op = small_op(budget=budget, reorder="shuffle", upage=-(-len(ds) // upages))
     op.batching = batching
@@ -172,8 +171,7 @@ def test_fused_loss_visits_match_the_oracle(tmp_store, task, mode, iterations, u
     assert not paged.diverged
     assert paged.losses == oracle.losses
     assert np.array_equal(store.load_dense(), oracle.final_model)
-    requests = [total_requests(batches)
-                for batches in loss_plan_batches(ds, store.page_size, op)]
+    requests = gather_requests(ds, store.page_size, op)
     assert paged.metrics.phases["loss"]["page_requests"] == sum(
         requests[upage] for upage in loss_only_upages(ds, store.page_size, config))
 
@@ -339,48 +337,49 @@ def test_train_report_counts_batches_and_upages(tmp_store):
     report = train(ds, store, TrainConfig(op, task="lr", mode="sgd",
                                           alpha=0.1, iterations=iterations))
     metrics = report.metrics
-    assert metrics.batch_count == len(ds) * (2 * iterations + 1)
+    # A loss pass gathers each U-page in groups of `budget` of its pages.
+    scans = sum(math.ceil(pages / op.budget) for pages in gather_requests(ds, 16, op))
+    assert metrics.batch_count == len(ds) * iterations + scans * (iterations + 1)
     assert metrics.upage_count == iterations * math.ceil(len(ds) / op.upage)
     # A loss pass alone reads the model and never dirties a page.
     loss_only = train(ds, store, TrainConfig(op, task="lr", mode="sgd", iterations=0))
-    assert loss_only.metrics.batch_count == len(ds)
+    assert loss_only.metrics.batch_count == scans
     assert loss_only.metrics.write_backs == 0
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
 @pytest.mark.parametrize("task", ["lr", "lmf"])
 def test_a_loss_pass_costs_what_the_radix_join_costs(tmp_store, monkeypatch, task, heuristic):
-    """Whatever orders the update passes, a loss pass runs the batches `run`
-    builds under the radix reorder, the same page unions over the same rows,
-    in `walk_order`. It makes the join's requests; its misses follow the
-    walk."""
+    """Whatever orders the update passes, a loss pass requests each U-page's
+    distinct pages once, in ascending groups of `budget`, and reads every
+    entry once, as the radix join does: never more page requests than the
+    join's, fewer when a U-page's pages do not fit, and exactly the join's
+    when they all do."""
     from dpjoin import operator, training
 
     ds, store, budget, _ = task_instance(tmp_store, task)
-    op = OperatorConfig(budget=budget, reorder=heuristic, upage=16, seed=3)
     executed = []
 
     def execute(manager, data, batches, *args, **kwargs):
-        executed.append([(data.tids[b.positions[0] : b.positions[-1] + 1].tolist(), b.pages)
-                         for b in batches])
+        executed.append([sorted(batch.pages) for batch in batches])
         return operator.execute(manager, data, batches, *args, **kwargs)
 
     monkeypatch.setattr(training, "execute", execute)
-    loss_pass = train(ds, store, TrainConfig(op, task=task, iterations=0)).metrics
-    walked = []
-
-    def planned(dataset, *args, **kwargs):
-        rows, batches = plan_upage(dataset, *args, **kwargs)
-        walked.append([(dataset.tids[rows[b.positions]].tolist(), b.pages)
-                       for b in (batches[index]
-                                 for index in walk_order([b.pages for b in batches]))])
-        return rows, batches
-
-    monkeypatch.setattr(operator, "plan_upage", planned)
-    join = run(ds, store, dataclasses.replace(op, reorder="radix"))
-    assert executed == walked
-    for name in ("page_requests", "batch_count", "element_requests"):
-        assert getattr(loss_pass, name) == getattr(join, name), name
+    for budget in (budget, store.num_pages):
+        op = OperatorConfig(budget=budget, reorder=heuristic, upage=16, seed=3)
+        executed.clear()
+        loss_pass = train(ds, store, TrainConfig(op, task=task, iterations=0)).metrics
+        pages = [scan_pages(ds, start, stop, store.page_size)
+                 for start, stop in ds.upage_bounds(op.upage)]
+        assert executed == [[upage[i : i + budget] for i in range(0, len(upage), budget)]
+                            for upage in pages]
+        join = run(ds, store, dataclasses.replace(op, reorder="radix"))
+        assert loss_pass.page_requests == sum(map(len, pages))
+        assert loss_pass.element_requests == join.element_requests == len(ds.indices)
+        if budget == store.num_pages:
+            assert loss_pass.page_requests == join.page_requests
+        else:
+            assert loss_pass.page_requests < join.page_requests
 
 
 def test_train_rejects_a_budget_run_rejects(tmp_store, tmp_path):
@@ -470,27 +469,33 @@ def test_fitting_upages_keep_the_update_order(tmp_store, monkeypatch, heuristic,
 
     def spy(dataset, start, stop, page_size, config, path, ordered=False):
         rows, batches = plan_upage(dataset, start, stop, page_size, config, path, ordered)
-        order = np.arange(stop - start)
-        if ordered:
-            order = np.asarray(plan_order(dataset.page_sets(start, stop, page_size), config, path))
-        planned.append((start + order, rows))
+        order = plan_order(dataset.page_sets(start, stop, page_size), config, path)
+        planned.append((start + np.asarray(order), rows))
         assert len(batches) == 1
         return rows, batches
 
     monkeypatch.setattr(training, "plan_upage", spy)
     result = train(ds, store, config)
     assert result.losses == train_oracle(ds, dense, config, 16).losses == losses
-    assert result.metrics.batch_count == 3 * (4 + 3)  # 3 U-pages, 4 loss and 3 update passes
-    assert len(planned) == 3 + 3 * 3
+    # 3 U-pages, 4 loss passes (a gather of 10 pages or fewer, one batch) and 3 update passes
+    assert result.metrics.batch_count == 3 * (4 + 3)
+    assert len(planned) == 3 * 3
     for expected, rows in planned:
         assert rows.tolist() == expected.tolist()
 
 
-def test_a_fitting_loss_pass_reads_the_dataset_in_place(tmp_store, monkeypatch):
-    """A U-page whose union fits runs its loss pass in file order, so the
-    rows it takes are the dataset's own arrays, not a reordered copy."""
+@pytest.mark.parametrize("budget", [10, 4], ids=["fitting", "not-fitting"])
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_a_loss_pass_reads_the_dataset_in_place(tmp_store, monkeypatch, heuristic, budget):
+    """A loss pass reads each U-page in file order, whatever the heuristic
+    and whether or not the U-page's pages fit the budget: any rows it takes
+    are the dataset's own arrays, not a reordered copy, and it reads every
+    entry once."""
     ds = gen_uniform(40, 160, 4, seed=5)
     store = tmp_store(160, 16, init=("uniform", -0.2, 0.2), seed=1)
+    op = small_op(budget=budget, reorder=heuristic, upage=16)
+    fits = [pages <= budget for pages in gather_requests(ds, 16, op)]
+    assert fits == [budget == 10] * 3
     taken = []
     real_take = Dataset.take
 
@@ -499,9 +504,8 @@ def test_a_fitting_loss_pass_reads_the_dataset_in_place(tmp_store, monkeypatch):
         return taken[-1]
 
     monkeypatch.setattr(Dataset, "take", take)
-    train(ds, store, TrainConfig(small_op(budget=10, reorder="none", upage=16), task="lr",
-                                 iterations=0))
-    assert len(taken) == 3
+    metrics = train(ds, store, TrainConfig(op, task="lr", iterations=0)).metrics
+    assert metrics.element_requests == len(ds.indices)
     for part in taken:
         assert np.shares_memory(part.indices, ds.indices)
         assert np.shares_memory(part.values, ds.values)
@@ -533,9 +537,9 @@ def test_walked_update_passes_read_the_dataset_in_place(tmp_store, monkeypatch):
 
 def test_run_never_walks_and_train_walks_each_plan_once(tmp_store, monkeypatch):
     """`run` runs its batches in greedy order. `train` walks each U-page's
-    batches once for the loss plan and, under `radix`, which reads no seed,
-    once for the update plan it replays on every pass; with batching off it
-    does not walk at all."""
+    batches only for its update plan, under `radix`, which reads no seed,
+    once for the plan it replays on every pass; with batching off it does
+    not walk at all."""
     from dpjoin import operator, training
 
     calls = []
@@ -554,7 +558,7 @@ def test_run_never_walks_and_train_walks_each_plan_once(tmp_store, monkeypatch):
     assert calls == []
     for mode in ("sgd", "sgd-page"):
         train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha, iterations=3))
-        assert len(calls) == 2 * upages
+        assert len(calls) == upages
         calls.clear()
     unbatched = dataclasses.replace(op, batching=False)
     train(ds, store, TrainConfig(unbatched, task="lr", alpha=alpha, iterations=1))
@@ -628,7 +632,8 @@ def test_walked_update_passes_match_the_oracle(tmp_store, task, mode, heuristic,
     `walk_order`, which is not greedy order here, and `train_oracle` derives
     the same walk: losses and final model agree bit for bit. The walk
     reorders the batches and adds no request: the update passes request the
-    pages of the greedy batches."""
+    pages of the greedy batches under `sgd`, and, under `sgd-page` and `bgd`,
+    which gather each U-page in that order, its distinct pages once."""
     ds, store, _, alpha = task_instance(tmp_store, task)
     op = small_op(budget=8 if task == "lr" else 4, reorder=heuristic)
     op.batching = batching
@@ -643,8 +648,11 @@ def test_walked_update_passes_match_the_oracle(tmp_store, task, mode, heuristic,
     assert not paged.diverged
     assert paged.losses == oracle.losses
     assert np.array_equal(store.load_dense(), oracle.final_model)
-    assert paged.metrics.phases["update"]["page_requests"] == sum(
-        request_count(batch) for batches in planned for batch in batches)
+    if mode == "sgd":
+        expected = sum(request_count(batch) for batches in planned for batch in batches)
+    else:
+        expected = config.iterations * sum(gather_requests(ds, store.page_size, op))
+    assert paged.metrics.phases["update"]["page_requests"] == expected
 
 
 @pytest.mark.parametrize("heuristic, plans_per_upage",
@@ -691,51 +699,53 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
     per iteration, the first time after the initial loss pass, and builds no
     update plan before that call. The benchmark times a training run's first
     result at that call by wrapping the module attribute. Iteration i's call
-    follows iteration i - 1's last visit: its loss pass under `sgd`, its
-    last apply under `sgd-page` and `bgd`. Under those two, the visits after
+    follows iteration i - 1's last pass: its loss pass under `sgd`, its
+    last apply under `sgd-page` and `bgd`. Under those two, the passes after
     the call compute loss i before the iteration's first apply: every
     U-page's update under `bgd`; under `sgd-page` the first U-page's update
-    and the other U-pages' loss-only visits."""
+    and the other U-pages' loss-only gathers. A loss pass gathers each
+    U-page in place; an update pass takes its rows first."""
     from dpjoin import training
 
     ds, _, budget, alpha = task_instance(tmp_store, "lr")
     op = small_op(budget=budget, reorder="none", upage=16)
-    bounds = ds.upage_bounds(op.upage)
-    upages = [ds.tids[start:stop].tolist() for start, stop in bounds]
-    radix = dataclasses.replace(op, reorder="radix")
-    assert all(plan_upage(ds, start, stop, 16, radix, (index,))[0].tolist()
-               != list(range(start, stop)) for index, (start, stop) in enumerate(bounds))
+    count, iterations = len(ds.upage_bounds(op.upage)), 3
     events = []
-    original_plan, original_execute = training.iteration_plan, training.execute
+    original_plan, original_execute, original_take = (training.iteration_plan,
+                                                      training.execute, Dataset.take)
 
     def iteration_plan(*args):
         events.append(("iteration_plan", args[3]))
         return original_plan(*args)
 
-    def execute(manager, data, *args, **kwargs):
-        # Under `none` an update visit reads a U-page in file order; a loss-only
-        # visit reads it in radix order; an apply steps unlabeled vectors.
-        kind = ("apply" if np.isnan(data.labels).all() else
-                "update" if data.tids.tolist() in upages else "loss")
+    def execute(manager, data, batches, visit, report, dirty=False):
+        # A gather scans unlabeled vectors, one per page; so does an apply,
+        # which dirties them; an sgd update visits the dataset's vectors.
+        kind = ("update" if not np.isnan(data.labels).all() else
+                "apply" if dirty else "gather")
         events.append((kind,))
-        return original_execute(manager, data, *args, **kwargs)
+        return original_execute(manager, data, batches, visit, report, dirty=dirty)
+
+    def take(self, rows):
+        events.append(("take",))
+        return original_take(self, rows)
 
     def spy(dataset, start, stop, page_size, config, path, ordered=False):
-        if ordered:
-            events.append(("update plan",))
+        events.append(("update plan",))
         return plan_upage(dataset, start, stop, page_size, config, path, ordered)
 
     monkeypatch.setattr(training, "iteration_plan", iteration_plan)
     monkeypatch.setattr(training, "execute", execute)
+    monkeypatch.setattr(Dataset, "take", take)
     monkeypatch.setattr(training, "plan_upage", spy)
-    count, iterations = len(upages), 3
-    loss, update, apply = [("loss",)] * count, [("update",)], [("apply",)]
+    loss, apply = [("gather",)] * count, [("apply",)]
     for mode in ("sgd", "sgd-page", "bgd"):
         events.clear()
         _, store, _, _ = task_instance(tmp_store, "lr", name=f"{mode}.model")
         train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha,
                                      iterations=iterations))
         assert events[: count + 2] == loss + [("iteration_plan", 0), ("update plan",)]
+        update = [("take",), ("update",) if mode == "sgd" else ("gather",)]
         expected = list(loss)
         for iteration in range(iterations):
             expected.append(("iteration_plan", iteration))
@@ -874,14 +884,14 @@ def test_an_apply_that_raises_leaves_nothing_pinned(tmp_store, monkeypatch, faul
 
 @pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
 def test_the_counters_count_the_applies(tmp_store, mode):
-    """An apply is one more `execute` over the coordinates its U-page
-    (`sgd-page`) or its pass (`bgd`) touched: one batch per `budget` of
-    their pages, one page request per page and one element request per
-    coordinate. The update passes count what they count under `sgd`, which
-    runs the same plans; the loss visits count what `sgd`'s count, less the
-    loss-only visits the fused update visits replace: at iteration 1 of 2,
-    every U-page's under `bgd` and the first updated U-page's under
-    `sgd-page`."""
+    """An apply is one more scan of the coordinates its U-page (`sgd-page`)
+    or its pass (`bgd`) touched: one batch per `budget` of their pages, one
+    page request per page and one element request per coordinate. An update
+    pass gathers its U-page as a loss-only pass does: one batch per `budget`
+    of its distinct pages, one request per page and one element request per
+    entry. The loss phase counts what `sgd`'s counts, less the loss-only
+    gathers the fused update passes replace: at iteration 1 of 2, every
+    U-page's under `bgd` and the first updated U-page's under `sgd-page`."""
     ds, store, budget, alpha = task_instance(tmp_store, "lr")
     _, sgd_store, _, _ = task_instance(tmp_store, "lr", name="sgd.model")
     op = small_op(budget=budget, reorder="radix")
@@ -894,32 +904,35 @@ def test_the_counters_count_the_applies(tmp_store, mode):
     touched = [np.unique(ds.indices[ds.indptr[start] : ds.indptr[stop]])
                for start, stop in bounds]
     pages = [len(np.unique(indices // store.page_size)) for indices in touched]
-    loss_batches = loss_plan_batches(ds, store.page_size, op)
-    skipped = (list(range(len(loss_batches))) if mode == "bgd"
+    upage_pages = gather_requests(ds, store.page_size, op)
+    groups = [math.ceil(count / budget) for count in upage_pages]
+    skipped = (list(range(len(upage_pages))) if mode == "bgd"
                else [iteration_plan(ds, store.page_size, config, 1)[0][0]])
     upage_nnz = [int(ds.indptr[stop] - ds.indptr[start])
                  for start, stop in ds.upage_bounds(op.upage)]
-    assert metrics.batch_count == sgd.batch_count + iterations * sum(
-        math.ceil(count / budget) for count in pages) - sum(
-        len(loss_batches[upage]) for upage in skipped)
-    assert metrics.element_requests == sgd.element_requests + iterations * sum(
-        map(len, touched)) - sum(upage_nnz[upage] for upage in skipped)
+    # iterations + 1 loss-only passes, less the skipped gathers, and iterations update passes
+    assert metrics.batch_count == (2 * iterations + 1) * sum(groups) - sum(
+        groups[upage] for upage in skipped) + iterations * sum(
+        math.ceil(count / budget) for count in pages)
+    assert metrics.element_requests == (2 * iterations + 1) * len(ds.indices) - sum(
+        upage_nnz[upage] for upage in skipped) + iterations * sum(map(len, touched))
     assert metrics.phases["apply"]["page_requests"] == iterations * sum(pages)
-    assert metrics.phases["update"]["page_requests"] == sgd.phases["update"]["page_requests"]
+    assert metrics.phases["update"]["page_requests"] == iterations * sum(upage_pages)
     assert metrics.phases["loss"]["page_requests"] == sgd.phases["loss"]["page_requests"] - sum(
-        total_requests(loss_batches[upage]) for upage in skipped)
+        upage_pages[upage] for upage in skipped)
 
 
 @pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
 def test_the_loss_phase_counts_the_loss_only_visits(tmp_store, mode):
-    """The initial and the final loss are passes of their own. Under `sgd`
-    every loss is: T iterations request (T + 1) times one loss pass's pages.
-    Under `bgd` no loss between is: its loss phase requests two passes'
-    pages at T = 2 and at T = 5. Under `sgd-page` loss i >= 1 skips the
-    first updated U-page's loss-only visit."""
+    """The initial and the final loss are passes of their own, each U-page's
+    distinct pages requested once. Under `sgd` every loss is: T iterations
+    request (T + 1) times one loss pass's pages. Under `bgd` no loss between
+    is: its loss phase requests two passes' pages at T = 2 and at T = 5.
+    Under `sgd-page` loss i >= 1 skips the first updated U-page's loss-only
+    gather."""
     ds, _, budget, alpha = task_instance(tmp_store, "lr")
     op = small_op(budget=budget, reorder="radix", upage=16)
-    per_upage = [total_requests(batches) for batches in loss_plan_batches(ds, 16, op)]
+    per_upage = gather_requests(ds, 16, op)
     requests, configs = {}, {}
     for iterations in (0, 2, 5):
         _, store, _, _ = task_instance(tmp_store, "lr", name=f"{iterations}.model")
