@@ -1,10 +1,11 @@
 """Out-of-core dot-product join over a paged dense model.
 
 Sparse input vectors are streamed against a model vector stored as fixed
-pages on disk, under a hard page budget, with vector reordering, request
-batching, and a set-pinning LRU buffer manager keeping the storage traffic
-down. Gradient descent (logistic regression and low-rank matrix
-factorization) runs through the same machinery.
+pages on disk, under a hard page budget, with a set-pinning LRU buffer
+manager. By default each chunk of vectors is joined by one ascending
+gather of its pages; the paper's operator (vector reordering and request
+batching) is the `batched` plan. Gradient descent (logistic regression
+and low-rank matrix factorization) runs through the same machinery.
 """
 
 from .batcher import Batch, greedy_batches

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen, run, train, sweep (the join over every combination of
-its --reorder, --budget and --upage values). Options are checked before a
-model file is created, so a rejected one writes no file.
+its --plan, --reorder, --budget and --upage values). Options are checked
+before a model file is created, so a rejected one writes no file.
 Exit codes: 0 success, 2 validation failure, 3 precondition failure
 (running out of memory too), 4 storage/I-O failure. --seed defaults to 0.
 """
@@ -19,7 +19,7 @@ from . import datagen
 from .errors import PreconditionError, StoreError, ValidationError
 from .metrics import emit_report
 from .model_store import ModelStore, page_count
-from .operator import CollectSink, OperatorConfig, run
+from .operator import PLANS, CollectSink, OperatorConfig, run
 from .reorder import HEURISTICS, MAX_LSH_HASHES
 from .sparse_data import load_dataset, store_dataset
 from .training import TrainConfig, check_dataset, train
@@ -50,12 +50,13 @@ def parse_budget(text, num_pages):
     return pages
 
 
-def _operator_config(args, num_pages, reorder, budget, upage):
-    """The checked OperatorConfig of `reorder`, `budget` (text), `upage` and the other flags."""
+def _operator_config(args, num_pages, plan, reorder, budget, upage):
+    """The checked OperatorConfig of `plan`, `reorder`, `budget` (text),
+    `upage` and the other flags."""
     config = OperatorConfig(
         budget=parse_budget(budget, num_pages),
         reorder=reorder,
-        batching=not args.no_batching,
+        plan=plan,
         upage=upage,
         seed=args.seed,
         lsh_m=args.lsh_hashes,
@@ -67,15 +68,19 @@ def _operator_config(args, num_pages, reorder, budget, upage):
 
 
 def _add_operator_flags(parser, grid=False):
-    """The operator's flags; with `grid`, --budget, --reorder and --upage
-    each take one or more values."""
+    """The operator's flags; with `grid`, --budget, --plan, --reorder and
+    --upage each take one or more values."""
     def values(default):
         return {"nargs": "+", "default": [default]} if grid else {"default": default}
 
     parser.add_argument("--budget", **values("20%"),
                         help="memory budget: pages or %% of model pages (default 20%%)")
     parser.add_argument("--reorder", choices=HEURISTICS, **values("none"))
-    parser.add_argument("--no-batching", action="store_true")
+    # Checked by OperatorConfig.check, so an unknown plan exits 2 from main.
+    parser.add_argument("--plan", **values("gather"),
+                        help=f"one of {', '.join(PLANS)}: the sort-merge gather (default),"
+                             " the paper's batched operator, or one vector per batch;"
+                             " training batches its sgd updates unless single")
     parser.add_argument("--upage", type=int, **values(4096),
                         help="vectors per reorder scope (default 4096)")
     parser.add_argument("--lsh-hashes", type=int, default=16,
@@ -129,7 +134,7 @@ def _open_or_create_model(args, dataset):
 def cmd_run(args):
     dataset = _load_data(args)
     config = _operator_config(args, _model_pages(args, dataset),
-                              args.reorder, args.budget, args.upage)
+                              args.plan, args.reorder, args.budget, args.upage)
     sink = CollectSink()
     with _open_or_create_model(args, dataset) as store:
         report = run(dataset, store, config, sink)
@@ -146,7 +151,8 @@ def cmd_train(args):
     dataset = _load_data(args)
     num_pages = _model_pages(args, dataset)
     config = TrainConfig(
-        operator=_operator_config(args, num_pages, args.reorder, args.budget, args.upage),
+        operator=_operator_config(args, num_pages, args.plan, args.reorder, args.budget,
+                                  args.upage),
         task=args.task,
         mode=args.mode,
         alpha=args.alpha,
@@ -175,15 +181,15 @@ def cmd_train(args):
 def cmd_sweep(args):
     dataset = _load_data(args)
     num_pages = _model_pages(args, dataset)
-    cells = [(budget, _operator_config(args, num_pages, reorder, budget, upage))
-             for reorder, budget, upage in
-             itertools.product(args.reorder, args.budget, args.upage)]
+    cells = [(budget, _operator_config(args, num_pages, plan, reorder, budget, upage))
+             for plan, reorder, budget, upage in
+             itertools.product(args.plan, args.reorder, args.budget, args.upage)]
     rows = []
     with _open_or_create_model(args, dataset) as store:
         for budget, config in cells:
             report = run(dataset, store, config)
             rows.append({"heuristic": config.reorder, "budget": budget,
-                         "budget_pages": config.budget, "upage": config.upage,
+                         "budget_pages": config.budget, "upage": config.upage, "plan": config.plan,
                          **report.counters(), "reorder_time": report.reorder_time})
     _emit(rows, args)
     return 0

@@ -1,13 +1,22 @@
 """The out-of-core dot-product join operator.
 
-Streams a dataset of sparse vectors against a paged dense model: vectors
-are taken one chunk (U-page) at a time, reordered within the chunk, cut
-into batches whose page unions fit the memory budget, and each batch's
-pages are requested from the buffer manager as one pinned set. The batch's
-model indexes are turned into frame-pool positions once
-(`BufferManager.positions`), and its dot products are computed together
-from the pinned frames and emitted before the next batch issues any page
-request.
+Streams a dataset of sparse vectors against a paged dense model, one
+chunk (U-page) of vectors at a time, under one of three plans:
+
+- `gather` (the default): the U-page's entries are sorted by model index,
+  its distinct pages are requested once each, in ascending groups of the
+  budget (`scan`), and each entry's model value is copied into place
+  (`gather`); the dot products are then computed together and emitted in
+  file order. This is a sort-merge join of the entries against the model.
+- `batched`: the paper's operator. Vectors are reordered within the
+  chunk, cut into batches whose page unions fit the memory budget, and
+  each batch's pages are requested from the buffer manager as one pinned
+  set; its dot products are emitted before the next batch issues any page
+  request.
+- `single`: as `batched`, one vector per batch.
+
+Every pinned batch's model indexes are turned into frame-pool positions
+once (`BufferManager.positions`).
 
 Bit equality with the oracles' scalar per-vector loop (`dot_product`) is
 kept by one rule: every sum adds its terms one at a time, in entry order,
@@ -28,13 +37,16 @@ from .buffer_manager import BufferManager
 from .errors import OversizedVectorError, ValidationError
 from .metrics import MetricsReport
 from .reorder import HEURISTICS, MAX_LSH_HASHES, reorder, walk_order
+from .sparse_data import Dataset
+
+PLANS = ("gather", "batched", "single")
 
 
 @dataclass
 class OperatorConfig:
     budget: int                 # memory budget in pages
     reorder: str = "none"
-    batching: bool = True
+    plan: str = "gather"        # one of PLANS; training batches unless "single"
     upage: int = 4096           # vectors per reorder scope
     seed: int = 0
     lsh_m: int = 16
@@ -47,10 +59,12 @@ class OperatorConfig:
 
     def check(self, num_pages):
         """Reject a budget outside [1, num_pages], a negative seed, an unknown
-        heuristic and options no heuristic accepts, whichever is chosen;
-        `run`, `train` and the CLI check here, before any page is read."""
+        heuristic or plan and options no heuristic accepts, whichever is
+        chosen; `run`, `train` and the CLI check here, before any page is read."""
         if self.reorder not in HEURISTICS:
             raise ValidationError(f"unknown reorder heuristic {self.reorder!r}")
+        if self.plan not in PLANS:
+            raise ValidationError(f"unknown plan {self.plan!r}")
         if not 1 <= self.budget <= num_pages:
             raise ValidationError(f"budget must be 1 to {num_pages} pages, got {self.budget}")
         if self.upage < 1:
@@ -99,40 +113,42 @@ def plan_order(sets, config, path):
 
 def make_batches(ordered_sets, config, union=None):
     """One batch of every vector when `union`, the page union of the sets,
-    is given; else greedy batches when batching is on, single-vector
-    batches otherwise."""
+    is given; else greedy batches, or single-vector batches under the
+    `single` plan."""
     if union is not None:
         return [Batch(list(range(len(ordered_sets))), frozenset(union))]
-    if config.batching:
+    if config.plan != "single":
         return greedy_batches(ordered_sets, config.budget)
     return [Batch([position], pages)
             for position, pages in fitting_sets(ordered_sets, config.budget)]
 
 
-def fitting_page_sets(dataset, start, stop, page_size, budget):
-    """The page sets of rows [start, stop) of `dataset`, checked against
-    `budget` in file order: the error names the first vector that cannot
-    fit, by its tid and its offset from `start`, whatever the heuristic."""
-    sets = dataset.page_sets(start, stop, page_size)
-    for position, pages in enumerate(sets):
-        if len(pages) > budget:
-            tid = int(dataset.tids[start + position])
-            raise OversizedVectorError(f"vector tid {tid} needs {len(pages)} pages, budget"
-                                       f" is {budget}", position=position, tid=tid)
-    return sets
+def check_fits(dataset, start, stop, page_size, budget):
+    """Check the vectors of rows [start, stop) of `dataset` against `budget`
+    in file order: the error names the first vector whose pages cannot
+    fit, by its tid and its offset from `start`, whatever the plan."""
+    counts = np.diff(dataset.page_runs(start, stop, page_size)[1])
+    over = np.flatnonzero(counts > budget)
+    if len(over):
+        position = int(over[0])
+        tid = int(dataset.tids[start + position])
+        raise OversizedVectorError(f"vector tid {tid} needs {int(counts[position])} pages,"
+                                   f" budget is {budget}", position=position, tid=tid)
 
 
 def plan_upage(dataset, start, stop, page_size, config, path, ordered=False):
     """Rows [start, stop) of `dataset`, a U-page, in processing order and
-    their batches, from its `fitting_page_sets`. With batching on, a U-page
-    whose page union fits the budget is one batch in any order, so no order
-    changes its counters, and greedy batching does not run. With `ordered`
-    (training's update passes, which `train_oracle` replays) the vectors run
-    in `plan_order`'s order, seeded by `path`; else (the join) a U-page of
-    one batch runs in file order, and any other in `plan_order`'s."""
-    sets = fitting_page_sets(dataset, start, stop, page_size, config.budget)
+    their batches, from its page sets, checked by `check_fits` first.
+    Unless the plan is `single`, a U-page whose page union fits the budget
+    is one batch in any order, so no order changes its counters, and greedy
+    batching does not run. With `ordered` (training's update passes, which
+    `train_oracle` replays) the vectors run in `plan_order`'s order, seeded
+    by `path`; else (the join) a U-page of one batch runs in file order,
+    and any other in `plan_order`'s."""
+    check_fits(dataset, start, stop, page_size, config.budget)
+    sets = dataset.page_sets(start, stop, page_size)
     union = None
-    if config.batching:
+    if config.plan != "single":
         union = set()
         for pages in sets:  # given up as soon as it exceeds the budget
             union.update(pages)
@@ -177,6 +193,44 @@ def execute(manager, data, batches, visit, report, dirty=False):
             manager.unpin_set(batch.pages, dirty=dirty)
 
 
+def page_batches(pages, budget):
+    """Consecutive batches of `budget` of the distinct, ascending `pages`,
+    one vector per page: what `greedy_batches` cuts of their one-page sets."""
+    pages = pages.tolist()
+    return [Batch(list(range(k, min(k + budget, len(pages)))), frozenset(pages[k : k + budget]))
+            for k in range(0, len(pages), budget)]
+
+
+def scan(manager, indices, visit, report, values=None, dirty=False):
+    """`execute` over the ascending model `indices` (and their `values`) as
+    one vector per page they touch, in `page_batches` of the budget: each
+    touched page is requested once, in ascending order."""
+    page_size = np.uint64(manager.store.page_size)
+    first = np.flatnonzero(np.diff(indices // page_size)) + 1
+    first = np.concatenate(([0], first)) if len(indices) else first
+    pages = indices[first] // page_size
+    steps = Dataset.from_arrays(manager.store.dimension, np.append(first, len(indices)),
+                                indices, values, pages, np.full(len(pages), np.nan))
+    execute(manager, steps, page_batches(pages, manager.capacity), visit, report, dirty=dirty)
+
+
+def gather(manager, data, start, stop, report):
+    """The model value of every entry of rows [start, stop) of `data`, in
+    entry order: the entries sorted by model index, each value copied into
+    place from its page as `scan` pins it. The copy writes each value at
+    its own entry, so the order of equal indexes changes nothing."""
+    indices = data.indices[data.indptr[start] : data.indptr[stop]]
+    order = np.argsort(indices)
+    values = np.empty(len(indices))
+    flat = manager.frames.reshape(-1)
+
+    def copy(steps, first, last, at):
+        values[order[steps.indptr[first] : steps.indptr[last]]] = flat[at]
+
+    scan(manager, indices[order], copy, report)
+    return values
+
+
 def row_sums(terms, bounds):
     """Per-vector sums of `terms`, vector i owning terms[bounds[i]:bounds[i+1]],
     each added in entry order from +0.0 exactly as `dot_product` adds them.
@@ -194,12 +248,11 @@ def row_sums(terms, bounds):
     return sums
 
 
-def batch_dot_products(flat, data, start, stop, at):
-    """Dot products of rows [start, stop) of `data` against the frame pool
-    `flat`: the batch's model values are gathered from their positions
-    `at` in one step and summed by `row_sums`."""
+def dot_products(data, start, stop, model_values):
+    """Dot products of rows [start, stop) of `data`, given the model value
+    of each of their entries, summed by `row_sums`."""
     lo, hi = data.indptr[start], data.indptr[stop]
-    return row_sums(data.values[lo:hi] * flat[at], data.indptr[start : stop + 1] - lo)
+    return row_sums(data.values[lo:hi] * model_values, data.indptr[start : stop + 1] - lo)
 
 
 def finish_report(manager, report):
@@ -226,30 +279,49 @@ def check_inputs(dataset, store, config):
 
 
 def run(dataset, store, config, sink=None):
-    """Execute the join; emit DotProductResult per vector to `sink` in
-    processing (post-reorder) order and return a MetricsReport. With
-    batching on, a U-page whose page union fits the budget is one batch in
+    """Execute the join under `config.plan`; emit DotProductResult per
+    vector to `sink` and return a MetricsReport.
+
+    `gather` checks every vector against the budget before any page is
+    read, then gathers each U-page and emits its results in file order.
+    `batched` and `single` emit in processing (post-reorder) order; under
+    `batched`, a U-page whose page union fits the budget is one batch in
     file order: it is neither reordered nor greedily batched, since no
     order changes its requests."""
     check_inputs(dataset, store, config)
     emit = sink if sink is not None else (lambda result: None)
     manager = BufferManager(store, config.budget)
     report = MetricsReport(config=config.describe())
-
+    bounds = dataset.upage_bounds(config.upage)
     flat = manager.frames.reshape(-1)
 
-    def visit(data, start, stop, at):
-        dps = batch_dot_products(flat, data, start, stop, at)
+    def visit(data, start, stop, model_values):
+        dps = dot_products(data, start, stop, model_values)
         for tid, dp in zip(data.tids[start:stop].tolist(), dps.tolist()):
             emit(DotProductResult(tid, dp))
 
-    for upage_index, (start, stop) in enumerate(dataset.upage_bounds(config.upage)):
+    def visit_pinned(data, start, stop, at):
+        visit(data, start, stop, flat[at])
+
+    if config.plan == "gather":
+        started = time.perf_counter()
+        for start, stop in bounds:
+            check_fits(dataset, start, stop, store.page_size, config.budget)
+        report.reorder_time += time.perf_counter() - started
+        for start, stop in bounds:
+            report.upage_count += 1
+            values = gather(manager, dataset, start, stop, report)
+            started = time.perf_counter()
+            visit(dataset, start, stop, values)
+            report.compute_time += time.perf_counter() - started
+        return finish_report(manager, report)
+    for upage_index, (start, stop) in enumerate(bounds):
         report.upage_count += 1
         started = time.perf_counter()
         rows, batches = plan_upage(dataset, start, stop, store.page_size, config,
                                     (upage_index,))
         report.reorder_time += time.perf_counter() - started
-        execute(manager, dataset.take(rows), batches, visit, report)
+        execute(manager, dataset.take(rows), batches, visit_pinned, report)
     return finish_report(manager, report)
 
 

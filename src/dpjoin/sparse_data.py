@@ -223,10 +223,12 @@ class Dataset:
         for start, stop in self.upage_bounds(upage):
             yield start, [self[row] for row in range(start, stop)]
 
-    def page_sets(self, start, stop, page_size):
-        """`page_request_set` of each vector in rows [start, stop), from one
-        pass over the indexes: they ascend within a vector, so its pages
-        are where `index // page_size` changes, plus its first entry."""
+    def page_runs(self, start, stop, page_size):
+        """The distinct pages of the vectors in rows [start, stop), as one
+        array, and where each vector's pages start in it (one bound more than
+        vectors), from one pass over the indexes: they ascend within a
+        vector, so its pages are where `index // page_size` changes, plus
+        its first entry."""
         bounds = self.indptr[start : stop + 1] - self.indptr[start]
         pages = self.indices[self.indptr[start] : self.indptr[stop]] // np.uint64(page_size)
         first = np.ones(len(pages), dtype=bool)
@@ -234,9 +236,13 @@ class Dataset:
         first[bounds[:-1][bounds[:-1] < len(pages)]] = True
         cuts = np.zeros(len(pages) + 1, dtype=np.int64)
         np.cumsum(first, out=cuts[1:])
-        cuts = cuts[bounds].tolist()
-        kept = pages[first].tolist()
-        return [tuple(kept[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        return pages[first], cuts[bounds]
+
+    def page_sets(self, start, stop, page_size):
+        """`page_request_set` of each vector in rows [start, stop)."""
+        pages, cuts = self.page_runs(start, stop, page_size)
+        pages, cuts = pages.tolist(), cuts.tolist()
+        return [tuple(pages[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 # -- binary encoding ---------------------------------------------------------

@@ -26,10 +26,11 @@ from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import PHASE_COUNTERS, MetricsReport
 from .model_store import page_count
-from .operator import (OperatorConfig, check_inputs, dot_product, execute, finish_report,
-                       fitting_page_sets, plan_order, plan_upage, row_sums, walk_batches)
+from .operator import (OperatorConfig, check_fits, check_inputs, dot_product, dot_products,
+                       execute, finish_report, gather, plan_order, plan_upage, row_sums, scan,
+                       walk_batches)
 from .reorder import SEEDLESS
-from .sparse_data import Dataset, page_request_set
+from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
 
@@ -155,8 +156,9 @@ def iteration_plan(dataset, page_size, config, iteration, plans=None):
     """An update pass's plan: `(upage_index, rows, batches)` for each U-page
     of `dataset` in `_upage_order`. `plan_upage` orders the U-page's vectors
     by `plan_order` (seeded by `(iteration, upage_index)`) into `rows` and
-    cuts them into batches, and with batching on the batches, as cut, run in
-    `walk_order` (`walk_batches`); `rows` stay in the order they were cut.
+    cuts them into batches, and unless the plan is `single` the batches, as
+    cut, run in `walk_order` (`walk_batches`); `rows` stay in the order they
+    were cut. The `gather` and `batched` plans give the same update pass.
 
     Depends only on the page-request sets at `page_size` and the seeds,
     never on model values, so `train_oracle` can derive the same order. A
@@ -172,7 +174,7 @@ def iteration_plan(dataset, page_size, config, iteration, plans=None):
         if upage_index not in plans:
             rows, batches = plan_upage(dataset, *bounds[upage_index], page_size, op,
                                        (iteration, upage_index), ordered=True)
-            plans[upage_index] = rows, walk_batches(batches) if op.batching else batches
+            plans[upage_index] = rows, batches if op.plan == "single" else walk_batches(batches)
     return [(upage_index, *plans[upage_index]) for upage_index in order]
 
 
@@ -198,10 +200,11 @@ def train(dataset, store, config):
     Only `sgd` changes model values between vectors, so only its update
     passes run `iteration_plan`'s batches through `operator.execute`, each
     vector seeing all its pages at once. Every other pass reads a U-page
-    with `gather`: its entries sorted by index, its distinct pages requested
-    once each, in ascending groups of `budget` (`scan`), each entry's model
-    value copied into place, then one call of the task's residual, loss-term
-    and gradient-term kernels on those values. A loss pass reads each U-page
+    with `operator.gather`, the join's default plan: its entries sorted by
+    index, its distinct pages requested once each, in ascending groups of
+    `budget` (`operator.scan`), each entry's model value copied into place,
+    then one call of the task's residual, loss-term and gradient-term
+    kernels on those values. A loss pass reads each U-page
     in file order, in place, and adds the terms in file order, as
     `train_oracle` does. An `sgd-page` or `bgd` update pass reads its U-page
     in `iteration_plan`'s visit order (each batch's rows in turn) and keeps
@@ -239,7 +242,7 @@ def train(dataset, store, config):
     bounds = dataset.upage_bounds(op.upage)
     started = time.perf_counter()
     for start, stop in bounds:  # before any page is read
-        fitting_page_sets(dataset, start, stop, store.page_size, op.budget)
+        check_fits(dataset, start, stop, store.page_size, op.budget)
     report.reorder_time += time.perf_counter() - started
     pending = []  # (indices, terms) of each update pass since the last apply
     update_plans = {}  # upage_index -> (rows, batches), under a reorder that reads no seed
@@ -251,11 +254,6 @@ def train(dataset, store, config):
         blocks = values.reshape(stop - start, 2, rank)
         e = row_sums((blocks[:, 0] * blocks[:, 1]).reshape(-1), rank * np.arange(stop - start + 1))
         return e - data.labels[start:stop], blocks
-
-    def lr_residuals(data, start, stop, values):
-        lo = data.indptr[start]
-        return row_sums(data.values[lo : data.indptr[stop]] * values,
-                        data.indptr[start : stop + 1] - lo)
 
     def lr_loss_terms(data, start, stop, dps):
         return np.logaddexp(0.0, -data.labels[start:stop] * dps)
@@ -292,35 +290,20 @@ def train(dataset, store, config):
             flat[col_at] -= config.alpha * grad_col
 
     residuals, loss_terms, gradient_terms, sgd = (
-        (lr_residuals, lr_loss_terms, lr_gradient_terms, lr_sgd) if config.task == "lr" else
+        (dot_products, lr_loss_terms, lr_gradient_terms, lr_sgd) if config.task == "lr" else
         (cell_errors, lmf_loss_terms, lmf_gradient_terms, lmf_sgd))
 
-    def scan(indices, visit, values=None, dirty=False):
-        """`execute` over the ascending model `indices` (and their `values`) as
-        one vector per page they touch, `budget` pages per batch, ascending."""
-        pages, first = np.unique(indices // store.page_size, return_index=True)
-        steps = Dataset.from_arrays(store.dimension, np.append(first, len(indices)), indices,
-                                    values, pages, np.full(len(pages), np.nan))
-        batches = greedy_batches([[page] for page in pages.tolist()], op.budget)
-        execute(manager, steps, batches, visit, report, dirty=dirty)
-
-    def gather(data, start, stop, rows=None, update=False):
-        """Gather each entry's model value, rows [start, stop) of `data`, then
-        run the kernels once: write the loss terms at file `rows`, if given,
-        and keep the gradient terms if `update`, for the apply to add in turn."""
-        indices = data.indices[data.indptr[start] : data.indptr[stop]]
-        order = np.argsort(indices, kind="stable")
-        values = np.empty(len(indices))
-
-        def copy(steps, first, last, at):
-            values[order[steps.indptr[first] : steps.indptr[last]]] = flat[at]
-
-        scan(indices[order], copy)
+    def read(data, start, stop, rows=None, update=False):
+        """`gather` rows [start, stop) of `data`, then run the kernels once:
+        write the loss terms at file `rows`, if given, and keep the gradient
+        terms if `update`, for the apply to add in turn."""
+        values = gather(manager, data, start, stop, report)
         started = time.perf_counter()
         residual = residuals(data, start, stop, values)
         if rows is not None:
             loss_by_row[rows] = loss_terms(data, start, stop, residual)
         if update:
+            indices = data.indices[data.indptr[start] : data.indptr[stop]]
             pending.append((indices, gradient_terms(data, start, stop, residual)))
         report.compute_time += time.perf_counter() - started
 
@@ -330,15 +313,15 @@ def train(dataset, store, config):
     def apply_gradient():
         touched, sums = gradient_sums(*map(np.concatenate, zip(*pending)))
         pending.clear()
-        scan(touched, step, config.alpha * sums, dirty=True)
+        scan(manager, touched, step, report, config.alpha * sums, dirty=True)
 
     def update_pass(rows, batches, fused=False):
-        """`sgd`'s batches, or a `gather` in visit order (of loss terms too if `fused`)."""
+        """`sgd`'s batches, or a `read` in visit order (of loss terms too if `fused`)."""
         if config.mode == "sgd":
             execute(manager, dataset.take(rows), batches, sgd, report, dirty=True)
         else:
             rows = rows[[position for batch in batches for position in batch.positions]]
-            gather(dataset.take(rows), 0, len(rows), rows if fused else None, update=True)
+            read(dataset.take(rows), 0, len(rows), rows if fused else None, update=True)
 
     def charged(phase, work, *args, **kwargs):
         """Run `work` and add the storage counters it moved to `phase`."""
@@ -353,7 +336,7 @@ def train(dataset, store, config):
         fused update passes wrote, then the loss of all terms."""
         for upage_index, (start, stop) in enumerate(bounds):
             if upage_index not in skip:
-                gather(dataset, start, stop, slice(start, stop))
+                read(dataset, start, stop, slice(start, stop))
         # cumsum adds one term at a time, from the leading +0.0, in file order.
         return float(np.cumsum(np.append(0.0, loss_by_row))[-1])
 
@@ -398,8 +381,8 @@ def train_oracle(dataset, initial_model, config, page_size):
 
     The update order is `iteration_plan`'s, derived afresh at every
     iteration and without `plan_upage`: `_upage_order`, each U-page's
-    `plan_order` permutation and, with batching on, its greedy batches in
-    `walk_order`. A U-page whose union fits is one greedy batch, as it is
+    `plan_order` permutation and, unless the plan is `single`, its greedy
+    batches in `walk_order`. A U-page whose union fits is one greedy batch, as it is
     one batch in `plan_upage`. So a plan that `train` replays is checked
     against a new one."""
     config.check(page_count(dataset.dimension, page_size))
@@ -414,7 +397,7 @@ def train_oracle(dataset, initial_model, config, page_size):
     def update_order(upage_index, iteration):
         sets = upage_sets[upage_index]
         perm = plan_order(sets, op, (iteration, upage_index))
-        if op.batching:
+        if op.plan != "single":
             batches = walk_batches(greedy_batches([sets[p] for p in perm], op.budget))
             perm = [perm[p] for batch in batches for p in batch.positions]
         return perm

@@ -122,10 +122,11 @@ class PageRecorder:
     opened (a first one is opened if none is). `window(**labels)` opens the
     next window; with `upages`, each call of `operator.plan_upage` opens one
     labelled with its U-page's `start` and `vectors`, so the windows of a
-    `run` are its U-pages."""
+    batched `run` are its U-pages. `requests` keeps every requested page
+    set, ascending, in request order."""
 
     def __init__(self, store, upages=False):
-        self.store, self.upages, self.windows = store, upages, []
+        self.store, self.upages, self.windows, self.requests = store, upages, [], []
 
     def window(self, **labels):
         self.windows.append({**labels, "page_requests": 0, "misses_by_page": Counter()})
@@ -151,7 +152,8 @@ class PageRecorder:
 
         def recording_request(manager, pages):
             request_set(manager, pages)
-            self._last()["page_requests"] += len({int(p) for p in pages})
+            self.requests.append(sorted({int(p) for p in pages}))
+            self._last()["page_requests"] += len(self.requests[-1])
 
         def opening_plan(dataset, start, stop, *args, **kwargs):
             self.window(start=start, vectors=stop - start)

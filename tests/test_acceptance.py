@@ -17,6 +17,7 @@ from dpjoin.batcher import greedy_batches
 from dpjoin.cli import parse_budget
 from dpjoin.datagen import (DEMO_DIMENSION, DEMO_PAGE_SIZE, gen_demo,
                             gen_matrix, gen_skewed, gen_uniform)
+from dpjoin.operator import PLANS
 from dpjoin.reorder import HEURISTICS, minwise_params
 from dpjoin.sparse_data import page_request_set
 from dpjoin.training import (TrainConfig, lmf_cell_gradient, lmf_loss, lr_loss,
@@ -42,11 +43,11 @@ def test_c01_demo_corpus_exact_counters(tmp_path):
     ds = gen_demo()
     with make_store(tmp_path, DEMO_DIMENSION, DEMO_PAGE_SIZE) as store:
         plain = run(ds, store, OperatorConfig(budget=2, reorder="none",
-                                              batching=False))
+                                              plan="single"))
         radix = run(ds, store, OperatorConfig(budget=2, reorder="radix",
-                                              batching=False))
+                                              plan="single"))
         batched = run(ds, store, OperatorConfig(budget=2, reorder="radix",
-                                                batching=True))
+                                                plan="batched"))
     assert plain.element_requests == 19
     assert plain.page_requests == 16
     assert plain.page_misses == 8
@@ -62,10 +63,10 @@ def test_c02_oracle_equivalence_over_config_grid(tmp_path):
     """1000 random instances, config grid applied round-robin; (tid, dp)
     multisets must be bit-identical to the in-memory oracle."""
     started = time.perf_counter()
-    grid = [(m, h, b)
+    grid = [(m, h, p)
             for m in ("fit", "25%", "100%")
             for h in HEURISTICS
-            for b in (True, False)]
+            for p in PLANS]
     rng = np.random.default_rng(2024)
     checked = 0
     for instance in range(1000):
@@ -74,7 +75,7 @@ def test_c02_oracle_equivalence_over_config_grid(tmp_path):
         page_size = int(rng.choice([8, 16, 32, 64]))
         ds = gen_uniform(n, d, int(rng.integers(1, 7)),
                          seed=int(rng.integers(2**31)))
-        m_kind, heuristic, batching = grid[instance % len(grid)]
+        m_kind, heuristic, plan = grid[instance % len(grid)]
         with make_store(tmp_path, d, page_size,
                         init=("uniform", -1.0, 1.0),
                         seed=int(rng.integers(2**31)),
@@ -87,13 +88,13 @@ def test_c02_oracle_equivalence_over_config_grid(tmp_path):
             sink = CollectSink()
             run(ds, store,
                 OperatorConfig(budget=budget, reorder=heuristic,
-                               batching=batching, upage=64,
+                               plan=plan, upage=64,
                                seed=int(rng.integers(2**31))),
                 sink=sink)
             expected = oracle_dot_products(ds, store.load_dense())
         got = sorted((r.tid, r.dp) for r in sink.results)
         want = sorted((r.tid, r.dp) for r in expected)
-        assert got == want, (instance, m_kind, heuristic, batching)
+        assert got == want, (instance, m_kind, heuristic, plan)
         checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -188,7 +189,7 @@ def test_c04_radix_per_page_miss_bound(tmp_path):
             with PageRecorder(store, upages=True) as recorder:
                 report = run(ds, store,
                              OperatorConfig(budget=budget, reorder="radix",
-                                            batching=False, upage=upage))
+                                            plan="single", upage=upage))
         assert len(recorder.windows) == report.upage_count
         for window, (start, vectors) in zip(recorder.windows,
                                             ds.iter_upages(upage)):
@@ -248,7 +249,7 @@ def test_c06_reorder_gains_on_skewed_data_at_one_percent_budget(tmp_path):
         for heuristic in ("none", "radix", "lsh"):
             report = run(ds, store,
                          OperatorConfig(budget=budget, reorder=heuristic,
-                                        batching=False, upage=4096, seed=5,
+                                        plan="single", upage=4096, seed=5,
                                         lsh_m=16, lsh_b=8))
             misses[heuristic] = report.page_misses
     radix_cut = 100.0 * (misses["none"] - misses["radix"]) / misses["none"]
@@ -324,7 +325,7 @@ def test_c08_training_converges_and_reorder_does_not_hurt(tmp_path):
     for heuristic in ("shuffle", "radix"):
         with make_store(tmp_path, 10_000, 128,
                         name=f"lr_{heuristic}.model") as store:
-            op = OperatorConfig(budget=32, reorder=heuristic, batching=True,
+            op = OperatorConfig(budget=32, reorder=heuristic, plan="batched",
                                 upage=1024, seed=9)
             report = train(ds, store, TrainConfig(op, task="lr", mode="sgd",
                                                   alpha=0.2, iterations=10))
@@ -340,7 +341,7 @@ def test_c08_training_converges_and_reorder_does_not_hurt(tmp_path):
     with make_store(tmp_path, (200 + 200) * 8, 64,
                     init=("uniform", -0.1, 0.1), seed=3,
                     name="lmf.model") as store:
-        op = OperatorConfig(budget=16, reorder="shuffle", batching=True,
+        op = OperatorConfig(budget=16, reorder="shuffle", plan="batched",
                             upage=1024, seed=9)
         mreport = train(mds, store, TrainConfig(op, task="lmf", mode="sgd",
                                                 alpha=0.05, iterations=10))
@@ -365,7 +366,7 @@ def test_c09_misses_shrink_as_budget_grows(tmp_path):
             assert budget >= fit
             report = run(ds, store,
                          OperatorConfig(budget=budget, reorder="none",
-                                        batching=False, upage=4096))
+                                        plan="single", upage=4096))
             trail.append(report.page_misses)
             distinct = report.distinct_pages
     assert all(a >= b for a, b in zip(trail, trail[1:])), trail

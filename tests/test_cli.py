@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dpjoin import ModelStore, datagen, oracle_dot_products
 from dpjoin.cli import build_parser, main, parse_budget
+from dpjoin.operator import PLANS
 from dpjoin.reorder import HEURISTICS
 from dpjoin.sparse_data import load_dataset, store_dataset
 
@@ -109,7 +110,7 @@ def test_exit_codes(tmp_path):
     # a vector spanning more pages than the budget allows
     assert main(["run", "--data", data, "--model", str(tmp_path / "m3.model"),
                  "--page-size", "2", "--budget", "2",
-                 "--no-batching"]) == 3
+                 "--plan", "single"]) == 3
 
 
 def test_train_names_the_tid_of_a_vector_over_the_budget(tmp_path, capsys):
@@ -209,7 +210,7 @@ def test_sweep_without_batching_isolates_the_ordering_effect(tmp_path, capsys):
     rows = _sweep_rows(capsys, [
         "--data", data, "--model", str(tmp_path / "m.model"), "--page-size", "64",
         "--budget", "15%", "--reorder", "none", "radix", "--upage", "128",
-        "--seed", "3", "--no-batching"])
+        "--seed", "3", "--plan", "single"])
     rows = {r["heuristic"]: r for r in rows}
     assert [(r["page_misses"], r["page_requests"], r["batch_count"])
             for r in rows.values()] == [(618, 1332, 300), (555, 1332, 300)]
@@ -219,8 +220,8 @@ def test_sweep_without_batching_isolates_the_ordering_effect(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, none_misses", [
-    ([], [281, 133, 62]),
-    (["--no-batching"], [319, 159, 62]),
+    (["--plan", "batched"], [281, 133, 62]),
+    (["--plan", "single"], [319, 159, 62]),
 ], ids=["batched", "unbatched"])
 def test_sweep_misses_never_rise_with_the_budget(tmp_path, capsys, flags, none_misses):
     data = str(tmp_path / "d.bin")
@@ -246,8 +247,8 @@ def test_sweep_prints_the_demo_counters(tmp_path, capsys):
     flags = ["--data", data, "--model", str(tmp_path / "demo.model"),
              "--page-size", "2", "--budget", "2", "--upage", "8"]
     plain, radix = _sweep_rows(capsys, [*flags, "--reorder", "none", "radix",
-                                        "--no-batching"])
-    (batched,) = _sweep_rows(capsys, [*flags, "--reorder", "radix"])
+                                        "--plan", "single"])
+    (batched,) = _sweep_rows(capsys, [*flags, "--reorder", "radix", "--plan", "batched"])
     assert plain["element_requests"] == 19
     assert plain["page_requests"] == 16
     assert plain["page_misses"] == 8
@@ -412,12 +413,16 @@ def test_gen_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, argv):
     ["run", "--lsh-hashes", "99999999999999999999"],
     ["run", "--reorder", "lsh", "--lsh-hashes", "5000000"],
     ["sweep", "--reorder", "lsh", "--lsh-hashes", "1025"],
+    ["run", "--plan", "hash"],
+    ["train", "--plan", "batching"],
+    ["sweep", "--plan", "gather", "hash"],
 ], ids=["upage-0", "iterations-negative", "lsh-hashes-0", "lsh-bands-0",
         "fewer-hashes-than-bands", "kcenter-k-1", "page-size-0", "budget-above-pages",
         "train-budget-above-pages", "sweep-budget-above-pages", "sweep-upage-0",
         "sweep-kcenter-k-1", "run-seed-negative", "radix-seed-negative",
         "train-seed-negative", "sweep-seed-negative", "lsh-hashes-huge",
-        "lsh-hashes-5000000", "lsh-hashes-above-ceiling"])
+        "lsh-hashes-5000000", "lsh-hashes-above-ceiling", "run-plan-unknown",
+        "train-plan-unknown", "sweep-plan-unknown"])
 def test_rejected_option_exits_2(tmp_path, capsys, argv):
     data = _small_dataset(tmp_path)
     model = tmp_path / "m.model"
@@ -465,6 +470,7 @@ def test_a_model_the_disk_cannot_hold_exits_4_and_writes_nothing(tmp_path, capsy
 
 HUGE = 99999999999999999999
 EXTREMES = (-HUGE, -1, 0, HUGE)
+UNKNOWN_PLAN = "hash"
 
 
 @st.composite
@@ -502,8 +508,7 @@ def _cli_argv(draw):
             values["--mode"] = draw(st.sampled_from(["sgd", "sgd-page", "bgd"]))
             extreme.append("--iterations")
         fixed = [command, "--data", "{data}", "--model", "{model}"]
-        if draw(st.booleans()):
-            fixed.append("--no-batching")
+        fixed += ["--plan", draw(st.sampled_from((*PLANS, UNKNOWN_PLAN)))]
     flag = draw(st.sampled_from([None] * len(extreme) + extreme))
     if flag is not None:
         choices = EXTREMES
@@ -610,3 +615,6 @@ def test_every_command_line_exits_with_a_contract_code(tmp_path_factory, argv, e
         assert code == 4
     elif argv[0] != "gen" and model_fault is not None:
         assert code in ((2, 4) if data_fault else (4,))
+    elif UNKNOWN_PLAN in argv:
+        assert code == 2
+        assert existing_model or not model.exists()

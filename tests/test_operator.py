@@ -30,7 +30,7 @@ def test_demo_counters_plain(tmp_store):
     from dpjoin.datagen import DEMO_DIMENSION, DEMO_PAGE_SIZE
     ds = gen_demo()
     store = tmp_store(DEMO_DIMENSION, DEMO_PAGE_SIZE, init=("uniform", 1.0, 1.0))
-    report = run(ds, store, OperatorConfig(budget=2, batching=False))
+    report = run(ds, store, OperatorConfig(budget=2, plan="single"))
     assert report.element_requests == 19
     assert report.page_requests == 16
     assert report.page_misses == 8
@@ -48,7 +48,7 @@ def test_shuffled_processing_emits_all_tids(tmp_store):
     ds = gen_uniform(64, 200, 4, seed=6)
     store = tmp_store(200, 16)
     sink = CollectSink()
-    run(ds, store, OperatorConfig(budget=6, reorder="shuffle", seed=1),
+    run(ds, store, OperatorConfig(budget=6, reorder="shuffle", plan="batched", seed=1),
         sink=sink)
     assert sorted(r.tid for r in sink.results) == [v.tid for v in ds]
     assert [r.tid for r in sink.results] != [v.tid for v in ds]
@@ -57,7 +57,7 @@ def test_shuffled_processing_emits_all_tids(tmp_store):
 def test_batching_off_one_batch_per_vector(tmp_store):
     ds = gen_uniform(30, 300, 5, seed=7)
     store = tmp_store(300, 16)
-    report = run(ds, store, OperatorConfig(budget=8, batching=False))
+    report = run(ds, store, OperatorConfig(budget=8, plan="single"))
     assert report.batch_count == 30
     assert report.element_requests == total_nnz(ds)
     assert report.page_requests == sum(
@@ -67,8 +67,8 @@ def test_batching_off_one_batch_per_vector(tmp_store):
 def test_batching_reduces_page_requests(tmp_store):
     ds = gen_uniform(30, 300, 5, seed=7)
     store = tmp_store(300, 16)
-    plain = run(ds, store, OperatorConfig(budget=8, batching=False))
-    batched = run(ds, store, OperatorConfig(budget=8, batching=True))
+    plain = run(ds, store, OperatorConfig(budget=8, plan="single"))
+    batched = run(ds, store, OperatorConfig(budget=8, plan="batched"))
     assert batched.batch_count < plain.batch_count
     assert batched.page_requests < plain.page_requests
     assert batched.element_requests == plain.element_requests
@@ -89,7 +89,7 @@ def test_per_upage_metrics(tmp_store):
     ds = gen_uniform(50, 200, 4, seed=11)
     store = tmp_store(200, 16)
     with PageRecorder(store, upages=True) as recorder:
-        report = run(ds, store, OperatorConfig(budget=8, upage=16))
+        report = run(ds, store, OperatorConfig(budget=8, plan="batched", upage=16))
     windows = recorder.windows
     assert report.upage_count == 4
     assert len(windows) == 4
@@ -143,7 +143,7 @@ def test_oversized_vector_carries_tid(tmp_store, heuristic):
     ds = gen_uniform(10, 400, 8, seed=2)
     store = tmp_store(400, 8)          # 50 pages, sets up to 8 pages
     with pytest.raises(OversizedVectorError) as err:
-        run(ds, store, OperatorConfig(budget=2, reorder=heuristic, batching=False))
+        run(ds, store, OperatorConfig(budget=2, reorder=heuristic, plan="single"))
     assert err.value.tid in ds.tids
     assert f"tid {err.value.tid} " in str(err.value)
     if heuristic in ("none", "kcenter"):  # both find the first in file order
@@ -155,7 +155,7 @@ def test_results_are_streamed_not_buffered(tmp_store):
     ds = gen_uniform(12, 100, 3, seed=4)
     store = tmp_store(100, 10)
     seen = []
-    run(ds, store, OperatorConfig(budget=4, batching=False),
+    run(ds, store, OperatorConfig(budget=4, plan="single"),
         sink=lambda result: seen.append(result.tid))
     assert seen == [v.tid for v in ds]
 
@@ -169,7 +169,7 @@ def test_batch_kernel_is_bit_identical_to_the_oracle(tmp_store):
     and above 64, and pinned pages whose frames do not ascend with their
     page ids: the batch kernel's dot products equal the scalar oracle's."""
     from dpjoin import BufferManager, Dataset
-    from dpjoin.operator import batch_dot_products
+    from dpjoin.operator import dot_products
 
     from conftest import make_vector
 
@@ -207,11 +207,11 @@ def test_batch_kernel_is_bit_identical_to_the_oracle(tmp_store):
     firsts = manager.positions(np.arange(pages) * page_size).tolist()
     assert firsts != sorted(firsts)
     flat = manager.frames.reshape(-1)
-    got = batch_dot_products(flat, data, 0, len(data), manager.positions(data.indices))
+    got = dot_products(data, 0, len(data), flat[manager.positions(data.indices)])
     assert _bits(got) == _bits(oracle)
     for start in range(len(data)):             # one-vector batches too
         at = manager.positions(data.indices[data.indptr[start] : data.indptr[start + 1]])
-        assert _bits(batch_dot_products(flat, data, start, start + 1, at)) \
+        assert _bits(dot_products(data, start, start + 1, flat[at])) \
             == _bits(oracle[start : start + 1])
 
 
@@ -274,7 +274,7 @@ def test_report_config_is_unchanged(tmp_store):
     ds = gen_uniform(20, 64, 3, seed=2)
     store = tmp_store(64, 8)
     op = OperatorConfig(budget=4, reorder="lsh", upage=8, seed=5, kcenter_k=3)
-    expected = [("budget", 4), ("reorder", "lsh"), ("batching", True), ("upage", 8),
+    expected = [("budget", 4), ("reorder", "lsh"), ("plan", "gather"), ("upage", 8),
                 ("seed", 5), ("lsh_m", 16), ("lsh_b", 4), ("kcenter_k", 3)]
     assert list(run(ds, store, op).config.items()) == expected
     result = train(ds, store, TrainConfig(op, mode="bgd", alpha=0.5, iterations=1,
@@ -357,7 +357,8 @@ def test_fitting_upages_keep_the_planned_counters(tmp_path_factory, n, upage, he
         largest = max(len(set().union(*upage_sets)) for upage_sets in sets)
         widest = max(len(s) for upage_sets in sets for s in upage_sets)
         config = OperatorConfig(budget=max(widest, largest + delta), reorder=heuristic,
-                                batching=batching, upage=upage, seed=seed)
+                                plan="batched" if batching else "single", upage=upage,
+                                seed=seed)
         sink = CollectSink()
         with PageRecorder(store, upages=True) as recorder:
             report = run(ds, store, config, sink)
@@ -371,7 +372,7 @@ def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
     """Planned unordered, a U-page whose union fits is one batch in file
     order, with no reorder and no greedy pass. Planned `ordered`, it runs in
     `plan_order`'s order and is still one batch. A U-page that does not fit,
-    or any U-page with batching off, runs in `plan_order`'s order."""
+    or any U-page under the `single` plan, runs in `plan_order`'s order."""
     from dpjoin import operator
     from dpjoin.operator import plan_order, plan_upage
 
@@ -387,7 +388,7 @@ def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(operator, name, spy)
 
-    config = OperatorConfig(budget=10, reorder="shuffle", seed=1)
+    config = OperatorConfig(budget=10, reorder="shuffle", plan="batched", seed=1)
     sink = CollectSink()
     report = run(ds, store, config, sink)
     assert [r.tid for r in sink.results] == tids
@@ -400,10 +401,132 @@ def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
     assert calls == ["reorder"] * 2  # the test's `plan_order`, then the planner's
 
     for budget, batching in ((9, True), (10, False)):
-        config = OperatorConfig(budget=budget, reorder="shuffle", batching=batching, seed=1)
+        config = OperatorConfig(budget=budget, reorder="shuffle",
+                                plan="batched" if batching else "single", seed=1)
         order = plan_order(sets, config, (0,))
         calls.clear()
         sink = CollectSink()
         run(ds, store, config, sink)
         assert [r.tid for r in sink.results] == [tids[p] for p in order] != tids
         assert calls == ["reorder", "greedy_batches"][: 1 + batching]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 400), unique=True, max_size=60), st.integers(1, 70))
+def test_scan_cuts_what_greedy_batching_cuts_of_one_page_sets(pages, budget):
+    """A scan's batches are `budget` consecutive pages of its ascending
+    distinct pages, as greedy batching cuts their one-page sets."""
+    from dpjoin.batcher import greedy_batches
+    from dpjoin.operator import page_batches
+
+    pages = sorted(pages)
+    assert page_batches(np.array(pages, dtype=np.uint64), budget) \
+        == greedy_batches([[p] for p in pages], budget)
+
+
+def _one_page_dataset(rng, n, pages, page_size):
+    """Vectors whose entries all lie on one page each, so a budget of one
+    page holds any of them."""
+    from dpjoin import Dataset, SparseVector
+
+    vectors = []
+    for i in range(n):
+        page = int(rng.integers(pages))
+        nnz = int(rng.integers(1, page_size + 1))
+        idx = page * page_size + np.sort(rng.choice(page_size, size=nnz, replace=False))
+        vectors.append(SparseVector(i + 1, None, idx.astype(np.uint64), rng.normal(size=nnz)))
+    return Dataset(pages * page_size, vectors)
+
+
+@pytest.mark.parametrize("upage", [1, 16, 60])
+@pytest.mark.parametrize("budget", ["one", "middle", "all"])
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_gather_join_matches_the_oracle(tmp_store, heuristic, budget, upage):
+    """Under the default `gather` plan, whatever the heuristic, budget and
+    U-page size, every dot product is bit-identical to the oracle's and the
+    results come in file order."""
+    rng = np.random.default_rng(21)
+    if budget == "one":
+        ds, pages = _one_page_dataset(rng, 60, 13, 32), 1
+    else:
+        ds = random_dataset(rng, n=60, d=13 * 32)
+        pages = 8 if budget == "middle" else 13
+    store = tmp_store(13 * 32, 32, init=("uniform", -1.0, 1.0), seed=8)
+    config = OperatorConfig(budget=pages, reorder=heuristic, upage=upage, seed=2)
+    assert config.plan == "gather"
+    sink = CollectSink()
+    report = run(ds, store, config, sink=sink)
+    expected = oracle_dot_products(ds, store.load_dense())
+    assert [r.tid for r in sink.results] == [r.tid for r in expected]
+    assert _bits([r.dp for r in sink.results]) == _bits([r.dp for r in expected])
+    assert report.element_requests == total_nnz(ds)
+    assert report.upage_count == len(ds.upage_bounds(upage))
+
+
+@pytest.mark.parametrize("upage,budget", [(1, 1), (16, 3), (16, 8), (50, 2), (50, 13)])
+def test_gather_join_requests_each_upage_pages_once_ascending(tmp_store, upage, budget):
+    """The gather join requests each U-page's distinct pages once, in
+    ascending groups of `budget`, in U-page order."""
+    rng = np.random.default_rng(4)
+    if budget == 1:
+        ds = _one_page_dataset(rng, 50, 13, 32)
+    else:  # a vector of at most `budget` entries touches at most `budget` pages
+        ds = random_dataset(rng, 50, 13 * 32, nnz_max=min(budget, 8))
+    store = tmp_store(13 * 32, 32)
+    with PageRecorder(store) as recorder:
+        report = run(ds, store, OperatorConfig(budget=budget, upage=upage))
+    expected = []
+    for start, stop in ds.upage_bounds(upage):
+        pages = np.unique(ds.indices[ds.indptr[start] : ds.indptr[stop]] // 32).tolist()
+        expected += [pages[k : k + budget] for k in range(0, len(pages), budget)]
+    assert recorder.requests == expected
+    assert report.page_requests == sum(map(len, expected))
+    assert report.batch_count == len(expected)
+
+
+def test_gather_join_names_an_oversized_vector_before_any_read(tmp_store):
+    """Tid 9, in the last U-page, spans 3 pages of a 2-page budget: the
+    gather join names it before it reads any page."""
+    from conftest import make_vector
+    from dpjoin import Dataset
+
+    vectors = [make_vector(i, [8 * (i % 8)]) for i in range(12)]
+    vectors[9] = make_vector(9, [0, 8, 16])
+    ds = Dataset(dimension=64, vectors=vectors)
+    store = tmp_store(64, 8)
+    with PageRecorder(store) as recorder, pytest.raises(OversizedVectorError) as err:
+        run(ds, store, OperatorConfig(budget=2, upage=4))
+    assert (err.value.tid, err.value.position) == (9, 1)
+    assert "vector tid 9 needs 3 pages, budget is 2" in str(err.value)
+    assert recorder.requests == []
+    assert not recorder.misses_by_page
+
+
+def test_an_unknown_plan_is_rejected(tmp_store):
+    ds = gen_uniform(10, 64, 3, seed=1)
+    store = tmp_store(64, 8)
+    with pytest.raises(ValidationError, match="unknown plan 'hash'"):
+        run(ds, store, OperatorConfig(budget=4, plan="hash"))
+    assert OperatorConfig(budget=4, plan="single").describe()["plan"] == "single"
+
+
+def test_gather_join_peaks_no_higher_than_the_batched_join(tmp_store):
+    """On the README's skewed instance (8192 vectors, d = 1e6, pages of
+    512, budget 1%, radix), the gather join's `tracemalloc` peak is no
+    higher than the batched join's: its sort-merge intermediate is one
+    U-page's entries, as the batched plan's reordered copy of the U-page is."""
+    import tracemalloc
+
+    from dpjoin.datagen import gen_skewed
+
+    ds = gen_skewed(8192, 1_000_000, 12, seed=0)
+    store = tmp_store(1_000_000, 512, init=("uniform", -1.0, 1.0), seed=1)
+    peaks = {}
+    for plan in ("gather", "batched"):
+        tracemalloc.start()
+        try:
+            run(ds, store, OperatorConfig(budget=20, reorder="radix", plan=plan))
+            peaks[plan] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["gather"] <= peaks["batched"], peaks

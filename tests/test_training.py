@@ -20,7 +20,7 @@ from conftest import make_vector, pinned_pages, request_count
 
 
 def small_op(budget=8, reorder="none", seed=3, upage=32):
-    return OperatorConfig(budget=budget, reorder=reorder, batching=True,
+    return OperatorConfig(budget=budget, reorder=reorder, plan="batched",
                           upage=upage, seed=seed)
 
 
@@ -87,6 +87,23 @@ def task_instance(tmp_store, task, name="m.model"):
     return ds, tmp_store((10 + 8) * 4, 8, init=init, seed=6, name=name), 6, 0.05
 
 
+@pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
+@pytest.mark.parametrize("task", ["lr", "lmf"])
+def test_gather_and_batched_plans_train_alike(tmp_store, task, mode):
+    """For training, the default `gather` plan is the `batched` one: same
+    losses, final model and counters."""
+    ds, _, budget, alpha = task_instance(tmp_store, task)
+    results = []
+    for plan in ("gather", "batched"):
+        _, store, _, _ = task_instance(tmp_store, task, name=f"{plan}.model")
+        op = dataclasses.replace(small_op(budget=budget, reorder="shuffle"), plan=plan)
+        report = train(ds, store, TrainConfig(op, task=task, mode=mode, alpha=alpha,
+                                              iterations=2))
+        results.append(([loss.hex() for loss in report.losses], report.metrics.counters(),
+                        store.load_dense().tobytes()))
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("task,mode,batching,heuristic", [
     ("lr", "sgd", True, "radix"), ("lr", "sgd-page", True, "radix"),
     ("lr", "bgd", True, "radix"), ("lmf", "sgd", True, "shuffle"),
@@ -104,7 +121,7 @@ def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, he
     ds, store, budget, alpha = task_instance(tmp_store, task)
     op = small_op(budget=budget, reorder=heuristic)
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=4)
-    config.operator.batching = batching
+    config.operator.plan = "batched" if batching else "single"
     if heuristic != "none":
         visits = [rows[[p for batch in batches for p in batch.positions]].tolist()
                   for _, rows, batches in iteration_plan(ds, store.page_size, config, 0)]
@@ -161,7 +178,7 @@ def test_fused_loss_visits_match_the_oracle(tmp_store, task, mode, iterations, u
     loss-only gathers alone, each U-page's distinct pages once."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
     op = small_op(budget=budget, reorder="shuffle", upage=-(-len(ds) // upages))
-    op.batching = batching
+    op.plan = "batched" if batching else "single"
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=iterations,
                          shuffle_upages=shuffle_upages)
     assert len(ds.upage_bounds(op.upage)) == upages
@@ -313,7 +330,7 @@ def test_oversized_vector_error_names_the_tid(tmp_store, batching):
     vectors[3] = make_vector(103, [0, 8, 16], label=1.0)
     ds = Dataset(dimension=64, vectors=vectors)
     store = tmp_store(64, 8)
-    op = OperatorConfig(budget=2, batching=batching, upage=4)
+    op = OperatorConfig(budget=2, plan="batched" if batching else "single", upage=4)
     with pytest.raises(OversizedVectorError) as err:
         run(ds, store, op)
     assert err.value.tid == 103
@@ -332,7 +349,7 @@ def test_oversized_vector_error_names_the_tid(tmp_store, batching):
 def test_train_report_counts_batches_and_upages(tmp_store):
     ds = gen_uniform(40, 256, 5, seed=4)
     store = tmp_store(256, 16, init=("uniform", -0.2, 0.2), seed=6)
-    op = OperatorConfig(budget=8, batching=False, upage=16, seed=3)
+    op = OperatorConfig(budget=8, plan="single", upage=16, seed=3)
     iterations = 3
     report = train(ds, store, TrainConfig(op, task="lr", mode="sgd",
                                           alpha=0.1, iterations=iterations))
@@ -354,17 +371,17 @@ def test_a_loss_pass_costs_what_the_radix_join_costs(tmp_store, monkeypatch, tas
     distinct pages once, in ascending groups of `budget`, and reads every
     entry once, as the radix join does: never more page requests than the
     join's, fewer when a U-page's pages do not fit, and exactly the join's
-    when they all do."""
-    from dpjoin import operator, training
+    when they all do. The default join executes the same page groups."""
+    from dpjoin import operator
 
     ds, store, budget, _ = task_instance(tmp_store, task)
-    executed = []
+    executed, real_execute = [], operator.execute
 
     def execute(manager, data, batches, *args, **kwargs):
         executed.append([sorted(batch.pages) for batch in batches])
-        return operator.execute(manager, data, batches, *args, **kwargs)
+        return real_execute(manager, data, batches, *args, **kwargs)
 
-    monkeypatch.setattr(training, "execute", execute)
+    monkeypatch.setattr(operator, "execute", execute)  # every gather's scan
     for budget in (budget, store.num_pages):
         op = OperatorConfig(budget=budget, reorder=heuristic, upage=16, seed=3)
         executed.clear()
@@ -373,7 +390,11 @@ def test_a_loss_pass_costs_what_the_radix_join_costs(tmp_store, monkeypatch, tas
                  for start, stop in ds.upage_bounds(op.upage)]
         assert executed == [[upage[i : i + budget] for i in range(0, len(upage), budget)]
                             for upage in pages]
-        join = run(ds, store, dataclasses.replace(op, reorder="radix"))
+        loss_groups = list(executed)
+        executed.clear()
+        run(ds, store, op)
+        assert executed == loss_groups
+        join = run(ds, store, dataclasses.replace(op, reorder="radix", plan="batched"))
         assert loss_pass.page_requests == sum(map(len, pages))
         assert loss_pass.element_requests == join.element_requests == len(ds.indices)
         if budget == store.num_pages:
@@ -536,10 +557,10 @@ def test_walked_update_passes_read_the_dataset_in_place(tmp_store, monkeypatch):
 
 
 def test_run_never_walks_and_train_walks_each_plan_once(tmp_store, monkeypatch):
-    """`run` runs its batches in greedy order. `train` walks each U-page's
-    batches only for its update plan, under `radix`, which reads no seed,
-    once for the plan it replays on every pass; with batching off it does
-    not walk at all."""
+    """The batched `run` runs its batches in greedy order. `train` walks each
+    U-page's batches only for its update plan, under `radix`, which reads no
+    seed, once for the plan it replays on every pass; under the `single`
+    plan it does not walk at all."""
     from dpjoin import operator, training
 
     calls = []
@@ -560,7 +581,7 @@ def test_run_never_walks_and_train_walks_each_plan_once(tmp_store, monkeypatch):
         train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha, iterations=3))
         assert len(calls) == upages
         calls.clear()
-    unbatched = dataclasses.replace(op, batching=False)
+    unbatched = dataclasses.replace(op, plan="single")
     train(ds, store, TrainConfig(unbatched, task="lr", alpha=alpha, iterations=1))
     assert calls == []
 
@@ -628,15 +649,16 @@ def greedy_update_batches(ds, page_size, op, iterations):
 @pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
 @pytest.mark.parametrize("task", ["lr", "lmf"])
 def test_walked_update_passes_match_the_oracle(tmp_store, task, mode, heuristic, batching):
-    """With batching on, an update pass runs each U-page's greedy batches in
-    `walk_order`, which is not greedy order here, and `train_oracle` derives
-    the same walk: losses and final model agree bit for bit. The walk
+    """Unless the plan is `single`, an update pass runs each U-page's greedy
+    batches in `walk_order`, which is not greedy order here, and
+    `train_oracle` derives the same walk: losses and final model agree bit
+    for bit. The walk
     reorders the batches and adds no request: the update passes request the
     pages of the greedy batches under `sgd`, and, under `sgd-page` and `bgd`,
     which gather each U-page in that order, its distinct pages once."""
     ds, store, _, alpha = task_instance(tmp_store, task)
     op = small_op(budget=8 if task == "lr" else 4, reorder=heuristic)
-    op.batching = batching
+    op.plan = "batched" if batching else "single"
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=3)
     planned = greedy_update_batches(ds, store.page_size, op, config.iterations)
     if batching:
@@ -705,7 +727,7 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
     U-page's update under `bgd`; under `sgd-page` the first U-page's update
     and the other U-pages' loss-only gathers. A loss pass gathers each
     U-page in place; an update pass takes its rows first."""
-    from dpjoin import training
+    from dpjoin import operator, training
 
     ds, _, budget, alpha = task_instance(tmp_store, "lr")
     op = small_op(budget=budget, reorder="none", upage=16)
@@ -735,7 +757,8 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
         return plan_upage(dataset, start, stop, page_size, config, path, ordered)
 
     monkeypatch.setattr(training, "iteration_plan", iteration_plan)
-    monkeypatch.setattr(training, "execute", execute)
+    monkeypatch.setattr(training, "execute", execute)  # sgd's updates
+    monkeypatch.setattr(operator, "execute", execute)  # every gather's and apply's scan
     monkeypatch.setattr(Dataset, "take", take)
     monkeypatch.setattr(training, "plan_upage", spy)
     loss, apply = [("gather",)] * count, [("apply",)]
@@ -770,7 +793,8 @@ def test_an_oversized_vector_in_an_update_plan_keeps_its_tid(heuristic, batching
     vectors = [make_vector(100 + i, [8 * i], label=1.0) for i in range(6)]
     vectors[3] = make_vector(103, [0, 8, 16], label=1.0)
     ds = Dataset(dimension=64, vectors=vectors)
-    op = OperatorConfig(budget=2, reorder=heuristic, batching=batching, upage=4)
+    op = OperatorConfig(budget=2, reorder=heuristic, plan="batched" if batching else "single",
+                        upage=4)
     with pytest.raises(OversizedVectorError) as err:
         iteration_plan(ds, 8, TrainConfig(op, task="lr"), 0, {})
     assert err.value.tid == 103
@@ -800,7 +824,8 @@ def test_the_first_oversized_vector_in_file_order_is_named(tmp_store, monkeypatc
 
     monkeypatch.setattr(operator, "reorder", reorder)
     for seed in range(4):
-        op = OperatorConfig(budget=2, reorder=heuristic, batching=batching, upage=8, seed=seed)
+        op = OperatorConfig(budget=2, reorder=heuristic,
+                            plan="batched" if batching else "single", upage=8, seed=seed)
         config = TrainConfig(op, task="lr", iterations=1)
         for plan in (lambda: run(ds, store, op), lambda: train(ds, store, config),
                      lambda: iteration_plan(ds, 8, config, 0)):
