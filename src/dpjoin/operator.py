@@ -37,21 +37,33 @@ from .buffer_manager import BufferManager
 from .errors import OversizedVectorError, ValidationError
 from .metrics import MetricsReport
 from .reorder import HEURISTICS, MAX_LSH_HASHES, reorder, walk_order
-from .sparse_data import Dataset
+from .sparse_data import Dataset, run_sets
 
 PLANS = ("gather", "batched", "single")
 
 
 @dataclass
 class OperatorConfig:
+    """The join's and training's operator settings. The `gather` join reads
+    only `budget` and `upage`: the ordering options (`reorder`, `seed`,
+    `lsh_m`, `lsh_b`, `kcenter_k`) apply to the `batched` and `single`
+    joins and to training's update passes, under every plan."""
+
     budget: int                 # memory budget in pages
     reorder: str = "none"
-    plan: str = "gather"        # one of PLANS; training batches unless "single"
+    plan: str = "gather"        # one of PLANS
     upage: int = 4096           # vectors per reorder scope
     seed: int = 0
     lsh_m: int = 16
     lsh_b: int = 4
     kcenter_k: int | None = None
+
+    @property
+    def batches_greedily(self):
+        """Whether vectors are cut into greedy batches: every plan but
+        `single`. Training's update passes are the same under `gather` and
+        `batched`; only the join reads each U-page by gather."""
+        return self.plan != "single"
 
     def describe(self):
         """Every field, by name."""
@@ -117,7 +129,7 @@ def make_batches(ordered_sets, config, union=None):
     `single` plan."""
     if union is not None:
         return [Batch(list(range(len(ordered_sets))), frozenset(union))]
-    if config.plan != "single":
+    if config.batches_greedily:
         return greedy_batches(ordered_sets, config.budget)
     return [Batch([position], pages)
             for position, pages in fitting_sets(ordered_sets, config.budget)]
@@ -126,14 +138,17 @@ def make_batches(ordered_sets, config, union=None):
 def check_fits(dataset, start, stop, page_size, budget):
     """Check the vectors of rows [start, stop) of `dataset` against `budget`
     in file order: the error names the first vector whose pages cannot
-    fit, by its tid and its offset from `start`, whatever the plan."""
-    counts = np.diff(dataset.page_runs(start, stop, page_size)[1])
+    fit, by its tid and its offset from `start`, whatever the plan. Returns
+    the rows' `Dataset.page_runs`."""
+    runs = dataset.page_runs(start, stop, page_size)
+    counts = np.diff(runs[1])
     over = np.flatnonzero(counts > budget)
     if len(over):
         position = int(over[0])
         tid = int(dataset.tids[start + position])
         raise OversizedVectorError(f"vector tid {tid} needs {int(counts[position])} pages,"
                                    f" budget is {budget}", position=position, tid=tid)
+    return runs
 
 
 def plan_upage(dataset, start, stop, page_size, config, path, ordered=False):
@@ -145,10 +160,9 @@ def plan_upage(dataset, start, stop, page_size, config, path, ordered=False):
     `train_oracle` replays) the vectors run in `plan_order`'s order, seeded
     by `path`; else (the join) a U-page of one batch runs in file order,
     and any other in `plan_order`'s."""
-    check_fits(dataset, start, stop, page_size, config.budget)
-    sets = dataset.page_sets(start, stop, page_size)
+    sets = run_sets(*check_fits(dataset, start, stop, page_size, config.budget))
     union = None
-    if config.plan != "single":
+    if config.batches_greedily:
         union = set()
         for pages in sets:  # given up as soon as it exceeds the budget
             union.update(pages)

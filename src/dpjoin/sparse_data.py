@@ -240,9 +240,13 @@ class Dataset:
 
     def page_sets(self, start, stop, page_size):
         """`page_request_set` of each vector in rows [start, stop)."""
-        pages, cuts = self.page_runs(start, stop, page_size)
-        pages, cuts = pages.tolist(), cuts.tolist()
-        return [tuple(pages[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        return run_sets(*self.page_runs(start, stop, page_size))
+
+
+def run_sets(pages, cuts):
+    """Each vector's page tuple from `Dataset.page_runs`' arrays."""
+    pages, cuts = pages.tolist(), cuts.tolist()
+    return [tuple(pages[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 # -- binary encoding ---------------------------------------------------------

@@ -174,7 +174,7 @@ def iteration_plan(dataset, page_size, config, iteration, plans=None):
         if upage_index not in plans:
             rows, batches = plan_upage(dataset, *bounds[upage_index], page_size, op,
                                        (iteration, upage_index), ordered=True)
-            plans[upage_index] = rows, batches if op.plan == "single" else walk_batches(batches)
+            plans[upage_index] = rows, walk_batches(batches) if op.batches_greedily else batches
     return [(upage_index, *plans[upage_index]) for upage_index in order]
 
 
@@ -397,7 +397,7 @@ def train_oracle(dataset, initial_model, config, page_size):
     def update_order(upage_index, iteration):
         sets = upage_sets[upage_index]
         perm = plan_order(sets, op, (iteration, upage_index))
-        if op.plan != "single":
+        if op.batches_greedily:
             batches = walk_batches(greedy_batches([sets[p] for p in perm], op.budget))
             perm = [perm[p] for batch in batches for p in batch.positions]
         return perm

@@ -17,7 +17,6 @@ from dpjoin.batcher import greedy_batches
 from dpjoin.cli import parse_budget
 from dpjoin.datagen import (DEMO_DIMENSION, DEMO_PAGE_SIZE, gen_demo,
                             gen_matrix, gen_skewed, gen_uniform)
-from dpjoin.operator import PLANS
 from dpjoin.reorder import HEURISTICS, minwise_params
 from dpjoin.sparse_data import page_request_set
 from dpjoin.training import (TrainConfig, lmf_cell_gradient, lmf_loss, lr_loss,
@@ -60,22 +59,28 @@ def test_c01_demo_corpus_exact_counters(tmp_path):
 
 
 def test_c02_oracle_equivalence_over_config_grid(tmp_path):
-    """1000 random instances, config grid applied round-robin; (tid, dp)
-    multisets must be bit-identical to the in-memory oracle."""
+    """1000 random instances, the batched and single joins' grid applied
+    round-robin, then 300 more over the gather join, which reads no
+    heuristic, one cell per budget; (tid, dp) multisets must be
+    bit-identical to the in-memory oracle."""
     started = time.perf_counter()
     grid = [(m, h, p)
             for m in ("fit", "25%", "100%")
             for h in HEURISTICS
-            for p in PLANS]
+            for p in ("batched", "single")]
+    gather_grid = [(m, "none", "gather") for m in ("fit", "25%", "100%")]
     rng = np.random.default_rng(2024)
     checked = 0
-    for instance in range(1000):
+    for instance in range(1300):
         n = int(rng.integers(20, 121))
         d = int(rng.integers(200, 2001))
         page_size = int(rng.choice([8, 16, 32, 64]))
         ds = gen_uniform(n, d, int(rng.integers(1, 7)),
                          seed=int(rng.integers(2**31)))
-        m_kind, heuristic, plan = grid[instance % len(grid)]
+        if instance < 1000:
+            m_kind, heuristic, plan = grid[instance % len(grid)]
+        else:
+            m_kind, heuristic, plan = gather_grid[instance % len(gather_grid)]
         with make_store(tmp_path, d, page_size,
                         init=("uniform", -1.0, 1.0),
                         seed=int(rng.integers(2**31)),
@@ -99,7 +104,7 @@ def test_c02_oracle_equivalence_over_config_grid(tmp_path):
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     print(f"criterion 2: {checked} instances bit-identical across "
-          f"{len(grid)} configs ({elapsed:.1f}s)")
+          f"{len(grid) + len(gather_grid)} configs ({elapsed:.1f}s)")
 
 
 def exhaustive_min_batch_count(sets, budget):

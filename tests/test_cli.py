@@ -54,28 +54,30 @@ def test_gen_matrix_text_format(tmp_path):
 
 def test_run_results_match_oracle(tmp_path, capsys):
     data = str(tmp_path / "d.bin")
-    model = str(tmp_path / "m.model")
-    results = str(tmp_path / "results.csv")
     main(["gen", "--kind", "uniform", "--out", data,
           "--n", "50", "--d", "400", "--nnz", "5", "--seed", "7"])
-    capsys.readouterr()
-    assert main(["run", "--data", data, "--model", model,
-                 "--page-size", "32", "--model-init", "uniform",
-                 "--seed", "7", "--budget", "50%", "--reorder", "radix",
-                 "--out", results]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["element_requests"] == 50 * 5
-    assert report["page_misses"] <= report["page_requests"]
-
-    with ModelStore.open(model) as store:
-        dense = store.load_dense()
     ds = load_dataset(data)
-    expected = {r.tid: r.dp for r in oracle_dot_products(ds, dense)}
-    with open(results) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 50
-    for row in rows:
-        assert float(row["dp"]) == expected[int(row["tid"])]
+    for plan in PLANS:
+        model = str(tmp_path / f"{plan}.model")
+        results = str(tmp_path / f"{plan}.csv")
+        capsys.readouterr()
+        assert main(["run", "--data", data, "--model", model,
+                     "--page-size", "32", "--model-init", "uniform",
+                     "--seed", "7", "--budget", "50%", "--reorder", "radix",
+                     "--plan", plan, "--out", results]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["plan"] == plan
+        assert report["element_requests"] == 50 * 5
+        assert report["page_misses"] <= report["page_requests"]
+
+        with ModelStore.open(model) as store:
+            dense = store.load_dense()
+        expected = {r.tid: r.dp for r in oracle_dot_products(ds, dense)}
+        with open(results) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 50
+        for row in rows:
+            assert float(row["dp"]) == expected[int(row["tid"])], plan
 
 
 def test_run_metrics_csv_to_file(tmp_path):

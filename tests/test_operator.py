@@ -6,6 +6,7 @@ from dpjoin import (CollectSink, OperatorConfig, OversizedVectorError,
                     PreconditionError, ValidationError, oracle_dot_products,
                     run)
 from dpjoin.datagen import gen_demo, gen_uniform
+from dpjoin.operator import PLANS
 from dpjoin.reorder import HEURISTICS
 
 from conftest import PageRecorder, pinned_pages, random_dataset, total_nnz
@@ -16,14 +17,15 @@ def test_results_match_oracle_exactly(tmp_store):
     ds = random_dataset(rng, n=60, d=400)
     store = tmp_store(400, 32, init=("uniform", -1.0, 1.0), seed=8)
     expected = {r.tid: r.dp for r in oracle_dot_products(ds, store.load_dense())}
-    for heuristic in HEURISTICS:
-        sink = CollectSink()
-        run(ds, store, OperatorConfig(budget=8, reorder=heuristic, seed=2),
-            sink=sink)
-        got = {r.tid: r.dp for r in sink.results}
-        assert got.keys() == expected.keys()
-        for tid, dp in got.items():
-            assert dp == expected[tid], (heuristic, tid)
+    for plan in PLANS:
+        for heuristic in HEURISTICS:
+            sink = CollectSink()
+            run(ds, store, OperatorConfig(budget=8, reorder=heuristic, plan=plan, seed=2),
+                sink=sink)
+            got = {r.tid: r.dp for r in sink.results}
+            assert got.keys() == expected.keys()
+            for tid, dp in got.items():
+                assert dp == expected[tid], (plan, heuristic, tid)
 
 
 def test_demo_counters_plain(tmp_store):
@@ -39,9 +41,10 @@ def test_demo_counters_plain(tmp_store):
 def test_reorder_restores_file_order_in_results(tmp_store):
     ds = gen_uniform(40, 200, 4, seed=5)
     store = tmp_store(200, 16)
-    sink = CollectSink()
-    run(ds, store, OperatorConfig(budget=6, reorder="none"), sink=sink)
-    assert [r.tid for r in sink.results] == [v.tid for v in ds]
+    for plan in PLANS:
+        sink = CollectSink()
+        run(ds, store, OperatorConfig(budget=6, reorder="none", plan=plan), sink=sink)
+        assert [r.tid for r in sink.results] == [v.tid for v in ds], plan
 
 
 def test_shuffled_processing_emits_all_tids(tmp_store):
@@ -116,10 +119,11 @@ def test_io_time_counts_only_this_run(tmp_store, monkeypatch):
 def test_counters_are_deterministic(tmp_store):
     ds = gen_uniform(40, 300, 5, seed=13)
     store = tmp_store(300, 16)
-    config = OperatorConfig(budget=8, reorder="lsh", seed=21)
-    a = run(ds, store, config).counters()
-    b = run(ds, store, config).counters()
-    assert a == b
+    for plan in PLANS:
+        config = OperatorConfig(budget=8, reorder="lsh", plan=plan, seed=21)
+        a = run(ds, store, config).counters()
+        b = run(ds, store, config).counters()
+        assert a == b, plan
 
 
 def test_dimension_mismatch_rejected(tmp_store):
@@ -295,11 +299,12 @@ def test_run_and_train_build_no_sparse_vectors(tmp_store, monkeypatch):
     real = SparseVector.__post_init__
     monkeypatch.setattr(SparseVector, "__post_init__",
                         lambda self: (made.append(self.tid), real(self)))
-    for heuristic in ("none", "radix", "lsh"):
-        run(ds, store, OperatorConfig(budget=6, reorder=heuristic, upage=16))
-    for mode in ("sgd", "sgd-page", "bgd"):
-        train(ds, store, TrainConfig(OperatorConfig(budget=6, upage=16), task="lr",
-                                     mode=mode, iterations=1))
+    for plan in PLANS:
+        for heuristic in ("none", "radix", "lsh"):
+            run(ds, store, OperatorConfig(budget=6, reorder=heuristic, plan=plan, upage=16))
+        for mode in ("sgd", "sgd-page", "bgd"):
+            train(ds, store, TrainConfig(OperatorConfig(budget=6, plan=plan, upage=16),
+                                         task="lr", mode=mode, iterations=1))
     assert made == []
     next(iter(ds))
     assert made == [0]
