@@ -75,7 +75,8 @@ def _add_operator_flags(parser, grid=False):
 
     parser.add_argument("--budget", **values("20%"),
                         help="memory budget: pages or %% of model pages (default 20%%)")
-    parser.add_argument("--reorder", choices=HEURISTICS, **values("none"))
+    parser.add_argument("--reorder", choices=HEURISTICS, **values("none"),
+                        help="orders the batched and single joins and sgd's updates only")
     # Checked by OperatorConfig.check, so an unknown plan exits 2 from main.
     parser.add_argument("--plan", **values("gather"),
                         help=f"one of {', '.join(PLANS)}: the sort-merge gather (default),"
@@ -258,8 +259,8 @@ def build_parser():
     _add_operator_flags(trainp)
     trainp.set_defaults(func=cmd_train)
 
-    sweep = sub.add_parser("sweep", help="counters of the join over a grid of heuristics,"
-                                         " budgets and U-page sizes")
+    sweep = sub.add_parser("sweep", help="counters of the join over a grid of plans,"
+                                         " heuristics, budgets and U-page sizes")
     add_io_flags(sweep)
     _add_operator_flags(sweep, grid=True)
     sweep.set_defaults(func=cmd_sweep)

@@ -34,7 +34,7 @@ class MetricsReport:
     upage_count: int = 0        # U-pages joined; in training, iterations x U-pages
     distinct_pages: int = 0
     reorder_time: float = 0.0   # planning: the budget check, page sets, orders, batches, walks
-                                # (training: the budget check and every iteration_plan call)
+                                # (training: the budget check and sgd's update plans)
     io_time: float = 0.0        # page reads and writes of this run only, on a shared store too
     compute_time: float = 0.0   # time in visits and in kernels on gathered values
     config: dict = field(default_factory=dict)

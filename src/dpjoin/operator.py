@@ -44,10 +44,10 @@ PLANS = ("gather", "batched", "single")
 
 @dataclass
 class OperatorConfig:
-    """The join's and training's operator settings. The `gather` join reads
-    only `budget` and `upage`: the ordering options (`reorder`, `seed`,
-    `lsh_m`, `lsh_b`, `kcenter_k`) apply to the `batched` and `single`
-    joins and to training's update passes, under every plan."""
+    """The join's and training's operator settings. The ordering options
+    (`reorder`, `seed`, `lsh_m`, `lsh_b`, `kcenter_k`) order the `batched`
+    and `single` joins and `sgd`'s updates, under every plan; the `gather`
+    join and `sgd-page` and `bgd` read each U-page in file order."""
 
     budget: int                 # memory budget in pages
     reorder: str = "none"
@@ -61,7 +61,7 @@ class OperatorConfig:
     @property
     def batches_greedily(self):
         """Whether vectors are cut into greedy batches: every plan but
-        `single`. Training's update passes are the same under `gather` and
+        `single`. `sgd`'s update passes are the same under `gather` and
         `batched`; only the join reads each U-page by gather."""
         return self.plan != "single"
 
@@ -156,7 +156,7 @@ def plan_upage(dataset, start, stop, page_size, config, path, ordered=False):
     their batches, from its page sets, checked by `check_fits` first.
     Unless the plan is `single`, a U-page whose page union fits the budget
     is one batch in any order, so no order changes its counters, and greedy
-    batching does not run. With `ordered` (training's update passes, which
+    batching does not run. With `ordered` (`sgd`'s update passes, which
     `train_oracle` replays) the vectors run in `plan_order`'s order, seeded
     by `path`; else (the join) a U-page of one batch runs in file order,
     and any other in `plan_order`'s."""

@@ -27,8 +27,8 @@ a minimum Hamiltonian path problem, so three heuristics are provided:
 
 Set differences are taken on `page_bits` rows, |A - B| = |A| - popcount(A & B),
 by `objective`, k-center and `walk_order`, which orders k-center's centers
-and the batches of training's loss and update passes; LSH scores its few
-candidates on frozensets.
+and the batches of `sgd`'s update passes; LSH scores its few candidates on
+frozensets.
 
 All heuristics are deterministic given their seed and return a permutation
 of positions 0..n-1. They take their options as given: the name, 1 <= b

@@ -154,11 +154,12 @@ def _upage_order(count, config, iteration):
 
 def iteration_plan(dataset, page_size, config, iteration, plans=None):
     """An update pass's plan: `(upage_index, rows, batches)` for each U-page
-    of `dataset` in `_upage_order`. `plan_upage` orders the U-page's vectors
-    by `plan_order` (seeded by `(iteration, upage_index)`) into `rows` and
-    cuts them into batches, and unless the plan is `single` the batches, as
-    cut, run in `walk_order` (`walk_batches`); `rows` stay in the order they
-    were cut. The `gather` and `batched` plans give the same update pass.
+    of `dataset` in `_upage_order`. Under `sgd`, `plan_upage` orders the
+    U-page's vectors by `plan_order` (seeded by `(iteration, upage_index)`)
+    into `rows` and cuts them into batches, and unless the plan is `single`
+    the batches, as cut, run in `walk_order` (`walk_batches`); `rows` stay
+    in the order they were cut. Under `sgd-page` and `bgd`, which read each
+    U-page in place, in file order, `rows` and `batches` are None.
 
     Depends only on the page-request sets at `page_size` and the seeds,
     never on model values, so `train_oracle` can derive the same order. A
@@ -168,6 +169,8 @@ def iteration_plan(dataset, page_size, config, iteration, plans=None):
     op = config.operator
     bounds = dataset.upage_bounds(op.upage)
     order = _upage_order(len(bounds), config, iteration)
+    if config.mode != "sgd":
+        return [(upage_index, None, None) for upage_index in order]
     if plans is None or op.reorder not in SEEDLESS:
         plans = {}
     for upage_index in order:
@@ -199,24 +202,20 @@ def train(dataset, store, config):
 
     Only `sgd` changes model values between vectors, so only its update
     passes run `iteration_plan`'s batches through `operator.execute`, each
-    vector seeing all its pages at once. Every other pass reads a U-page
-    with `operator.gather`, the join's default plan: its entries sorted by
-    index, its distinct pages requested once each, in ascending groups of
-    `budget` (`operator.scan`), each entry's model value copied into place,
-    then one call of the task's residual, loss-term and gradient-term
-    kernels on those values. A loss pass reads each U-page
-    in file order, in place, and adds the terms in file order, as
-    `train_oracle` does. An `sgd-page` or `bgd` update pass reads its U-page
-    in `iteration_plan`'s visit order (each batch's rows in turn) and keeps
-    its entries' indices and gradient terms in that order: memory follows
-    the entries read since the last apply, never the model's dimension. An
-    apply (`gradient_sums`, then w[i] -= alpha * g[i]) is one more `scan`,
-    over the touched coordinates, which dirties their pages.
+    vector seeing all its pages at once. Every other pass reads a U-page in
+    file order, in place, with `operator.gather` (the join's default plan),
+    then calls the task's residual, loss-term and gradient-term kernels once
+    on the gathered values. Its loss terms go to their file rows, and a loss
+    adds them in file order, as `train_oracle` does. An `sgd-page` or `bgd`
+    update pass keeps its entries' indices and gradient terms in file order:
+    memory follows the entries read since the last apply, never the model's
+    dimension. An apply (`gradient_sums`, then w[i] -= alpha * g[i]) is one
+    more `scan` over the touched coordinates, which dirties their pages.
 
     Every vector's page set is checked against the budget before any page is
     read. `iteration_plan` is called once per iteration, after the initial
-    loss pass; under `none` and `radix`, which read no seed, a U-page's
-    update plan is built once and replayed.
+    loss pass; under `sgd` with `none` or `radix`, which read no seed, a
+    U-page's update plan is built once and replayed.
 
     The initial and the final loss have passes of their own, as every loss
     has under `sgd`. Under `sgd-page` and `bgd`, loss i >= 1 is computed in
@@ -245,8 +244,8 @@ def train(dataset, store, config):
         check_fits(dataset, start, stop, store.page_size, op.budget)
     report.reorder_time += time.perf_counter() - started
     pending = []  # (indices, terms) of each update pass since the last apply
-    update_plans = {}  # upage_index -> (rows, batches), under a reorder that reads no seed
-    loss_by_row = np.empty(len(dataset))  # loss terms, loss-only or fused, at their file rows
+    update_plans = {}  # sgd: upage_index -> (rows, batches), under a reorder that reads no seed
+    loss_by_row = np.empty(len(dataset))  # the loss terms of each read, at their file rows
 
     def cell_errors(data, start, stop, values):
         """Each cell's row block . column block - rating, the dot products
@@ -293,18 +292,17 @@ def train(dataset, store, config):
         (dot_products, lr_loss_terms, lr_gradient_terms, lr_sgd) if config.task == "lr" else
         (cell_errors, lmf_loss_terms, lmf_gradient_terms, lmf_sgd))
 
-    def read(data, start, stop, rows=None, update=False):
-        """`gather` rows [start, stop) of `data`, then run the kernels once:
-        write the loss terms at file `rows`, if given, and keep the gradient
-        terms if `update`, for the apply to add in turn."""
-        values = gather(manager, data, start, stop, report)
+    def read(start, stop, update=False):
+        """`gather` rows [start, stop) of the dataset, then run the kernels
+        once: write the loss terms at those rows and, if `update`, keep the
+        gradient terms for the apply to add in turn."""
+        values = gather(manager, dataset, start, stop, report)
         started = time.perf_counter()
-        residual = residuals(data, start, stop, values)
-        if rows is not None:
-            loss_by_row[rows] = loss_terms(data, start, stop, residual)
+        residual = residuals(dataset, start, stop, values)
+        loss_by_row[start:stop] = loss_terms(dataset, start, stop, residual)
         if update:
-            indices = data.indices[data.indptr[start] : data.indptr[stop]]
-            pending.append((indices, gradient_terms(data, start, stop, residual)))
+            indices = dataset.indices[dataset.indptr[start] : dataset.indptr[stop]]
+            pending.append((indices, gradient_terms(dataset, start, stop, residual)))
         report.compute_time += time.perf_counter() - started
 
     def step(data, start, stop, at):
@@ -315,13 +313,12 @@ def train(dataset, store, config):
         pending.clear()
         scan(manager, touched, step, report, config.alpha * sums, dirty=True)
 
-    def update_pass(rows, batches, fused=False):
-        """`sgd`'s batches, or a `read` in visit order (of loss terms too if `fused`)."""
+    def update_pass(upage_index, rows, batches):
+        """`sgd`'s batches, or an updating `read` of the U-page in place."""
         if config.mode == "sgd":
             execute(manager, dataset.take(rows), batches, sgd, report, dirty=True)
         else:
-            rows = rows[[position for batch in batches for position in batch.positions]]
-            read(dataset.take(rows), 0, len(rows), rows if fused else None, update=True)
+            read(*bounds[upage_index], update=True)
 
     def charged(phase, work, *args, **kwargs):
         """Run `work` and add the storage counters it moved to `phase`."""
@@ -336,7 +333,7 @@ def train(dataset, store, config):
         fused update passes wrote, then the loss of all terms."""
         for upage_index, (start, stop) in enumerate(bounds):
             if upage_index not in skip:
-                read(dataset, start, stop, slice(start, stop))
+                read(start, stop)
         # cumsum adds one term at a time, from the leading +0.0, in file order.
         return float(np.cumsum(np.append(0.0, loss_by_row))[-1])
 
@@ -353,14 +350,14 @@ def train(dataset, store, config):
             # losses[iteration] is the loss of the model that the update
             # passes before this iteration's first apply read.
             fused = plan if config.mode == "bgd" else plan[:1]
-            for _, rows, batches in fused:
-                charged("update", update_pass, rows, batches, fused=True)
+            for upage in fused:
+                charged("update", update_pass, *upage)
             losses.append(charged("loss", loss_pass, {upage for upage, _, _ in fused}))
             if not math.isfinite(losses[-1]):
                 break  # the gradient accumulated on that model is never applied
-        for position, (_, rows, batches) in enumerate(plan):
+        for position, upage in enumerate(plan):
             if position >= len(fused):
-                charged("update", update_pass, rows, batches)
+                charged("update", update_pass, *upage)
             if config.mode == "sgd-page":
                 charged("apply", apply_gradient)
         if config.mode == "bgd" and pending:  # an empty dataset accumulates nothing
@@ -380,11 +377,11 @@ def train_oracle(dataset, initial_model, config, page_size):
     page-request sets that drive reordering and batching decisions.
 
     The update order is `iteration_plan`'s, derived afresh at every
-    iteration and without `plan_upage`: `_upage_order`, each U-page's
-    `plan_order` permutation and, unless the plan is `single`, its greedy
-    batches in `walk_order`. A U-page whose union fits is one greedy batch, as it is
-    one batch in `plan_upage`. So a plan that `train` replays is checked
-    against a new one."""
+    iteration and without `plan_upage`: `_upage_order`, then each U-page in
+    file order but under `sgd`: its `plan_order` permutation and, unless the
+    plan is `single`, its greedy batches in `walk_order` (one batch if its
+    union fits, as in `plan_upage`). So a replayed plan is checked against
+    a new one."""
     config.check(page_count(dataset.dimension, page_size))
     check_dataset(dataset, config.task)
     op = config.operator
@@ -396,6 +393,8 @@ def train_oracle(dataset, initial_model, config, page_size):
 
     def update_order(upage_index, iteration):
         sets = upage_sets[upage_index]
+        if config.mode != "sgd":
+            return range(len(sets))
         perm = plan_order(sets, op, (iteration, upage_index))
         if op.batches_greedily:
             batches = walk_batches(greedy_batches([sets[p] for p in perm], op.budget))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -11,7 +12,7 @@ from dpjoin import (BufferManager, Dataset, OperatorConfig, OversizedVectorError
                     PreconditionError, ValidationError, run)
 from dpjoin.datagen import gen_matrix, gen_uniform
 from dpjoin.metrics import PHASE_COUNTERS
-from dpjoin.operator import make_batches, plan_order, plan_upage
+from dpjoin.operator import PLANS, make_batches, plan_order, plan_upage
 from dpjoin.reorder import HEURISTICS, walk_order
 from dpjoin.training import (TrainConfig, check_dataset, gradient_sums, iteration_plan,
                              lmf_cell_gradient, lr_loss, lr_scale, train, train_oracle)
@@ -91,17 +92,20 @@ def task_instance(tmp_store, task, name="m.model"):
 @pytest.mark.parametrize("task", ["lr", "lmf"])
 def test_gather_and_batched_plans_train_alike(tmp_store, task, mode):
     """For training, the default `gather` plan is the `batched` one: same
-    losses, final model and counters."""
+    losses, final model and counters. Under `sgd-page` and `bgd`, which read
+    each U-page in file order, so is every plan under every heuristic."""
     ds, _, budget, alpha = task_instance(tmp_store, task)
+    cells = ([("shuffle", "gather"), ("shuffle", "batched")] if mode == "sgd" else
+             list(itertools.product(HEURISTICS, PLANS)))
     results = []
-    for plan in ("gather", "batched"):
-        _, store, _, _ = task_instance(tmp_store, task, name=f"{plan}.model")
-        op = dataclasses.replace(small_op(budget=budget, reorder="shuffle"), plan=plan)
+    for heuristic, plan in cells:
+        _, store, _, _ = task_instance(tmp_store, task, name=f"{heuristic}-{plan}.model")
+        op = dataclasses.replace(small_op(budget=budget, reorder=heuristic), plan=plan)
         report = train(ds, store, TrainConfig(op, task=task, mode=mode, alpha=alpha,
                                               iterations=2))
         results.append(([loss.hex() for loss in report.losses], report.metrics.counters(),
                         store.load_dense().tobytes()))
-    assert results[0] == results[1]
+    assert all(result == results[0] for result in results[1:])
 
 
 @pytest.mark.parametrize("task,mode,batching,heuristic", [
@@ -114,15 +118,15 @@ def test_gather_and_batched_plans_train_alike(tmp_store, task, mode):
         "lr-sgd-page-unbatched", "lr-sgd-none", "lmf-sgd-none"])
 def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, heuristic):
     """Dual route: the paged trainer and the in-memory trainer must agree
-    bit for bit, losses and final model both. Under a reorder other than
-    `none` the update passes visit the vectors in an order that is not file
-    order here, so an accumulated update gathers a reordered copy of its
-    U-page."""
+    bit for bit, losses and final model both. Under `sgd` and a reorder
+    other than `none` the update passes visit the vectors in an order that
+    is not file order here; an accumulated update reads its U-page in file
+    order whatever the reorder."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
     op = small_op(budget=budget, reorder=heuristic)
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=4)
     config.operator.plan = "batched" if batching else "single"
-    if heuristic != "none":
+    if mode == "sgd" and heuristic != "none":
         visits = [rows[[p for batch in batches for p in batch.positions]].tolist()
                   for _, rows, batches in iteration_plan(ds, store.page_size, config, 0)]
         assert any(visit != sorted(visit) for visit in visits)
@@ -505,31 +509,42 @@ def test_fitting_upages_keep_the_update_order(tmp_store, monkeypatch, heuristic,
         assert rows.tolist() == expected.tolist()
 
 
-@pytest.mark.parametrize("budget", [10, 4], ids=["fitting", "not-fitting"])
-@pytest.mark.parametrize("heuristic", HEURISTICS)
-def test_a_loss_pass_reads_the_dataset_in_place(tmp_store, monkeypatch, heuristic, budget):
-    """A loss pass reads each U-page in file order, whatever the heuristic
-    and whether or not the U-page's pages fit the budget: any rows it takes
-    are the dataset's own arrays, not a reordered copy, and it reads every
-    entry once."""
+def check_reads_in_place(tmp_store, monkeypatch, heuristic, budget, mode, iterations):
+    """Train lr under `mode` for `iterations` with no `Dataset.take`, no
+    `plan_upage` and no `reorder` allowed, and return the report's metrics."""
+    from dpjoin import operator, training
+
     ds = gen_uniform(40, 160, 4, seed=5)
     store = tmp_store(160, 16, init=("uniform", -0.2, 0.2), seed=1)
     op = small_op(budget=budget, reorder=heuristic, upage=16)
     fits = [pages <= budget for pages in gather_requests(ds, 16, op)]
     assert fits == [budget == 10] * 3
-    taken = []
-    real_take = Dataset.take
+    for module, name in ((Dataset, "take"), (training, "plan_upage"), (operator, "reorder")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: pytest.fail(name))
+    config = TrainConfig(op, task="lr", mode=mode, alpha=0.5, iterations=iterations)
+    return ds, train(ds, store, config).metrics
 
-    def take(self, rows):
-        taken.append(real_take(self, rows))
-        return taken[-1]
 
-    monkeypatch.setattr(Dataset, "take", take)
-    metrics = train(ds, store, TrainConfig(op, task="lr", iterations=0)).metrics
+@pytest.mark.parametrize("budget", [10, 4], ids=["fitting", "not-fitting"])
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_a_loss_pass_reads_the_dataset_in_place(tmp_store, monkeypatch, heuristic, budget):
+    """A loss pass reads each U-page in file order, whatever the heuristic
+    and whether or not the U-page's pages fit the budget: it takes no rows
+    and plans nothing, and it reads every entry once."""
+    ds, metrics = check_reads_in_place(tmp_store, monkeypatch, heuristic, budget, "sgd", 0)
     assert metrics.element_requests == len(ds.indices)
-    for part in taken:
-        assert np.shares_memory(part.indices, ds.indices)
-        assert np.shares_memory(part.values, ds.values)
+
+
+@pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
+@pytest.mark.parametrize("budget", [10, 4], ids=["fitting", "not-fitting"])
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_an_accumulated_update_pass_reads_the_dataset_in_place(tmp_store, monkeypatch,
+                                                               heuristic, budget, mode):
+    """An `sgd-page` or `bgd` update pass reads its U-page in file order, in
+    place, as a loss pass does, whatever the heuristic: no pass takes rows,
+    plans a U-page or reorders."""
+    _, metrics = check_reads_in_place(tmp_store, monkeypatch, heuristic, budget, mode, 2)
+    assert metrics.upage_count == 2 * 3
 
 
 def test_walked_update_passes_read_the_dataset_in_place(tmp_store, monkeypatch):
@@ -558,9 +573,10 @@ def test_walked_update_passes_read_the_dataset_in_place(tmp_store, monkeypatch):
 
 def test_run_never_walks_and_train_walks_each_plan_once(tmp_store, monkeypatch):
     """The batched `run` runs its batches in greedy order. `train` walks each
-    U-page's batches only for its update plan, under `radix`, which reads no
-    seed, once for the plan it replays on every pass; under the `single`
-    plan it does not walk at all."""
+    U-page's batches only for `sgd`'s update plan, under `radix`, which
+    reads no seed, once for the plan it replays on every pass; under
+    `sgd-page`, which plans nothing, and under the `single` plan it does not
+    walk at all."""
     from dpjoin import operator, training
 
     calls = []
@@ -577,9 +593,9 @@ def test_run_never_walks_and_train_walks_each_plan_once(tmp_store, monkeypatch):
     upages = len(list(ds.upage_bounds(op.upage)))
     run(ds, store, op)
     assert calls == []
-    for mode in ("sgd", "sgd-page"):
+    for mode, walks in (("sgd", upages), ("sgd-page", 0)):
         train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha, iterations=3))
-        assert len(calls) == upages
+        assert len(calls) == walks
         calls.clear()
     unbatched = dataclasses.replace(op, plan="single")
     train(ds, store, TrainConfig(unbatched, task="lr", alpha=alpha, iterations=1))
@@ -655,7 +671,8 @@ def test_walked_update_passes_match_the_oracle(tmp_store, task, mode, heuristic,
     for bit. The walk
     reorders the batches and adds no request: the update passes request the
     pages of the greedy batches under `sgd`, and, under `sgd-page` and `bgd`,
-    which gather each U-page in that order, its distinct pages once."""
+    which gather each U-page in file order and walk nothing, its distinct
+    pages once."""
     ds, store, _, alpha = task_instance(tmp_store, task)
     op = small_op(budget=8 if task == "lr" else 4, reorder=heuristic)
     op.plan = "batched" if batching else "single"
@@ -694,7 +711,7 @@ def test_seedless_update_plans_are_built_once(tmp_store, monkeypatch, heuristic,
     update_plans = Counter()
 
     def spy(dataset, start, stop, page_size, config, path, ordered=False):
-        if ordered:  # an update plan; the loss plan is not ordered
+        if ordered:  # an update plan; the batched join's is not ordered
             update_plans[start] += 1
         return plan_upage(dataset, start, stop, page_size, config, path, ordered)
 
@@ -726,7 +743,8 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
     the call compute loss i before the iteration's first apply: every
     U-page's update under `bgd`; under `sgd-page` the first U-page's update
     and the other U-pages' loss-only gathers. A loss pass gathers each
-    U-page in place; an update pass takes its rows first."""
+    U-page in place, and so does an update pass under `sgd-page` and `bgd`,
+    which plans nothing; an `sgd` update pass takes its rows first."""
     from dpjoin import operator, training
 
     ds, _, budget, alpha = task_instance(tmp_store, "lr")
@@ -767,8 +785,12 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
         _, store, _, _ = task_instance(tmp_store, "lr", name=f"{mode}.model")
         train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha,
                                      iterations=iterations))
-        assert events[: count + 2] == loss + [("iteration_plan", 0), ("update plan",)]
-        update = [("take",), ("update",) if mode == "sgd" else ("gather",)]
+        if mode == "sgd":
+            assert events[: count + 2] == loss + [("iteration_plan", 0), ("update plan",)]
+            update = [("take",), ("update",)]
+        else:
+            assert ("update plan",) not in events and ("take",) not in events
+            update = [("gather",)]
         expected = list(loss)
         for iteration in range(iterations):
             expected.append(("iteration_plan", iteration))
