@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Subcommands: gen, run, train, sweep (the join over every combination of
-its --plan, --reorder, --budget and --upage values). Options are checked
-before a model file is created, so a rejected one writes no file.
+its --plan, --reorder, --budget and --upage values). `run`, `train` and
+each `sweep` cell make the library's one input check (`check_inputs`: the
+dataset against the model's dimension, every option and every vector's
+pages against the budget) before a model file is created or a page read
+(an existing model's header gives its dimension and page size), so a
+rejected input writes no file.
 Exit codes: 0 success, 2 validation failure, 3 precondition failure
 (running out of memory too), 4 storage/I-O failure. --seed defaults to 0.
 """
@@ -19,10 +23,10 @@ from . import datagen
 from .errors import PreconditionError, StoreError, ValidationError
 from .metrics import emit_report
 from .model_store import ModelStore, page_count
-from .operator import PLANS, CollectSink, OperatorConfig, run
+from .operator import PLANS, CollectSink, OperatorConfig, check_inputs, run
 from .reorder import HEURISTICS, MAX_LSH_HASHES
 from .sparse_data import load_dataset, store_dataset
-from .training import TrainConfig, check_dataset, train
+from .training import TrainConfig, train
 
 DEFAULT_PAGE_SIZE = 1024  # model entries per page
 
@@ -50,11 +54,11 @@ def parse_budget(text, num_pages):
     return pages
 
 
-def _operator_config(args, num_pages, plan, reorder, budget, upage):
-    """The checked OperatorConfig of `plan`, `reorder`, `budget` (text),
-    `upage` and the other flags."""
-    config = OperatorConfig(
-        budget=parse_budget(budget, num_pages),
+def _operator_config(args, shape, plan, reorder, budget, upage):
+    """The OperatorConfig of `plan`, `reorder`, `budget` (text, of a model of
+    `shape`), `upage` and the other flags."""
+    return OperatorConfig(
+        budget=parse_budget(budget, page_count(*shape)),
         reorder=reorder,
         plan=plan,
         upage=upage,
@@ -63,8 +67,6 @@ def _operator_config(args, num_pages, plan, reorder, budget, upage):
         lsh_b=args.lsh_bands,
         kcenter_k=args.kcenter_k,
     )
-    config.check(num_pages)
-    return config
 
 
 def _add_operator_flags(parser, grid=False):
@@ -77,7 +79,7 @@ def _add_operator_flags(parser, grid=False):
                         help="memory budget: pages or %% of model pages (default 20%%)")
     parser.add_argument("--reorder", choices=HEURISTICS, **values("none"),
                         help="orders the batched and single joins and sgd's updates only")
-    # Checked by OperatorConfig.check, so an unknown plan exits 2 from main.
+    # Checked by check_inputs, so an unknown plan exits 2 from main.
     parser.add_argument("--plan", **values("gather"),
                         help=f"one of {', '.join(PLANS)}: the sort-merge gather (default),"
                              " the paper's batched operator, or one vector per batch;"
@@ -115,13 +117,13 @@ def cmd_gen(args):
     return 0
 
 
-def _model_pages(args, dataset):
-    """Pages of the model at `args.model`: its header's count, or, for a
-    model still to be created, ceil(dimension / page size)."""
+def _model_shape(args, dataset):
+    """Dimension and page size of the model at `args.model`: its header's,
+    or, for a model still to be created, the dataset's and --page-size."""
     if os.path.exists(args.model):
         with ModelStore.open(args.model) as store:
-            return store.num_pages
-    return page_count(dataset.dimension, args.page_size)
+            return store.dimension, store.page_size
+    return dataset.dimension, args.page_size
 
 
 def _open_or_create_model(args, dataset):
@@ -134,8 +136,9 @@ def _open_or_create_model(args, dataset):
 
 def cmd_run(args):
     dataset = _load_data(args)
-    config = _operator_config(args, _model_pages(args, dataset),
-                              args.plan, args.reorder, args.budget, args.upage)
+    shape = _model_shape(args, dataset)
+    config = _operator_config(args, shape, args.plan, args.reorder, args.budget, args.upage)
+    check_inputs(dataset, *shape, config)
     sink = CollectSink()
     with _open_or_create_model(args, dataset) as store:
         report = run(dataset, store, config, sink)
@@ -150,18 +153,16 @@ def cmd_run(args):
 
 def cmd_train(args):
     dataset = _load_data(args)
-    num_pages = _model_pages(args, dataset)
+    shape = _model_shape(args, dataset)
     config = TrainConfig(
-        operator=_operator_config(args, num_pages, args.plan, args.reorder, args.budget,
-                                  args.upage),
+        operator=_operator_config(args, shape, args.plan, args.reorder, args.budget, args.upage),
         task=args.task,
         mode=args.mode,
         alpha=args.alpha,
         iterations=args.iterations,
         shuffle_upages=not args.no_shuffle,
     )
-    config.check(num_pages)
-    check_dataset(dataset, config.task)
+    check_inputs(dataset, *shape, config)
     with _open_or_create_model(args, dataset) as store:
         report = train(dataset, store, config)
     if args.loss_out:
@@ -181,10 +182,12 @@ def cmd_train(args):
 
 def cmd_sweep(args):
     dataset = _load_data(args)
-    num_pages = _model_pages(args, dataset)
-    cells = [(budget, _operator_config(args, num_pages, plan, reorder, budget, upage))
+    shape = _model_shape(args, dataset)
+    cells = [(budget, _operator_config(args, shape, plan, reorder, budget, upage))
              for plan, reorder, budget, upage in
              itertools.product(args.plan, args.reorder, args.budget, args.upage)]
+    for _, config in cells:
+        check_inputs(dataset, *shape, config)
     rows = []
     with _open_or_create_model(args, dataset) as store:
         for budget, config in cells:

@@ -33,8 +33,8 @@ class MetricsReport:
     batch_count: int = 0        # batches executed, every scan's included
     upage_count: int = 0        # U-pages joined; in training, iterations x U-pages
     distinct_pages: int = 0
-    reorder_time: float = 0.0   # planning: the budget check, page sets, orders, batches, walks
-                                # (training: the budget check and sgd's update plans)
+    reorder_time: float = 0.0   # planning: page sets, orders, batches, walks (training: sgd's
+                                # update plans); not the input check, which precedes the run
     io_time: float = 0.0        # page reads and writes of this run only, on a shared store too
     compute_time: float = 0.0   # time in visits and in kernels on gathered values
     config: dict = field(default_factory=dict)

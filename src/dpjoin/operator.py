@@ -36,8 +36,9 @@ from .batcher import Batch, fitting_sets, greedy_batches
 from .buffer_manager import BufferManager
 from .errors import OversizedVectorError, ValidationError
 from .metrics import MetricsReport
+from .model_store import page_count
 from .reorder import HEURISTICS, MAX_LSH_HASHES, reorder, walk_order
-from .sparse_data import Dataset, run_sets
+from .sparse_data import Dataset
 
 PLANS = ("gather", "batched", "single")
 
@@ -69,10 +70,10 @@ class OperatorConfig:
         """Every field, by name."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def check(self, num_pages):
+    def check(self, num_pages, dataset=None):
         """Reject a budget outside [1, num_pages], a negative seed, an unknown
         heuristic or plan and options no heuristic accepts, whichever is
-        chosen; `run`, `train` and the CLI check here, before any page is read."""
+        chosen. The join takes any `dataset`. Called by `check_inputs` only."""
         if self.reorder not in HEURISTICS:
             raise ValidationError(f"unknown reorder heuristic {self.reorder!r}")
         if self.plan not in PLANS:
@@ -135,32 +136,17 @@ def make_batches(ordered_sets, config, union=None):
             for position, pages in fitting_sets(ordered_sets, config.budget)]
 
 
-def check_fits(dataset, start, stop, page_size, budget):
-    """Check the vectors of rows [start, stop) of `dataset` against `budget`
-    in file order: the error names the first vector whose pages cannot
-    fit, by its tid and its offset from `start`, whatever the plan. Returns
-    the rows' `Dataset.page_runs`."""
-    runs = dataset.page_runs(start, stop, page_size)
-    counts = np.diff(runs[1])
-    over = np.flatnonzero(counts > budget)
-    if len(over):
-        position = int(over[0])
-        tid = int(dataset.tids[start + position])
-        raise OversizedVectorError(f"vector tid {tid} needs {int(counts[position])} pages,"
-                                   f" budget is {budget}", position=position, tid=tid)
-    return runs
-
-
 def plan_upage(dataset, start, stop, page_size, config, path, ordered=False):
     """Rows [start, stop) of `dataset`, a U-page, in processing order and
-    their batches, from its page sets, checked by `check_fits` first.
-    Unless the plan is `single`, a U-page whose page union fits the budget
-    is one batch in any order, so no order changes its counters, and greedy
-    batching does not run. With `ordered` (`sgd`'s update passes, which
+    their batches, from its `Dataset.page_sets`; it checks nothing, as
+    `check_inputs` has checked every vector against the budget. Unless the
+    plan is `single`, a U-page whose page union fits the budget is one batch
+    in any order, so no order changes its counters, and greedy batching
+    does not run. With `ordered` (`sgd`'s update passes, which
     `train_oracle` replays) the vectors run in `plan_order`'s order, seeded
     by `path`; else (the join) a U-page of one batch runs in file order,
     and any other in `plan_order`'s."""
-    sets = run_sets(*check_fits(dataset, start, stop, page_size, config.budget))
+    sets = dataset.page_sets(start, stop, page_size)
     union = None
     if config.batches_greedily:
         union = set()
@@ -281,32 +267,43 @@ def finish_report(manager, report):
     return report
 
 
-def check_inputs(dataset, store, config):
-    """Reject a dataset whose dimension is not the model's and whatever
-    `config.check` rejects for the model's page count; shared by the join
-    (an OperatorConfig) and training (a TrainConfig)."""
-    if dataset.dimension != store.dimension:
+def check_inputs(dataset, dimension, page_size, config):
+    """The one input check of the CLI, `run`, `train` and `train_oracle`,
+    made before any model file is created and any page is read.
+    Rejects a dataset whose dimension is not the model's (`dimension`
+    entries, `page_size` to a page), whatever `config.check` rejects (a
+    TrainConfig adds training's options and `check_dataset`), and, per
+    U-page in file order, a vector whose distinct pages outnumber the
+    budget: the error names the first, by its tid and its offset in its
+    U-page, whatever the plan or heuristic."""
+    if dataset.dimension != dimension:
         raise ValidationError(
-            f"dataset dimension {dataset.dimension} != model dimension {store.dimension}"
-        )
-    config.check(store.num_pages)
+            f"dataset dimension {dataset.dimension} != model dimension {dimension}")
+    config.check(page_count(dimension, page_size), dataset)
+    op = getattr(config, "operator", config)  # a TrainConfig's operator settings
+    for start, stop in dataset.upage_bounds(op.upage):
+        counts = np.diff(dataset.page_runs(start, stop, page_size)[1])
+        over = np.flatnonzero(counts > op.budget)
+        if len(over):
+            position = int(over[0])
+            tid = int(dataset.tids[start + position])
+            raise OversizedVectorError(f"vector tid {tid} needs {int(counts[position])} pages,"
+                                       f" budget is {op.budget}", position=position, tid=tid)
 
 
 def run(dataset, store, config, sink=None):
     """Execute the join under `config.plan`; emit DotProductResult per
     vector to `sink` and return a MetricsReport.
 
-    `gather` checks every vector against the budget before any page is
-    read, then gathers each U-page and emits its results in file order.
-    `batched` and `single` emit in processing (post-reorder) order; under
-    `batched`, a U-page whose page union fits the budget is one batch in
-    file order: it is neither reordered nor greedily batched, since no
-    order changes its requests."""
-    check_inputs(dataset, store, config)
+    `check_inputs` runs before any page is read. `gather` then gathers each
+    U-page and emits its results in file order. `batched` and `single` emit
+    in processing (post-reorder) order; under `batched`, a U-page whose page
+    union fits the budget is one batch in file order: it is neither
+    reordered nor greedily batched, since no order changes its requests."""
+    check_inputs(dataset, store.dimension, store.page_size, config)
     emit = sink if sink is not None else (lambda result: None)
     manager = BufferManager(store, config.budget)
     report = MetricsReport(config=config.describe())
-    bounds = dataset.upage_bounds(config.upage)
     flat = manager.frames.reshape(-1)
 
     def visit(data, start, stop, model_values):
@@ -317,25 +314,19 @@ def run(dataset, store, config, sink=None):
     def visit_pinned(data, start, stop, at):
         visit(data, start, stop, flat[at])
 
-    if config.plan == "gather":
-        started = time.perf_counter()
-        for start, stop in bounds:
-            check_fits(dataset, start, stop, store.page_size, config.budget)
-        report.reorder_time += time.perf_counter() - started
-        for start, stop in bounds:
-            report.upage_count += 1
+    for upage_index, (start, stop) in enumerate(dataset.upage_bounds(config.upage)):
+        report.upage_count += 1
+        if config.plan == "gather":
             values = gather(manager, dataset, start, stop, report)
             started = time.perf_counter()
             visit(dataset, start, stop, values)
             report.compute_time += time.perf_counter() - started
-        return finish_report(manager, report)
-    for upage_index, (start, stop) in enumerate(bounds):
-        report.upage_count += 1
-        started = time.perf_counter()
-        rows, batches = plan_upage(dataset, start, stop, store.page_size, config,
-                                    (upage_index,))
-        report.reorder_time += time.perf_counter() - started
-        execute(manager, dataset.take(rows), batches, visit_pinned, report)
+        else:
+            started = time.perf_counter()
+            rows, batches = plan_upage(dataset, start, stop, store.page_size, config,
+                                        (upage_index,))
+            report.reorder_time += time.perf_counter() - started
+            execute(manager, dataset.take(rows), batches, visit_pinned, report)
     return finish_report(manager, report)
 
 

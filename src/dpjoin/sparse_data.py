@@ -239,14 +239,10 @@ class Dataset:
         return pages[first], cuts[bounds]
 
     def page_sets(self, start, stop, page_size):
-        """`page_request_set` of each vector in rows [start, stop)."""
-        return run_sets(*self.page_runs(start, stop, page_size))
-
-
-def run_sets(pages, cuts):
-    """Each vector's page tuple from `Dataset.page_runs`' arrays."""
-    pages, cuts = pages.tolist(), cuts.tolist()
-    return [tuple(pages[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        """`page_request_set` of each vector in rows [start, stop), from
+        `page_runs`."""
+        pages, cuts = (array.tolist() for array in self.page_runs(start, stop, page_size))
+        return [tuple(pages[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 # -- binary encoding ---------------------------------------------------------

@@ -25,10 +25,8 @@ from .batcher import greedy_batches
 from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import PHASE_COUNTERS, MetricsReport
-from .model_store import page_count
-from .operator import (OperatorConfig, check_fits, check_inputs, dot_product, dot_products,
-                       execute, finish_report, gather, plan_order, plan_upage, row_sums, scan,
-                       walk_batches)
+from .operator import (OperatorConfig, check_inputs, dot_product, dot_products, execute,
+                       finish_report, gather, plan_order, plan_upage, row_sums, scan, walk_batches)
 from .reorder import SEEDLESS
 from .sparse_data import page_request_set
 
@@ -65,9 +63,10 @@ class TrainConfig:
         out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "operator")
         return out
 
-    def check(self, num_pages):
+    def check(self, num_pages, dataset):
         """`OperatorConfig.check`, then reject an unknown task or mode, a
-        step size that is not finite and a negative iteration count."""
+        step size that is not finite, a negative iteration count and what
+        `check_dataset` rejects. Called by `check_inputs` only."""
         self.operator.check(num_pages)
         if self.task not in ("lr", "lmf"):
             raise ValidationError(f"unknown task {self.task!r}")
@@ -77,6 +76,7 @@ class TrainConfig:
             raise ValidationError(f"alpha must be finite, got {self.alpha}")
         if self.iterations < 0:
             raise ValidationError(f"iterations must be >= 0, got {self.iterations}")
+        check_dataset(dataset, self.task)
 
 
 @dataclass
@@ -212,10 +212,10 @@ def train(dataset, store, config):
     dimension. An apply (`gradient_sums`, then w[i] -= alpha * g[i]) is one
     more `scan` over the touched coordinates, which dirties their pages.
 
-    Every vector's page set is checked against the budget before any page is
-    read. `iteration_plan` is called once per iteration, after the initial
-    loss pass; under `sgd` with `none` or `radix`, which read no seed, a
-    U-page's update plan is built once and replayed.
+    `check_inputs` runs before any page is read; the update planners check
+    nothing. `iteration_plan` is called once per iteration, after the
+    initial loss pass; under `sgd` with `none` or `radix`, which read no
+    seed, a U-page's update plan is built once and replayed.
 
     The initial and the final loss have passes of their own, as every loss
     has under `sgd`. Under `sgd-page` and `bgd`, loss i >= 1 is computed in
@@ -231,18 +231,13 @@ def train(dataset, store, config):
     in the phase whose request evicted its page; the closing flush in the
     one phase that dirties pages (`sgd`'s updates, else the applies)."""
     op = config.operator
-    check_inputs(dataset, store, config)
-    check_dataset(dataset, config.task)
+    check_inputs(dataset, store.dimension, store.page_size, config)
     rank = dataset.matrix_shape[2] if config.task == "lmf" else 0
     manager = BufferManager(store, op.budget)
     flat = manager.frames.reshape(-1)
     report = MetricsReport(config=config.describe(), phases={
         phase: dict.fromkeys(PHASE_COUNTERS, 0) for phase in ("loss", "update", "apply")})
     bounds = dataset.upage_bounds(op.upage)
-    started = time.perf_counter()
-    for start, stop in bounds:  # before any page is read
-        check_fits(dataset, start, stop, store.page_size, op.budget)
-    report.reorder_time += time.perf_counter() - started
     pending = []  # (indices, terms) of each update pass since the last apply
     update_plans = {}  # sgd: upage_index -> (rows, batches), under a reorder that reads no seed
     loss_by_row = np.empty(len(dataset))  # the loss terms of each read, at their file rows
@@ -375,6 +370,8 @@ def train(dataset, store, config):
 def train_oracle(dataset, initial_model, config, page_size):
     """Same plan, same arithmetic, no paging. `page_size` only shapes the
     page-request sets that drive reordering and batching decisions.
+    `check_inputs` rejects what it rejects for `train`, with the same error,
+    taking `initial_model`'s length as the model's dimension.
 
     The update order is `iteration_plan`'s, derived afresh at every
     iteration and without `plan_upage`: `_upage_order`, then each U-page in
@@ -382,12 +379,9 @@ def train_oracle(dataset, initial_model, config, page_size):
     plan is `single`, its greedy batches in `walk_order` (one batch if its
     union fits, as in `plan_upage`). So a replayed plan is checked against
     a new one."""
-    config.check(page_count(dataset.dimension, page_size))
-    check_dataset(dataset, config.task)
+    check_inputs(dataset, len(initial_model), page_size, config)
     op = config.operator
     model = np.array(initial_model, dtype=np.float64, copy=True)
-    if len(model) < dataset.dimension:
-        raise ValidationError("initial model smaller than the dataset dimension")
     upages = [chunk for _, chunk in dataset.iter_upages(op.upage)]
     upage_sets = [[page_request_set(v, page_size) for v in chunk] for chunk in upages]
 

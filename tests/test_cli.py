@@ -453,6 +453,24 @@ def test_model_with_bad_magic_exits_4(tmp_path, capsys):
     assert model.read_bytes() == bytes(raw)
 
 
+@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("command", ["run", "train", "sweep"])
+def test_a_vector_over_the_budget_exits_3_and_writes_no_model(tmp_path, capsys, command,
+                                                              plan):
+    """Every vector of the small dataset spans 3 of the 10 pages; a 2-page
+    budget cannot hold one, so the command exits 3 before it creates the
+    model file."""
+    data = _small_dataset(tmp_path)
+    model = tmp_path / "new.model"
+    capsys.readouterr()
+    assert main([command, "--data", data, "--model", str(model), "--page-size", "10",
+                 "--budget", "2", "--plan", plan]) == 3
+    err = capsys.readouterr().err
+    assert "needs 3 pages, budget is 2" in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "train", "sweep"])
 def test_a_model_the_disk_cannot_hold_exits_4_and_writes_nothing(tmp_path, capsys,
                                                                 monkeypatch, command):
@@ -463,7 +481,8 @@ def test_a_model_the_disk_cannot_hold_exits_4_and_writes_nothing(tmp_path, capsy
     monkeypatch.setattr(shutil, "disk_usage", lambda path: shutil._ntuple_diskusage(
         total=10**6, used=10**6 - 100, free=100))
     capsys.readouterr()
-    assert main([command, "--data", data, "--model", str(model), "--page-size", "10"]) == 4
+    assert main([command, "--data", data, "--model", str(model), "--page-size", "10",
+                 "--budget", "100%"]) == 4
     err = capsys.readouterr().err
     assert "needs 828 bytes, 100 are free" in err
     assert "Traceback" not in err
@@ -595,7 +614,8 @@ def test_every_command_line_exits_with_a_contract_code(tmp_path_factory, argv, e
     dataset file may be malformed and, when it exists, the model header.
     Both are read before any option is checked, so a malformed one exits 4,
     except a dataset header dimension, which is rejected (2) only when it
-    does not hold every index or is not the model's."""
+    does not hold every index or is not the model's. A run, train or sweep
+    that exits 2 or 3 leaves no new model file."""
     tmp = tmp_path_factory.mktemp("cli")
     data, model = tmp / "d.bin", tmp / "m.model"
     store_dataset(datagen.gen_uniform(10, 100, 3, seed=5), str(data))
@@ -619,4 +639,5 @@ def test_every_command_line_exits_with_a_contract_code(tmp_path_factory, argv, e
         assert code in ((2, 4) if data_fault else (4,))
     elif UNKNOWN_PLAN in argv:
         assert code == 2
-        assert existing_model or not model.exists()
+    if argv[0] != "gen" and not existing_model and code in (2, 3):
+        assert not model.exists()

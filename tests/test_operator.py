@@ -491,7 +491,8 @@ def test_gather_join_requests_each_upage_pages_once_ascending(tmp_store, upage, 
 
 def test_gather_join_names_an_oversized_vector_before_any_read(tmp_store):
     """Tid 9, in the last U-page, spans 3 pages of a 2-page budget: the
-    gather join names it before it reads any page."""
+    join names it before it requests or reads any page or emits any
+    result, under every plan."""
     from conftest import make_vector
     from dpjoin import Dataset
 
@@ -499,12 +500,15 @@ def test_gather_join_names_an_oversized_vector_before_any_read(tmp_store):
     vectors[9] = make_vector(9, [0, 8, 16])
     ds = Dataset(dimension=64, vectors=vectors)
     store = tmp_store(64, 8)
-    with PageRecorder(store) as recorder, pytest.raises(OversizedVectorError) as err:
-        run(ds, store, OperatorConfig(budget=2, upage=4))
-    assert (err.value.tid, err.value.position) == (9, 1)
-    assert "vector tid 9 needs 3 pages, budget is 2" in str(err.value)
-    assert recorder.requests == []
-    assert not recorder.misses_by_page
+    for plan in PLANS:
+        sink = CollectSink()
+        with PageRecorder(store) as recorder, pytest.raises(OversizedVectorError) as err:
+            run(ds, store, OperatorConfig(budget=2, plan=plan, upage=4), sink)
+        assert (err.value.tid, err.value.position) == (9, 1), plan
+        assert "vector tid 9 needs 3 pages, budget is 2" in str(err.value)
+        assert recorder.requests == [], plan
+        assert not recorder.misses_by_page, plan
+        assert sink.results == [], plan
 
 
 def test_an_unknown_plan_is_rejected(tmp_store):

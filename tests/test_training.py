@@ -165,6 +165,9 @@ def gather_requests(ds, page_size, op):
     return [len(scan_pages(ds, start, stop, page_size)) for start, stop in ds.upage_bounds(op.upage)]
 
 
+# No plan changes an `sgd-page` or `bgd` run (`test_gather_and_batched_plans_train_alike`),
+# so each plan id of this axis also names a budget, which does change it: the
+# task's under `batched`, every page under `single`.
 @pytest.mark.parametrize("shuffle_upages", [True, False], ids=["shuffled", "fixed"])
 @pytest.mark.parametrize("batching", [True, False], ids=["batched", "unbatched"])
 @pytest.mark.parametrize("upages", [1, 2, 3])
@@ -181,7 +184,8 @@ def test_fused_loss_visits_match_the_oracle(tmp_store, task, mode, iterations, u
     equal the oracle's bit for bit; the loss phase requests the pages of the
     loss-only gathers alone, each U-page's distinct pages once."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
-    op = small_op(budget=budget, reorder="shuffle", upage=-(-len(ds) // upages))
+    op = small_op(budget=budget if batching else store.num_pages, reorder="shuffle",
+                  upage=-(-len(ds) // upages))
     op.plan = "batched" if batching else "single"
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=iterations,
                          shuffle_upages=shuffle_upages)
@@ -339,15 +343,12 @@ def test_oversized_vector_error_names_the_tid(tmp_store, batching):
         run(ds, store, op)
     assert err.value.tid == 103
     assert "103" in str(err.value)
+    # `train`, which plans its update passes, names it at its offset in the U-page.
     with pytest.raises(OversizedVectorError) as err:
         train(ds, store, TrainConfig(op, task="lr", iterations=1))
-    assert err.value.tid == 103
-    assert "103" in str(err.value)
-    # An update pass's plan names it at its offset in the U-page.
-    with pytest.raises(OversizedVectorError) as err:
-        plan_upage(ds, 0, 4, 8, op, (0, 0), ordered=True)
     assert err.value.position == 3
     assert err.value.tid == 103
+    assert "103" in str(err.value)
 
 
 def test_train_report_counts_batches_and_upages(tmp_store):
@@ -809,16 +810,16 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
 
 @pytest.mark.parametrize("batching", [True, False])
 @pytest.mark.parametrize("heuristic", ["none", "radix", "shuffle"])
-def test_an_oversized_vector_in_an_update_plan_keeps_its_tid(heuristic, batching):
-    """Vector tid 103 spans 3 pages of a 2-page budget; planning an update
-    pass names it."""
+def test_an_oversized_vector_in_an_update_plan_keeps_its_tid(tmp_store, heuristic, batching):
+    """Vector tid 103 spans 3 pages of a 2-page budget; `train`, through
+    which the update passes are planned, names it."""
     vectors = [make_vector(100 + i, [8 * i], label=1.0) for i in range(6)]
     vectors[3] = make_vector(103, [0, 8, 16], label=1.0)
     ds = Dataset(dimension=64, vectors=vectors)
     op = OperatorConfig(budget=2, reorder=heuristic, plan="batched" if batching else "single",
                         upage=4)
     with pytest.raises(OversizedVectorError) as err:
-        iteration_plan(ds, 8, TrainConfig(op, task="lr"), 0, {})
+        train(ds, tmp_store(64, 8), TrainConfig(op, task="lr"))
     assert err.value.tid == 103
     assert "103" in str(err.value)
 
@@ -828,9 +829,9 @@ def test_an_oversized_vector_in_an_update_plan_keeps_its_tid(heuristic, batching
 def test_the_first_oversized_vector_in_file_order_is_named(tmp_store, monkeypatch, heuristic,
                                                            batching):
     """Tids 101 and 104 each span 3 pages of a 2-page budget. Whatever order
-    the heuristic would give, `run`, `train` and `iteration_plan` name 101,
-    the first in file order, at its offset in the U-page, before any reorder
-    runs or any page is read."""
+    the heuristic would give, `run` and `train` (which reaches the update
+    planners) name 101, the first in file order, at its offset in the
+    U-page, before any reorder runs or any page is read."""
     from dpjoin import operator
 
     vectors = [make_vector(100 + i, [8 * i], label=1.0) for i in range(6)]
@@ -849,13 +850,32 @@ def test_the_first_oversized_vector_in_file_order_is_named(tmp_store, monkeypatc
         op = OperatorConfig(budget=2, reorder=heuristic,
                             plan="batched" if batching else "single", upage=8, seed=seed)
         config = TrainConfig(op, task="lr", iterations=1)
-        for plan in (lambda: run(ds, store, op), lambda: train(ds, store, config),
-                     lambda: iteration_plan(ds, 8, config, 0)):
+        for plan in (lambda: run(ds, store, op), lambda: train(ds, store, config)):
             with pytest.raises(OversizedVectorError) as err:
                 plan()
             assert (err.value.tid, err.value.position) == (101, 1)
             assert "vector tid 101 needs 3 pages, budget is 2" in str(err.value)
     assert reordered == []
+    assert store.reads == 0
+
+
+@pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
+def test_the_oracle_rejects_an_oversized_vector_as_train_does(tmp_store, mode):
+    """Tid 103, at offset 3 of its U-page, spans 3 pages of a 2-page
+    budget: `train_oracle` raises the error `train` raises, with its tid,
+    position and message, under every mode."""
+    vectors = [make_vector(100 + i, [8 * i], label=1.0) for i in range(6)]
+    vectors[3] = make_vector(103, [0, 8, 16], label=1.0)
+    ds = Dataset(dimension=64, vectors=vectors)
+    store = tmp_store(64, 8)
+    config = TrainConfig(OperatorConfig(budget=2, upage=4), task="lr", mode=mode, iterations=1)
+    errors = []
+    for attempt in (lambda: train(ds, store, config),
+                    lambda: train_oracle(ds, np.zeros(64), config, page_size=8)):
+        with pytest.raises(OversizedVectorError) as err:
+            attempt()
+        errors.append((err.value.tid, err.value.position, str(err.value)))
+    assert errors[0] == errors[1] == (103, 3, "vector tid 103 needs 3 pages, budget is 2")
     assert store.reads == 0
 
 
