@@ -10,9 +10,9 @@ vectors safe to process against a fixed set of resident pages.
 
 Replacement is strict LRU over request sets: after a request completes, all
 its pages become the most recently used, with the lower page id placed most
-recent. A caller that modified a set's pages says so when it unpins them
-(`unpin_set(pages, dirty=True)`); dirty pages are written back when evicted
-and on flush_all.
+recent. A caller that modified some of a set's pages names them when it
+unpins the set (`unpin_set(pages, dirty=modified)`); dirty pages are
+written back when evicted and on flush_all.
 
 Pages live in a frame pool allocated once: one row of `frames` per page
 the budget can hold (at most the model's page count). A miss reads the page
@@ -88,8 +88,9 @@ class BufferManager:
                 resident.move_to_end(page_id)
         # The victims are the least recent unpinned pages: loaded pages are
         # pinned at the recent end, so one scan finds all of them in order.
-        victims = list(itertools.islice((page_id for page_id in resident if page_id not in pins),
-                                        max(0, len(missing) - len(self._free))))
+        victims = iter(list(itertools.islice(
+            (page_id for page_id in resident if page_id not in pins),
+            max(0, len(missing) - len(self._free)))))
         frames, store, dirty = self.frames, self.store, self._dirty
         for k, page_id in enumerate(missing):
             frame = None
@@ -97,7 +98,7 @@ class BufferManager:
                 if self._free:
                     frame = self._free.pop()
                 else:
-                    victim = victims.pop(0)
+                    victim = next(victims)
                     if victim in dirty:
                         # A failed write-back leaves the page resident and dirty.
                         store.write_page(victim, frames[resident[victim]])
@@ -123,32 +124,42 @@ class BufferManager:
             for page_id in reversed(pages):
                 resident.move_to_end(page_id)
 
-    def unpin_set(self, pages, dirty=False):
-        """Release one pin on each of `pages`. With `dirty`, the caller
-        declares that it modified every one of them, and each is written
-        back when it is evicted or flushed."""
+    def unpin_set(self, pages, dirty=()):
+        """Release one pin on each of `pages`. `dirty` names those of them
+        the caller modified; each is written back when it is evicted or
+        flushed."""
         pages = {int(p) for p in pages}
+        dirty = {int(p) for p in dirty}
         if not pages <= self._pins.keys():
             raise PreconditionError(f"page {min(pages - self._pins.keys())} is not pinned")
+        if not dirty <= pages:
+            raise PreconditionError(f"page {min(dirty - pages)} is not being unpinned")
         self._release(pages)
-        if dirty:
-            self._dirty.update(pages)
+        self._dirty.update(dirty)
 
     def positions(self, indexes):
         """Where each model index of `indexes` sits in `frames.reshape(-1)`.
         Every index's page must be pinned, and the positions are good only
         until it is unpinned."""
         page_size = self.store.page_size
-        page, offset = np.divmod(np.asarray(indexes, dtype=np.int64), page_size)
         pinned = sorted(self._pins)
-        pages = np.array(pinned, dtype=np.int64)
-        at = np.searchsorted(pages, page)
-        unpinned = pages.take(at, mode="clip") != page if pinned else np.ones(len(page), bool)
+        # Each pinned page's first index, after a page's worth below index 0
+        # that no index may fall in. The positions are computed in place: a
+        # pinned batch may hold most of a U-page's entries.
+        first = np.array([-1] + pinned, dtype=np.int64) * page_size
+        position = np.array(indexes, dtype=np.int64)
+        at = np.searchsorted(first, position, side="right")
+        at -= 1  # the last page starting at or below each index
+        position -= first[at]  # its offset in that page
+        unpinned = (at < 1) | (position >= page_size)
         if unpinned.any():
-            raise PreconditionError(f"page {int(page[np.argmax(unpinned)])} is not pinned")
+            k = np.argmax(unpinned)
+            raise PreconditionError(f"page {int(position[k] + first[at[k]]) // page_size}"
+                                    " is not pinned")
         frame = np.fromiter(map(self._resident.__getitem__, pinned), dtype=np.int64,
                             count=len(pinned))
-        return frame[at] * page_size + offset
+        position += np.append(0, frame * page_size)[at]
+        return position
 
     def _release(self, pages):
         pins = self._pins

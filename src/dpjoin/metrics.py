@@ -26,7 +26,7 @@ PHASE_COUNTERS = ("page_requests", "page_misses", "write_backs")  # split by pha
 
 @dataclass
 class MetricsReport:
-    element_requests: int = 0   # entries visited; in training, an apply's steps too
+    element_requests: int = 0   # entries visited; in training, the steps a gather carries too
     page_requests: int = 0
     page_misses: int = 0
     write_backs: int = 0
@@ -40,7 +40,9 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
     phases: dict | None = None  # training: phase -> PHASE_COUNTERS, summing to the totals;
                                 # `update` counts the update passes, fused ones too, `loss`
-                                # the loss-only gathers (initial and final passes too)
+                                # the loss-only gathers (initial and final passes too), each
+                                # with the apply steps it carries; `apply` only the closing
+                                # flush's write-backs, under `sgd-page` and `bgd`
 
     def to_dict(self):
         out = {name: getattr(self, name) for name in COUNTER_FIELDS}

@@ -166,7 +166,7 @@ class ModelStore:
     def read_page(self, page_id, out=None):
         """Read page `page_id` into `out` (a contiguous, writable array of
         page_size float64 values; a fresh one when None) and return it."""
-        # `_check_page_id` and `_fd`, inlined: this runs once per miss.
+        # The page-id and open-store checks are inline: this runs once per miss.
         if page_id < 0 or page_id >= self.num_pages:
             raise ValidationError(f"page id {page_id} out of range [0, {self.num_pages})")
         if self._file is None:
@@ -184,15 +184,24 @@ class ModelStore:
 
     def write_page(self, page_id, values):
         """Write the page_size float64 `values` as page `page_id`."""
-        self._check_page_id(page_id)
+        # The checks are inline, as in `read_page`: this runs once per write-back.
+        if page_id < 0 or page_id >= self.num_pages:
+            raise ValidationError(f"page id {page_id} out of range [0, {self.num_pages})")
         if len(values) != self.page_size:
             raise ValidationError(
                 f"page {page_id} has {len(values)} values, expected {self.page_size}"
             )
+        if self._file is None:
+            raise StoreError(f"{self.path}: model store is closed")
+        if not (isinstance(values, np.ndarray) and values.dtype == _DTYPE
+                and values.flags.c_contiguous):
+            values = np.ascontiguousarray(values, dtype=_DTYPE)
+        fd = self._file.fileno()
         started = time.perf_counter()
-        self._write_all(np.ascontiguousarray(values, dtype=_DTYPE),
-                        HEADER_SIZE + page_id * self.page_size * 8)
+        written = os.pwrite(fd, values, HEADER_SIZE + page_id * self.page_size * 8)
         self.io_time += time.perf_counter() - started
+        if written != values.nbytes:
+            raise StoreError(f"{self.path}: short write, {written} of {values.nbytes} bytes")
         self.writes += 1
 
     def _write_all(self, data, offset):
@@ -210,10 +219,6 @@ class ModelStore:
         if self._file is None:
             raise StoreError(f"{self.path}: model store is closed")
         return self._file.fileno()
-
-    def _check_page_id(self, page_id):
-        if page_id < 0 or page_id >= self.num_pages:
-            raise ValidationError(f"page id {page_id} out of range [0, {self.num_pages})")
 
     # -- whole-model access (small models, oracles, reporting) --------------
 

@@ -5,9 +5,9 @@ chunk (U-page) of vectors at a time, under one of three plans:
 
 - `gather` (the default): the U-page's entries are sorted by model index,
   its distinct pages are requested once each, in ascending groups of the
-  budget (`scan`), and each entry's model value is copied into place
-  (`gather`); the dot products are then computed together and emitted in
-  file order. This is a sort-merge join of the entries against the model.
+  budget, and each entry's model value is copied into place (`gather`);
+  the dot products are then computed together and emitted in file order.
+  This is a sort-merge join of the entries against the model.
 - `batched`: the paper's operator. Vectors are reordered within the
   chunk, cut into batches whose page unions fit the memory budget, and
   each batch's pages are requested from the buffer manager as one pinned
@@ -168,19 +168,19 @@ def walk_batches(batches):
     return [batches[index] for index in walk_order([batch.pages for batch in batches])]
 
 
-def execute(manager, data, batches, visit, report, dirty=False):
+def execute(manager, data, batches, visit, report, dirty=None):
     """Pin each batch's pages as one set, call `visit(data, start, stop,
     at)` once for its vectors, rows [start, stop) of `data` (a batch's
     positions are consecutive; the batches come in any order), and unpin
-    the set, declaring it modified when `dirty` (a visit that writes every
-    index of its vectors writes every page of its batch). `at` holds, for each of
+    the set, declaring modified the pages that `dirty`, when given, holds
+    for that batch (one collection of pages per batch). `at` holds, for each of
     the batch's entries, where its model value sits in
     `manager.frames.reshape(-1)`. The set is unpinned even when resolving
     `at` or the visit raises. Adds the batches, the vectors' element
     requests and the time spent visiting to `report`."""
     report.batch_count += len(batches)
     indptr = data.indptr
-    for batch in batches:
+    for k, batch in enumerate(batches):
         start, stop = batch.positions[0], batch.positions[-1] + 1
         lo, hi = indptr[start], indptr[stop]
         manager.request_set(batch.pages)
@@ -190,44 +190,78 @@ def execute(manager, data, batches, visit, report, dirty=False):
             visit(data, start, stop, manager.positions(data.indices[lo:hi]))
             report.compute_time += time.perf_counter() - started
         finally:
-            manager.unpin_set(batch.pages, dirty=dirty)
+            manager.unpin_set(batch.pages, dirty=() if dirty is None else dirty[k])
 
 
-def page_batches(pages, budget):
-    """Consecutive batches of `budget` of the distinct, ascending `pages`,
-    one vector per page: what `greedy_batches` cuts of their one-page sets."""
-    pages = pages.tolist()
-    return [Batch(list(range(k, min(k + budget, len(pages)))), frozenset(pages[k : k + budget]))
-            for k in range(0, len(pages), budget)]
+def page_groups(pages, budget):
+    """Consecutive groups of `budget` of the distinct, ascending list
+    `pages`: the page sets `greedy_batches` cuts of their one-page sets."""
+    return [frozenset(pages[k : k + budget]) for k in range(0, len(pages), budget)]
 
 
-def scan(manager, indices, visit, report, values=None, dirty=False):
-    """`execute` over the ascending model `indices` (and their `values`) as
-    one vector per page they touch, in `page_batches` of the budget: each
-    touched page is requested once, in ascending order."""
-    page_size = np.uint64(manager.store.page_size)
-    first = np.flatnonzero(np.diff(indices // page_size)) + 1
-    first = np.concatenate(([0], first)) if len(indices) else first
-    pages = indices[first] // page_size
-    steps = Dataset.from_arrays(manager.store.dimension, np.append(first, len(indices)),
-                                indices, values, pages, np.full(len(pages), np.nan))
-    execute(manager, steps, page_batches(pages, manager.capacity), visit, report, dirty=dirty)
+def page_starts(pages):
+    """The distinct values of the ascending page ids `pages`, and where each
+    one's run starts, with len(pages) appended."""
+    first = np.flatnonzero(pages[1:] != pages[:-1]) + 1
+    first = np.concatenate(([0], first)) if len(pages) else first
+    return pages[first], np.append(first, len(pages))
 
 
-def gather(manager, data, start, stop, report):
+def gather(manager, data, start, stop, report, steps=None):
     """The model value of every entry of rows [start, stop) of `data`, in
-    entry order: the entries sorted by model index, each value copied into
-    place from its page as `scan` pins it. The copy writes each value at
-    its own entry, so the order of equal indexes changes nothing."""
+    entry order, read by one ascending scan: the entries are sorted by
+    model index, their distinct pages requested once each through
+    `execute`, in ascending `page_groups` of the budget, and each value
+    copied into place from its pinned page. The copy writes each value at
+    its own entry, so the order of equal indexes changes nothing.
+
+    `steps`, when given, is a pending update `(touched, deltas)`: distinct,
+    ascending model indexes and what to subtract from each. The same scan
+    carries it: the union of both streams' pages is requested, each page
+    once, and in each pinned group the deltas are subtracted before the
+    values are copied, so the read sees the stepped model. Only the pages
+    that hold a step are unpinned dirty."""
     indices = data.indices[data.indptr[start] : data.indptr[stop]]
     order = np.argsort(indices)
+    touched, deltas = steps if steps is not None else (indices[:0], np.empty(0))
+    page_size = np.uint64(manager.store.page_size)
+    step_pages, step_starts = page_starts(touched // page_size)
+    read_pages = indices[order]
+    read_pages //= page_size  # in place, to hold one entries-sized array fewer
+    read_pages, read_starts = page_starts(read_pages)
+    # The union of the page lists, not by np.union1d: its np.unique imports
+    # numpy.ma (about 1 MiB) on first use.
+    pages = page_starts(np.sort(np.concatenate((step_pages, read_pages))))[0]
+    firsts = pages[:: manager.capacity]
+    stepped = np.append(np.searchsorted(step_pages, firsts), len(step_pages))
+    step_cuts = step_starts[stepped]
+    read_cuts = read_starts[np.append(np.searchsorted(read_pages, firsts), len(read_pages))]
+    # Row 2g holds the model indexes of group g's steps, row 2g + 1 its reads'.
+    indptr = np.empty(2 * len(firsts) + 1, dtype=np.int64)
+    indptr[0::2] = step_cuts + read_cuts
+    indptr[1::2] = step_cuts[1:] + read_cuts[:-1]
+    if len(touched):
+        merged = np.empty(indptr[-1], dtype=indices.dtype)
+        for g in range(len(firsts)):
+            merged[indptr[2 * g] : indptr[2 * g + 1]] = touched[step_cuts[g] : step_cuts[g + 1]]
+            merged[indptr[2 * g + 1] : indptr[2 * g + 2]] = indices[
+                order[read_cuts[g] : read_cuts[g + 1]]]
+    else:  # every steps row is empty
+        merged = indices[order]
+    groups = Dataset.from_arrays(manager.store.dimension, indptr, merged, None,
+                                 np.arange(len(indptr) - 1), np.full(len(indptr) - 1, np.nan))
+    batches = [Batch([2 * g, 2 * g + 1], group)
+               for g, group in enumerate(page_groups(pages.tolist(), manager.capacity))]
     values = np.empty(len(indices))
     flat = manager.frames.reshape(-1)
 
-    def copy(steps, first, last, at):
-        values[order[steps.indptr[first] : steps.indptr[last]]] = flat[at]
+    def step_and_copy(groups, row, _, at):
+        g, split = row // 2, indptr[row + 1] - indptr[row]
+        flat[at[:split]] -= deltas[step_cuts[g] : step_cuts[g + 1]]
+        values[order[read_cuts[g] : read_cuts[g + 1]]] = flat[at[split:]]
 
-    scan(manager, indices[order], copy, report)
+    execute(manager, groups, batches, step_and_copy, report,
+            dirty=[step_pages[a:b] for a, b in zip(stepped, stepped[1:])])
     return values
 
 

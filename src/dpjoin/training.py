@@ -26,7 +26,7 @@ from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import PHASE_COUNTERS, MetricsReport
 from .operator import (OperatorConfig, check_inputs, dot_product, dot_products, execute,
-                       finish_report, gather, plan_order, plan_upage, row_sums, scan, walk_batches)
+                       finish_report, gather, plan_order, plan_upage, row_sums, walk_batches)
 from .reorder import SEEDLESS
 from .sparse_data import page_request_set
 
@@ -209,8 +209,12 @@ def train(dataset, store, config):
     adds them in file order, as `train_oracle` does. An `sgd-page` or `bgd`
     update pass keeps its entries' indices and gradient terms in file order:
     memory follows the entries read since the last apply, never the model's
-    dimension. An apply (`gradient_sums`, then w[i] -= alpha * g[i]) is one
-    more `scan` over the touched coordinates, which dirties their pages.
+    dimension. An apply reduces them (`gradient_sums`) to the steps
+    alpha * g[i] and scans nothing: the next `read`'s gather carries them,
+    stepping each page before it reads it, in the same ascending scan, and
+    unpins dirty only the pages that hold a step. The final loss pass
+    follows the last apply, and a loss that stops training is computed
+    after the pending steps were carried, so every apply is carried.
 
     `check_inputs` runs before any page is read; the update planners check
     nothing. `iteration_plan` is called once per iteration, after the
@@ -227,9 +231,11 @@ def train(dataset, store, config):
     The report's `batch_count`, `element_requests` and `compute_time` count
     every scan and the kernels, and `phases` splits page requests, misses
     and write-backs between the loss-only gathers (the initial and the final
-    pass included), the update passes and the applies. A write-back counts
-    in the phase whose request evicted its page; the closing flush in the
-    one phase that dirties pages (`sgd`'s updates, else the applies)."""
+    pass included), the update passes and the applies. A gather counts in
+    its read's phase, the steps it carries included, so `apply` holds only
+    the closing flush. A write-back counts in the phase whose request
+    evicted its page; the closing flush in the phase of `sgd`'s updates or,
+    under the other modes, `apply`."""
     op = config.operator
     check_inputs(dataset, store.dimension, store.page_size, config)
     rank = dataset.matrix_shape[2] if config.task == "lmf" else 0
@@ -239,6 +245,7 @@ def train(dataset, store, config):
         phase: dict.fromkeys(PHASE_COUNTERS, 0) for phase in ("loss", "update", "apply")})
     bounds = dataset.upage_bounds(op.upage)
     pending = []  # (indices, terms) of each update pass since the last apply
+    steps = None  # the last apply's (touched, alpha * sums), until a gather carries it
     update_plans = {}  # sgd: upage_index -> (rows, batches), under a reorder that reads no seed
     loss_by_row = np.empty(len(dataset))  # the loss terms of each read, at their file rows
 
@@ -290,8 +297,11 @@ def train(dataset, store, config):
     def read(start, stop, update=False):
         """`gather` rows [start, stop) of the dataset, then run the kernels
         once: write the loss terms at those rows and, if `update`, keep the
-        gradient terms for the apply to add in turn."""
-        values = gather(manager, dataset, start, stop, report)
+        gradient terms for the apply to add in turn. The gather carries the
+        pending steps."""
+        nonlocal steps
+        values = gather(manager, dataset, start, stop, report, steps)
+        steps = None
         started = time.perf_counter()
         residual = residuals(dataset, start, stop, values)
         loss_by_row[start:stop] = loss_terms(dataset, start, stop, residual)
@@ -300,18 +310,17 @@ def train(dataset, store, config):
             pending.append((indices, gradient_terms(dataset, start, stop, residual)))
         report.compute_time += time.perf_counter() - started
 
-    def step(data, start, stop, at):
-        flat[at] -= data.values[data.indptr[start] : data.indptr[stop]]
-
     def apply_gradient():
+        nonlocal steps
         touched, sums = gradient_sums(*map(np.concatenate, zip(*pending)))
         pending.clear()
-        scan(manager, touched, step, report, config.alpha * sums, dirty=True)
+        steps = touched, config.alpha * sums
 
     def update_pass(upage_index, rows, batches):
         """`sgd`'s batches, or an updating `read` of the U-page in place."""
         if config.mode == "sgd":
-            execute(manager, dataset.take(rows), batches, sgd, report, dirty=True)
+            execute(manager, dataset.take(rows), batches, sgd, report,
+                    dirty=[batch.pages for batch in batches])
         else:
             read(*bounds[upage_index], update=True)
 
@@ -354,9 +363,9 @@ def train(dataset, store, config):
             if position >= len(fused):
                 charged("update", update_pass, *upage)
             if config.mode == "sgd-page":
-                charged("apply", apply_gradient)
+                apply_gradient()
         if config.mode == "bgd" and pending:  # an empty dataset accumulates nothing
-            charged("apply", apply_gradient)
+            apply_gradient()
         if config.mode == "sgd" or iteration == config.iterations - 1:
             losses.append(charged("loss", loss_pass))
     charged("update" if config.mode == "sgd" else "apply", manager.flush_all)

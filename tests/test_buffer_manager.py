@@ -103,7 +103,9 @@ def test_refused_unpin_changes_nothing(tmp_store):
     bm = manager(tmp_store, 2)
     bm.request_set([0, 1])
     with pytest.raises(PreconditionError):
-        bm.unpin_set([0, 5], dirty=True)
+        bm.unpin_set([0, 5], dirty=[0, 5])
+    with pytest.raises(PreconditionError, match="page 1 is not being unpinned"):
+        bm.unpin_set([0], dirty=[1])
     assert pinned_pages(bm) == {0, 1}
     bm.unpin_set([0, 1])
     bm.flush_all()
@@ -120,7 +122,7 @@ def test_dirty_eviction_writes_back(tmp_store):
     bm = manager(tmp_store, 2)
     bm.request_set([0, 1])
     bm.frames.reshape(-1)[bm.positions(range(4, 8))] = 9.0
-    bm.unpin_set([1], dirty=True)
+    bm.unpin_set([1], dirty=[1])
     bm.unpin_set([0])
     bm.request_set([2, 3])          # evicts both, page 1 is dirty
     bm.unpin_set([2, 3])
@@ -134,7 +136,7 @@ def test_flush_all(tmp_store):
     flat = bm.frames.reshape(-1)
     flat[bm.positions(range(0, 4))] = 1.0
     flat[bm.positions(range(8, 12))] = 2.0
-    bm.unpin_set([0, 2], dirty=True)
+    bm.unpin_set([0, 2], dirty=[0, 2])
     bm.flush_all()
     assert bm.write_backs == 2
     assert (bm.store.read_page(0) == 1.0).all()
@@ -238,7 +240,7 @@ def test_failed_write_back_keeps_the_page_resident_and_dirty(tmp_store, monkeypa
     bm = manager(tmp_store, 2)
     bm.request_set([0, 1])
     bm.frames.reshape(-1)[bm.positions([0])] = 5.0
-    bm.unpin_set([0], dirty=True)
+    bm.unpin_set([0], dirty=[0])
     bm.unpin_set([1])
     real_write = bm.store.write_page
 
@@ -368,8 +370,7 @@ def test_matches_reference_lru(tmp_path_factory, steps, capacity):
 
     def release(request):
         pages, written = request
-        bm.unpin_set(written, dirty=True)
-        bm.unpin_set(pages - written)
+        bm.unpin_set(pages, dirty=written)
         ref.unpin(pages)
 
     path = str(tmp_path_factory.mktemp("bm") / "m.model")

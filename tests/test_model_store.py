@@ -58,6 +58,19 @@ def test_write_page_persists(tmp_path):
         assert not again.read_page(0).any()
 
 
+def test_write_page_converts_what_is_not_a_contiguous_f8_row(tmp_store):
+    """A list, a strided view, big-endian and float32 values are written as
+    the little-endian float64 page they equal; a contiguous `<f8` row is
+    written as it is."""
+    store = tmp_store(8, 4)
+    wide = np.arange(8.0)
+    for page, values in ((0, [1.0, 2.0, 3.0, 4.0]), (1, wide[::2]), (0, wide[4:].astype(">f8")),
+                         (1, np.float32([0.5, 1.5, 2.5, 3.5])), (0, wide[:4])):
+        store.write_page(page, values)
+        assert store.read_page(page).tolist() == list(map(float, values))
+    assert store.writes == 5
+
+
 def test_page_size_above_the_dimension_writes_one_unpadded_page(tmp_path):
     path = tmp_path / "m.model"
     with ModelStore.create(str(path), 100, 2**40, init=("uniform", -1.0, 1.0)) as store:

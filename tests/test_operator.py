@@ -240,7 +240,7 @@ def test_kernel_rejects_a_page_that_is_not_pinned(tmp_store):
 
 @pytest.mark.parametrize("dirty", [False, True])
 def test_a_visit_that_raises_leaves_nothing_pinned(tmp_store, dirty):
-    """The batch's set is unpinned, as modified when the pass writes."""
+    """The batch's set is unpinned, the pages the pass writes as modified."""
     from dpjoin import Batch, BufferManager, Dataset, MetricsReport
     from dpjoin.operator import execute
 
@@ -253,7 +253,7 @@ def test_a_visit_that_raises_leaves_nothing_pinned(tmp_store, dirty):
     manager = BufferManager(store, 4)
     with pytest.raises(ValueError, match="visit failed"):
         execute(manager, Dataset(64, [make_vector(1, [3, 20])]), [Batch([0], (0, 2))], visit,
-                MetricsReport(config={}), dirty=dirty)
+                MetricsReport(config={}), dirty=[(0, 2)] if dirty else None)
     assert pinned_pages(manager) == set()
     manager.flush_all()
     assert manager.write_backs == (2 if dirty else 0)
@@ -419,14 +419,14 @@ def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 400), unique=True, max_size=60), st.integers(1, 70))
 def test_scan_cuts_what_greedy_batching_cuts_of_one_page_sets(pages, budget):
-    """A scan's batches are `budget` consecutive pages of its ascending
+    """A scan's groups are `budget` consecutive pages of its ascending
     distinct pages, as greedy batching cuts their one-page sets."""
     from dpjoin.batcher import greedy_batches
-    from dpjoin.operator import page_batches
+    from dpjoin.operator import page_groups
 
     pages = sorted(pages)
-    assert page_batches(np.array(pages, dtype=np.uint64), budget) \
-        == greedy_batches([[p] for p in pages], budget)
+    assert page_groups(pages, budget) \
+        == [batch.pages for batch in greedy_batches([[p] for p in pages], budget)]
 
 
 def _one_page_dataset(rng, n, pages, page_size):
@@ -539,3 +539,47 @@ def test_gather_join_peaks_no_higher_than_the_batched_join(tmp_store):
         finally:
             tracemalloc.stop()
     assert peaks["gather"] <= peaks["batched"], peaks
+
+
+@pytest.mark.parametrize("streams", ["both", "no steps", "empty steps", "no reads"])
+@pytest.mark.parametrize("budget", [1, 2, 4])
+def test_a_gather_carries_pending_steps_in_its_own_scan(tmp_store, monkeypatch, budget,
+                                                        streams):
+    """Steps on pages 0 and 1 ride a read of pages 1 and 2 (page 3 is
+    touched by neither): the union of the two streams' pages is requested
+    in one ascending scan, each page once, in groups of the budget; the read
+    sees the stepped values; only the stepped pages are written back, and
+    the model on disk is the stepped model. Either stream may be empty."""
+    from dpjoin import BufferManager, Dataset, MetricsReport
+    from dpjoin.operator import gather
+
+    from conftest import make_vector
+
+    store = tmp_store(32, 8, init=("uniform", -1.0, 1.0), seed=4)
+    model = store.load_dense()
+    data = Dataset(32, [make_vector(1, [9, 17]), make_vector(2, [9, 10])])
+    touched, deltas = np.array([2, 9, 12], dtype=np.uint64), np.array([0.5, 0.25, -1.0])
+    steps = {"both": (touched, deltas), "no steps": None, "no reads": (touched, deltas),
+             "empty steps": (touched[:0], deltas[:0])}[streams]
+    stop = 0 if streams == "no reads" else 2
+    stepped = model.copy()
+    if streams in ("both", "no reads"):
+        stepped[touched.astype(np.int64)] -= deltas
+    step_pages = {0, 1} if streams in ("both", "no reads") else set()
+    read_pages = {1, 2} if stop else set()
+    written = []
+    monkeypatch.setattr(store, "write_page", lambda page, values, write=store.write_page: (
+        written.append(page), write(page, values)))
+    manager, report = BufferManager(store, budget), MetricsReport(config={})
+    with PageRecorder(store) as recorder:
+        values = gather(manager, data, 0, stop, report, steps)
+    pages = sorted(step_pages | read_pages)
+    assert recorder.requests == [pages[k : k + budget] for k in range(0, len(pages), budget)]
+    assert recorder.misses_by_page == dict.fromkeys(pages, 1)
+    assert _bits(values) == _bits(stepped[[9, 17, 9, 10][: 2 * stop]])
+    assert report.batch_count == len(recorder.requests)
+    assert report.element_requests == 2 * stop + 3 * bool(step_pages)
+    assert pinned_pages(manager) == set()
+    manager.flush_all()
+    assert sorted(written) == sorted(step_pages)
+    assert _bits(store.load_dense()) == _bits(stepped)

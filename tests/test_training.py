@@ -138,21 +138,59 @@ def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, he
     assert not paged.diverged
 
 
-def loss_only_upages(ds, page_size, config):
-    """The U-pages, in run order, that `train` gives a loss-only visit when
-    it runs `config` without diverging: every U-page for the initial loss,
-    for each loss under `sgd` and for the final loss; under `sgd-page`, for
-    loss i >= 1, every U-page but the first one iteration i updates; under
-    `bgd`, none for the losses between, which the update passes compute."""
+def accumulated_gathers(ds, page_size, config):
+    """Every gather `train` runs under `sgd-page` or `bgd` when no loss
+    diverges and no gradient sum cancels, in run order, as (phase, pages it
+    steps, pages it reads), derived from the page sets alone. The initial
+    and the final loss gather every U-page in the `loss` phase. Iteration i
+    updates the U-pages in `_upage_order`; for i >= 1 the update passes
+    that read the model of loss i come first (every U-page's under `bgd`,
+    the first U-page's under `sgd-page`), then loss-only gathers of the
+    other U-pages. An apply (after each update pass under `sgd-page`, after
+    the pass under `bgd`) steps the pages the updates since the last apply
+    read, and the next gather, whatever its phase, carries those steps."""
     upages = range(len(ds.upage_bounds(config.operator.upage)))
-    out = list(upages)
-    for iteration in range(1, config.iterations + 1):
-        if config.mode == "sgd" or iteration == config.iterations:
-            out += upages
-        elif config.mode == "sgd-page":
-            first = iteration_plan(ds, page_size, config, iteration)[0][0]
-            out += [upage for upage in upages if upage != first]
-    return out
+    pages = [set(scan_pages(ds, start, stop, page_size))
+             for start, stop in ds.upage_bounds(config.operator.upage)]
+    gathers, pending, carried = [], set(), set()
+
+    def read(phase, upage):
+        nonlocal carried
+        gathers.append((phase, carried, pages[upage]))
+        carried = set()
+        if phase == "update":
+            pending.update(pages[upage])
+
+    def apply():
+        nonlocal carried
+        carried = set(pending)
+        pending.clear()
+
+    for upage in upages:
+        read("loss", upage)
+    for iteration in range(config.iterations):
+        plan = [upage for upage, _, _ in iteration_plan(ds, page_size, config, iteration)]
+        fused = [] if iteration == 0 else plan if config.mode == "bgd" else plan[:1]
+        for upage in fused:
+            read("update", upage)
+        for upage in upages if iteration > 0 else ():
+            if upage not in fused:
+                read("loss", upage)
+        for position in range(len(fused), len(plan)):
+            if config.mode == "sgd-page" and position:
+                apply()  # the previous U-page's
+            read("update", plan[position])
+        if plan:  # the last apply of the iteration; an empty dataset has none
+            apply()
+    for upage in upages if config.iterations else ():
+        read("loss", upage)
+    return gathers
+
+
+def gathered_requests(gathers, phase):
+    """The page requests of the `gathers` of `phase`: each its steps' and
+    its read's pages, once each."""
+    return sum(len(steps | reads) for kind, steps, reads in gathers if kind == phase)
 
 
 def scan_pages(ds, start, stop, page_size):
@@ -182,7 +220,8 @@ def test_fused_loss_visits_match_the_oracle(tmp_store, task, mode, iterations, u
     visits of the other U-pages. A term depends only on its vector and that
     model, whatever pass computes it, so every loss and the final model
     equal the oracle's bit for bit; the loss phase requests the pages of the
-    loss-only gathers alone, each U-page's distinct pages once."""
+    loss-only gathers alone, each U-page's distinct pages and those of the
+    steps it carries once."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
     op = small_op(budget=budget if batching else store.num_pages, reorder="shuffle",
                   upage=-(-len(ds) // upages))
@@ -196,9 +235,8 @@ def test_fused_loss_visits_match_the_oracle(tmp_store, task, mode, iterations, u
     assert not paged.diverged
     assert paged.losses == oracle.losses
     assert np.array_equal(store.load_dense(), oracle.final_model)
-    requests = gather_requests(ds, store.page_size, op)
-    assert paged.metrics.phases["loss"]["page_requests"] == sum(
-        requests[upage] for upage in loss_only_upages(ds, store.page_size, config))
+    gathers = accumulated_gathers(ds, store.page_size, config)
+    assert paged.metrics.phases["loss"]["page_requests"] == gathered_requests(gathers, "loss")
 
 
 @pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
@@ -607,9 +645,11 @@ def test_run_never_walks_and_train_walks_each_plan_once(tmp_store, monkeypatch):
                                        ("lmf", "sgd"), ("lmf", "bgd")])
 def test_phases_sum_to_the_totals(tmp_store, task, mode):
     """Loss passes, update passes and gradient applies split the storage
-    counters. Only the applies dirty pages under `sgd-page` and `bgd`, only
-    the update passes under `sgd`, which has no apply traffic at all; a loss
-    pass writes back the dirty pages it evicts."""
+    counters. Under `sgd` only the update passes dirty pages, and there is
+    no apply traffic at all. Under `sgd-page` and `bgd` an apply requests
+    nothing: the next gather, an update or a loss gather, carries its steps
+    and counts in its own phase, so `apply` holds only the closing flush's
+    write-backs. Either pass writes back the dirty pages it evicts."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
     config = TrainConfig(small_op(budget=budget, reorder="radix"), task=task, mode=mode,
                          alpha=alpha, iterations=3)
@@ -623,7 +663,8 @@ def test_phases_sum_to_the_totals(tmp_store, task, mode):
         assert phases["apply"] == dict.fromkeys(PHASE_COUNTERS, 0)
         assert phases["update"]["write_backs"] > 0
     else:
-        assert phases["apply"]["page_requests"] > 0 and phases["apply"]["write_backs"] > 0
+        assert phases["apply"]["page_requests"] == phases["apply"]["page_misses"] == 0
+        assert phases["update"]["write_backs"] > 0 and phases["loss"]["write_backs"] > 0
     assert metrics.to_dict()["phases"] == phases
 
 
@@ -673,7 +714,7 @@ def test_walked_update_passes_match_the_oracle(tmp_store, task, mode, heuristic,
     reorders the batches and adds no request: the update passes request the
     pages of the greedy batches under `sgd`, and, under `sgd-page` and `bgd`,
     which gather each U-page in file order and walk nothing, its distinct
-    pages once."""
+    pages and those of the steps it carries once."""
     ds, store, _, alpha = task_instance(tmp_store, task)
     op = small_op(budget=8 if task == "lr" else 4, reorder=heuristic)
     op.plan = "batched" if batching else "single"
@@ -691,7 +732,7 @@ def test_walked_update_passes_match_the_oracle(tmp_store, task, mode, heuristic,
     if mode == "sgd":
         expected = sum(request_count(batch) for batches in planned for batch in batches)
     else:
-        expected = config.iterations * sum(gather_requests(ds, store.page_size, op))
+        expected = gathered_requests(accumulated_gathers(ds, store.page_size, config), "update")
     assert paged.metrics.phases["update"]["page_requests"] == expected
 
 
@@ -740,12 +781,14 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
     update plan before that call. The benchmark times a training run's first
     result at that call by wrapping the module attribute. Iteration i's call
     follows iteration i - 1's last pass: its loss pass under `sgd`, its
-    last apply under `sgd-page` and `bgd`. Under those two, the passes after
-    the call compute loss i before the iteration's first apply: every
+    last update pass under `sgd-page` and `bgd`. Under those two, the passes
+    after the call compute loss i before the iteration's first apply: every
     U-page's update under `bgd`; under `sgd-page` the first U-page's update
     and the other U-pages' loss-only gathers. A loss pass gathers each
     U-page in place, and so does an update pass under `sgd-page` and `bgd`,
-    which plans nothing; an `sgd` update pass takes its rows first."""
+    which plans nothing; an `sgd` update pass takes its rows first. An apply
+    scans nothing: the gather after it carries its steps and dirties pages,
+    the first gather of the next iteration or of the final loss pass too."""
     from dpjoin import operator, training
 
     ds, _, budget, alpha = task_instance(tmp_store, "lr")
@@ -759,11 +802,11 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
         events.append(("iteration_plan", args[3]))
         return original_plan(*args)
 
-    def execute(manager, data, batches, visit, report, dirty=False):
-        # A gather scans unlabeled vectors, one per page; so does an apply,
-        # which dirties them; an sgd update visits the dataset's vectors.
+    def execute(manager, data, batches, visit, report, dirty=None):
+        # A gather scans unlabeled rows, which a carried apply's steps lead
+        # and dirty; an sgd update visits the dataset's vectors.
         kind = ("update" if not np.isnan(data.labels).all() else
-                "apply" if dirty else "gather")
+                "carry" if any(len(pages) for pages in dirty) else "gather")
         events.append((kind,))
         return original_execute(manager, data, batches, visit, report, dirty=dirty)
 
@@ -777,10 +820,10 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
 
     monkeypatch.setattr(training, "iteration_plan", iteration_plan)
     monkeypatch.setattr(training, "execute", execute)  # sgd's updates
-    monkeypatch.setattr(operator, "execute", execute)  # every gather's and apply's scan
+    monkeypatch.setattr(operator, "execute", execute)  # every gather's scan
     monkeypatch.setattr(Dataset, "take", take)
     monkeypatch.setattr(training, "plan_upage", spy)
-    loss, apply = [("gather",)] * count, [("apply",)]
+    loss, carry = [("gather",)] * count, [("carry",)]
     for mode in ("sgd", "sgd-page", "bgd"):
         events.clear()
         _, store, _, _ = task_instance(tmp_store, "lr", name=f"{mode}.model")
@@ -798,13 +841,13 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
             if mode == "sgd":
                 expected += update * count + loss
             elif mode == "bgd":
-                expected += update * count + apply
+                expected += (update if iteration == 0 else carry) + update * (count - 1)
             elif iteration == 0:
-                expected += (update + apply) * count
+                expected += update + carry * (count - 1)
             else:
-                expected += update + loss[1:] + apply + (update + apply) * (count - 1)
+                expected += carry + loss[1:] + carry * (count - 1)
         if mode != "sgd":
-            expected += loss
+            expected += carry + loss[1:]
         assert [event for event in events if event != ("update plan",)] == expected, mode
 
 
@@ -907,8 +950,8 @@ def test_a_non_finite_alpha_moves_no_page(tmp_store, tmp_path, capsys, alpha):
 
 @pytest.mark.parametrize("fault", ["positions", "visit"])
 def test_an_apply_that_raises_leaves_nothing_pinned(tmp_store, monkeypatch, fault):
-    """The gradient apply runs through `execute`: when resolving its
-    positions or its step raises, the apply's pins are released."""
+    """The gather that carries a gradient apply runs through `execute`: when
+    resolving its positions or its step raises, its pins are released."""
     from dpjoin import training
 
     managers = []
@@ -930,8 +973,8 @@ def test_an_apply_that_raises_leaves_nothing_pinned(tmp_store, monkeypatch, faul
                 return at + self.frames.size  # outside the pool: the step raises
             return at
 
-        def unpin_set(self, pages, dirty=False):
-            if dirty and self.first_dirty_unpin is None:
+        def unpin_set(self, pages, dirty=()):
+            if len(dirty) and self.first_dirty_unpin is None:
                 self.first_dirty_unpin = self.calls
             super().unpin_set(pages, dirty)
 
@@ -940,7 +983,7 @@ def test_an_apply_that_raises_leaves_nothing_pinned(tmp_store, monkeypatch, faul
     config = TrainConfig(small_op(budget=budget, reorder="radix"), task="lr",
                          mode="sgd-page", alpha=alpha, iterations=1)
     train(ds, store, config)
-    # Only an apply unpins dirty under sgd-page; fail the first apply's first batch.
+    # Only a gather that carries steps unpins dirty pages; fail the first such batch.
     Spy.fail_at = managers[0].first_dirty_unpin
     _, fresh, _, _ = task_instance(tmp_store, "lr", name="fresh.model")
     with pytest.raises(PreconditionError if fault == "positions" else IndexError):
@@ -951,14 +994,16 @@ def test_an_apply_that_raises_leaves_nothing_pinned(tmp_store, monkeypatch, faul
 
 @pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
 def test_the_counters_count_the_applies(tmp_store, mode):
-    """An apply is one more scan of the coordinates its U-page (`sgd-page`)
-    or its pass (`bgd`) touched: one batch per `budget` of their pages, one
-    page request per page and one element request per coordinate. An update
-    pass gathers its U-page as a loss-only pass does: one batch per `budget`
-    of its distinct pages, one request per page and one element request per
-    entry. The loss phase counts what `sgd`'s counts, less the loss-only
-    gathers the fused update passes replace: at iteration 1 of 2, every
-    U-page's under `bgd` and the first updated U-page's under `sgd-page`."""
+    """An apply scans nothing: the gather after it carries its steps, the
+    coordinates its U-page (`sgd-page`) or its pass (`bgd`) touched. A
+    gather is one scan of the union of its steps' and its read's pages: one
+    batch per `budget` of them and one page request per page. It makes one
+    element request per stepped coordinate and one per entry it reads, so
+    the element requests are those of separate scans. The loss phase counts
+    what `sgd`'s counts, less the loss-only gathers the fused update passes
+    replace (at iteration 1 of 2, every U-page's under `bgd` and the first
+    updated U-page's under `sgd-page`), plus the pages of the last apply
+    that the final loss pass's first gather, of U-page 0, does not read."""
     ds, store, budget, alpha = task_instance(tmp_store, "lr")
     _, sgd_store, _, _ = task_instance(tmp_store, "lr", name="sgd.model")
     op = small_op(budget=budget, reorder="radix")
@@ -970,23 +1015,24 @@ def test_the_counters_count_the_applies(tmp_store, mode):
     bounds = ds.upage_bounds(op.upage) if mode == "sgd-page" else [(0, len(ds))]
     touched = [np.unique(ds.indices[ds.indptr[start] : ds.indptr[stop]])
                for start, stop in bounds]
-    pages = [len(np.unique(indices // store.page_size)) for indices in touched]
-    upage_pages = gather_requests(ds, store.page_size, op)
-    groups = [math.ceil(count / budget) for count in upage_pages]
-    skipped = (list(range(len(upage_pages))) if mode == "bgd"
-               else [iteration_plan(ds, store.page_size, config, 1)[0][0]])
+    upage_pages = [set(scan_pages(ds, start, stop, store.page_size))
+                   for start, stop in ds.upage_bounds(op.upage)]
+    plan = [upage for upage, _, _ in iteration_plan(ds, store.page_size, config, 1)]
+    skipped = plan if mode == "bgd" else plan[:1]
+    last_steps = set().union(*upage_pages) if mode == "bgd" else upage_pages[plan[-1]]
     upage_nnz = [int(ds.indptr[stop] - ds.indptr[start])
                  for start, stop in ds.upage_bounds(op.upage)]
+    gathers = accumulated_gathers(ds, store.page_size, config)
+    assert metrics.batch_count == sum(math.ceil(len(steps | reads) / budget)
+                                      for _, steps, reads in gathers)
     # iterations + 1 loss-only passes, less the skipped gathers, and iterations update passes
-    assert metrics.batch_count == (2 * iterations + 1) * sum(groups) - sum(
-        groups[upage] for upage in skipped) + iterations * sum(
-        math.ceil(count / budget) for count in pages)
     assert metrics.element_requests == (2 * iterations + 1) * len(ds.indices) - sum(
         upage_nnz[upage] for upage in skipped) + iterations * sum(map(len, touched))
-    assert metrics.phases["apply"]["page_requests"] == iterations * sum(pages)
-    assert metrics.phases["update"]["page_requests"] == iterations * sum(upage_pages)
+    assert metrics.phases["apply"]["page_requests"] == 0
+    assert metrics.phases["update"]["page_requests"] == gathered_requests(gathers, "update")
+    assert metrics.phases["loss"]["page_requests"] == gathered_requests(gathers, "loss")
     assert metrics.phases["loss"]["page_requests"] == sgd.phases["loss"]["page_requests"] - sum(
-        upage_pages[upage] for upage in skipped)
+        len(upage_pages[upage]) for upage in skipped) + len(last_steps - upage_pages[0])
 
 
 @pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
@@ -996,7 +1042,9 @@ def test_the_loss_phase_counts_the_loss_only_visits(tmp_store, mode):
     request (T + 1) times one loss pass's pages. Under `bgd` no loss between
     is: its loss phase requests two passes' pages at T = 2 and at T = 5.
     Under `sgd-page` loss i >= 1 skips the first updated U-page's loss-only
-    gather."""
+    gather. Under both, the final pass's first gather carries the last
+    apply's steps, which add no request here: every U-page reads all 16
+    pages."""
     ds, _, budget, alpha = task_instance(tmp_store, "lr")
     op = small_op(budget=budget, reorder="radix", upage=16)
     per_upage = gather_requests(ds, 16, op)
@@ -1008,7 +1056,10 @@ def test_the_loss_phase_counts_the_loss_only_visits(tmp_store, mode):
         requests[iterations] = train(ds, store, configs[iterations]).metrics.phases[
             "loss"]["page_requests"]
     one_pass = requests[0]
-    assert one_pass == sum(per_upage) and len(per_upage) == 3
+    assert one_pass == sum(per_upage) == 3 * 16 and len(per_upage) == 3
+    for iterations in (2, 5) if mode != "sgd" else ():
+        assert requests[iterations] == gathered_requests(
+            accumulated_gathers(ds, 16, configs[iterations]), "loss")
     if mode == "sgd":
         assert (requests[2], requests[5]) == (3 * one_pass, 6 * one_pass)
     elif mode == "bgd":
@@ -1036,10 +1087,22 @@ def test_an_empty_dataset_trains(tmp_store, mode):
         assert report.metrics.page_requests == report.metrics.batch_count == 0
 
 
-def test_a_gradient_that_cancels_is_not_applied(tmp_store):
+def test_a_gradient_that_cancels_is_not_applied(tmp_store, monkeypatch):
     """At a zero model, tids 1 and 2 put terms -0.5 and +0.5 on index 5,
     which cancel to exactly 0.0: under `bgd` the apply steps index 20 alone,
-    so page 0 is neither requested by it nor written back."""
+    so the final loss pass's gather, which carries the step, unpins only
+    page 2 dirty, page 0 is not written back, and the apply requests no page
+    of its own."""
+    from dpjoin import training
+
+    dirtied = []
+
+    class Spy(BufferManager):
+        def unpin_set(self, pages, dirty=()):
+            dirtied.extend(int(page) for page in dirty)
+            super().unpin_set(pages, dirty)
+
+    monkeypatch.setattr(training, "BufferManager", Spy)
     ds = Dataset(dimension=32, vectors=[make_vector(1, [5], label=1.0),
                                         make_vector(2, [5], label=-1.0),
                                         make_vector(3, [20], label=1.0)])
@@ -1047,7 +1110,8 @@ def test_a_gradient_that_cancels_is_not_applied(tmp_store):
     config = TrainConfig(OperatorConfig(budget=4), task="lr", mode="bgd", alpha=0.5,
                          iterations=1)
     metrics = train(ds, store, config).metrics
-    assert metrics.phases["apply"]["page_requests"] == 1
+    assert dirtied == [2]
+    assert metrics.phases["apply"]["page_requests"] == 0
     assert metrics.write_backs == 1
     model = store.load_dense()
     assert model[5] == 0.0 and model[20] == 0.25
