@@ -12,8 +12,9 @@ costs a batch). It does not minimise the total page requests:
 `{1} {2} {2,3}` at budget 2 splits greedily into `[{1},{2}] [{2,3}]`,
 4 requests, while `[{1}] [{2},{2,3}]` costs 3.
 
-Batching keeps the order it is given; the order of the batches themselves
-is `reorder.walk_order`'s concern.
+Batching keeps the order it is given, and the batched join runs the
+batches in that order. Training cuts no batches: it reads every U-page
+with `operator.gather`.
 """
 
 from __future__ import annotations

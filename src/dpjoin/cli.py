@@ -83,7 +83,7 @@ def _add_operator_flags(parser, grid=False):
     parser.add_argument("--plan", **values("gather"),
                         help=f"one of {', '.join(PLANS)}: the sort-merge gather (default),"
                              " the paper's batched operator, or one vector per batch;"
-                             " training batches its sgd updates unless single")
+                             " training gathers every U-page under every plan")
     parser.add_argument("--upage", type=int, **values(4096),
                         help="vectors per reorder scope (default 4096)")
     parser.add_argument("--lsh-hashes", type=int, default=16,

@@ -26,23 +26,23 @@ PHASE_COUNTERS = ("page_requests", "page_misses", "write_backs")  # split by pha
 
 @dataclass
 class MetricsReport:
-    element_requests: int = 0   # entries visited; in training, the steps a gather carries too
+    element_requests: int = 0   # entries visited; in training, the writes a gather carries too
     page_requests: int = 0
     page_misses: int = 0
     write_backs: int = 0
     batch_count: int = 0        # batches executed, every scan's included
     upage_count: int = 0        # U-pages joined; in training, iterations x U-pages
     distinct_pages: int = 0
-    reorder_time: float = 0.0   # planning: page sets, orders, batches, walks (training: sgd's
-                                # update plans); not the input check, which precedes the run
+    reorder_time: float = 0.0   # planning: page sets, orders, batches (training: sgd's
+                                # update orders); not the input check, which precedes the run
     io_time: float = 0.0        # page reads and writes of this run only, on a shared store too
     compute_time: float = 0.0   # time in visits and in kernels on gathered values
     config: dict = field(default_factory=dict)
     phases: dict | None = None  # training: phase -> PHASE_COUNTERS, summing to the totals;
                                 # `update` counts the update passes, fused ones too, `loss`
                                 # the loss-only gathers (initial and final passes too), each
-                                # with the apply steps it carries; `apply` only the closing
-                                # flush's write-backs, under `sgd-page` and `bgd`
+                                # with the pending write it carries; `apply` only the
+                                # closing flush's write-backs
 
     def to_dict(self):
         out = {name: getattr(self, name) for name in COUNTER_FIELDS}

@@ -37,7 +37,7 @@ from .buffer_manager import BufferManager
 from .errors import OversizedVectorError, ValidationError
 from .metrics import MetricsReport
 from .model_store import page_count
-from .reorder import HEURISTICS, MAX_LSH_HASHES, reorder, walk_order
+from .reorder import HEURISTICS, MAX_LSH_HASHES, reorder
 from .sparse_data import Dataset
 
 PLANS = ("gather", "batched", "single")
@@ -45,10 +45,11 @@ PLANS = ("gather", "batched", "single")
 
 @dataclass
 class OperatorConfig:
-    """The join's and training's operator settings. The ordering options
-    (`reorder`, `seed`, `lsh_m`, `lsh_b`, `kcenter_k`) order the `batched`
-    and `single` joins and `sgd`'s updates, under every plan; the `gather`
-    join and `sgd-page` and `bgd` read each U-page in file order."""
+    """The join's and training's operator settings. `plan` and the ordering
+    options (`reorder`, `seed`, `lsh_m`, `lsh_b`, `kcenter_k`) shape the
+    join: the `gather` join reads each U-page in file order. Training reads
+    every U-page by gather under every plan; the ordering options order
+    `sgd`'s updates alone."""
 
     budget: int                 # memory budget in pages
     reorder: str = "none"
@@ -61,9 +62,8 @@ class OperatorConfig:
 
     @property
     def batches_greedily(self):
-        """Whether vectors are cut into greedy batches: every plan but
-        `single`. `sgd`'s update passes are the same under `gather` and
-        `batched`; only the join reads each U-page by gather."""
+        """Whether the batched join cuts vectors into greedy batches: every
+        plan but `single`; the `gather` join cuts none."""
         return self.plan != "single"
 
     def describe(self):
@@ -136,16 +136,14 @@ def make_batches(ordered_sets, config, union=None):
             for position, pages in fitting_sets(ordered_sets, config.budget)]
 
 
-def plan_upage(dataset, start, stop, page_size, config, path, ordered=False):
+def plan_upage(dataset, start, stop, page_size, config, path):
     """Rows [start, stop) of `dataset`, a U-page, in processing order and
     their batches, from its `Dataset.page_sets`; it checks nothing, as
     `check_inputs` has checked every vector against the budget. Unless the
     plan is `single`, a U-page whose page union fits the budget is one batch
-    in any order, so no order changes its counters, and greedy batching
-    does not run. With `ordered` (`sgd`'s update passes, which
-    `train_oracle` replays) the vectors run in `plan_order`'s order, seeded
-    by `path`; else (the join) a U-page of one batch runs in file order,
-    and any other in `plan_order`'s."""
+    in file order: no order changes its counters, so it is not reordered,
+    and greedy batching does not run. Any other U-page runs in
+    `plan_order`'s order, seeded by `path`."""
     sets = dataset.page_sets(start, stop, page_size)
     union = None
     if config.batches_greedily:
@@ -156,16 +154,10 @@ def plan_upage(dataset, start, stop, page_size, config, path, ordered=False):
                 union = None
                 break
     rows = np.arange(start, stop)
-    if ordered or union is None:
+    if union is None:
         perm = plan_order(sets, config, path)
         rows, sets = start + np.asarray(perm, dtype=np.int64), [sets[p] for p in perm]
     return rows, make_batches(sets, config, union)
-
-
-def walk_batches(batches):
-    """A U-page's `batches`, as cut, in `walk_order`; their positions still
-    index the rows in the order they were cut, which `execute` reads."""
-    return [batches[index] for index in walk_order([batch.pages for batch in batches])]
 
 
 def execute(manager, data, batches, visit, report, dirty=None):
@@ -207,7 +199,7 @@ def page_starts(pages):
     return pages[first], np.append(first, len(pages))
 
 
-def gather(manager, data, start, stop, report, steps=None):
+def gather(manager, data, start, stop, report, write=None):
     """The model value of every entry of rows [start, stop) of `data`, in
     entry order, read by one ascending scan: the entries are sorted by
     model index, their distinct pages requested once each through
@@ -215,38 +207,38 @@ def gather(manager, data, start, stop, report, steps=None):
     copied into place from its pinned page. The copy writes each value at
     its own entry, so the order of equal indexes changes nothing.
 
-    `steps`, when given, is a pending update `(touched, deltas)`: distinct,
-    ascending model indexes and what to subtract from each. The same scan
+    `write`, when given, is a pending write `(touched, new)`: distinct,
+    ascending model indexes and the value to assign to each. The same scan
     carries it: the union of both streams' pages is requested, each page
-    once, and in each pinned group the deltas are subtracted before the
-    values are copied, so the read sees the stepped model. Only the pages
-    that hold a step are unpinned dirty."""
+    once, and in each pinned group the values are assigned before the
+    entries are copied, so the read sees the written model. Only the pages
+    that hold a written index are unpinned dirty."""
     indices = data.indices[data.indptr[start] : data.indptr[stop]]
     order = np.argsort(indices)
-    touched, deltas = steps if steps is not None else (indices[:0], np.empty(0))
+    touched, new = write if write is not None else (indices[:0], np.empty(0))
     page_size = np.uint64(manager.store.page_size)
-    step_pages, step_starts = page_starts(touched // page_size)
+    write_pages, write_starts = page_starts(touched // page_size)
     read_pages = indices[order]
     read_pages //= page_size  # in place, to hold one entries-sized array fewer
     read_pages, read_starts = page_starts(read_pages)
-    # The union of the page lists, not by np.union1d: its np.unique imports
-    # numpy.ma (about 1 MiB) on first use.
-    pages = page_starts(np.sort(np.concatenate((step_pages, read_pages))))[0]
+    # The union of the page lists, not by np.union1d: it imports numpy.ma
+    # (about 1 MiB) on first use.
+    pages = page_starts(np.sort(np.concatenate((write_pages, read_pages))))[0]
     firsts = pages[:: manager.capacity]
-    stepped = np.append(np.searchsorted(step_pages, firsts), len(step_pages))
-    step_cuts = step_starts[stepped]
+    written = np.append(np.searchsorted(write_pages, firsts), len(write_pages))
+    write_cuts = write_starts[written]
     read_cuts = read_starts[np.append(np.searchsorted(read_pages, firsts), len(read_pages))]
-    # Row 2g holds the model indexes of group g's steps, row 2g + 1 its reads'.
+    # Row 2g holds the model indexes of group g's write, row 2g + 1 its reads'.
     indptr = np.empty(2 * len(firsts) + 1, dtype=np.int64)
-    indptr[0::2] = step_cuts + read_cuts
-    indptr[1::2] = step_cuts[1:] + read_cuts[:-1]
+    indptr[0::2] = write_cuts + read_cuts
+    indptr[1::2] = write_cuts[1:] + read_cuts[:-1]
     if len(touched):
         merged = np.empty(indptr[-1], dtype=indices.dtype)
         for g in range(len(firsts)):
-            merged[indptr[2 * g] : indptr[2 * g + 1]] = touched[step_cuts[g] : step_cuts[g + 1]]
+            merged[indptr[2 * g] : indptr[2 * g + 1]] = touched[write_cuts[g] : write_cuts[g + 1]]
             merged[indptr[2 * g + 1] : indptr[2 * g + 2]] = indices[
                 order[read_cuts[g] : read_cuts[g + 1]]]
-    else:  # every steps row is empty
+    else:  # every write row is empty
         merged = indices[order]
     groups = Dataset.from_arrays(manager.store.dimension, indptr, merged, None,
                                  np.arange(len(indptr) - 1), np.full(len(indptr) - 1, np.nan))
@@ -255,13 +247,13 @@ def gather(manager, data, start, stop, report, steps=None):
     values = np.empty(len(indices))
     flat = manager.frames.reshape(-1)
 
-    def step_and_copy(groups, row, _, at):
+    def write_and_copy(groups, row, _, at):
         g, split = row // 2, indptr[row + 1] - indptr[row]
-        flat[at[:split]] -= deltas[step_cuts[g] : step_cuts[g + 1]]
+        flat[at[:split]] = new[write_cuts[g] : write_cuts[g + 1]]
         values[order[read_cuts[g] : read_cuts[g + 1]]] = flat[at[split:]]
 
-    execute(manager, groups, batches, step_and_copy, report,
-            dirty=[step_pages[a:b] for a, b in zip(stepped, stepped[1:])])
+    execute(manager, groups, batches, write_and_copy, report,
+            dirty=[write_pages[a:b] for a, b in zip(written, written[1:])])
     return values
 
 

@@ -26,9 +26,8 @@ a minimum Hamiltonian path problem, so three heuristics are provided:
              clusters run in a nearest-neighbour walk over their centers.
 
 Set differences are taken on `page_bits` rows, |A - B| = |A| - popcount(A & B),
-by `objective`, k-center and `walk_order`, which orders k-center's centers
-and the batches of `sgd`'s update passes; LSH scores its few candidates on
-frozensets.
+by `objective`, k-center and `walk_order`, which orders k-center's centers;
+LSH scores its few candidates on frozensets.
 
 All heuristics are deterministic given their seed and return a permutation
 of positions 0..n-1. They take their options as given: the name, 1 <= b
@@ -353,7 +352,6 @@ def _chunk_split(positions, sets, budget):
 # -- dispatch ----------------------------------------------------------------------
 
 HEURISTICS = ("none", "shuffle", "radix", "lsh", "kcenter")
-SEEDLESS = ("none", "radix")  # heuristics that read no seed: one order serves every iteration
 
 
 def reorder(name, sets, budget, seed=0, lsh_m=DEFAULT_LSH_HASHES,

@@ -3,12 +3,13 @@
 Two tasks share one driver: logistic regression (sparse examples against
 the whole model vector) and low-rank matrix factorization (cells against a
 packed factor layout: all row blocks, then all column blocks). Three update
-schedules are supported: per-example updates while the example's pages are
-pinned ("sgd"), one accumulated update per U-page ("sgd-page"), and one
-update per full pass ("bgd"), applied through the same execution loop.
+schedules are supported: per-example updates on a U-page's gathered values
+("sgd"), one accumulated update per U-page ("sgd-page"), and one update per
+full pass ("bgd"). Every pass reads each U-page with one `operator.gather`,
+which also carries the previous pass's write.
 
 train_oracle derives the same update order as `iteration_plan` on its own
-and replays it on an in-memory array with the same accumulation order, so
+and follows it on an in-memory array with the same accumulation order, so
 its per-iteration losses are bit-identical to the out-of-core path; it is
 the reference the paged path is tested against.
 """
@@ -21,13 +22,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .batcher import greedy_batches
 from .buffer_manager import BufferManager
 from .errors import ValidationError
 from .metrics import PHASE_COUNTERS, MetricsReport
-from .operator import (OperatorConfig, check_inputs, dot_product, dot_products, execute,
-                       finish_report, gather, plan_order, plan_upage, row_sums, walk_batches)
-from .reorder import SEEDLESS
+from .operator import (OperatorConfig, check_inputs, dot_product, dot_products, finish_report,
+                       gather, plan_order, row_sums)
 from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
@@ -152,74 +151,73 @@ def _upage_order(count, config, iteration):
     return order
 
 
-def iteration_plan(dataset, page_size, config, iteration, plans=None):
-    """An update pass's plan: `(upage_index, rows, batches)` for each U-page
-    of `dataset` in `_upage_order`. Under `sgd`, `plan_upage` orders the
-    U-page's vectors by `plan_order` (seeded by `(iteration, upage_index)`)
-    into `rows` and cuts them into batches, and unless the plan is `single`
-    the batches, as cut, run in `walk_order` (`walk_batches`); `rows` stay
-    in the order they were cut. Under `sgd-page` and `bgd`, which read each
-    U-page in place, in file order, `rows` and `batches` are None.
+def iteration_plan(dataset, page_size, config, iteration):
+    """An iteration's plan: `(upage_index, order)` for each U-page of
+    `dataset` in `_upage_order`. Under `sgd`, `order` is the U-page's
+    `plan_order` permutation of its positions, seeded by `(iteration,
+    upage_index)`: the order its updates visit its vectors in. Under
+    `sgd-page` and `bgd`, which read each U-page in file order, it is None.
 
     Depends only on the page-request sets at `page_size` and the seeds,
-    never on model values, so `train_oracle` can derive the same order. A
-    U-page's plan under a reorder that reads no seed is the same at every
-    iteration: it is kept in `plans`, when given, and replayed from there.
-    """
+    never on model values, so `train_oracle` can derive the same order."""
     op = config.operator
     bounds = dataset.upage_bounds(op.upage)
     order = _upage_order(len(bounds), config, iteration)
     if config.mode != "sgd":
-        return [(upage_index, None, None) for upage_index in order]
-    if plans is None or op.reorder not in SEEDLESS:
-        plans = {}
-    for upage_index in order:
-        if upage_index not in plans:
-            rows, batches = plan_upage(dataset, *bounds[upage_index], page_size, op,
-                                       (iteration, upage_index), ordered=True)
-            plans[upage_index] = rows, walk_batches(batches) if op.batches_greedily else batches
-    return [(upage_index, *plans[upage_index]) for upage_index in order]
+        return [(upage_index, None) for upage_index in order]
+    return [(upage_index, plan_order(dataset.page_sets(*bounds[upage_index], page_size), op,
+                                     (iteration, upage_index)))
+            for upage_index in order]
 
 
 # -- the paged trainer -------------------------------------------------------------
 
 
-def gradient_sums(indices, terms):
+def gradient_sums(indices, terms, values):
     """A sparse gradient from its entries: the distinct `indices`, ascending,
-    and each one's sum of `terms`, added one at a time in entry order from
-    +0.0 (an unbuffered `np.add.at`), as `train_oracle` adds them; an index
-    whose sum is exactly 0.0 is dropped, since its step changes nothing."""
+    each one's sum of `terms`, added one at a time in entry order from +0.0
+    (an unbuffered `np.add.at`), as `train_oracle` adds them, and its value
+    in `values`, which holds the same value at every entry of an index; an
+    index whose sum is exactly 0.0 is dropped, since its step changes
+    nothing."""
     touched, inverse = np.unique(indices, return_inverse=True)
     sums = np.zeros(len(touched))
     np.add.at(sums, inverse, terms)
+    olds = np.empty(len(touched))
+    olds[inverse] = values
     keep = sums != 0.0
-    return touched[keep], sums[keep]
+    return touched[keep], sums[keep], olds[keep]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence shows as a non-finite loss
 def train(dataset, store, config):
     """Run gradient descent against the paged model in `store`.
 
-    Only `sgd` changes model values between vectors, so only its update
-    passes run `iteration_plan`'s batches through `operator.execute`, each
-    vector seeing all its pages at once. Every other pass reads a U-page in
-    file order, in place, with `operator.gather` (the join's default plan),
-    then calls the task's residual, loss-term and gradient-term kernels once
-    on the gathered values. Its loss terms go to their file rows, and a loss
-    adds them in file order, as `train_oracle` does. An `sgd-page` or `bgd`
-    update pass keeps its entries' indices and gradient terms in file order:
-    memory follows the entries read since the last apply, never the model's
-    dimension. An apply reduces them (`gradient_sums`) to the steps
-    alpha * g[i] and scans nothing: the next `read`'s gather carries them,
-    stepping each page before it reads it, in the same ascending scan, and
-    unpins dirty only the pages that hold a step. The final loss pass
-    follows the last apply, and a loss that stops training is computed
-    after the pending steps were carried, so every apply is carried.
+    Every pass reads a U-page in file order, in place, with one
+    `operator.gather` (the join's default plan). A pass that changes no
+    model value mid-pass (every loss pass, and the update passes of
+    `sgd-page` and `bgd`) then calls the task's residual, loss-term and
+    gradient-term kernels once on the gathered values. Its loss terms go to
+    their file rows, and a loss adds them in file order, as `train_oracle`
+    does. An `sgd` update pass copies the values at the U-page's distinct
+    model indexes into a local array and runs the task's per-vector updates
+    on it in `iteration_plan`'s order. Memory follows the entries of a
+    U-page, or of a `bgd` pass, never the model's dimension.
 
-    `check_inputs` runs before any page is read; the update planners check
-    nothing. `iteration_plan` is called once per iteration, after the
-    initial loss pass; under `sgd` with `none` or `radix`, which read no
-    seed, a U-page's update plan is built once and replayed.
+    A pass writes nothing itself: it leaves a pending write `(touched,
+    new)`, and the next gather, whatever its phase, carries it in its
+    ascending scan, assigning each page's values before it reads it and
+    unpinning dirty only the pages that hold one. An `sgd` update pass
+    leaves its local array. An `sgd-page` or `bgd` apply reduces the update
+    passes' entries since the last apply (`gradient_sums`) and leaves
+    `old - alpha * g[i]`, `old` being the value the update read: no apply
+    falls between that read and the apply. The final loss pass follows the
+    last write, and a loss that stops training is computed after the
+    pending write was carried, so every write is carried.
+
+    `check_inputs` runs before any page is read; nothing after it checks.
+    `iteration_plan` is called once per iteration, after the initial loss
+    pass.
 
     The initial and the final loss have passes of their own, as every loss
     has under `sgd`. Under `sgd-page` and `bgd`, loss i >= 1 is computed in
@@ -232,21 +230,18 @@ def train(dataset, store, config):
     every scan and the kernels, and `phases` splits page requests, misses
     and write-backs between the loss-only gathers (the initial and the final
     pass included), the update passes and the applies. A gather counts in
-    its read's phase, the steps it carries included, so `apply` holds only
+    its read's phase, the write it carries included, so `apply` holds only
     the closing flush. A write-back counts in the phase whose request
-    evicted its page; the closing flush in the phase of `sgd`'s updates or,
-    under the other modes, `apply`."""
+    evicted its page."""
     op = config.operator
     check_inputs(dataset, store.dimension, store.page_size, config)
     rank = dataset.matrix_shape[2] if config.task == "lmf" else 0
     manager = BufferManager(store, op.budget)
-    flat = manager.frames.reshape(-1)
     report = MetricsReport(config=config.describe(), phases={
         phase: dict.fromkeys(PHASE_COUNTERS, 0) for phase in ("loss", "update", "apply")})
     bounds = dataset.upage_bounds(op.upage)
-    pending = []  # (indices, terms) of each update pass since the last apply
-    steps = None  # the last apply's (touched, alpha * sums), until a gather carries it
-    update_plans = {}  # sgd: upage_index -> (rows, batches), under a reorder that reads no seed
+    pending = []  # (indices, terms, values) of each update pass since the last apply
+    write = None  # (touched, new), until a gather carries it
     loss_by_row = np.empty(len(dataset))  # the loss terms of each read, at their file rows
 
     def cell_errors(data, start, stop, values):
@@ -273,22 +268,26 @@ def train(dataset, store, config):
         e, blocks = residuals
         return (e[:, None, None] * blocks[:, ::-1]).reshape(-1)
 
-    def lr_sgd(data, start, stop, at):
-        lo, hi = data.indptr[start], data.indptr[stop]
-        values = data.values[lo:hi]
-        cuts = (data.indptr[start : stop + 1] - lo).tolist()
-        for label, a, b in zip(data.labels[start:stop].tolist(), cuts, cuts[1:]):
+    def lr_sgd(start, stop, slots, local, order):
+        lo = dataset.indptr[start]
+        values = dataset.values[lo : dataset.indptr[stop]]
+        cuts = (dataset.indptr[start : stop + 1] - lo).tolist()
+        labels = dataset.labels[start:stop].tolist()
+        for p in order:
+            at, scaled = slots[cuts[p] : cuts[p + 1]], values[cuts[p] : cuts[p + 1]]
             dp = 0.0
-            for term in (values[a:b] * flat[at[a:b]]).tolist():
+            for term in (scaled * local[at]).tolist():
                 dp += term
-            flat[at[a:b]] -= config.alpha * lr_scale(label, dp) * values[a:b]
+            local[at] -= config.alpha * lr_scale(labels[p], dp) * scaled
 
-    def lmf_sgd(data, start, stop, at):
-        blocks = at.reshape(stop - start, 2, rank)
-        for (row_at, col_at), label in zip(blocks, data.labels[start:stop].tolist()):
-            grad_row, grad_col = lmf_cell_gradient(label, flat[row_at], flat[col_at])
-            flat[row_at] -= config.alpha * grad_row
-            flat[col_at] -= config.alpha * grad_col
+    def lmf_sgd(start, stop, slots, local, order):
+        blocks = slots.reshape(stop - start, 2, rank)
+        labels = dataset.labels[start:stop].tolist()
+        for p in order:
+            row_at, col_at = blocks[p]
+            grad_row, grad_col = lmf_cell_gradient(labels[p], local[row_at], local[col_at])
+            local[row_at] -= config.alpha * grad_row
+            local[col_at] -= config.alpha * grad_col
 
     residuals, loss_terms, gradient_terms, sgd = (
         (dot_products, lr_loss_terms, lr_gradient_terms, lr_sgd) if config.task == "lr" else
@@ -297,32 +296,42 @@ def train(dataset, store, config):
     def read(start, stop, update=False):
         """`gather` rows [start, stop) of the dataset, then run the kernels
         once: write the loss terms at those rows and, if `update`, keep the
-        gradient terms for the apply to add in turn. The gather carries the
-        pending steps."""
-        nonlocal steps
-        values = gather(manager, dataset, start, stop, report, steps)
-        steps = None
+        gradient terms and the values read for the apply. The gather
+        carries the pending write."""
+        nonlocal write
+        values = gather(manager, dataset, start, stop, report, write)
+        write = None
         started = time.perf_counter()
         residual = residuals(dataset, start, stop, values)
         loss_by_row[start:stop] = loss_terms(dataset, start, stop, residual)
         if update:
             indices = dataset.indices[dataset.indptr[start] : dataset.indptr[stop]]
-            pending.append((indices, gradient_terms(dataset, start, stop, residual)))
+            pending.append((indices, gradient_terms(dataset, start, stop, residual), values))
         report.compute_time += time.perf_counter() - started
 
     def apply_gradient():
-        nonlocal steps
-        touched, sums = gradient_sums(*map(np.concatenate, zip(*pending)))
+        nonlocal write
+        touched, sums, olds = gradient_sums(*map(np.concatenate, zip(*pending)))
         pending.clear()
-        steps = touched, config.alpha * sums
+        write = touched, olds - config.alpha * sums
 
-    def update_pass(upage_index, rows, batches):
-        """`sgd`'s batches, or an updating `read` of the U-page in place."""
-        if config.mode == "sgd":
-            execute(manager, dataset.take(rows), batches, sgd, report,
-                    dirty=[batch.pages for batch in batches])
-        else:
-            read(*bounds[upage_index], update=True)
+    def update_pass(upage_index, order):
+        """`sgd`'s updates of the U-page in `order`, on the values at its
+        distinct model indexes, left as the pending write; or an updating
+        `read` of it."""
+        nonlocal write
+        start, stop = bounds[upage_index]
+        if config.mode != "sgd":
+            return read(start, stop, update=True)
+        values = gather(manager, dataset, start, stop, report, write)
+        started = time.perf_counter()
+        indices = dataset.indices[dataset.indptr[start] : dataset.indptr[stop]]
+        touched, slots = np.unique(indices, return_inverse=True)
+        local = np.empty(len(touched))
+        local[slots] = values
+        sgd(start, stop, slots, local, order)
+        write = touched, local
+        report.compute_time += time.perf_counter() - started
 
     def charged(phase, work, *args, **kwargs):
         """Run `work` and add the storage counters it moved to `phase`."""
@@ -346,7 +355,7 @@ def train(dataset, store, config):
         if not math.isfinite(losses[-1]):
             break
         started = time.perf_counter()
-        plan = iteration_plan(dataset, store.page_size, config, iteration, update_plans)
+        plan = iteration_plan(dataset, store.page_size, config, iteration)
         report.reorder_time += time.perf_counter() - started
         report.upage_count += len(plan)
         fused = []
@@ -356,7 +365,7 @@ def train(dataset, store, config):
             fused = plan if config.mode == "bgd" else plan[:1]
             for upage in fused:
                 charged("update", update_pass, *upage)
-            losses.append(charged("loss", loss_pass, {upage for upage, _, _ in fused}))
+            losses.append(charged("loss", loss_pass, {upage for upage, _ in fused}))
             if not math.isfinite(losses[-1]):
                 break  # the gradient accumulated on that model is never applied
         for position, upage in enumerate(plan):
@@ -368,7 +377,7 @@ def train(dataset, store, config):
             apply_gradient()
         if config.mode == "sgd" or iteration == config.iterations - 1:
             losses.append(charged("loss", loss_pass))
-    charged("update" if config.mode == "sgd" else "apply", manager.flush_all)
+    charged("apply", manager.flush_all)
     metrics = finish_report(manager, report)
     return TrainReport(losses, not math.isfinite(losses[-1]), config.describe(), metrics=metrics)
 
@@ -378,16 +387,13 @@ def train(dataset, store, config):
 
 def train_oracle(dataset, initial_model, config, page_size):
     """Same plan, same arithmetic, no paging. `page_size` only shapes the
-    page-request sets that drive reordering and batching decisions.
+    page-request sets that order `sgd`'s updates.
     `check_inputs` rejects what it rejects for `train`, with the same error,
     taking `initial_model`'s length as the model's dimension.
 
     The update order is `iteration_plan`'s, derived afresh at every
-    iteration and without `plan_upage`: `_upage_order`, then each U-page in
-    file order but under `sgd`: its `plan_order` permutation and, unless the
-    plan is `single`, its greedy batches in `walk_order` (one batch if its
-    union fits, as in `plan_upage`). So a replayed plan is checked against
-    a new one."""
+    iteration: `_upage_order`, then each U-page in file order but under
+    `sgd`, where it is the U-page's `plan_order` permutation."""
     check_inputs(dataset, len(initial_model), page_size, config)
     op = config.operator
     model = np.array(initial_model, dtype=np.float64, copy=True)
@@ -398,11 +404,7 @@ def train_oracle(dataset, initial_model, config, page_size):
         sets = upage_sets[upage_index]
         if config.mode != "sgd":
             return range(len(sets))
-        perm = plan_order(sets, op, (iteration, upage_index))
-        if op.batches_greedily:
-            batches = walk_batches(greedy_batches([sets[p] for p in perm], op.budget))
-            perm = [perm[p] for batch in batches for p in batch.positions]
-        return perm
+        return plan_order(sets, op, (iteration, upage_index))
 
     def loss_now():
         if config.task == "lr":

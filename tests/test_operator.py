@@ -374,12 +374,11 @@ def test_fitting_upages_keep_the_planned_counters(tmp_path_factory, n, upage, he
 
 
 def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
-    """Planned unordered, a U-page whose union fits is one batch in file
-    order, with no reorder and no greedy pass. Planned `ordered`, it runs in
-    `plan_order`'s order and is still one batch. A U-page that does not fit,
-    or any U-page under the `single` plan, runs in `plan_order`'s order."""
+    """A U-page whose union fits is one batch in file order, with no reorder
+    and no greedy pass. A U-page that does not fit, or any U-page under the
+    `single` plan, runs in `plan_order`'s order."""
     from dpjoin import operator
-    from dpjoin.operator import plan_order, plan_upage
+    from dpjoin.operator import plan_order
 
     ds = gen_uniform(40, 160, 4, seed=5)
     store = tmp_store(160, 16)
@@ -399,11 +398,6 @@ def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
     assert [r.tid for r in sink.results] == tids
     assert report.batch_count == 1
     assert calls == []
-    perm = plan_order(sets, config, (0, 0))
-    rows, batches = plan_upage(ds, 0, len(ds), 16, config, (0, 0), ordered=True)
-    assert rows.tolist() == perm != list(range(len(ds)))
-    assert [b.positions for b in batches] == [list(range(len(ds)))]
-    assert calls == ["reorder"] * 2  # the test's `plan_order`, then the planner's
 
     for budget, batching in ((9, True), (10, False)):
         config = OperatorConfig(budget=budget, reorder="shuffle",
@@ -545,11 +539,12 @@ def test_gather_join_peaks_no_higher_than_the_batched_join(tmp_store):
 @pytest.mark.parametrize("budget", [1, 2, 4])
 def test_a_gather_carries_pending_steps_in_its_own_scan(tmp_store, monkeypatch, budget,
                                                         streams):
-    """Steps on pages 0 and 1 ride a read of pages 1 and 2 (page 3 is
-    touched by neither): the union of the two streams' pages is requested
-    in one ascending scan, each page once, in groups of the budget; the read
-    sees the stepped values; only the stepped pages are written back, and
-    the model on disk is the stepped model. Either stream may be empty."""
+    """A pending write (steps, as assigned values) on pages 0 and 1 rides a
+    read of pages 1 and 2 (page 3 is touched by neither): the union of the
+    two streams' pages is requested in one ascending scan, each page once,
+    in groups of the budget; the read sees the written values; only the
+    written pages are written back, and the model on disk is the written
+    model. Either stream may be empty."""
     from dpjoin import BufferManager, Dataset, MetricsReport
     from dpjoin.operator import gather
 
@@ -558,13 +553,13 @@ def test_a_gather_carries_pending_steps_in_its_own_scan(tmp_store, monkeypatch, 
     store = tmp_store(32, 8, init=("uniform", -1.0, 1.0), seed=4)
     model = store.load_dense()
     data = Dataset(32, [make_vector(1, [9, 17]), make_vector(2, [9, 10])])
-    touched, deltas = np.array([2, 9, 12], dtype=np.uint64), np.array([0.5, 0.25, -1.0])
-    steps = {"both": (touched, deltas), "no steps": None, "no reads": (touched, deltas),
-             "empty steps": (touched[:0], deltas[:0])}[streams]
+    touched, new = np.array([2, 9, 12], dtype=np.uint64), np.array([0.5, 0.25, -1.0])
+    write = {"both": (touched, new), "no steps": None, "no reads": (touched, new),
+             "empty steps": (touched[:0], new[:0])}[streams]
     stop = 0 if streams == "no reads" else 2
     stepped = model.copy()
     if streams in ("both", "no reads"):
-        stepped[touched.astype(np.int64)] -= deltas
+        stepped[touched.astype(np.int64)] = new
     step_pages = {0, 1} if streams in ("both", "no reads") else set()
     read_pages = {1, 2} if stop else set()
     written = []
@@ -572,7 +567,7 @@ def test_a_gather_carries_pending_steps_in_its_own_scan(tmp_store, monkeypatch, 
         written.append(page), write(page, values)))
     manager, report = BufferManager(store, budget), MetricsReport(config={})
     with PageRecorder(store) as recorder:
-        values = gather(manager, data, 0, stop, report, steps)
+        values = gather(manager, data, 0, stop, report, write)
     pages = sorted(step_pages | read_pages)
     assert recorder.requests == [pages[k : k + budget] for k in range(0, len(pages), budget)]
     assert recorder.misses_by_page == dict.fromkeys(pages, 1)

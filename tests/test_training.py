@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,12 +11,12 @@ from dpjoin import (BufferManager, Dataset, OperatorConfig, OversizedVectorError
                     PreconditionError, ValidationError, run)
 from dpjoin.datagen import gen_matrix, gen_uniform
 from dpjoin.metrics import PHASE_COUNTERS
-from dpjoin.operator import PLANS, make_batches, plan_order, plan_upage
-from dpjoin.reorder import HEURISTICS, walk_order
+from dpjoin.operator import PLANS, plan_order
+from dpjoin.reorder import HEURISTICS
 from dpjoin.training import (TrainConfig, check_dataset, gradient_sums, iteration_plan,
                              lmf_cell_gradient, lr_loss, lr_scale, train, train_oracle)
 
-from conftest import make_vector, pinned_pages, request_count
+from conftest import make_vector, pinned_pages
 
 
 def small_op(budget=8, reorder="none", seed=3, upage=32):
@@ -88,24 +87,40 @@ def task_instance(tmp_store, task, name="m.model"):
     return ds, tmp_store((10 + 8) * 4, 8, init=init, seed=6, name=name), 6, 0.05
 
 
+def spread_instance(tmp_store, name="spread.model"):
+    """An lr dataset and model like `task_instance`'s, their budget and step
+    size, whose U-pages touch different page sets (each U-page of
+    `task_instance`'s touches all 16 pages), so a pending write's pages are
+    not all the next read's."""
+    ds = gen_uniform(48, 1024, 3, seed=4)
+    return ds, tmp_store(1024, 16, init=("uniform", -0.2, 0.2), seed=6, name=name), 8, 0.3
+
+
+# Two lr instances, each made by a call `make(tmp_store, name)`.
+LR_INSTANCES = (lambda tmp_store, name: task_instance(tmp_store, "lr", name), spread_instance)
+
+
 @pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
 @pytest.mark.parametrize("task", ["lr", "lmf"])
 def test_gather_and_batched_plans_train_alike(tmp_store, task, mode):
-    """For training, the default `gather` plan is the `batched` one: same
-    losses, final model and counters. Under `sgd-page` and `bgd`, which read
-    each U-page in file order, so is every plan under every heuristic."""
+    """Training reads every U-page by gather under every plan: the plan
+    changes no loss, final model or counter. Under `sgd` the heuristic
+    orders the updates; under `sgd-page` and `bgd`, which read each U-page
+    in file order, it changes nothing either."""
     ds, _, budget, alpha = task_instance(tmp_store, task)
-    cells = ([("shuffle", "gather"), ("shuffle", "batched")] if mode == "sgd" else
-             list(itertools.product(HEURISTICS, PLANS)))
-    results = []
-    for heuristic, plan in cells:
+    results = {}
+    for heuristic, plan in itertools.product(HEURISTICS, PLANS):
         _, store, _, _ = task_instance(tmp_store, task, name=f"{heuristic}-{plan}.model")
         op = dataclasses.replace(small_op(budget=budget, reorder=heuristic), plan=plan)
         report = train(ds, store, TrainConfig(op, task=task, mode=mode, alpha=alpha,
                                               iterations=2))
-        results.append(([loss.hex() for loss in report.losses], report.metrics.counters(),
-                        store.load_dense().tobytes()))
-    assert all(result == results[0] for result in results[1:])
+        results[heuristic, plan] = ([loss.hex() for loss in report.losses],
+                                    report.metrics.counters(), store.load_dense().tobytes())
+    for heuristic in HEURISTICS:
+        assert all(results[heuristic, plan] == results[heuristic, PLANS[0]] for plan in PLANS)
+    same_as_none = {results[heuristic, PLANS[0]][0] == results["none", PLANS[0]][0]
+                    for heuristic in HEURISTICS}
+    assert same_as_none == ({True, False} if mode == "sgd" else {True})
 
 
 @pytest.mark.parametrize("task,mode,batching,heuristic", [
@@ -127,9 +142,8 @@ def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, he
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=4)
     config.operator.plan = "batched" if batching else "single"
     if mode == "sgd" and heuristic != "none":
-        visits = [rows[[p for batch in batches for p in batch.positions]].tolist()
-                  for _, rows, batches in iteration_plan(ds, store.page_size, config, 0)]
-        assert any(visit != sorted(visit) for visit in visits)
+        orders = [order for _, order in iteration_plan(ds, store.page_size, config, 0)]
+        assert any(order != sorted(order) for order in orders)
     initial = store.load_dense()
     paged = train(ds, store, config)
     oracle = train_oracle(ds, initial, config, page_size=store.page_size)
@@ -139,16 +153,20 @@ def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, he
 
 
 def accumulated_gathers(ds, page_size, config):
-    """Every gather `train` runs under `sgd-page` or `bgd` when no loss
-    diverges and no gradient sum cancels, in run order, as (phase, pages it
-    steps, pages it reads), derived from the page sets alone. The initial
-    and the final loss gather every U-page in the `loss` phase. Iteration i
-    updates the U-pages in `_upage_order`; for i >= 1 the update passes
-    that read the model of loss i come first (every U-page's under `bgd`,
-    the first U-page's under `sgd-page`), then loss-only gathers of the
-    other U-pages. An apply (after each update pass under `sgd-page`, after
-    the pass under `bgd`) steps the pages the updates since the last apply
-    read, and the next gather, whatever its phase, carries those steps."""
+    """Every gather `train` runs when no loss diverges and no gradient sum
+    cancels, in run order, as (phase, pages of the write it carries, pages
+    it reads), derived from the page sets alone. The initial and the final
+    loss gather every U-page in the `loss` phase. Iteration i updates the
+    U-pages in `_upage_order`.
+
+    Under `sgd` each update pass leaves a write of every index its U-page
+    reads, and every iteration ends with a loss pass. Under `sgd-page` and
+    `bgd`, for i >= 1 the update passes that read the model of loss i come
+    first (every U-page's under `bgd`, the first U-page's under
+    `sgd-page`), then loss-only gathers of the other U-pages; an apply
+    (after each update pass under `sgd-page`, after the pass under `bgd`)
+    writes the pages the updates since the last apply read. The next
+    gather, whatever its phase, carries the write."""
     upages = range(len(ds.upage_bounds(config.operator.upage)))
     pages = [set(scan_pages(ds, start, stop, page_size))
              for start, stop in ds.upage_bounds(config.operator.upage)]
@@ -158,7 +176,9 @@ def accumulated_gathers(ds, page_size, config):
         nonlocal carried
         gathers.append((phase, carried, pages[upage]))
         carried = set()
-        if phase == "update":
+        if phase == "update" and config.mode == "sgd":
+            carried = pages[upage]
+        elif phase == "update":
             pending.update(pages[upage])
 
     def apply():
@@ -169,7 +189,13 @@ def accumulated_gathers(ds, page_size, config):
     for upage in upages:
         read("loss", upage)
     for iteration in range(config.iterations):
-        plan = [upage for upage, _, _ in iteration_plan(ds, page_size, config, iteration)]
+        plan = [upage for upage, _ in iteration_plan(ds, page_size, config, iteration)]
+        if config.mode == "sgd":
+            for upage in plan:
+                read("update", upage)
+            for upage in upages:
+                read("loss", upage)
+            continue
         fused = [] if iteration == 0 else plan if config.mode == "bgd" else plan[:1]
         for upage in fused:
             read("update", upage)
@@ -182,15 +208,15 @@ def accumulated_gathers(ds, page_size, config):
             read("update", plan[position])
         if plan:  # the last apply of the iteration; an empty dataset has none
             apply()
-    for upage in upages if config.iterations else ():
+    for upage in upages if config.iterations and config.mode != "sgd" else ():
         read("loss", upage)
     return gathers
 
 
 def gathered_requests(gathers, phase):
-    """The page requests of the `gathers` of `phase`: each its steps' and
+    """The page requests of the `gathers` of `phase`: each its write's and
     its read's pages, once each."""
-    return sum(len(steps | reads) for kind, steps, reads in gathers if kind == phase)
+    return sum(len(write | reads) for kind, write, reads in gathers if kind == phase)
 
 
 def scan_pages(ds, start, stop, page_size):
@@ -221,7 +247,7 @@ def test_fused_loss_visits_match_the_oracle(tmp_store, task, mode, iterations, u
     model, whatever pass computes it, so every loss and the final model
     equal the oracle's bit for bit; the loss phase requests the pages of the
     loss-only gathers alone, each U-page's distinct pages and those of the
-    steps it carries once."""
+    write it carries once."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
     op = small_op(budget=budget if batching else store.num_pages, reorder="shuffle",
                   upage=-(-len(ds) // upages))
@@ -326,11 +352,10 @@ def test_iteration_plan_is_permutation():
     config = TrainConfig(small_op(budget=4, reorder="shuffle", seed=5, upage=3),
                          iterations=2)
     plan = iteration_plan(sets_dataset(sets_by_upage), 1, config, iteration=1)
-    upage_ids = [u for u, _, _ in plan]
+    upage_ids = [u for u, _ in plan]
     assert sorted(upage_ids) == [0, 1]
-    for upage_id, rows, _ in plan:
-        start = 3 * upage_id
-        assert sorted(rows) == list(range(start, start + len(sets_by_upage[upage_id])))
+    for upage_id, order in plan:
+        assert sorted(order) == list(range(len(sets_by_upage[upage_id])))
 
 
 def test_iteration_plan_fixed_scan_when_disabled():
@@ -338,7 +363,7 @@ def test_iteration_plan_fixed_scan_when_disabled():
     config = TrainConfig(small_op(reorder="none", upage=1), shuffle_upages=False)
     for iteration in range(3):
         plan = iteration_plan(sets_dataset(sets_by_upage), 1, config, iteration)
-        assert [u for u, _, _ in plan] == [0, 1, 2]
+        assert [u for u, _ in plan] == [0, 1, 2]
 
 
 def test_loss_decreases_on_small_lr_problem(tmp_store):
@@ -350,10 +375,11 @@ def test_loss_decreases_on_small_lr_problem(tmp_store):
     assert report.losses[-1] < report.losses[0]
 
 
-@pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
+@pytest.mark.parametrize("mode", ["sgd-page", "bgd", "sgd"])
 def test_gradient_memory_scales_with_touched_coordinates(tmp_store, mode):
     """sgd-page and bgd hold only the coordinates a U-page or pass touched,
-    never an array of the model's dimension (16 MB here)."""
+    and sgd only the values at its U-page's distinct indexes, never an
+    array of the model's dimension (16 MB here)."""
     d = 2_000_000
     ds = gen_uniform(64, d, 5, seed=4)
     store = tmp_store(d, 4096, init=("uniform", -0.1, 0.1), seed=6)
@@ -394,13 +420,17 @@ def test_train_report_counts_batches_and_upages(tmp_store):
     store = tmp_store(256, 16, init=("uniform", -0.2, 0.2), seed=6)
     op = OperatorConfig(budget=8, plan="single", upage=16, seed=3)
     iterations = 3
-    report = train(ds, store, TrainConfig(op, task="lr", mode="sgd",
-                                          alpha=0.1, iterations=iterations))
-    metrics = report.metrics
-    # A loss pass gathers each U-page in groups of `budget` of its pages.
+    config = TrainConfig(op, task="lr", mode="sgd", alpha=0.1, iterations=iterations)
+    metrics = train(ds, store, config).metrics
+    # Every pass, under the `single` plan too, gathers each U-page in groups
+    # of `budget` of its pages and of those of the write it carries.
+    gathers = accumulated_gathers(ds, 16, config)
+    upages = len(ds.upage_bounds(op.upage))
+    assert len(gathers) == upages * (2 * iterations + 1)
+    assert metrics.batch_count == sum(math.ceil(len(write | reads) / op.budget)
+                                      for _, write, reads in gathers)
+    assert metrics.upage_count == iterations * upages == iterations * math.ceil(len(ds) / op.upage)
     scans = sum(math.ceil(pages / op.budget) for pages in gather_requests(ds, 16, op))
-    assert metrics.batch_count == len(ds) * iterations + scans * (iterations + 1)
-    assert metrics.upage_count == iterations * math.ceil(len(ds) / op.upage)
     # A loss pass alone reads the model and never dirties a page.
     loss_only = train(ds, store, TrainConfig(op, task="lr", mode="sgd", iterations=0))
     assert loss_only.metrics.batch_count == scans
@@ -516,11 +546,11 @@ def test_lmf_accepts_well_formed_cells(tmp_path):
     ("lsh", [28.758443087323407, 21.470928482809605, 17.28961390336254, 14.568016447023163]),
 ])
 def test_fitting_upages_keep_the_update_order(tmp_store, monkeypatch, heuristic, losses):
-    """Every U-page fits the budget, so each pass is one batch per U-page
-    and greedy batching never runs; the sgd updates still run in
-    `iteration_plan`'s order, which the oracle replays, and the loss passes
-    in file order. The literals pin the losses, so a change of order that
-    moves the oracle with the paged path still fails."""
+    """Every U-page fits the budget, and training cuts no batches: greedy
+    batching never runs. The sgd updates run in `iteration_plan`'s order,
+    `plan_order`'s, which the oracle follows, and the loss passes in file
+    order. The literals pin the losses, so a change of order that moves the
+    oracle with the paged path still fails."""
     from dpjoin import operator, training
 
     ds = gen_uniform(40, 160, 4, seed=5)
@@ -529,36 +559,41 @@ def test_fitting_upages_keep_the_update_order(tmp_store, monkeypatch, heuristic,
     config = TrainConfig(small_op(budget=10, reorder=heuristic, upage=16), task="lr",
                          mode="sgd", alpha=0.5, iterations=3)
     monkeypatch.setattr(operator, "greedy_batches", lambda *args: pytest.fail("greedy ran"))
+    orders = [(iteration, upage) for iteration in range(3)
+              for upage, _ in iteration_plan(ds, 16, config, iteration)]
     planned = []
 
-    def spy(dataset, start, stop, page_size, config, path, ordered=False):
-        rows, batches = plan_upage(dataset, start, stop, page_size, config, path, ordered)
-        order = plan_order(dataset.page_sets(start, stop, page_size), config, path)
-        planned.append((start + np.asarray(order), rows))
-        assert len(batches) == 1
-        return rows, batches
+    def spy(sets, config, path):
+        planned.append(path)
+        return plan_order(sets, config, path)
 
-    monkeypatch.setattr(training, "plan_upage", spy)
+    monkeypatch.setattr(training, "plan_order", spy)
     result = train(ds, store, config)
     assert result.losses == train_oracle(ds, dense, config, 16).losses == losses
-    # 3 U-pages, 4 loss passes (a gather of 10 pages or fewer, one batch) and 3 update passes
-    assert result.metrics.batch_count == 3 * (4 + 3)
-    assert len(planned) == 3 * 3
-    for expected, rows in planned:
-        assert rows.tolist() == expected.tolist()
+    assert planned == orders * 2  # the paged run's orders, then the oracle's
+    # 3 U-pages, 4 loss passes and 3 update passes, a gather per U-page in
+    # each, which carries the previous gather's write
+    gathers = accumulated_gathers(ds, 16, config)
+    assert len(gathers) == 3 * (4 + 3)
+    assert result.metrics.batch_count == sum(math.ceil(len(write | reads) / 10)
+                                             for _, write, reads in gathers)
 
 
 def check_reads_in_place(tmp_store, monkeypatch, heuristic, budget, mode, iterations):
     """Train lr under `mode` for `iterations` with no `Dataset.take`, no
-    `plan_upage` and no `reorder` allowed, and return the report's metrics."""
-    from dpjoin import operator, training
+    `plan_upage`, no `make_batches` and, but for `sgd`'s update orders, no
+    `reorder` allowed, and return the dataset and the report's metrics."""
+    from dpjoin import operator
 
     ds = gen_uniform(40, 160, 4, seed=5)
     store = tmp_store(160, 16, init=("uniform", -0.2, 0.2), seed=1)
     op = small_op(budget=budget, reorder=heuristic, upage=16)
     fits = [pages <= budget for pages in gather_requests(ds, 16, op)]
     assert fits == [budget == 10] * 3
-    for module, name in ((Dataset, "take"), (training, "plan_upage"), (operator, "reorder")):
+    banned = [(Dataset, "take"), (operator, "plan_upage"), (operator, "make_batches")]
+    if mode != "sgd" or iterations == 0:
+        banned.append((operator, "reorder"))
+    for module, name in banned:
         monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: pytest.fail(name))
     config = TrainConfig(op, task="lr", mode=mode, alpha=0.5, iterations=iterations)
     return ds, train(ds, store, config).metrics
@@ -586,70 +621,31 @@ def test_an_accumulated_update_pass_reads_the_dataset_in_place(tmp_store, monkey
     assert metrics.upage_count == 2 * 3
 
 
-def test_walked_update_passes_read_the_dataset_in_place(tmp_store, monkeypatch):
-    """Under `none` an update pass's rows stay in file order and the walk
-    reorders only its batches, so the pass reads the dataset's own arrays,
-    not a reordered copy."""
-    from dpjoin import operator, training
-
-    ds, store, budget, alpha = task_instance(tmp_store, "lr")
-    op = small_op(budget=budget, reorder="none")
-    updates = []
-
-    def execute(manager, data, batches, *args, dirty=False):
-        if dirty:  # an sgd update pass
-            updates.append((data, [batch.positions[0] for batch in batches]))
-        return operator.execute(manager, data, batches, *args, dirty=dirty)
-
-    monkeypatch.setattr(training, "execute", execute)
-    train(ds, store, TrainConfig(op, task="lr", mode="sgd", alpha=alpha, iterations=2))
-    assert len(updates) == 2 * len(ds.upage_bounds(op.upage))
-    for data, _ in updates:
-        assert np.shares_memory(data.indices, ds.indices)
-        assert np.shares_memory(data.values, ds.values)
-    assert any(firsts != sorted(firsts) for _, firsts in updates)  # the walk reorders
-
-
-def test_run_never_walks_and_train_walks_each_plan_once(tmp_store, monkeypatch):
-    """The batched `run` runs its batches in greedy order. `train` walks each
-    U-page's batches only for `sgd`'s update plan, under `radix`, which
-    reads no seed, once for the plan it replays on every pass; under
-    `sgd-page`, which plans nothing, and under the `single` plan it does not
-    walk at all."""
-    from dpjoin import operator, training
-
-    calls = []
-
-    def spy(sets, start=0):
-        calls.append(len(sets))
-        return walk_order(sets, start)
-
-    for module in (operator, training):  # k-center's walk over centers stays out
-        if hasattr(module, "walk_order"):
-            monkeypatch.setattr(module, "walk_order", spy)
-    ds, store, budget, alpha = task_instance(tmp_store, "lr")
-    op = small_op(budget=budget, reorder="radix")
-    upages = len(list(ds.upage_bounds(op.upage)))
-    run(ds, store, op)
-    assert calls == []
-    for mode, walks in (("sgd", upages), ("sgd-page", 0)):
-        train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha, iterations=3))
-        assert len(calls) == walks
-        calls.clear()
-    unbatched = dataclasses.replace(op, plan="single")
-    train(ds, store, TrainConfig(unbatched, task="lr", alpha=alpha, iterations=1))
-    assert calls == []
+@pytest.mark.parametrize("budget", [10, 4], ids=["fitting", "not-fitting"])
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_an_sgd_update_pass_reads_the_dataset_in_place(tmp_store, monkeypatch, heuristic,
+                                                       budget):
+    """An `sgd` update pass gathers its U-page in place, whatever the
+    heuristic and whether or not its pages fit the budget: it takes no rows
+    and cuts no batches; the heuristic only orders its updates. Each pass
+    reads every entry once and carries one write of the U-page's distinct
+    indexes, the last one carried by the loss pass that follows."""
+    ds, metrics = check_reads_in_place(tmp_store, monkeypatch, heuristic, budget, "sgd", 2)
+    distinct = sum(len(np.unique(ds.indices[ds.indptr[start] : ds.indptr[stop]]))
+                   for start, stop in ds.upage_bounds(16))
+    assert metrics.upage_count == 2 * 3
+    assert metrics.element_requests == 5 * len(ds.indices) + 2 * distinct
 
 
 @pytest.mark.parametrize("task,mode", [("lr", "sgd"), ("lr", "sgd-page"), ("lr", "bgd"),
                                        ("lmf", "sgd"), ("lmf", "bgd")])
 def test_phases_sum_to_the_totals(tmp_store, task, mode):
     """Loss passes, update passes and gradient applies split the storage
-    counters. Under `sgd` only the update passes dirty pages, and there is
-    no apply traffic at all. Under `sgd-page` and `bgd` an apply requests
-    nothing: the next gather, an update or a loss gather, carries its steps
-    and counts in its own phase, so `apply` holds only the closing flush's
-    write-backs. Either pass writes back the dirty pages it evicts."""
+    counters. No pass writes the model itself: the next gather, an update
+    or a loss gather, carries the pending write of an `sgd` update pass or
+    of an apply and counts in its own phase, so `apply` requests nothing and
+    holds only the closing flush's write-backs. Either pass writes back the
+    dirty pages it evicts."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
     config = TrainConfig(small_op(budget=budget, reorder="radix"), task=task, mode=mode,
                          alpha=alpha, iterations=3)
@@ -659,12 +655,8 @@ def test_phases_sum_to_the_totals(tmp_store, task, mode):
     for name in PHASE_COUNTERS:
         assert sum(counts[name] for counts in phases.values()) == getattr(metrics, name), name
     assert phases["loss"]["page_requests"] > 0 and phases["update"]["page_requests"] > 0
-    if mode == "sgd":
-        assert phases["apply"] == dict.fromkeys(PHASE_COUNTERS, 0)
-        assert phases["update"]["write_backs"] > 0
-    else:
-        assert phases["apply"]["page_requests"] == phases["apply"]["page_misses"] == 0
-        assert phases["update"]["write_backs"] > 0 and phases["loss"]["write_backs"] > 0
+    assert phases["apply"]["page_requests"] == phases["apply"]["page_misses"] == 0
+    assert phases["update"]["write_backs"] > 0 and phases["loss"]["write_backs"] > 0
     assert metrics.to_dict()["phases"] == phases
 
 
@@ -678,10 +670,11 @@ def test_a_run_without_iterations_is_all_loss(tmp_store):
         assert metrics.phases[phase] == dict.fromkeys(PHASE_COUNTERS, 0)
 
 
-@pytest.mark.parametrize("mode, writer", [("sgd", "update"), ("bgd", "apply")])
+@pytest.mark.parametrize("mode, writer", [("sgd", "apply"), ("bgd", "apply")])
 def test_the_closing_flush_counts_in_the_phase_that_dirties(tmp_store, mode, writer):
     """With every page resident nothing is evicted, so every write-back is
-    the closing flush's, and it counts in the one phase that dirties pages."""
+    the closing flush's. It counts in `apply` under every mode, whether the
+    pages hold the writes of `sgd`'s update passes or of the applies."""
     ds, store, _, alpha = task_instance(tmp_store, "lr")
     config = TrainConfig(small_op(budget=store.num_pages), task="lr", mode=mode,
                          alpha=alpha, iterations=2)
@@ -690,165 +683,98 @@ def test_the_closing_flush_counts_in_the_phase_that_dirties(tmp_store, mode, wri
     assert metrics.phases[writer]["write_backs"] == metrics.write_backs
 
 
-def greedy_update_batches(ds, page_size, op, iterations):
-    """Every update pass's batches before the walk, U-page by U-page in file
-    order: `plan_order`'s permutation cut by `make_batches`."""
-    out = []
-    for iteration in range(iterations):
-        for upage_index, (start, stop) in enumerate(ds.upage_bounds(op.upage)):
-            sets = ds.page_sets(start, stop, page_size)
-            perm = plan_order(sets, op, (iteration, upage_index))
-            out.append(make_batches([sets[p] for p in perm], op))
-    return out
-
-
 @pytest.mark.parametrize("batching", [True, False], ids=["batched", "unbatched"])
 @pytest.mark.parametrize("heuristic", ["none", "radix", "shuffle"])
 @pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
 @pytest.mark.parametrize("task", ["lr", "lmf"])
 def test_walked_update_passes_match_the_oracle(tmp_store, task, mode, heuristic, batching):
-    """Unless the plan is `single`, an update pass runs each U-page's greedy
-    batches in `walk_order`, which is not greedy order here, and
-    `train_oracle` derives the same walk: losses and final model agree bit
-    for bit. The walk
-    reorders the batches and adds no request: the update passes request the
-    pages of the greedy batches under `sgd`, and, under `sgd-page` and `bgd`,
-    which gather each U-page in file order and walk nothing, its distinct
-    pages and those of the steps it carries once."""
+    """No update pass walks batches any more, under any plan: each gathers
+    its U-page, and `train_oracle` follows `iteration_plan`'s order; losses
+    and final model agree bit for bit. The update passes request each
+    U-page's distinct pages and those of the write they carry once
+    (`accumulated_gathers`), `sgd`'s included."""
     ds, store, _, alpha = task_instance(tmp_store, task)
     op = small_op(budget=8 if task == "lr" else 4, reorder=heuristic)
     op.plan = "batched" if batching else "single"
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=3)
-    planned = greedy_update_batches(ds, store.page_size, op, config.iterations)
-    if batching:
-        assert any(walk_order([b.pages for b in batches]) != list(range(len(batches)))
-                   for batches in planned)
     initial = store.load_dense()
     paged = train(ds, store, config)
     oracle = train_oracle(ds, initial, config, page_size=store.page_size)
     assert not paged.diverged
     assert paged.losses == oracle.losses
     assert np.array_equal(store.load_dense(), oracle.final_model)
-    if mode == "sgd":
-        expected = sum(request_count(batch) for batches in planned for batch in batches)
-    else:
-        expected = gathered_requests(accumulated_gathers(ds, store.page_size, config), "update")
-    assert paged.metrics.phases["update"]["page_requests"] == expected
-
-
-@pytest.mark.parametrize("heuristic, plans_per_upage",
-                         [("none", 1), ("radix", 1), ("shuffle", 3), ("lsh", 3)])
-def test_seedless_update_plans_are_built_once(tmp_store, monkeypatch, heuristic,
-                                              plans_per_upage):
-    """`none` and `radix` read no seed, so `train` plans each U-page's update
-    pass once and replays the plan; a seeded reorder plans it at every
-    iteration. Replaying changes nothing: losses and counters equal those of
-    a run that plans every iteration."""
-    from dpjoin import training
-
-    ds, store, budget, alpha = task_instance(tmp_store, "lr")
-    config = TrainConfig(small_op(budget=budget, reorder=heuristic, upage=16), task="lr",
-                         alpha=alpha, iterations=3)
-    starts = [start for start, _ in ds.upage_bounds(config.operator.upage)]
-    update_plans = Counter()
-
-    def spy(dataset, start, stop, page_size, config, path, ordered=False):
-        if ordered:  # an update plan; the batched join's is not ordered
-            update_plans[start] += 1
-        return plan_upage(dataset, start, stop, page_size, config, path, ordered)
-
-    monkeypatch.setattr(training, "plan_upage", spy)
-    replayed = train(ds, store, config)
-    assert update_plans == dict.fromkeys(starts, plans_per_upage)
-
-    update_plans.clear()
-    original = training.iteration_plan
-    monkeypatch.setattr(training, "iteration_plan",
-                        lambda dataset, page_size, config, iteration, plans: original(
-                            dataset, page_size, config, iteration))
-    _, fresh, _, _ = task_instance(tmp_store, "lr", name="fresh.model")
-    every = train(ds, fresh, config)
-    assert update_plans == dict.fromkeys(starts, config.iterations)
-    assert replayed.losses == every.losses
-    assert replayed.metrics.counters() == every.metrics.counters()
-    assert replayed.metrics.phases == every.metrics.phases
+    gathers = accumulated_gathers(ds, store.page_size, config)
+    for phase in ("update", "loss"):
+        assert paged.metrics.phases[phase]["page_requests"] == gathered_requests(gathers, phase)
 
 
 def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_store,
                                                                       monkeypatch):
     """`train` calls `training.iteration_plan`, looked up on the module, once
-    per iteration, the first time after the initial loss pass, and builds no
-    update plan before that call. The benchmark times a training run's first
+    per iteration, the first time after the initial loss pass, and orders no
+    update before that call. The benchmark times a training run's first
     result at that call by wrapping the module attribute. Iteration i's call
     follows iteration i - 1's last pass: its loss pass under `sgd`, its
     last update pass under `sgd-page` and `bgd`. Under those two, the passes
     after the call compute loss i before the iteration's first apply: every
     U-page's update under `bgd`; under `sgd-page` the first U-page's update
-    and the other U-pages' loss-only gathers. A loss pass gathers each
-    U-page in place, and so does an update pass under `sgd-page` and `bgd`,
-    which plans nothing; an `sgd` update pass takes its rows first. An apply
-    scans nothing: the gather after it carries its steps and dirties pages,
-    the first gather of the next iteration or of the final loss pass too."""
+    and the other U-pages' loss-only gathers. Every pass gathers each
+    U-page in place, with no `Dataset.take`; only `sgd` orders its updates,
+    in the call. No pass writes the model: the gather after an `sgd` update
+    pass or an apply carries its write and dirties pages, the first gather
+    of the next iteration or of the final loss pass too."""
     from dpjoin import operator, training
 
     ds, _, budget, alpha = task_instance(tmp_store, "lr")
     op = small_op(budget=budget, reorder="none", upage=16)
     count, iterations = len(ds.upage_bounds(op.upage)), 3
     events = []
-    original_plan, original_execute, original_take = (training.iteration_plan,
-                                                      training.execute, Dataset.take)
+    original_plan, original_execute, original_take, original_order = (
+        training.iteration_plan, operator.execute, Dataset.take, training.plan_order)
 
     def iteration_plan(*args):
         events.append(("iteration_plan", args[3]))
         return original_plan(*args)
 
     def execute(manager, data, batches, visit, report, dirty=None):
-        # A gather scans unlabeled rows, which a carried apply's steps lead
-        # and dirty; an sgd update visits the dataset's vectors.
-        kind = ("update" if not np.isnan(data.labels).all() else
-                "carry" if any(len(pages) for pages in dirty) else "gather")
-        events.append((kind,))
+        # A gather's rows lead with a carried write's indexes, which it dirties.
+        events.append(("carry",) if any(len(pages) for pages in dirty) else ("gather",))
         return original_execute(manager, data, batches, visit, report, dirty=dirty)
 
     def take(self, rows):
         events.append(("take",))
         return original_take(self, rows)
 
-    def spy(dataset, start, stop, page_size, config, path, ordered=False):
-        events.append(("update plan",))
-        return plan_upage(dataset, start, stop, page_size, config, path, ordered)
+    def plan_order(*args):
+        events.append(("update order",))
+        return original_order(*args)
 
     monkeypatch.setattr(training, "iteration_plan", iteration_plan)
-    monkeypatch.setattr(training, "execute", execute)  # sgd's updates
     monkeypatch.setattr(operator, "execute", execute)  # every gather's scan
     monkeypatch.setattr(Dataset, "take", take)
-    monkeypatch.setattr(training, "plan_upage", spy)
+    monkeypatch.setattr(training, "plan_order", plan_order)
     loss, carry = [("gather",)] * count, [("carry",)]
     for mode in ("sgd", "sgd-page", "bgd"):
         events.clear()
         _, store, _, _ = task_instance(tmp_store, "lr", name=f"{mode}.model")
         train(ds, store, TrainConfig(op, task="lr", mode=mode, alpha=alpha,
                                      iterations=iterations))
-        if mode == "sgd":
-            assert events[: count + 2] == loss + [("iteration_plan", 0), ("update plan",)]
-            update = [("take",), ("update",)]
-        else:
-            assert ("update plan",) not in events and ("take",) not in events
-            update = [("gather",)]
+        assert ("take",) not in events
         expected = list(loss)
         for iteration in range(iterations):
             expected.append(("iteration_plan", iteration))
             if mode == "sgd":
-                expected += update * count + loss
+                expected += [("update order",)] * count
+                expected += loss[:1] + carry * (count - 1) + carry + loss[1:]
             elif mode == "bgd":
-                expected += (update if iteration == 0 else carry) + update * (count - 1)
+                expected += (loss[:1] if iteration == 0 else carry) + loss[1:]
             elif iteration == 0:
-                expected += update + carry * (count - 1)
+                expected += loss[:1] + carry * (count - 1)
             else:
                 expected += carry + loss[1:] + carry * (count - 1)
         if mode != "sgd":
             expected += carry + loss[1:]
-        assert [event for event in events if event != ("update plan",)] == expected, mode
+        assert events == expected, mode
 
 
 @pytest.mark.parametrize("batching", [True, False])
@@ -983,7 +909,7 @@ def test_an_apply_that_raises_leaves_nothing_pinned(tmp_store, monkeypatch, faul
     config = TrainConfig(small_op(budget=budget, reorder="radix"), task="lr",
                          mode="sgd-page", alpha=alpha, iterations=1)
     train(ds, store, config)
-    # Only a gather that carries steps unpins dirty pages; fail the first such batch.
+    # Only a gather that carries a write unpins dirty pages; fail the first such batch.
     Spy.fail_at = managers[0].first_dirty_unpin
     _, fresh, _, _ = task_instance(tmp_store, "lr", name="fresh.model")
     with pytest.raises(PreconditionError if fault == "positions" else IndexError):
@@ -994,82 +920,104 @@ def test_an_apply_that_raises_leaves_nothing_pinned(tmp_store, monkeypatch, faul
 
 @pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
 def test_the_counters_count_the_applies(tmp_store, mode):
-    """An apply scans nothing: the gather after it carries its steps, the
+    """An apply scans nothing: the gather after it carries its write, the
     coordinates its U-page (`sgd-page`) or its pass (`bgd`) touched. A
-    gather is one scan of the union of its steps' and its read's pages: one
+    gather is one scan of the union of its write's and its read's pages: one
     batch per `budget` of them and one page request per page. It makes one
-    element request per stepped coordinate and one per entry it reads, so
+    element request per written coordinate and one per entry it reads, so
     the element requests are those of separate scans. The loss phase counts
     what `sgd`'s counts, less the loss-only gathers the fused update passes
     replace (at iteration 1 of 2, every U-page's under `bgd` and the first
-    updated U-page's under `sgd-page`), plus the pages of the last apply
-    that the final loss pass's first gather, of U-page 0, does not read."""
-    ds, store, budget, alpha = task_instance(tmp_store, "lr")
-    _, sgd_store, _, _ = task_instance(tmp_store, "lr", name="sgd.model")
-    op = small_op(budget=budget, reorder="radix")
+    updated U-page's under `sgd-page`), less the pages of the `sgd` writes
+    that each iteration's first loss gather carries, plus those of the last
+    apply, which the final loss pass's first gather carries: each beyond
+    the pages of U-page 0, which that gather reads. Both lr instances are
+    checked; only `spread_instance`'s carried writes add requests."""
     iterations = 2
-    sgd_config = TrainConfig(op, task="lr", mode="sgd", alpha=alpha, iterations=iterations)
-    config = dataclasses.replace(sgd_config, mode=mode)
-    sgd = train(ds, sgd_store, sgd_config).metrics
-    metrics = train(ds, store, config).metrics
-    bounds = ds.upage_bounds(op.upage) if mode == "sgd-page" else [(0, len(ds))]
-    touched = [np.unique(ds.indices[ds.indptr[start] : ds.indptr[stop]])
-               for start, stop in bounds]
-    upage_pages = [set(scan_pages(ds, start, stop, store.page_size))
-                   for start, stop in ds.upage_bounds(op.upage)]
-    plan = [upage for upage, _, _ in iteration_plan(ds, store.page_size, config, 1)]
-    skipped = plan if mode == "bgd" else plan[:1]
-    last_steps = set().union(*upage_pages) if mode == "bgd" else upage_pages[plan[-1]]
-    upage_nnz = [int(ds.indptr[stop] - ds.indptr[start])
-                 for start, stop in ds.upage_bounds(op.upage)]
-    gathers = accumulated_gathers(ds, store.page_size, config)
-    assert metrics.batch_count == sum(math.ceil(len(steps | reads) / budget)
-                                      for _, steps, reads in gathers)
-    # iterations + 1 loss-only passes, less the skipped gathers, and iterations update passes
-    assert metrics.element_requests == (2 * iterations + 1) * len(ds.indices) - sum(
-        upage_nnz[upage] for upage in skipped) + iterations * sum(map(len, touched))
-    assert metrics.phases["apply"]["page_requests"] == 0
-    assert metrics.phases["update"]["page_requests"] == gathered_requests(gathers, "update")
-    assert metrics.phases["loss"]["page_requests"] == gathered_requests(gathers, "loss")
-    assert metrics.phases["loss"]["page_requests"] == sgd.phases["loss"]["page_requests"] - sum(
-        len(upage_pages[upage]) for upage in skipped) + len(last_steps - upage_pages[0])
+    for k, make in enumerate(LR_INSTANCES):
+        ds, store, budget, alpha = make(tmp_store, f"{k}.model")
+        _, sgd_store, _, _ = make(tmp_store, f"{k}-sgd.model")
+        op = small_op(budget=budget, reorder="radix", upage=16)
+        sgd_config = TrainConfig(op, task="lr", mode="sgd", alpha=alpha, iterations=iterations)
+        config = dataclasses.replace(sgd_config, mode=mode)
+        sgd = train(ds, sgd_store, sgd_config).metrics
+        metrics = train(ds, store, config).metrics
+        bounds = ds.upage_bounds(op.upage) if mode == "sgd-page" else [(0, len(ds))]
+        touched = [np.unique(ds.indices[ds.indptr[start] : ds.indptr[stop]])
+                   for start, stop in bounds]
+        upage_pages = [set(scan_pages(ds, start, stop, store.page_size))
+                       for start, stop in ds.upage_bounds(op.upage)]
+        plans = [[upage for upage, _ in iteration_plan(ds, store.page_size, config, iteration)]
+                 for iteration in range(iterations)]
+        skipped = plans[1] if mode == "bgd" else plans[1][:1]
+        last_write = set().union(*upage_pages) if mode == "bgd" else upage_pages[plans[-1][-1]]
+        upage_nnz = [int(ds.indptr[stop] - ds.indptr[start])
+                     for start, stop in ds.upage_bounds(op.upage)]
+        gathers = accumulated_gathers(ds, store.page_size, config)
+        assert metrics.batch_count == sum(math.ceil(len(write | reads) / budget)
+                                          for _, write, reads in gathers)
+        # iterations + 1 loss-only passes, less the skipped gathers, and iterations update passes
+        assert metrics.element_requests == (2 * iterations + 1) * len(ds.indices) - sum(
+            upage_nnz[upage] for upage in skipped) + iterations * sum(map(len, touched))
+        assert metrics.phases["apply"]["page_requests"] == 0
+        assert metrics.phases["update"]["page_requests"] == gathered_requests(gathers, "update")
+        assert metrics.phases["loss"]["page_requests"] == gathered_requests(gathers, "loss")
+        sgd_writes = sum(len(upage_pages[plan[-1]] - upage_pages[0]) for plan in plans)
+        assert metrics.phases["loss"]["page_requests"] == sgd.phases["loss"]["page_requests"] - sum(
+            len(upage_pages[upage]) for upage in skipped) - sgd_writes + len(
+            last_write - upage_pages[0])
+        assert (sgd_writes > 0) == (make is spread_instance)
 
 
 @pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
 def test_the_loss_phase_counts_the_loss_only_visits(tmp_store, mode):
     """The initial and the final loss are passes of their own, each U-page's
-    distinct pages requested once. Under `sgd` every loss is: T iterations
-    request (T + 1) times one loss pass's pages. Under `bgd` no loss between
-    is: its loss phase requests two passes' pages at T = 2 and at T = 5.
-    Under `sgd-page` loss i >= 1 skips the first updated U-page's loss-only
-    gather. Under both, the final pass's first gather carries the last
-    apply's steps, which add no request here: every U-page reads all 16
-    pages."""
-    ds, _, budget, alpha = task_instance(tmp_store, "lr")
-    op = small_op(budget=budget, reorder="radix", upage=16)
-    per_upage = gather_requests(ds, 16, op)
-    requests, configs = {}, {}
-    for iterations in (0, 2, 5):
-        _, store, _, _ = task_instance(tmp_store, "lr", name=f"{iterations}.model")
-        configs[iterations] = TrainConfig(op, task="lr", mode=mode, alpha=alpha,
-                                          iterations=iterations)
-        requests[iterations] = train(ds, store, configs[iterations]).metrics.phases[
-            "loss"]["page_requests"]
-    one_pass = requests[0]
-    assert one_pass == sum(per_upage) == 3 * 16 and len(per_upage) == 3
-    for iterations in (2, 5) if mode != "sgd" else ():
-        assert requests[iterations] == gathered_requests(
-            accumulated_gathers(ds, 16, configs[iterations]), "loss")
-    if mode == "sgd":
-        assert (requests[2], requests[5]) == (3 * one_pass, 6 * one_pass)
-    elif mode == "bgd":
-        assert requests[2] == requests[5] == 2 * one_pass
-    else:
-        for iterations in (2, 5):
-            firsts = [iteration_plan(ds, 16, configs[iterations], iteration)[0][0]
-                      for iteration in range(1, iterations)]
-            assert requests[iterations] == (iterations + 1) * one_pass - sum(
-                per_upage[upage] for upage in firsts)
+    distinct pages requested once, and the gathers count the pages of the
+    writes they carry beyond those they read (`accumulated_gathers`). Under
+    `sgd` every loss is: T iterations request (T + 1) times one loss pass's
+    pages, plus, per iteration, the pages of the last update pass's write
+    beyond U-page 0's. Under `bgd` no loss between is: its loss phase
+    requests two passes' pages at T = 2, 3 and 5. Under `sgd-page`
+    loss i >= 1 skips the first updated U-page's loss-only gather. Under
+    both, the final pass's first gather carries the last apply's write. On
+    `task_instance`'s lr data, where every U-page reads all 16 pages, no
+    carried write adds a request; on `spread_instance`'s, some do."""
+    for k, make in enumerate(LR_INSTANCES):
+        ds, _, budget, alpha = make(tmp_store, f"{k}.model")
+        op = small_op(budget=budget, reorder="radix", upage=16)
+        page_size = 16
+        per_upage = gather_requests(ds, page_size, op)
+        pages = [set(scan_pages(ds, start, stop, page_size))
+                 for start, stop in ds.upage_bounds(op.upage)]
+        requests, configs = {}, {}
+        for iterations in (0, 2, 3, 5):
+            _, store, _, _ = make(tmp_store, f"{k}-{iterations}.model")
+            configs[iterations] = TrainConfig(op, task="lr", mode=mode, alpha=alpha,
+                                              iterations=iterations)
+            requests[iterations] = train(ds, store, configs[iterations]).metrics.phases[
+                "loss"]["page_requests"]
+        one_pass = requests[0]
+        assert one_pass == sum(per_upage) and len(per_upage) == 3
+        assert (one_pass == 3 * 16) == (make is not spread_instance)
+        carried = []
+        for iterations in (2, 3, 5):
+            assert requests[iterations] == gathered_requests(
+                accumulated_gathers(ds, page_size, configs[iterations]), "loss")
+            plans = [[upage for upage, _ in iteration_plan(ds, page_size, configs[iterations],
+                                                           iteration)]
+                     for iteration in range(iterations)]
+            firsts = [plan[0] for plan in plans[1:]]
+            if mode == "sgd":
+                carried.append(sum(len(pages[plan[-1]] - pages[0]) for plan in plans))
+                expected = (iterations + 1) * one_pass
+            elif mode == "bgd":
+                carried.append(len(set().union(*pages) - pages[0]))
+                expected = 2 * one_pass
+            else:
+                carried.append(len(pages[plans[-1][-1]] - pages[0]))
+                expected = (iterations + 1) * one_pass - sum(per_upage[u] for u in firsts)
+            assert requests[iterations] == expected + carried[-1]
+        assert (max(carried) > 0) == (make is spread_instance)
         assert len(set(firsts)) > 1  # the shuffle moves the first U-page
 
 
@@ -1089,8 +1037,8 @@ def test_an_empty_dataset_trains(tmp_store, mode):
 
 def test_a_gradient_that_cancels_is_not_applied(tmp_store, monkeypatch):
     """At a zero model, tids 1 and 2 put terms -0.5 and +0.5 on index 5,
-    which cancel to exactly 0.0: under `bgd` the apply steps index 20 alone,
-    so the final loss pass's gather, which carries the step, unpins only
+    which cancel to exactly 0.0: under `bgd` the apply writes index 20 alone,
+    so the final loss pass's gather, which carries the write, unpins only
     page 2 dirty, page 0 is not written back, and the apply requests no page
     of its own."""
     from dpjoin import training
@@ -1127,13 +1075,15 @@ def test_a_gradient_that_cancels_is_not_applied(tmp_store, monkeypatch):
 @example([(4, 1e16), (4, 1.0), (4, -1e16)])    # 0.0 in visit order, 1.0 in another
 def test_gradient_sums_match_a_sequential_dict_sum(entries):
     """Each index adds its terms one at a time, in entry order, from +0.0,
-    as a dict filled entry by entry does; an exact 0.0 sum is dropped."""
+    as a dict filled entry by entry does, and is given with its value; an
+    exact 0.0 sum is dropped."""
     expected = {}
     for index, term in entries:
         expected[index] = expected.get(index, 0.0) + term
     expected = {index: g for index, g in sorted(expected.items()) if g != 0.0}
     indices = np.array([index for index, _ in entries], dtype=np.uint64)
     terms = np.array([term for _, term in entries], dtype=np.float64)
-    touched, sums = gradient_sums(indices, terms)
+    touched, sums, olds = gradient_sums(indices, terms, indices / 4.0)
     assert touched.tolist() == list(expected)
     assert sums.tolist() == list(expected.values())
+    assert olds.tolist() == [index / 4.0 for index in expected]
