@@ -26,7 +26,7 @@ PHASE_COUNTERS = ("page_requests", "page_misses", "write_backs")  # split by pha
 
 @dataclass
 class MetricsReport:
-    element_requests: int = 0   # entries visited; in training, the writes a gather carries too
+    element_requests: int = 0   # entries read and writes carried, counted by `run` and `gather`
     page_requests: int = 0
     page_misses: int = 0
     write_backs: int = 0

@@ -5,7 +5,7 @@ chunk (U-page) of vectors at a time, under one of three plans:
 
 - `gather` (the default): the U-page's entries are sorted by model index,
   its distinct pages are requested once each, in ascending groups of the
-  budget, and each entry's model value is copied into place (`gather`);
+  budget, and the value at each distinct index is copied once (`gather`);
   the dot products are then computed together and emitted in file order.
   This is a sort-merge join of the entries against the model.
 - `batched`: the paper's operator. Vectors are reordered within the
@@ -38,7 +38,6 @@ from .errors import OversizedVectorError, ValidationError
 from .metrics import MetricsReport
 from .model_store import page_count
 from .reorder import HEURISTICS, MAX_LSH_HASHES, reorder
-from .sparse_data import Dataset
 
 PLANS = ("gather", "batched", "single")
 
@@ -160,29 +159,21 @@ def plan_upage(dataset, start, stop, page_size, config, path):
     return rows, make_batches(sets, config, union)
 
 
-def execute(manager, data, batches, visit, report, dirty=None):
-    """Pin each batch's pages as one set, call `visit(data, start, stop,
-    at)` once for its vectors, rows [start, stop) of `data` (a batch's
-    positions are consecutive; the batches come in any order), and unpin
-    the set, declaring modified the pages that `dirty`, when given, holds
-    for that batch (one collection of pages per batch). `at` holds, for each of
-    the batch's entries, where its model value sits in
-    `manager.frames.reshape(-1)`. The set is unpinned even when resolving
-    `at` or the visit raises. Adds the batches, the vectors' element
-    requests and the time spent visiting to `report`."""
-    report.batch_count += len(batches)
-    indptr = data.indptr
-    for k, batch in enumerate(batches):
-        start, stop = batch.positions[0], batch.positions[-1] + 1
-        lo, hi = indptr[start], indptr[stop]
-        manager.request_set(batch.pages)
+def execute(manager, groups, visit, report):
+    """For the k-th group `(pages, indexes, dirty)`, pin `pages` as one set,
+    call `visit(k, at)`, `at` holding where the value at each of `indexes`
+    sits in `manager.frames.reshape(-1)`, and unpin the set, the pages of
+    `dirty` modified, even when resolving `at` or the visit raises. Adds
+    the groups and the time spent visiting to `report`."""
+    report.batch_count += len(groups)
+    for k, (pages, indexes, dirty) in enumerate(groups):
+        manager.request_set(pages)
         try:
             started = time.perf_counter()
-            report.element_requests += int(hi - lo)
-            visit(data, start, stop, manager.positions(data.indices[lo:hi]))
+            visit(k, manager.positions(indexes))
             report.compute_time += time.perf_counter() - started
         finally:
-            manager.unpin_set(batch.pages, dirty=() if dirty is None else dirty[k])
+            manager.unpin_set(pages, dirty=dirty)
 
 
 def page_groups(pages, budget):
@@ -191,70 +182,60 @@ def page_groups(pages, budget):
     return [frozenset(pages[k : k + budget]) for k in range(0, len(pages), budget)]
 
 
-def page_starts(pages):
-    """The distinct values of the ascending page ids `pages`, and where each
-    one's run starts, with len(pages) appended."""
-    first = np.flatnonzero(pages[1:] != pages[:-1]) + 1
-    first = np.concatenate(([0], first)) if len(pages) else first
-    return pages[first], np.append(first, len(pages))
+def runs(keys):
+    """The distinct values of the ascending array `keys`, and where each
+    one's run starts, with len(keys) appended."""
+    first = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    first = np.concatenate(([0], first)) if len(keys) else first
+    return keys[first], np.append(first, len(keys))
 
 
 def gather(manager, data, start, stop, report, write=None):
-    """The model value of every entry of rows [start, stop) of `data`, in
-    entry order, read by one ascending scan: the entries are sorted by
-    model index, their distinct pages requested once each through
-    `execute`, in ascending `page_groups` of the budget, and each value
-    copied into place from its pinned page. The copy writes each value at
-    its own entry, so the order of equal indexes changes nothing.
+    """The model slice `(touched, slots, local)` of rows [start, stop) of
+    `data`: their entries' distinct model indexes, ascending, each entry's
+    slot in `touched` (the narrowest unsigned dtype holding len(touched))
+    and the value at each index, so entry e's value is `local[slots[e]]`.
+    One sort of the entries gives the slice; one ascending scan through
+    `execute` reads it, each distinct page requested once, in
+    `page_groups` of the budget.
 
     `write`, when given, is a pending write `(touched, new)`: distinct,
     ascending model indexes and the value to assign to each. The same scan
     carries it: the union of both streams' pages is requested, each page
     once, and in each pinned group the values are assigned before the
-    entries are copied, so the read sees the written model. Only the pages
-    that hold a written index are unpinned dirty."""
+    slice is copied, so the read sees the written model. Only the pages
+    that hold a written index are unpinned dirty. Counts the entries and
+    the written indexes as element requests."""
     indices = data.indices[data.indptr[start] : data.indptr[stop]]
     order = np.argsort(indices)
-    touched, new = write if write is not None else (indices[:0], np.empty(0))
+    touched, starts = runs(indices[order])
+    slots = np.empty(len(indices), dtype=np.min_scalar_type(len(touched)))
+    slots[order] = np.repeat(np.arange(len(touched), dtype=slots.dtype), np.diff(starts))
+    written, new = write if write is not None else (touched[:0], np.empty(0))
+    report.element_requests += len(indices) + len(written)
     page_size = np.uint64(manager.store.page_size)
-    write_pages, write_starts = page_starts(touched // page_size)
-    read_pages = indices[order]
-    read_pages //= page_size  # in place, to hold one entries-sized array fewer
-    read_pages, read_starts = page_starts(read_pages)
-    # The union of the page lists, not by np.union1d: it imports numpy.ma
-    # (about 1 MiB) on first use.
-    pages = page_starts(np.sort(np.concatenate((write_pages, read_pages))))[0]
+    write_pages, write_starts = runs(written // page_size)
+    read_pages, read_starts = runs(touched // page_size)
+    # The pages' union; np.union1d would import numpy.ma (about 1 MiB).
+    pages = runs(np.sort(np.concatenate((write_pages, read_pages))))[0]
     firsts = pages[:: manager.capacity]
-    written = np.append(np.searchsorted(write_pages, firsts), len(write_pages))
-    write_cuts = write_starts[written]
+    dirty = np.append(np.searchsorted(write_pages, firsts), len(write_pages))
+    write_cuts = write_starts[dirty]
     read_cuts = read_starts[np.append(np.searchsorted(read_pages, firsts), len(read_pages))]
-    # Row 2g holds the model indexes of group g's write, row 2g + 1 its reads'.
-    indptr = np.empty(2 * len(firsts) + 1, dtype=np.int64)
-    indptr[0::2] = write_cuts + read_cuts
-    indptr[1::2] = write_cuts[1:] + read_cuts[:-1]
-    if len(touched):
-        merged = np.empty(indptr[-1], dtype=indices.dtype)
-        for g in range(len(firsts)):
-            merged[indptr[2 * g] : indptr[2 * g + 1]] = touched[write_cuts[g] : write_cuts[g + 1]]
-            merged[indptr[2 * g + 1] : indptr[2 * g + 2]] = indices[
-                order[read_cuts[g] : read_cuts[g + 1]]]
-    else:  # every write row is empty
-        merged = indices[order]
-    groups = Dataset.from_arrays(manager.store.dimension, indptr, merged, None,
-                                 np.arange(len(indptr) - 1), np.full(len(indptr) - 1, np.nan))
-    batches = [Batch([2 * g, 2 * g + 1], group)
-               for g, group in enumerate(page_groups(pages.tolist(), manager.capacity))]
-    values = np.empty(len(indices))
+    groups = [(group, np.concatenate((written[write_cuts[g] : write_cuts[g + 1]],
+                                      touched[read_cuts[g] : read_cuts[g + 1]])),
+               write_pages[dirty[g] : dirty[g + 1]])
+              for g, group in enumerate(page_groups(pages.tolist(), manager.capacity))]
+    local = np.empty(len(touched))
     flat = manager.frames.reshape(-1)
 
-    def write_and_copy(groups, row, _, at):
-        g, split = row // 2, indptr[row + 1] - indptr[row]
+    def write_and_copy(g, at):
+        split = write_cuts[g + 1] - write_cuts[g]
         flat[at[:split]] = new[write_cuts[g] : write_cuts[g + 1]]
-        values[order[read_cuts[g] : read_cuts[g + 1]]] = flat[at[split:]]
+        local[read_cuts[g] : read_cuts[g + 1]] = flat[at[split:]]
 
-    execute(manager, groups, batches, write_and_copy, report,
-            dirty=[write_pages[a:b] for a, b in zip(written, written[1:])])
-    return values
+    execute(manager, groups, write_and_copy, report)
+    return touched, slots, local
 
 
 def row_sums(terms, bounds):
@@ -337,13 +318,13 @@ def run(dataset, store, config, sink=None):
         for tid, dp in zip(data.tids[start:stop].tolist(), dps.tolist()):
             emit(DotProductResult(tid, dp))
 
-    def visit_pinned(data, start, stop, at):
-        visit(data, start, stop, flat[at])
+    def gathered_values(touched, slots, local):  # the slice dies before the dot products
+        return local[slots]
 
     for upage_index, (start, stop) in enumerate(dataset.upage_bounds(config.upage)):
         report.upage_count += 1
         if config.plan == "gather":
-            values = gather(manager, dataset, start, stop, report)
+            values = gathered_values(*gather(manager, dataset, start, stop, report))
             started = time.perf_counter()
             visit(dataset, start, stop, values)
             report.compute_time += time.perf_counter() - started
@@ -352,7 +333,12 @@ def run(dataset, store, config, sink=None):
             rows, batches = plan_upage(dataset, start, stop, store.page_size, config,
                                         (upage_index,))
             report.reorder_time += time.perf_counter() - started
-            execute(manager, dataset.take(rows), batches, visit_pinned, report)
+            data = dataset.take(rows)
+            bounds = [(batch.positions[0], batch.positions[-1] + 1) for batch in batches]
+            report.element_requests += int(data.indptr[-1])
+            execute(manager, [(batch.pages, data.indices[data.indptr[a] : data.indptr[b]], ())
+                              for batch, (a, b) in zip(batches, bounds)],
+                    lambda k, at: visit(data, *bounds[k], flat[at]), report)
     return finish_report(manager, report)
 
 

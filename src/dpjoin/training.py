@@ -3,10 +3,10 @@
 Two tasks share one driver: logistic regression (sparse examples against
 the whole model vector) and low-rank matrix factorization (cells against a
 packed factor layout: all row blocks, then all column blocks). Three update
-schedules are supported: per-example updates on a U-page's gathered values
-("sgd"), one accumulated update per U-page ("sgd-page"), and one update per
-full pass ("bgd"). Every pass reads each U-page with one `operator.gather`,
-which also carries the previous pass's write.
+schedules are supported: per-example updates ("sgd"), one accumulated
+update per U-page ("sgd-page") and one per full pass ("bgd"). Every pass
+reads each U-page's model slice with one `operator.gather`, which also
+carries the previous pass's write.
 
 train_oracle derives the same update order as `iteration_plan` on its own
 and follows it on an in-memory array with the same accumulation order, so
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -151,6 +152,26 @@ def _upage_order(count, config, iteration):
     return order
 
 
+class PageSets:
+    """`Dataset.page_sets` of rows [start, stop), built on first use."""
+
+    def __init__(self, dataset, start, stop, page_size):
+        self.dataset, self.args = dataset, (start, stop, page_size)
+
+    def __len__(self):
+        return self.args[1] - self.args[0]
+
+    def __getitem__(self, position):
+        return self.sets[position]
+
+    def __iter__(self):
+        return iter(self.sets)
+
+    @cached_property
+    def sets(self):
+        return self.dataset.page_sets(*self.args)
+
+
 def iteration_plan(dataset, page_size, config, iteration):
     """An iteration's plan: `(upage_index, order)` for each U-page of
     `dataset` in `_upage_order`. Under `sgd`, `order` is the U-page's
@@ -159,13 +180,14 @@ def iteration_plan(dataset, page_size, config, iteration):
     `sgd-page` and `bgd`, which read each U-page in file order, it is None.
 
     Depends only on the page-request sets at `page_size` and the seeds,
-    never on model values, so `train_oracle` can derive the same order."""
+    never on model values, so `train_oracle` can derive the same order.
+    `none` and `shuffle` read only the count of the `PageSets`."""
     op = config.operator
     bounds = dataset.upage_bounds(op.upage)
     order = _upage_order(len(bounds), config, iteration)
     if config.mode != "sgd":
         return [(upage_index, None) for upage_index in order]
-    return [(upage_index, plan_order(dataset.page_sets(*bounds[upage_index], page_size), op,
+    return [(upage_index, plan_order(PageSets(dataset, *bounds[upage_index], page_size), op,
                                      (iteration, upage_index)))
             for upage_index in order]
 
@@ -173,20 +195,23 @@ def iteration_plan(dataset, page_size, config, iteration):
 # -- the paged trainer -------------------------------------------------------------
 
 
-def gradient_sums(indices, terms, values):
-    """A sparse gradient from its entries: the distinct `indices`, ascending,
-    each one's sum of `terms`, added one at a time in entry order from +0.0
-    (an unbuffered `np.add.at`), as `train_oracle` adds them, and its value
-    in `values`, which holds the same value at every entry of an index; an
-    index whose sum is exactly 0.0 is dropped, since its step changes
-    nothing."""
-    touched, inverse = np.unique(indices, return_inverse=True)
-    sums = np.zeros(len(touched))
-    np.add.at(sums, inverse, terms)
-    olds = np.empty(len(touched))
-    olds[inverse] = values
+def gradient_sums(touched, slots, terms, values):
+    """A sparse gradient from the slices of one or more update reads, chunk
+    c being `touched[c]`, `slots[c]`, `terms[c]` (each entry's gradient
+    term) and `values[c]` (`gather`'s `local`): the distinct indexes of all
+    chunks, ascending, each one's sum of terms, added one at a time in
+    chunk and entry order from +0.0 (an unbuffered `np.add.at`), as
+    `train_oracle` adds them, and its value; an index whose sum is exactly
+    0.0 is dropped, since its step changes nothing."""
+    distinct, inverse = np.unique(np.concatenate(touched), return_inverse=True)
+    sums = np.zeros(len(distinct))
+    ends = np.cumsum([len(chunk) for chunk in touched])
+    for at, chunk_slots, chunk_terms in zip(np.split(inverse, ends[:-1]), slots, terms):
+        np.add.at(sums, at[chunk_slots], chunk_terms)
+    olds = np.empty(len(distinct))
+    olds[inverse] = np.concatenate(values)
     keep = sums != 0.0
-    return touched[keep], sums[keep], olds[keep]
+    return distinct[keep], sums[keep], olds[keep]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence shows as a non-finite loss
@@ -199,17 +224,16 @@ def train(dataset, store, config):
     `sgd-page` and `bgd`) then calls the task's residual, loss-term and
     gradient-term kernels once on the gathered values. Its loss terms go to
     their file rows, and a loss adds them in file order, as `train_oracle`
-    does. An `sgd` update pass copies the values at the U-page's distinct
-    model indexes into a local array and runs the task's per-vector updates
-    on it in `iteration_plan`'s order. Memory follows the entries of a
-    U-page, or of a `bgd` pass, never the model's dimension.
+    does. An `sgd` update pass runs the task's per-vector updates on the
+    gathered model slice in `iteration_plan`'s order. Memory follows the
+    entries of a U-page, or of a `bgd` pass, never the model's dimension.
 
     A pass writes nothing itself: it leaves a pending write `(touched,
     new)`, and the next gather, whatever its phase, carries it in its
     ascending scan, assigning each page's values before it reads it and
     unpinning dirty only the pages that hold one. An `sgd` update pass
-    leaves its local array. An `sgd-page` or `bgd` apply reduces the update
-    passes' entries since the last apply (`gradient_sums`) and leaves
+    leaves its slice. An `sgd-page` or `bgd` apply reduces the update
+    passes' slices since the last apply (`gradient_sums`) and leaves
     `old - alpha * g[i]`, `old` being the value the update read: no apply
     falls between that read and the apply. The final loss pass follows the
     last write, and a loss that stops training is computed after the
@@ -240,7 +264,7 @@ def train(dataset, store, config):
     report = MetricsReport(config=config.describe(), phases={
         phase: dict.fromkeys(PHASE_COUNTERS, 0) for phase in ("loss", "update", "apply")})
     bounds = dataset.upage_bounds(op.upage)
-    pending = []  # (indices, terms, values) of each update pass since the last apply
+    pending = []  # (touched, slots, terms, local) of each update pass since the last apply
     write = None  # (touched, new), until a gather carries it
     loss_by_row = np.empty(len(dataset))  # the loss terms of each read, at their file rows
 
@@ -293,45 +317,31 @@ def train(dataset, store, config):
         (dot_products, lr_loss_terms, lr_gradient_terms, lr_sgd) if config.task == "lr" else
         (cell_errors, lmf_loss_terms, lmf_gradient_terms, lmf_sgd))
 
-    def read(start, stop, update=False):
-        """`gather` rows [start, stop) of the dataset, then run the kernels
-        once: write the loss terms at those rows and, if `update`, keep the
-        gradient terms and the values read for the apply. The gather
-        carries the pending write."""
+    def read(start, stop, update=False, order=None):
+        """`gather` rows [start, stop), carrying the pending write. Given an
+        `order`, run `sgd`'s updates on the slice in it, left as the pending
+        write; else run the kernels once: write the loss terms at those rows
+        and, if `update`, keep the slice and the gradient terms to apply."""
         nonlocal write
-        values = gather(manager, dataset, start, stop, report, write)
+        touched, slots, local = gather(manager, dataset, start, stop, report, write)
         write = None
         started = time.perf_counter()
-        residual = residuals(dataset, start, stop, values)
-        loss_by_row[start:stop] = loss_terms(dataset, start, stop, residual)
-        if update:
-            indices = dataset.indices[dataset.indptr[start] : dataset.indptr[stop]]
-            pending.append((indices, gradient_terms(dataset, start, stop, residual), values))
+        if order is not None:
+            sgd(start, stop, slots.astype(np.intp), local, order)  # intp indexes fastest
+            write = touched, local
+        else:
+            residual = residuals(dataset, start, stop, local[slots])
+            loss_by_row[start:stop] = loss_terms(dataset, start, stop, residual)
+            if update:
+                pending.append((touched, slots, gradient_terms(dataset, start, stop, residual),
+                                local))
         report.compute_time += time.perf_counter() - started
 
     def apply_gradient():
         nonlocal write
-        touched, sums, olds = gradient_sums(*map(np.concatenate, zip(*pending)))
+        touched, sums, olds = gradient_sums(*zip(*pending))
         pending.clear()
         write = touched, olds - config.alpha * sums
-
-    def update_pass(upage_index, order):
-        """`sgd`'s updates of the U-page in `order`, on the values at its
-        distinct model indexes, left as the pending write; or an updating
-        `read` of it."""
-        nonlocal write
-        start, stop = bounds[upage_index]
-        if config.mode != "sgd":
-            return read(start, stop, update=True)
-        values = gather(manager, dataset, start, stop, report, write)
-        started = time.perf_counter()
-        indices = dataset.indices[dataset.indptr[start] : dataset.indptr[stop]]
-        touched, slots = np.unique(indices, return_inverse=True)
-        local = np.empty(len(touched))
-        local[slots] = values
-        sgd(start, stop, slots, local, order)
-        write = touched, local
-        report.compute_time += time.perf_counter() - started
 
     def charged(phase, work, *args, **kwargs):
         """Run `work` and add the storage counters it moved to `phase`."""
@@ -363,14 +373,14 @@ def train(dataset, store, config):
             # losses[iteration] is the loss of the model that the update
             # passes before this iteration's first apply read.
             fused = plan if config.mode == "bgd" else plan[:1]
-            for upage in fused:
-                charged("update", update_pass, *upage)
+            for upage, order in fused:
+                charged("update", read, *bounds[upage], update=True, order=order)
             losses.append(charged("loss", loss_pass, {upage for upage, _ in fused}))
             if not math.isfinite(losses[-1]):
                 break  # the gradient accumulated on that model is never applied
-        for position, upage in enumerate(plan):
+        for position, (upage, order) in enumerate(plan):
             if position >= len(fused):
-                charged("update", update_pass, *upage)
+                charged("update", read, *bounds[upage], update=True, order=order)
             if config.mode == "sgd-page":
                 apply_gradient()
         if config.mode == "bgd" and pending:  # an empty dataset accumulates nothing

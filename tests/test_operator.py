@@ -222,7 +222,7 @@ def test_batch_kernel_is_bit_identical_to_the_oracle(tmp_store):
 def test_kernel_rejects_a_page_that_is_not_pinned(tmp_store):
     """A batch whose pages miss one its vectors touch is refused before any
     visit reads the frame pool."""
-    from dpjoin import Batch, BufferManager, Dataset, MetricsReport
+    from dpjoin import BufferManager, Dataset, MetricsReport
     from dpjoin.operator import execute
 
     from conftest import make_vector
@@ -232,7 +232,7 @@ def test_kernel_rejects_a_page_that_is_not_pinned(tmp_store):
     manager = BufferManager(store, 4)
     visited = []
     with pytest.raises(PreconditionError, match="page 2 is not pinned"):
-        execute(manager, data, [Batch([0], (0,))], lambda *args: visited.append(args),
+        execute(manager, [((0,), data.indices, ())], lambda *args: visited.append(args),
                 MetricsReport(config={}))
     assert visited == []
     assert pinned_pages(manager) == set()
@@ -241,7 +241,7 @@ def test_kernel_rejects_a_page_that_is_not_pinned(tmp_store):
 @pytest.mark.parametrize("dirty", [False, True])
 def test_a_visit_that_raises_leaves_nothing_pinned(tmp_store, dirty):
     """The batch's set is unpinned, the pages the pass writes as modified."""
-    from dpjoin import Batch, BufferManager, Dataset, MetricsReport
+    from dpjoin import BufferManager, Dataset, MetricsReport
     from dpjoin.operator import execute
 
     from conftest import make_vector
@@ -251,9 +251,10 @@ def test_a_visit_that_raises_leaves_nothing_pinned(tmp_store, dirty):
 
     store = tmp_store(64, 8)
     manager = BufferManager(store, 4)
+    data = Dataset(64, [make_vector(1, [3, 20])])
     with pytest.raises(ValueError, match="visit failed"):
-        execute(manager, Dataset(64, [make_vector(1, [3, 20])]), [Batch([0], (0, 2))], visit,
-                MetricsReport(config={}), dirty=[(0, 2)] if dirty else None)
+        execute(manager, [((0, 2), data.indices, (0, 2) if dirty else ())], visit,
+                MetricsReport(config={}))
     assert pinned_pages(manager) == set()
     manager.flush_all()
     assert manager.write_backs == (2 if dirty else 0)
@@ -542,9 +543,10 @@ def test_a_gather_carries_pending_steps_in_its_own_scan(tmp_store, monkeypatch, 
     """A pending write (steps, as assigned values) on pages 0 and 1 rides a
     read of pages 1 and 2 (page 3 is touched by neither): the union of the
     two streams' pages is requested in one ascending scan, each page once,
-    in groups of the budget; the read sees the written values; only the
-    written pages are written back, and the model on disk is the written
-    model. Either stream may be empty."""
+    in groups of the budget; the read's model slice is the entries'
+    distinct indexes, each entry's slot among them and the written model's
+    value at each; only the written pages are written back, and the model
+    on disk is the written model. Either stream may be empty."""
     from dpjoin import BufferManager, Dataset, MetricsReport
     from dpjoin.operator import gather
 
@@ -567,11 +569,14 @@ def test_a_gather_carries_pending_steps_in_its_own_scan(tmp_store, monkeypatch, 
         written.append(page), write(page, values)))
     manager, report = BufferManager(store, budget), MetricsReport(config={})
     with PageRecorder(store) as recorder:
-        values = gather(manager, data, 0, stop, report, write)
+        touched, slots, local = gather(manager, data, 0, stop, report, write)
     pages = sorted(step_pages | read_pages)
     assert recorder.requests == [pages[k : k + budget] for k in range(0, len(pages), budget)]
     assert recorder.misses_by_page == dict.fromkeys(pages, 1)
-    assert _bits(values) == _bits(stepped[[9, 17, 9, 10][: 2 * stop]])
+    distinct, inverse = np.unique(data.indices[: 2 * stop], return_inverse=True)
+    assert touched.tolist() == distinct.tolist() and slots.tolist() == inverse.tolist()
+    assert slots.dtype == np.uint8  # the narrowest that holds every slot
+    assert _bits(local) == _bits(stepped[touched.astype(np.int64)])
     assert report.batch_count == len(recorder.requests)
     assert report.element_requests == 2 * stop + 3 * bool(step_pages)
     assert pinned_pages(manager) == set()

@@ -366,6 +366,30 @@ def test_iteration_plan_fixed_scan_when_disabled():
         assert [u for u, _ in plan] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_sgd_plans_build_page_sets_only_for_a_heuristic_that_reads_them(monkeypatch,
+                                                                       heuristic):
+    """Under `sgd`, `iteration_plan` orders each U-page by `plan_order` of its
+    page sets, and builds them (`Dataset.page_sets`) only for a heuristic
+    that reads more than their count: never under `none` and `shuffle`,
+    once per U-page under the others."""
+    ds, page_size = gen_uniform(50, 200, 4, seed=6), 16
+    config = TrainConfig(small_op(budget=13, reorder=heuristic, upage=16), mode="sgd")
+    calls, page_sets = [], Dataset.page_sets
+
+    def spy(self, *args):
+        calls.append(args)
+        return page_sets(self, *args)
+
+    monkeypatch.setattr(Dataset, "page_sets", spy)
+    plan = iteration_plan(ds, page_size, config, 1)
+    bounds = ds.upage_bounds(16)
+    assert len(calls) == (0 if heuristic in ("none", "shuffle") else len(bounds))
+    assert [order for _, order in plan] == [
+        plan_order(page_sets(ds, *bounds[upage], page_size), config.operator, (1, upage))
+        for upage, _ in plan]
+
+
 def test_loss_decreases_on_small_lr_problem(tmp_store):
     ds = gen_uniform(100, 200, 5, seed=12)
     store = tmp_store(200, 16)
@@ -450,9 +474,9 @@ def test_a_loss_pass_costs_what_the_radix_join_costs(tmp_store, monkeypatch, tas
     ds, store, budget, _ = task_instance(tmp_store, task)
     executed, real_execute = [], operator.execute
 
-    def execute(manager, data, batches, *args, **kwargs):
-        executed.append([sorted(batch.pages) for batch in batches])
-        return real_execute(manager, data, batches, *args, **kwargs)
+    def execute(manager, groups, *args, **kwargs):
+        executed.append([sorted(pages) for pages, _, _ in groups])
+        return real_execute(manager, groups, *args, **kwargs)
 
     monkeypatch.setattr(operator, "execute", execute)  # every gather's scan
     for budget in (budget, store.num_pages):
@@ -736,10 +760,10 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
         events.append(("iteration_plan", args[3]))
         return original_plan(*args)
 
-    def execute(manager, data, batches, visit, report, dirty=None):
-        # A gather's rows lead with a carried write's indexes, which it dirties.
-        events.append(("carry",) if any(len(pages) for pages in dirty) else ("gather",))
-        return original_execute(manager, data, batches, visit, report, dirty=dirty)
+    def execute(manager, groups, visit, report):
+        # A gather's groups dirty the pages of the write it carries.
+        events.append(("carry",) if any(len(dirty) for _, _, dirty in groups) else ("gather",))
+        return original_execute(manager, groups, visit, report)
 
     def take(self, rows):
         events.append(("take",))
@@ -1069,21 +1093,29 @@ def test_a_gradient_that_cancels_is_not_applied(tmp_store, monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 12), st.sampled_from(
     [0.1, -0.1, 0.2, -0.3, 0.5, -0.5, 1.0, -1.0, 1e16, -1e16, 3.7e-5, 0.0, -0.0])),
-    max_size=60))
-@example([(3, 0.5), (3, -0.5), (1, 0.25)])     # index 3 cancels to 0.0
-@example([(2, 0.1), (2, 0.2), (2, -0.3)])      # (0.1 + 0.2) - 0.3 != 0.1 + (0.2 - 0.3)
-@example([(4, 1e16), (4, 1.0), (4, -1e16)])    # 0.0 in visit order, 1.0 in another
-def test_gradient_sums_match_a_sequential_dict_sum(entries):
+    max_size=60), st.lists(st.integers(0, 60), max_size=2))
+@example([(3, 0.5), (3, -0.5), (1, 0.25)], [])     # index 3 cancels to 0.0
+@example([(2, 0.1), (2, 0.2), (2, -0.3)], [1])     # (0.1 + 0.2) - 0.3 != 0.1 + (0.2 - 0.3)
+@example([(4, 1e16), (4, 1.0), (4, -1e16)], [1, 2])  # 0.0 in visit order, 1.0 in another
+def test_gradient_sums_match_a_sequential_dict_sum(entries, cuts):
     """Each index adds its terms one at a time, in entry order, from +0.0,
     as a dict filled entry by entry does, and is given with its value; an
-    exact 0.0 sum is dropped."""
+    exact 0.0 sum is dropped. The entries come in 1 to 3 chunks, cut at
+    `cuts`, each given as a gathered slice (its distinct indexes, each
+    entry's slot among them, the value at each index), and an index may
+    recur across chunks, as it does across the U-pages of a `bgd` pass."""
     expected = {}
     for index, term in entries:
         expected[index] = expected.get(index, 0.0) + term
     expected = {index: g for index, g in sorted(expected.items()) if g != 0.0}
     indices = np.array([index for index, _ in entries], dtype=np.uint64)
     terms = np.array([term for _, term in entries], dtype=np.float64)
-    touched, sums, olds = gradient_sums(indices, terms, indices / 4.0)
+    chunks = np.split(np.arange(len(entries)), sorted(min(cut, len(entries)) for cut in cuts))
+    slices = [np.unique(indices[chunk], return_inverse=True) for chunk in chunks]
+    touched, sums, olds = gradient_sums([distinct for distinct, _ in slices],
+                                        [slots for _, slots in slices],
+                                        [terms[chunk] for chunk in chunks],
+                                        [distinct / 4.0 for distinct, _ in slices])
     assert touched.tolist() == list(expected)
     assert sums.tolist() == list(expected.values())
     assert olds.tolist() == [index / 4.0 for index in expected]
