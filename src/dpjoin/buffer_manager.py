@@ -1,12 +1,13 @@
 """Buffer manager with set-granular pinned requests over a page store.
 
-Requests arrive as page sets, not single pages. A request is served in two
-stages: first every requested page that is already resident is pinned, then
-the missing pages are loaded one by one (ascending page id), each time
-evicting the least-recently-used unpinned page if the pool is full. Because
-the whole request is pinned before any caller code runs, no page of the
-request can be evicted by the request itself; this is what makes a batch of
-vectors safe to process against a fixed set of resident pages.
+Requests arrive as page sets, not single pages, and one set is pinned at
+a time: `request_set` pins a set, `unpin_set` releases exactly that set,
+and a request made while a set is pinned is refused. A request refreshes
+its resident pages, then loads the missing ones one by one (ascending page
+id), each time evicting the least-recently-used page if the pool is full.
+Since nothing outside the request is pinned and the set fits the pool, the
+least recent page is never one of the request's; this is what makes a batch
+of vectors safe to process against a fixed set of resident pages.
 
 Replacement is strict LRU over request sets: after a request completes, all
 its pages become the most recently used, with the lower page id placed most
@@ -20,15 +21,14 @@ in place into a free frame, or into the frame the evicted page gives up.
 The pool is allocated lazily by the operating system, so resident memory
 grows only with the frames actually used. One ordered map of resident page
 to frame row is at once the residency map, the LRU order and where each
-page lives; `positions` turns the model indexes of pinned pages into places
-in `frames.reshape(-1)`, so a caller gathers or updates a whole pinned
-batch's values in one step. A row holds a page only while it is resident,
-so positions are good only while their pages stay pinned.
+page lives; `positions` turns the model indexes of the pinned set into
+places in `frames.reshape(-1)`, so a caller gathers or updates a whole
+pinned batch's values in one step. A row holds a page only while it is
+resident, so positions are good only while the set stays pinned.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 
 import numpy as np
@@ -45,7 +45,7 @@ class BufferManager:
         self.frames = np.empty((min(capacity, store.num_pages), store.page_size), dtype="<f8")
         self._free = list(range(len(self.frames)))[::-1]  # free frames; frame 0 is used first
         self._resident = OrderedDict()  # page_id -> its row of `frames`, least recent first
-        self._pins = {}                 # page_id -> pin count, pinned pages only
+        self._pinned = []               # the pinned set's pages, ascending; [] when none is
         self._dirty = set()             # resident pages modified since they were read
         self.page_requests = 0
         self.page_misses = 0
@@ -56,49 +56,42 @@ class BufferManager:
     # -- requests ------------------------------------------------------------
 
     def request_set(self, pages):
-        """Pin `pages` as one unit.
+        """Pin `pages` as one unit; no other set may be pinned.
 
         Counts len(pages) page requests and one miss per page actually
-        loaded. The caller must unpin_set the same pages when done. If a
-        page cannot be read or an evicted page written back, the request
-        releases every pin it took; the pages it read stay resident.
+        loaded. The caller must unpin_set the same pages when done. A
+        refused request counts, reads and pins nothing. If a page cannot be
+        read or an evicted page written back, nothing is left pinned; the
+        pages the request read stay resident and counted.
         """
-        requested = {int(p) for p in pages}
-        pages = sorted(requested)
+        pages = sorted({int(p) for p in pages})
+        if self._pinned:
+            raise PreconditionError(f"a set of {len(self._pinned)} pages is still pinned")
+        num_pages = self.store.num_pages
+        if pages and not (0 <= pages[0] and pages[-1] < num_pages):
+            stray = pages[0] if pages[0] < 0 else pages[-1]
+            raise ValidationError(f"page {stray} is outside the model's {num_pages} pages")
         if len(pages) > self.capacity:
             raise PreconditionError(
                 f"request of {len(pages)} pages exceeds budget of {self.capacity}"
             )
-        resident, pins = self._resident, self._pins
+        resident = self._resident
         missing = [page_id for page_id in pages if page_id not in resident]
-        # Checked before anything changes, so a refused request leaves no
-        # pin, page or counter behind: each miss needs a free frame or a
-        # resident page outside the request that nothing pins.
-        outside = len(resident) - (len(pages) - len(missing))
-        pinned_outside = sum(1 for page_id in pins if page_id not in requested)
-        if len(missing) > len(self._free) + outside - pinned_outside:
-            raise PreconditionError("all resident pages are pinned; cannot evict")
         self.page_requests += len(pages)
-        # Hits are pinned and refreshed highest id first, so the eviction
-        # scan below never walks them and, when nothing is missing, the set
-        # already sits at the recent end in its final order.
+        # Hits are refreshed highest id first, so the least recent page, the
+        # next victim, is never one of the request's, and, when nothing is
+        # missing, the set already sits at the recent end in its final order.
         for page_id in reversed(pages):
             if page_id in resident:
-                pins[page_id] = pins.get(page_id, 0) + 1
                 resident.move_to_end(page_id)
-        # The victims are the least recent unpinned pages: loaded pages are
-        # pinned at the recent end, so one scan finds all of them in order.
-        victims = iter(list(itertools.islice(
-            (page_id for page_id in resident if page_id not in pins),
-            max(0, len(missing) - len(self._free)))))
-        frames, store, dirty = self.frames, self.store, self._dirty
+        frames, free, store, dirty = self.frames, self._free, self.store, self._dirty
         for k, page_id in enumerate(missing):
             frame = None
             try:
-                if self._free:
-                    frame = self._free.pop()
+                if free:
+                    frame = free.pop()
                 else:
-                    victim = next(victims)
+                    victim = next(iter(resident))
                     if victim in dirty:
                         # A failed write-back leaves the page resident and dirty.
                         store.write_page(victim, frames[resident[victim]])
@@ -108,14 +101,11 @@ class BufferManager:
                 store.read_page(page_id, out=frames[frame])
             except BaseException:
                 if frame is not None:
-                    self._free.append(frame)
+                    free.append(frame)
                 self.page_misses += k
                 self._ever_read.update(missing[:k])
-                unread = set(missing[k:])
-                self._release([p for p in pages if p not in unread])
                 raise
             resident[page_id] = frame
-            pins[page_id] = 1
         if missing:
             self.page_misses += len(missing)
             self._ever_read.update(missing)
@@ -123,26 +113,27 @@ class BufferManager:
             # refreshed last so the lowest id ends up the single most recent.
             for page_id in reversed(pages):
                 resident.move_to_end(page_id)
+        self._pinned = pages
 
     def unpin_set(self, pages, dirty=()):
-        """Release one pin on each of `pages`. `dirty` names those of them
-        the caller modified; each is written back when it is evicted or
-        flushed."""
-        pages = {int(p) for p in pages}
+        """Release the pinned set, which `pages` must name. `dirty` names
+        those of them the caller modified; each is written back when it is
+        evicted or flushed."""
+        pages = sorted({int(p) for p in pages})
         dirty = {int(p) for p in dirty}
-        if not pages <= self._pins.keys():
-            raise PreconditionError(f"page {min(pages - self._pins.keys())} is not pinned")
-        if not dirty <= pages:
-            raise PreconditionError(f"page {min(dirty - pages)} is not being unpinned")
-        self._release(pages)
+        if pages != self._pinned:
+            raise PreconditionError(f"the {len(pages)} pages to unpin are not the pinned set")
+        if not dirty.issubset(pages):
+            raise PreconditionError(f"page {min(dirty.difference(pages))} is not being unpinned")
+        self._pinned = []
         self._dirty.update(dirty)
 
     def positions(self, indexes):
         """Where each model index of `indexes` sits in `frames.reshape(-1)`.
         Every index's page must be pinned, and the positions are good only
-        until it is unpinned."""
+        until the set is unpinned."""
         page_size = self.store.page_size
-        pinned = sorted(self._pins)
+        pinned = self._pinned
         # Each pinned page's first index, after a page's worth below index 0
         # that no index may fall in. The positions are computed in place: a
         # pinned batch may hold most of a U-page's entries.
@@ -160,15 +151,6 @@ class BufferManager:
                             count=len(pinned))
         position += np.append(0, frame * page_size)[at]
         return position
-
-    def _release(self, pages):
-        pins = self._pins
-        for page_id in pages:
-            count = pins[page_id]
-            if count == 1:
-                del pins[page_id]
-            else:
-                pins[page_id] = count - 1
 
     def flush_all(self):
         """Write back every dirty resident page (ascending id); keep residency."""

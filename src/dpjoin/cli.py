@@ -69,9 +69,10 @@ def _operator_config(args, shape, plan, reorder, budget, upage):
     )
 
 
-def _add_operator_flags(parser, grid=False):
-    """The operator's flags; with `grid`, --budget, --plan, --reorder and
-    --upage each take one or more values."""
+def _add_operator_flags(parser, grid=False, plan=True):
+    """The operator's flags, --plan only with `plan` (training gathers every
+    U-page); with `grid`, --budget, --plan, --reorder and --upage each take
+    one or more values."""
     def values(default):
         return {"nargs": "+", "default": [default]} if grid else {"default": default}
 
@@ -79,16 +80,17 @@ def _add_operator_flags(parser, grid=False):
                         help="memory budget: pages or %% of model pages (default 20%%)")
     parser.add_argument("--reorder", choices=HEURISTICS, **values("none"),
                         help="orders the batched and single joins and sgd's updates only")
-    # Checked by check_inputs, so an unknown plan exits 2 from main.
-    parser.add_argument("--plan", **values("gather"),
-                        help=f"one of {', '.join(PLANS)}: the sort-merge gather (default),"
-                             " the paper's batched operator, or one vector per batch;"
-                             " training gathers every U-page under every plan")
-    parser.add_argument("--upage", type=int, **values(4096),
-                        help="vectors per reorder scope (default 4096)")
-    parser.add_argument("--lsh-hashes", type=int, default=16,
-                        help=f"minwise hashes for lsh, at most {MAX_LSH_HASHES} (default 16)")
-    parser.add_argument("--lsh-bands", type=int, default=4)
+    if plan:
+        # Checked by check_inputs, so an unknown plan exits 2 from main.
+        parser.add_argument("--plan", **values(OperatorConfig.plan),
+                            help=f"one of {', '.join(PLANS)}: the sort-merge gather (default),"
+                                 " the paper's batched operator, or one vector per batch")
+    parser.add_argument("--upage", type=int, **values(OperatorConfig.upage),
+                        help=f"vectors per reorder scope (default {OperatorConfig.upage})")
+    parser.add_argument("--lsh-hashes", type=int, default=OperatorConfig.lsh_m,
+                        help=f"minwise hashes for lsh, at most {MAX_LSH_HASHES}"
+                             f" (default {OperatorConfig.lsh_m})")
+    parser.add_argument("--lsh-bands", type=int, default=OperatorConfig.lsh_b)
     parser.add_argument("--kcenter-k", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
 
@@ -155,7 +157,8 @@ def cmd_train(args):
     dataset = _load_data(args)
     shape = _model_shape(args, dataset)
     config = TrainConfig(
-        operator=_operator_config(args, shape, args.plan, args.reorder, args.budget, args.upage),
+        operator=_operator_config(args, shape, OperatorConfig.plan, args.reorder, args.budget,
+                                  args.upage),
         task=args.task,
         mode=args.mode,
         alpha=args.alpha,
@@ -259,7 +262,7 @@ def build_parser():
     trainp.add_argument("--no-shuffle", action="store_true",
                         help="keep the U-page visit order fixed across iterations")
     trainp.add_argument("--loss-out", default=None, help="loss CSV (iteration,loss)")
-    _add_operator_flags(trainp)
+    _add_operator_flags(trainp, plan=False)
     trainp.set_defaults(func=cmd_train)
 
     sweep = sub.add_parser("sweep", help="counters of the join over a grid of plans,"

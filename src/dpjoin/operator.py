@@ -37,7 +37,7 @@ from .buffer_manager import BufferManager
 from .errors import OversizedVectorError, ValidationError
 from .metrics import MetricsReport
 from .model_store import page_count
-from .reorder import HEURISTICS, MAX_LSH_HASHES, reorder
+from .reorder import DEFAULT_LSH_BANDS, DEFAULT_LSH_HASHES, HEURISTICS, MAX_LSH_HASHES, reorder
 
 PLANS = ("gather", "batched", "single")
 
@@ -55,8 +55,8 @@ class OperatorConfig:
     plan: str = "gather"        # one of PLANS
     upage: int = 4096           # vectors per reorder scope
     seed: int = 0
-    lsh_m: int = 16
-    lsh_b: int = 4
+    lsh_m: int = DEFAULT_LSH_HASHES
+    lsh_b: int = DEFAULT_LSH_BANDS
     kcenter_k: int | None = None
 
     @property

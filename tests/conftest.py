@@ -111,8 +111,8 @@ def resident_pages(manager):
 
 
 def pinned_pages(manager):
-    """The pages `manager` holds at least one pin on."""
-    return set(manager._pins)
+    """The pages of the set `manager` has pinned."""
+    return set(manager._pinned)
 
 
 class PageRecorder:

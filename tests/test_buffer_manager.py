@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpjoin import BufferManager, ModelStore, PreconditionError, StoreError
+from dpjoin import BufferManager, ModelStore, PreconditionError, StoreError, ValidationError
 
 from conftest import PageRecorder, pinned_pages, resident_pages
 
@@ -52,21 +52,20 @@ def test_lru_eviction_order(tmp_store):
 
 def test_pinned_never_evicted(tmp_store):
     bm = manager(tmp_store, 3)
-    bm.request_set([0, 1])
-    # 0 and 1 stay pinned; loading 2 then 3 must evict 2, not them
-    bm.request_set([2])
-    bm.unpin_set([2])
-    bm.request_set([3])
-    bm.unpin_set([3])
-    assert {0, 1} <= resident_pages(bm)
-    assert 2 not in resident_pages(bm)
-    bm.unpin_set([0, 1])
+    for pages in ([0, 1], [2]):          # least recent first: 1, 0, 2
+        bm.request_set(pages)
+        bm.unpin_set(pages)
+    # page 1 is the least recent, but this request pins it: its two misses
+    # evict 0 and 2
+    bm.request_set([1, 3, 4])
+    assert resident_pages(bm) == pinned_pages(bm) == {1, 3, 4}
+    bm.unpin_set([1, 3, 4])
 
 
 def test_all_pinned_rejected(tmp_store):
     bm = manager(tmp_store, 2)
     bm.request_set([0, 1])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="a set of 2 pages is still pinned"):
         bm.request_set([2])
 
 
@@ -74,7 +73,7 @@ def test_refused_request_changes_nothing(tmp_store):
     bm = manager(tmp_store, 3)
     bm.request_set([0, 1])
     with pytest.raises(PreconditionError):
-        bm.request_set([2, 3])   # one free frame for two misses
+        bm.request_set([2, 3])   # one set at a time
     assert pinned_pages(bm) == {0, 1}
     assert resident_pages(bm) == {0, 1}
     assert (bm.page_requests, bm.page_misses, bm.store.reads) == (2, 2, 2)
@@ -85,27 +84,32 @@ def test_refused_request_changes_nothing(tmp_store):
 
 
 def test_refused_request_counts_its_unpinned_hits_as_taken(tmp_store):
+    """While a set is pinned, a request that needs no frame is refused too,
+    and its hits, pinned or only resident, are neither counted nor
+    refreshed."""
     bm = manager(tmp_store, 3)
-    bm.request_set([0, 1])
+    bm.request_set([0])
     bm.unpin_set([0])
-    # page 0 is resident and unpinned, but this request pins it, so the
-    # two misses have one free frame and nothing to evict
-    with pytest.raises(PreconditionError):
-        bm.request_set([0, 2, 3])
+    bm.request_set([1])
+    for pages in ([1], [0], [0, 1]):
+        with pytest.raises(PreconditionError):
+            bm.request_set(pages)
     assert pinned_pages(bm) == {1}
-    assert bm.page_requests == 2
-    bm.request_set([0, 2])       # one miss, one free frame: served
-    assert pinned_pages(bm) == {0, 1, 2}
-    bm.unpin_set([0, 1, 2])
+    assert (bm.page_requests, bm.page_misses) == (2, 2)
+    bm.unpin_set([1])
+    bm.request_set([2, 3])       # page 0 is still the least recent: 3 evicts it
+    assert resident_pages(bm) == {1, 2, 3}
+    bm.unpin_set([2, 3])
 
 
 def test_refused_unpin_changes_nothing(tmp_store):
     bm = manager(tmp_store, 2)
     bm.request_set([0, 1])
-    with pytest.raises(PreconditionError):
-        bm.unpin_set([0, 5], dirty=[0, 5])
-    with pytest.raises(PreconditionError, match="page 1 is not being unpinned"):
-        bm.unpin_set([0], dirty=[1])
+    for pages in ([0], [1, 5, 0], [0, 5]):   # part of the set, more than it, another
+        with pytest.raises(PreconditionError, match="not the pinned set"):
+            bm.unpin_set(pages, dirty=pages)
+    with pytest.raises(PreconditionError, match="page 2 is not being unpinned"):
+        bm.unpin_set([0, 1], dirty=[1, 2])
     assert pinned_pages(bm) == {0, 1}
     bm.unpin_set([0, 1])
     bm.flush_all()
@@ -122,8 +126,7 @@ def test_dirty_eviction_writes_back(tmp_store):
     bm = manager(tmp_store, 2)
     bm.request_set([0, 1])
     bm.frames.reshape(-1)[bm.positions(range(4, 8))] = 9.0
-    bm.unpin_set([1], dirty=[1])
-    bm.unpin_set([0])
+    bm.unpin_set([0, 1], dirty=[1])
     bm.request_set([2, 3])          # evicts both, page 1 is dirty
     bm.unpin_set([2, 3])
     assert bm.write_backs == 1
@@ -220,6 +223,36 @@ def test_frame_pool_is_capped_at_the_model_pages(tmp_store):
     bm.unpin_set(range(8))
 
 
+def test_a_page_outside_the_model_is_refused_up_front(tmp_store):
+    """A page id outside [0, num_pages) is refused before the request counts,
+    reads or pins anything, also when the budget exceeds the model's pages."""
+    bm = manager(tmp_store, 50, num_pages=8)
+    for pages in (range(10), [8], [-1, 3]):
+        with pytest.raises(ValidationError, match="outside the model's 8 pages"):
+            bm.request_set(pages)
+    assert (bm.page_requests, bm.page_misses, bm.store.reads) == (0, 0, 0)
+    assert resident_pages(bm) == pinned_pages(bm) == set()
+    bm.request_set(range(8))
+    assert pinned_pages(bm) == set(range(8))
+    bm.unpin_set(range(8))
+
+
+def test_a_request_while_a_set_is_pinned_changes_nothing(tmp_store):
+    """Whatever it asks for, a request made while a set is pinned raises
+    and leaves counters, residency, LRU order and the pinned set as they
+    were."""
+    bm = manager(tmp_store, 4)
+    bm.request_set([0, 1])
+    # the pinned set itself, part of it, an overlap, a page outside the model
+    for pages in ([0, 1], [1], [1, 2, 3], [9]):
+        with pytest.raises(PreconditionError, match="still pinned"):
+            bm.request_set(pages)
+    assert (bm.page_requests, bm.page_misses, bm.store.reads) == (2, 2, 2)
+    assert list(bm._resident) == [1, 0]  # least recent first
+    assert pinned_pages(bm) == {0, 1}
+    bm.unpin_set([0, 1])
+
+
 def test_failed_read_releases_the_requests_pins(tmp_path):
     path = str(tmp_path / "t.model")
     with ModelStore.create(path, 64, 8) as store:
@@ -240,8 +273,7 @@ def test_failed_write_back_keeps_the_page_resident_and_dirty(tmp_store, monkeypa
     bm = manager(tmp_store, 2)
     bm.request_set([0, 1])
     bm.frames.reshape(-1)[bm.positions([0])] = 5.0
-    bm.unpin_set([0], dirty=[0])
-    bm.unpin_set([1])
+    bm.unpin_set([0, 1], dirty=[0])
     real_write = bm.store.write_page
 
     def failing_write(page_id, values):
@@ -286,16 +318,15 @@ class RecordingManager(BufferManager):
 
 
 class ReferenceLru:
-    """Plain-list LRU with pin counts and the set-refresh rule: a request
-    pins its resident pages, loads its missing pages in ascending id order
-    (each evicting the least recent unpinned page when full), then refreshes
+    """Plain-list LRU with the set-refresh rule, one set pinned at a time: a
+    request loads its missing pages in ascending id order (each evicting
+    the least recent page outside the request when full), then refreshes
     the whole set with the lowest id most recent."""
 
     def __init__(self, disk, capacity):
         self.disk = disk                 # page_id -> list of values
         self.capacity = capacity
         self.order = []                  # least recent first
-        self.pins = {}
         self.cached = {}                 # resident page_id -> list of values
         self.dirty = set()
         self.evicted = []
@@ -306,30 +337,22 @@ class ReferenceLru:
         pages = sorted(set(pages))
         for page_id in pages:
             if page_id in self.cached:
-                self.pins[page_id] += 1
-        for page_id in pages:
-            if page_id in self.cached:
                 continue
             if len(self.cached) >= self.capacity:
-                victim = next(p for p in self.order if self.pins[p] == 0)
+                victim = next(p for p in self.order if p not in pages)
                 self.order.remove(victim)
                 if victim in self.dirty:
                     self.disk[victim] = self.cached[victim]
                     self.dirty.discard(victim)
                     self.write_backs += 1
-                del self.cached[victim], self.pins[victim]
+                del self.cached[victim]
                 self.evicted.append(victim)
             self.cached[page_id] = list(self.disk[page_id])
-            self.pins[page_id] = 1
             self.order.append(page_id)
             self.misses_by_page[page_id] = self.misses_by_page.get(page_id, 0) + 1
         for page_id in reversed(pages):
             self.order.remove(page_id)
             self.order.append(page_id)
-
-    def unpin(self, pages):
-        for page_id in set(pages):
-            self.pins[page_id] -= 1
 
     def write(self, page_id, slot, value):
         self.cached[page_id][slot] = value
@@ -344,15 +367,15 @@ class ReferenceLru:
 
 @st.composite
 def pinning_traces(draw):
-    """Steps: ("request", pages), ("unpin", k) or ("write", k, slot, value);
-    k picks one of the requests still pinned."""
+    """Steps: ("request", pages), ("unpin",) or ("write", k, slot, value);
+    k picks a page of the pinned set."""
     steps = []
     for _ in range(draw(st.integers(1, 40))):
         kind = draw(st.sampled_from(["request", "request", "unpin", "write"]))
         if kind == "request":
             steps.append(("request", draw(st.sets(st.integers(0, 7), min_size=1, max_size=4))))
         elif kind == "unpin":
-            steps.append(("unpin", draw(st.integers(0, 99))))
+            steps.append(("unpin",))
         else:
             steps.append(("write", draw(st.integers(0, 99)), draw(st.integers(0, 3)),
                           float(len(steps) + 1)))
@@ -360,50 +383,48 @@ def pinning_traces(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(steps=pinning_traces(), capacity=st.integers(4, 8))
+@given(steps=pinning_traces(), capacity=st.integers(1, 8))
 def test_matches_reference_lru(tmp_path_factory, steps, capacity):
-    """Random traces with overlapping pins and writes: the frame pool evicts
-    the same pages in the same order as a plain-list LRU, and leaves the same
-    bytes on disk. The reference marks a page dirty when it is written; the
-    buffer manager learns it when the writing request unpins the page."""
+    """Random traces of one pinned request at a time, with writes: the frame
+    pool evicts the same pages in the same order as a plain-list LRU, misses
+    each page as often and leaves the same bytes on disk. The reference
+    marks a page dirty when it is written; the buffer manager learns it
+    when the writing request unpins its set."""
     from dpjoin import ModelStore
 
-    def release(request):
-        pages, written = request
+    def release():
+        pages, written = pinned.pop()
         bm.unpin_set(pages, dirty=written)
-        ref.unpin(pages)
 
     path = str(tmp_path_factory.mktemp("bm") / "m.model")
     with ModelStore.create(path, 32, 4, init=("uniform", -1.0, 1.0), seed=3) as store:
         ref = ReferenceLru({p: list(store.read_page(p)) for p in range(8)}, capacity)
         bm = RecordingManager(store, capacity)
         flat = bm.frames.reshape(-1)
-        pinned = []                      # (pages, pages written) of outstanding requests
+        pinned = []                      # (pages, pages written) of the pinned set, if any
         with PageRecorder(store) as recorder:
             for step in steps:
                 if step[0] == "request":
-                    pages = step[1]
-                    # keep every request servable: unpin the oldest requests
-                    # until the pinned pages and this request fit the budget
-                    while len(set(pages).union(*(p for p, _ in pinned))) > capacity:
-                        release(pinned.pop(0))
+                    pages = sorted(step[1])[:capacity]
+                    if pinned:           # one set at a time
+                        release()
                     bm.request_set(pages)
                     pinned.append((pages, set()))
                     ref.request(pages)
                 elif pinned and step[0] == "unpin":
-                    release(pinned.pop(step[1] % len(pinned)))
+                    release()
                 elif pinned:
-                    pages, written = pinned[step[1] % len(pinned)]
-                    page_id = min(pages)
+                    pages, written = pinned[0]
+                    page_id = pages[step[1] % len(pages)]
                     flat[bm.positions([page_id * 4 + step[2]])] = step[3]
                     written.add(page_id)
                     ref.write(page_id, step[2], step[3])
                 assert bm.evicted == ref.evicted
                 assert resident_pages(bm) == set(ref.cached)
-                assert pinned_pages(bm) == {p for p, c in ref.pins.items() if c > 0}
+                assert pinned_pages(bm) == set(pinned[0][0] if pinned else ())
         assert recorder.misses_by_page == ref.misses_by_page
-        for request in pinned:
-            release(request)
+        if pinned:
+            release()
         bm.flush_all()
         ref.flush()
         assert bm.write_backs == ref.write_backs

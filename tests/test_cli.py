@@ -416,7 +416,6 @@ def test_gen_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, argv):
     ["run", "--reorder", "lsh", "--lsh-hashes", "5000000"],
     ["sweep", "--reorder", "lsh", "--lsh-hashes", "1025"],
     ["run", "--plan", "hash"],
-    ["train", "--plan", "batching"],
     ["sweep", "--plan", "gather", "hash"],
 ], ids=["upage-0", "iterations-negative", "lsh-hashes-0", "lsh-bands-0",
         "fewer-hashes-than-bands", "kcenter-k-1", "page-size-0", "budget-above-pages",
@@ -424,7 +423,7 @@ def test_gen_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, argv):
         "sweep-kcenter-k-1", "run-seed-negative", "radix-seed-negative",
         "train-seed-negative", "sweep-seed-negative", "lsh-hashes-huge",
         "lsh-hashes-5000000", "lsh-hashes-above-ceiling", "run-plan-unknown",
-        "train-plan-unknown", "sweep-plan-unknown"])
+        "sweep-plan-unknown"])
 def test_rejected_option_exits_2(tmp_path, capsys, argv):
     data = _small_dataset(tmp_path)
     model = tmp_path / "m.model"
@@ -435,6 +434,19 @@ def test_rejected_option_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not model.exists()
+
+
+def test_train_takes_no_plan(tmp_path, capsys):
+    """Training gathers every U-page, so `train` has no --plan: argparse
+    rejects it (exit 2) before any file is read or written."""
+    data = _small_dataset(tmp_path)
+    model = tmp_path / "m.model"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", data, "--model", str(model), "--plan", "gather"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --plan gather" in capsys.readouterr().err
     assert not model.exists()
 
 
@@ -453,18 +465,20 @@ def test_model_with_bad_magic_exits_4(tmp_path, capsys):
     assert model.read_bytes() == bytes(raw)
 
 
-@pytest.mark.parametrize("plan", PLANS)
-@pytest.mark.parametrize("command", ["run", "train", "sweep"])
+@pytest.mark.parametrize("command,plan", [(command, plan) for command in ("run", "sweep")
+                                          for plan in PLANS] + [("train", "gather")],
+                         ids=lambda value: value)
 def test_a_vector_over_the_budget_exits_3_and_writes_no_model(tmp_path, capsys, command,
                                                               plan):
     """Every vector of the small dataset spans 3 of the 10 pages; a 2-page
     budget cannot hold one, so the command exits 3 before it creates the
-    model file."""
+    model file. `train` takes no --plan: it gathers every U-page."""
     data = _small_dataset(tmp_path)
     model = tmp_path / "new.model"
+    plan_flags = ["--plan", plan] if command != "train" else []
     capsys.readouterr()
     assert main([command, "--data", data, "--model", str(model), "--page-size", "10",
-                 "--budget", "2", "--plan", plan]) == 3
+                 "--budget", "2", *plan_flags]) == 3
     err = capsys.readouterr().err
     assert "needs 3 pages, budget is 2" in err
     assert "Traceback" not in err
@@ -529,7 +543,8 @@ def _cli_argv(draw):
             values["--mode"] = draw(st.sampled_from(["sgd", "sgd-page", "bgd"]))
             extreme.append("--iterations")
         fixed = [command, "--data", "{data}", "--model", "{model}"]
-        fixed += ["--plan", draw(st.sampled_from((*PLANS, UNKNOWN_PLAN)))]
+        if command != "train":  # training gathers every U-page: it takes no --plan
+            fixed += ["--plan", draw(st.sampled_from((*PLANS, UNKNOWN_PLAN)))]
     flag = draw(st.sampled_from([None] * len(extreme) + extreme))
     if flag is not None:
         choices = EXTREMES
