@@ -222,9 +222,13 @@ def gather(manager, data, start, stop, report, write=None):
     dirty = np.append(np.searchsorted(write_pages, firsts), len(write_pages))
     write_cuts = write_starts[dirty]
     read_cuts = read_starts[np.append(np.searchsorted(read_pages, firsts), len(read_pages))]
-    groups = [(group, np.concatenate((written[write_cuts[g] : write_cuts[g + 1]],
-                                      touched[read_cuts[g] : read_cuts[g + 1]])),
-               write_pages[dirty[g] : dirty[g + 1]])
+
+    def indexes(g):  # a view when the group writes nothing: `positions` copies it
+        writes = written[write_cuts[g] : write_cuts[g + 1]]
+        reads = touched[read_cuts[g] : read_cuts[g + 1]]
+        return np.concatenate((writes, reads)) if len(writes) else reads
+
+    groups = [(group, indexes(g), write_pages[dirty[g] : dirty[g + 1]])
               for g, group in enumerate(page_groups(pages.tolist(), manager.capacity))]
     local = np.empty(len(touched))
     flat = manager.frames.reshape(-1)

@@ -219,36 +219,31 @@ def train(dataset, store, config):
     """Run gradient descent against the paged model in `store`.
 
     Every pass reads a U-page in file order, in place, with one
-    `operator.gather` (the join's default plan). A pass that changes no
-    model value mid-pass (every loss pass, and the update passes of
-    `sgd-page` and `bgd`) then calls the task's residual, loss-term and
-    gradient-term kernels once on the gathered values. Its loss terms go to
-    their file rows, and a loss adds them in file order, as `train_oracle`
-    does. An `sgd` update pass runs the task's per-vector updates on the
-    gathered model slice in `iteration_plan`'s order. Memory follows the
+    `operator.gather` (the join's default plan), then calls the task's
+    residual and loss-term kernels once on the gathered values. Its loss
+    terms go to their file rows, and a loss adds them in file order, as
+    `train_oracle` does. An update pass keeps its slice for the apply, with
+    its gradient terms under `sgd-page` and `bgd`. Memory follows the
     entries of a U-page, or of a `bgd` pass, never the model's dimension.
 
-    A pass writes nothing itself: it leaves a pending write `(touched,
-    new)`, and the next gather, whatever its phase, carries it in its
-    ascending scan, assigning each page's values before it reads it and
-    unpinning dirty only the pages that hold one. An `sgd` update pass
-    leaves its slice. An `sgd-page` or `bgd` apply reduces the update
-    passes' slices since the last apply (`gradient_sums`) and leaves
-    `old - alpha * g[i]`, `old` being the value the update read: no apply
-    falls between that read and the apply. The final loss pass follows the
-    last write, and a loss that stops training is computed after the
-    pending write was carried, so every write is carried.
+    Every mode runs one schedule. The initial and the final loss have
+    passes of their own. Loss i >= 1 is computed in iteration i before its
+    first apply, by the update passes that read its model (every U-page's
+    under `bgd`, the first U-page's under `sgd` and `sgd-page`) and by
+    loss-only gathers of the other U-pages; if it is not finite, training
+    stops with what was read from that model unapplied. An apply follows
+    each update pass (under `bgd`, the pass) and leaves a pending write
+    `(touched, new)`: under `sgd`, the slice after the per-vector steps,
+    taken in `iteration_plan`'s order; else `old - alpha * g[i]` from the
+    slices since the last apply (`gradient_sums`), `old` being the value
+    the update read, with no apply between. The next gather, whatever its
+    phase, carries the write in its ascending scan, assigning each page's
+    values before it reads it and unpinning dirty only the pages that hold
+    one, so every write is carried.
 
     `check_inputs` runs before any page is read; nothing after it checks.
     `iteration_plan` is called once per iteration, after the initial loss
     pass.
-
-    The initial and the final loss have passes of their own, as every loss
-    has under `sgd`. Under `sgd-page` and `bgd`, loss i >= 1 is computed in
-    iteration i before its first apply, by the update passes that read its
-    model (every U-page's under `bgd`, the first U-page's under `sgd-page`)
-    and by loss-only gathers of the other U-pages. A loss that is not finite
-    stops training with that gradient unapplied.
 
     The report's `batch_count`, `element_requests` and `compute_time` count
     every scan and the kernels, and `phases` splits page requests, misses
@@ -264,7 +259,7 @@ def train(dataset, store, config):
     report = MetricsReport(config=config.describe(), phases={
         phase: dict.fromkeys(PHASE_COUNTERS, 0) for phase in ("loss", "update", "apply")})
     bounds = dataset.upage_bounds(op.upage)
-    pending = []  # (touched, slots, terms, local) of each update pass since the last apply
+    pending = []  # (touched, slots, terms, local) of each update read since the last apply
     write = None  # (touched, new), until a gather carries it
     loss_by_row = np.empty(len(dataset))  # the loss terms of each read, at their file rows
 
@@ -318,30 +313,38 @@ def train(dataset, store, config):
         (cell_errors, lmf_loss_terms, lmf_gradient_terms, lmf_sgd))
 
     def read(start, stop, update=False, order=None):
-        """`gather` rows [start, stop), carrying the pending write. Given an
-        `order`, run `sgd`'s updates on the slice in it, left as the pending
-        write; else run the kernels once: write the loss terms at those rows
-        and, if `update`, keep the slice and the gradient terms to apply."""
+        """`gather` rows [start, stop), carrying the pending write, and write their
+        loss terms; if `update`, keep the slice and its gradient terms or, under
+        `sgd`, its rows and `order`."""
         nonlocal write
         touched, slots, local = gather(manager, dataset, start, stop, report, write)
         write = None
         started = time.perf_counter()
-        if order is not None:
+        values = local[slots]
+        if not update:
+            del touched, slots, local  # a loss-only read drops its slice before its kernels
+        residual = residuals(dataset, start, stop, values)
+        del values
+        loss_by_row[start:stop] = loss_terms(dataset, start, stop, residual)
+        if update:
+            terms = (start, stop, order) if order is not None else gradient_terms(
+                dataset, start, stop, residual)
+            pending.append((touched, slots, terms, local))
+        report.compute_time += time.perf_counter() - started
+
+    def apply():
+        """Leave the kept slices' write: `sgd`'s after its steps, else `old - alpha * g`."""
+        nonlocal write
+        started = time.perf_counter()
+        if config.mode == "sgd":
+            [(touched, slots, (start, stop, order), local)] = pending  # one update read
             sgd(start, stop, slots.astype(np.intp), local, order)  # intp indexes fastest
             write = touched, local
         else:
-            residual = residuals(dataset, start, stop, local[slots])
-            loss_by_row[start:stop] = loss_terms(dataset, start, stop, residual)
-            if update:
-                pending.append((touched, slots, gradient_terms(dataset, start, stop, residual),
-                                local))
-        report.compute_time += time.perf_counter() - started
-
-    def apply_gradient():
-        nonlocal write
-        touched, sums, olds = gradient_sums(*zip(*pending))
+            touched, sums, olds = gradient_sums(*zip(*pending))
+            write = touched, olds - config.alpha * sums
         pending.clear()
-        write = touched, olds - config.alpha * sums
+        report.compute_time += time.perf_counter() - started
 
     def charged(phase, work, *args, **kwargs):
         """Run `work` and add the storage counters it moved to `phase`."""
@@ -368,24 +371,20 @@ def train(dataset, store, config):
         plan = iteration_plan(dataset, store.page_size, config, iteration)
         report.reorder_time += time.perf_counter() - started
         report.upage_count += len(plan)
-        fused = []
-        if iteration > 0 and config.mode != "sgd":
-            # losses[iteration] is the loss of the model that the update
-            # passes before this iteration's first apply read.
-            fused = plan if config.mode == "bgd" else plan[:1]
-            for upage, order in fused:
-                charged("update", read, *bounds[upage], update=True, order=order)
+        # At i >= 1 the update passes before the first apply read the model of losses[i].
+        fused = plan if config.mode == "bgd" else plan[:1]
+        for upage, order in fused:
+            charged("update", read, *bounds[upage], update=True, order=order)
+        if iteration > 0:
             losses.append(charged("loss", loss_pass, {upage for upage, _ in fused}))
             if not math.isfinite(losses[-1]):
-                break  # the gradient accumulated on that model is never applied
+                break  # the steps or gradient read from that model are never applied
         for position, (upage, order) in enumerate(plan):
             if position >= len(fused):
                 charged("update", read, *bounds[upage], update=True, order=order)
-            if config.mode == "sgd-page":
-                apply_gradient()
-        if config.mode == "bgd" and pending:  # an empty dataset accumulates nothing
-            apply_gradient()
-        if config.mode == "sgd" or iteration == config.iterations - 1:
+            if config.mode != "bgd" or position == len(plan) - 1:
+                apply()
+        if iteration == config.iterations - 1:
             losses.append(charged("loss", loss_pass))
     charged("apply", manager.flush_all)
     metrics = finish_report(manager, report)
@@ -416,12 +415,8 @@ def train_oracle(dataset, initial_model, config, page_size):
             return range(len(sets))
         return plan_order(sets, op, (iteration, upage_index))
 
-    def loss_now():
-        if config.task == "lr":
-            return lr_loss(dataset, model)
-        return lmf_loss(dataset, model)
-
-    losses = [loss_now()]
+    task_loss = lr_loss if config.task == "lr" else lmf_loss
+    losses = [task_loss(dataset, model)]
     grad = np.zeros(dataset.dimension)  # sgd-page and bgd
 
     def apply_grad():
@@ -466,5 +461,5 @@ def train_oracle(dataset, initial_model, config, page_size):
                 apply_grad()
         if config.mode == "bgd":
             apply_grad()
-        losses.append(loss_now())
+        losses.append(task_loss(dataset, model))
     return TrainReport(losses, not math.isfinite(losses[-1]), config.describe(), final_model=model)

@@ -159,14 +159,13 @@ def accumulated_gathers(ds, page_size, config):
     loss gather every U-page in the `loss` phase. Iteration i updates the
     U-pages in `_upage_order`.
 
-    Under `sgd` each update pass leaves a write of every index its U-page
-    reads, and every iteration ends with a loss pass. Under `sgd-page` and
-    `bgd`, for i >= 1 the update passes that read the model of loss i come
-    first (every U-page's under `bgd`, the first U-page's under
-    `sgd-page`), then loss-only gathers of the other U-pages; an apply
-    (after each update pass under `sgd-page`, after the pass under `bgd`)
-    writes the pages the updates since the last apply read. The next
-    gather, whatever its phase, carries the write."""
+    Every mode follows one schedule: for i >= 1 the update passes that read
+    the model of loss i come first (every U-page's under `bgd`, the first
+    U-page's under `sgd` and `sgd-page`), then loss-only gathers of the
+    other U-pages; an apply (after each update pass under `sgd` and
+    `sgd-page`, after the pass under `bgd`) writes the pages the updates
+    since the last apply read: `sgd`'s writes every index its U-page read.
+    The next gather, whatever its phase, carries the write."""
     upages = range(len(ds.upage_bounds(config.operator.upage)))
     pages = [set(scan_pages(ds, start, stop, page_size))
              for start, stop in ds.upage_bounds(config.operator.upage)]
@@ -176,9 +175,7 @@ def accumulated_gathers(ds, page_size, config):
         nonlocal carried
         gathers.append((phase, carried, pages[upage]))
         carried = set()
-        if phase == "update" and config.mode == "sgd":
-            carried = pages[upage]
-        elif phase == "update":
+        if phase == "update":
             pending.update(pages[upage])
 
     def apply():
@@ -190,12 +187,6 @@ def accumulated_gathers(ds, page_size, config):
         read("loss", upage)
     for iteration in range(config.iterations):
         plan = [upage for upage, _ in iteration_plan(ds, page_size, config, iteration)]
-        if config.mode == "sgd":
-            for upage in plan:
-                read("update", upage)
-            for upage in upages:
-                read("loss", upage)
-            continue
         fused = [] if iteration == 0 else plan if config.mode == "bgd" else plan[:1]
         for upage in fused:
             read("update", upage)
@@ -203,14 +194,38 @@ def accumulated_gathers(ds, page_size, config):
             if upage not in fused:
                 read("loss", upage)
         for position in range(len(fused), len(plan)):
-            if config.mode == "sgd-page" and position:
+            if config.mode != "bgd" and position:
                 apply()  # the previous U-page's
             read("update", plan[position])
         if plan:  # the last apply of the iteration; an empty dataset has none
             apply()
-    for upage in upages if config.iterations and config.mode != "sgd" else ():
+    for upage in upages if config.iterations else ():
         read("loss", upage)
     return gathers
+
+
+@pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
+@pytest.mark.parametrize("task", ["lr", "lmf"])
+def test_one_upage_takes_two_gathers_more_than_its_iterations(tmp_store, monkeypatch, task,
+                                                              mode):
+    """With one U-page, loss i >= 1 comes from iteration i's update read
+    under every mode: T >= 1 iterations take T + 2 gathers (the initial
+    loss pass, T update passes and the final loss pass), and T = 0 one."""
+    from dpjoin import operator
+
+    ds, _, budget, alpha = task_instance(tmp_store, task)
+    gathers, real_execute = [], operator.execute
+    monkeypatch.setattr(operator, "execute",  # one call per gather
+                        lambda *args: gathers.append(1) or real_execute(*args))
+    for iterations in (0, 1, 2, 3, 5):
+        _, store, _, _ = task_instance(tmp_store, task, name=f"{iterations}.model")
+        config = TrainConfig(small_op(budget=budget, upage=len(ds)), task=task, mode=mode,
+                             alpha=alpha, iterations=iterations)
+        oracle = train_oracle(ds, store.load_dense(), config, store.page_size)
+        gathers.clear()
+        assert train(ds, store, config).losses == oracle.losses
+        expected = iterations + 2 if iterations else 1
+        assert len(gathers) == len(accumulated_gathers(ds, store.page_size, config)) == expected
 
 
 def gathered_requests(gathers, phase):
@@ -265,25 +280,33 @@ def test_fused_loss_visits_match_the_oracle(tmp_store, task, mode, iterations, u
     assert paged.metrics.phases["loss"]["page_requests"] == gathered_requests(gathers, "loss")
 
 
-@pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
+@pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
 def test_divergence_applies_no_fused_gradient(tmp_store, mode):
-    """A loss that is not finite stops training before the gradient its
-    update visits accumulated is applied: losses, divergence and the model
-    on disk equal the oracle's, and a second `train` on the same store
-    starts from that model."""
+    """A loss i that is not finite stops training before the steps or the
+    gradient that iteration i's update visits read from its model are
+    applied: losses, divergence and the model on disk equal the oracle's
+    and those of a run of i iterations, and a second `train` on the same
+    store starts from that model. With 3 U-pages, `sgd` keeps the first
+    updated U-page's slice across the other U-pages' loss-only gathers."""
     ds = gen_matrix(8, 8, 30, 3, seed=7)
-    store = tmp_store((8 + 8) * 3, 8, init=("uniform", -0.5, 0.5), seed=2)
+    make = lambda name: tmp_store((8 + 8) * 3, 8, init=("uniform", -0.5, 0.5), seed=2, name=name)
+    store = make("m.model")
     config = TrainConfig(small_op(budget=6, upage=10), task="lmf", mode=mode,
                          alpha=5.0, iterations=10)
+    assert len(ds.upage_bounds(config.operator.upage)) == 3
     initial = store.load_dense()
     with np.errstate(all="ignore"):
         paged = train(ds, store, config)
         oracle = train_oracle(ds, initial, config, page_size=store.page_size)
         again = train(ds, store, config)
+        shorter = make("shorter.model")
+        stopped = train(ds, shorter, dataclasses.replace(config, iterations=len(paged.losses) - 1))
     assert paged.diverged and oracle.diverged
     assert 2 <= len(paged.losses) <= config.iterations  # loss i, 1 <= i < T, is not finite
     assert np.array_equal(paged.losses, oracle.losses, equal_nan=True)
     assert np.array_equal(store.load_dense(), oracle.final_model, equal_nan=True)
+    assert np.array_equal(stopped.losses, paged.losses, equal_nan=True)
+    assert np.array_equal(shorter.load_dense(), oracle.final_model, equal_nan=True)
     assert np.array_equal(again.losses[:1], oracle.losses[-1:], equal_nan=True)
 
 
@@ -450,7 +473,8 @@ def test_train_report_counts_batches_and_upages(tmp_store):
     # of `budget` of its pages and of those of the write it carries.
     gathers = accumulated_gathers(ds, 16, config)
     upages = len(ds.upage_bounds(op.upage))
-    assert len(gathers) == upages * (2 * iterations + 1)
+    # Loss i >= 1 takes the first updated U-page's terms from its update read.
+    assert len(gathers) == upages * (2 * iterations + 1) - (iterations - 1)
     assert metrics.batch_count == sum(math.ceil(len(write | reads) / op.budget)
                                       for _, write, reads in gathers)
     assert metrics.upage_count == iterations * upages == iterations * math.ceil(len(ds) / op.upage)
@@ -596,9 +620,10 @@ def test_fitting_upages_keep_the_update_order(tmp_store, monkeypatch, heuristic,
     assert result.losses == train_oracle(ds, dense, config, 16).losses == losses
     assert planned == orders * 2  # the paged run's orders, then the oracle's
     # 3 U-pages, 4 loss passes and 3 update passes, a gather per U-page in
-    # each, which carries the previous gather's write
+    # each, which carries the previous gather's write, less the loss-only
+    # gathers of the U-pages whose update reads give losses 1 and 2
     gathers = accumulated_gathers(ds, 16, config)
-    assert len(gathers) == 3 * (4 + 3)
+    assert len(gathers) == 3 * (4 + 3) - 2
     assert result.metrics.batch_count == sum(math.ceil(len(write | reads) / 10)
                                              for _, write, reads in gathers)
 
@@ -653,12 +678,17 @@ def test_an_sgd_update_pass_reads_the_dataset_in_place(tmp_store, monkeypatch, h
     heuristic and whether or not its pages fit the budget: it takes no rows
     and cuts no batches; the heuristic only orders its updates. Each pass
     reads every entry once and carries one write of the U-page's distinct
-    indexes, the last one carried by the loss pass that follows."""
+    indexes, the last one carried by the final loss pass. The loss pass
+    between the two iterations reads all but the U-page whose update read
+    writes its terms."""
     ds, metrics = check_reads_in_place(tmp_store, monkeypatch, heuristic, budget, "sgd", 2)
+    bounds = ds.upage_bounds(16)
     distinct = sum(len(np.unique(ds.indices[ds.indptr[start] : ds.indptr[stop]]))
-                   for start, stop in ds.upage_bounds(16))
+                   for start, stop in bounds)
+    first, _ = iteration_plan(ds, 16, TrainConfig(small_op(upage=16), mode="sgd-page"), 1)[0]
+    fused = int(ds.indptr[bounds[first][1]] - ds.indptr[bounds[first][0]])
     assert metrics.upage_count == 2 * 3
-    assert metrics.element_requests == 5 * len(ds.indices) + 2 * distinct
+    assert metrics.element_requests == 5 * len(ds.indices) - fused + 2 * distinct
 
 
 @pytest.mark.parametrize("task,mode", [("lr", "sgd"), ("lr", "sgd-page"), ("lr", "bgd"),
@@ -738,15 +768,14 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
     per iteration, the first time after the initial loss pass, and orders no
     update before that call. The benchmark times a training run's first
     result at that call by wrapping the module attribute. Iteration i's call
-    follows iteration i - 1's last pass: its loss pass under `sgd`, its
-    last update pass under `sgd-page` and `bgd`. Under those two, the passes
+    follows iteration i - 1's last update pass, under every mode. The passes
     after the call compute loss i before the iteration's first apply: every
-    U-page's update under `bgd`; under `sgd-page` the first U-page's update
-    and the other U-pages' loss-only gathers. Every pass gathers each
-    U-page in place, with no `Dataset.take`; only `sgd` orders its updates,
-    in the call. No pass writes the model: the gather after an `sgd` update
-    pass or an apply carries its write and dirties pages, the first gather
-    of the next iteration or of the final loss pass too."""
+    U-page's update under `bgd`; under `sgd` and `sgd-page` the first
+    U-page's update and the other U-pages' loss-only gathers. Every pass
+    gathers each U-page in place, with no `Dataset.take`; only `sgd` orders
+    its updates, in the call. No pass writes the model: the gather after an
+    apply (`sgd`'s steps included) carries its write and dirties pages, the
+    first gather of the next iteration or of the final loss pass too."""
     from dpjoin import operator, training
 
     ds, _, budget, alpha = task_instance(tmp_store, "lr")
@@ -789,15 +818,13 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
             expected.append(("iteration_plan", iteration))
             if mode == "sgd":
                 expected += [("update order",)] * count
-                expected += loss[:1] + carry * (count - 1) + carry + loss[1:]
-            elif mode == "bgd":
+            if mode == "bgd":
                 expected += (loss[:1] if iteration == 0 else carry) + loss[1:]
             elif iteration == 0:
                 expected += loss[:1] + carry * (count - 1)
             else:
                 expected += carry + loss[1:] + carry * (count - 1)
-        if mode != "sgd":
-            expected += carry + loss[1:]
+        expected += carry + loss[1:]
         assert events == expected, mode
 
 
@@ -950,13 +977,13 @@ def test_the_counters_count_the_applies(tmp_store, mode):
     batch per `budget` of them and one page request per page. It makes one
     element request per written coordinate and one per entry it reads, so
     the element requests are those of separate scans. The loss phase counts
-    what `sgd`'s counts, less the loss-only gathers the fused update passes
-    replace (at iteration 1 of 2, every U-page's under `bgd` and the first
-    updated U-page's under `sgd-page`), less the pages of the `sgd` writes
-    that each iteration's first loss gather carries, plus those of the last
-    apply, which the final loss pass's first gather carries: each beyond
-    the pages of U-page 0, which that gather reads. Both lr instances are
-    checked; only `spread_instance`'s carried writes add requests."""
+    what `sgd`'s counts, whose schedule is `sgd-page`'s, less the loss-only
+    gathers that the further fused update passes of `bgd` replace (at
+    iteration 1 of 2, every U-page's but the first updated one), less the
+    pages of `sgd`'s last write and plus those of the last apply, which the
+    final loss pass's first gather carries: each beyond the pages of
+    U-page 0, which that gather reads. Both lr instances are checked; only
+    `spread_instance`'s carried writes add requests."""
     iterations = 2
     for k, make in enumerate(LR_INSTANCES):
         ds, store, budget, alpha = make(tmp_store, f"{k}.model")
@@ -986,11 +1013,11 @@ def test_the_counters_count_the_applies(tmp_store, mode):
         assert metrics.phases["apply"]["page_requests"] == 0
         assert metrics.phases["update"]["page_requests"] == gathered_requests(gathers, "update")
         assert metrics.phases["loss"]["page_requests"] == gathered_requests(gathers, "loss")
-        sgd_writes = sum(len(upage_pages[plan[-1]] - upage_pages[0]) for plan in plans)
+        sgd_write = len(upage_pages[plans[-1][-1]] - upage_pages[0])
         assert metrics.phases["loss"]["page_requests"] == sgd.phases["loss"]["page_requests"] - sum(
-            len(upage_pages[upage]) for upage in skipped) - sgd_writes + len(
+            len(upage_pages[upage]) for upage in skipped[1:]) - sgd_write + len(
             last_write - upage_pages[0])
-        assert (sgd_writes > 0) == (make is spread_instance)
+        assert any(write - reads for _, write, reads in gathers) == (make is spread_instance)
 
 
 @pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
@@ -998,14 +1025,12 @@ def test_the_loss_phase_counts_the_loss_only_visits(tmp_store, mode):
     """The initial and the final loss are passes of their own, each U-page's
     distinct pages requested once, and the gathers count the pages of the
     writes they carry beyond those they read (`accumulated_gathers`). Under
-    `sgd` every loss is: T iterations request (T + 1) times one loss pass's
-    pages, plus, per iteration, the pages of the last update pass's write
-    beyond U-page 0's. Under `bgd` no loss between is: its loss phase
-    requests two passes' pages at T = 2, 3 and 5. Under `sgd-page`
-    loss i >= 1 skips the first updated U-page's loss-only gather. Under
-    both, the final pass's first gather carries the last apply's write. On
-    `task_instance`'s lr data, where every U-page reads all 16 pages, no
-    carried write adds a request; on `spread_instance`'s, some do."""
+    `bgd` no loss between is: its loss phase requests two passes' pages at
+    T = 2, 3 and 5. Under `sgd` and `sgd-page` loss i >= 1 skips the first
+    updated U-page's loss-only gather. Under all three, the final pass's
+    first gather carries the last apply's write. On `task_instance`'s lr
+    data, where every U-page reads all 16 pages, no carried write adds a
+    request; on `spread_instance`'s, some do."""
     for k, make in enumerate(LR_INSTANCES):
         ds, _, budget, alpha = make(tmp_store, f"{k}.model")
         op = small_op(budget=budget, reorder="radix", upage=16)
@@ -1031,10 +1056,7 @@ def test_the_loss_phase_counts_the_loss_only_visits(tmp_store, mode):
                                                            iteration)]
                      for iteration in range(iterations)]
             firsts = [plan[0] for plan in plans[1:]]
-            if mode == "sgd":
-                carried.append(sum(len(pages[plan[-1]] - pages[0]) for plan in plans))
-                expected = (iterations + 1) * one_pass
-            elif mode == "bgd":
+            if mode == "bgd":
                 carried.append(len(set().union(*pages) - pages[0]))
                 expected = 2 * one_pass
             else:
