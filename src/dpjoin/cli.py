@@ -54,13 +54,12 @@ def parse_budget(text, num_pages):
     return pages
 
 
-def _operator_config(args, shape, plan, reorder, budget, upage):
-    """The OperatorConfig of `plan`, `reorder`, `budget` (text, of a model of
+def _operator_config(args, shape, reorder, budget, upage):
+    """The OperatorConfig of `reorder`, `budget` (text, of a model of
     `shape`), `upage` and the other flags."""
     return OperatorConfig(
         budget=parse_budget(budget, page_count(*shape)),
         reorder=reorder,
-        plan=plan,
         upage=upage,
         seed=args.seed,
         lsh_m=args.lsh_hashes,
@@ -82,7 +81,7 @@ def _add_operator_flags(parser, grid=False, plan=True):
                         help="orders the batched and single joins and sgd's updates only")
     if plan:
         # Checked by check_inputs, so an unknown plan exits 2 from main.
-        parser.add_argument("--plan", **values(OperatorConfig.plan),
+        parser.add_argument("--plan", **values("gather"),
                             help=f"one of {', '.join(PLANS)}: the sort-merge gather (default),"
                                  " the paper's batched operator, or one vector per batch")
     parser.add_argument("--upage", type=int, **values(OperatorConfig.upage),
@@ -139,11 +138,11 @@ def _open_or_create_model(args, dataset):
 def cmd_run(args):
     dataset = _load_data(args)
     shape = _model_shape(args, dataset)
-    config = _operator_config(args, shape, args.plan, args.reorder, args.budget, args.upage)
-    check_inputs(dataset, *shape, config)
+    config = _operator_config(args, shape, args.reorder, args.budget, args.upage)
+    check_inputs(dataset, *shape, config, args.plan)
     sink = CollectSink()
     with _open_or_create_model(args, dataset) as store:
-        report = run(dataset, store, config, sink)
+        report = run(dataset, store, config, sink, args.plan)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("tid,dp\n")
@@ -157,8 +156,7 @@ def cmd_train(args):
     dataset = _load_data(args)
     shape = _model_shape(args, dataset)
     config = TrainConfig(
-        operator=_operator_config(args, shape, OperatorConfig.plan, args.reorder, args.budget,
-                                  args.upage),
+        operator=_operator_config(args, shape, args.reorder, args.budget, args.upage),
         task=args.task,
         mode=args.mode,
         alpha=args.alpha,
@@ -186,17 +184,17 @@ def cmd_train(args):
 def cmd_sweep(args):
     dataset = _load_data(args)
     shape = _model_shape(args, dataset)
-    cells = [(budget, _operator_config(args, shape, plan, reorder, budget, upage))
+    cells = [(plan, budget, _operator_config(args, shape, reorder, budget, upage))
              for plan, reorder, budget, upage in
              itertools.product(args.plan, args.reorder, args.budget, args.upage)]
-    for _, config in cells:
-        check_inputs(dataset, *shape, config)
+    for plan, _, config in cells:
+        check_inputs(dataset, *shape, config, plan)
     rows = []
     with _open_or_create_model(args, dataset) as store:
-        for budget, config in cells:
-            report = run(dataset, store, config)
+        for plan, budget, config in cells:
+            report = run(dataset, store, config, plan=plan)
             rows.append({"heuristic": config.reorder, "budget": budget,
-                         "budget_pages": config.budget, "upage": config.upage, "plan": config.plan,
+                         "budget_pages": config.budget, "upage": config.upage, "plan": plan,
                          **report.counters(), "reorder_time": report.reorder_time})
     _emit(rows, args)
     return 0

@@ -44,26 +44,19 @@ PLANS = ("gather", "batched", "single")
 
 @dataclass
 class OperatorConfig:
-    """The join's and training's operator settings. `plan` and the ordering
-    options (`reorder`, `seed`, `lsh_m`, `lsh_b`, `kcenter_k`) shape the
-    join: the `gather` join reads each U-page in file order. Training reads
-    every U-page by gather under every plan; the ordering options order
-    `sgd`'s updates alone."""
+    """The join's and training's operator settings. The join's plan is an
+    argument of `run`, not a setting: training reads every U-page by
+    gather. The ordering options (`reorder`, `seed`, `lsh_m`, `lsh_b`,
+    `kcenter_k`) order the `batched` and `single` joins and `sgd`'s updates;
+    the `gather` join reads each U-page in file order."""
 
     budget: int                 # memory budget in pages
     reorder: str = "none"
-    plan: str = "gather"        # one of PLANS
     upage: int = 4096           # vectors per reorder scope
     seed: int = 0
     lsh_m: int = DEFAULT_LSH_HASHES
     lsh_b: int = DEFAULT_LSH_BANDS
     kcenter_k: int | None = None
-
-    @property
-    def batches_greedily(self):
-        """Whether the batched join cuts vectors into greedy batches: every
-        plan but `single`; the `gather` join cuts none."""
-        return self.plan != "single"
 
     def describe(self):
         """Every field, by name."""
@@ -71,12 +64,10 @@ class OperatorConfig:
 
     def check(self, num_pages, dataset=None):
         """Reject a budget outside [1, num_pages], a negative seed, an unknown
-        heuristic or plan and options no heuristic accepts, whichever is
-        chosen. The join takes any `dataset`. Called by `check_inputs` only."""
+        heuristic and options no heuristic accepts, whichever is chosen. The
+        join takes any `dataset`. Called by `check_inputs` only."""
         if self.reorder not in HEURISTICS:
             raise ValidationError(f"unknown reorder heuristic {self.reorder!r}")
-        if self.plan not in PLANS:
-            raise ValidationError(f"unknown plan {self.plan!r}")
         if not 1 <= self.budget <= num_pages:
             raise ValidationError(f"budget must be 1 to {num_pages} pages, got {self.budget}")
         if self.upage < 1:
@@ -123,29 +114,29 @@ def plan_order(sets, config, path):
     )
 
 
-def make_batches(ordered_sets, config, union=None):
+def make_batches(ordered_sets, config, plan, union=None):
     """One batch of every vector when `union`, the page union of the sets,
-    is given; else greedy batches, or single-vector batches under the
-    `single` plan."""
+    is given; else greedy batches under the `batched` plan, single-vector
+    batches under `single`."""
     if union is not None:
         return [Batch(list(range(len(ordered_sets))), frozenset(union))]
-    if config.batches_greedily:
+    if plan == "batched":
         return greedy_batches(ordered_sets, config.budget)
     return [Batch([position], pages)
             for position, pages in fitting_sets(ordered_sets, config.budget)]
 
 
-def plan_upage(dataset, start, stop, page_size, config, path):
+def plan_upage(dataset, start, stop, page_size, config, plan, path):
     """Rows [start, stop) of `dataset`, a U-page, in processing order and
-    their batches, from its `Dataset.page_sets`; it checks nothing, as
-    `check_inputs` has checked every vector against the budget. Unless the
-    plan is `single`, a U-page whose page union fits the budget is one batch
-    in file order: no order changes its counters, so it is not reordered,
-    and greedy batching does not run. Any other U-page runs in
-    `plan_order`'s order, seeded by `path`."""
+    their batches under `plan` (`batched` or `single`), from its
+    `Dataset.page_sets`; it checks nothing, as `check_inputs` has checked
+    every vector against the budget. Under `batched`, a U-page whose page
+    union fits the budget is one batch in file order: no order changes its
+    counters, so it is not reordered, and greedy batching does not run. Any
+    other U-page runs in `plan_order`'s order, seeded by `path`."""
     sets = dataset.page_sets(start, stop, page_size)
     union = None
-    if config.batches_greedily:
+    if plan == "batched":
         union = set()
         for pages in sets:  # given up as soon as it exceeds the budget
             union.update(pages)
@@ -156,7 +147,7 @@ def plan_upage(dataset, start, stop, page_size, config, path):
     if union is None:
         perm = plan_order(sets, config, path)
         rows, sets = start + np.asarray(perm, dtype=np.int64), [sets[p] for p in perm]
-    return rows, make_batches(sets, config, union)
+    return rows, make_batches(sets, config, plan, union)
 
 
 def execute(manager, groups, visit, report):
@@ -278,18 +269,21 @@ def finish_report(manager, report):
     return report
 
 
-def check_inputs(dataset, dimension, page_size, config):
+def check_inputs(dataset, dimension, page_size, config, plan="gather"):
     """The one input check of the CLI, `run`, `train` and `train_oracle`,
     made before any model file is created and any page is read.
     Rejects a dataset whose dimension is not the model's (`dimension`
-    entries, `page_size` to a page), whatever `config.check` rejects (a
-    TrainConfig adds training's options and `check_dataset`), and, per
-    U-page in file order, a vector whose distinct pages outnumber the
-    budget: the error names the first, by its tid and its offset in its
-    U-page, whatever the plan or heuristic."""
+    entries, `page_size` to a page), a `plan` not in PLANS (training reads
+    by `gather`), whatever `config.check` rejects (a TrainConfig adds
+    training's options and `check_dataset`), and, per U-page in file order,
+    a vector whose distinct pages outnumber the budget: the error names the
+    first, by its tid and its offset in its U-page, whatever the plan or
+    heuristic."""
     if dataset.dimension != dimension:
         raise ValidationError(
             f"dataset dimension {dataset.dimension} != model dimension {dimension}")
+    if plan not in PLANS:
+        raise ValidationError(f"unknown plan {plan!r}")
     config.check(page_count(dimension, page_size), dataset)
     op = getattr(config, "operator", config)  # a TrainConfig's operator settings
     for start, stop in dataset.upage_bounds(op.upage):
@@ -302,19 +296,20 @@ def check_inputs(dataset, dimension, page_size, config):
                                        f" budget is {op.budget}", position=position, tid=tid)
 
 
-def run(dataset, store, config, sink=None):
-    """Execute the join under `config.plan`; emit DotProductResult per
-    vector to `sink` and return a MetricsReport.
+def run(dataset, store, config, sink=None, plan="gather"):
+    """Execute the join under `plan`, one of PLANS; emit DotProductResult
+    per vector to `sink` and return a MetricsReport, whose `config` lists
+    the plan with `config`'s fields.
 
     `check_inputs` runs before any page is read. `gather` then gathers each
     U-page and emits its results in file order. `batched` and `single` emit
     in processing (post-reorder) order; under `batched`, a U-page whose page
     union fits the budget is one batch in file order: it is neither
     reordered nor greedily batched, since no order changes its requests."""
-    check_inputs(dataset, store.dimension, store.page_size, config)
+    check_inputs(dataset, store.dimension, store.page_size, config, plan)
     emit = sink if sink is not None else (lambda result: None)
     manager = BufferManager(store, config.budget)
-    report = MetricsReport(config=config.describe())
+    report = MetricsReport(config={**config.describe(), "plan": plan})
     flat = manager.frames.reshape(-1)
 
     def visit(data, start, stop, model_values):
@@ -327,15 +322,15 @@ def run(dataset, store, config, sink=None):
 
     for upage_index, (start, stop) in enumerate(dataset.upage_bounds(config.upage)):
         report.upage_count += 1
-        if config.plan == "gather":
+        if plan == "gather":
             values = gathered_values(*gather(manager, dataset, start, stop, report))
             started = time.perf_counter()
             visit(dataset, start, stop, values)
             report.compute_time += time.perf_counter() - started
         else:
             started = time.perf_counter()
-            rows, batches = plan_upage(dataset, start, stop, store.page_size, config,
-                                        (upage_index,))
+            rows, batches = plan_upage(dataset, start, stop, store.page_size, config, plan,
+                                       (upage_index,))
             report.reorder_time += time.perf_counter() - started
             data = dataset.take(rows)
             bounds = [(batch.positions[0], batch.positions[-1] + 1) for batch in batches]

@@ -28,6 +28,7 @@ from .errors import ValidationError
 from .metrics import PHASE_COUNTERS, MetricsReport
 from .operator import (OperatorConfig, check_inputs, dot_product, dot_products, finish_report,
                        gather, plan_order, row_sums)
+from .reorder import reorder_shuffle
 from .sparse_data import page_request_set
 
 _TAG_UPAGE_ORDER = 7
@@ -145,11 +146,9 @@ def lmf_loss(dataset, dense_model):
 def _upage_order(count, config, iteration):
     """The order in which an iteration visits `count` U-pages: shuffled,
     seeded by the iteration, when `config.shuffle_upages`."""
-    order = list(range(count))
-    if config.shuffle_upages and count > 1:
-        rng = np.random.default_rng([config.operator.seed, _TAG_UPAGE_ORDER, iteration])
-        order = [int(i) for i in rng.permutation(count)]
-    return order
+    if config.shuffle_upages and count > 1:  # one U-page imports no numpy.random
+        return reorder_shuffle(count, [config.operator.seed, _TAG_UPAGE_ORDER, iteration])
+    return list(range(count))
 
 
 class PageSets:

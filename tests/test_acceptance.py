@@ -41,12 +41,12 @@ def test_c01_demo_corpus_exact_counters(tmp_path):
     started = time.perf_counter()
     ds = gen_demo()
     with make_store(tmp_path, DEMO_DIMENSION, DEMO_PAGE_SIZE) as store:
-        plain = run(ds, store, OperatorConfig(budget=2, reorder="none",
-                                              plan="single"))
-        radix = run(ds, store, OperatorConfig(budget=2, reorder="radix",
-                                              plan="single"))
-        batched = run(ds, store, OperatorConfig(budget=2, reorder="radix",
-                                                plan="batched"))
+        plain = run(ds, store, OperatorConfig(budget=2, reorder="none"),
+                    plan="single")
+        radix = run(ds, store, OperatorConfig(budget=2, reorder="radix"),
+                    plan="single")
+        batched = run(ds, store, OperatorConfig(budget=2, reorder="radix"),
+                      plan="batched")
     assert plain.element_requests == 19
     assert plain.page_requests == 16
     assert plain.page_misses == 8
@@ -92,10 +92,9 @@ def test_c02_oracle_equivalence_over_config_grid(tmp_path):
                 budget = max(fit, parse_budget(m_kind, store.num_pages))
             sink = CollectSink()
             run(ds, store,
-                OperatorConfig(budget=budget, reorder=heuristic,
-                               plan=plan, upage=64,
+                OperatorConfig(budget=budget, reorder=heuristic, upage=64,
                                seed=int(rng.integers(2**31))),
-                sink=sink)
+                sink=sink, plan=plan)
             expected = oracle_dot_products(ds, store.load_dense())
         got = sorted((r.tid, r.dp) for r in sink.results)
         want = sorted((r.tid, r.dp) for r in expected)
@@ -194,7 +193,8 @@ def test_c04_radix_per_page_miss_bound(tmp_path):
             with PageRecorder(store, upages=True) as recorder:
                 report = run(ds, store,
                              OperatorConfig(budget=budget, reorder="radix",
-                                            plan="single", upage=upage))
+                                            upage=upage),
+                             plan="single")
         assert len(recorder.windows) == report.upage_count
         for window, (start, vectors) in zip(recorder.windows,
                                             ds.iter_upages(upage)):
@@ -254,8 +254,8 @@ def test_c06_reorder_gains_on_skewed_data_at_one_percent_budget(tmp_path):
         for heuristic in ("none", "radix", "lsh"):
             report = run(ds, store,
                          OperatorConfig(budget=budget, reorder=heuristic,
-                                        plan="single", upage=4096, seed=5,
-                                        lsh_m=16, lsh_b=8))
+                                        upage=4096, seed=5, lsh_m=16, lsh_b=8),
+                         plan="single")
             misses[heuristic] = report.page_misses
     radix_cut = 100.0 * (misses["none"] - misses["radix"]) / misses["none"]
     lsh_cut = 100.0 * (misses["none"] - misses["lsh"]) / misses["none"]
@@ -330,8 +330,8 @@ def test_c08_training_converges_and_reorder_does_not_hurt(tmp_path):
     for heuristic in ("shuffle", "radix"):
         with make_store(tmp_path, 10_000, 128,
                         name=f"lr_{heuristic}.model") as store:
-            op = OperatorConfig(budget=32, reorder=heuristic, plan="batched",
-                                upage=1024, seed=9)
+            op = OperatorConfig(budget=32, reorder=heuristic, upage=1024,
+                                seed=9)
             report = train(ds, store, TrainConfig(op, task="lr", mode="sgd",
                                                   alpha=0.2, iterations=10))
         assert not report.diverged
@@ -346,8 +346,8 @@ def test_c08_training_converges_and_reorder_does_not_hurt(tmp_path):
     with make_store(tmp_path, (200 + 200) * 8, 64,
                     init=("uniform", -0.1, 0.1), seed=3,
                     name="lmf.model") as store:
-        op = OperatorConfig(budget=16, reorder="shuffle", plan="batched",
-                            upage=1024, seed=9)
+        op = OperatorConfig(budget=16, reorder="shuffle", upage=1024,
+                            seed=9)
         mreport = train(mds, store, TrainConfig(op, task="lmf", mode="sgd",
                                                 alpha=0.05, iterations=10))
     assert not mreport.diverged
@@ -371,7 +371,8 @@ def test_c09_misses_shrink_as_budget_grows(tmp_path):
             assert budget >= fit
             report = run(ds, store,
                          OperatorConfig(budget=budget, reorder="none",
-                                        plan="single", upage=4096))
+                                        upage=4096),
+                         plan="single")
             trail.append(report.page_misses)
             distinct = report.distinct_pages
     assert all(a >= b for a, b in zip(trail, trail[1:])), trail

@@ -157,6 +157,7 @@ def test_train_writes_loss_curve(tmp_path, capsys):
                  "--budget", "50%", "--seed", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["diverged"] is False
+    assert "plan" not in payload["config"]  # training reads every U-page by gather
     assert len(payload["losses"]) == 5
     for name in ("page_requests", "page_misses", "write_backs"):
         assert sum(counts[name] for counts in payload["phases"].values()) == payload[name]

@@ -20,8 +20,8 @@ def test_results_match_oracle_exactly(tmp_store):
     for plan in PLANS:
         for heuristic in HEURISTICS:
             sink = CollectSink()
-            run(ds, store, OperatorConfig(budget=8, reorder=heuristic, plan=plan, seed=2),
-                sink=sink)
+            run(ds, store, OperatorConfig(budget=8, reorder=heuristic, seed=2), sink=sink,
+                plan=plan)
             got = {r.tid: r.dp for r in sink.results}
             assert got.keys() == expected.keys()
             for tid, dp in got.items():
@@ -32,7 +32,7 @@ def test_demo_counters_plain(tmp_store):
     from dpjoin.datagen import DEMO_DIMENSION, DEMO_PAGE_SIZE
     ds = gen_demo()
     store = tmp_store(DEMO_DIMENSION, DEMO_PAGE_SIZE, init=("uniform", 1.0, 1.0))
-    report = run(ds, store, OperatorConfig(budget=2, plan="single"))
+    report = run(ds, store, OperatorConfig(budget=2), plan="single")
     assert report.element_requests == 19
     assert report.page_requests == 16
     assert report.page_misses == 8
@@ -43,7 +43,7 @@ def test_reorder_restores_file_order_in_results(tmp_store):
     store = tmp_store(200, 16)
     for plan in PLANS:
         sink = CollectSink()
-        run(ds, store, OperatorConfig(budget=6, reorder="none", plan=plan), sink=sink)
+        run(ds, store, OperatorConfig(budget=6, reorder="none"), sink=sink, plan=plan)
         assert [r.tid for r in sink.results] == [v.tid for v in ds], plan
 
 
@@ -51,8 +51,8 @@ def test_shuffled_processing_emits_all_tids(tmp_store):
     ds = gen_uniform(64, 200, 4, seed=6)
     store = tmp_store(200, 16)
     sink = CollectSink()
-    run(ds, store, OperatorConfig(budget=6, reorder="shuffle", plan="batched", seed=1),
-        sink=sink)
+    run(ds, store, OperatorConfig(budget=6, reorder="shuffle", seed=1), sink=sink,
+        plan="batched")
     assert sorted(r.tid for r in sink.results) == [v.tid for v in ds]
     assert [r.tid for r in sink.results] != [v.tid for v in ds]
 
@@ -60,7 +60,7 @@ def test_shuffled_processing_emits_all_tids(tmp_store):
 def test_batching_off_one_batch_per_vector(tmp_store):
     ds = gen_uniform(30, 300, 5, seed=7)
     store = tmp_store(300, 16)
-    report = run(ds, store, OperatorConfig(budget=8, plan="single"))
+    report = run(ds, store, OperatorConfig(budget=8), plan="single")
     assert report.batch_count == 30
     assert report.element_requests == total_nnz(ds)
     assert report.page_requests == sum(
@@ -70,8 +70,8 @@ def test_batching_off_one_batch_per_vector(tmp_store):
 def test_batching_reduces_page_requests(tmp_store):
     ds = gen_uniform(30, 300, 5, seed=7)
     store = tmp_store(300, 16)
-    plain = run(ds, store, OperatorConfig(budget=8, plan="single"))
-    batched = run(ds, store, OperatorConfig(budget=8, plan="batched"))
+    plain = run(ds, store, OperatorConfig(budget=8), plan="single")
+    batched = run(ds, store, OperatorConfig(budget=8), plan="batched")
     assert batched.batch_count < plain.batch_count
     assert batched.page_requests < plain.page_requests
     assert batched.element_requests == plain.element_requests
@@ -92,7 +92,7 @@ def test_per_upage_metrics(tmp_store):
     ds = gen_uniform(50, 200, 4, seed=11)
     store = tmp_store(200, 16)
     with PageRecorder(store, upages=True) as recorder:
-        report = run(ds, store, OperatorConfig(budget=8, plan="batched", upage=16))
+        report = run(ds, store, OperatorConfig(budget=8, upage=16), plan="batched")
     windows = recorder.windows
     assert report.upage_count == 4
     assert len(windows) == 4
@@ -120,9 +120,9 @@ def test_counters_are_deterministic(tmp_store):
     ds = gen_uniform(40, 300, 5, seed=13)
     store = tmp_store(300, 16)
     for plan in PLANS:
-        config = OperatorConfig(budget=8, reorder="lsh", plan=plan, seed=21)
-        a = run(ds, store, config).counters()
-        b = run(ds, store, config).counters()
+        config = OperatorConfig(budget=8, reorder="lsh", seed=21)
+        a = run(ds, store, config, plan=plan).counters()
+        b = run(ds, store, config, plan=plan).counters()
         assert a == b, plan
 
 
@@ -147,7 +147,7 @@ def test_oversized_vector_carries_tid(tmp_store, heuristic):
     ds = gen_uniform(10, 400, 8, seed=2)
     store = tmp_store(400, 8)          # 50 pages, sets up to 8 pages
     with pytest.raises(OversizedVectorError) as err:
-        run(ds, store, OperatorConfig(budget=2, reorder=heuristic, plan="single"))
+        run(ds, store, OperatorConfig(budget=2, reorder=heuristic), plan="single")
     assert err.value.tid in ds.tids
     assert f"tid {err.value.tid} " in str(err.value)
     if heuristic in ("none", "kcenter"):  # both find the first in file order
@@ -159,8 +159,8 @@ def test_results_are_streamed_not_buffered(tmp_store):
     ds = gen_uniform(12, 100, 3, seed=4)
     store = tmp_store(100, 10)
     seen = []
-    run(ds, store, OperatorConfig(budget=4, plan="single"),
-        sink=lambda result: seen.append(result.tid))
+    run(ds, store, OperatorConfig(budget=4), sink=lambda result: seen.append(result.tid),
+        plan="single")
     assert seen == [v.tid for v in ds]
 
 
@@ -267,7 +267,7 @@ def test_describe_lists_every_field():
 
     op = OperatorConfig(budget=3)
     assert list(op.describe()) == [f.name for f in fields(op)]
-    assert len(op.describe()) == 8
+    assert len(op.describe()) == 7
     config = TrainConfig(op)
     assert list(config.describe()) == list(op.describe()) + [
         f.name for f in fields(config) if f.name != "operator"]
@@ -279,9 +279,11 @@ def test_report_config_is_unchanged(tmp_store):
     ds = gen_uniform(20, 64, 3, seed=2)
     store = tmp_store(64, 8)
     op = OperatorConfig(budget=4, reorder="lsh", upage=8, seed=5, kcenter_k=3)
-    expected = [("budget", 4), ("reorder", "lsh"), ("plan", "gather"), ("upage", 8),
-                ("seed", 5), ("lsh_m", 16), ("lsh_b", 4), ("kcenter_k", 3)]
-    assert list(run(ds, store, op).config.items()) == expected
+    expected = [("budget", 4), ("reorder", "lsh"), ("upage", 8), ("seed", 5), ("lsh_m", 16),
+                ("lsh_b", 4), ("kcenter_k", 3)]
+    # The join's report lists its plan; training takes none.
+    assert list(run(ds, store, op).config.items()) == expected + [("plan", "gather")]
+    assert run(ds, store, op, plan="single").config["plan"] == "single"
     result = train(ds, store, TrainConfig(op, mode="bgd", alpha=0.5, iterations=1,
                                           shuffle_upages=False))
     expected += [("task", "lr"), ("mode", "bgd"), ("alpha", 0.5), ("iterations", 1),
@@ -302,16 +304,16 @@ def test_run_and_train_build_no_sparse_vectors(tmp_store, monkeypatch):
                         lambda self: (made.append(self.tid), real(self)))
     for plan in PLANS:
         for heuristic in ("none", "radix", "lsh"):
-            run(ds, store, OperatorConfig(budget=6, reorder=heuristic, plan=plan, upage=16))
-        for mode in ("sgd", "sgd-page", "bgd"):
-            train(ds, store, TrainConfig(OperatorConfig(budget=6, plan=plan, upage=16),
-                                         task="lr", mode=mode, iterations=1))
+            run(ds, store, OperatorConfig(budget=6, reorder=heuristic, upage=16), plan=plan)
+    for mode in ("sgd", "sgd-page", "bgd"):
+        train(ds, store, TrainConfig(OperatorConfig(budget=6, upage=16), task="lr", mode=mode,
+                                     iterations=1))
     assert made == []
     next(iter(ds))
     assert made == [0]
 
 
-def reference_run(ds, store, config):
+def reference_run(ds, store, config, plan):
     """The join with every U-page planned in full: ordered by `plan_order`
     and cut by `make_batches` without a union, and the batches replayed
     through a fresh BufferManager. Returns the counters, the per-U-page
@@ -328,7 +330,7 @@ def reference_run(ds, store, config):
             recorder.window(start=start, vectors=stop - start)
             sets = ds.page_sets(start, stop, store.page_size)
             perm = plan_order(sets, config, (upage_index,))
-            batches = make_batches([sets[p] for p in perm], config)
+            batches = make_batches([sets[p] for p in perm], config, plan)
             for batch in batches:
                 manager.request_set(batch.pages)
                 for position in batch.positions:
@@ -363,12 +365,12 @@ def test_fitting_upages_keep_the_planned_counters(tmp_path_factory, n, upage, he
         largest = max(len(set().union(*upage_sets)) for upage_sets in sets)
         widest = max(len(s) for upage_sets in sets for s in upage_sets)
         config = OperatorConfig(budget=max(widest, largest + delta), reorder=heuristic,
-                                plan="batched" if batching else "single", upage=upage,
-                                seed=seed)
+                                upage=upage, seed=seed)
+        plan = "batched" if batching else "single"
         sink = CollectSink()
         with PageRecorder(store, upages=True) as recorder:
-            report = run(ds, store, config, sink)
-        counters, windows, results = reference_run(ds, store, config)
+            report = run(ds, store, config, sink, plan)
+        counters, windows, results = reference_run(ds, store, config, plan)
     assert report.counters() == counters
     assert recorder.windows == windows
     assert sorted((r.tid, r.dp) for r in sink.results) == results
@@ -393,20 +395,19 @@ def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(operator, name, spy)
 
-    config = OperatorConfig(budget=10, reorder="shuffle", plan="batched", seed=1)
+    config = OperatorConfig(budget=10, reorder="shuffle", seed=1)
     sink = CollectSink()
-    report = run(ds, store, config, sink)
+    report = run(ds, store, config, sink, "batched")
     assert [r.tid for r in sink.results] == tids
     assert report.batch_count == 1
     assert calls == []
 
     for budget, batching in ((9, True), (10, False)):
-        config = OperatorConfig(budget=budget, reorder="shuffle",
-                                plan="batched" if batching else "single", seed=1)
+        config = OperatorConfig(budget=budget, reorder="shuffle", seed=1)
         order = plan_order(sets, config, (0,))
         calls.clear()
         sink = CollectSink()
-        run(ds, store, config, sink)
+        run(ds, store, config, sink, "batched" if batching else "single")
         assert [r.tid for r in sink.results] == [tids[p] for p in order] != tids
         assert calls == ["reorder", "greedy_batches"][: 1 + batching]
 
@@ -453,9 +454,9 @@ def test_gather_join_matches_the_oracle(tmp_store, heuristic, budget, upage):
         pages = 8 if budget == "middle" else 13
     store = tmp_store(13 * 32, 32, init=("uniform", -1.0, 1.0), seed=8)
     config = OperatorConfig(budget=pages, reorder=heuristic, upage=upage, seed=2)
-    assert config.plan == "gather"
     sink = CollectSink()
     report = run(ds, store, config, sink=sink)
+    assert report.config["plan"] == "gather"
     expected = oracle_dot_products(ds, store.load_dense())
     assert [r.tid for r in sink.results] == [r.tid for r in expected]
     assert _bits([r.dp for r in sink.results]) == _bits([r.dp for r in expected])
@@ -498,7 +499,7 @@ def test_gather_join_names_an_oversized_vector_before_any_read(tmp_store):
     for plan in PLANS:
         sink = CollectSink()
         with PageRecorder(store) as recorder, pytest.raises(OversizedVectorError) as err:
-            run(ds, store, OperatorConfig(budget=2, plan=plan, upage=4), sink)
+            run(ds, store, OperatorConfig(budget=2, upage=4), sink, plan)
         assert (err.value.tid, err.value.position) == (9, 1), plan
         assert "vector tid 9 needs 3 pages, budget is 2" in str(err.value)
         assert recorder.requests == [], plan
@@ -507,11 +508,24 @@ def test_gather_join_names_an_oversized_vector_before_any_read(tmp_store):
 
 
 def test_an_unknown_plan_is_rejected(tmp_store):
+    """The plan is an argument of the join alone: `check_inputs` and `run`
+    reject an unknown one before any page is read, and no operator setting
+    (so no training config) takes a plan."""
+    from dpjoin.operator import check_inputs
+
     ds = gen_uniform(10, 64, 3, seed=1)
     store = tmp_store(64, 8)
+    config = OperatorConfig(budget=4)
     with pytest.raises(ValidationError, match="unknown plan 'hash'"):
-        run(ds, store, OperatorConfig(budget=4, plan="hash"))
-    assert OperatorConfig(budget=4, plan="single").describe()["plan"] == "single"
+        check_inputs(ds, 64, 8, config, "hash")
+    with PageRecorder(store) as recorder, pytest.raises(ValidationError,
+                                                        match="unknown plan 'hash'"):
+        run(ds, store, config, plan="hash")
+    assert recorder.requests == []
+    assert store.reads == 0
+    assert "plan" not in config.describe()
+    with pytest.raises(TypeError):
+        OperatorConfig(budget=4, plan="batched")
 
 
 def test_gather_join_peaks_no_higher_than_the_batched_join(tmp_store):
@@ -529,7 +543,7 @@ def test_gather_join_peaks_no_higher_than_the_batched_join(tmp_store):
     for plan in ("gather", "batched"):
         tracemalloc.start()
         try:
-            run(ds, store, OperatorConfig(budget=20, reorder="radix", plan=plan))
+            run(ds, store, OperatorConfig(budget=20, reorder="radix"), plan=plan)
             peaks[plan] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

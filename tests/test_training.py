@@ -1,7 +1,7 @@
 import dataclasses
-import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,17 +11,17 @@ from dpjoin import (BufferManager, Dataset, OperatorConfig, OversizedVectorError
                     PreconditionError, ValidationError, run)
 from dpjoin.datagen import gen_matrix, gen_uniform
 from dpjoin.metrics import PHASE_COUNTERS
-from dpjoin.operator import PLANS, plan_order
+from dpjoin.operator import plan_order
 from dpjoin.reorder import HEURISTICS
-from dpjoin.training import (TrainConfig, check_dataset, gradient_sums, iteration_plan,
-                             lmf_cell_gradient, lr_loss, lr_scale, train, train_oracle)
+from dpjoin.training import (TrainConfig, _upage_order, check_dataset, gradient_sums,
+                             iteration_plan, lmf_cell_gradient, lr_loss, lr_scale, train,
+                             train_oracle)
 
 from conftest import make_vector, pinned_pages
 
 
 def small_op(budget=8, reorder="none", seed=3, upage=32):
-    return OperatorConfig(budget=budget, reorder=reorder, plan="batched",
-                          upage=upage, seed=seed)
+    return OperatorConfig(budget=budget, reorder=reorder, upage=upage, seed=seed)
 
 
 class TestLrPieces:
@@ -103,27 +103,23 @@ LR_INSTANCES = (lambda tmp_store, name: task_instance(tmp_store, "lr", name), sp
 @pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
 @pytest.mark.parametrize("task", ["lr", "lmf"])
 def test_gather_and_batched_plans_train_alike(tmp_store, task, mode):
-    """Training reads every U-page by gather under every plan: the plan
-    changes no loss, final model or counter. Under `sgd` the heuristic
-    orders the updates; under `sgd-page` and `bgd`, which read each U-page
-    in file order, it changes nothing either."""
+    """Training reads every U-page by gather and takes no plan. Under `sgd`
+    the heuristic orders the updates; under `sgd-page` and `bgd`, which read
+    each U-page in file order, it changes no loss, final model or counter."""
     ds, _, budget, alpha = task_instance(tmp_store, task)
     results = {}
-    for heuristic, plan in itertools.product(HEURISTICS, PLANS):
-        _, store, _, _ = task_instance(tmp_store, task, name=f"{heuristic}-{plan}.model")
-        op = dataclasses.replace(small_op(budget=budget, reorder=heuristic), plan=plan)
-        report = train(ds, store, TrainConfig(op, task=task, mode=mode, alpha=alpha,
-                                              iterations=2))
-        results[heuristic, plan] = ([loss.hex() for loss in report.losses],
-                                    report.metrics.counters(), store.load_dense().tobytes())
     for heuristic in HEURISTICS:
-        assert all(results[heuristic, plan] == results[heuristic, PLANS[0]] for plan in PLANS)
-    same_as_none = {results[heuristic, PLANS[0]][0] == results["none", PLANS[0]][0]
-                    for heuristic in HEURISTICS}
+        _, store, _, _ = task_instance(tmp_store, task, name=f"{heuristic}.model")
+        report = train(ds, store, TrainConfig(small_op(budget=budget, reorder=heuristic),
+                                              task=task, mode=mode, alpha=alpha, iterations=2))
+        results[heuristic] = ([loss.hex() for loss in report.losses],
+                              report.metrics.counters(), store.load_dense().tobytes())
+    same_as_none = {results[heuristic] == results["none"] for heuristic in HEURISTICS}
     assert same_as_none == ({True, False} if mode == "sgd" else {True})
 
 
-@pytest.mark.parametrize("task,mode,batching,heuristic", [
+# `unbatched` (an id from when training took a plan) runs at a budget of every page.
+@pytest.mark.parametrize("task,mode,tight,heuristic", [
     ("lr", "sgd", True, "radix"), ("lr", "sgd-page", True, "radix"),
     ("lr", "bgd", True, "radix"), ("lmf", "sgd", True, "shuffle"),
     ("lmf", "sgd-page", True, "shuffle"), ("lmf", "bgd", True, "shuffle"),
@@ -131,16 +127,15 @@ def test_gather_and_batched_plans_train_alike(tmp_store, task, mode):
     ("lmf", "sgd", True, "none"),
 ], ids=["lr-sgd", "lr-sgd-page", "lr-bgd", "lmf-sgd", "lmf-sgd-page", "lmf-bgd",
         "lr-sgd-page-unbatched", "lr-sgd-none", "lmf-sgd-none"])
-def test_paged_training_matches_dense_oracle(tmp_store, task, mode, batching, heuristic):
+def test_paged_training_matches_dense_oracle(tmp_store, task, mode, tight, heuristic):
     """Dual route: the paged trainer and the in-memory trainer must agree
     bit for bit, losses and final model both. Under `sgd` and a reorder
     other than `none` the update passes visit the vectors in an order that
     is not file order here; an accumulated update reads its U-page in file
     order whatever the reorder."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
-    op = small_op(budget=budget, reorder=heuristic)
+    op = small_op(budget=budget if tight else store.num_pages, reorder=heuristic)
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=4)
-    config.operator.plan = "batched" if batching else "single"
     if mode == "sgd" and heuristic != "none":
         orders = [order for _, order in iteration_plan(ds, store.page_size, config, 0)]
         assert any(order != sorted(order) for order in orders)
@@ -244,17 +239,16 @@ def gather_requests(ds, page_size, op):
     return [len(scan_pages(ds, start, stop, page_size)) for start, stop in ds.upage_bounds(op.upage)]
 
 
-# No plan changes an `sgd-page` or `bgd` run (`test_gather_and_batched_plans_train_alike`),
-# so each plan id of this axis also names a budget, which does change it: the
-# task's under `batched`, every page under `single`.
+# The ids of the `tight` axis date from when training took a plan; they name a
+# budget, which changes the page groups: the task's (`batched`) or every page.
 @pytest.mark.parametrize("shuffle_upages", [True, False], ids=["shuffled", "fixed"])
-@pytest.mark.parametrize("batching", [True, False], ids=["batched", "unbatched"])
+@pytest.mark.parametrize("tight", [True, False], ids=["batched", "unbatched"])
 @pytest.mark.parametrize("upages", [1, 2, 3])
 @pytest.mark.parametrize("iterations", [0, 1, 2, 3, 5])
 @pytest.mark.parametrize("mode", ["sgd-page", "bgd"])
 @pytest.mark.parametrize("task", ["lr", "lmf"])
 def test_fused_loss_visits_match_the_oracle(tmp_store, task, mode, iterations, upages,
-                                            batching, shuffle_upages):
+                                            tight, shuffle_upages):
     """Under `sgd-page` and `bgd`, loss i >= 1 takes the terms of the update
     visits that read its model before iteration i's first apply (the first
     U-page's under `sgd-page`, every U-page's under `bgd`) and loss-only
@@ -264,9 +258,8 @@ def test_fused_loss_visits_match_the_oracle(tmp_store, task, mode, iterations, u
     loss-only gathers alone, each U-page's distinct pages and those of the
     write it carries once."""
     ds, store, budget, alpha = task_instance(tmp_store, task)
-    op = small_op(budget=budget if batching else store.num_pages, reorder="shuffle",
+    op = small_op(budget=budget if tight else store.num_pages, reorder="shuffle",
                   upage=-(-len(ds) // upages))
-    op.plan = "batched" if batching else "single"
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=iterations,
                          shuffle_upages=shuffle_upages)
     assert len(ds.upage_bounds(op.upage)) == upages
@@ -389,6 +382,35 @@ def test_iteration_plan_fixed_scan_when_disabled():
         assert [u for u, _ in plan] == [0, 1, 2]
 
 
+def test_the_upage_order_stream_is_pinned():
+    """`_upage_order` shuffles through `reorder_shuffle`, seeded by the
+    config's seed, its tag and the iteration. `train_oracle` shares it, so
+    only these literals catch a change of stream."""
+    config = TrainConfig(small_op(seed=5))
+    assert [[_upage_order(count, config, iteration) for count in (2, 3, 5, 8)]
+            for iteration in range(3)] == [
+        [[1, 0], [1, 0, 2], [1, 4, 2, 3, 0], [7, 1, 5, 3, 2, 4, 0, 6]],
+        [[1, 0], [1, 2, 0], [3, 1, 4, 2, 0], [5, 3, 2, 7, 1, 4, 6, 0]],
+        [[0, 1], [0, 2, 1], [0, 4, 1, 2, 3], [7, 0, 4, 6, 1, 2, 3, 5]]]
+    fixed = dataclasses.replace(config, shuffle_upages=False)
+    assert _upage_order(5, fixed, 1) == [0, 1, 2, 3, 4]
+
+
+def test_one_upage_orders_without_numpy_random():
+    """With one U-page nothing is shuffled, so `numpy.random` (about 6 MiB
+    of resident memory) is never imported."""
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys; from dpjoin import OperatorConfig;"
+            " from dpjoin.training import TrainConfig, _upage_order;"
+            " assert _upage_order(1, TrainConfig(OperatorConfig(budget=1)), 0) == [0];"
+            " assert 'numpy.random' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+
+
 @pytest.mark.parametrize("heuristic", HEURISTICS)
 def test_sgd_plans_build_page_sets_only_for_a_heuristic_that_reads_them(monkeypatch,
                                                                        heuristic):
@@ -449,9 +471,9 @@ def test_oversized_vector_error_names_the_tid(tmp_store, batching):
     vectors[3] = make_vector(103, [0, 8, 16], label=1.0)
     ds = Dataset(dimension=64, vectors=vectors)
     store = tmp_store(64, 8)
-    op = OperatorConfig(budget=2, plan="batched" if batching else "single", upage=4)
+    op = OperatorConfig(budget=2, upage=4)
     with pytest.raises(OversizedVectorError) as err:
-        run(ds, store, op)
+        run(ds, store, op, plan="batched" if batching else "single")
     assert err.value.tid == 103
     assert "103" in str(err.value)
     # `train`, which plans its update passes, names it at its offset in the U-page.
@@ -465,12 +487,12 @@ def test_oversized_vector_error_names_the_tid(tmp_store, batching):
 def test_train_report_counts_batches_and_upages(tmp_store):
     ds = gen_uniform(40, 256, 5, seed=4)
     store = tmp_store(256, 16, init=("uniform", -0.2, 0.2), seed=6)
-    op = OperatorConfig(budget=8, plan="single", upage=16, seed=3)
+    op = OperatorConfig(budget=8, upage=16, seed=3)
     iterations = 3
     config = TrainConfig(op, task="lr", mode="sgd", alpha=0.1, iterations=iterations)
     metrics = train(ds, store, config).metrics
-    # Every pass, under the `single` plan too, gathers each U-page in groups
-    # of `budget` of its pages and of those of the write it carries.
+    # Every pass gathers each U-page in groups of `budget` of its pages and
+    # of those of the write it carries.
     gathers = accumulated_gathers(ds, 16, config)
     upages = len(ds.upage_bounds(op.upage))
     # Loss i >= 1 takes the first updated U-page's terms from its update read.
@@ -515,7 +537,7 @@ def test_a_loss_pass_costs_what_the_radix_join_costs(tmp_store, monkeypatch, tas
         executed.clear()
         run(ds, store, op)
         assert executed == loss_groups
-        join = run(ds, store, dataclasses.replace(op, reorder="radix", plan="batched"))
+        join = run(ds, store, dataclasses.replace(op, reorder="radix"), plan="batched")
         assert loss_pass.page_requests == sum(map(len, pages))
         assert loss_pass.element_requests == join.element_requests == len(ds.indices)
         if budget == store.num_pages:
@@ -737,19 +759,21 @@ def test_the_closing_flush_counts_in_the_phase_that_dirties(tmp_store, mode, wri
     assert metrics.phases[writer]["write_backs"] == metrics.write_backs
 
 
-@pytest.mark.parametrize("batching", [True, False], ids=["batched", "unbatched"])
+# The ids of the `tight` axis date from when training took a plan; they name a
+# budget: the task's tight one (`batched`) or every page.
+@pytest.mark.parametrize("tight", [True, False], ids=["batched", "unbatched"])
 @pytest.mark.parametrize("heuristic", ["none", "radix", "shuffle"])
 @pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
 @pytest.mark.parametrize("task", ["lr", "lmf"])
-def test_walked_update_passes_match_the_oracle(tmp_store, task, mode, heuristic, batching):
-    """No update pass walks batches any more, under any plan: each gathers
-    its U-page, and `train_oracle` follows `iteration_plan`'s order; losses
+def test_walked_update_passes_match_the_oracle(tmp_store, task, mode, heuristic, tight):
+    """No update pass walks batches: each gathers its U-page, in groups of
+    the budget, and `train_oracle` follows `iteration_plan`'s order; losses
     and final model agree bit for bit. The update passes request each
     U-page's distinct pages and those of the write they carry once
-    (`accumulated_gathers`), `sgd`'s included."""
+    (`accumulated_gathers`), `sgd`'s included, whatever the budget."""
     ds, store, _, alpha = task_instance(tmp_store, task)
-    op = small_op(budget=8 if task == "lr" else 4, reorder=heuristic)
-    op.plan = "batched" if batching else "single"
+    op = small_op(budget=(8 if task == "lr" else 4) if tight else store.num_pages,
+                  reorder=heuristic)
     config = TrainConfig(op, task=task, mode=mode, alpha=alpha, iterations=3)
     initial = store.load_dense()
     paged = train(ds, store, config)
@@ -828,19 +852,19 @@ def test_train_asks_for_each_iteration_plan_after_the_initial_loss_pass(tmp_stor
         assert events == expected, mode
 
 
-@pytest.mark.parametrize("batching", [True, False])
+@pytest.mark.parametrize("one_upage", [True, False])
 @pytest.mark.parametrize("heuristic", ["none", "radix", "shuffle"])
-def test_an_oversized_vector_in_an_update_plan_keeps_its_tid(tmp_store, heuristic, batching):
+def test_an_oversized_vector_in_an_update_plan_keeps_its_tid(tmp_store, heuristic, one_upage):
     """Vector tid 103 spans 3 pages of a 2-page budget; `train`, through
-    which the update passes are planned, names it."""
+    which the update passes are planned, names it at its offset in its
+    U-page: 3 in one U-page of all six vectors, 1 in U-pages of two."""
     vectors = [make_vector(100 + i, [8 * i], label=1.0) for i in range(6)]
     vectors[3] = make_vector(103, [0, 8, 16], label=1.0)
     ds = Dataset(dimension=64, vectors=vectors)
-    op = OperatorConfig(budget=2, reorder=heuristic, plan="batched" if batching else "single",
-                        upage=4)
+    op = OperatorConfig(budget=2, reorder=heuristic, upage=6 if one_upage else 2)
     with pytest.raises(OversizedVectorError) as err:
         train(ds, tmp_store(64, 8), TrainConfig(op, task="lr"))
-    assert err.value.tid == 103
+    assert (err.value.tid, err.value.position) == (103, 3 if one_upage else 1)
     assert "103" in str(err.value)
 
 
@@ -867,10 +891,10 @@ def test_the_first_oversized_vector_in_file_order_is_named(tmp_store, monkeypatc
 
     monkeypatch.setattr(operator, "reorder", reorder)
     for seed in range(4):
-        op = OperatorConfig(budget=2, reorder=heuristic,
-                            plan="batched" if batching else "single", upage=8, seed=seed)
+        op = OperatorConfig(budget=2, reorder=heuristic, upage=8, seed=seed)
         config = TrainConfig(op, task="lr", iterations=1)
-        for plan in (lambda: run(ds, store, op), lambda: train(ds, store, config)):
+        for plan in (lambda: run(ds, store, op, plan="batched" if batching else "single"),
+                     lambda: train(ds, store, config)):
             with pytest.raises(OversizedVectorError) as err:
                 plan()
             assert (err.value.tid, err.value.position) == (101, 1)
