@@ -4,10 +4,13 @@ Streams a dataset of sparse vectors against a paged dense model, one
 chunk (U-page) of vectors at a time, under one of three plans:
 
 - `gather` (the default): the U-page's entries are sorted by model index,
-  its distinct pages are requested once each, in ascending groups of the
-  budget, and the value at each distinct index is copied once (`gather`);
-  the dot products are then computed together and emitted in file order.
-  This is a sort-merge join of the entries against the model.
+  its distinct pages are requested once each, in groups of the budget cut
+  from the ascending page list, and the value at each distinct index is
+  copied once (`gather`); the dot products are then computed together and
+  emitted in file order. This is a sort-merge join of the entries against
+  the model. Odd-numbered U-pages run their groups in descending order, so
+  each gather starts on the pages the last one left resident (an elevator
+  scan), not on the pages it evicted first.
 - `batched`: the paper's operator. Vectors are reordered within the
   chunk, cut into batches whose page unions fit the memory budget, and
   each batch's pages are requested from the buffer manager as one pinned
@@ -181,14 +184,16 @@ def runs(keys):
     return keys[first], np.append(first, len(keys))
 
 
-def gather(manager, data, start, stop, report, write=None):
+def gather(manager, data, start, stop, report, write=None, descending=False):
     """The model slice `(touched, slots, local)` of rows [start, stop) of
     `data`: their entries' distinct model indexes, ascending, each entry's
     slot in `touched` (the narrowest unsigned dtype holding len(touched))
     and the value at each index, so entry e's value is `local[slots[e]]`.
-    One sort of the entries gives the slice; one ascending scan through
-    `execute` reads it, each distinct page requested once, in
-    `page_groups` of the budget.
+    One sort of the entries gives the slice; one scan through `execute`
+    reads it, each distinct page requested once, in `page_groups` of the
+    budget, run in reverse if `descending`. Callers alternate the direction,
+    so each gather starts on the pages the last one left resident; no value
+    depends on it, as each page's values are assigned and copied apart.
 
     `write`, when given, is a pending write `(touched, new)`: distinct,
     ascending model indexes and the value to assign to each. The same scan
@@ -229,7 +234,9 @@ def gather(manager, data, start, stop, report, write=None):
         flat[at[:split]] = new[write_cuts[g] : write_cuts[g + 1]]
         local[read_cuts[g] : read_cuts[g + 1]] = flat[at[split:]]
 
-    execute(manager, groups, write_and_copy, report)
+    order = range(len(groups))[:: -1 if descending else 1]
+    execute(manager, [groups[g] for g in order], lambda k, at: write_and_copy(order[k], at),
+            report)
     return touched, slots, local
 
 
@@ -302,7 +309,8 @@ def run(dataset, store, config, sink=None, plan="gather"):
     the plan with `config`'s fields.
 
     `check_inputs` runs before any page is read. `gather` then gathers each
-    U-page and emits its results in file order. `batched` and `single` emit
+    U-page, odd-numbered ones in descending page order, and emits its
+    results in file order. `batched` and `single` emit
     in processing (post-reorder) order; under `batched`, a U-page whose page
     union fits the budget is one batch in file order: it is neither
     reordered nor greedily batched, since no order changes its requests."""
@@ -323,7 +331,8 @@ def run(dataset, store, config, sink=None, plan="gather"):
     for upage_index, (start, stop) in enumerate(dataset.upage_bounds(config.upage)):
         report.upage_count += 1
         if plan == "gather":
-            values = gathered_values(*gather(manager, dataset, start, stop, report))
+            values = gathered_values(*gather(manager, dataset, start, stop, report,
+                                             descending=upage_index % 2 == 1))
             started = time.perf_counter()
             visit(dataset, start, stop, values)
             report.compute_time += time.perf_counter() - started

@@ -218,8 +218,9 @@ def train(dataset, store, config):
     """Run gradient descent against the paged model in `store`.
 
     Every pass reads a U-page in file order, in place, with one
-    `operator.gather` (the join's default plan), then calls the task's
-    residual and loss-term kernels once on the gathered values. Its loss
+    `operator.gather` (the join's default plan), then calls each of the
+    task's residual and loss-term kernels at most once on the gathered
+    values (which ones, below). Its loss
     terms go to their file rows, and a loss adds them in file order, as
     `train_oracle` does. An update pass keeps its slice for the apply, with
     its gradient terms under `sgd-page` and `bgd`. Memory follows the
@@ -236,9 +237,14 @@ def train(dataset, store, config):
     taken in `iteration_plan`'s order; else `old - alpha * g[i]` from the
     slices since the last apply (`gradient_sums`), `old` being the value
     the update read, with no apply between. The next gather, whatever its
-    phase, carries the write in its ascending scan, assigning each page's
-    values before it reads it and unpinning dirty only the pages that hold
-    one, so every write is carried.
+    phase, carries the write in its scan, assigning each page's values
+    before it reads it and unpinning dirty only the pages that hold one, so
+    every write is carried. Gathers alternate their scan direction, every
+    second one descending, so each starts on the pages the last one left
+    resident. Only the update reads before iteration i's first apply, at
+    i >= 1, write loss terms; under `sgd` the other update reads run no
+    kernel, under `sgd-page` and `bgd` only their residual and gradient-term
+    kernels.
 
     `check_inputs` runs before any page is read; nothing after it checks.
     `iteration_plan` is called once per iteration, after the initial loss
@@ -288,43 +294,62 @@ def train(dataset, store, config):
 
     def lr_sgd(start, stop, slots, local, order):
         lo = dataset.indptr[start]
-        values = dataset.values[lo : dataset.indptr[stop]]
+        values = dataset.values[lo : dataset.indptr[stop]].tolist()
         cuts = (dataset.indptr[start : stop + 1] - lo).tolist()
         labels = dataset.labels[start:stop].tolist()
+        at, model = slots.tolist(), local.tolist()  # numpy's per-call cost exceeds a step's
         for p in order:
-            at, scaled = slots[cuts[p] : cuts[p + 1]], values[cuts[p] : cuts[p + 1]]
+            entries = range(cuts[p], cuts[p + 1])
             dp = 0.0
-            for term in (scaled * local[at]).tolist():
-                dp += term
-            local[at] -= config.alpha * lr_scale(labels[p], dp) * scaled
+            for k in entries:
+                dp += values[k] * model[at[k]]
+            step = config.alpha * lr_scale(labels[p], dp)
+            for k in entries:
+                model[at[k]] -= step * values[k]
+        local[:] = model
 
     def lmf_sgd(start, stop, slots, local, order):
-        blocks = slots.reshape(stop - start, 2, rank)
+        """A cell's row and column blocks each take `rank` consecutive slots,
+        as `touched` is ascending; each step is `train_oracle`'s, on floats."""
+        rows, cols = slots[:: 2 * rank].tolist(), slots[rank :: 2 * rank].tolist()
         labels = dataset.labels[start:stop].tolist()
+        model, alpha = local.tolist(), config.alpha
         for p in order:
-            row_at, col_at = blocks[p]
-            grad_row, grad_col = lmf_cell_gradient(labels[p], local[row_at], local[col_at])
-            local[row_at] -= config.alpha * grad_row
-            local[col_at] -= config.alpha * grad_col
+            r, c = rows[p], cols[p]
+            row, col = model[r : r + rank], model[c : c + rank]
+            e = 0.0
+            for a, b in zip(row, col):
+                e += a * b
+            e -= labels[p]
+            model[r : r + rank] = [a - alpha * (e * b) for a, b in zip(row, col)]
+            model[c : c + rank] = [b - alpha * (e * a) for a, b in zip(row, col)]
+        local[:] = model
 
     residuals, loss_terms, gradient_terms, sgd = (
         (dot_products, lr_loss_terms, lr_gradient_terms, lr_sgd) if config.task == "lr" else
         (cell_errors, lmf_loss_terms, lmf_gradient_terms, lmf_sgd))
 
-    def read(start, stop, update=False, order=None):
-        """`gather` rows [start, stop), carrying the pending write, and write their
-        loss terms; if `update`, keep the slice and its gradient terms or, under
-        `sgd`, its rows and `order`."""
-        nonlocal write
-        touched, slots, local = gather(manager, dataset, start, stop, report, write)
-        write = None
+    gathers = 0  # counted to alternate the scan direction, gather by gather
+
+    def read(start, stop, update=False, order=None, loss=True):
+        """`gather` rows [start, stop), carrying the pending write, in the
+        direction opposite to the last gather's, and, if `loss`, write their
+        loss terms; if `update`, keep the slice and its gradient terms or,
+        under `sgd`, its rows and `order`. An `sgd` update read that writes no
+        loss terms runs no kernel."""
+        nonlocal write, gathers
+        touched, slots, local = gather(manager, dataset, start, stop, report, write,
+                                       descending=gathers % 2 == 1)
+        write, gathers = None, gathers + 1
         started = time.perf_counter()
-        values = local[slots]
-        if not update:
-            del touched, slots, local  # a loss-only read drops its slice before its kernels
-        residual = residuals(dataset, start, stop, values)
-        del values
-        loss_by_row[start:stop] = loss_terms(dataset, start, stop, residual)
+        if loss or order is None:
+            values = local[slots]
+            if not update:
+                del touched, slots, local  # a loss-only read drops its slice before its kernels
+            residual = residuals(dataset, start, stop, values)
+            del values
+            if loss:
+                loss_by_row[start:stop] = loss_terms(dataset, start, stop, residual)
         if update:
             terms = (start, stop, order) if order is not None else gradient_terms(
                 dataset, start, stop, residual)
@@ -337,7 +362,7 @@ def train(dataset, store, config):
         started = time.perf_counter()
         if config.mode == "sgd":
             [(touched, slots, (start, stop, order), local)] = pending  # one update read
-            sgd(start, stop, slots.astype(np.intp), local, order)  # intp indexes fastest
+            sgd(start, stop, slots, local, order)
             write = touched, local
         else:
             touched, sums, olds = gradient_sums(*zip(*pending))
@@ -370,17 +395,18 @@ def train(dataset, store, config):
         plan = iteration_plan(dataset, store.page_size, config, iteration)
         report.reorder_time += time.perf_counter() - started
         report.upage_count += len(plan)
-        # At i >= 1 the update passes before the first apply read the model of losses[i].
+        # At i >= 1 the update passes before the first apply read the model of losses[i];
+        # every other update read's loss terms are overwritten before a loss adds them.
         fused = plan if config.mode == "bgd" else plan[:1]
         for upage, order in fused:
-            charged("update", read, *bounds[upage], update=True, order=order)
+            charged("update", read, *bounds[upage], update=True, order=order, loss=iteration > 0)
         if iteration > 0:
             losses.append(charged("loss", loss_pass, {upage for upage, _ in fused}))
             if not math.isfinite(losses[-1]):
                 break  # the steps or gradient read from that model are never applied
         for position, (upage, order) in enumerate(plan):
             if position >= len(fused):
-                charged("update", read, *bounds[upage], update=True, order=order)
+                charged("update", read, *bounds[upage], update=True, order=order, loss=False)
             if config.mode != "bgd" or position == len(plan) - 1:
                 apply()
         if iteration == config.iterations - 1:

@@ -465,9 +465,11 @@ def test_gather_join_matches_the_oracle(tmp_store, heuristic, budget, upage):
 
 
 @pytest.mark.parametrize("upage,budget", [(1, 1), (16, 3), (16, 8), (50, 2), (50, 13)])
-def test_gather_join_requests_each_upage_pages_once_ascending(tmp_store, upage, budget):
-    """The gather join requests each U-page's distinct pages once, in
-    ascending groups of `budget`, in U-page order."""
+def test_gather_join_requests_each_upage_pages_once_alternating(tmp_store, upage, budget):
+    """The gather join requests each U-page's distinct pages once, in U-page
+    order, in groups of `budget` cut from its ascending pages: the groups run
+    ascending in even-numbered U-pages and descending in odd-numbered ones,
+    so each U-page starts on the pages the last one left resident."""
     rng = np.random.default_rng(4)
     if budget == 1:
         ds = _one_page_dataset(rng, 50, 13, 32)
@@ -477,9 +479,10 @@ def test_gather_join_requests_each_upage_pages_once_ascending(tmp_store, upage, 
     with PageRecorder(store) as recorder:
         report = run(ds, store, OperatorConfig(budget=budget, upage=upage))
     expected = []
-    for start, stop in ds.upage_bounds(upage):
+    for upage_index, (start, stop) in enumerate(ds.upage_bounds(upage)):
         pages = np.unique(ds.indices[ds.indptr[start] : ds.indptr[stop]] // 32).tolist()
-        expected += [pages[k : k + budget] for k in range(0, len(pages), budget)]
+        groups = [pages[k : k + budget] for k in range(0, len(pages), budget)]
+        expected += groups[::-1] if upage_index % 2 else groups
     assert recorder.requests == expected
     assert report.page_requests == sum(map(len, expected))
     assert report.batch_count == len(expected)

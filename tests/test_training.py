@@ -223,6 +223,53 @@ def test_one_upage_takes_two_gathers_more_than_its_iterations(tmp_store, monkeyp
         assert len(gathers) == len(accumulated_gathers(ds, store.page_size, config)) == expected
 
 
+@pytest.mark.parametrize("mode", ["sgd", "sgd-page", "bgd"])
+@pytest.mark.parametrize("task", ["lr", "lmf"])
+def test_alternating_gathers_of_one_upage_each_hit_a_budget_of_pages(tmp_store, task, mode):
+    """With one U-page of P distinct pages, P above the budget B, every
+    gather requests its P pages once and every gather after the first starts
+    on the B pages the last one left resident: G gathers miss
+    P + (G - 1)(P - B) pages of G * P requests (train-lmf-sgd: 50 + 11 * 37
+    = 457 of 600), where a scan that always ascends misses all G * P."""
+    ds, _, tight, alpha = task_instance(tmp_store, task)
+    distinct = len(scan_pages(ds, 0, len(ds), 16 if task == "lr" else 8))
+    for budget in (tight, distinct - 1):
+        for iterations in (1, 2, 5):
+            _, store, _, _ = task_instance(tmp_store, task, name=f"{budget}-{iterations}.model")
+            assert store.num_pages == distinct > budget
+            config = TrainConfig(small_op(budget=budget, upage=len(ds)), task=task, mode=mode,
+                                 alpha=alpha, iterations=iterations)
+            oracle = train_oracle(ds, store.load_dense(), config, store.page_size)
+            report = train(ds, store, config)
+            assert report.losses == oracle.losses
+            gathers = iterations + 2
+            assert report.metrics.page_requests == gathers * distinct
+            assert report.metrics.page_misses == distinct + (gathers - 1) * (distinct - budget)
+
+
+def test_an_sgd_update_read_computes_only_the_loss_terms_a_loss_adds(tmp_store, monkeypatch):
+    """lr `sgd`, T = 2, 4 U-pages: the loss passes' 4 + 3 + 4 loss-only reads
+    and iteration 1's first update read each make one residual call, 12 in
+    all; the other 7 update reads, whose loss terms a later read would
+    overwrite before any loss adds them, make none. Every loss and the final
+    model stay bit-identical to the oracle's."""
+    from dpjoin import training
+    from dpjoin.datagen import gen_skewed
+
+    ds = gen_skewed(8192, 100000, 12, seed=1)
+    store = tmp_store(100000, 1024, init=("uniform", -0.2, 0.2), seed=6)
+    config = TrainConfig(OperatorConfig(budget=40, upage=2048, seed=3), task="lr", mode="sgd",
+                         alpha=0.1, iterations=2)
+    calls, real_dot_products = [], training.dot_products
+    monkeypatch.setattr(training, "dot_products",
+                        lambda *args: calls.append(1) or real_dot_products(*args))
+    oracle = train_oracle(ds, store.load_dense(), config, store.page_size)
+    report = train(ds, store, config)
+    assert len(calls) == 12
+    assert report.losses == oracle.losses
+    assert np.array_equal(store.load_dense(), oracle.final_model)
+
+
 def gathered_requests(gathers, phase):
     """The page requests of the `gathers` of `phase`: each its write's and
     its read's pages, once each."""
@@ -511,10 +558,12 @@ def test_train_report_counts_batches_and_upages(tmp_store):
 @pytest.mark.parametrize("task", ["lr", "lmf"])
 def test_a_loss_pass_costs_what_the_radix_join_costs(tmp_store, monkeypatch, task, heuristic):
     """Whatever orders the update passes, a loss pass requests each U-page's
-    distinct pages once, in ascending groups of `budget`, and reads every
-    entry once, as the radix join does: never more page requests than the
-    join's, fewer when a U-page's pages do not fit, and exactly the join's
-    when they all do. The default join executes the same page groups."""
+    distinct pages once, in groups of `budget` cut from its ascending pages,
+    and reads every entry once, as the radix join does: never more page
+    requests than the join's, fewer when a U-page's pages do not fit, and
+    exactly the join's when they all do. Its gathers alternate direction,
+    odd-numbered ones running their groups descending, as the default join's
+    U-pages do, so the join executes the same page groups."""
     from dpjoin import operator
 
     ds, store, budget, _ = task_instance(tmp_store, task)
@@ -531,8 +580,10 @@ def test_a_loss_pass_costs_what_the_radix_join_costs(tmp_store, monkeypatch, tas
         loss_pass = train(ds, store, TrainConfig(op, task=task, iterations=0)).metrics
         pages = [scan_pages(ds, start, stop, store.page_size)
                  for start, stop in ds.upage_bounds(op.upage)]
-        assert executed == [[upage[i : i + budget] for i in range(0, len(upage), budget)]
-                            for upage in pages]
+        ascending = [[upage[i : i + budget] for i in range(0, len(upage), budget)]
+                     for upage in pages]
+        assert executed == [groups[::-1] if k % 2 else groups
+                            for k, groups in enumerate(ascending)]
         loss_groups = list(executed)
         executed.clear()
         run(ds, store, op)
