@@ -2,10 +2,11 @@
 
 Sparse input vectors are streamed against a model vector stored as fixed
 pages on disk, under a hard page budget, with a set-pinning LRU buffer
-manager. By default each chunk of vectors is joined by one ascending
-gather of its pages; the paper's operator (vector reordering and request
-batching) is the `batched` plan. Gradient descent (logistic regression
-and low-rank matrix factorization) runs through the same machinery.
+manager. By default each chunk of vectors is joined by one gather of its
+pages, every second chunk's in descending page order; the paper's operator
+(vector reordering and request batching) is the `batched` plan. Gradient
+descent (logistic regression and low-rank matrix factorization) runs
+through the same machinery.
 """
 
 from .batcher import Batch, greedy_batches
@@ -20,7 +21,6 @@ from .errors import (
 from .metrics import MetricsReport, emit_report
 from .model_store import ModelStore
 from .operator import (
-    CollectSink,
     DotProductResult,
     OperatorConfig,
     dot_product,

@@ -1,19 +1,20 @@
 """Buffer manager with set-granular pinned requests over a page store.
 
 Requests arrive as page sets, not single pages, and one set is pinned at
-a time: `request_set` pins a set, `unpin_set` releases exactly that set,
-and a request made while a set is pinned is refused. A request refreshes
-its resident pages, then loads the missing ones one by one (ascending page
-id), each time evicting the least-recently-used page if the pool is full.
-Since nothing outside the request is pinned and the set fits the pool, the
-least recent page is never one of the request's; this is what makes a batch
-of vectors safe to process against a fixed set of resident pages.
+a time: `request_set` pins a set, `unpin_set()` releases it, and a request
+made while a set is pinned, even an empty one, is refused. A request
+refreshes its resident pages, then loads the missing ones one by one
+(ascending page id), each time evicting the least-recently-used page if the
+pool is full. Since nothing outside the request is pinned and the set fits
+the pool, the least recent page is never one of the request's; this is what
+makes a batch of vectors safe to process against a fixed set of resident
+pages.
 
 Replacement is strict LRU over request sets: after a request completes, all
 its pages become the most recently used, with the lower page id placed most
 recent. A caller that modified some of a set's pages names them when it
-unpins the set (`unpin_set(pages, dirty=modified)`); dirty pages are
-written back when evicted and on flush_all.
+releases the set (`unpin_set(dirty=modified)`); dirty pages are written
+back when evicted and on flush_all.
 
 Pages live in a frame pool allocated once: one row of `frames` per page
 the budget can hold (at most the model's page count). A miss reads the page
@@ -45,7 +46,7 @@ class BufferManager:
         self.frames = np.empty((min(capacity, store.num_pages), store.page_size), dtype="<f8")
         self._free = list(range(len(self.frames)))[::-1]  # free frames; frame 0 is used first
         self._resident = OrderedDict()  # page_id -> its row of `frames`, least recent first
-        self._pinned = []               # the pinned set's pages, ascending; [] when none is
+        self._pinned = None             # the pinned set's pages, ascending; None when none is
         self._dirty = set()             # resident pages modified since they were read
         self.page_requests = 0
         self.page_misses = 0
@@ -59,13 +60,13 @@ class BufferManager:
         """Pin `pages` as one unit; no other set may be pinned.
 
         Counts len(pages) page requests and one miss per page actually
-        loaded. The caller must unpin_set the same pages when done. A
+        loaded. The caller must release the set (`unpin_set`) when done. A
         refused request counts, reads and pins nothing. If a page cannot be
         read or an evicted page written back, nothing is left pinned; the
         pages the request read stay resident and counted.
         """
         pages = sorted({int(p) for p in pages})
-        if self._pinned:
+        if self._pinned is not None:
             raise PreconditionError(f"a set of {len(self._pinned)} pages is still pinned")
         num_pages = self.store.num_pages
         if pages and not (0 <= pages[0] and pages[-1] < num_pages):
@@ -115,17 +116,16 @@ class BufferManager:
                 resident.move_to_end(page_id)
         self._pinned = pages
 
-    def unpin_set(self, pages, dirty=()):
-        """Release the pinned set, which `pages` must name. `dirty` names
-        those of them the caller modified; each is written back when it is
-        evicted or flushed."""
-        pages = sorted({int(p) for p in pages})
+    def unpin_set(self, dirty=()):
+        """Release the pinned set. `dirty` names those of its pages the
+        caller modified; each is written back when it is evicted or
+        flushed. A refused release changes nothing."""
+        if self._pinned is None:
+            raise PreconditionError("no set is pinned")
         dirty = {int(p) for p in dirty}
-        if pages != self._pinned:
-            raise PreconditionError(f"the {len(pages)} pages to unpin are not the pinned set")
-        if not dirty.issubset(pages):
-            raise PreconditionError(f"page {min(dirty.difference(pages))} is not being unpinned")
-        self._pinned = []
+        if dirty and not dirty.issubset(self._pinned):
+            raise PreconditionError(f"page {min(dirty.difference(self._pinned))} is not pinned")
+        self._pinned = None
         self._dirty.update(dirty)
 
     def positions(self, indexes):
@@ -133,7 +133,7 @@ class BufferManager:
         Every index's page must be pinned, and the positions are good only
         until the set is unpinned."""
         page_size = self.store.page_size
-        pinned = self._pinned
+        pinned = self._pinned or []
         # Each pinned page's first index, after a page's worth below index 0
         # that no index may fall in. The positions are computed in place: a
         # pinned batch may hold most of a U-page's entries.

@@ -23,7 +23,7 @@ from . import datagen
 from .errors import PreconditionError, StoreError, ValidationError
 from .metrics import emit_report
 from .model_store import ModelStore, page_count
-from .operator import PLANS, CollectSink, OperatorConfig, check_inputs, run
+from .operator import PLANS, OperatorConfig, check_inputs, run
 from .reorder import HEURISTICS, MAX_LSH_HASHES
 from .sparse_data import load_dataset, store_dataset
 from .training import TrainConfig, train
@@ -140,13 +140,13 @@ def cmd_run(args):
     shape = _model_shape(args, dataset)
     config = _operator_config(args, shape, args.reorder, args.budget, args.upage)
     check_inputs(dataset, *shape, config, args.plan)
-    sink = CollectSink()
+    results = []
     with _open_or_create_model(args, dataset) as store:
-        report = run(dataset, store, config, sink, args.plan)
+        report = run(dataset, store, config, results.append, args.plan)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("tid,dp\n")
-            for result in sink.results:
+            for result in results:
                 fh.write(f"{result.tid},{result.dp!r}\n")
     _emit(report.to_dict(), args)
     return 0

@@ -117,12 +117,9 @@ def plan_order(sets, config, path):
     )
 
 
-def make_batches(ordered_sets, config, plan, union=None):
-    """One batch of every vector when `union`, the page union of the sets,
-    is given; else greedy batches under the `batched` plan, single-vector
-    batches under `single`."""
-    if union is not None:
-        return [Batch(list(range(len(ordered_sets))), frozenset(union))]
+def make_batches(ordered_sets, config, plan):
+    """Greedy batches of `ordered_sets` under the `batched` plan,
+    single-vector batches under `single`."""
     if plan == "batched":
         return greedy_batches(ordered_sets, config.budget)
     return [Batch([position], pages)
@@ -134,23 +131,21 @@ def plan_upage(dataset, start, stop, page_size, config, plan, path):
     their batches under `plan` (`batched` or `single`), from its
     `Dataset.page_sets`; it checks nothing, as `check_inputs` has checked
     every vector against the budget. Under `batched`, a U-page whose page
-    union fits the budget is one batch in file order: no order changes its
-    counters, so it is not reordered, and greedy batching does not run. Any
-    other U-page runs in `plan_order`'s order, seeded by `path`."""
+    union fits the budget is one batch in file order, built here: no order
+    changes its counters, so it is not reordered. Any other U-page runs in
+    `plan_order`'s order, seeded by `path`, cut by `make_batches`."""
     sets = dataset.page_sets(start, stop, page_size)
-    union = None
     if plan == "batched":
         union = set()
         for pages in sets:  # given up as soon as it exceeds the budget
             union.update(pages)
             if len(union) > config.budget:
-                union = None
                 break
-    rows = np.arange(start, stop)
-    if union is None:
-        perm = plan_order(sets, config, path)
-        rows, sets = start + np.asarray(perm, dtype=np.int64), [sets[p] for p in perm]
-    return rows, make_batches(sets, config, plan, union)
+        else:
+            return np.arange(start, stop), [Batch(list(range(len(sets))), frozenset(union))]
+    perm = plan_order(sets, config, path)
+    rows = start + np.asarray(perm, dtype=np.int64)
+    return rows, make_batches([sets[p] for p in perm], config, plan)
 
 
 def execute(manager, groups, visit, report):
@@ -167,7 +162,7 @@ def execute(manager, groups, visit, report):
             visit(k, manager.positions(indexes))
             report.compute_time += time.perf_counter() - started
         finally:
-            manager.unpin_set(pages, dirty=dirty)
+            manager.unpin_set(dirty)
 
 
 def page_groups(pages, budget):
@@ -348,13 +343,3 @@ def run(dataset, store, config, sink=None, plan="gather"):
                               for batch, (a, b) in zip(batches, bounds)],
                     lambda k, at: visit(data, *bounds[k], flat[at]), report)
     return finish_report(manager, report)
-
-
-class CollectSink:
-    """Sink that keeps every result in arrival order."""
-
-    def __init__(self):
-        self.results = []
-
-    def __call__(self, result):
-        self.results.append(result)

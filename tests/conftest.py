@@ -111,8 +111,8 @@ def resident_pages(manager):
 
 
 def pinned_pages(manager):
-    """The pages of the set `manager` has pinned."""
-    return set(manager._pinned)
+    """The pages of the set `manager` has pinned, if any."""
+    return set(manager._pinned or ())
 
 
 class PageRecorder:

@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dpjoin import (CollectSink, ModelStore, OperatorConfig,
-                    oracle_dot_products, run)
+from dpjoin import ModelStore, OperatorConfig, oracle_dot_products, run
 from dpjoin.batcher import greedy_batches
 from dpjoin.cli import parse_budget
 from dpjoin.datagen import (DEMO_DIMENSION, DEMO_PAGE_SIZE, gen_demo,
@@ -90,13 +89,13 @@ def test_c02_oracle_equivalence_over_config_grid(tmp_path):
                 budget = fit
             else:
                 budget = max(fit, parse_budget(m_kind, store.num_pages))
-            sink = CollectSink()
+            results = []
             run(ds, store,
                 OperatorConfig(budget=budget, reorder=heuristic, upage=64,
                                seed=int(rng.integers(2**31))),
-                sink=sink, plan=plan)
+                sink=results.append, plan=plan)
             expected = oracle_dot_products(ds, store.load_dense())
-        got = sorted((r.tid, r.dp) for r in sink.results)
+        got = sorted((r.tid, r.dp) for r in results)
         want = sorted((r.tid, r.dp) for r in expected)
         assert got == want, (instance, m_kind, heuristic, plan)
         checked += 1

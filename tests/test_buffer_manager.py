@@ -16,11 +16,11 @@ def test_cold_misses_then_hits(tmp_store):
     bm = manager(tmp_store, 4)
     assert bm.request_set([0, 1, 2]) is None
     assert pinned_pages(bm) == {0, 1, 2}
-    bm.unpin_set([0, 1, 2])
+    bm.unpin_set()
     assert bm.page_misses == 3
     assert bm.page_requests == 3
     bm.request_set([1, 2])
-    bm.unpin_set([1, 2])
+    bm.unpin_set()
     assert bm.page_misses == 3
     assert bm.page_requests == 5
 
@@ -29,7 +29,7 @@ def test_request_dedups_and_sorts(tmp_store):
     bm = manager(tmp_store, 4)
     bm.request_set([3, 1, 3, 1])
     assert pinned_pages(bm) == {1, 3}
-    bm.unpin_set([1, 3])
+    bm.unpin_set()
     assert pinned_pages(bm) == set()
     assert bm.page_requests == 2
 
@@ -44,9 +44,9 @@ def test_lru_eviction_order(tmp_store):
     # lower page id of a request is refreshed as more recent
     bm = manager(tmp_store, 2)
     bm.request_set([0, 1])
-    bm.unpin_set([0, 1])
+    bm.unpin_set()
     bm.request_set([2])
-    bm.unpin_set([2])
+    bm.unpin_set()
     assert resident_pages(bm) == {0, 2}
 
 
@@ -54,12 +54,12 @@ def test_pinned_never_evicted(tmp_store):
     bm = manager(tmp_store, 3)
     for pages in ([0, 1], [2]):          # least recent first: 1, 0, 2
         bm.request_set(pages)
-        bm.unpin_set(pages)
+        bm.unpin_set()
     # page 1 is the least recent, but this request pins it: its two misses
     # evict 0 and 2
     bm.request_set([1, 3, 4])
     assert resident_pages(bm) == pinned_pages(bm) == {1, 3, 4}
-    bm.unpin_set([1, 3, 4])
+    bm.unpin_set()
 
 
 def test_all_pinned_rejected(tmp_store):
@@ -77,10 +77,10 @@ def test_refused_request_changes_nothing(tmp_store):
     assert pinned_pages(bm) == {0, 1}
     assert resident_pages(bm) == {0, 1}
     assert (bm.page_requests, bm.page_misses, bm.store.reads) == (2, 2, 2)
-    bm.unpin_set([0, 1])
+    bm.unpin_set()
     bm.request_set([2, 3, 4])
     assert pinned_pages(bm) == {2, 3, 4}
-    bm.unpin_set([2, 3, 4])
+    bm.unpin_set()
 
 
 def test_refused_request_counts_its_unpinned_hits_as_taken(tmp_store):
@@ -89,29 +89,26 @@ def test_refused_request_counts_its_unpinned_hits_as_taken(tmp_store):
     refreshed."""
     bm = manager(tmp_store, 3)
     bm.request_set([0])
-    bm.unpin_set([0])
+    bm.unpin_set()
     bm.request_set([1])
     for pages in ([1], [0], [0, 1]):
         with pytest.raises(PreconditionError):
             bm.request_set(pages)
     assert pinned_pages(bm) == {1}
     assert (bm.page_requests, bm.page_misses) == (2, 2)
-    bm.unpin_set([1])
+    bm.unpin_set()
     bm.request_set([2, 3])       # page 0 is still the least recent: 3 evicts it
     assert resident_pages(bm) == {1, 2, 3}
-    bm.unpin_set([2, 3])
+    bm.unpin_set()
 
 
 def test_refused_unpin_changes_nothing(tmp_store):
     bm = manager(tmp_store, 2)
     bm.request_set([0, 1])
-    for pages in ([0], [1, 5, 0], [0, 5]):   # part of the set, more than it, another
-        with pytest.raises(PreconditionError, match="not the pinned set"):
-            bm.unpin_set(pages, dirty=pages)
-    with pytest.raises(PreconditionError, match="page 2 is not being unpinned"):
-        bm.unpin_set([0, 1], dirty=[1, 2])
+    with pytest.raises(PreconditionError, match="page 2 is not pinned"):
+        bm.unpin_set(dirty=[1, 2])
     assert pinned_pages(bm) == {0, 1}
-    bm.unpin_set([0, 1])
+    bm.unpin_set()
     bm.flush_all()
     assert bm.write_backs == 0
 
@@ -119,16 +116,49 @@ def test_refused_unpin_changes_nothing(tmp_store):
 def test_unpin_unknown_page_rejected(tmp_store):
     bm = manager(tmp_store, 2)
     with pytest.raises(PreconditionError):
-        bm.unpin_set([5])
+        bm.unpin_set(dirty=[5])
+
+
+def test_unpin_with_nothing_pinned_is_refused(tmp_store):
+    """A release with nothing pinned, and a second release of a set, are
+    refused and change nothing."""
+    bm = manager(tmp_store, 2)
+    with pytest.raises(PreconditionError, match="no set is pinned"):
+        bm.unpin_set()
+    bm.request_set([0, 1])
+    bm.unpin_set()
+    with pytest.raises(PreconditionError, match="no set is pinned"):
+        bm.unpin_set(dirty=[0])
+    assert pinned_pages(bm) == set()
+    assert (bm.page_requests, bm.page_misses, bm.store.reads) == (2, 2, 2)
+    assert list(bm._resident) == [1, 0]  # least recent first
+    bm.flush_all()
+    assert bm.write_backs == 0
+    bm.request_set([1])
+    bm.unpin_set()
+
+
+def test_a_pinned_empty_set_blocks_the_next_request(tmp_store):
+    """An empty set is pinned like any other: the next request is refused
+    until it is released."""
+    bm = manager(tmp_store, 2)
+    bm.request_set([])
+    with pytest.raises(PreconditionError, match="a set of 0 pages is still pinned"):
+        bm.request_set([0])
+    assert (bm.page_requests, bm.page_misses, bm.store.reads) == (0, 0, 0)
+    bm.unpin_set()
+    bm.request_set([0])
+    assert pinned_pages(bm) == {0}
+    bm.unpin_set()
 
 
 def test_dirty_eviction_writes_back(tmp_store):
     bm = manager(tmp_store, 2)
     bm.request_set([0, 1])
     bm.frames.reshape(-1)[bm.positions(range(4, 8))] = 9.0
-    bm.unpin_set([0, 1], dirty=[1])
+    bm.unpin_set(dirty=[1])
     bm.request_set([2, 3])          # evicts both, page 1 is dirty
-    bm.unpin_set([2, 3])
+    bm.unpin_set()
     assert bm.write_backs == 1
     assert list(bm.store.read_page(1)) == [9.0] * 4
 
@@ -139,7 +169,7 @@ def test_flush_all(tmp_store):
     flat = bm.frames.reshape(-1)
     flat[bm.positions(range(0, 4))] = 1.0
     flat[bm.positions(range(8, 12))] = 2.0
-    bm.unpin_set([0, 2], dirty=[0, 2])
+    bm.unpin_set(dirty=[0, 2])
     bm.flush_all()
     assert bm.write_backs == 2
     assert (bm.store.read_page(0) == 1.0).all()
@@ -153,7 +183,7 @@ def test_misses_by_page_and_distinct(tmp_store):
     with PageRecorder(bm.store) as recorder:
         for pages in ([0, 1], [2], [0, 1]):
             bm.request_set(pages)
-            bm.unpin_set(pages)
+            bm.unpin_set()
     counts = recorder.misses_by_page
     assert sum(counts.values()) == bm.page_misses
     assert counts[2] == 1
@@ -180,7 +210,7 @@ def test_trace_invariants(tmp_path_factory, trace, capacity):
             bm = BufferManager(store, cap)
             for pages in trace:
                 bm.request_set(pages)
-                bm.unpin_set(pages)
+                bm.unpin_set()
                 assert len(resident_pages(bm)) <= cap
         return bm, recorder.misses_by_page
 
@@ -202,12 +232,12 @@ def test_positions_of_a_page_that_is_not_pinned_raise(tmp_store):
     with pytest.raises(PreconditionError, match="page 0 is not pinned"):
         bm.positions([1])                # nothing pinned at all
     bm.request_set([0])
-    bm.unpin_set([0])
+    bm.unpin_set()
     bm.request_set([1])                  # evicts page 0 and reuses its frame
     assert bm.positions([4, 7]).tolist() == [0, 3]
     with pytest.raises(PreconditionError, match="page 0 is not pinned"):
         bm.positions([5, 2])
-    bm.unpin_set([1])
+    bm.unpin_set()
     with pytest.raises(PreconditionError, match="page 1 is not pinned"):
         bm.positions([4])                # resident, but no longer pinned
     assert bm.positions([]).tolist() == []
@@ -220,7 +250,7 @@ def test_frame_pool_is_capped_at_the_model_pages(tmp_store):
     assert bm.page_misses == 8
     # every index of the model has its own place inside the pool
     assert sorted(bm.positions(range(32)).tolist()) == list(range(bm.frames.size))
-    bm.unpin_set(range(8))
+    bm.unpin_set()
 
 
 def test_a_page_outside_the_model_is_refused_up_front(tmp_store):
@@ -234,7 +264,7 @@ def test_a_page_outside_the_model_is_refused_up_front(tmp_store):
     assert resident_pages(bm) == pinned_pages(bm) == set()
     bm.request_set(range(8))
     assert pinned_pages(bm) == set(range(8))
-    bm.unpin_set(range(8))
+    bm.unpin_set()
 
 
 def test_a_request_while_a_set_is_pinned_changes_nothing(tmp_store):
@@ -250,7 +280,7 @@ def test_a_request_while_a_set_is_pinned_changes_nothing(tmp_store):
     assert (bm.page_requests, bm.page_misses, bm.store.reads) == (2, 2, 2)
     assert list(bm._resident) == [1, 0]  # least recent first
     assert pinned_pages(bm) == {0, 1}
-    bm.unpin_set([0, 1])
+    bm.unpin_set()
 
 
 def test_failed_read_releases_the_requests_pins(tmp_path):
@@ -266,14 +296,14 @@ def test_failed_read_releases_the_requests_pins(tmp_path):
         assert bm.page_misses == store.reads == bm.distinct_pages == 1
         bm.request_set([1, 2])           # both frames are free to take
         assert pinned_pages(bm) == {1, 2}
-        bm.unpin_set([1, 2])
+        bm.unpin_set()
 
 
 def test_failed_write_back_keeps_the_page_resident_and_dirty(tmp_store, monkeypatch):
     bm = manager(tmp_store, 2)
     bm.request_set([0, 1])
     bm.frames.reshape(-1)[bm.positions([0])] = 5.0
-    bm.unpin_set([0, 1], dirty=[0])
+    bm.unpin_set(dirty=[0])
     real_write = bm.store.write_page
 
     def failing_write(page_id, values):
@@ -287,7 +317,7 @@ def test_failed_write_back_keeps_the_page_resident_and_dirty(tmp_store, monkeypa
     assert bm.write_backs == 0
     monkeypatch.setattr(bm.store, "write_page", real_write)
     bm.request_set([2, 3])
-    bm.unpin_set([2, 3])
+    bm.unpin_set()
     assert bm.write_backs == 1
     assert bm.store.read_page(0)[0] == 5.0
 
@@ -393,8 +423,8 @@ def test_matches_reference_lru(tmp_path_factory, steps, capacity):
     from dpjoin import ModelStore
 
     def release():
-        pages, written = pinned.pop()
-        bm.unpin_set(pages, dirty=written)
+        _, written = pinned.pop()
+        bm.unpin_set(dirty=written)
 
     path = str(tmp_path_factory.mktemp("bm") / "m.model")
     with ModelStore.create(path, 32, 4, init=("uniform", -1.0, 1.0), seed=3) as store:

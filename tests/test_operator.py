@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpjoin import (CollectSink, OperatorConfig, OversizedVectorError,
-                    PreconditionError, ValidationError, oracle_dot_products,
-                    run)
+from dpjoin import (OperatorConfig, OversizedVectorError, PreconditionError,
+                    ValidationError, oracle_dot_products, run)
 from dpjoin.datagen import gen_demo, gen_uniform
 from dpjoin.operator import PLANS
 from dpjoin.reorder import HEURISTICS
@@ -19,10 +18,10 @@ def test_results_match_oracle_exactly(tmp_store):
     expected = {r.tid: r.dp for r in oracle_dot_products(ds, store.load_dense())}
     for plan in PLANS:
         for heuristic in HEURISTICS:
-            sink = CollectSink()
-            run(ds, store, OperatorConfig(budget=8, reorder=heuristic, seed=2), sink=sink,
-                plan=plan)
-            got = {r.tid: r.dp for r in sink.results}
+            results = []
+            run(ds, store, OperatorConfig(budget=8, reorder=heuristic, seed=2),
+                sink=results.append, plan=plan)
+            got = {r.tid: r.dp for r in results}
             assert got.keys() == expected.keys()
             for tid, dp in got.items():
                 assert dp == expected[tid], (plan, heuristic, tid)
@@ -42,19 +41,19 @@ def test_reorder_restores_file_order_in_results(tmp_store):
     ds = gen_uniform(40, 200, 4, seed=5)
     store = tmp_store(200, 16)
     for plan in PLANS:
-        sink = CollectSink()
-        run(ds, store, OperatorConfig(budget=6, reorder="none"), sink=sink, plan=plan)
-        assert [r.tid for r in sink.results] == [v.tid for v in ds], plan
+        results = []
+        run(ds, store, OperatorConfig(budget=6, reorder="none"), sink=results.append, plan=plan)
+        assert [r.tid for r in results] == [v.tid for v in ds], plan
 
 
 def test_shuffled_processing_emits_all_tids(tmp_store):
     ds = gen_uniform(64, 200, 4, seed=6)
     store = tmp_store(200, 16)
-    sink = CollectSink()
-    run(ds, store, OperatorConfig(budget=6, reorder="shuffle", seed=1), sink=sink,
+    results = []
+    run(ds, store, OperatorConfig(budget=6, reorder="shuffle", seed=1), sink=results.append,
         plan="batched")
-    assert sorted(r.tid for r in sink.results) == [v.tid for v in ds]
-    assert [r.tid for r in sink.results] != [v.tid for v in ds]
+    assert sorted(r.tid for r in results) == [v.tid for v in ds]
+    assert [r.tid for r in results] != [v.tid for v in ds]
 
 
 def test_batching_off_one_batch_per_vector(tmp_store):
@@ -206,7 +205,7 @@ def test_batch_kernel_is_bit_identical_to_the_oracle(tmp_store):
     manager = BufferManager(store, pages)
     for page in reversed(range(pages)):       # frame 0 holds the highest page
         manager.request_set([page])
-        manager.unpin_set([page])
+        manager.unpin_set()
     manager.request_set(range(pages))
     firsts = manager.positions(np.arange(pages) * page_size).tolist()
     assert firsts != sorted(firsts)
@@ -315,7 +314,7 @@ def test_run_and_train_build_no_sparse_vectors(tmp_store, monkeypatch):
 
 def reference_run(ds, store, config, plan):
     """The join with every U-page planned in full: ordered by `plan_order`
-    and cut by `make_batches` without a union, and the batches replayed
+    and cut by `make_batches`, and the batches replayed
     through a fresh BufferManager. Returns the counters, the per-U-page
     windows of a `PageRecorder` and the sorted (tid, dp) pairs."""
     from dpjoin import BufferManager, dot_product
@@ -337,7 +336,7 @@ def reference_run(ds, store, config, plan):
                     vector = ds[start + perm[position]]
                     results.append((vector.tid, dot_product(vector, dense)))
                     counters["element_requests"] += vector.nnz
-                manager.unpin_set(batch.pages)
+                manager.unpin_set()
             counters["batch_count"] += len(batches)
             counters["upage_count"] += 1
     counters.update(page_requests=manager.page_requests, page_misses=manager.page_misses,
@@ -367,13 +366,13 @@ def test_fitting_upages_keep_the_planned_counters(tmp_path_factory, n, upage, he
         config = OperatorConfig(budget=max(widest, largest + delta), reorder=heuristic,
                                 upage=upage, seed=seed)
         plan = "batched" if batching else "single"
-        sink = CollectSink()
+        results = []
         with PageRecorder(store, upages=True) as recorder:
-            report = run(ds, store, config, sink, plan)
-        counters, windows, results = reference_run(ds, store, config, plan)
+            report = run(ds, store, config, results.append, plan)
+        counters, windows, reference = reference_run(ds, store, config, plan)
     assert report.counters() == counters
     assert recorder.windows == windows
-    assert sorted((r.tid, r.dp) for r in sink.results) == results
+    assert sorted((r.tid, r.dp) for r in results) == reference
 
 
 def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
@@ -396,9 +395,9 @@ def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
         monkeypatch.setattr(operator, name, spy)
 
     config = OperatorConfig(budget=10, reorder="shuffle", seed=1)
-    sink = CollectSink()
-    report = run(ds, store, config, sink, "batched")
-    assert [r.tid for r in sink.results] == tids
+    results = []
+    report = run(ds, store, config, results.append, "batched")
+    assert [r.tid for r in results] == tids
     assert report.batch_count == 1
     assert calls == []
 
@@ -406,10 +405,42 @@ def test_a_fitting_upage_runs_in_file_order(tmp_store, monkeypatch):
         config = OperatorConfig(budget=budget, reorder="shuffle", seed=1)
         order = plan_order(sets, config, (0,))
         calls.clear()
-        sink = CollectSink()
-        run(ds, store, config, sink, "batched" if batching else "single")
-        assert [r.tid for r in sink.results] == [tids[p] for p in order] != tids
+        results = []
+        run(ds, store, config, results.append, "batched" if batching else "single")
+        assert [r.tid for r in results] == [tids[p] for p in order] != tids
         assert calls == ["reorder", "greedy_batches"][: 1 + batching]
+
+
+def test_a_fitting_upage_gets_its_batch_without_make_batches(tmp_store, monkeypatch):
+    """`plan_upage` builds a fitting U-page's one file-order batch itself;
+    `make_batches` cuts only a U-page that does not fit, given its sets in
+    `plan_order`'s order."""
+    from dpjoin import operator
+    from dpjoin.operator import plan_order
+
+    ds = gen_uniform(40, 160, 4, seed=5)
+    store = tmp_store(160, 16)
+    tids = [v.tid for v in ds]
+    sets = ds.page_sets(0, len(ds), 16)
+    calls = []
+
+    def spy(*args, real=operator.make_batches):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(operator, "make_batches", spy)
+    results = []
+    report = run(ds, store, OperatorConfig(budget=10, reorder="shuffle", seed=1),
+                 results.append, "batched")
+    assert calls == []
+    assert report.batch_count == 1
+    assert [r.tid for r in results] == tids
+
+    config = OperatorConfig(budget=9, reorder="shuffle", seed=1)
+    run(ds, store, config, plan="batched")
+    order = plan_order(sets, config, (0,))
+    assert order != list(range(len(ds)))
+    assert calls == [([sets[p] for p in order], config, "batched")]
 
 
 @settings(max_examples=200, deadline=None)
@@ -454,12 +485,12 @@ def test_gather_join_matches_the_oracle(tmp_store, heuristic, budget, upage):
         pages = 8 if budget == "middle" else 13
     store = tmp_store(13 * 32, 32, init=("uniform", -1.0, 1.0), seed=8)
     config = OperatorConfig(budget=pages, reorder=heuristic, upage=upage, seed=2)
-    sink = CollectSink()
-    report = run(ds, store, config, sink=sink)
+    results = []
+    report = run(ds, store, config, sink=results.append)
     assert report.config["plan"] == "gather"
     expected = oracle_dot_products(ds, store.load_dense())
-    assert [r.tid for r in sink.results] == [r.tid for r in expected]
-    assert _bits([r.dp for r in sink.results]) == _bits([r.dp for r in expected])
+    assert [r.tid for r in results] == [r.tid for r in expected]
+    assert _bits([r.dp for r in results]) == _bits([r.dp for r in expected])
     assert report.element_requests == total_nnz(ds)
     assert report.upage_count == len(ds.upage_bounds(upage))
 
@@ -500,14 +531,14 @@ def test_gather_join_names_an_oversized_vector_before_any_read(tmp_store):
     ds = Dataset(dimension=64, vectors=vectors)
     store = tmp_store(64, 8)
     for plan in PLANS:
-        sink = CollectSink()
+        results = []
         with PageRecorder(store) as recorder, pytest.raises(OversizedVectorError) as err:
-            run(ds, store, OperatorConfig(budget=2, upage=4), sink, plan)
+            run(ds, store, OperatorConfig(budget=2, upage=4), results.append, plan)
         assert (err.value.tid, err.value.position) == (9, 1), plan
         assert "vector tid 9 needs 3 pages, budget is 2" in str(err.value)
         assert recorder.requests == [], plan
         assert not recorder.misses_by_page, plan
-        assert sink.results == [], plan
+        assert results == [], plan
 
 
 def test_an_unknown_plan_is_rejected(tmp_store):

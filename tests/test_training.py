@@ -1025,10 +1025,10 @@ def test_an_apply_that_raises_leaves_nothing_pinned(tmp_store, monkeypatch, faul
                 return at + self.frames.size  # outside the pool: the step raises
             return at
 
-        def unpin_set(self, pages, dirty=()):
+        def unpin_set(self, dirty=()):
             if len(dirty) and self.first_dirty_unpin is None:
                 self.first_dirty_unpin = self.calls
-            super().unpin_set(pages, dirty)
+            super().unpin_set(dirty)
 
     monkeypatch.setattr(training, "BufferManager", Spy)
     ds, store, budget, alpha = task_instance(tmp_store, "lr")
@@ -1167,9 +1167,9 @@ def test_a_gradient_that_cancels_is_not_applied(tmp_store, monkeypatch):
     dirtied = []
 
     class Spy(BufferManager):
-        def unpin_set(self, pages, dirty=()):
+        def unpin_set(self, dirty=()):
             dirtied.extend(int(page) for page in dirty)
-            super().unpin_set(pages, dirty)
+            super().unpin_set(dirty)
 
     monkeypatch.setattr(training, "BufferManager", Spy)
     ds = Dataset(dimension=32, vectors=[make_vector(1, [5], label=1.0),
