@@ -12,7 +12,10 @@ want one vector at a time (tests, the in-memory oracles).
 
 Two dataset encodings are supported:
 
-* binary: fixed header followed by one packed record per vector, lossless;
+* binary: a fixed header (magic, version 3, dimension, vector count, entry
+  count, matrix shape or (0, 0, 0)) followed by the CSR arrays as they sit
+  in memory: ``indptr`` (<i8), ``tids`` (<u8), ``labels`` (<f8, NaN when
+  unlabeled), ``indices`` (<u8) and ``values`` (<f8); lossless;
 * text: one record per line, ``tid label idx:val idx:val ...``; lines
   starting with ``#`` are comments (the writer emits ``# d=<dim>`` and,
   for matrix datasets, ``# matrix=<rows>,<cols>,<rank>`` so round trips
@@ -22,8 +25,8 @@ Two dataset encodings are supported:
 from __future__ import annotations
 
 import math
+import os
 import struct
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,19 +34,12 @@ import numpy as np
 from .errors import StoreError, ValidationError
 
 DATA_MAGIC = b"DPJDATA\x00"
-DATA_VERSION_PLAIN = 1
-DATA_VERSION_MATRIX = 2
+DATA_VERSION = 3
 
-_DATA_HEADER = struct.Struct("<8sIQQ")
-_MATRIX_EXTRA = struct.Struct("<QQQ")
-_RECORD_HEAD = struct.Struct("<QdI")
-_RECORD_NNZ = struct.Struct("<16xI")  # the nnz field of a record header
-
-_IDX_DTYPE = np.dtype("<u8")
-_VAL_DTYPE = np.dtype("<f8")
-
-# Records decoded per gather, so the decoder's temporaries stay small.
-_DECODE_CHUNK = 1024
+_DATA_HEADER = struct.Struct("<8sIQQQQQQ")
+# The arrays of a binary dataset, in file order, with their element types.
+_COLUMNS = (("indptr", "<i8"), ("tids", "<u8"), ("labels", "<f8"),
+            ("indices", "<u8"), ("values", "<f8"))
 
 
 @dataclass
@@ -87,8 +83,8 @@ class Dataset:
     """An ordered collection of sparse vectors sharing one model dimension,
     as CSR arrays: vector i's indexes and values are
     `indices[indptr[i]:indptr[i+1]]` and `values[...]` (uint64, float64),
-    its tid is `tids[i]` and its label `labels[i]` (float64, NaN when the
-    vector has none).
+    its tid is `tids[i]` (uint64) and its label `labels[i]` (float64, NaN
+    when the vector has none).
 
     `Dataset(dimension, vectors)` packs SparseVector objects; indexing and
     iterating give SparseVector views over slices of the arrays.
@@ -103,13 +99,17 @@ class Dataset:
                 raise ValidationError(
                     f"tid {vector.tid}: {vector.nnz} indexes but {len(vector.values)} values"
                 )
+        tids = [v.tid for v in vectors]
+        low, high = (min(tids), max(tids)) if tids else (0, 0)
+        if low < 0 or high >= 2**64:
+            raise ValidationError(f"tid {low if low < 0 else high} out of range [0, 2**64)")
         self.dimension = dimension
         self.matrix_shape = None if matrix_shape is None else tuple(matrix_shape)
         self.indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
         np.cumsum(np.array([v.nnz for v in vectors], dtype=np.int64), out=self.indptr[1:])
         self.indices = np.concatenate([v.indexes for v in vectors] or [np.empty(0, np.uint64)])
         self.values = np.concatenate([v.values for v in vectors] or [np.empty(0)])
-        self.tids = np.array([v.tid for v in vectors] or np.empty(0, np.int64))
+        self.tids = np.array(tids, dtype=np.uint64)
         self.labels = np.array([math.nan if v.label is None else v.label for v in vectors],
                                dtype=np.float64)
 
@@ -266,100 +266,50 @@ def load_dataset(path, fmt="bin"):
 
 
 def _store_binary(dataset, path):
-    version = DATA_VERSION_PLAIN if dataset.matrix_shape is None else DATA_VERSION_MATRIX
+    arrays = [np.ascontiguousarray(getattr(dataset, name), dtype) for name, dtype in _COLUMNS]
     try:
         out = open(path, "wb")
     except OSError as exc:
         raise StoreError(f"cannot create dataset file {path}: {exc}") from exc
-    indexes = memoryview(np.ascontiguousarray(dataset.indices, dtype=_IDX_DTYPE)).cast("B")
-    values = memoryview(np.ascontiguousarray(dataset.values, dtype=_VAL_DTYPE)).cast("B")
-    bounds = dataset.indptr.tolist()
     with out:
-        out.write(_DATA_HEADER.pack(DATA_MAGIC, version, dataset.dimension, len(dataset)))
-        if version == DATA_VERSION_MATRIX:
-            out.write(_MATRIX_EXTRA.pack(*dataset.matrix_shape))
-        # unlabeled vectors travel as NaN; real labels are always finite
-        for row, (tid, label) in enumerate(zip(dataset.tids.tolist(), dataset.labels.tolist())):
-            lo, hi = bounds[row], bounds[row + 1]
-            out.write(_RECORD_HEAD.pack(tid, label, hi - lo))
-            out.write(indexes[8 * lo : 8 * hi])
-            out.write(values[8 * lo : 8 * hi])
+        out.write(_DATA_HEADER.pack(DATA_MAGIC, DATA_VERSION, dataset.dimension, len(dataset),
+                                    len(dataset.indices), *(dataset.matrix_shape or (0, 0, 0))))
+        for array in arrays:
+            out.write(array)
 
 
 def _load_binary(path):
+    """Check the header and the file size it implies, then read each array
+    with one `readinto` into its final buffer."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            head = fh.read(_DATA_HEADER.size)
+            if len(head) < _DATA_HEADER.size:
+                raise StoreError(f"{path}: truncated dataset header")
+            magic, version, dimension, count, entries, *shape = _DATA_HEADER.unpack(head)
+            if magic != DATA_MAGIC:
+                raise StoreError(f"{path}: bad magic {magic!r}")
+            if version != DATA_VERSION:
+                raise StoreError(f"{path}: unsupported dataset version {version}")
+            # In Python integers, so a huge count is refused before any allocation.
+            lengths = (count + 1, count, count, entries, entries)
+            expected = _DATA_HEADER.size + 8 * sum(lengths)
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise StoreError(f"{path}: the header's {count} vectors and {entries} entries"
+                                 f" need {expected} bytes, the file has {size}")
+            arrays = {name: np.empty(n, dtype) for (name, dtype), n in zip(_COLUMNS, lengths)}
+            for name, array in arrays.items():
+                if fh.readinto(array) != array.nbytes:
+                    raise StoreError(f"{path}: truncated {name} array")
     except OSError as exc:
         raise StoreError(f"cannot read dataset file {path}: {exc}") from exc
-    dimension, matrix_shape, arrays = _decode_binary(raw, path)
-    del raw
-    return Dataset.from_arrays(dimension, *arrays, matrix_shape).validate()
-
-
-def _decode_binary(raw, path):
-    """(dimension, matrix_shape, (indptr, indices, values, tids, labels))
-    of a binary dataset: one pass finds where each record starts, then
-    vectorised gathers decode the fields, a chunk of records at a time."""
-    if len(raw) < _DATA_HEADER.size:
-        raise StoreError(f"{path}: truncated dataset header")
-    magic, version, dimension, count = _DATA_HEADER.unpack_from(raw, 0)
-    if magic != DATA_MAGIC:
-        raise StoreError(f"{path}: bad magic {magic!r}")
-    offset = _DATA_HEADER.size
-    matrix_shape = None
-    if version == DATA_VERSION_MATRIX:
-        if len(raw) < offset + _MATRIX_EXTRA.size:
-            raise StoreError(f"{path}: truncated matrix header")
-        matrix_shape = _MATRIX_EXTRA.unpack_from(raw, offset)
-        offset += _MATRIX_EXTRA.size
-    elif version != DATA_VERSION_PLAIN:
-        raise StoreError(f"{path}: unsupported dataset version {version}")
-    entry = _IDX_DTYPE.itemsize + _VAL_DTYPE.itemsize
-    # Only each record's nnz, which ends its header, is read, so the read
-    # fails exactly when a header is cut short. The records before that one
-    # are whole, so the first fault in file order is the previous record's
-    # payload, if it ran past the end, or else this header. The file holds
-    # at most (bytes left) // (header size) headers, so the read fails by
-    # the slot after them.
-    starts = array("q", [0]) * min(count, (len(raw) - offset) // _RECORD_HEAD.size + 1)
-    read_nnz = _RECORD_NNZ.unpack_from
-    k = 0
-    try:
-        for k in range(count):
-            starts[k] = offset
-            offset += _RECORD_HEAD.size + read_nnz(raw, offset)[0] * entry
-    except struct.error:
-        if offset <= len(raw):
-            raise StoreError(f"{path}: truncated record header at byte {offset}") from None
-        k -= 1
-    if offset > len(raw):
-        tid = _RECORD_HEAD.unpack_from(raw, starts[k])[0]
-        raise StoreError(f"{path}: truncated record payload for tid {tid}")
-    if offset != len(raw):
-        raise StoreError(f"{path}: {len(raw) - offset} trailing bytes")
-
-    n = len(starts)
-    record = np.frombuffer(starts, dtype=np.int64)
-    nnz = (np.diff(record, append=offset) - _RECORD_HEAD.size) // entry
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(nnz, out=indptr[1:])
-    # Records are not 8-byte aligned: word[at] is the 8 bytes at byte `at`.
-    word = np.ndarray((len(raw) - 7,), _IDX_DTYPE, buffer=raw, strides=(1,))
-    tids = word[record]
-    labels = word[record + 8].view(_VAL_DTYPE)
-    indices = np.empty(indptr[-1], dtype=_IDX_DTYPE)
-    values = np.empty(indptr[-1], dtype=_IDX_DTYPE)
-    for a in range(0, n, _DECODE_CHUNK):
-        b = min(a + _DECODE_CHUNK, n)
-        lo, hi = indptr[a], indptr[b]
-        # Byte offset of each entry's index; its value sits 8 * nnz further.
-        head = record[a:b] + _RECORD_HEAD.size - 8 * indptr[a:b]
-        at = np.repeat(head, nnz[a:b]) + 8 * np.arange(lo, hi)
-        indices[lo:hi] = word[at]
-        at += np.repeat(8 * nnz[a:b], nnz[a:b])
-        values[lo:hi] = word[at]
-    return dimension, matrix_shape, (indptr, indices, values.view(_VAL_DTYPE), tids, labels)
+    indptr = arrays["indptr"]
+    if indptr[0] != 0 or indptr[-1] != entries or (indptr[1:] < indptr[:-1]).any():
+        raise StoreError(f"{path}: vector offsets do not ascend from 0 to the entry count"
+                         f" {entries}")
+    matrix_shape = None if shape == [0, 0, 0] else tuple(shape)
+    return Dataset.from_arrays(dimension, **arrays, matrix_shape=matrix_shape).validate()
 
 
 # -- text encoding ------------------------------------------------------------
@@ -426,11 +376,13 @@ def _load_text(path):
                 values.append(float(val))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if not 0 <= tid < 2**64:
+            raise ValidationError(f"{path}:{lineno}: tid {tid} out of range [0, 2**64)")
         low, high = min(indexes), max(indexes)
         if low < 0 or high >= 2**64:
             bad = low if low < 0 else high
             raise ValidationError(f"{path}:{lineno}: index {bad} out of range [0, 2**64)")
-        vectors.append(SparseVector(tid, label, np.array(indexes, dtype=_IDX_DTYPE),
+        vectors.append(SparseVector(tid, label, np.array(indexes, dtype=np.uint64),
                                     np.array(values)))
     if dimension is None:
         # No header comment: the smallest dimension covering all indexes.

@@ -115,6 +115,28 @@ def test_exit_codes(tmp_path):
                  "--plan", "single"]) == 3
 
 
+def test_run_writes_text_tids_exactly(tmp_path, capsys):
+    data, out = tmp_path / "t.txt", tmp_path / "r.csv"
+    data.write_text(f"# d=10\n{2**63} 1.0 1:2.0\n5 1.0 2:1.0\n")
+    assert main(["run", "--data", str(data), "--data-format", "txt",
+                 "--model", str(tmp_path / "m.model"), "--page-size", "2",
+                 "--budget", "100%", "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == [
+        "tid", str(2**63), "5"]
+
+
+@pytest.mark.parametrize("tid", [2**64, -1])
+def test_a_text_tid_outside_64_bits_exits_2(tmp_path, capsys, tid):
+    data, model = tmp_path / "t.txt", tmp_path / "m.model"
+    data.write_text(f"# d=10\n{tid} 1.0 1:2.0\n5 1.0 2:1.0\n")
+    assert main(["run", "--data", str(data), "--data-format", "txt", "--model", str(model),
+                 "--page-size", "2", "--budget", "100%"]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}:2: tid {tid} out of range [0, 2**64)" in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 def test_train_names_the_tid_of_a_vector_over_the_budget(tmp_path, capsys):
     """Tid 103 spans 3 pages of 8 entries; a 2-page budget cannot hold it."""
     data = tmp_path / "d.txt"
@@ -561,28 +583,39 @@ def _cli_argv(draw):
     return fixed + [text for item in values.items() for text in map(str, item)]
 
 
-DATA_FAULTS = ("magic", "version", "truncated", "trailing", "count", "nnz", "dimension")
+DATA_FAULTS = ("magic", "version", "truncated", "trailing", "count", "entries", "offsets",
+               "dimension")
 MODEL_FAULTS = ("magic", "version", "page-size-0", "length")
 
 
+def _other_than(value, keep, end=2**64):
+    """`value` mapped into [0, end) without `keep`."""
+    value %= end - 1
+    return value + (value >= keep)
+
+
 def _corrupt_data(raw, fault, value, existing_model):
-    """`raw`, a plain binary dataset (header: magic, version u32, dimension
-    u64, count u64; each record: tid u64, label f64, nnz u32, entries), with
-    `fault`, its figure taken from `value`, any integer in [0, 2**64). The
-    dimension is at most 10**4 unless a model exists, so no header sizes a
-    new model file beyond that."""
+    """`raw`, a binary dataset of 10 vectors of 3 entries each (header:
+    magic, version u32 = 3, dimension u64, count u64, entries u64, matrix
+    shape 3 x u64, 60 bytes; then indptr i64 at byte 60, tids, labels,
+    indices and values), with `fault`, its figure taken from `value`, any
+    integer in [0, 2**64). The dimension is at most 10**4 unless a model
+    exists, so no header sizes a new model file beyond that."""
     if fault == "magic":
         return b"NOTADATA" + raw[8:]
-    if fault == "version":   # 1 and 2 are the plain and the matrix format
-        return raw[:8] + struct.pack("<I", 3 + value % (2**32 - 3)) + raw[12:]
+    if fault == "version":   # any but 3, the record formats 1 and 2 included
+        return raw[:8] + struct.pack("<I", _other_than(value, 3, 2**32)) + raw[12:]
     if fault == "truncated":
         return raw[: value % len(raw)]
     if fault == "trailing":
         return raw + bytes([value % 256]) * (1 + value % 24)
-    if fault == "count":     # the file holds 10 records
-        return raw[:20] + struct.pack("<Q", 11 + value % (2**64 - 11)) + raw[28:]
-    if fault == "nnz":       # the first record's, which is 3
-        return raw[:44] + struct.pack("<I", 4 + value % (2**32 - 4)) + raw[48:]
+    if fault == "count":     # any vector count but 10
+        return raw[:20] + struct.pack("<Q", _other_than(value, 10)) + raw[28:]
+    if fault == "entries":   # any entry count but 30
+        return raw[:28] + struct.pack("<Q", _other_than(value, 30)) + raw[36:]
+    if fault == "offsets":   # indptr[value % 11], which is 3 * (value % 11), set outside [0, 30]
+        at = 60 + 8 * (value % 11)
+        return raw[:at] + struct.pack("<Q", 31 + value % (2**64 - 31)) + raw[at + 8:]
     dimension = value if existing_model else value % (10**4 + 1)
     return raw[:12] + struct.pack("<Q", dimension) + raw[20:]
 
@@ -613,11 +646,14 @@ def _faulty(data_fault=None, model_fault=None, value=0):
        model_fault=st.none() | st.sampled_from(MODEL_FAULTS),
        value=st.integers(0, 2**64 - 1))
 @_faulty("magic")
+@_faulty("version", value=1)
+@_faulty("version", value=2)
 @_faulty("version", value=4)
 @_faulty("truncated", value=200)
 @_faulty("trailing", value=5)
-@_faulty("count", value=2**63 - 11)
-@_faulty("nnz", value=2**32 - 5)
+@_faulty("count", value=2**63 - 1)
+@_faulty("entries", value=2**64 - 2)
+@_faulty("offsets", value=5)
 @_faulty("dimension", value=0)
 @_faulty(model_fault="magic")
 @_faulty(model_fault="version", value=5)

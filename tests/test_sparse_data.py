@@ -1,5 +1,5 @@
 import gc
-import math
+import os
 import struct
 import tracemalloc
 import warnings
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpjoin import Dataset, SparseVector, StoreError, ValidationError
+from dpjoin import Dataset, SparseVector, StoreError, ValidationError, datagen
 from dpjoin.sparse_data import load_dataset, page_request_set, store_dataset
 
 
@@ -161,120 +161,185 @@ def test_load_text_rejects_bad_input_naming_the_line(tmp_path, text, named):
     assert "18446744073709551613" not in message
 
 
-# -- the CSR binary loader against a per-record reference decode ---------------
-
-_HEADER = struct.Struct("<8sIQQ")
-_HEAD = struct.Struct("<QdI")
-
-
-def pack_records(records, dimension=1000, version=1, matrix=None):
-    """A binary dataset file, built record by record: (tid, label bits,
-    indexes, value bits) with the label and values given as uint64 patterns."""
-    out = [_HEADER.pack(b"DPJDATA\x00", version, dimension, len(records))]
-    if matrix is not None:
-        out.append(struct.pack("<QQQ", *matrix))
-    for tid, label_bits, indexes, value_bits in records:
-        label = struct.unpack("<d", struct.pack("<Q", label_bits))[0]
-        out.append(_HEAD.pack(tid, label, len(indexes)))
-        out.append(np.array(indexes, dtype="<u8").tobytes())
-        out.append(np.array(value_bits, dtype="<u8").tobytes())
-    return b"".join(out)
+@pytest.mark.parametrize("tid", [-1, 2**64])
+def test_a_tid_outside_64_bits_is_refused(tmp_path, tid):
+    with pytest.raises(ValidationError, match=rf"^tid {tid} out of range \[0, 2\*\*64\)$"):
+        Dataset(10, [vec(5, [2]), vec(tid, [1])])
+    path = tmp_path / "t.txt"
+    path.write_text(f"# d=10\n5 1.0 2:1.0\n{tid} 1.0 1:2.0\n")
+    with pytest.raises(ValidationError) as err:
+        load_dataset(str(path), fmt="txt")
+    assert str(err.value) == f"{path}:3: tid {tid} out of range [0, 2**64)"
 
 
-def reference_decode(raw):
-    """(tid, label, indexes, values) per record, one record at a time."""
-    count = _HEADER.unpack_from(raw, 0)[3]
-    offset = _HEADER.size + (24 if _HEADER.unpack_from(raw, 0)[1] == 2 else 0)
-    records = []
-    for _ in range(count):
-        tid, label, nnz = _HEAD.unpack_from(raw, offset)
-        offset += _HEAD.size
-        indexes = np.frombuffer(raw, dtype="<u8", count=nnz, offset=offset)
-        values = np.frombuffer(raw, dtype="<f8", count=nnz, offset=offset + 8 * nnz)
-        offset += 16 * nnz
-        records.append((tid, None if math.isnan(label) else label, indexes, values))
-    return records
+def test_text_tids_keep_all_64_bits(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text(f"# d=10\n{2**64 - 1} 1.0 1:2.0\n{2**63} 1.0 1:2.0\n5 1.0 2:1.0\n")
+    ds = load_dataset(str(path), fmt="txt")
+    assert ds.tids.dtype == np.uint64
+    assert [v.tid for v in ds] == [2**64 - 1, 2**63, 5]
+    store_dataset(ds, str(tmp_path / "t.bin"))
+    assert load_dataset(str(tmp_path / "t.bin")).tids.tolist() == [2**64 - 1, 2**63, 5]
+
+
+# -- the binary layout: a header, then the CSR arrays ----------------------------
+
+_HEADER = struct.Struct("<8sIQQQQQQ")
+_COUNT, _ENTRIES, _INDPTR = 20, 28, 60  # byte offsets in a binary dataset file
+
+
+def pack_columns(records, dimension=1000, version=3, matrix=(0, 0, 0)):
+    """A binary dataset file of `records`, each (tid, label bits, indexes,
+    value bits), the label and values given as uint64 patterns: the header,
+    then indptr, tids, labels, indices and values."""
+    indptr = np.zeros(len(records) + 1, dtype="<i8")
+    np.cumsum([len(indexes) for _, _, indexes, _ in records], out=indptr[1:])
+    columns = ([tid for tid, _, _, _ in records], [label for _, label, _, _ in records],
+               [i for _, _, indexes, _ in records for i in indexes],
+               [v for _, _, _, values in records for v in values])
+    return b"".join([_HEADER.pack(b"DPJDATA\x00", version, dimension, len(records),
+                                  int(indptr[-1]), *matrix), indptr.tobytes()]
+                    + [np.array(column, dtype="<u8").tobytes() for column in columns])
 
 
 _bits = st.integers(0, 2**64 - 1)
 
 
+@st.composite
+def _datasets(draw):
+    """(records, dimension, matrix shape or (0, 0, 0)): any 64-bit tids,
+    labels and values as bit patterns (NaN payloads and signed zeros
+    included), possibly no vector at all."""
+    matrix = draw(st.sampled_from([(0, 0, 0), None]) | st.tuples(
+        st.integers(1, 60), st.integers(1, 60), st.integers(1, 8)))
+    if matrix is None:
+        matrix, dimension = (0, 0, 0), draw(st.integers(1, 2**64 - 1))
+    elif matrix == (0, 0, 0):
+        dimension = draw(st.integers(1, 1000))
+    else:
+        dimension = (matrix[0] + matrix[1]) * matrix[2]
+    rows = draw(st.lists(st.tuples(_bits, _bits, st.sets(
+        st.integers(0, dimension - 1), min_size=1, max_size=40)),
+        max_size=12, unique_by=lambda row: row[0]))
+    records = [(tid, label, sorted(indexes),
+                draw(st.lists(_bits, min_size=len(indexes), max_size=len(indexes))))
+               for tid, label, indexes in rows]
+    return records, dimension, matrix
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(
-    st.tuples(_bits, _bits, st.sets(st.integers(0, 999), min_size=1, max_size=70),
-              st.data()),
-    min_size=0, max_size=12, unique_by=lambda r: r[0]))
-def test_csr_loader_matches_per_record_decode(tmp_path_factory, rows):
-    records = []
-    for tid, label_bits, indexes, data in rows:
-        value_bits = data.draw(st.lists(_bits, min_size=len(indexes), max_size=len(indexes)))
-        records.append((tid, label_bits, sorted(indexes), value_bits))
-    raw = pack_records(records)
-    path = tmp_path_factory.mktemp("csr") / "d.bin"
+@given(_datasets())
+def test_store_then_load_is_bit_identical(tmp_path_factory, drawn):
+    records, dimension, matrix = drawn
+    raw = pack_columns(records, dimension, matrix=matrix)
+    path = tmp_path_factory.mktemp("rt") / "d.bin"
     path.write_bytes(raw)
     loaded = load_dataset(str(path))
-    expected = reference_decode(raw)
-    assert len(loaded) == len(expected)
-    for got, (tid, label, indexes, values) in zip(loaded, expected):
-        assert got.tid == tid and type(got.tid) is int
-        if label is None:
-            assert got.label is None
-        else:
-            assert struct.pack("<d", got.label) == struct.pack("<d", label)
-        assert got.indexes.tobytes() == indexes.tobytes()
-        assert got.values.tobytes() == values.tobytes()
+    assert loaded.dimension == dimension
+    assert loaded.matrix_shape == (None if matrix == (0, 0, 0) else matrix)
+    assert loaded.tids.tolist() == [tid for tid, _, _, _ in records]
+    assert all(type(vector.tid) is int for vector in loaded)
+    assert loaded.labels.view("<u8").tolist() == [label for _, label, _, _ in records]
+    assert loaded.indices.tolist() == [i for _, _, indexes, _ in records for i in indexes]
+    assert loaded.values.view("<u8").tolist() == [v for _, _, _, values in records
+                                                  for v in values]
+    again = path.with_name("again.bin")
+    store_dataset(loaded, str(again))
+    assert again.read_bytes() == raw
+
+
+@pytest.mark.parametrize("dataset", [
+    datagen.gen_uniform(50, 300, 5, seed=1), datagen.gen_skewed(50, 300, 6, seed=1),
+    datagen.gen_matrix(6, 5, 20, 3, seed=1), datagen.gen_demo()], ids=datagen.GENERATORS)
+def test_generated_datasets_store_and_load_bit_identically(tmp_path, dataset):
+    path = tmp_path / "d.bin"
+    store_dataset(dataset, str(path))
+    loaded = load_dataset(str(path))
+    assert (loaded.dimension, loaded.matrix_shape) == (dataset.dimension, dataset.matrix_shape)
+    for name in ("indptr", "tids", "labels", "indices", "values"):
+        assert getattr(loaded, name).tobytes() == getattr(dataset, name).tobytes()
 
 
 def _ones(n):
     return [0x3FF0000000000000] * n  # bit pattern of 1.0
 
 
-def _with_nnz(raw, at, nnz):
-    """`raw` with the nnz field of the record header at byte `at` set to `nnz`."""
-    return raw[: at + 16] + struct.pack("<I", nnz) + raw[at + 20 :]
+def _with(raw, at, value, fmt="<Q"):
+    """`raw` with the field of format `fmt` at byte `at` set to `value`."""
+    return raw[:at] + struct.pack(fmt, value) + raw[at + struct.calcsize(fmt):]
+
+
+def _size(count, entries):
+    """The size of a binary dataset file of `count` vectors and `entries` entries."""
+    return _HEADER.size + 8 * (count + 1) + 16 * count + 16 * entries
 
 
 _ONE = [(4, 0, [1, 2], _ones(2))]
 _THREE = _ONE + [(5, 0, [3, 4], _ones(2)), (6, 0, [5, 6], _ones(2))]
 _BAD_FILES = {
     "short header": (b"DPJDATA\x00" + b"\x00" * 4, StoreError, "truncated dataset header"),
-    "magic": (b"XXXXXXXX" + b"\x00" * 20, StoreError, "bad magic b'XXXXXXXX'"),
-    "short matrix header": (_HEADER.pack(b"DPJDATA\x00", 2, 16, 0) + b"\x00" * 8, StoreError,
-                            "truncated matrix header"),
-    "version": (_HEADER.pack(b"DPJDATA\x00", 7, 16, 0), StoreError,
+    "magic": (b"XXXXXXXX" + pack_columns(_ONE)[8:], StoreError, "bad magic b'XXXXXXXX'"),
+    # Cut inside the matrix shape, the header's last fields.
+    "short matrix header": (pack_columns([], 16, matrix=(2, 2, 4))[:44], StoreError,
+                            "truncated dataset header"),
+    "version": (_with(pack_columns(_ONE), 8, 7, "<I"), StoreError,
                 "unsupported dataset version 7"),
-    "short payload": (pack_records(_ONE)[:-3], StoreError, "truncated record payload for tid 4"),
-    "short record head": (pack_records(_ONE)[:28 + 10], StoreError,
-                          "truncated record header at byte 28"),
-    "trailing": (pack_records(_ONE) + b"\x01\x02", StoreError, "2 trailing bytes"),
-    # The second record (at byte 80) claims more entries than the file holds.
-    "short middle payload": (_with_nnz(pack_records(_THREE), 80, 7), StoreError,
-                             "truncated record payload for tid 5"),
-    "huge middle payload": (_with_nnz(pack_records(_THREE), 80, 2**32 - 1), StoreError,
-                            "truncated record payload for tid 5"),
-    "count beyond the records": (pack_records(_ONE)[:20] + struct.pack("<Q", 2**63)
-                                 + pack_records(_ONE)[28:], StoreError,
-                                 "truncated record header at byte 80"),
-    "repeated index": (pack_records(_ONE + [(5, 0, [3, 3], _ones(2))]), ValidationError,
+    # The record formats: their version field sits where this one's does.
+    "version 1": (_with(pack_columns(_ONE), 8, 1, "<I"), StoreError,
+                  "unsupported dataset version 1"),
+    "version 2": (_with(pack_columns(_ONE), 8, 2, "<I"), StoreError,
+                  "unsupported dataset version 2"),
+    "short payload": (pack_columns(_ONE)[:-3], StoreError,
+                      f"the header's 1 vectors and 2 entries need {_size(1, 2)} bytes,"
+                      f" the file has {_size(1, 2) - 3}"),
+    # Cut inside the tids.
+    "short record head": (pack_columns(_ONE)[:_INDPTR + 16 + 4], StoreError,
+                          f"the header's 1 vectors and 2 entries need {_size(1, 2)} bytes,"
+                          f" the file has {_INDPTR + 20}"),
+    "trailing": (pack_columns(_ONE) + b"\x01\x02", StoreError,
+                 f"the header's 1 vectors and 2 entries need {_size(1, 2)} bytes,"
+                 f" the file has {_size(1, 2) + 2}"),
+    # The second vector's end claims more entries than the file holds.
+    "short middle payload": (_with(pack_columns(_THREE), _INDPTR + 16, 7), StoreError,
+                             "vector offsets do not ascend from 0 to the entry count 6"),
+    "huge middle payload": (_with(pack_columns(_THREE), _INDPTR + 16, 2**63 - 1), StoreError,
+                            "vector offsets do not ascend from 0 to the entry count 6"),
+    "negative middle offset": (_with(pack_columns(_THREE), _INDPTR + 16, -1, "<q"), StoreError,
+                               "vector offsets do not ascend from 0 to the entry count 6"),
+    "offsets start": (_with(pack_columns(_ONE), _INDPTR, 1), StoreError,
+                      "vector offsets do not ascend from 0 to the entry count 2"),
+    "offsets end": (_with(pack_columns(_ONE), _INDPTR + 8, 1), StoreError,
+                    "vector offsets do not ascend from 0 to the entry count 2"),
+    # Sizes are compared in Python integers, so nothing is allocated from them.
+    "count beyond the records": (_with(pack_columns(_ONE), _COUNT, 2**63), StoreError,
+                                 f"the header's {2**63} vectors and 2 entries need"
+                                 f" {_size(2**63, 2)} bytes, the file has {_size(1, 2)}"),
+    "huge entry count": (_with(pack_columns(_ONE), _ENTRIES, 2**64 - 1), StoreError,
+                         f"the header's 1 vectors and {2**64 - 1} entries need"
+                         f" {_size(1, 2**64 - 1)} bytes, the file has {_size(1, 2)}"),
+    "repeated index": (pack_columns(_ONE + [(5, 0, [3, 3], _ones(2))]), ValidationError,
                        "tid 5: indexes not strictly ascending"),
-    "descending": (pack_records([(4, 0, [2, 1], _ones(2))]), ValidationError,
+    "descending": (pack_columns([(4, 0, [2, 1], _ones(2))]), ValidationError,
                    "tid 4: indexes not strictly ascending"),
-    "range": (pack_records([(4, 0, [1, 1000], _ones(2))]), ValidationError,
+    "range": (pack_columns([(4, 0, [1, 1000], _ones(2))]), ValidationError,
               "tid 4: index 1000 out of range [0, 1000)"),
-    "empty": (pack_records([(4, 0, [], [])]), ValidationError, "tid 4: empty vector"),
-    "duplicate": (pack_records([(4, 0, [1], _ones(1))] * 2), ValidationError, "duplicate tid 4"),
+    "empty": (pack_columns([(4, 0, [], [])]), ValidationError, "tid 4: empty vector"),
+    "duplicate": (pack_columns([(4, 0, [1], _ones(1))] * 2), ValidationError, "duplicate tid 4"),
     # The first bad vector in file order is reported, whatever its fault.
-    "duplicate first": (pack_records([(4, 0, [1], _ones(1))] * 2 + [(6, 0, [5, 3], _ones(2))]),
+    "duplicate first": (pack_columns([(4, 0, [1], _ones(1))] * 2 + [(6, 0, [5, 3], _ones(2))]),
                         ValidationError, "duplicate tid 4"),
-    "order first": (pack_records([(4, 0, [1], _ones(1)), (6, 0, [5, 3], _ones(2)),
+    "order first": (pack_columns([(4, 0, [1], _ones(1)), (6, 0, [5, 3], _ones(2)),
                                   (4, 0, [1], _ones(1))]),
                     ValidationError, "tid 6: indexes not strictly ascending"),
-    "range first": (pack_records([(4, 0, [7, 1000], _ones(2)), (6, 0, [], [])]),
+    "range first": (pack_columns([(4, 0, [7, 1000], _ones(2)), (6, 0, [], [])]),
                     ValidationError, "tid 4: index 1000 out of range [0, 1000)"),
-    "dimension": (pack_records(_ONE, dimension=0), ValidationError,
+    "dimension": (pack_columns(_ONE, dimension=0), ValidationError,
                   "dimension must be >= 1, got 0"),
-    "matrix shape": (pack_records(_ONE, version=2, matrix=(10, 10, 4)), ValidationError,
+    "matrix shape": (pack_columns(_ONE, matrix=(10, 10, 4)), ValidationError,
                      "matrix shape (10, 10, 4) inconsistent with dimension 1000"),
+    # Only (0, 0, 0) means no matrix.
+    "partial matrix shape": (pack_columns(_ONE, matrix=(0, 0, 4)), ValidationError,
+                             "bad matrix shape (0, 0, 4)"),
 }
 
 
@@ -287,6 +352,18 @@ def test_bad_binary_files_keep_their_messages(tmp_path, raw, error, message):
     assert type(err.value) is error
     text = str(err.value)
     assert text in (message, f"{path}: {message}")
+
+
+def test_a_file_that_shrinks_after_the_size_check_is_refused(tmp_path, monkeypatch):
+    """A read that comes up short leaves no uninitialised array in the dataset."""
+    raw = pack_columns(_THREE)
+    path = tmp_path / "d.bin"
+    path.write_bytes(raw[:-8])
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        (*real_fstat(fd)[:6], len(raw), *real_fstat(fd)[7:])))
+    with pytest.raises(StoreError, match="truncated values array$"):
+        load_dataset(str(path))
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,7 +388,7 @@ def test_take_copies_a_permutation_and_shares_a_run():
 
 
 def write_large_binary(path, n=32768, seed=0):
-    """About 6.4 MiB: n vectors of 1 to 24 ascending indexes, built as arrays."""
+    """About 7 MiB: n vectors of 1 to 24 ascending indexes, built as arrays."""
     rng = np.random.default_rng(seed)
     nnz = rng.integers(1, 25, size=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -338,4 +415,7 @@ def test_load_memory_follows_the_file_size(tmp_path):
         tracemalloc.stop()
     assert len(ds) == 32768
     assert kept - before <= 1.5 * size
-    assert peak - before <= 3.5 * size
+    # The arrays are read in place: about 1.35x at peak (validate's
+    # temporaries), where a loader that holds the raw file beside them
+    # takes about 2.15x.
+    assert peak - before <= 1.6 * size
